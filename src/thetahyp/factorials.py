@@ -104,15 +104,7 @@ def theta_factorial(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> FactorialValue:
     """theta(t; p; q)_n for any integer n."""
-    q, p = nome.q, nome.p
-    if n < 0:
-        return theta_factorial(t * q**n, nome, -n, policy).inverse()
-    out = ONE
-    arg = complex(t)
-    for _ in range(n):
-        out = out * theta_factor(arg, p, policy)
-        arg *= q
-    return out
+    return FactorTable(nome, policy).factorial(t, n)
 
 
 def theta_factorial_multi(
@@ -122,10 +114,52 @@ def theta_factorial_multi(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> FactorialValue:
     """Product of theta_factorial over a parameter list (empty list -> 1)."""
-    out = ONE
-    for t in ts:
-        out = out * theta_factorial(t, nome, n, policy)
-    return out
+    return FactorTable(nome, policy).factorial_multi(ts, n)
+
+
+class FactorTable:
+    """Theta factors and factorial prefixes of one nome, each evaluated once.
+
+    A sum builds one table, reads every coefficient through it and drops it
+    when it returns; ``theta_factorial`` is a table used once. ``factor``
+    memoises ``theta_factor`` by its exact argument. ``factorial`` keeps
+    the prefix list ``[1, f0, f0 f1, ...]`` of each base t, where
+    ``f_m = theta_factor(t q^m)`` and each argument is the previous one
+    times q, so a value read from a grown prefix is bit-identical to one
+    computed afresh.
+    """
+
+    def __init__(self, nome: Nome, policy: PrecisionPolicy = DEFAULT_POLICY) -> None:
+        self.nome = nome
+        self.policy = policy
+        self._factors: dict[complex, FactorialValue] = {}
+        self._prefixes: dict[complex, tuple[list[FactorialValue], complex]] = {}
+
+    def factor(self, arg: complex) -> FactorialValue:
+        """theta_factor(arg, p, policy)."""
+        value = self._factors.get(arg)
+        if value is None:
+            value = self._factors[arg] = theta_factor(arg, self.nome.p, self.policy)
+        return value
+
+    def factorial(self, t: complex, n: int) -> FactorialValue:
+        """theta(t; p; q)_n for any integer n; theta(t;p;q)_{-n} = 1/theta(t q^{-n};p;q)_n."""
+        q = self.nome.q
+        if n < 0:
+            return self.factorial(t * q**n, -n).inverse()
+        prefix, arg = self._prefixes.get(t, ([ONE], complex(t)))
+        while len(prefix) <= n:
+            prefix.append(prefix[-1] * self.factor(arg))
+            arg *= q
+        self._prefixes[t] = (prefix, arg)
+        return prefix[n]
+
+    def factorial_multi(self, ts: list[complex], n: int) -> FactorialValue:
+        """theta_factorial_multi(ts, nome, n, policy)."""
+        out = ONE
+        for t in ts:
+            out = out * self.factorial(t, n)
+        return out
 
 
 def elliptic_factor(u: complex, pair: ModularPair, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:

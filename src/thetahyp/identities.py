@@ -24,14 +24,14 @@ from .errors import PoleError, ThetaDomainError
 from .factorials import (
     ONE,
     FactorialValue,
+    FactorTable,
     elliptic_factorial,
-    theta_factor,
     theta_factorial,
     theta_factorial_multi,
 )
 from .report import VerificationReport, complex_from_json, complex_to_json
 from .theta import DEFAULT_POLICY, ModularPair, Nome, PrecisionPolicy, theta_zero_index
-from .series import VwpSpec, eval_vwp, vwp_coefficient
+from .series import VwpSpec, _vwp_coefficient, eval_vwp
 
 DEFAULT_BAND = (0.4, 0.9)
 CONSTRAINT_RTOL = 1e-12
@@ -144,8 +144,9 @@ def sample_ft(
         if any(_near_lattice(w, p) for w in _ft_theta_args(t, q, N)):
             continue
         spec = VwpSpec(t0, t[1:], 1.0 + 0j, nome, "unilateral")
+        table = FactorTable(nome)
         try:
-            terms = [vwp_coefficient(spec, k).value for k in range(N + 1)]
+            terms = [_vwp_coefficient(spec, k, table).value for k in range(N + 1)]
         except (PoleError, ZeroDivisionError, OverflowError):
             continue
         if _badly_conditioned(terms):
@@ -277,13 +278,14 @@ def sample_bailey(
         s = bailey_map(t, nome)
         if _bailey_guard(t, s, nome, N):
             continue
+        table = FactorTable(nome)
         try:
             lhs_terms = [
-                vwp_coefficient(VwpSpec(t[0], t[1:], 1.0 + 0j, nome, "unilateral"), k).value
+                _vwp_coefficient(VwpSpec(t[0], t[1:], 1.0 + 0j, nome, "unilateral"), k, table).value
                 for k in range(N + 1)
             ]
             rhs_terms = [
-                vwp_coefficient(VwpSpec(s[0], s[1:], 1.0 + 0j, nome, "unilateral"), k).value
+                _vwp_coefficient(VwpSpec(s[0], s[1:], 1.0 + 0j, nome, "unilateral"), k, table).value
                 for k in range(N + 1)
             ]
         except (PoleError, ZeroDivisionError, OverflowError):
@@ -405,9 +407,10 @@ def sample_multi1(
         params = Multi1Params(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
         if _multi1_guard(params):
             continue
+        table = FactorTable(nome)
         try:
             terms = [
-                _multi1_coefficient(params, lam, DEFAULT_POLICY).value
+                _multi1_coefficient(params, lam, table).value
                 for lam in itertools.combinations_with_replacement(range(N + 1), n)
             ]
         except (PoleError, ZeroDivisionError, OverflowError):
@@ -445,9 +448,8 @@ def _multi1_guard(params: Multi1Params) -> bool:
     return any(_near_lattice(w, p) for w in args)
 
 
-def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], policy: PrecisionPolicy) -> FactorialValue:
-    nome = params.nome
-    q, p = nome.q, nome.p
+def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
+    q = params.nome.q
     t = params.t
     n = params.n
     taus = params.taus
@@ -456,38 +458,34 @@ def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], policy: Prec
     for j in range(n):
         for k in range(j + 1, n):
             cross = (
-                theta_factor(taus[k] * taus[j] * q ** (lam[k] + lam[j]), p, policy)
-                * theta_factor(taus[k] / taus[j] * q ** (lam[k] - lam[j]), p, policy)
-                / theta_factor(taus[k] * taus[j], p, policy)
-                / theta_factor(taus[k] / taus[j], p, policy)
+                table.factor(taus[k] * taus[j] * q ** (lam[k] + lam[j]))
+                * table.factor(taus[k] / taus[j] * q ** (lam[k] - lam[j]))
+                / table.factor(taus[k] * taus[j])
+                / table.factor(taus[k] / taus[j])
             )
             cross = cross * (
-                theta_factorial(t * taus[k] * taus[j], nome, lam[k] + lam[j], policy)
-                / theta_factorial(q / t * taus[k] * taus[j], nome, lam[k] + lam[j], policy)
+                table.factorial(t * taus[k] * taus[j], lam[k] + lam[j])
+                / table.factorial(q / t * taus[k] * taus[j], lam[k] + lam[j])
             )
             cross = cross * (
-                theta_factorial(t * taus[k] / taus[j], nome, lam[k] - lam[j], policy)
-                / theta_factorial(q / t * taus[k] / taus[j], nome, lam[k] - lam[j], policy)
+                table.factorial(t * taus[k] / taus[j], lam[k] - lam[j])
+                / table.factorial(q / t * taus[k] / taus[j], lam[k] - lam[j])
             )
             out = out * cross
     for j in range(n):
-        blk = theta_factor(taus[j] * taus[j] * q ** (2 * lam[j]), p, policy) / theta_factor(
-            taus[j] * taus[j], p, policy
-        )
+        blk = table.factor(taus[j] * taus[j] * q ** (2 * lam[j])) / table.factor(taus[j] * taus[j])
         for tr in params.t6:
-            blk = blk * (
-                theta_factorial(tr * taus[j], nome, lam[j], policy)
-                / theta_factorial(q / tr * taus[j], nome, lam[j], policy)
-            )
+            blk = blk * (table.factorial(tr * taus[j], lam[j]) / table.factorial(q / tr * taus[j], lam[j]))
         out = out * blk
     return out * scalar
 
 
 def multi1_lhs(params: Multi1Params, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[complex, int]:
+    table = FactorTable(params.nome, policy)
     total = 0j
     count = 0
     for lam in itertools.combinations_with_replacement(range(params.N + 1), params.n):
-        c = _multi1_coefficient(params, lam, policy)
+        c = _multi1_coefficient(params, lam, table)
         if c.is_zero:
             continue
         total += c.value
@@ -603,9 +601,10 @@ def sample_multi2(
         params = Multi2Params(n, t, tuple(Ns), nome)
         if _multi2_guard(params):
             continue
+        table = FactorTable(nome)
         try:
             terms = [
-                _multi2_coefficient(params, lam, DEFAULT_POLICY).value
+                _multi2_coefficient(params, lam, table).value
                 for lam in itertools.product(*(range(Nj + 1) for Nj in Ns))
             ]
         except (PoleError, ZeroDivisionError, OverflowError):
@@ -645,37 +644,34 @@ def _multi2_guard(params: Multi2Params) -> bool:
     return any(_near_lattice(w, p) for w in args)
 
 
-def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], policy: PrecisionPolicy) -> FactorialValue:
-    nome = params.nome
-    q, p = nome.q, nome.p
+def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
+    q = params.nome.q
     n, t = params.n, params.t
     out = ONE
     scalar = q ** sum((j + 1) * lam[j] for j in range(n))
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             out = out * (
-                theta_factor(t[j] * t[k] * q ** (lam[j - 1] + lam[k - 1]), p, policy)
-                * theta_factor(t[j] / t[k] * q ** (lam[j - 1] - lam[k - 1]), p, policy)
-                / theta_factor(t[j] * t[k], p, policy)
-                / theta_factor(t[j] / t[k], p, policy)
+                table.factor(t[j] * t[k] * q ** (lam[j - 1] + lam[k - 1]))
+                * table.factor(t[j] / t[k] * q ** (lam[j - 1] - lam[k - 1]))
+                / table.factor(t[j] * t[k])
+                / table.factor(t[j] / t[k])
             )
     for j in range(1, n + 1):
         lj = lam[j - 1]
-        blk = theta_factor(t[j] * t[j] * q ** (2 * lj), p, policy) / theta_factor(t[j] * t[j], p, policy)
+        blk = table.factor(t[j] * t[j] * q ** (2 * lj)) / table.factor(t[j] * t[j])
         for r in range(2 * n + 4):
-            blk = blk * (
-                theta_factorial(t[j] * t[r], nome, lj, policy)
-                / theta_factorial(q * t[j] / t[r], nome, lj, policy)
-            )
+            blk = blk * (table.factorial(t[j] * t[r], lj) / table.factorial(q * t[j] / t[r], lj))
         out = out * blk
     return out * scalar
 
 
 def multi2_lhs(params: Multi2Params, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[complex, int]:
+    table = FactorTable(params.nome, policy)
     total = 0j
     count = 0
     for lam in itertools.product(*(range(N + 1) for N in params.Ns)):
-        c = _multi2_coefficient(params, lam, policy)
+        c = _multi2_coefficient(params, lam, table)
         if c.is_zero:
             continue
         total += c.value

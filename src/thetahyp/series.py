@@ -7,7 +7,9 @@ and the balanced / well-poised / very-well-poised / modular classifiers.
 
 Coefficients are assembled through FactorialValue products so that
 structural zeros and poles are resolved exactly rather than through
-divisions by numerically tiny theta values.
+divisions by numerically tiny theta values. Each evaluator reads all its
+coefficients through one FactorTable, so each distinct theta factor is
+evaluated once per sum.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .errors import PoleError, ThetaDomainError
 from .factorials import (
     ONE,
     FactorialValue,
+    FactorTable,
     theta_factor,
-    theta_factorial_multi,
 )
 from .report import VerificationReport, complex_from_json, complex_to_json
 from .theta import DEFAULT_POLICY, ModularPair, Nome, PrecisionPolicy
@@ -181,9 +183,13 @@ def spec_from_json(obj: dict) -> ThetaSeriesSpec | VwpSpec:
 
 def coefficient(spec: ThetaSeriesSpec, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
     """Coefficient c_n of the series as a FactorialValue (c_0 = 1)."""
+    return _coefficient(spec, n, FactorTable(spec.nome, policy))
+
+
+def _coefficient(spec: ThetaSeriesSpec, n: int, table: FactorTable) -> FactorialValue:
     nome = spec.nome
-    num = theta_factorial_multi(list(spec.numerator), nome, n, policy)
-    den = theta_factorial_multi(list(spec.effective_denominator()), nome, n, policy)
+    num = table.factorial_multi(list(spec.numerator), n)
+    den = table.factorial_multi(list(spec.effective_denominator()), n)
     scalar = nome.q ** (spec.alpha * n * (n - 1) / 2.0) * spec.z**n
     return (num / den) * scalar
 
@@ -276,7 +282,8 @@ def eval_E(
         raise ValueError("eval_E expects a unilateral_E spec")
     if isinstance(trunc, TruncationDecl):
         trunc.validate(spec)
-    return _sum_unilateral(lambda n: coefficient(spec, n, policy), trunc, policy)
+    table = FactorTable(spec.nome, policy)
+    return _sum_unilateral(lambda n: _coefficient(spec, n, table), trunc, policy)
 
 
 def eval_G(
@@ -290,11 +297,12 @@ def eval_G(
     n_min, n_max = window
     if n_min > n_max:
         raise ValueError(f"empty window {window}")
+    table = FactorTable(spec.nome, policy)
     total = 0j
     edge = 0.0
     used = 0
     for n in range(n_min, n_max + 1):
-        c = coefficient(spec, n, policy)
+        c = _coefficient(spec, n, table)
         if c.is_zero:
             continue
         val = c.value  # raises PoleError when unresolved
@@ -307,12 +315,16 @@ def eval_G(
 
 def vwp_coefficient(spec: VwpSpec, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
     """Coefficient of the simplified very-well-poised series at index n."""
-    q, p = spec.nome.q, spec.nome.p
+    return _vwp_coefficient(spec, n, FactorTable(spec.nome, policy))
+
+
+def _vwp_coefficient(spec: VwpSpec, n: int, table: FactorTable) -> FactorialValue:
+    q = spec.nome.q
     t0 = spec.t0
-    head = theta_factor(t0 * t0 * q ** (2 * n), p, policy) / theta_factor(t0 * t0, p, policy)
+    head = table.factor(t0 * t0 * q ** (2 * n)) / table.factor(t0 * t0)
     ms = (t0,) + spec.ts if spec.kind == "unilateral" else spec.ts
-    num = theta_factorial_multi([t0 * t for t in ms], spec.nome, n, policy)
-    den = theta_factorial_multi([q * t0 / t for t in ms], spec.nome, n, policy)
+    num = table.factorial_multi([t0 * t for t in ms], n)
+    den = table.factorial_multi([q * t0 / t for t in ms], n)
     return head * (num / den) * (q * spec.z) ** n
 
 
@@ -323,9 +335,10 @@ def eval_vwp(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
     """Evaluate the simplified very-well-poised series (multiplicative form)."""
+    table = FactorTable(spec.nome, policy)
     if spec.kind == "unilateral":
         last = trunc.N if isinstance(trunc, TruncationDecl) else trunc
-        return _sum_unilateral(lambda n: vwp_coefficient(spec, n, policy), last, policy)
+        return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), last, policy)
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
     n_min, n_max = window
@@ -333,7 +346,7 @@ def eval_vwp(
     used = 0
     edge = 0.0
     for n in range(n_min, n_max + 1):
-        c = vwp_coefficient(spec, n, policy)
+        c = _vwp_coefficient(spec, n, table)
         if c.is_zero:
             continue
         val = c.value

@@ -1,0 +1,138 @@
+"""FactorTable: bit-identity with the factor-by-factor product, and the
+theta-call budget of the sums that read their coefficients through it.
+
+The pinned reprs were computed by the direct per-coefficient factorial
+products that the tables replace; a table that changed any argument or
+the multiplication order would move the last digits.
+"""
+
+import pytest
+
+from thetahyp import (
+    Nome,
+    ThetaSeriesSpec,
+    TruncationDecl,
+    VwpSpec,
+    eval_E,
+    eval_G,
+    ge_split_check,
+    sample_bailey,
+    sample_ft,
+    sample_multi1,
+    sample_multi2,
+    verify_bailey,
+    verify_ft_sum,
+    verify_multi1,
+    verify_multi2,
+)
+from thetahyp import factorials
+from thetahyp.factorials import ONE, FactorTable, theta_factor, theta_factorial
+
+NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
+
+GE_SPEC = VwpSpec(
+    0.62 + 0.21j,
+    (0.55 - 0.3j, -0.48 + 0.4j, 0.71 + 0.12j, -0.2 - 0.6j),
+    0.45 + 0.15j,
+    NOME,
+    "bilateral",
+)
+
+REPORTS = {
+    "ft_4": lambda: verify_ft_sum(sample_ft(11, 4, NOME)),
+    "ft_6": lambda: verify_ft_sum(sample_ft(12, 6, NOME)),
+    "bailey_5": lambda: verify_bailey(sample_bailey(13, 5, NOME)),
+    "multi1_2_4": lambda: verify_multi1(sample_multi1(14, 2, 4, NOME)),
+    "multi1_3_3": lambda: verify_multi1(sample_multi1(15, 3, 3, NOME)),
+    "multi2_3_3": lambda: verify_multi2(sample_multi2(16, 3, (3, 3, 3), NOME)),
+    "multi2_4_2": lambda: verify_multi2(sample_multi2(17, 4, (2, 2, 2, 2), NOME)),
+    "ge_split_4": lambda: ge_split_check(GE_SPEC, 4, 4, tol=1e-10),
+}
+
+# (lhs, rhs, rel_err) reprs
+PINNED = {
+    "ft_4": ("(4.978888004470478-5.235353828880813j)", "(4.978888004470525-5.235353828880788j)", "7.3688689179548e-15"),
+    "ft_6": ("(1.666934138856118-0.3498911273556671j)", "(1.666934138856118-0.3498911273556714j)", "2.5421079830783528e-15"),
+    "bailey_5": ("(-411.5889456306745+7026.598761090785j)", "(-411.58894563074955+7026.598761090657j)", "2.1108780585965366e-14"),
+    "multi1_2_4": ("(0.02413054990842666-0.01615435144160207j)", "(0.024130549908432684-0.01615435144160433j)", "2.215155097115239e-13"),
+    "multi1_3_3": ("(0.3411335307708657-0.46233076426601394j)", "(0.34113353077086206-0.46233076426601266j)", "6.752668062805524e-15"),
+    "multi2_3_3": ("(0.8486027420737523+0.2469074589486195j)", "(0.8486027420737452+0.2469074589486262j)", "1.1041773273056647e-14"),
+    "multi2_4_2": ("(181.0662247897613+234.58240865372895j)", "(181.06622478976027+234.58240865372622j)", "9.83357144630538e-15"),
+    "ge_split_4": ("(-17254855625.884865-259597370631.37402j)", "(-17254855625.883698-259597370631.37256j)", "7.199361032297387e-15"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_verifier_values_are_pinned(case):
+    rep = REPORTS[case]()
+    assert (repr(rep.lhs), repr(rep.rhs), repr(rep.rel_err)) == PINNED[case]
+    assert rep.passed
+
+
+def test_series_values_are_pinned():
+    q = NOME.q
+    num = (0.6 + 0.2j, -0.45 + 0.5j)
+    den = (0.7 - 0.1j, 0.52 + 0.33j)
+    e_spec = ThetaSeriesSpec("unilateral_E", (q**-5,) + num, den, 1, 0.4 + 0.2j, NOME)
+    assert repr(eval_E(e_spec, trunc=TruncationDecl(0, 5)).value) == "(608531373838.0453-146526861622.2114j)"
+    g_spec = ThetaSeriesSpec("bilateral_G", num, den, 0, 0.5 + 0.1j, NOME)
+    assert repr(eval_G(g_spec, (-3, 4)).value) == "(-5086.645925922481-606.5745846456329j)"
+
+
+def _loop_factorial(t, nome, n):
+    """The factor-by-factor product, written out as the reference."""
+    if n < 0:
+        return _loop_factorial(t * nome.q**n, nome, -n).inverse()
+    out = ONE
+    arg = complex(t)
+    for _ in range(n):
+        out = out * theta_factor(arg, nome.p)
+        arg *= nome.q
+    return out
+
+
+@pytest.mark.parametrize(
+    "t, on_lattice",
+    [(0.6 + 0.2j, False), (-0.45 + 0.5j, False), (NOME.q**-3, True), (NOME.p / NOME.q**2, True)],
+)
+def test_factorial_matches_loop_product(t, on_lattice):
+    table = FactorTable(NOME)
+    # the longest prefix first, so the later calls read entries grown earlier
+    for n in [8, *range(-3, 9)]:
+        want = _loop_factorial(t, NOME, n)
+        for got in (table.factorial(t, n), theta_factorial(t, NOME, n)):
+            assert (got.finite_part, got.zero_order, got.pole_order) == (
+                want.finite_part,
+                want.zero_order,
+                want.pole_order,
+            ), n
+    # the lattice cases put a factor of the range on a zero of theta
+    assert any(table.factorial(t, n).zero_order for n in range(9)) == on_lattice
+
+
+def _count_theta_calls(monkeypatch, fn) -> int:
+    calls = 0
+    theta = factorials.theta
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return theta(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(factorials, "theta", counting)
+        fn()
+    return calls
+
+
+def test_multi2_theta_budget(monkeypatch):
+    # the per-coefficient factorial products made 7,020 calls here
+    params = sample_multi2(16, 3, (3, 3, 3), NOME)
+    assert _count_theta_calls(monkeypatch, lambda: verify_multi2(params)) <= 702
+
+
+def test_ft_theta_calls_grow_linearly(monkeypatch):
+    p6, p12 = sample_ft(12, 6, NOME), sample_ft(12, 12, NOME)
+    calls6 = _count_theta_calls(monkeypatch, lambda: verify_ft_sum(p6))
+    calls12 = _count_theta_calls(monkeypatch, lambda: verify_ft_sum(p12))
+    assert calls12 <= 2.2 * calls6

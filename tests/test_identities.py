@@ -22,7 +22,7 @@ from thetahyp import (
     verify_multi2,
 )
 from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
-from thetahyp.series import DEFAULT_POLICY
+from thetahyp.factorials import FactorTable
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -119,7 +119,7 @@ class TestMulti1:
         # the coefficient vanishes structurally just above the diagonal,
         # which is why the sum runs over ordered tuples only
         params = sample_multi1(seed=8, n=2, N=2, nome=NOME)
-        c = _multi1_coefficient(params, (2, 1), DEFAULT_POLICY)
+        c = _multi1_coefficient(params, (2, 1), FactorTable(params.nome))
         assert c.is_zero
 
     def test_json_round_trip(self):
@@ -143,7 +143,7 @@ class TestMulti2:
 
     def test_corner_coefficient_is_one(self):
         params = sample_multi2(seed=9, n=2, Ns=(2, 1), nome=NOME)
-        c = _multi2_coefficient(params, (0, 0), DEFAULT_POLICY)
+        c = _multi2_coefficient(params, (0, 0), FactorTable(params.nome))
         assert abs(c.value - 1.0) < 1e-14
 
     def test_json_round_trip(self):
