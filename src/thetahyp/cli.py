@@ -14,10 +14,9 @@ import sys
 from typing import Any
 
 from .errors import BranchError, NonConvergenceError, PoleError, ThetaDomainError
-from .report import EllipticityReport, complex_to_json
+from .report import EllipticityReport
 from .theta import Nome
 from .series import (
-    ThetaSeriesSpec,
     VwpSpec,
     eval_E,
     eval_G,

@@ -14,6 +14,7 @@ by numerically tiny values.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
 
 from .errors import PoleError
@@ -141,6 +142,11 @@ class FactorTable:
         if value is None:
             value = self._factors[arg] = theta_factor(arg, self.nome.p, self.policy)
         return value
+
+    @property
+    def arguments(self) -> KeysView[complex]:
+        """Every argument theta_factor has been evaluated at, in first-use order."""
+        return self._factors.keys()
 
     def factorial(self, t: complex, n: int) -> FactorialValue:
         """theta(t; p; q)_n for any integer n; theta(t;p;q)_{-n} = 1/theta(t q^{-n};p;q)_n."""

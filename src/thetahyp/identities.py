@@ -5,10 +5,14 @@ Covers the terminating very-well-poised balanced 10E9 evaluation
 identity), the two multivariable summation identities (ordered-tuple and
 box-lattice kinds), and the generic multiple-series coefficient.
 
-Samplers draw free parameters with moduli in a configurable band, solve
-the balancing / truncation constraints for the dependent parameters, and
-resample when any theta factor used by the verifier sits too close to a
-lattice zero.
+Each identity has one private ``_*_sides`` function that evaluates its
+left-hand terms and its closed-form side through a FactorTable passed in.
+The verifier sums the nonzero terms and compares. The sampler draws free
+parameters with moduli in a configurable band, solves the balancing /
+truncation constraints for the dependent parameters, dry-runs the same
+sides function on a fresh table and resamples when any theta argument that
+table evaluated sits within _LATTICE_EPS of a lattice zero, or when a
+left-hand series is badly conditioned.
 """
 
 from __future__ import annotations
@@ -20,18 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, ThetaDomainError
-from .factorials import (
-    ONE,
-    FactorialValue,
-    FactorTable,
-    elliptic_factorial,
-    theta_factorial,
-    theta_factorial_multi,
-)
+from .errors import PoleError
+from .factorials import ONE, FactorialValue, FactorTable, elliptic_factorial
 from .report import VerificationReport, complex_from_json, complex_to_json
 from .theta import DEFAULT_POLICY, ModularPair, Nome, PrecisionPolicy, theta_zero_index
-from .series import VwpSpec, _vwp_coefficient, eval_vwp
+from .series import VwpSpec, _sum_unilateral, _sum_window, _vwp_coefficient
 
 DEFAULT_BAND = (0.4, 0.9)
 CONSTRAINT_RTOL = 1e-12
@@ -69,6 +66,22 @@ def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
     radius = rng.uniform(band[0], band[1])
     angle = rng.uniform(0.0, 2.0 * math.pi)
     return radius * cmath.exp(1j * angle)
+
+
+def _admissible(sides, params) -> bool:
+    """Dry-run a verifier's sides function on a fresh table. False when a
+    side cannot be evaluated, when a left-hand series is badly conditioned,
+    or when any theta argument it evaluated lies within _LATTICE_EPS of a
+    lattice zero."""
+    table = FactorTable(params.nome)
+    try:
+        *series, _ = sides(params, table)
+        return not (
+            any(_badly_conditioned([c.value for c in terms]) for terms in series)
+            or any(_near_lattice(w, params.nome.p) for w in table.arguments)
+        )
+    except (PoleError, ZeroDivisionError, OverflowError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +122,22 @@ class FTParams:
         )
 
 
-def _ft_theta_args(t: tuple[complex, ...], q: complex, N: int) -> list[complex]:
-    """Theta-factor arguments appearing in the 10E9 verifier, for the
-    sampler's lattice-zero guard."""
+def _ft_sides(params: FTParams, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
+    """The 10E9 terms for k = 0..N and the closed-form theta-factorial value."""
+    t = params.t
+    q, N = params.nome.q, params.N
     t0 = t[0]
-    args = [t0 * t0]
-    for m in t:
-        for k in range(N + 2):
-            args.append(q * t0 / m * q**k)
+    spec = VwpSpec(t0, t[1:], 1.0 + 0j, params.nome, "unilateral")
+    terms = [_vwp_coefficient(spec, k, table) for k in range(N + 1)]
+
+    num = table.factorial(q * t0 * t0, N)
     for r in range(1, 4):
         for s in range(r + 1, 4):
-            for k in range(N):
-                args.append(q / (t[r] * t[s]) * q**k)
-    for k in range(N):
-        args.append(q / (t0 * t[1] * t[2] * t[3]) * q**k)
-    return args
+            num = num * table.factorial(q / (t[r] * t[s]), N)
+    den = table.factorial(q / (t0 * t[1] * t[2] * t[3]), N)
+    for r in range(1, 4):
+        den = den * table.factorial(q * t0 / t[r], N)
+    return terms, num / den
 
 
 def sample_ft(
@@ -135,23 +149,14 @@ def sample_ft(
     """Draw FT parameters satisfying the balancing and truncation
     constraints by construction, resampling away from lattice zeros."""
     rng = np.random.default_rng(seed)
-    q, p = nome.q, nome.p
+    q = nome.q
     for _ in range(_MAX_RESAMPLE):
         t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
         t4 = q ** (-N) / t0
         t5 = q / (t0 * t1 * t2 * t3 * t4)
-        t = (t0, t1, t2, t3, t4, t5)
-        if any(_near_lattice(w, p) for w in _ft_theta_args(t, q, N)):
-            continue
-        spec = VwpSpec(t0, t[1:], 1.0 + 0j, nome, "unilateral")
-        table = FactorTable(nome)
-        try:
-            terms = [_vwp_coefficient(spec, k, table).value for k in range(N + 1)]
-        except (PoleError, ZeroDivisionError, OverflowError):
-            continue
-        if _badly_conditioned(terms):
-            continue
-        return FTParams(t, nome, N)
+        params = FTParams((t0, t1, t2, t3, t4, t5), nome, N)
+        if _admissible(_ft_sides, params):
+            return params
     raise RuntimeError("sample_ft: could not find admissible parameters")
 
 
@@ -161,25 +166,10 @@ def verify_ft_sum(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
     """Terminating 10E9 sum against its closed-form theta-factorial value."""
-    t = params.t
-    nome, N = params.nome, params.N
-    q = nome.q
-    t0 = t[0]
-
-    spec = VwpSpec(t0, t[1:], 1.0 + 0j, nome, "unilateral")
-    lhs_sv = eval_vwp(spec, trunc=N, policy=policy)
-
-    num = theta_factorial(q * t0 * t0, nome, N, policy)
-    for r in range(1, 4):
-        for s in range(r + 1, 4):
-            num = num * theta_factorial(q / (t[r] * t[s]), nome, N, policy)
-    den = theta_factorial(q / (t0 * t[1] * t[2] * t[3]), nome, N, policy)
-    for r in range(1, 4):
-        den = den * theta_factorial(q * t0 / t[r], nome, N, policy)
-    rhs = (num / den).value
-
+    terms, closed = _ft_sides(params, FactorTable(params.nome, policy))
+    lhs = _sum_unilateral(terms.__getitem__, params.N, policy)
     return VerificationReport.compare(
-        lhs_sv.value, rhs, tol, params_echo=params.to_json(), terms_summed=lhs_sv.terms_used
+        lhs.value, closed.value, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
     )
 
 
@@ -242,24 +232,23 @@ def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[
     )
 
 
-def _bailey_guard(t: tuple[complex, ...], s: tuple[complex, ...], nome: Nome, N: int) -> bool:
-    q, p = nome.q, nome.p
-    args: list[complex] = []
-    for params in (t, s):
-        t0 = params[0]
-        args.append(t0 * t0)
-        for m in params:
-            for k in range(N + 2):
-                args.append(q * t0 / m * q**k)
-    for k in range(N):
-        args.append(q * s[0] / s[4] * q**k)
-        args.append(q * s[0] / s[5] * q**k)
-        args.append(q / (t[4] * t[5]) * q**k)
-        args.append(q * s[0] * s[0] * q**k)
-        args.append(q * t[0] / t[4] * q**k)
-        args.append(q * t[0] / t[5] * q**k)
-        args.append(q / (s[4] * s[5]) * q**k)
-    return any(_near_lattice(w, p) for w in args)
+def _bailey_sides(
+    params: BaileyParams, table: FactorTable, root_sign: int = 1
+) -> tuple[list[FactorialValue], list[FactorialValue], FactorialValue]:
+    """The terms for k = 0..N of the 12E11 series at t and at the mapped
+    parameters s, and the theta-factorial prefactor of the s series."""
+    t = params.t
+    nome, N = params.nome, params.N
+    q = nome.q
+    s = bailey_map(t, nome, root_sign)
+    lhs_spec = VwpSpec(t[0], t[1:], 1.0 + 0j, nome, "unilateral")
+    rhs_spec = VwpSpec(s[0], s[1:], 1.0 + 0j, nome, "unilateral")
+    lhs_terms = [_vwp_coefficient(lhs_spec, k, table) for k in range(N + 1)]
+    rhs_terms = [_vwp_coefficient(rhs_spec, k, table) for k in range(N + 1)]
+
+    pref_num = table.factorial_multi([q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])], N)
+    pref_den = table.factorial_multi([q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])], N)
+    return lhs_terms, rhs_terms, pref_num / pref_den
 
 
 def sample_bailey(
@@ -274,25 +263,9 @@ def sample_bailey(
         t0, t1, t2, t3, t4, t5 = (_draw(rng, radius_band) for _ in range(6))
         t6 = q ** (-N) / t0
         t7 = q * q / (t0 * t1 * t2 * t3 * t4 * t5 * t6)
-        t = (t0, t1, t2, t3, t4, t5, t6, t7)
-        s = bailey_map(t, nome)
-        if _bailey_guard(t, s, nome, N):
-            continue
-        table = FactorTable(nome)
-        try:
-            lhs_terms = [
-                _vwp_coefficient(VwpSpec(t[0], t[1:], 1.0 + 0j, nome, "unilateral"), k, table).value
-                for k in range(N + 1)
-            ]
-            rhs_terms = [
-                _vwp_coefficient(VwpSpec(s[0], s[1:], 1.0 + 0j, nome, "unilateral"), k, table).value
-                for k in range(N + 1)
-            ]
-        except (PoleError, ZeroDivisionError, OverflowError):
-            continue
-        if _badly_conditioned(lhs_terms) or _badly_conditioned(rhs_terms):
-            continue
-        return BaileyParams(t, nome, N)
+        params = BaileyParams((t0, t1, t2, t3, t4, t5, t6, t7), nome, N)
+        if _admissible(_bailey_sides, params):
+            return params
     raise RuntimeError("sample_bailey: could not find admissible parameters")
 
 
@@ -311,24 +284,12 @@ def verify_bailey(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
     """Two-term 12E11 transformation, both series terminating at N."""
-    t = params.t
-    nome, N = params.nome, params.N
-    q = nome.q
-    s = bailey_map(t, nome, root_sign)
-
-    lhs_sv = eval_vwp(VwpSpec(t[0], t[1:], 1.0 + 0j, nome, "unilateral"), trunc=N, policy=policy)
-
-    pref_num = theta_factorial_multi(
-        [q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])], nome, N, policy
-    )
-    pref_den = theta_factorial_multi(
-        [q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])], nome, N, policy
-    )
-    rhs_series = eval_vwp(VwpSpec(s[0], s[1:], 1.0 + 0j, nome, "unilateral"), trunc=N, policy=policy)
-    rhs = (pref_num / pref_den).value * rhs_series.value
-
+    lhs_terms, rhs_terms, pref = _bailey_sides(params, FactorTable(params.nome, policy), root_sign)
+    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N, policy)
+    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N, policy)
+    rhs = pref.value * rhs_series.value
     return VerificationReport.compare(
-        lhs_sv.value, rhs, tol, params_echo=params.to_json(), terms_summed=lhs_sv.terms_used
+        lhs.value, rhs, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
     )
 
 
@@ -398,54 +359,16 @@ def sample_multi1(
     radius_band: tuple[float, float] = DEFAULT_BAND,
 ) -> Multi1Params:
     rng = np.random.default_rng(seed)
-    q, p = nome.q, nome.p
+    q = nome.q
     for _ in range(_MAX_RESAMPLE):
         t = _draw(rng, (0.55, 0.9))
         t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
         t4 = q ** (-N) / (t ** (n - 1) * t0)
         t5 = q / (t ** (2 * n - 2) * t0 * t1 * t2 * t3 * t4)
         params = Multi1Params(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
-        if _multi1_guard(params):
-            continue
-        table = FactorTable(nome)
-        try:
-            terms = [
-                _multi1_coefficient(params, lam, table).value
-                for lam in itertools.combinations_with_replacement(range(N + 1), n)
-            ]
-        except (PoleError, ZeroDivisionError, OverflowError):
-            continue
-        if _badly_conditioned(terms):
-            continue
-        return params
+        if _admissible(_multi1_sides, params):
+            return params
     raise RuntimeError("sample_multi1: could not find admissible parameters")
-
-
-def _multi1_guard(params: Multi1Params) -> bool:
-    q, p = params.nome.q, params.nome.p
-    t = params.t
-    taus = params.taus
-    N, n = params.N, params.n
-    args: list[complex] = []
-    for j, tau in enumerate(taus):
-        args.append(tau * tau)
-        for tr in params.t6:
-            for k in range(N + 1):
-                args.append(q / tr * tau * q**k)
-    for j in range(n):
-        for k in range(j + 1, n):
-            args.append(taus[k] * taus[j])
-            args.append(taus[k] / taus[j])
-            for m in range(2 * N + 1):
-                args.append(q / t * taus[k] * taus[j] * q**m)
-                args.append(q / t * taus[k] / taus[j] * q**m)
-    # closed-form side
-    for j in range(1, n + 1):
-        for k in range(N):
-            args.append(q * t ** (2 - n - j) / (params.t6[0] * params.t6[1] * params.t6[2] * params.t6[3]) * q**k)
-            for r in range(1, 4):
-                args.append(q * t ** (j - 1) * params.t6[0] / params.t6[r] * q**k)
-    return any(_near_lattice(w, p) for w in args)
 
 
 def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
@@ -480,39 +403,29 @@ def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: Facto
     return out * scalar
 
 
-def multi1_lhs(params: Multi1Params, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[complex, int]:
-    table = FactorTable(params.nome, policy)
-    total = 0j
-    count = 0
-    for lam in itertools.combinations_with_replacement(range(params.N + 1), params.n):
-        c = _multi1_coefficient(params, lam, table)
-        if c.is_zero:
-            continue
-        total += c.value
-        count += 1
-    return total, count
-
-
-def multi1_rhs(params: Multi1Params, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """Closed-form side, read as the product over j = 1..n of the displayed
-    j-dependent factor."""
-    nome, N, n = params.nome, params.N, params.n
-    q = nome.q
+def _multi1_sides(params: Multi1Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
+    """The terms over ordered tuples in lattice order, and the closed form
+    read as the product over j = 1..n of the displayed j-dependent factor."""
+    N, n = params.N, params.n
+    q = params.nome.q
     t = params.t
     t0, t1, t2, t3 = params.t6[0], params.t6[1], params.t6[2], params.t6[3]
-    out = ONE
+    terms = [
+        _multi1_coefficient(params, lam, table)
+        for lam in itertools.combinations_with_replacement(range(N + 1), n)
+    ]
+
+    closed = ONE
     for j in range(1, n + 1):
-        num = theta_factorial(q * t ** (n + j - 2) * t0 * t0, nome, N, policy)
+        num = table.factorial(q * t ** (n + j - 2) * t0 * t0, N)
         for r in range(1, 4):
             for s in range(r + 1, 4):
-                num = num * theta_factorial(
-                    q * t ** (1 - j) / (params.t6[r] * params.t6[s]), nome, N, policy
-                )
-        den = theta_factorial(q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), nome, N, policy)
+                num = num * table.factorial(q * t ** (1 - j) / (params.t6[r] * params.t6[s]), N)
+        den = table.factorial(q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), N)
         for r in range(1, 4):
-            den = den * theta_factorial(q * t ** (j - 1) * t0 / params.t6[r], nome, N, policy)
-        out = out * (num / den)
-    return out.value
+            den = den * table.factorial(q * t ** (j - 1) * t0 / params.t6[r], N)
+        closed = closed * (num / den)
+    return terms, closed
 
 
 def verify_multi1(
@@ -520,9 +433,11 @@ def verify_multi1(
     tol: float = 1e-7,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
-    lhs, count = multi1_lhs(params, policy)
-    rhs = multi1_rhs(params, policy)
-    return VerificationReport.compare(lhs, rhs, tol, params_echo=params.to_json(), terms_summed=count)
+    terms, closed = _multi1_sides(params, FactorTable(params.nome, policy))
+    lhs = _sum_window(terms.__getitem__, (0, len(terms) - 1))
+    return VerificationReport.compare(
+        lhs.value, closed.value, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -599,49 +514,9 @@ def sample_multi2(
         c = q / partial
         t = (t0, *body, *trunc, a, b, c)
         params = Multi2Params(n, t, tuple(Ns), nome)
-        if _multi2_guard(params):
-            continue
-        table = FactorTable(nome)
-        try:
-            terms = [
-                _multi2_coefficient(params, lam, table).value
-                for lam in itertools.product(*(range(Nj + 1) for Nj in Ns))
-            ]
-        except (PoleError, ZeroDivisionError, OverflowError):
-            continue
-        if _badly_conditioned(terms):
-            continue
-        return params
+        if _admissible(_multi2_sides, params):
+            return params
     raise RuntimeError("sample_multi2: could not find admissible parameters")
-
-
-def _multi2_guard(params: Multi2Params) -> bool:
-    q, p = params.nome.q, params.nome.p
-    n, t, Ns = params.n, params.t, params.Ns
-    a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
-    ntot = sum(Ns)
-    args: list[complex] = []
-    for j in range(1, n + 1):
-        tj = t[j]
-        args.append(tj * tj)
-        for r in range(2 * n + 4):
-            for k in range(Ns[j - 1] + 1):
-                args.append(q * tj / t[r] * q**k)
-        for x in (a, b, c):
-            for k in range(Ns[j - 1]):
-                args.append(q * tj / x * q**k)
-        for k in range(Ns[j - 1]):
-            args.append(q ** (1 + ntot - Ns[j - 1]) / (tj * a * b * c) * q**k)
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            args.append(t[j] * t[k])
-            args.append(t[j] / t[k])
-            for m in range(ntot):
-                args.append(q * t[j] * t[k] * q**m)
-    for x, y in ((a, b), (a, c), (b, c)):
-        for k in range(ntot):
-            args.append(q / (x * y) * q**k)
-    return any(_near_lattice(w, p) for w in args)
 
 
 def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
@@ -666,49 +541,38 @@ def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: Facto
     return out * scalar
 
 
-def multi2_lhs(params: Multi2Params, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple[complex, int]:
-    table = FactorTable(params.nome, policy)
-    total = 0j
-    count = 0
-    for lam in itertools.product(*(range(N + 1) for N in params.Ns)):
-        c = _multi2_coefficient(params, lam, table)
-        if c.is_zero:
-            continue
-        total += c.value
-        count += 1
-    return total, count
-
-
-def multi2_rhs(params: Multi2Params, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    nome = params.nome
-    q = nome.q
+def _multi2_sides(params: Multi2Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
+    """The terms over the box lattice in lattice order, and the closed form."""
+    q = params.nome.q
     n, t, Ns = params.n, params.t, params.Ns
     a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
     ntot = sum(Ns)
-    out = theta_factorial_multi([q / (a * b), q / (a * c), q / (b * c)], nome, ntot, policy)
+    terms = [
+        _multi2_coefficient(params, lam, table) for lam in itertools.product(*(range(N + 1) for N in Ns))
+    ]
+
+    closed = table.factorial_multi([q / (a * b), q / (a * c), q / (b * c)], ntot)
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            out = out * (
-                theta_factorial(q * t[j] * t[k], nome, Ns[j - 1], policy)
-                * theta_factorial(q * t[j] * t[k], nome, Ns[k - 1], policy)
-                / theta_factorial(q * t[j] * t[k], nome, Ns[j - 1] + Ns[k - 1], policy)
+            closed = closed * (
+                table.factorial(q * t[j] * t[k], Ns[j - 1])
+                * table.factorial(q * t[j] * t[k], Ns[k - 1])
+                / table.factorial(q * t[j] * t[k], Ns[j - 1] + Ns[k - 1])
             )
     for j in range(1, n + 1):
         Nj = Ns[j - 1]
-        num = theta_factorial(q * t[j] * t[j], nome, Nj, policy)
-        den = theta_factorial_multi(
+        num = table.factorial(q * t[j] * t[j], Nj)
+        den = table.factorial_multi(
             [
                 q * t[j] / a,
                 q * t[j] / b,
                 q * t[j] / c,
                 q ** (1 + ntot - Nj) / (t[j] * a * b * c),
             ],
-            nome,
             Nj,
-            policy,
         )
-        out = out * (num / den)
-    return out.value
+        closed = closed * (num / den)
+    return terms, closed
 
 
 def verify_multi2(
@@ -716,9 +580,11 @@ def verify_multi2(
     tol: float = 1e-7,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
-    lhs, count = multi2_lhs(params, policy)
-    rhs = multi2_rhs(params, policy)
-    return VerificationReport.compare(lhs, rhs, tol, params_echo=params.to_json(), terms_summed=count)
+    terms, closed = _multi2_sides(params, FactorTable(params.nome, policy))
+    lhs = _sum_window(terms.__getitem__, (0, len(terms) - 1))
+    return VerificationReport.compare(
+        lhs.value, closed.value, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import PoleError, ThetaDomainError
+from .errors import ThetaDomainError
 from .factorials import (
     ONE,
     FactorialValue,
@@ -272,6 +272,25 @@ def _sum_unilateral(
     return SeriesValue(total, min(n + 1, cap), terminated, 0.0 if terminated else tail)
 
 
+def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
+    """Sum the nonzero coeff_fn(n) for n in [n_min, n_max], in order; the
+    tail estimate is the larger of the two edge terms."""
+    n_min, n_max = window
+    total = 0j
+    used = 0
+    edge = 0.0
+    for n in range(n_min, n_max + 1):
+        c = coeff_fn(n)
+        if c.is_zero:
+            continue
+        val = c.value  # raises PoleError when unresolved
+        total += val
+        used += 1
+        if n in (n_min, n_max):
+            edge = max(edge, abs(val))
+    return SeriesValue(total, used, False, edge)
+
+
 def eval_E(
     spec: ThetaSeriesSpec,
     trunc: TruncationDecl | int | None = None,
@@ -298,19 +317,7 @@ def eval_G(
     if n_min > n_max:
         raise ValueError(f"empty window {window}")
     table = FactorTable(spec.nome, policy)
-    total = 0j
-    edge = 0.0
-    used = 0
-    for n in range(n_min, n_max + 1):
-        c = _coefficient(spec, n, table)
-        if c.is_zero:
-            continue
-        val = c.value  # raises PoleError when unresolved
-        total += val
-        used += 1
-        if n in (n_min, n_max):
-            edge = max(edge, abs(val))
-    return SeriesValue(total, used, False, edge)
+    return _sum_window(lambda n: _coefficient(spec, n, table), window)
 
 
 def vwp_coefficient(spec: VwpSpec, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
@@ -341,20 +348,7 @@ def eval_vwp(
         return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), last, policy)
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
-    n_min, n_max = window
-    total = 0j
-    used = 0
-    edge = 0.0
-    for n in range(n_min, n_max + 1):
-        c = _vwp_coefficient(spec, n, table)
-        if c.is_zero:
-            continue
-        val = c.value
-        total += val
-        used += 1
-        if n in (n_min, n_max):
-            edge = max(edge, abs(val))
-    return SeriesValue(total, used, False, edge)
+    return _sum_window(lambda n: _vwp_coefficient(spec, n, table), window)
 
 
 def eval_vwp_additive(

@@ -175,3 +175,19 @@ class TestGeneralCoefficient:
             elliptic_factorial(0.5 + 0.1j, pair, 2) * elliptic_factorial(-0.5 - 0.1j, pair, 2)
         ).value
         assert abs(got - num / den * z**2) <= 1e-12 * abs(got)
+
+
+def test_samplers_reject_near_lattice_nome():
+    # q sits 1e-9 away from p, so theta(q; p), a factor of every one of these
+    # sums, is within the guard's distance of a lattice zero for any draw
+    p = 0.25 + 0.05j
+    nome = Nome(p * (1 + 1e-9), p)
+    samplers = [
+        lambda: sample_ft(0, 2, nome),
+        lambda: sample_bailey(0, 2, nome),
+        lambda: sample_multi1(0, 2, 2, nome),
+        lambda: sample_multi2(0, 2, (1, 1), nome),
+    ]
+    for sample in samplers:
+        with pytest.raises(RuntimeError):
+            sample()
