@@ -31,7 +31,7 @@ from .theta import (
     elliptic_number,
 )
 from .identities import Multi1Params, Multi2Params
-from .factorials import theta_factor
+from .factorials import FactorTable
 
 
 @dataclass(frozen=True)
@@ -76,23 +76,21 @@ def multipliers(form: HForm) -> tuple[complex, complex, complex]:
     return a, b, gamma
 
 
-def _sample_points(rng: np.random.Generator, count: int) -> list[complex]:
-    return [
-        complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.25, 0.25)) for _ in range(count)
-    ]
+def _rand_x(rng: np.random.Generator) -> complex:
+    return complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.25, 0.25))
 
 
-def _max_dev(fn_pairs, samples: int, rng: np.random.Generator, max_retries: int = 200) -> tuple[float, int]:
-    """Max relative deviation of fn_pairs(x) = (shifted, reference) over
-    random sample points, resampling on pole collisions / tiny references."""
+def _max_dev(draw, fn_pairs, samples: int, rng: np.random.Generator, max_retries: int = 200) -> tuple[float, int]:
+    """Max relative deviation of fn_pairs(point) = (shifted, reference) over
+    points draw(rng), resampling on pole collisions / tiny references."""
     dev = 0.0
     done = 0
     tries = 0
     while done < samples and tries < samples + max_retries:
         tries += 1
-        x = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.25, 0.25))
+        point = draw(rng)
         try:
-            shifted, ref = fn_pairs(x)
+            shifted, ref = fn_pairs(point)
         except (PoleError, ZeroDivisionError, OverflowError):
             continue
         if abs(ref) < 1e-12 or abs(ref) > 1e12:
@@ -123,7 +121,7 @@ def check_ellipticity(
         w = cmath.exp(2j * math.pi * x) * 0.7  # generic annulus point
         return term_ratio_fn(p * w), term_ratio_fn(w)
 
-    dev, done = _max_dev(pairs, samples, rng)
+    dev, done = _max_dev(_rand_x, pairs, samples, rng)
     return EllipticityReport("index_p_shift", dev, done, dev <= tol)
 
 
@@ -168,7 +166,7 @@ def check_total_ellipticity_wp(
     rng = np.random.default_rng(seed)
 
     def run(kind: str, fn) -> None:
-        dev, done = _max_dev(fn, samples, rng)
+        dev, done = _max_dev(_rand_x, fn, samples, rng)
         reports.append(EllipticityReport(kind, dev, done, dev <= tol))
 
     run(
@@ -211,8 +209,11 @@ def multi1_h(
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    nome = params.nome
-    q, p = nome.q, nome.p
+    return _multi1_h(params, l, lam_mult, FactorTable(params.nome, policy))
+
+
+def _multi1_h(params: Multi1Params, l: int, lam_mult: list[complex], table: FactorTable) -> complex:
+    q = params.nome.q
     t = params.t
     n = params.n
     taus = params.taus
@@ -221,44 +222,44 @@ def multi1_h(
     for j in range(1, l):
         xj = lam_mult[j - 1]
         num = (
-            theta_factor(taus[j - 1] * taus[l - 1] * xj * xl * q, p, policy).value
-            * theta_factor(taus[l - 1] / taus[j - 1] * xl * q / xj, p, policy).value
-            * theta_factor(t * taus[j - 1] * taus[l - 1] * xj * xl, p, policy).value
-            * theta_factor(t * taus[l - 1] / taus[j - 1] * xl / xj, p, policy).value
+            table.factor(taus[j - 1] * taus[l - 1] * xj * xl * q).value
+            * table.factor(taus[l - 1] / taus[j - 1] * xl * q / xj).value
+            * table.factor(t * taus[j - 1] * taus[l - 1] * xj * xl).value
+            * table.factor(t * taus[l - 1] / taus[j - 1] * xl / xj).value
         )
         den = (
-            theta_factor(taus[j - 1] * taus[l - 1] * xj * xl, p, policy).value
-            * theta_factor(taus[l - 1] / taus[j - 1] * xl / xj, p, policy).value
-            * theta_factor(taus[j - 1] * taus[l - 1] * xj * xl * q / t, p, policy).value
-            * theta_factor(taus[l - 1] / taus[j - 1] * xl * q / (xj * t), p, policy).value
+            table.factor(taus[j - 1] * taus[l - 1] * xj * xl).value
+            * table.factor(taus[l - 1] / taus[j - 1] * xl / xj).value
+            * table.factor(taus[j - 1] * taus[l - 1] * xj * xl * q / t).value
+            * table.factor(taus[l - 1] / taus[j - 1] * xl * q / (xj * t)).value
         )
         out *= num / den
     for k in range(l + 1, n + 1):
         xk = lam_mult[k - 1]
         num = (
-            theta_factor(taus[k - 1] * taus[l - 1] * xk * xl * q, p, policy).value
-            * theta_factor(taus[k - 1] / taus[l - 1] * xk / (xl * q), p, policy).value
-            * theta_factor(t * taus[k - 1] * taus[l - 1] * xk * xl, p, policy).value
-            * theta_factor(taus[k - 1] / (t * taus[l - 1]) * xk / xl, p, policy).value
+            table.factor(taus[k - 1] * taus[l - 1] * xk * xl * q).value
+            * table.factor(taus[k - 1] / taus[l - 1] * xk / (xl * q)).value
+            * table.factor(t * taus[k - 1] * taus[l - 1] * xk * xl).value
+            * table.factor(taus[k - 1] / (t * taus[l - 1]) * xk / xl).value
         )
         den = (
-            theta_factor(taus[k - 1] * taus[l - 1] * xk * xl, p, policy).value
-            * theta_factor(taus[k - 1] / taus[l - 1] * xk / xl, p, policy).value
-            * theta_factor(taus[k - 1] * taus[l - 1] * xk * xl * q / t, p, policy).value
-            * theta_factor(t * taus[k - 1] / taus[l - 1] * xk / (xl * q), p, policy).value
+            table.factor(taus[k - 1] * taus[l - 1] * xk * xl).value
+            * table.factor(taus[k - 1] / taus[l - 1] * xk / xl).value
+            * table.factor(taus[k - 1] * taus[l - 1] * xk * xl * q / t).value
+            * table.factor(t * taus[k - 1] / taus[l - 1] * xk / (xl * q)).value
         )
         out *= num / den
     # head ratio theta(tau_l^2 x_l^2 q^2) / theta(tau_l^2 x_l^2): the
     # coefficient's own-index forward ratio (the lambda_l = 0 specialization
     # of the denominator would break ellipticity in lambda_l)
-    rest = q * t ** (2 * (n - l)) * theta_factor(
-        taus[l - 1] ** 2 * xl**2 * q**2, p, policy
-    ).value / theta_factor(taus[l - 1] ** 2 * xl**2, p, policy).value
+    rest = (
+        q
+        * t ** (2 * (n - l))
+        * table.factor(taus[l - 1] ** 2 * xl**2 * q**2).value
+        / table.factor(taus[l - 1] ** 2 * xl**2).value
+    )
     for tm in params.t6:
-        rest *= (
-            theta_factor(tm * taus[l - 1] * xl, p, policy).value
-            / theta_factor(taus[l - 1] * xl * q / tm, p, policy).value
-        )
+        rest *= table.factor(tm * taus[l - 1] * xl).value / table.factor(taus[l - 1] * xl * q / tm).value
     return out * rest
 
 
@@ -269,8 +270,11 @@ def multi2_h(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    nome = params.nome
-    q, p = nome.q, nome.p
+    return _multi2_h(params, l, lam_mult, FactorTable(params.nome, policy))
+
+
+def _multi2_h(params: Multi2Params, l: int, lam_mult: list[complex], table: FactorTable) -> complex:
+    q = params.nome.q
     t = params.t
     n = params.n
     xl = lam_mult[l - 1]
@@ -278,33 +282,28 @@ def multi2_h(
     for j in range(1, l):
         xj = lam_mult[j - 1]
         num = (
-            theta_factor(t[j] * t[l] * xj * xl * q, p, policy).value
-            * theta_factor(t[j] / t[l] * xj / (xl * q), p, policy).value
+            table.factor(t[j] * t[l] * xj * xl * q).value
+            * table.factor(t[j] / t[l] * xj / (xl * q)).value
         )
         den = (
-            theta_factor(t[j] * t[l] * xj * xl, p, policy).value
-            * theta_factor(t[j] / t[l] * xj / xl, p, policy).value
+            table.factor(t[j] * t[l] * xj * xl).value
+            * table.factor(t[j] / t[l] * xj / xl).value
         )
         out *= num / den
     for k in range(l + 1, n + 1):
         xk = lam_mult[k - 1]
         num = (
-            theta_factor(t[l] * t[k] * xl * xk * q, p, policy).value
-            * theta_factor(t[l] / t[k] * xl * q / xk, p, policy).value
+            table.factor(t[l] * t[k] * xl * xk * q).value
+            * table.factor(t[l] / t[k] * xl * q / xk).value
         )
         den = (
-            theta_factor(t[l] * t[k] * xl * xk, p, policy).value
-            * theta_factor(t[l] / t[k] * xl / xk, p, policy).value
+            table.factor(t[l] * t[k] * xl * xk).value
+            * table.factor(t[l] / t[k] * xl / xk).value
         )
         out *= num / den
-    rest = q**l * theta_factor(t[l] ** 2 * xl**2 * q**2, p, policy).value / theta_factor(
-        t[l] ** 2 * xl**2, p, policy
-    ).value
+    rest = q**l * table.factor(t[l] ** 2 * xl**2 * q**2).value / table.factor(t[l] ** 2 * xl**2).value
     for m in range(2 * n + 4):
-        rest *= (
-            theta_factor(t[l] * t[m] * xl, p, policy).value
-            / theta_factor(t[l] * xl * q / t[m], p, policy).value
-        )
+        rest *= table.factor(t[l] * t[m] * xl).value / table.factor(t[l] * xl * q / t[m]).value
     return out * rest
 
 
@@ -315,27 +314,6 @@ def _rand_mult_args(rng: np.random.Generator, n: int) -> list[complex]:
     ]
 
 
-def _multi_dev(ref_fn, shifted_fn, samples: int, rng, n: int) -> tuple[float, int]:
-    dev = 0.0
-    done = 0
-    tries = 0
-    while done < samples and tries < samples + 200:
-        tries += 1
-        lam = _rand_mult_args(rng, n)
-        try:
-            ref = ref_fn(lam)
-            shf = shifted_fn(lam)
-        except (PoleError, ZeroDivisionError):
-            continue
-        if abs(ref) < 1e-12 or abs(ref) > 1e12:
-            continue
-        dev = max(dev, rel_err(shf, ref))
-        done += 1
-    if done < samples:
-        raise RuntimeError("could not gather enough pole-free sample points")
-    return dev, done
-
-
 def _unchecked_replace(params, **changes):
     """dataclasses.replace without __post_init__: a p-shifted parameter set
     keeps its truncation constraints only modulo p, so validation would
@@ -344,6 +322,35 @@ def _unchecked_replace(params, **changes):
     for f in dataclasses.fields(params):
         object.__setattr__(out, f.name, changes.get(f.name, getattr(params, f.name)))
     return out
+
+
+def _check_multi(
+    h, params, param_shifts, samples: int, tol: float, seed: int, policy: PrecisionPolicy
+) -> list[EllipticityReport]:
+    """One report per summation index p-shift, then one per (kind, shifted
+    params) in param_shifts, each comparing h_l at the shifted and the
+    reference point. Every evaluation reads its factors from one table:
+    the shifted parameter sets share the nome of params."""
+    p = params.nome.p
+    n = params.n
+    l_mid = max(1, (n + 1) // 2)
+    shifts = [(f"index_p_shift:lambda{i}", params, i - 1) for i in range(1, n + 1)]
+    shifts += [(kind, sp, None) for kind, sp in param_shifts]
+    rng = np.random.default_rng(seed)
+    table = FactorTable(params.nome, policy)
+    reports: list[EllipticityReport] = []
+    for kind, shifted_params, lam_shift_idx in shifts:
+
+        def pairs(lam):
+            ref = h(params, l_mid, lam, table)
+            lam2 = list(lam)
+            if lam_shift_idx is not None:
+                lam2[lam_shift_idx] = lam2[lam_shift_idx] * p
+            return h(shifted_params, l_mid, lam2, table), ref
+
+        dev, done = _max_dev(lambda rng: _rand_mult_args(rng, n), pairs, samples, rng)
+        reports.append(EllipticityReport(f"{kind}@h{l_mid}", dev, done, dev <= tol))
+    return reports
 
 
 def check_total_ellipticity_multi1(
@@ -357,35 +364,16 @@ def check_total_ellipticity_multi1(
     free parameters t_0..t_4 and t (t_5 is the balancing-dependent
     parameter and co-shifts where required)."""
     p = params.nome.p
-    n = params.n
-    rng = np.random.default_rng(seed)
-    reports: list[EllipticityReport] = []
-
-    def run(kind: str, shifted_params: Multi1Params | None, lam_shift_idx: int | None, l: int) -> None:
-        sp = shifted_params if shifted_params is not None else params
-
-        def shifted(lam):
-            lam2 = list(lam)
-            if lam_shift_idx is not None:
-                lam2[lam_shift_idx] = lam2[lam_shift_idx] * p
-            return multi1_h(sp, l, lam2, policy)
-
-        dev, done = _multi_dev(lambda lam: multi1_h(params, l, lam, policy), shifted, samples, rng, n)
-        reports.append(EllipticityReport(kind, dev, done, dev <= tol))
-
-    l_mid = max(1, (n + 1) // 2)
-    for i in range(1, n + 1):
-        run(f"index_p_shift:lambda{i}@h{l_mid}", None, i - 1, l_mid)
-
+    shifts = []
     for m in range(5):  # t_0..t_4 free; t_5 co-shifts to keep balancing
         t6 = list(params.t6)
         t6[m] = t6[m] * p
         t6[5] = t6[5] / p
-        run(f"param_p_shift:t{m}@h{l_mid}", _unchecked_replace(params, t6=tuple(t6)), None, l_mid)
+        shifts.append((f"param_p_shift:t{m}", _unchecked_replace(params, t6=tuple(t6))))
     t6 = list(params.t6)
-    t6[5] = t6[5] / p ** (2 * n - 2)
-    run(f"param_p_shift:t@h{l_mid}", _unchecked_replace(params, t=params.t * p, t6=tuple(t6)), None, l_mid)
-    return reports
+    t6[5] = t6[5] / p ** (2 * params.n - 2)
+    shifts.append(("param_p_shift:t", _unchecked_replace(params, t=params.t * p, t6=tuple(t6))))
+    return _check_multi(_multi1_h, params, shifts, samples, tol, seed, policy)
 
 
 def check_total_ellipticity_multi2(
@@ -399,33 +387,14 @@ def check_total_ellipticity_multi2(
     parameters t_0..t_{2n+2} (the last parameter co-shifts to keep the
     balancing condition)."""
     p = params.nome.p
-    n = params.n
-    rng = np.random.default_rng(seed)
-    reports: list[EllipticityReport] = []
-
-    def run(kind: str, shifted_params: Multi2Params | None, lam_shift_idx: int | None, l: int) -> None:
-        sp = shifted_params if shifted_params is not None else params
-
-        def shifted(lam):
-            lam2 = list(lam)
-            if lam_shift_idx is not None:
-                lam2[lam_shift_idx] = lam2[lam_shift_idx] * p
-            return multi2_h(sp, l, lam2, policy)
-
-        dev, done = _multi_dev(lambda lam: multi2_h(params, l, lam, policy), shifted, samples, rng, n)
-        reports.append(EllipticityReport(kind, dev, done, dev <= tol))
-
-    l_mid = max(1, (n + 1) // 2)
-    for i in range(1, n + 1):
-        run(f"index_p_shift:lambda{i}@h{l_mid}", None, i - 1, l_mid)
-
-    last = 2 * n + 3
+    shifts = []
+    last = 2 * params.n + 3
     for m in range(last):
         t = list(params.t)
         t[m] = t[m] * p
         t[last] = t[last] / p
-        run(f"param_p_shift:t{m}@h{l_mid}", _unchecked_replace(params, t=tuple(t)), None, l_mid)
-    return reports
+        shifts.append((f"param_p_shift:t{m}", _unchecked_replace(params, t=tuple(t))))
+    return _check_multi(_multi2_h, params, shifts, samples, tol, seed, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .theta import (
     elliptic_number,
     elliptic_number_zero_index,
     theta,
-    theta_zero_index,
 )
 
 
@@ -92,10 +91,15 @@ ONE = FactorialValue(1.0 + 0j)
 
 
 def theta_factor(t: complex, p: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
-    """A single theta(t; p) factor with its exact-zero flag."""
-    if theta_zero_index(t, p) is not None:
+    """A single theta(t; p) factor with its exact-zero flag.
+
+    ``theta`` returns its exact 0j on a detected lattice zero, so the flag
+    is read from the value and the lattice is searched once per factor.
+    """
+    value = theta(t, p, policy)
+    if value == 0:
         return FactorialValue(1.0 + 0j, zero_order=1)
-    return FactorialValue(theta(t, p, policy))
+    return FactorialValue(value)
 
 
 def theta_factorial(

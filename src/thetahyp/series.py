@@ -253,10 +253,9 @@ def _sum_unilateral(
     while n < cap:
         c = coeff_fn(n)
         if c.is_zero:
-            # a numerator lattice zero persists in every later coefficient
-            terminated = True
-            tail = 0.0
-            break
+            # a numerator lattice zero persists in every later coefficient;
+            # terms 0..n-1 were summed
+            return SeriesValue(total, n, True, 0.0)
         val = c.value
         total += val
         if last is None:

@@ -155,27 +155,30 @@ def theta(
 ) -> complex:
     """Jacobi-type theta function theta(z; p) = (z; p)_inf (p z^{-1}; p)_inf.
 
-    Reports an exact 0j on the structural zeros z = p^{-M}. At p = 0 the
-    product collapses to 1 - z.
+    Reports an exact 0j on the structural zeros z = p^{-M} that
+    ``theta_zero_index`` detects. At p = 0 the product collapses to
+    1 - z, and its zero z = 1 is detected the same way.
     """
     if z == 0:
         raise ThetaDomainError("theta(z; p) is undefined at z = 0")
     if abs(p) >= 1.0:
         raise ThetaDomainError(f"|p| must be < 1, got {abs(p)}")
-    if p == 0:
-        return 1.0 - z
     if theta_zero_index(z, p) is not None:
         return 0j
+    if p == 0:
+        return 1.0 - z
     prod = 1.0 + 0j
     a = complex(z)
     b = p / z
+    tol = policy.product_tol
+    max_k = 16 * policy.max_terms
     k = 0
-    while k < 8 or abs(a) >= policy.product_tol or abs(b) >= policy.product_tol:
+    while k < 8 or abs(a) >= tol or abs(b) >= tol:
         prod *= (1.0 - a) * (1.0 - b)
         a *= p
         b *= p
         k += 1
-        if k > 16 * policy.max_terms:
+        if k > max_k:
             raise NonConvergenceError("theta product did not reach product_tol")
     return prod
 

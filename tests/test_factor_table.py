@@ -1,5 +1,6 @@
 """FactorTable: bit-identity with the factor-by-factor product, and the
-theta-call budget of the sums that read their coefficients through it.
+theta-call budget of the sums and ellipticity checks that read their
+factors through it.
 
 The pinned reprs were computed by the direct per-coefficient factorial
 products that the tables replace; a table that changed any argument or
@@ -13,6 +14,8 @@ from thetahyp import (
     ThetaSeriesSpec,
     TruncationDecl,
     VwpSpec,
+    check_total_ellipticity_multi1,
+    check_total_ellipticity_multi2,
     eval_E,
     eval_G,
     ge_split_check,
@@ -136,3 +139,48 @@ def test_ft_theta_calls_grow_linearly(monkeypatch):
     calls6 = _count_theta_calls(monkeypatch, lambda: verify_ft_sum(p6))
     calls12 = _count_theta_calls(monkeypatch, lambda: verify_ft_sum(p12))
     assert calls12 <= 2.2 * calls6
+
+
+# check, sampled params, check seed, theta-call budget and the repr of each
+# report's max_rel_dev. The reprs were computed when every h_l evaluation
+# built its factors afresh (4,320 theta calls for multi1, 5,760 for multi2).
+ELLIPTICITY = {
+    "multi1": (
+        check_total_ellipticity_multi1,
+        lambda: sample_multi1(53, 3, 2, NOME),
+        5,
+        3300,
+        (
+            "3.7451184827602415e-15", "1.1547479356683516e-14", "1.87009012903067e-15",
+            "9.986365999912569e-15", "3.714064521393237e-15", "1.8512262038885386e-15",
+            "2.1793930743487176e-15", "1.8084533333290855e-15", "9.388633449880465e-15",
+        ),
+    ),
+    "multi2": (
+        check_total_ellipticity_multi2,
+        lambda: sample_multi2(63, 3, (2, 2, 2), NOME),
+        6,
+        4000,
+        (
+            "3.696986765011857e-15", "8.070491979866905e-15", "1.745250282253606e-15",
+            "3.933685809547644e-15", "4.150034412796624e-15", "6.05518302504431e-15",
+            "2.450918575769527e-15", "2.602396123777581e-15", "2.622813120216612e-15",
+            "1.7185265528683103e-15", "2.7644670558099577e-15", "4.233045596412616e-15",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELLIPTICITY))
+def test_ellipticity_reports_are_pinned(case):
+    check, sample, seed, _, devs = ELLIPTICITY[case]
+    reports = check(sample(), seed=seed)
+    assert tuple(repr(rep.max_rel_dev) for rep in reports) == devs
+    assert all(rep.passed and rep.sample_count == 8 for rep in reports)
+
+
+@pytest.mark.parametrize("case", sorted(ELLIPTICITY))
+def test_ellipticity_theta_budget(monkeypatch, case):
+    check, sample, seed, budget, _ = ELLIPTICITY[case]
+    params = sample()
+    assert _count_theta_calls(monkeypatch, lambda: check(params, seed=seed)) <= budget

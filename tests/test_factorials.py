@@ -79,6 +79,18 @@ class TestThetaFactorial:
         v = theta_factor(1.0 + 0j, NOME.p)
         assert v.is_zero and v.zero_order == 1
 
+    @pytest.mark.parametrize("p", [NOME.p, 0j])
+    def test_zero_flag_matches_theta_zero(self, p):
+        # lattice zeros p^-M (only M = 0 at p = 0), points within 1e-13 of
+        # them, which count as zeros, and generic points, which do not
+        lattice = [p**-M for M in (range(-3, 4) if p else (0,))]
+        near = [z * (1 + s) for z in lattice for s in (1e-13, -1e-13, 1e-13j)]
+        generic = [0.6 + 0.2j, -0.45 + 0.5j, 1.3 - 0.7j, 1 + 1e-9]
+        for z in lattice + near + generic:
+            flagged = theta_factor(z, p).zero_order == 1
+            assert flagged == (theta(z, p) == 0), z
+            assert flagged == (z not in generic), z
+
     def test_multi_is_product(self):
         ts = [0.5 + 0.2j, -0.4 + 0.3j]
         lhs = theta_factorial_multi(ts, NOME, 3)

@@ -133,6 +133,16 @@ class TestEvaluators:
         manual = sum(vwp_coefficient(spec, n).value for n in range(6))
         assert abs(sv.value - manual) <= 1e-12 * abs(manual)
 
+    def test_terms_used_stops_before_structural_zero(self):
+        # t0 t1 = q^-2: terms 0..2 are nonzero and term 3 is an exact zero
+        q = NOME.q
+        t0 = 0.6 + 0.2j
+        spec = VwpSpec(t0, (q**-2 / t0, 0.5 - 0.3j, -0.4 + 0.45j), 0.3 - 0.1j, NOME, "unilateral")
+        assert vwp_coefficient(spec, 3).is_zero
+        sv = eval_vwp(spec)
+        assert sv.terminated and sv.terms_used == 3
+        assert sv.value == sum(vwp_coefficient(spec, n).value for n in range(3))
+
     def test_bilateral_vwp_needs_window(self):
         spec = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "bilateral")
         with pytest.raises(ValueError):

@@ -94,6 +94,8 @@ class TestThetaFunction:
     def test_p_zero_collapse(self):
         z = 0.7 + 0.4j
         assert theta(z, 0j) == 1.0 - z
+        # the zero z = 1 is detected to the same accuracy as at p != 0
+        assert theta(1 + 1e-13, 0) == 0j
 
     def test_undefined_at_origin(self):
         with pytest.raises(ThetaDomainError):
