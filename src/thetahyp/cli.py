@@ -205,12 +205,14 @@ def _run_verify_ge_split(args: argparse.Namespace) -> int:
         raise InputError("ge_split input must be an array of spec objects")
     reports = []
     for e in entries:
-        windows = e.get("windows", [2, 2])
+        windows = e.get("windows", [2, 2]) if isinstance(e, dict) else None
+        if not (isinstance(windows, list) and len(windows) == 2 and all(type(w) is int for w in windows)):
+            raise InputError("each ge_split entry must be a spec object with integer windows [M, M']")
         try:
             spec = VwpSpec.from_json(e["spec"] if "spec" in e else e)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"invalid ge_split spec: {exc}") from exc
-        reports.append(ge_split_check(spec, int(windows[0]), int(windows[1]), tol=args.tol))
+        reports.append(ge_split_check(spec, *windows, tol=args.tol))
     n_fail = sum(1 for r in reports if not r.passed)
     payload = {
         "target": "ge_split",
@@ -255,8 +257,6 @@ def run_sample(args: argparse.Namespace) -> int:
     target = args.target
     if target not in _PARAM_TYPES:
         raise InputError(f"unknown sample target {target!r}")
-    if args.draws < 1:
-        raise InputError("--draws must be >= 1")
     nome = _parse_nome(args.nome)
     band = _parse_band(args.band)
     try:
@@ -318,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     if args.tol is not None and not (0.0 < args.tol < 1.0):
         _emit_diagnostic("tolerance must lie in (0, 1)", args)
+        return 2
+    if args.draws < 1:
+        _emit_diagnostic("--draws must be >= 1", args)
         return 2
     try:
         return args.func(args)

@@ -18,6 +18,7 @@ left-hand series is badly conditioned.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,6 +83,23 @@ def _admissible(sides, params) -> bool:
         )
     except (PoleError, ZeroDivisionError, OverflowError):
         return False
+
+
+def _lattice_terms(lattice, cross, block, scalar) -> list[FactorialValue]:
+    """The coefficient at each point lam of a lattice: the product over pairs
+    j < k of cross(j, k, lam_j, lam_k), then over j of block(j, lam_j), times
+    scalar(lam). Each cross factor and block is built once per call and reused
+    at every point that shares it, in the multiplication order of one point."""
+    cross, block = functools.cache(cross), functools.cache(block)
+    terms = []
+    for lam in lattice:
+        out = ONE
+        for j, k in itertools.combinations(range(len(lam)), 2):
+            out = out * cross(j, k, lam[j], lam[k])
+        for j, lj in enumerate(lam):
+            out = out * block(j, lj)
+        terms.append(out * scalar(lam))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -371,36 +389,39 @@ def sample_multi1(
     raise RuntimeError("sample_multi1: could not find admissible parameters")
 
 
-def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
-    q = params.nome.q
-    t = params.t
-    n = params.n
+def _multi1_terms(params: Multi1Params, table: FactorTable, lattice) -> list[FactorialValue]:
+    q, t, n = params.nome.q, params.t, params.n
     taus = params.taus
-    out = ONE
-    scalar = q ** sum(lam) * t ** (2 * sum((n - (j + 1)) * lam[j] for j in range(n)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            cross = (
-                table.factor(taus[k] * taus[j] * q ** (lam[k] + lam[j]))
-                * table.factor(taus[k] / taus[j] * q ** (lam[k] - lam[j]))
-                / table.factor(taus[k] * taus[j])
-                / table.factor(taus[k] / taus[j])
-            )
-            cross = cross * (
-                table.factorial(t * taus[k] * taus[j], lam[k] + lam[j])
-                / table.factorial(q / t * taus[k] * taus[j], lam[k] + lam[j])
-            )
-            cross = cross * (
-                table.factorial(t * taus[k] / taus[j], lam[k] - lam[j])
-                / table.factorial(q / t * taus[k] / taus[j], lam[k] - lam[j])
-            )
-            out = out * cross
-    for j in range(n):
-        blk = table.factor(taus[j] * taus[j] * q ** (2 * lam[j])) / table.factor(taus[j] * taus[j])
+
+    def cross(j: int, k: int, lj: int, lk: int) -> FactorialValue:
+        out = (
+            table.factor(taus[k] * taus[j] * q ** (lk + lj))
+            * table.factor(taus[k] / taus[j] * q ** (lk - lj))
+            / table.factor(taus[k] * taus[j])
+            / table.factor(taus[k] / taus[j])
+        )
+        out = out * (
+            table.factorial(t * taus[k] * taus[j], lk + lj) / table.factorial(q / t * taus[k] * taus[j], lk + lj)
+        )
+        return out * (
+            table.factorial(t * taus[k] / taus[j], lk - lj) / table.factorial(q / t * taus[k] / taus[j], lk - lj)
+        )
+
+    def block(j: int, lj: int) -> FactorialValue:
+        blk = table.factor(taus[j] * taus[j] * q ** (2 * lj)) / table.factor(taus[j] * taus[j])
         for tr in params.t6:
-            blk = blk * (table.factorial(tr * taus[j], lam[j]) / table.factorial(q / tr * taus[j], lam[j]))
-        out = out * blk
-    return out * scalar
+            blk = blk * (table.factorial(tr * taus[j], lj) / table.factorial(q / tr * taus[j], lj))
+        return blk
+
+    def scalar(lam: tuple[int, ...]) -> complex:
+        return q ** sum(lam) * t ** (2 * sum((n - (j + 1)) * lam[j] for j in range(n)))
+
+    return _lattice_terms(lattice, cross, block, scalar)
+
+
+def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
+    """The coefficient at one point lam, also outside the ordered tuples."""
+    return _multi1_terms(params, table, [lam])[0]
 
 
 def _multi1_sides(params: Multi1Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
@@ -410,10 +431,7 @@ def _multi1_sides(params: Multi1Params, table: FactorTable) -> tuple[list[Factor
     q = params.nome.q
     t = params.t
     t0, t1, t2, t3 = params.t6[0], params.t6[1], params.t6[2], params.t6[3]
-    terms = [
-        _multi1_coefficient(params, lam, table)
-        for lam in itertools.combinations_with_replacement(range(N + 1), n)
-    ]
+    terms = _multi1_terms(params, table, itertools.combinations_with_replacement(range(N + 1), n))
 
     closed = ONE
     for j in range(1, n + 1):
@@ -519,26 +537,34 @@ def sample_multi2(
     raise RuntimeError("sample_multi2: could not find admissible parameters")
 
 
-def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
-    q = params.nome.q
-    n, t = params.n, params.t
-    out = ONE
-    scalar = q ** sum((j + 1) * lam[j] for j in range(n))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            out = out * (
-                table.factor(t[j] * t[k] * q ** (lam[j - 1] + lam[k - 1]))
-                * table.factor(t[j] / t[k] * q ** (lam[j - 1] - lam[k - 1]))
-                / table.factor(t[j] * t[k])
-                / table.factor(t[j] / t[k])
-            )
-    for j in range(1, n + 1):
-        lj = lam[j - 1]
-        blk = table.factor(t[j] * t[j] * q ** (2 * lj)) / table.factor(t[j] * t[j])
+def _multi2_terms(params: Multi2Params, table: FactorTable, lattice) -> list[FactorialValue]:
+    q, n, t = params.nome.q, params.n, params.t
+
+    def cross(j: int, k: int, lj: int, lk: int) -> FactorialValue:
+        tj, tk = t[j + 1], t[k + 1]
+        return (
+            table.factor(tj * tk * q ** (lj + lk))
+            * table.factor(tj / tk * q ** (lj - lk))
+            / table.factor(tj * tk)
+            / table.factor(tj / tk)
+        )
+
+    def block(j: int, lj: int) -> FactorialValue:
+        tj = t[j + 1]
+        blk = table.factor(tj * tj * q ** (2 * lj)) / table.factor(tj * tj)
         for r in range(2 * n + 4):
-            blk = blk * (table.factorial(t[j] * t[r], lj) / table.factorial(q * t[j] / t[r], lj))
-        out = out * blk
-    return out * scalar
+            blk = blk * (table.factorial(tj * t[r], lj) / table.factorial(q * tj / t[r], lj))
+        return blk
+
+    def scalar(lam: tuple[int, ...]) -> complex:
+        return q ** sum((j + 1) * lam[j] for j in range(n))
+
+    return _lattice_terms(lattice, cross, block, scalar)
+
+
+def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
+    """The coefficient at one point lam."""
+    return _multi2_terms(params, table, [lam])[0]
 
 
 def _multi2_sides(params: Multi2Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
@@ -547,9 +573,7 @@ def _multi2_sides(params: Multi2Params, table: FactorTable) -> tuple[list[Factor
     n, t, Ns = params.n, params.t, params.Ns
     a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
     ntot = sum(Ns)
-    terms = [
-        _multi2_coefficient(params, lam, table) for lam in itertools.product(*(range(N + 1) for N in Ns))
-    ]
+    terms = _multi2_terms(params, table, itertools.product(*(range(N + 1) for N in Ns)))
 
     closed = table.factorial_multi([q / (a * b), q / (a * c), q / (b * c)], ntot)
     for j in range(1, n + 1):

@@ -104,6 +104,18 @@ class TestErrorPaths:
     def test_zero_draws_exits_2(self):
         assert run(["sample", "ft_sum", "--draws", "0"]) == 2
 
+    def test_verify_zero_draws_exits_2(self, capsys):
+        # zero sampled draws would pass vacuously with no report
+        assert run(["verify", "ft_sum", "--N", "3", "--draws", "0"]) == 2
+        assert "--draws" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_ellipticity_zero_draws_exits_2(self, tmp_path, capsys):
+        spec = ThetaSeriesSpec("unilateral_E", (0.5 + 0.1j,), (0.4 - 0.2j,), 0, 0.4 + 0j, NOME)
+        inp = tmp_path / "spec.json"
+        inp.write_text(json.dumps(spec.to_json()))
+        assert run(["ellipticity", str(inp), "--draws", "0"]) == 2
+        assert "--draws" in json.loads(capsys.readouterr().out)["error"]
+
     def test_bad_tol_exits_2(self):
         assert run(["verify", "ft_sum", "--tol", "2.0", "--draws", "1"]) == 2
 
@@ -144,3 +156,23 @@ class TestGESplitVerify:
         inp.write_text(json.dumps({"specs": specs}))
         assert run(["verify", "ge_split", str(inp), "--tol", "1e-10", "--out", str(out)]) == 0
         assert read(out)["summary"]["pass"] is True
+
+    @pytest.mark.parametrize("windows", [5, [3], [3, "4"], [3.0, 4], [True, 4], None])
+    def test_bad_windows_exit_2(self, tmp_path, capsys, windows):
+        from thetahyp import VwpSpec
+
+        spec = VwpSpec(0.6 + 0.2j, (0.55 - 0.3j, -0.48 + 0.4j, 0.71 + 0.12j, -0.2 - 0.6j),
+                       0.45 + 0.15j, NOME, "bilateral")
+        entry = spec.to_json()
+        entry["windows"] = windows
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": [entry]}))
+        assert run(["verify", "ge_split", str(inp)]) == 2
+        assert "windows" in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("specs", [[5], ["spec"], [[1, 2]], [None]])
+    def test_non_object_entry_exits_2(self, tmp_path, capsys, specs):
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": specs}))
+        assert run(["verify", "ge_split", str(inp)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]

@@ -113,25 +113,45 @@ def test_factorial_matches_loop_product(t, on_lattice):
     assert any(table.factorial(t, n).zero_order for n in range(9)) == on_lattice
 
 
-def _count_theta_calls(monkeypatch, fn) -> int:
+def _count_calls(monkeypatch, owner, name, fn) -> int:
     calls = 0
-    theta = factorials.theta
+    target = getattr(owner, name)
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return theta(*args, **kwargs)
+        return target(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(factorials, "theta", counting)
+        m.setattr(owner, name, counting)
         fn()
     return calls
+
+
+def _count_theta_calls(monkeypatch, fn) -> int:
+    return _count_calls(monkeypatch, factorials, "theta", fn)
 
 
 def test_multi2_theta_budget(monkeypatch):
     # the per-coefficient factorial products made 7,020 calls here
     params = sample_multi2(16, 3, (3, 3, 3), NOME)
     assert _count_theta_calls(monkeypatch, lambda: verify_multi2(params)) <= 702
+
+
+# verifier, sampled params and budget of FactorTable.factorial calls; building
+# every coefficient's blocks afresh made 3,867 calls for multi2 and 984 for
+# multi1 here, reusing each block and cross factor across the lattice 267 and 288
+FACTORIAL_BUDGETS = {
+    "multi2_3_3": (verify_multi2, lambda: sample_multi2(16, 3, (3, 3, 3), NOME), 300),
+    "multi1_3_3": (verify_multi1, lambda: sample_multi1(15, 3, 3, NOME), 320),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTORIAL_BUDGETS))
+def test_multisum_factorial_budget(monkeypatch, case):
+    verify, sample, budget = FACTORIAL_BUDGETS[case]
+    params = sample()
+    assert _count_calls(monkeypatch, FactorTable, "factorial", lambda: verify(params)) <= budget
 
 
 def test_ft_theta_calls_grow_linearly(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -21,7 +22,7 @@ from thetahyp import (
     verify_multi1,
     verify_multi2,
 )
-from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
+from thetahyp.identities import _multi1_coefficient, _multi1_sides, _multi2_coefficient, _multi2_sides
 from thetahyp.factorials import FactorTable
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -156,6 +157,31 @@ class TestMulti2:
         bad[0] *= 1.02
         with pytest.raises(ValueError):
             Multi2Params(params.n, tuple(bad), params.Ns, NOME)
+
+
+@pytest.mark.parametrize(
+    "sample, sides, coefficient, lattice",
+    [
+        (lambda: sample_multi1(31, 2, 3, NOME), _multi1_sides, _multi1_coefficient,
+         list(itertools.combinations_with_replacement(range(4), 2))),
+        (lambda: sample_multi2(32, 3, (2, 2, 2), NOME), _multi2_sides, _multi2_coefficient,
+         list(itertools.product(range(3), repeat=3))),
+    ],
+)
+def test_cached_blocks_match_per_point_coefficient(sample, sides, coefficient, lattice):
+    # the sides functions reuse each one-index block and two-index cross
+    # factor across the lattice; every term must equal the coefficient of
+    # its point built alone on a fresh table, to the last bit
+    params = sample()
+    terms, _ = sides(params, FactorTable(params.nome))
+    assert len(terms) == len(lattice)
+    for lam, got in zip(lattice, terms):
+        want = coefficient(params, lam, FactorTable(params.nome))
+        assert (got.finite_part, got.zero_order, got.pole_order) == (
+            want.finite_part,
+            want.zero_order,
+            want.pole_order,
+        ), lam
 
 
 class TestGeneralCoefficient:
