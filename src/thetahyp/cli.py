@@ -9,6 +9,7 @@ diagnostic object is still written/printed on exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -31,10 +32,13 @@ from .identities import (
     FTParams,
     Multi1Params,
     Multi2Params,
-    sample_bailey,
-    sample_ft,
-    sample_multi1,
-    sample_multi2,
+    _check_bailey,
+    _check_ft,
+    _check_lattice,
+    _sample_bailey,
+    _sample_ft,
+    _sample_multi1,
+    _sample_multi2,
     verify_bailey,
     verify_ft_sum,
     verify_multi1,
@@ -56,6 +60,15 @@ _VERIFIERS = {
     "bailey": verify_bailey,
     "multi1": verify_multi1,
     "multi2": verify_multi2,
+}
+
+# The step each verifier takes after building its sides: the sampled path
+# hands it the sides the sampler's default-policy table admitted.
+_CHECKS = {
+    "ft_sum": _check_ft,
+    "bailey": _check_bailey,
+    "multi1": _check_lattice,
+    "multi2": _check_lattice,
 }
 
 
@@ -109,16 +122,42 @@ def _parse_band(flag: str | None) -> tuple[float, float]:
 
 
 def _sample_one(target: str, seed: int, args: argparse.Namespace, nome: Nome, band):
+    """The first admissible draw for target and the sides its table admitted."""
     if target == "ft_sum":
-        return sample_ft(seed, args.N, nome, band)
+        return _sample_ft(seed, args.N, nome, band)
     if target == "bailey":
-        return sample_bailey(seed, args.N, nome, band)
+        return _sample_bailey(seed, args.N, nome, band)
     if target == "multi1":
-        return sample_multi1(seed, args.n, args.N, nome, band)
+        return _sample_multi1(seed, args.n, args.N, nome, band)
     if target == "multi2":
         Ns = tuple([args.N] * args.n)
-        return sample_multi2(seed, args.n, Ns, nome, band)
+        return _sample_multi2(seed, args.n, Ns, nome, band)
     raise InputError(f"unknown sample target {target!r}")
+
+
+def _sample_draws(target: str, args: argparse.Namespace) -> list:
+    """(params, sides) of the --draws draws from --seed on."""
+    nome = _parse_nome(args.nome)
+    band = _parse_band(args.band)
+    try:
+        return [_sample_one(target, args.seed + i, args, nome, band) for i in range(args.draws)]
+    except RuntimeError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _write_reports(reports: list, out_path: str | None, **head) -> int:
+    """Write the reports with their summary; exit code 0 iff all passed.
+    An input with nothing to check is refused rather than passed."""
+    if not reports:
+        raise InputError("the input holds nothing to check")
+    n_fail = sum(1 for r in reports if not r.passed)
+    payload = {
+        **head,
+        "reports": [r.to_json() for r in reports],
+        "summary": {"total": len(reports), "failed": n_fail, "pass": n_fail == 0},
+    }
+    _write_output(payload, out_path)
+    return 0 if n_fail == 0 else 1
 
 
 def run_eval(args: argparse.Namespace) -> int:
@@ -145,53 +184,44 @@ def run_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_params(args: argparse.Namespace) -> list:
-    """Parameter sets from the input file (explicit or sampler settings) or
-    from the sampler flags alone."""
+def _file_params(args: argparse.Namespace) -> list:
+    """Parameter sets from the input file."""
     target = args.target
     cls = _PARAM_TYPES[target]
-    if args.input is not None:
-        obj = _load_json(args.input)
-        if isinstance(obj, dict) and "params" in obj:
-            entries = obj["params"]
-        elif isinstance(obj, list):
-            entries = obj
-        elif isinstance(obj, dict):
-            entries = [obj]
-        else:
-            raise InputError("verify input must be an object or array of parameter sets")
-        try:
-            return [cls.from_json(e) for e in entries]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"invalid {target} parameters: {exc}") from exc
-    nome = _parse_nome(args.nome)
-    band = _parse_band(args.band)
-    out = []
-    for i in range(args.draws):
-        out.append(_sample_one(target, args.seed + i, args, nome, band))
-    return out
+    obj = _load_json(args.input)
+    if isinstance(obj, dict) and "params" in obj:
+        entries = obj["params"]
+    elif isinstance(obj, list):
+        entries = obj
+    elif isinstance(obj, dict):
+        entries = [obj]
+    else:
+        raise InputError("verify input must be an object or array of parameter sets")
+    try:
+        return [cls.from_json(e) for e in entries]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid {target} parameters: {exc}") from exc
 
 
 def run_verify(args: argparse.Namespace) -> int:
+    """Verify the input file's parameter sets, or the sampled draws; a draw
+    is checked on the sides its sampler already built and admitted."""
     target = args.target
     if target == "ge_split":
         return _run_verify_ge_split(args)
     if target not in _VERIFIERS:
         raise InputError(f"unknown verify target {target!r}")
-    try:
-        param_sets = _verify_params(args)
-    except (ValueError, RuntimeError) as exc:
-        raise InputError(str(exc)) from exc
-    verify = _VERIFIERS[target]
-    reports = [verify(p, tol=args.tol) for p in param_sets]
-    n_fail = sum(1 for r in reports if not r.passed)
-    payload = {
-        "target": target,
-        "reports": [r.to_json() for r in reports],
-        "summary": {"total": len(reports), "failed": n_fail, "pass": n_fail == 0},
-    }
-    _write_output(payload, args.out)
-    return 0 if n_fail == 0 else 1
+    if args.input is not None:
+        verify = _VERIFIERS[target]
+        reports = [verify(p, tol=args.tol) for p in _file_params(args)]
+    else:
+        try:
+            draws = _sample_draws(target, args)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        check = _CHECKS[target]
+        reports = [check(p, sides, args.tol) for p, sides in draws]
+    return _write_reports(reports, args.out, target=target)
 
 
 def _run_verify_ge_split(args: argparse.Namespace) -> int:
@@ -213,14 +243,7 @@ def _run_verify_ge_split(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"invalid ge_split spec: {exc}") from exc
         reports.append(ge_split_check(spec, *windows, tol=args.tol))
-    n_fail = sum(1 for r in reports if not r.passed)
-    payload = {
-        "target": "ge_split",
-        "reports": [r.to_json() for r in reports],
-        "summary": {"total": len(reports), "failed": n_fail, "pass": n_fail == 0},
-    }
-    _write_output(payload, args.out)
-    return 0 if n_fail == 0 else 1
+    return _write_reports(reports, args.out, target="ge_split")
 
 
 def run_ellipticity(args: argparse.Namespace) -> int:
@@ -244,35 +267,26 @@ def run_ellipticity(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         reports.append(report)
-    n_fail = sum(1 for r in reports if not r.passed)
-    payload = {
-        "reports": [r.to_json() for r in reports],
-        "summary": {"total": len(reports), "failed": n_fail, "pass": n_fail == 0},
-    }
-    _write_output(payload, args.out)
-    return 0 if n_fail == 0 else 1
+    return _write_reports(reports, args.out)
 
 
 def run_sample(args: argparse.Namespace) -> int:
     target = args.target
     if target not in _PARAM_TYPES:
         raise InputError(f"unknown sample target {target!r}")
-    nome = _parse_nome(args.nome)
-    band = _parse_band(args.band)
-    try:
-        params = [_sample_one(target, args.seed + i, args, nome, band) for i in range(args.draws)]
-    except RuntimeError as exc:
-        raise InputError(str(exc)) from exc
     payload = {
         "target": target,
         "seed": args.seed,
-        "params": [p.to_json() for p in params],
+        "params": [p.to_json() for p, _ in _sample_draws(target, args)],
     }
     _write_output(payload, args.out)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(prog="thetahyp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,12 +7,16 @@ box-lattice kinds), and the generic multiple-series coefficient.
 
 Each identity has one private ``_*_sides`` function that evaluates its
 left-hand terms and its closed-form side through a FactorTable passed in.
-The verifier sums the nonzero terms and compares. The sampler draws free
-parameters with moduli in a configurable band, solves the balancing /
-truncation constraints for the dependent parameters, dry-runs the same
-sides function on a fresh table and resamples when any theta argument that
-table evaluated sits within _LATTICE_EPS of a lattice zero, or when a
-left-hand series is badly conditioned.
+The verifier builds the sides on a fresh table and hands them to a private
+``_check_*`` step, which sums the nonzero terms and compares. The sampler
+draws free parameters with moduli in a configurable band, solves the
+balancing / truncation constraints for the dependent parameters, dry-runs
+the same sides function on a fresh table and resamples when any theta
+argument that table evaluated sits within _LATTICE_EPS of a lattice zero,
+or when a left-hand series is badly conditioned. The private ``_sample_*``
+return the admitted sides with the parameters, so a caller that verifies
+a draw at the default policy can check those sides instead of building
+them again.
 """
 
 from __future__ import annotations
@@ -69,20 +73,34 @@ def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
     return radius * cmath.exp(1j * angle)
 
 
-def _admissible(sides, params) -> bool:
-    """Dry-run a verifier's sides function on a fresh table. False when a
-    side cannot be evaluated, when a left-hand series is badly conditioned,
-    or when any theta argument it evaluated lies within _LATTICE_EPS of a
-    lattice zero."""
+def _admissible(sides, params):
+    """Dry-run a verifier's sides function on a fresh default-policy table
+    and return its result, or None when a side cannot be evaluated, when a
+    left-hand series is badly conditioned, or when any theta argument it
+    evaluated lies within _LATTICE_EPS of a lattice zero."""
     table = FactorTable(params.nome)
     try:
-        *series, _ = sides(params, table)
-        return not (
-            any(_badly_conditioned([c.value for c in terms]) for terms in series)
-            or any(_near_lattice(w, params.nome.p) for w in table.arguments)
-        )
+        result = sides(params, table)
+        *series, _ = result
+        if any(_badly_conditioned([c.value for c in terms]) for terms in series) or any(
+            _near_lattice(w, params.nome.p) for w in table.arguments
+        ):
+            return None
+        return result
     except (PoleError, ZeroDivisionError, OverflowError):
-        return False
+        return None
+
+
+def _report(params, lhs, rhs: complex, tol: float) -> VerificationReport:
+    return VerificationReport.compare(
+        lhs.value, rhs, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
+    )
+
+
+def _check_lattice(params, sides, tol: float) -> VerificationReport:
+    """Sum every nonzero term of a multisum's sides and compare with its closed form."""
+    terms, closed = sides
+    return _report(params, _sum_window(terms.__getitem__, (0, len(terms) - 1)), closed.value, tol)
 
 
 def _lattice_terms(lattice, cross, block, scalar) -> list[FactorialValue]:
@@ -158,6 +176,21 @@ def _ft_sides(params: FTParams, table: FactorTable) -> tuple[list[FactorialValue
     return terms, num / den
 
 
+def _sample_ft(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
+    """The first admissible FT draw and the sides its table admitted."""
+    rng = np.random.default_rng(seed)
+    q = nome.q
+    for _ in range(_MAX_RESAMPLE):
+        t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
+        t4 = q ** (-N) / t0
+        t5 = q / (t0 * t1 * t2 * t3 * t4)
+        params = FTParams((t0, t1, t2, t3, t4, t5), nome, N)
+        sides = _admissible(_ft_sides, params)
+        if sides is not None:
+            return params, sides
+    raise RuntimeError("sample_ft: could not find admissible parameters")
+
+
 def sample_ft(
     seed: int,
     N: int,
@@ -166,16 +199,15 @@ def sample_ft(
 ) -> FTParams:
     """Draw FT parameters satisfying the balancing and truncation
     constraints by construction, resampling away from lattice zeros."""
-    rng = np.random.default_rng(seed)
-    q = nome.q
-    for _ in range(_MAX_RESAMPLE):
-        t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
-        t4 = q ** (-N) / t0
-        t5 = q / (t0 * t1 * t2 * t3 * t4)
-        params = FTParams((t0, t1, t2, t3, t4, t5), nome, N)
-        if _admissible(_ft_sides, params):
-            return params
-    raise RuntimeError("sample_ft: could not find admissible parameters")
+    return _sample_ft(seed, N, nome, radius_band)[0]
+
+
+def _check_ft(
+    params: FTParams, sides, tol: float, policy: PrecisionPolicy = DEFAULT_POLICY
+) -> VerificationReport:
+    """Sum the 10E9 terms of _ft_sides and compare with the closed form."""
+    terms, closed = sides
+    return _report(params, _sum_unilateral(terms.__getitem__, params.N, policy), closed.value, tol)
 
 
 def verify_ft_sum(
@@ -184,11 +216,7 @@ def verify_ft_sum(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
     """Terminating 10E9 sum against its closed-form theta-factorial value."""
-    terms, closed = _ft_sides(params, FactorTable(params.nome, policy))
-    lhs = _sum_unilateral(terms.__getitem__, params.N, policy)
-    return VerificationReport.compare(
-        lhs.value, closed.value, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
-    )
+    return _check_ft(params, _ft_sides(params, FactorTable(params.nome, policy)), tol, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +297,8 @@ def _bailey_sides(
     return lhs_terms, rhs_terms, pref_num / pref_den
 
 
-def sample_bailey(
-    seed: int,
-    N: int,
-    nome: Nome,
-    radius_band: tuple[float, float] = DEFAULT_BAND,
-) -> BaileyParams:
+def _sample_bailey(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
+    """The first admissible Bailey draw and the sides its table admitted."""
     rng = np.random.default_rng(seed)
     q = nome.q
     for _ in range(_MAX_RESAMPLE):
@@ -282,9 +306,19 @@ def sample_bailey(
         t6 = q ** (-N) / t0
         t7 = q * q / (t0 * t1 * t2 * t3 * t4 * t5 * t6)
         params = BaileyParams((t0, t1, t2, t3, t4, t5, t6, t7), nome, N)
-        if _admissible(_bailey_sides, params):
-            return params
+        sides = _admissible(_bailey_sides, params)
+        if sides is not None:
+            return params, sides
     raise RuntimeError("sample_bailey: could not find admissible parameters")
+
+
+def sample_bailey(
+    seed: int,
+    N: int,
+    nome: Nome,
+    radius_band: tuple[float, float] = DEFAULT_BAND,
+) -> BaileyParams:
+    return _sample_bailey(seed, N, nome, radius_band)[0]
 
 
 def bailey_from_ft(ft: FTParams, x: complex) -> BaileyParams:
@@ -295,6 +329,17 @@ def bailey_from_ft(ft: FTParams, x: complex) -> BaileyParams:
     return BaileyParams((t[0], t[1], x, q / x, t[2], t[3], t[4], t[5]), ft.nome, ft.N)
 
 
+def _check_bailey(
+    params: BaileyParams, sides, tol: float, policy: PrecisionPolicy = DEFAULT_POLICY
+) -> VerificationReport:
+    """Sum both 12E11 series of _bailey_sides and compare the left one with
+    the prefactor times the right one."""
+    lhs_terms, rhs_terms, pref = sides
+    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N, policy)
+    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N, policy)
+    return _report(params, lhs, pref.value * rhs_series.value, tol)
+
+
 def verify_bailey(
     params: BaileyParams,
     tol: float = 1e-8,
@@ -302,13 +347,8 @@ def verify_bailey(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
     """Two-term 12E11 transformation, both series terminating at N."""
-    lhs_terms, rhs_terms, pref = _bailey_sides(params, FactorTable(params.nome, policy), root_sign)
-    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N, policy)
-    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N, policy)
-    rhs = pref.value * rhs_series.value
-    return VerificationReport.compare(
-        lhs.value, rhs, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
-    )
+    sides = _bailey_sides(params, FactorTable(params.nome, policy), root_sign)
+    return _check_bailey(params, sides, tol, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +409,8 @@ class Multi1Params:
         )
 
 
-def sample_multi1(
-    seed: int,
-    n: int,
-    N: int,
-    nome: Nome,
-    radius_band: tuple[float, float] = DEFAULT_BAND,
-) -> Multi1Params:
+def _sample_multi1(seed: int, n: int, N: int, nome: Nome, radius_band: tuple[float, float]):
+    """The first admissible multi1 draw and the sides its table admitted."""
     rng = np.random.default_rng(seed)
     q = nome.q
     for _ in range(_MAX_RESAMPLE):
@@ -384,9 +419,20 @@ def sample_multi1(
         t4 = q ** (-N) / (t ** (n - 1) * t0)
         t5 = q / (t ** (2 * n - 2) * t0 * t1 * t2 * t3 * t4)
         params = Multi1Params(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
-        if _admissible(_multi1_sides, params):
-            return params
+        sides = _admissible(_multi1_sides, params)
+        if sides is not None:
+            return params, sides
     raise RuntimeError("sample_multi1: could not find admissible parameters")
+
+
+def sample_multi1(
+    seed: int,
+    n: int,
+    N: int,
+    nome: Nome,
+    radius_band: tuple[float, float] = DEFAULT_BAND,
+) -> Multi1Params:
+    return _sample_multi1(seed, n, N, nome, radius_band)[0]
 
 
 def _multi1_terms(params: Multi1Params, table: FactorTable, lattice) -> list[FactorialValue]:
@@ -451,11 +497,7 @@ def verify_multi1(
     tol: float = 1e-7,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
-    terms, closed = _multi1_sides(params, FactorTable(params.nome, policy))
-    lhs = _sum_window(terms.__getitem__, (0, len(terms) - 1))
-    return VerificationReport.compare(
-        lhs.value, closed.value, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
-    )
+    return _check_lattice(params, _multi1_sides(params, FactorTable(params.nome, policy)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +555,8 @@ class Multi2Params:
         )
 
 
-def sample_multi2(
-    seed: int,
-    n: int,
-    Ns: tuple[int, ...],
-    nome: Nome,
-    radius_band: tuple[float, float] = DEFAULT_BAND,
-) -> Multi2Params:
+def _sample_multi2(seed: int, n: int, Ns: tuple[int, ...], nome: Nome, radius_band: tuple[float, float]):
+    """The first admissible multi2 draw and the sides its table admitted."""
     rng = np.random.default_rng(seed)
     q = nome.q
     for _ in range(_MAX_RESAMPLE):
@@ -532,9 +569,20 @@ def sample_multi2(
         c = q / partial
         t = (t0, *body, *trunc, a, b, c)
         params = Multi2Params(n, t, tuple(Ns), nome)
-        if _admissible(_multi2_sides, params):
-            return params
+        sides = _admissible(_multi2_sides, params)
+        if sides is not None:
+            return params, sides
     raise RuntimeError("sample_multi2: could not find admissible parameters")
+
+
+def sample_multi2(
+    seed: int,
+    n: int,
+    Ns: tuple[int, ...],
+    nome: Nome,
+    radius_band: tuple[float, float] = DEFAULT_BAND,
+) -> Multi2Params:
+    return _sample_multi2(seed, n, Ns, nome, radius_band)[0]
 
 
 def _multi2_terms(params: Multi2Params, table: FactorTable, lattice) -> list[FactorialValue]:
@@ -604,11 +652,7 @@ def verify_multi2(
     tol: float = 1e-7,
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
-    terms, closed = _multi2_sides(params, FactorTable(params.nome, policy))
-    lhs = _sum_window(terms.__getitem__, (0, len(terms) - 1))
-    return VerificationReport.compare(
-        lhs.value, closed.value, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
-    )
+    return _check_lattice(params, _multi2_sides(params, FactorTable(params.nome, policy)), tol)
 
 
 # ---------------------------------------------------------------------------

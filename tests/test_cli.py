@@ -2,8 +2,19 @@ import json
 
 import pytest
 
-from thetahyp import Nome, ThetaSeriesSpec, sample_ft
-from thetahyp.cli import main
+from thetahyp import (
+    Nome,
+    ThetaSeriesSpec,
+    sample_bailey,
+    sample_ft,
+    sample_multi1,
+    sample_multi2,
+    verify_bailey,
+    verify_ft_sum,
+    verify_multi1,
+    verify_multi2,
+)
+from thetahyp.cli import build_parser, main
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -34,6 +45,38 @@ class TestSampleVerifyRoundTrip:
         assert run(["verify", "ft_sum", "--draws", "2", "--seed", "5",
                     "--out", str(out)]) == 0
         assert read(out)["summary"]["total"] == 2
+
+    # the report of verify <target> --n 2 --N 3 at one seed, built from the
+    # public sampler and verifier at the CLI's default tolerance
+    PUBLIC_REPORTS = {
+        "ft_sum": lambda seed: verify_ft_sum(sample_ft(seed, 3, NOME), tol=1e-8),
+        "bailey": lambda seed: verify_bailey(sample_bailey(seed, 3, NOME), tol=1e-8),
+        "multi1": lambda seed: verify_multi1(sample_multi1(seed, 2, 3, NOME), tol=1e-8),
+        "multi2": lambda seed: verify_multi2(sample_multi2(seed, 2, (3, 3), NOME), tol=1e-8),
+    }
+
+    @pytest.mark.parametrize("target", sorted(PUBLIC_REPORTS))
+    def test_sampled_verify_matches_public_verifier(self, tmp_path, target):
+        # the CLI checks each draw on the sides its sampler admitted; the
+        # report must equal verify_*(sample_*(seed + i)) byte for byte
+        reports = [self.PUBLIC_REPORTS[target](5 + i) for i in range(3)]
+        failed = sum(1 for r in reports if not r.passed)
+        payload = {
+            "target": target,
+            "reports": [r.to_json() for r in reports],
+            "summary": {"total": 3, "failed": failed, "pass": failed == 0},
+        }
+        want = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        out = tmp_path / "report.json"
+        argv = ["verify", target, "--n", "2", "--N", "3", "--seed", "5", "--draws", "3", "--out", str(out)]
+        assert run(argv) == (0 if failed == 0 else 1)
+        assert out.read_bytes() == want
+        # the parser is shared between calls; a usage error must not change it
+        out.unlink()
+        assert run(["verify", target, "--N", "three"]) == 2
+        assert run(argv) == (0 if failed == 0 else 1)
+        assert out.read_bytes() == want
+        assert build_parser() is build_parser()
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -126,6 +169,25 @@ class TestErrorPaths:
         inp = tmp_path / "params.json"
         inp.write_text(json.dumps({"params": [obj]}))
         assert run(["verify", "ft_sum", str(inp)]) == 2
+
+    def test_verify_empty_params_exits_2(self, tmp_path, capsys):
+        # an input with no parameter sets would pass vacuously with no report
+        inp = tmp_path / "params.json"
+        inp.write_text("[]")
+        assert run(["verify", "ft_sum", str(inp)]) == 2
+        assert "nothing to check" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_verify_ge_split_empty_specs_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": []}))
+        assert run(["verify", "ge_split", str(inp)]) == 2
+        assert "nothing to check" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_ellipticity_empty_specs_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": []}))
+        assert run(["ellipticity", str(inp)]) == 2
+        assert "nothing to check" in json.loads(capsys.readouterr().out)["error"]
 
     def test_unknown_target_exits_2(self):
         assert run(["verify", "nonsense"]) == 2

@@ -29,6 +29,7 @@ from thetahyp import (
     verify_multi2,
 )
 from thetahyp import factorials
+from thetahyp.cli import main
 from thetahyp.factorials import ONE, FactorTable, theta_factor, theta_factorial
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -136,6 +137,22 @@ def test_multi2_theta_budget(monkeypatch):
     # the per-coefficient factorial products made 7,020 calls here
     params = sample_multi2(16, 3, (3, 3, 3), NOME)
     assert _count_theta_calls(monkeypatch, lambda: verify_multi2(params)) <= 702
+
+
+@pytest.mark.parametrize(
+    "argv, sample, calls",
+    [
+        (["ft_sum", "--N", "6", "--seed", "12"], lambda: sample_ft(12, 6, NOME), 103),
+        (["multi2", "--n", "3", "--N", "3", "--seed", "16"], lambda: sample_multi2(16, 3, (3, 3, 3), NOME), 268),
+    ],
+)
+def test_sampled_verify_sums_each_draw_once(monkeypatch, tmp_path, argv, sample, calls):
+    # the CLI checks a sampled draw on the sides its sampler admitted, so it
+    # evaluates no theta factor beyond the sampler's; summing the draw again
+    # on a fresh table made 206 and 536 calls here
+    out = str(tmp_path / "report.json")
+    cli_calls = _count_theta_calls(monkeypatch, lambda: main(["verify", *argv, "--draws", "1", "--out", out]))
+    assert cli_calls == _count_theta_calls(monkeypatch, sample) == calls
 
 
 # verifier, sampled params and budget of FactorTable.factorial calls; building
