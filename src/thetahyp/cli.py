@@ -251,6 +251,8 @@ def run_ellipticity(args: argparse.Namespace) -> int:
     if not isinstance(obj, dict):
         raise InputError("ellipticity input must be a JSON object")
     entries = obj.get("specs", [obj])
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise InputError("ellipticity specs must be an array of spec objects")
     reports: list[EllipticityReport] = []
     for e in entries:
         try:

@@ -30,7 +30,7 @@ from .theta import (
     apply_modular,
     elliptic_number,
 )
-from .identities import Multi1Params, Multi2Params
+from .identities import Multi1Params, Multi2Params, _lattice_h, _multi1_lattice, _multi2_lattice
 from .factorials import FactorTable
 
 
@@ -80,13 +80,13 @@ def _rand_x(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.25, 0.25))
 
 
-def _max_dev(draw, fn_pairs, samples: int, rng: np.random.Generator, max_retries: int = 200) -> tuple[float, int]:
+def _max_dev(draw, fn_pairs, samples: int, rng: np.random.Generator) -> tuple[float, int]:
     """Max relative deviation of fn_pairs(point) = (shifted, reference) over
-    points draw(rng), resampling on pole collisions / tiny references."""
+    points draw(rng), resampling (at most 200 times) on poles / tiny references."""
     dev = 0.0
     done = 0
     tries = 0
-    while done < samples and tries < samples + max_retries:
+    while done < samples and tries < samples + 200:
         tries += 1
         point = draw(rng)
         try:
@@ -201,110 +201,19 @@ def check_total_ellipticity_wp(
 
 
 def multi1_h(
-    params: Multi1Params,
-    l: int,
-    lam_mult: list[complex],
-    policy: PrecisionPolicy = DEFAULT_POLICY,
+    params: Multi1Params, l: int, lam_mult: list[complex], policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> complex:
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    return _multi1_h(params, l, lam_mult, FactorTable(params.nome, policy))
-
-
-def _multi1_h(params: Multi1Params, l: int, lam_mult: list[complex], table: FactorTable) -> complex:
-    q = params.nome.q
-    t = params.t
-    n = params.n
-    taus = params.taus
-    xl = lam_mult[l - 1]
-    out = 1.0 + 0j
-    for j in range(1, l):
-        xj = lam_mult[j - 1]
-        num = (
-            table.factor(taus[j - 1] * taus[l - 1] * xj * xl * q).value
-            * table.factor(taus[l - 1] / taus[j - 1] * xl * q / xj).value
-            * table.factor(t * taus[j - 1] * taus[l - 1] * xj * xl).value
-            * table.factor(t * taus[l - 1] / taus[j - 1] * xl / xj).value
-        )
-        den = (
-            table.factor(taus[j - 1] * taus[l - 1] * xj * xl).value
-            * table.factor(taus[l - 1] / taus[j - 1] * xl / xj).value
-            * table.factor(taus[j - 1] * taus[l - 1] * xj * xl * q / t).value
-            * table.factor(taus[l - 1] / taus[j - 1] * xl * q / (xj * t)).value
-        )
-        out *= num / den
-    for k in range(l + 1, n + 1):
-        xk = lam_mult[k - 1]
-        num = (
-            table.factor(taus[k - 1] * taus[l - 1] * xk * xl * q).value
-            * table.factor(taus[k - 1] / taus[l - 1] * xk / (xl * q)).value
-            * table.factor(t * taus[k - 1] * taus[l - 1] * xk * xl).value
-            * table.factor(taus[k - 1] / (t * taus[l - 1]) * xk / xl).value
-        )
-        den = (
-            table.factor(taus[k - 1] * taus[l - 1] * xk * xl).value
-            * table.factor(taus[k - 1] / taus[l - 1] * xk / xl).value
-            * table.factor(taus[k - 1] * taus[l - 1] * xk * xl * q / t).value
-            * table.factor(t * taus[k - 1] / taus[l - 1] * xk / (xl * q)).value
-        )
-        out *= num / den
-    # head ratio theta(tau_l^2 x_l^2 q^2) / theta(tau_l^2 x_l^2): the
-    # coefficient's own-index forward ratio (the lambda_l = 0 specialization
-    # of the denominator would break ellipticity in lambda_l)
-    rest = (
-        q
-        * t ** (2 * (n - l))
-        * table.factor(taus[l - 1] ** 2 * xl**2 * q**2).value
-        / table.factor(taus[l - 1] ** 2 * xl**2).value
-    )
-    for tm in params.t6:
-        rest *= table.factor(tm * taus[l - 1] * xl).value / table.factor(taus[l - 1] * xl * q / tm).value
-    return out * rest
+    return _lattice_h(_multi1_lattice(params), l)(lam_mult, FactorTable(params.nome, policy))
 
 
 def multi2_h(
-    params: Multi2Params,
-    l: int,
-    lam_mult: list[complex],
-    policy: PrecisionPolicy = DEFAULT_POLICY,
+    params: Multi2Params, l: int, lam_mult: list[complex], policy: PrecisionPolicy = DEFAULT_POLICY
 ) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    return _multi2_h(params, l, lam_mult, FactorTable(params.nome, policy))
-
-
-def _multi2_h(params: Multi2Params, l: int, lam_mult: list[complex], table: FactorTable) -> complex:
-    q = params.nome.q
-    t = params.t
-    n = params.n
-    xl = lam_mult[l - 1]
-    out = 1.0 + 0j
-    for j in range(1, l):
-        xj = lam_mult[j - 1]
-        num = (
-            table.factor(t[j] * t[l] * xj * xl * q).value
-            * table.factor(t[j] / t[l] * xj / (xl * q)).value
-        )
-        den = (
-            table.factor(t[j] * t[l] * xj * xl).value
-            * table.factor(t[j] / t[l] * xj / xl).value
-        )
-        out *= num / den
-    for k in range(l + 1, n + 1):
-        xk = lam_mult[k - 1]
-        num = (
-            table.factor(t[l] * t[k] * xl * xk * q).value
-            * table.factor(t[l] / t[k] * xl * q / xk).value
-        )
-        den = (
-            table.factor(t[l] * t[k] * xl * xk).value
-            * table.factor(t[l] / t[k] * xl / xk).value
-        )
-        out *= num / den
-    rest = q**l * table.factor(t[l] ** 2 * xl**2 * q**2).value / table.factor(t[l] ** 2 * xl**2).value
-    for m in range(2 * n + 4):
-        rest *= table.factor(t[l] * t[m] * xl).value / table.factor(t[l] * xl * q / t[m]).value
-    return out * rest
+    return _lattice_h(_multi2_lattice(params), l)(lam_mult, FactorTable(params.nome, policy))
 
 
 def _rand_mult_args(rng: np.random.Generator, n: int) -> list[complex]:
@@ -325,28 +234,29 @@ def _unchecked_replace(params, **changes):
 
 
 def _check_multi(
-    h, params, param_shifts, samples: int, tol: float, seed: int, policy: PrecisionPolicy
+    describe, params, param_shifts, samples: int, tol: float, seed: int, policy: PrecisionPolicy
 ) -> list[EllipticityReport]:
     """One report per summation index p-shift, then one per (kind, shifted
     params) in param_shifts, each comparing h_l at the shifted and the
-    reference point. Every evaluation reads its factors from one table:
-    the shifted parameter sets share the nome of params."""
+    reference point. h_l is built once per parameter set, and every call
+    reads one table: the shifted sets share the nome of params."""
     p = params.nome.p
     n = params.n
     l_mid = max(1, (n + 1) // 2)
-    shifts = [(f"index_p_shift:lambda{i}", params, i - 1) for i in range(1, n + 1)]
-    shifts += [(kind, sp, None) for kind, sp in param_shifts]
+    ref = _lattice_h(describe(params), l_mid)
+    shifts = [(f"index_p_shift:lambda{i}", ref, i - 1) for i in range(1, n + 1)]
+    shifts += [(kind, _lattice_h(describe(sp), l_mid), None) for kind, sp in param_shifts]
     rng = np.random.default_rng(seed)
     table = FactorTable(params.nome, policy)
     reports: list[EllipticityReport] = []
-    for kind, shifted_params, lam_shift_idx in shifts:
+    for kind, shifted, lam_shift_idx in shifts:
 
         def pairs(lam):
-            ref = h(params, l_mid, lam, table)
+            ref_h = ref(lam, table)
             lam2 = list(lam)
             if lam_shift_idx is not None:
                 lam2[lam_shift_idx] = lam2[lam_shift_idx] * p
-            return h(shifted_params, l_mid, lam2, table), ref
+            return shifted(lam2, table), ref_h
 
         dev, done = _max_dev(lambda rng: _rand_mult_args(rng, n), pairs, samples, rng)
         reports.append(EllipticityReport(f"{kind}@h{l_mid}", dev, done, dev <= tol))
@@ -373,7 +283,7 @@ def check_total_ellipticity_multi1(
     t6 = list(params.t6)
     t6[5] = t6[5] / p ** (2 * params.n - 2)
     shifts.append(("param_p_shift:t", _unchecked_replace(params, t=params.t * p, t6=tuple(t6))))
-    return _check_multi(_multi1_h, params, shifts, samples, tol, seed, policy)
+    return _check_multi(_multi1_lattice, params, shifts, samples, tol, seed, policy)
 
 
 def check_total_ellipticity_multi2(
@@ -394,7 +304,7 @@ def check_total_ellipticity_multi2(
         t[m] = t[m] * p
         t[last] = t[last] / p
         shifts.append((f"param_p_shift:t{m}", _unchecked_replace(params, t=tuple(t))))
-    return _check_multi(_multi2_h, params, shifts, samples, tol, seed, policy)
+    return _check_multi(_multi2_lattice, params, shifts, samples, tol, seed, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,13 +43,13 @@ _LATTICE_EPS = 1e-6
 _MAX_RESAMPLE = 500
 
 
-def _check_constraint(lhs: complex, rhs: complex, what: str, rtol: float = CONSTRAINT_RTOL) -> None:
-    if abs(lhs - rhs) > rtol * max(abs(lhs), abs(rhs)):
+def _check_constraint(lhs: complex, rhs: complex, what: str) -> None:
+    if abs(lhs - rhs) > CONSTRAINT_RTOL * max(abs(lhs), abs(rhs)):
         raise ValueError(f"constraint violated: {what} ({lhs} vs {rhs})")
 
 
-def _near_lattice(w: complex, p: complex, eps: float = _LATTICE_EPS) -> bool:
-    return theta_zero_index(w, p, rtol=eps) is not None
+def _near_lattice(w: complex, p: complex) -> bool:
+    return theta_zero_index(w, p, rtol=_LATTICE_EPS) is not None
 
 
 def _jl(ts) -> list[list[float]]:
@@ -57,14 +59,14 @@ def _jl(ts) -> list[list[float]]:
 _COND_CAP = 1e5
 
 
-def _badly_conditioned(terms: list[complex], cap: float = _COND_CAP) -> bool:
-    """True when the summed series loses more than log10(cap) digits to
+def _badly_conditioned(terms: list[complex]) -> bool:
+    """True when the summed series loses more than log10(_COND_CAP) digits to
     cancellation (largest term much bigger than the sum)."""
     total = sum(terms, 0j)
     peak = max((abs(t) for t in terms), default=0.0)
     if peak == 0.0:
         return False
-    return abs(total) < peak / cap
+    return abs(total) < peak / _COND_CAP
 
 
 def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
@@ -103,12 +105,39 @@ def _check_lattice(params, sides, tol: float) -> VerificationReport:
     return _report(params, _sum_window(terms.__getitem__, (0, len(terms) - 1)), closed.value, tol)
 
 
-def _lattice_terms(lattice, cross, block, scalar) -> list[FactorialValue]:
+@dataclass(frozen=True)
+class _Multisum:
+    """A multisum coefficient c(lam) = prod_{j<k} cross[j, k] * prod_j blocks[j]
+    * scalar(lam) (Warnaar 2002, Rosengren 2004), written once. Each part is
+    (heads, pairs) over the indices it touches, (lam_j, lam_k) or (lam_j,): a
+    head (c, e) stands for theta(c q^{e.lam}) / theta(c) and a pair (a, b, e)
+    for (a)_{e.lam} / (b)_{e.lam}. _lattice_terms evaluates it at integer
+    points; _lattice_h reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
+
+    cross: dict[tuple[int, int], tuple[tuple, tuple]]
+    blocks: tuple[tuple[tuple, tuple], ...]
+    scalar: Callable[[tuple[int, ...]], complex]
+
+
+def _lattice_terms(desc: _Multisum, table: FactorTable, lattice) -> list[FactorialValue]:
     """The coefficient at each point lam of a lattice: the product over pairs
-    j < k of cross(j, k, lam_j, lam_k), then over j of block(j, lam_j), times
-    scalar(lam). Each cross factor and block is built once per call and reused
-    at every point that shares it, in the multiplication order of one point."""
-    cross, block = functools.cache(cross), functools.cache(block)
+    j < k of the cross parts, then over j of the blocks, times the scalar.
+    Each part's value is built once per call and reused at every point that
+    shares it, in the multiplication order of one point."""
+    q = table.nome.q
+
+    def part(heads, pairs, lams) -> FactorialValue:
+        nums = [table.factor(c * q ** sum(map(operator.mul, e, lams))) for c, e in heads]
+        out = functools.reduce(operator.mul, nums)
+        for c, _ in heads:
+            out = out / table.factor(c)
+        for a, b, e in pairs:
+            m = sum(map(operator.mul, e, lams))
+            out = out * (table.factorial(a, m) / table.factorial(b, m))
+        return out
+
+    cross = functools.cache(lambda j, k, lj, lk: part(*desc.cross[j, k], (lj, lk)))
+    block = functools.cache(lambda j, lj: part(*desc.blocks[j], (lj,)))
     terms = []
     for lam in lattice:
         out = ONE
@@ -116,8 +145,37 @@ def _lattice_terms(lattice, cross, block, scalar) -> list[FactorialValue]:
             out = out * cross(j, k, lam[j], lam[k])
         for j, lj in enumerate(lam):
             out = out * block(j, lj)
-        terms.append(out * scalar(lam))
+        terms.append(out * desc.scalar(lam))
     return terms
+
+
+def _lattice_h(desc: _Multisum, l: int) -> Callable[[list[complex], FactorTable], complex]:
+    """h_l = c(lam + e_l) / c(lam) for the 1-based index l, as a function of
+    xs = [q^{lam_j}] and a table. With X = prod x_j^{e_j}, a head gives
+    theta(c X q^{e_l}) / theta(c X), a pair theta(a X) / theta(b X) when
+    e_l = 1 and theta(b X / q) / theta(a X / q) when e_l = -1, and the
+    scalar scalar(e_l) / scalar(0), computed once with the parts touching l."""
+    n, i = len(desc.blocks), l - 1
+    ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
+    touching = [((min(i, j), max(i, j)), desc.cross[min(i, j), max(i, j)]) for j in range(n) if j != i]
+    parts = [(idx, idx.index(i), heads, pairs) for idx, (heads, pairs) in touching + [((i,), desc.blocks[i])]]
+
+    def h(xs: list[complex], table: FactorTable) -> complex:
+        q, out = table.nome.q, ratio
+        for idx, at, heads, pairs in parts:
+            xi = [xs[j] for j in idx]
+            for c, e in heads:
+                cx = c * math.prod(map(pow, xi, e))
+                out *= table.factor(cx * q ** e[at]).value / table.factor(cx).value
+            for a, b, e in pairs:
+                x = math.prod(map(pow, xi, e))
+                if e[at] == 1:
+                    out *= table.factor(a * x).value / table.factor(b * x).value
+                elif e[at] == -1:
+                    out *= table.factor(b * x / q).value / table.factor(a * x / q).value
+        return out
+
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -435,39 +493,33 @@ def sample_multi1(
     return _sample_multi1(seed, n, N, nome, radius_band)[0]
 
 
-def _multi1_terms(params: Multi1Params, table: FactorTable, lattice) -> list[FactorialValue]:
+def _multi1_lattice(params: Multi1Params) -> _Multisum:
     q, t, n = params.nome.q, params.t, params.n
     taus = params.taus
-
-    def cross(j: int, k: int, lj: int, lk: int) -> FactorialValue:
-        out = (
-            table.factor(taus[k] * taus[j] * q ** (lk + lj))
-            * table.factor(taus[k] / taus[j] * q ** (lk - lj))
-            / table.factor(taus[k] * taus[j])
-            / table.factor(taus[k] / taus[j])
+    cross = {
+        (j, k): (
+            ((taus[k] * taus[j], (1, 1)), (taus[k] / taus[j], (-1, 1))),
+            (
+                (t * taus[k] * taus[j], q / t * taus[k] * taus[j], (1, 1)),
+                (t * taus[k] / taus[j], q / t * taus[k] / taus[j], (-1, 1)),
+            ),
         )
-        out = out * (
-            table.factorial(t * taus[k] * taus[j], lk + lj) / table.factorial(q / t * taus[k] * taus[j], lk + lj)
-        )
-        return out * (
-            table.factorial(t * taus[k] / taus[j], lk - lj) / table.factorial(q / t * taus[k] / taus[j], lk - lj)
-        )
-
-    def block(j: int, lj: int) -> FactorialValue:
-        blk = table.factor(taus[j] * taus[j] * q ** (2 * lj)) / table.factor(taus[j] * taus[j])
-        for tr in params.t6:
-            blk = blk * (table.factorial(tr * taus[j], lj) / table.factorial(q / tr * taus[j], lj))
-        return blk
+        for j, k in itertools.combinations(range(n), 2)
+    }
+    blocks = tuple(
+        (((taus[j] * taus[j], (2,)),), tuple((tr * taus[j], q / tr * taus[j], (1,)) for tr in params.t6))
+        for j in range(n)
+    )
 
     def scalar(lam: tuple[int, ...]) -> complex:
         return q ** sum(lam) * t ** (2 * sum((n - (j + 1)) * lam[j] for j in range(n)))
 
-    return _lattice_terms(lattice, cross, block, scalar)
+    return _Multisum(cross, blocks, scalar)
 
 
 def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
     """The coefficient at one point lam, also outside the ordered tuples."""
-    return _multi1_terms(params, table, [lam])[0]
+    return _lattice_terms(_multi1_lattice(params), table, [lam])[0]
 
 
 def _multi1_sides(params: Multi1Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
@@ -477,7 +529,8 @@ def _multi1_sides(params: Multi1Params, table: FactorTable) -> tuple[list[Factor
     q = params.nome.q
     t = params.t
     t0, t1, t2, t3 = params.t6[0], params.t6[1], params.t6[2], params.t6[3]
-    terms = _multi1_terms(params, table, itertools.combinations_with_replacement(range(N + 1), n))
+    lattice = itertools.combinations_with_replacement(range(N + 1), n)
+    terms = _lattice_terms(_multi1_lattice(params), table, lattice)
 
     closed = ONE
     for j in range(1, n + 1):
@@ -585,34 +638,26 @@ def sample_multi2(
     return _sample_multi2(seed, n, Ns, nome, radius_band)[0]
 
 
-def _multi2_terms(params: Multi2Params, table: FactorTable, lattice) -> list[FactorialValue]:
+def _multi2_lattice(params: Multi2Params) -> _Multisum:
     q, n, t = params.nome.q, params.n, params.t
-
-    def cross(j: int, k: int, lj: int, lk: int) -> FactorialValue:
-        tj, tk = t[j + 1], t[k + 1]
-        return (
-            table.factor(tj * tk * q ** (lj + lk))
-            * table.factor(tj / tk * q ** (lj - lk))
-            / table.factor(tj * tk)
-            / table.factor(tj / tk)
-        )
-
-    def block(j: int, lj: int) -> FactorialValue:
-        tj = t[j + 1]
-        blk = table.factor(tj * tj * q ** (2 * lj)) / table.factor(tj * tj)
-        for r in range(2 * n + 4):
-            blk = blk * (table.factorial(tj * t[r], lj) / table.factorial(q * tj / t[r], lj))
-        return blk
+    cross = {
+        (j, k): (((t[j + 1] * t[k + 1], (1, 1)), (t[j + 1] / t[k + 1], (1, -1))), ())
+        for j, k in itertools.combinations(range(n), 2)
+    }
+    blocks = tuple(
+        (((tj * tj, (2,)),), tuple((tj * t[r], q * tj / t[r], (1,)) for r in range(2 * n + 4)))
+        for tj in t[1 : n + 1]
+    )
 
     def scalar(lam: tuple[int, ...]) -> complex:
         return q ** sum((j + 1) * lam[j] for j in range(n))
 
-    return _lattice_terms(lattice, cross, block, scalar)
+    return _Multisum(cross, blocks, scalar)
 
 
 def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
     """The coefficient at one point lam."""
-    return _multi2_terms(params, table, [lam])[0]
+    return _lattice_terms(_multi2_lattice(params), table, [lam])[0]
 
 
 def _multi2_sides(params: Multi2Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
@@ -621,7 +666,8 @@ def _multi2_sides(params: Multi2Params, table: FactorTable) -> tuple[list[Factor
     n, t, Ns = params.n, params.t, params.Ns
     a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
     ntot = sum(Ns)
-    terms = _multi2_terms(params, table, itertools.product(*(range(N + 1) for N in Ns)))
+    lattice = itertools.product(*(range(N + 1) for N in Ns))
+    terms = _lattice_terms(_multi2_lattice(params), table, lattice)
 
     closed = table.factorial_multi([q / (a * b), q / (a * c), q / (b * c)], ntot)
     for j in range(1, n + 1):

@@ -407,15 +407,15 @@ class SeriesClass:
         }
 
 
-def _close(a: complex, b: complex, rtol: float = REL_TOL) -> bool:
-    return abs(a - b) <= rtol * max(abs(a), abs(b), 1e-300)
+def _close(a: complex, b: complex) -> bool:
+    return abs(a - b) <= REL_TOL * max(abs(a), abs(b), 1e-300)
 
 
-def _match_multiset(values: list[complex], targets: list[complex], rtol: float = REL_TOL) -> bool:
+def _match_multiset(values: list[complex], targets: list[complex]) -> bool:
     pool = list(values)
     for tgt in targets:
         for i, v in enumerate(pool):
-            if _close(v, tgt, rtol):
+            if _close(v, tgt):
                 del pool[i]
                 break
         else:

@@ -189,6 +189,15 @@ class TestErrorPaths:
         assert run(["ellipticity", str(inp)]) == 2
         assert "nothing to check" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("specs", [5, [5]])
+    def test_ellipticity_non_object_specs_exit_2(self, tmp_path, capsys, specs):
+        # iterating such specs raises TypeError or AttributeError, which main
+        # does not catch, so the check has to come first
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": specs}))
+        assert run(["ellipticity", str(inp)]) == 2
+        assert "array of spec objects" in json.loads(capsys.readouterr().out)["error"]
+
     def test_unknown_target_exits_2(self):
         assert run(["verify", "nonsense"]) == 2
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
+from thetahyp.ellipticity import multi1_h, multi2_h
+from thetahyp.factorials import FactorTable
+from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -118,6 +122,44 @@ class TestTotalEllipticityMulti:
         assert reports
         for rep in reports:
             assert rep.passed, f"{rep.shift_kind}: {rep.max_rel_dev}"
+
+
+# family, sampled params, the summation region and the per-point coefficient
+H_CONSISTENCY = {
+    "multi1_n2": (multi1_h, lambda: sample_multi1(71, 2, 3, NOME),
+                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_coefficient),
+    "multi1_n3": (multi1_h, lambda: sample_multi1(72, 3, 2, NOME),
+                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_coefficient),
+    "multi2_n2": (multi2_h, lambda: sample_multi2(73, 2, (3, 2), NOME),
+                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_coefficient),
+    "multi2_n3": (multi2_h, lambda: sample_multi2(74, 3, (2, 2, 2), NOME),
+                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_coefficient),
+}
+
+
+def _finite_nonzero(c):
+    return c.zero_order == c.pole_order == 0 and cmath.isfinite(c.finite_part) and c.finite_part != 0
+
+
+@pytest.mark.parametrize("case", sorted(H_CONSISTENCY))
+def test_h_is_the_coefficient_ratio(case):
+    # h_l and the coefficient read one description; at x_j = q^{lam_j} the
+    # term ratio is the ratio of neighbouring coefficients
+    h, sample, region, coefficient = H_CONSISTENCY[case]
+    params = sample()
+    table = FactorTable(params.nome)
+    checked = 0
+    for lam in region(params):
+        c = coefficient(params, lam, table)
+        for l in range(1, params.n + 1):
+            shifted = coefficient(params, tuple(lj + (j == l - 1) for j, lj in enumerate(lam)), table)
+            if not (_finite_nonzero(c) and _finite_nonzero(shifted)):
+                continue
+            want = shifted.finite_part / c.finite_part
+            got = h(params, l, [params.nome.q**lj for lj in lam])
+            assert abs(got - want) <= 1e-12 * abs(want), (lam, l)
+            checked += 1
+    assert checked >= 10
 
 
 def wp_hform(u0, us, z, pair):

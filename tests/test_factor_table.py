@@ -179,8 +179,11 @@ def test_ft_theta_calls_grow_linearly(monkeypatch):
 
 
 # check, sampled params, check seed, theta-call budget and the repr of each
-# report's max_rel_dev. The reprs were computed when every h_l evaluation
-# built its factors afresh (4,320 theta calls for multi1, 5,760 for multi2).
+# report's max_rel_dev. The budgets date from when every h_l evaluation built
+# its factors afresh (4,320 theta calls for multi1, 5,760 for multi2). The
+# reprs are those of h_l read off the coefficient description, with each
+# theta argument formed as c X; h_l agrees with tests/test_reference.py's
+# 40-digit coefficients to 1e-12.
 ELLIPTICITY = {
     "multi1": (
         check_total_ellipticity_multi1,
@@ -188,9 +191,9 @@ ELLIPTICITY = {
         5,
         3300,
         (
-            "3.7451184827602415e-15", "1.1547479356683516e-14", "1.87009012903067e-15",
-            "9.986365999912569e-15", "3.714064521393237e-15", "1.8512262038885386e-15",
-            "2.1793930743487176e-15", "1.8084533333290855e-15", "9.388633449880465e-15",
+            "4.834092339502062e-15", "6.825515167216004e-15", "2.525112861946668e-15",
+            "8.418118390339422e-15", "2.1590538927079693e-15", "2.131914425968306e-15",
+            "2.2184884437707348e-15", "2.2979470562062842e-15", "8.966380743798686e-15",
         ),
     ),
     "multi2": (
@@ -199,10 +202,10 @@ ELLIPTICITY = {
         6,
         4000,
         (
-            "3.696986765011857e-15", "8.070491979866905e-15", "1.745250282253606e-15",
-            "3.933685809547644e-15", "4.150034412796624e-15", "6.05518302504431e-15",
-            "2.450918575769527e-15", "2.602396123777581e-15", "2.622813120216612e-15",
-            "1.7185265528683103e-15", "2.7644670558099577e-15", "4.233045596412616e-15",
+            "2.2050546483753636e-15", "7.267421880974129e-15", "2.7327950679048626e-15",
+            "4.2154922140619984e-15", "4.396223943256842e-15", "7.250491222023151e-15",
+            "2.602837045092776e-15", "2.543559535480506e-15", "3.3914153361562435e-15",
+            "1.998641121955612e-15", "3.811194901348079e-15", "5.2850782623436985e-15",
         ),
     ),
 }

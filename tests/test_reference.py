@@ -1,0 +1,134 @@
+"""An independent 40-digit reference for the two multisum families.
+
+Theta is evaluated by its product, theta factorials as plain products of
+theta factors, and each coefficient is written out from its theta-factorial
+product (Warnaar 2002, Rosengren 2004) in mpmath, with none of it read
+through FactorTable or thetahyp.theta. The float64 lattice terms, the closed
+forms and the term ratios h_l are each checked against it.
+"""
+
+import functools
+import itertools
+import math
+
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+mp, mpc = mpmath.mp, mpmath.mpc
+
+from thetahyp import Nome, sample_multi1, sample_multi2  # noqa: E402
+from thetahyp.ellipticity import multi1_h, multi2_h  # noqa: E402
+from thetahyp.factorials import FactorTable  # noqa: E402
+from thetahyp.identities import _multi1_sides, _multi2_sides  # noqa: E402
+
+NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
+RTOL = 1e-12
+
+
+@pytest.fixture(autouse=True)
+def forty_digits():
+    with mp.workdps(40):
+        yield
+
+
+@functools.cache
+def theta(z, p):
+    """theta(z; p) = prod_{k >= 0} (1 - z p^k)(1 - p^{k+1} / z)."""
+    out, pk, eps = mpc(1), mpc(1), mpmath.mpf(10) ** -(mp.dps + 5)
+    while abs(pk) > eps:
+        out *= (1 - z * pk) * (1 - pk * p / z)
+        pk *= p
+    return out
+
+
+def factorial(a, m, q, p):
+    """(a; p; q)_m = prod_{i < m} theta(a q^i); (a)_{-m} = 1 / (a q^{-m})_m."""
+    if m < 0:
+        return 1 / factorial(a * q**m, -m, q, p)
+    return math.prod((theta(a * q**i, p) for i in range(m)), start=mpc(1))
+
+
+def multi1_coefficient(params, lam):
+    q, p, t = mpc(params.nome.q), mpc(params.nome.p), mpc(params.t)
+    t6 = [mpc(x) for x in params.t6]
+    n = params.n
+    tau = [t6[0] * t**j for j in range(n)]
+    out = q ** sum(lam) * t ** (2 * sum((n - 1 - j) * lam[j] for j in range(n)))
+    for j, k in itertools.combinations(range(n), 2):
+        for c, m in ((tau[k] * tau[j], lam[k] + lam[j]), (tau[k] / tau[j], lam[k] - lam[j])):
+            out *= theta(c * q**m, p) / theta(c, p)
+            out *= factorial(t * c, m, q, p) / factorial(q * c / t, m, q, p)
+    for j in range(n):
+        out *= theta(tau[j] ** 2 * q ** (2 * lam[j]), p) / theta(tau[j] ** 2, p)
+        for tr in t6:
+            out *= factorial(tr * tau[j], lam[j], q, p) / factorial(q * tau[j] / tr, lam[j], q, p)
+    return out
+
+
+def multi2_coefficient(params, lam):
+    q, p = mpc(params.nome.q), mpc(params.nome.p)
+    t = [mpc(x) for x in params.t]
+    n = params.n
+    out = q ** sum((j + 1) * lam[j] for j in range(n))
+    for j, k in itertools.combinations(range(n), 2):
+        tj, tk = t[j + 1], t[k + 1]
+        for c, m in ((tj * tk, lam[j] + lam[k]), (tj / tk, lam[j] - lam[k])):
+            out *= theta(c * q**m, p) / theta(c, p)
+    for j in range(n):
+        tj = t[j + 1]
+        out *= theta(tj**2 * q ** (2 * lam[j]), p) / theta(tj**2, p)
+        for tr in t:
+            out *= factorial(tj * tr, lam[j], q, p) / factorial(q * tj / tr, lam[j], q, p)
+    return out
+
+
+# sampled params, sides, reference coefficient, summation region and h_l
+CASES = {
+    "multi1_3_3": (
+        lambda: sample_multi1(15, 3, 3, NOME),
+        _multi1_sides,
+        multi1_coefficient,
+        lambda p: list(itertools.combinations_with_replacement(range(p.N + 1), p.n)),
+        multi1_h,
+    ),
+    "multi2_3_3": (
+        lambda: sample_multi2(16, 3, (3, 3, 3), NOME),
+        _multi2_sides,
+        multi2_coefficient,
+        lambda p: list(itertools.product(*(range(N + 1) for N in p.Ns))),
+        multi2_h,
+    ),
+}
+
+
+def rel(got, want):
+    return float(abs(mpc(got) - want) / abs(want))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sides_match_reference(case):
+    sample, sides, coefficient, region, _ = CASES[case]
+    params = sample()
+    terms, closed = sides(params, FactorTable(params.nome))
+    want = [coefficient(params, lam) for lam in region(params)]
+    assert len(terms) == len(want)
+    assert max(rel(c.value, w) for c, w in zip(terms, want)) <= RTOL
+    # the identity: the closed form is the sum of the terms
+    assert rel(closed.value, mpmath.fsum(want)) <= RTOL
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_h_matches_reference_ratio(case):
+    sample, _, coefficient, region, h = CASES[case]
+    params = sample()
+    ref = {lam: coefficient(params, lam) for lam in region(params)}
+    checked = 0
+    for lam in ref:
+        for l in range(1, params.n + 1):
+            up = tuple(lj + (j == l - 1) for j, lj in enumerate(lam))
+            if up not in ref:
+                continue
+            want = ref[up] / ref[lam]
+            assert rel(h(params, l, [params.nome.q**lj for lj in lam]), want) <= RTOL, (lam, l)
+            checked += 1
+    assert checked >= 30
