@@ -48,27 +48,30 @@ from .ellipticity import check_ellipticity
 
 DEFAULT_NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
-_PARAM_TYPES = {
-    "ft_sum": FTParams,
-    "bailey": BaileyParams,
-    "multi1": Multi1Params,
-    "multi2": Multi2Params,
-}
-
-_VERIFIERS = {
-    "ft_sum": verify_ft_sum,
-    "bailey": verify_bailey,
-    "multi1": verify_multi1,
-    "multi2": verify_multi2,
-}
-
-# The step each verifier takes after building its sides: the sampled path
-# hands it the sides the sampler's default-policy table admitted.
-_CHECKS = {
-    "ft_sum": _check_ft,
-    "bailey": _check_bailey,
-    "multi1": _check_lattice,
-    "multi2": _check_lattice,
+# Per target: (parameter type, public verifier, sampler, check). The sampler,
+# called as sample(seed, args, nome, band), returns a draw and the sides its
+# default-policy table admitted; the check is the verifier's step after it
+# builds its sides, so the sampled path verifies those sides.
+_TARGETS = {
+    "ft_sum": (FTParams, verify_ft_sum, lambda s, a, nome, band: _sample_ft(s, a.N, nome, band), _check_ft),
+    "bailey": (
+        BaileyParams,
+        verify_bailey,
+        lambda s, a, nome, band: _sample_bailey(s, a.N, nome, band),
+        _check_bailey,
+    ),
+    "multi1": (
+        Multi1Params,
+        verify_multi1,
+        lambda s, a, nome, band: _sample_multi1(s, a.n, a.N, nome, band),
+        _check_lattice,
+    ),
+    "multi2": (
+        Multi2Params,
+        verify_multi2,
+        lambda s, a, nome, band: _sample_multi2(s, a.n, (a.N,) * a.n, nome, band),
+        _check_lattice,
+    ),
 }
 
 
@@ -121,26 +124,13 @@ def _parse_band(flag: str | None) -> tuple[float, float]:
     return lo, hi
 
 
-def _sample_one(target: str, seed: int, args: argparse.Namespace, nome: Nome, band):
-    """The first admissible draw for target and the sides its table admitted."""
-    if target == "ft_sum":
-        return _sample_ft(seed, args.N, nome, band)
-    if target == "bailey":
-        return _sample_bailey(seed, args.N, nome, band)
-    if target == "multi1":
-        return _sample_multi1(seed, args.n, args.N, nome, band)
-    if target == "multi2":
-        Ns = tuple([args.N] * args.n)
-        return _sample_multi2(seed, args.n, Ns, nome, band)
-    raise InputError(f"unknown sample target {target!r}")
-
-
 def _sample_draws(target: str, args: argparse.Namespace) -> list:
     """(params, sides) of the --draws draws from --seed on."""
     nome = _parse_nome(args.nome)
     band = _parse_band(args.band)
+    sample = _TARGETS[target][2]
     try:
-        return [_sample_one(target, args.seed + i, args, nome, band) for i in range(args.draws)]
+        return [sample(args.seed + i, args, nome, band) for i in range(args.draws)]
     except RuntimeError as exc:
         raise InputError(str(exc)) from exc
 
@@ -187,7 +177,7 @@ def run_eval(args: argparse.Namespace) -> int:
 def _file_params(args: argparse.Namespace) -> list:
     """Parameter sets from the input file."""
     target = args.target
-    cls = _PARAM_TYPES[target]
+    cls = _TARGETS[target][0]
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "params" in obj:
         entries = obj["params"]
@@ -209,17 +199,14 @@ def run_verify(args: argparse.Namespace) -> int:
     target = args.target
     if target == "ge_split":
         return _run_verify_ge_split(args)
-    if target not in _VERIFIERS:
-        raise InputError(f"unknown verify target {target!r}")
+    _, verify, _, check = _TARGETS[target]
     if args.input is not None:
-        verify = _VERIFIERS[target]
         reports = [verify(p, tol=args.tol) for p in _file_params(args)]
     else:
         try:
             draws = _sample_draws(target, args)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        check = _CHECKS[target]
         reports = [check(p, sides, args.tol) for p, sides in draws]
     return _write_reports(reports, args.out, target=target)
 
@@ -274,8 +261,6 @@ def run_ellipticity(args: argparse.Namespace) -> int:
 
 def run_sample(args: argparse.Namespace) -> int:
     target = args.target
-    if target not in _PARAM_TYPES:
-        raise InputError(f"unknown sample target {target!r}")
     payload = {
         "target": target,
         "seed": args.seed,
@@ -308,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=run_eval)
 
     p_verify = sub.add_parser("verify", help="verify an identity on explicit or sampled parameters")
-    p_verify.add_argument("target", choices=["ft_sum", "bailey", "multi1", "multi2", "ge_split"])
+    p_verify.add_argument("target", choices=[*_TARGETS, "ge_split"])
     p_verify.add_argument("input", nargs="?", default=None)
     common(p_verify)
     p_verify.set_defaults(func=run_verify)
@@ -319,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ell.set_defaults(func=run_ellipticity)
 
     p_sample = sub.add_parser("sample", help="draw admissible identity parameters")
-    p_sample.add_argument("target", choices=["ft_sum", "bailey", "multi1", "multi2"])
+    p_sample.add_argument("target", choices=list(_TARGETS))
     common(p_sample)
     p_sample.set_defaults(func=run_sample)
     return parser

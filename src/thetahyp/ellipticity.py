@@ -162,37 +162,22 @@ def check_total_ellipticity_wp(
     one report for the index shift, one for u0 and one per u_m, all shifts
     by the quasiperiod tau/sigma."""
     shift = pair.tau / pair.sigma
-    reports: list[EllipticityReport] = []
-    rng = np.random.default_rng(seed)
-
-    def run(kind: str, fn) -> None:
-        dev, done = _max_dev(_rand_x, fn, samples, rng)
-        reports.append(EllipticityReport(kind, dev, done, dev <= tol))
-
-    run(
-        "index_p_shift",
-        lambda x: (
-            vwp_canonical_h(u0, us, z, pair, x + shift, policy),
-            vwp_canonical_h(u0, us, z, pair, x, policy),
-        ),
-    )
-    run(
-        "param_p_shift:u0",
-        lambda x: (
-            vwp_canonical_h(u0 + shift, us, z, pair, x, policy),
-            vwp_canonical_h(u0, us, z, pair, x, policy),
-        ),
-    )
+    # (kind, index shift, u0, us) of the shifted ratio
+    shifts = [("index_p_shift", shift, u0, us), ("param_p_shift:u0", 0, u0 + shift, us)]
     for m in range(len(us)):
-        shifted_us = list(us)
-        shifted_us[m] = us[m] + shift
-        run(
-            f"param_p_shift:u{m + 1}",
-            lambda x, sus=shifted_us: (
-                vwp_canonical_h(u0, sus, z, pair, x, policy),
+        shifts.append((f"param_p_shift:u{m + 1}", 0, u0, [*us[:m], us[m] + shift, *us[m + 1 :]]))
+    rng = np.random.default_rng(seed)
+    reports: list[EllipticityReport] = []
+    for kind, dx, su0, sus in shifts:
+
+        def pairs(x: complex) -> tuple[complex, complex]:
+            return (
+                vwp_canonical_h(su0, sus, z, pair, x + dx, policy),
                 vwp_canonical_h(u0, us, z, pair, x, policy),
-            ),
-        )
+            )
+
+        dev, done = _max_dev(_rand_x, pairs, samples, rng)
+        reports.append(EllipticityReport(kind, dev, done, dev <= tol))
     return reports
 
 

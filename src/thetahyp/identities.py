@@ -8,10 +8,11 @@ box-lattice kinds), and the generic multiple-series coefficient.
 Each identity has one private ``_*_sides`` function that evaluates its
 left-hand terms and its closed-form side through a FactorTable passed in.
 The verifier builds the sides on a fresh table and hands them to a private
-``_check_*`` step, which sums the nonzero terms and compares. The sampler
-draws free parameters with moduli in a configurable band, solves the
-balancing / truncation constraints for the dependent parameters, dry-runs
-the same sides function on a fresh table and resamples when any theta
+``_check_*`` step, which sums the nonzero terms and compares. Each
+sampler's draw function takes free parameters with moduli in a
+configurable band and solves the balancing / truncation constraints for
+the dependent ones. The one resample loop ``_sample`` dry-runs the sides
+function on a fresh table for each draw and resamples when any theta
 argument that table evaluated sits within _LATTICE_EPS of a lattice zero,
 or when a left-hand series is badly conditioned. The private ``_sample_*``
 return the admitted sides with the parameters, so a caller that verifies
@@ -27,7 +28,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -91,6 +92,19 @@ def _admissible(sides, params):
         return result
     except (PoleError, ZeroDivisionError, OverflowError):
         return None
+
+
+def _sample(name: str, sides, draw: Callable[[np.random.Generator], object], seed: int):
+    """Call draw(rng) on a rng seeded with seed, up to _MAX_RESAMPLE times,
+    and return the first parameters _admissible(sides, ...) admits with the
+    sides it returned; the RuntimeError otherwise names the sampler."""
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_RESAMPLE):
+        params = draw(rng)
+        admitted = _admissible(sides, params)
+        if admitted is not None:
+            return params, admitted
+    raise RuntimeError(f"{name}: could not find admissible parameters")
 
 
 def _report(params, lhs, rhs: complex, tol: float) -> VerificationReport:
@@ -183,21 +197,24 @@ def _lattice_h(desc: _Multisum, l: int) -> Callable[[list[complex], FactorTable]
 
 
 @dataclass(frozen=True)
-class FTParams:
-    """Parameters of the terminating 10E9 evaluation: six t's with
-    prod t = q and t0 t4 = q^-N."""
+class _VwpSumParams:
+    """Parameters of a terminating very-well-poised balanced sum: _COUNT t's
+    with prod t = q^(_COUNT/2 - 2) and t0 t_{_COUNT-2} = q^-N."""
 
     t: tuple[complex, ...]
     nome: Nome
     N: int
+    _COUNT: ClassVar[int]
 
     def __post_init__(self) -> None:
-        if len(self.t) != 6:
-            raise ValueError("FTParams needs exactly 6 parameters")
+        count = self._COUNT
+        if len(self.t) != count:
+            raise ValueError(f"{type(self).__name__} needs exactly {count} parameters")
         object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
-        q = self.nome.q
-        _check_constraint(math.prod(self.t, start=1 + 0j), q, "prod t = q")
-        _check_constraint(self.t[0] * self.t[4], q ** (-self.N), "t0 t4 = q^-N")
+        q, power, last = self.nome.q, count // 2 - 2, count - 2
+        balance = f"prod t = q^{power}" if power > 1 else "prod t = q"
+        _check_constraint(math.prod(self.t, start=1 + 0j), q**power, balance)
+        _check_constraint(self.t[0] * self.t[last], q ** (-self.N), f"t0 t{last} = q^-N")
 
     def to_json(self) -> dict:
         return {
@@ -208,12 +225,19 @@ class FTParams:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FTParams":
+    def from_json(cls, obj: dict):
         return cls(
             t=tuple(complex_from_json(x) for x in obj["t"]),
             nome=Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"])),
             N=int(obj["N"]),
         )
+
+
+class FTParams(_VwpSumParams):
+    """Parameters of the terminating 10E9 evaluation: six t's with
+    prod t = q and t0 t4 = q^-N."""
+
+    _COUNT = 6
 
 
 def _ft_sides(params: FTParams, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
@@ -236,17 +260,15 @@ def _ft_sides(params: FTParams, table: FactorTable) -> tuple[list[FactorialValue
 
 def _sample_ft(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
     """The first admissible FT draw and the sides its table admitted."""
-    rng = np.random.default_rng(seed)
     q = nome.q
-    for _ in range(_MAX_RESAMPLE):
+
+    def draw(rng: np.random.Generator) -> FTParams:
         t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
         t4 = q ** (-N) / t0
         t5 = q / (t0 * t1 * t2 * t3 * t4)
-        params = FTParams((t0, t1, t2, t3, t4, t5), nome, N)
-        sides = _admissible(_ft_sides, params)
-        if sides is not None:
-            return params, sides
-    raise RuntimeError("sample_ft: could not find admissible parameters")
+        return FTParams((t0, t1, t2, t3, t4, t5), nome, N)
+
+    return _sample("sample_ft", _ft_sides, draw, seed)
 
 
 def sample_ft(
@@ -260,12 +282,10 @@ def sample_ft(
     return _sample_ft(seed, N, nome, radius_band)[0]
 
 
-def _check_ft(
-    params: FTParams, sides, tol: float, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> VerificationReport:
+def _check_ft(params: FTParams, sides, tol: float) -> VerificationReport:
     """Sum the 10E9 terms of _ft_sides and compare with the closed form."""
     terms, closed = sides
-    return _report(params, _sum_unilateral(terms.__getitem__, params.N, policy), closed.value, tol)
+    return _report(params, _sum_unilateral(terms.__getitem__, params.N, DEFAULT_POLICY), closed.value, tol)
 
 
 def verify_ft_sum(
@@ -274,45 +294,18 @@ def verify_ft_sum(
     policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
     """Terminating 10E9 sum against its closed-form theta-factorial value."""
-    return _check_ft(params, _ft_sides(params, FactorTable(params.nome, policy)), tol, policy)
+    return _check_ft(params, _ft_sides(params, FactorTable(params.nome, policy)), tol)
 
 
 # ---------------------------------------------------------------------------
 # elliptic Bailey transformation
 
 
-@dataclass(frozen=True)
-class BaileyParams:
+class BaileyParams(_VwpSumParams):
     """Parameters of the two-term 12E11 transformation: eight t's with
     prod t = q^2 and t0 t6 = q^-N."""
 
-    t: tuple[complex, ...]
-    nome: Nome
-    N: int
-
-    def __post_init__(self) -> None:
-        if len(self.t) != 8:
-            raise ValueError("BaileyParams needs exactly 8 parameters")
-        object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
-        q = self.nome.q
-        _check_constraint(math.prod(self.t, start=1 + 0j), q * q, "prod t = q^2")
-        _check_constraint(self.t[0] * self.t[6], q ** (-self.N), "t0 t6 = q^-N")
-
-    def to_json(self) -> dict:
-        return {
-            "t": _jl(self.t),
-            "q": complex_to_json(self.nome.q),
-            "p": complex_to_json(self.nome.p),
-            "N": self.N,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BaileyParams":
-        return cls(
-            t=tuple(complex_from_json(x) for x in obj["t"]),
-            nome=Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"])),
-            N=int(obj["N"]),
-        )
+    _COUNT = 8
 
 
 def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[complex, ...]:
@@ -357,17 +350,15 @@ def _bailey_sides(
 
 def _sample_bailey(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
     """The first admissible Bailey draw and the sides its table admitted."""
-    rng = np.random.default_rng(seed)
     q = nome.q
-    for _ in range(_MAX_RESAMPLE):
+
+    def draw(rng: np.random.Generator) -> BaileyParams:
         t0, t1, t2, t3, t4, t5 = (_draw(rng, radius_band) for _ in range(6))
         t6 = q ** (-N) / t0
         t7 = q * q / (t0 * t1 * t2 * t3 * t4 * t5 * t6)
-        params = BaileyParams((t0, t1, t2, t3, t4, t5, t6, t7), nome, N)
-        sides = _admissible(_bailey_sides, params)
-        if sides is not None:
-            return params, sides
-    raise RuntimeError("sample_bailey: could not find admissible parameters")
+        return BaileyParams((t0, t1, t2, t3, t4, t5, t6, t7), nome, N)
+
+    return _sample("sample_bailey", _bailey_sides, draw, seed)
 
 
 def sample_bailey(
@@ -387,14 +378,12 @@ def bailey_from_ft(ft: FTParams, x: complex) -> BaileyParams:
     return BaileyParams((t[0], t[1], x, q / x, t[2], t[3], t[4], t[5]), ft.nome, ft.N)
 
 
-def _check_bailey(
-    params: BaileyParams, sides, tol: float, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> VerificationReport:
+def _check_bailey(params: BaileyParams, sides, tol: float) -> VerificationReport:
     """Sum both 12E11 series of _bailey_sides and compare the left one with
     the prefactor times the right one."""
     lhs_terms, rhs_terms, pref = sides
-    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N, policy)
-    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N, policy)
+    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N, DEFAULT_POLICY)
+    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N, DEFAULT_POLICY)
     return _report(params, lhs, pref.value * rhs_series.value, tol)
 
 
@@ -406,7 +395,7 @@ def verify_bailey(
 ) -> VerificationReport:
     """Two-term 12E11 transformation, both series terminating at N."""
     sides = _bailey_sides(params, FactorTable(params.nome, policy), root_sign)
-    return _check_bailey(params, sides, tol, policy)
+    return _check_bailey(params, sides, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +458,16 @@ class Multi1Params:
 
 def _sample_multi1(seed: int, n: int, N: int, nome: Nome, radius_band: tuple[float, float]):
     """The first admissible multi1 draw and the sides its table admitted."""
-    rng = np.random.default_rng(seed)
     q = nome.q
-    for _ in range(_MAX_RESAMPLE):
+
+    def draw(rng: np.random.Generator) -> Multi1Params:
         t = _draw(rng, (0.55, 0.9))
         t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
         t4 = q ** (-N) / (t ** (n - 1) * t0)
         t5 = q / (t ** (2 * n - 2) * t0 * t1 * t2 * t3 * t4)
-        params = Multi1Params(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
-        sides = _admissible(_multi1_sides, params)
-        if sides is not None:
-            return params, sides
-    raise RuntimeError("sample_multi1: could not find admissible parameters")
+        return Multi1Params(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
+
+    return _sample("sample_multi1", _multi1_sides, draw, seed)
 
 
 def sample_multi1(
@@ -610,9 +597,9 @@ class Multi2Params:
 
 def _sample_multi2(seed: int, n: int, Ns: tuple[int, ...], nome: Nome, radius_band: tuple[float, float]):
     """The first admissible multi2 draw and the sides its table admitted."""
-    rng = np.random.default_rng(seed)
     q = nome.q
-    for _ in range(_MAX_RESAMPLE):
+
+    def draw(rng: np.random.Generator) -> Multi2Params:
         body = [_draw(rng, radius_band) for _ in range(n)]  # t_1..t_n
         trunc = [q ** (-Ns[j]) / body[j] for j in range(n)]  # t_{n+1}..t_{2n}
         t0 = _draw(rng, radius_band)
@@ -621,11 +608,9 @@ def _sample_multi2(seed: int, n: int, Ns: tuple[int, ...], nome: Nome, radius_ba
         partial = t0 * math.prod(body, start=1 + 0j) * math.prod(trunc, start=1 + 0j) * a * b
         c = q / partial
         t = (t0, *body, *trunc, a, b, c)
-        params = Multi2Params(n, t, tuple(Ns), nome)
-        sides = _admissible(_multi2_sides, params)
-        if sides is not None:
-            return params, sides
-    raise RuntimeError("sample_multi2: could not find admissible parameters")
+        return Multi2Params(n, t, tuple(Ns), nome)
+
+    return _sample("sample_multi2", _multi2_sides, draw, seed)
 
 
 def sample_multi2(

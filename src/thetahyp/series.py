@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ThetaDomainError
@@ -235,14 +236,12 @@ def _sum_unilateral(
     policy: PrecisionPolicy,
 ) -> SeriesValue:
     """Sum coeff_fn(n) for n >= 0. trunc as a TruncationDecl or an explicit
-    last index sums exactly that many terms; None caps at max_terms with a
-    last-term tail heuristic."""
+    last index (any integer, numpy's included) sums exactly that many terms;
+    None caps at max_terms with a last-term tail heuristic."""
     if isinstance(trunc, TruncationDecl):
         last = trunc.N
-    elif isinstance(trunc, int):
-        last = trunc
     else:
-        last = None
+        last = None if trunc is None else operator.index(trunc)
 
     total = 0j
     small_streak = 0
@@ -370,18 +369,14 @@ def eval_vwp_additive(
     usum = u0 + sum(us)
     expo_step = cmath.exp(2j * math.pi * pair.sigma * (usum - (r - 7) / 2.0))
     head_den = elliptic_factor(2 * u0, pair, policy)
-    total = 0j
-    terminated = True
-    n = 0
-    for n in range(trunc + 1):
+
+    def coeff(n: int) -> FactorialValue:
         head = elliptic_factor(2 * u0 + 2 * n, pair, policy) / head_den
         num = elliptic_factorial_multi([u0 + u0] + [u0 + u for u in us], pair, n, policy)
         den = elliptic_factorial_multi([u0 + 1 - u0] + [u0 + 1 - u for u in us], pair, n, policy)
-        c = head * (num / den) * (z**n * expo_step**n)
-        if c.is_zero:
-            break
-        total += c.value
-    return SeriesValue(total, n + 1, terminated, 0.0)
+        return head * (num / den) * (z**n * expo_step**n)
+
+    return _sum_unilateral(coeff, trunc, policy)
 
 
 # ---------------------------------------------------------------------------

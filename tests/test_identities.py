@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -98,6 +99,29 @@ class TestBailey:
         bad[2] *= 1.05
         with pytest.raises(ValueError):
             BaileyParams(tuple(bad), NOME, 1)
+
+
+@pytest.mark.parametrize(
+    "sample, cls, broken, message",
+    [
+        (sample_ft, FTParams, "length", "FTParams needs exactly 6 parameters"),
+        (sample_ft, FTParams, "product", "constraint violated: prod t = q ("),
+        (sample_ft, FTParams, "truncation", "constraint violated: t0 t4 = q^-N ("),
+        (sample_bailey, BaileyParams, "length", "BaileyParams needs exactly 8 parameters"),
+        (sample_bailey, BaileyParams, "product", "constraint violated: prod t = q^2 ("),
+        (sample_bailey, BaileyParams, "truncation", "constraint violated: t0 t6 = q^-N ("),
+    ],
+)
+def test_vwp_sum_params_messages(sample, cls, broken, message):
+    # the CLI echoes these messages in its exit-2 diagnostics
+    t = sample(seed=3, N=2, nome=NOME).t
+    ts = {
+        "length": t[:-1],
+        "product": (t[0], t[1] * 1.05, *t[2:]),
+        "truncation": (t[0] * 1.05, t[1] / 1.05, *t[2:]),  # keeps the product
+    }[broken]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        cls(ts, NOME, 2)
 
 
 class TestMulti1:
@@ -209,11 +233,11 @@ def test_samplers_reject_near_lattice_nome():
     p = 0.25 + 0.05j
     nome = Nome(p * (1 + 1e-9), p)
     samplers = [
-        lambda: sample_ft(0, 2, nome),
-        lambda: sample_bailey(0, 2, nome),
-        lambda: sample_multi1(0, 2, 2, nome),
-        lambda: sample_multi2(0, 2, (1, 1), nome),
+        ("sample_ft", lambda: sample_ft(0, 2, nome)),
+        ("sample_bailey", lambda: sample_bailey(0, 2, nome)),
+        ("sample_multi1", lambda: sample_multi1(0, 2, 2, nome)),
+        ("sample_multi2", lambda: sample_multi2(0, 2, (1, 1), nome)),
     ]
-    for sample in samplers:
-        with pytest.raises(RuntimeError):
+    for name, sample in samplers:
+        with pytest.raises(RuntimeError, match=f"^{name}: could not find admissible parameters$"):
             sample()

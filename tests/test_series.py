@@ -143,6 +143,12 @@ class TestEvaluators:
         assert sv.terminated and sv.terms_used == 3
         assert sv.value == sum(vwp_coefficient(spec, n).value for n in range(3))
 
+    def test_numpy_integer_truncation(self):
+        # a numpy integer is an explicit last index, not "no truncation"
+        ts = (0.4 + 0.1j, 0.5 - 0.3j, -0.4 + 0.45j, 0.3 + 0.3j)
+        spec = VwpSpec(0.5 + 0.2j, ts, 0.3 - 0.1j, NOME, "unilateral")
+        assert eval_vwp(spec, trunc=np.int64(3)) == eval_vwp(spec, trunc=3)
+
     def test_bilateral_vwp_needs_window(self):
         spec = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "bilateral")
         with pytest.raises(ValueError):
@@ -158,6 +164,13 @@ class TestEvaluators:
         mult = eval_vwp(VwpSpec(t0, ts, z, PAIR.nome(), "unilateral"), trunc=6).value
         add = eval_vwp_additive(u0, us, PAIR, z, trunc=6).value
         assert abs(mult - add) <= 1e-11 * abs(mult)
+
+    def test_additive_terms_used_stops_before_structural_zero(self):
+        # u0 + u1 = -2: [u0 + u1 + 2] is a zero factor of term 3, so terms 0..2 are summed
+        u0 = 0.21 - 0.13j
+        us = [-2 - u0, -0.2 + 0.05j, 0.15 - 0.07j]
+        sv = eval_vwp_additive(u0, us, PAIR, 0.3 + 0.2j, trunc=6)
+        assert sv.terminated and sv.terms_used == 3
 
 
 class TestClassification:
