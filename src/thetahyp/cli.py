@@ -50,8 +50,8 @@ DEFAULT_NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
 # Per target: (parameter type, public verifier, sampler, check). The sampler,
 # called as sample(seed, args, nome, band), returns a draw and the sides its
-# default-policy table admitted; the check is the verifier's step after it
-# builds its sides, so the sampled path verifies those sides.
+# table admitted; the check is the verifier's step after it builds its sides
+# on the same kind of table, so the sampled path verifies those sides.
 _TARGETS = {
     "ft_sum": (FTParams, verify_ft_sum, lambda s, a, nome, band: _sample_ft(s, a.N, nome, band), _check_ft),
     "bailey": (
@@ -150,26 +150,34 @@ def _write_reports(reports: list, out_path: str | None, **head) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _int_pair(value: Any, what: str) -> tuple[int, int]:
+    """value as a pair of JSON integers (booleans and floats refused)."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+        raise InputError(f"{what} must be two integers, got {value!r}")
+    return value[0], value[1]
+
+
 def run_eval(args: argparse.Namespace) -> int:
     obj = _load_json(args.input)
     if not isinstance(obj, dict):
         raise InputError("eval input must be a JSON object")
     trunc = obj.pop("trunc", None)
     window = obj.pop("window", None)
-    spec = spec_from_json(obj)
+    if not (trunc is None or (type(trunc) is int and trunc >= 0)):
+        raise InputError(f"trunc must be a non-negative integer, got {trunc!r}")
+    try:
+        spec = spec_from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid series spec: {exc}") from exc
     if isinstance(spec, VwpSpec):
         if spec.kind == "bilateral":
-            if window is None:
-                raise InputError("bilateral spec needs a window")
-            sv = eval_vwp(spec, window=(int(window[0]), int(window[1])))
+            sv = eval_vwp(spec, window=_int_pair(window, "bilateral window"))
         else:
-            sv = eval_vwp(spec, trunc=None if trunc is None else int(trunc))
+            sv = eval_vwp(spec, trunc=trunc)
     elif spec.kind == "bilateral_G":
-        if window is None:
-            raise InputError("bilateral spec needs a window")
-        sv = eval_G(spec, (int(window[0]), int(window[1])))
+        sv = eval_G(spec, _int_pair(window, "bilateral window"))
     else:
-        sv = eval_E(spec, None if trunc is None else int(trunc))
+        sv = eval_E(spec, trunc)
     _write_output(sv.to_json(), args.out)
     return 0
 
@@ -222,9 +230,9 @@ def _run_verify_ge_split(args: argparse.Namespace) -> int:
         raise InputError("ge_split input must be an array of spec objects")
     reports = []
     for e in entries:
-        windows = e.get("windows", [2, 2]) if isinstance(e, dict) else None
-        if not (isinstance(windows, list) and len(windows) == 2 and all(type(w) is int for w in windows)):
-            raise InputError("each ge_split entry must be a spec object with integer windows [M, M']")
+        if not isinstance(e, dict):
+            raise InputError("each ge_split entry must be a spec object")
+        windows = _int_pair(e.get("windows", [2, 2]), "ge_split windows [M, M']")
         try:
             spec = VwpSpec.from_json(e["spec"] if "spec" in e else e)
         except (KeyError, TypeError, ValueError) as exc:

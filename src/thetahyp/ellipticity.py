@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import PoleError
 from .report import EllipticityReport, rel_err
-from .theta import (
-    DEFAULT_POLICY,
-    ModularPair,
-    Nome,
-    PrecisionPolicy,
-    apply_modular,
-    elliptic_number,
-)
+from .theta import ModularPair, Nome, apply_modular, elliptic_number
 from .identities import Multi1Params, Multi2Params, _lattice_h, _multi1_lattice, _multi2_lattice
 from .factorials import FactorTable
 
@@ -49,13 +42,13 @@ class HForm:
         object.__setattr__(self, "poles", tuple(complex(v) for v in self.poles))
 
 
-def h_eval(form: HForm, x: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def h_eval(form: HForm, x: complex) -> complex:
     num = 1.0 + 0j
     for u in form.zeros:
-        num *= elliptic_number(x + u, form.pair, policy)
+        num *= elliptic_number(x + u, form.pair)
     den = 1.0 + 0j
     for v in form.poles:
-        den *= elliptic_number(x + v, form.pair, policy)
+        den *= elliptic_number(x + v, form.pair)
     if den == 0:
         raise PoleError(f"h(x) pole at x = {x}")
     qbx = cmath.exp(2j * math.pi * form.pair.sigma * form.beta * x)
@@ -131,7 +124,6 @@ def vwp_canonical_h(
     z: complex,
     pair: ModularPair,
     x: complex,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Canonical term ratio of the well-poised balanced series:
     prod_m [x+u0+u_m]/[x+u0-u_m] * [x+u0-sum u]/[x+u0+sum u] * z."""
@@ -139,10 +131,10 @@ def vwp_canonical_h(
     num = 1.0 + 0j
     den = 1.0 + 0j
     for u in us:
-        num *= elliptic_number(x + u0 + u, pair, policy)
-        den *= elliptic_number(x + u0 - u, pair, policy)
-    num *= elliptic_number(x + u0 - usum, pair, policy)
-    den *= elliptic_number(x + u0 + usum, pair, policy)
+        num *= elliptic_number(x + u0 + u, pair)
+        den *= elliptic_number(x + u0 - u, pair)
+    num *= elliptic_number(x + u0 - usum, pair)
+    den *= elliptic_number(x + u0 + usum, pair)
     if den == 0:
         raise PoleError(f"vwp_canonical_h pole at x = {x}")
     return num / den * z
@@ -156,7 +148,6 @@ def check_total_ellipticity_wp(
     samples: int = 10,
     tol: float = 1e-9,
     seed: int = 0,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> list[EllipticityReport]:
     """Total ellipticity of the canonical well-poised balanced term ratio:
     one report for the index shift, one for u0 and one per u_m, all shifts
@@ -172,8 +163,8 @@ def check_total_ellipticity_wp(
 
         def pairs(x: complex) -> tuple[complex, complex]:
             return (
-                vwp_canonical_h(su0, sus, z, pair, x + dx, policy),
-                vwp_canonical_h(u0, us, z, pair, x, policy),
+                vwp_canonical_h(su0, sus, z, pair, x + dx),
+                vwp_canonical_h(u0, us, z, pair, x),
             )
 
         dev, done = _max_dev(_rand_x, pairs, samples, rng)
@@ -185,20 +176,16 @@ def check_total_ellipticity_wp(
 # multivariable term ratios (forward-shift ratios of the series coefficients)
 
 
-def multi1_h(
-    params: Multi1Params, l: int, lam_mult: list[complex], policy: PrecisionPolicy = DEFAULT_POLICY
-) -> complex:
+def multi1_h(params: Multi1Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    return _lattice_h(_multi1_lattice(params), l)(lam_mult, FactorTable(params.nome, policy))
+    return _lattice_h(_multi1_lattice(params), l)(lam_mult, FactorTable(params.nome))
 
 
-def multi2_h(
-    params: Multi2Params, l: int, lam_mult: list[complex], policy: PrecisionPolicy = DEFAULT_POLICY
-) -> complex:
+def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    return _lattice_h(_multi2_lattice(params), l)(lam_mult, FactorTable(params.nome, policy))
+    return _lattice_h(_multi2_lattice(params), l)(lam_mult, FactorTable(params.nome))
 
 
 def _rand_mult_args(rng: np.random.Generator, n: int) -> list[complex]:
@@ -219,7 +206,7 @@ def _unchecked_replace(params, **changes):
 
 
 def _check_multi(
-    describe, params, param_shifts, samples: int, tol: float, seed: int, policy: PrecisionPolicy
+    describe, params, param_shifts, samples: int, tol: float, seed: int
 ) -> list[EllipticityReport]:
     """One report per summation index p-shift, then one per (kind, shifted
     params) in param_shifts, each comparing h_l at the shifted and the
@@ -232,7 +219,7 @@ def _check_multi(
     shifts = [(f"index_p_shift:lambda{i}", ref, i - 1) for i in range(1, n + 1)]
     shifts += [(kind, _lattice_h(describe(sp), l_mid), None) for kind, sp in param_shifts]
     rng = np.random.default_rng(seed)
-    table = FactorTable(params.nome, policy)
+    table = FactorTable(params.nome)
     reports: list[EllipticityReport] = []
     for kind, shifted, lam_shift_idx in shifts:
 
@@ -253,7 +240,6 @@ def check_total_ellipticity_multi1(
     samples: int = 8,
     tol: float = 1e-9,
     seed: int = 0,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> list[EllipticityReport]:
     """p-shift invariance of every h_l in the summation indices and in the
     free parameters t_0..t_4 and t (t_5 is the balancing-dependent
@@ -268,7 +254,7 @@ def check_total_ellipticity_multi1(
     t6 = list(params.t6)
     t6[5] = t6[5] / p ** (2 * params.n - 2)
     shifts.append(("param_p_shift:t", _unchecked_replace(params, t=params.t * p, t6=tuple(t6))))
-    return _check_multi(_multi1_lattice, params, shifts, samples, tol, seed, policy)
+    return _check_multi(_multi1_lattice, params, shifts, samples, tol, seed)
 
 
 def check_total_ellipticity_multi2(
@@ -276,7 +262,6 @@ def check_total_ellipticity_multi2(
     samples: int = 8,
     tol: float = 1e-9,
     seed: int = 0,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> list[EllipticityReport]:
     """p-shift invariance of every h_l in the summation indices and in the
     parameters t_0..t_{2n+2} (the last parameter co-shifts to keep the
@@ -289,23 +274,16 @@ def check_total_ellipticity_multi2(
         t[m] = t[m] * p
         t[last] = t[last] / p
         shifts.append((f"param_p_shift:t{m}", _unchecked_replace(params, t=tuple(t))))
-    return _check_multi(_multi2_lattice, params, shifts, samples, tol, seed, policy)
+    return _check_multi(_multi2_lattice, params, shifts, samples, tol, seed)
 
 
 # ---------------------------------------------------------------------------
 # modularity
 
 
-def check_modularity(
-    form: HForm,
-    tol: float = 1e-8,
-    struct_rtol: float = 1e-10,
-    kind: str = "G",
-    n_values: tuple[int, ...] = (0, 1, 2, 3),
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> tuple[bool, EllipticityReport]:
-    """Structural sum-of-squares constraint plus the numeric comparison of
-    h under (sigma, tau) -> (sigma/tau, -1/tau).
+def check_modularity(form: HForm, tol: float = 1e-8, kind: str = "G") -> tuple[bool, EllipticityReport]:
+    """Structural sum-of-squares constraint (to rel 1e-10) plus the numeric
+    comparison of h under (sigma, tau) -> (sigma/tau, -1/tau) at x = 0..3.
 
     kind="E" reads the pole list as excluding the implicit v = 1 entry and
     adds the 1 to the squared sum; kind="G" compares the sums directly.
@@ -316,16 +294,16 @@ def check_modularity(
     if kind == "E":
         vsq = vsq + 1.0
     scale = max(abs(usq), abs(vsq), 1.0)
-    structural = abs(usq - vsq) <= struct_rtol * scale
+    structural = abs(usq - vsq) <= 1e-10 * scale
 
     pair2 = apply_modular(form.pair, 0, -1, 1, 0)
     form2 = HForm(form.zeros, form.poles, form.beta, form.y, pair2)
     dev = 0.0
     count = 0
-    for nn in n_values:
+    for nn in range(4):
         try:
-            ref = h_eval(form, complex(nn), policy)
-            alt = h_eval(form2, complex(nn), policy)
+            ref = h_eval(form, complex(nn))
+            alt = h_eval(form2, complex(nn))
         except (PoleError, ZeroDivisionError):
             continue
         if abs(ref) < 1e-12:

@@ -18,15 +18,7 @@ from collections.abc import KeysView
 from dataclasses import dataclass
 
 from .errors import PoleError
-from .theta import (
-    DEFAULT_POLICY,
-    ModularPair,
-    Nome,
-    PrecisionPolicy,
-    elliptic_number,
-    elliptic_number_zero_index,
-    theta,
-)
+from .theta import ModularPair, Nome, elliptic_number, elliptic_number_zero_index, theta
 
 
 @dataclass(frozen=True)
@@ -90,36 +82,26 @@ class FactorialValue:
 ONE = FactorialValue(1.0 + 0j)
 
 
-def theta_factor(t: complex, p: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
+def theta_factor(t: complex, p: complex) -> FactorialValue:
     """A single theta(t; p) factor with its exact-zero flag.
 
     ``theta`` returns its exact 0j on a detected lattice zero, so the flag
     is read from the value and the lattice is searched once per factor.
     """
-    value = theta(t, p, policy)
+    value = theta(t, p)
     if value == 0:
         return FactorialValue(1.0 + 0j, zero_order=1)
     return FactorialValue(value)
 
 
-def theta_factorial(
-    t: complex,
-    nome: Nome,
-    n: int,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> FactorialValue:
+def theta_factorial(t: complex, nome: Nome, n: int) -> FactorialValue:
     """theta(t; p; q)_n for any integer n."""
-    return FactorTable(nome, policy).factorial(t, n)
+    return FactorTable(nome).factorial(t, n)
 
 
-def theta_factorial_multi(
-    ts: list[complex],
-    nome: Nome,
-    n: int,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> FactorialValue:
+def theta_factorial_multi(ts: list[complex], nome: Nome, n: int) -> FactorialValue:
     """Product of theta_factorial over a parameter list (empty list -> 1)."""
-    return FactorTable(nome, policy).factorial_multi(ts, n)
+    return FactorTable(nome).factorial_multi(ts, n)
 
 
 class FactorTable:
@@ -134,17 +116,16 @@ class FactorTable:
     computed afresh.
     """
 
-    def __init__(self, nome: Nome, policy: PrecisionPolicy = DEFAULT_POLICY) -> None:
+    def __init__(self, nome: Nome) -> None:
         self.nome = nome
-        self.policy = policy
         self._factors: dict[complex, FactorialValue] = {}
         self._prefixes: dict[complex, tuple[list[FactorialValue], complex]] = {}
 
     def factor(self, arg: complex) -> FactorialValue:
-        """theta_factor(arg, p, policy)."""
+        """theta_factor(arg, p)."""
         value = self._factors.get(arg)
         if value is None:
-            value = self._factors[arg] = theta_factor(arg, self.nome.p, self.policy)
+            value = self._factors[arg] = theta_factor(arg, self.nome.p)
         return value
 
     @property
@@ -165,42 +146,32 @@ class FactorTable:
         return prefix[n]
 
     def factorial_multi(self, ts: list[complex], n: int) -> FactorialValue:
-        """theta_factorial_multi(ts, nome, n, policy)."""
+        """theta_factorial_multi(ts, nome, n)."""
         out = ONE
         for t in ts:
             out = out * self.factorial(t, n)
         return out
 
 
-def elliptic_factor(u: complex, pair: ModularPair, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
+def elliptic_factor(u: complex, pair: ModularPair) -> FactorialValue:
     """A single elliptic number [u] with its exact-zero flag."""
     if elliptic_number_zero_index(u, pair) is not None:
         return FactorialValue(1.0 + 0j, zero_order=1)
-    return FactorialValue(elliptic_number(u, pair, policy))
+    return FactorialValue(elliptic_number(u, pair))
 
 
-def elliptic_factorial(
-    u: complex,
-    pair: ModularPair,
-    n: int,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> FactorialValue:
+def elliptic_factorial(u: complex, pair: ModularPair, n: int) -> FactorialValue:
     """[u]_n = [u][u+1]...[u+n-1]; [u]_{-n} = 1/[u-n]_n."""
     if n < 0:
-        return elliptic_factorial(u + n, pair, -n, policy).inverse()
+        return elliptic_factorial(u + n, pair, -n).inverse()
     out = ONE
     for m in range(n):
-        out = out * elliptic_factor(u + m, pair, policy)
+        out = out * elliptic_factor(u + m, pair)
     return out
 
 
-def elliptic_factorial_multi(
-    us: list[complex],
-    pair: ModularPair,
-    n: int,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> FactorialValue:
+def elliptic_factorial_multi(us: list[complex], pair: ModularPair, n: int) -> FactorialValue:
     out = ONE
     for u in us:
-        out = out * elliptic_factorial(u, pair, n, policy)
+        out = out * elliptic_factorial(u, pair, n)
     return out

@@ -15,9 +15,9 @@ the dependent ones. The one resample loop ``_sample`` dry-runs the sides
 function on a fresh table for each draw and resamples when any theta
 argument that table evaluated sits within _LATTICE_EPS of a lattice zero,
 or when a left-hand series is badly conditioned. The private ``_sample_*``
-return the admitted sides with the parameters, so a caller that verifies
-a draw at the default policy can check those sides instead of building
-them again.
+return the admitted sides with the parameters; the sampler and the
+verifier build the same table, so a caller that verifies a draw can check
+those sides instead of building them again.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import PoleError
 from .factorials import ONE, FactorialValue, FactorTable, elliptic_factorial
 from .report import VerificationReport, complex_from_json, complex_to_json
-from .theta import DEFAULT_POLICY, ModularPair, Nome, PrecisionPolicy, theta_zero_index
+from .theta import ModularPair, Nome, theta_zero_index
 from .series import VwpSpec, _sum_unilateral, _sum_window, _vwp_coefficient
 
 DEFAULT_BAND = (0.4, 0.9)
@@ -77,10 +77,10 @@ def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
 
 
 def _admissible(sides, params):
-    """Dry-run a verifier's sides function on a fresh default-policy table
-    and return its result, or None when a side cannot be evaluated, when a
-    left-hand series is badly conditioned, or when any theta argument it
-    evaluated lies within _LATTICE_EPS of a lattice zero."""
+    """Dry-run a verifier's sides function on a fresh table, as the verifier
+    builds it, and return its result, or None when a side cannot be
+    evaluated, when a left-hand series is badly conditioned, or when any
+    theta argument it evaluated lies within _LATTICE_EPS of a lattice zero."""
     table = FactorTable(params.nome)
     try:
         result = sides(params, table)
@@ -285,16 +285,12 @@ def sample_ft(
 def _check_ft(params: FTParams, sides, tol: float) -> VerificationReport:
     """Sum the 10E9 terms of _ft_sides and compare with the closed form."""
     terms, closed = sides
-    return _report(params, _sum_unilateral(terms.__getitem__, params.N, DEFAULT_POLICY), closed.value, tol)
+    return _report(params, _sum_unilateral(terms.__getitem__, params.N), closed.value, tol)
 
 
-def verify_ft_sum(
-    params: FTParams,
-    tol: float = 1e-8,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> VerificationReport:
+def verify_ft_sum(params: FTParams, tol: float = 1e-8) -> VerificationReport:
     """Terminating 10E9 sum against its closed-form theta-factorial value."""
-    return _check_ft(params, _ft_sides(params, FactorTable(params.nome, policy)), tol)
+    return _check_ft(params, _ft_sides(params, FactorTable(params.nome)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +378,14 @@ def _check_bailey(params: BaileyParams, sides, tol: float) -> VerificationReport
     """Sum both 12E11 series of _bailey_sides and compare the left one with
     the prefactor times the right one."""
     lhs_terms, rhs_terms, pref = sides
-    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N, DEFAULT_POLICY)
-    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N, DEFAULT_POLICY)
+    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N)
+    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N)
     return _report(params, lhs, pref.value * rhs_series.value, tol)
 
 
-def verify_bailey(
-    params: BaileyParams,
-    tol: float = 1e-8,
-    root_sign: int = 1,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> VerificationReport:
+def verify_bailey(params: BaileyParams, tol: float = 1e-8, root_sign: int = 1) -> VerificationReport:
     """Two-term 12E11 transformation, both series terminating at N."""
-    sides = _bailey_sides(params, FactorTable(params.nome, policy), root_sign)
+    sides = _bailey_sides(params, FactorTable(params.nome), root_sign)
     return _check_bailey(params, sides, tol)
 
 
@@ -532,12 +523,8 @@ def _multi1_sides(params: Multi1Params, table: FactorTable) -> tuple[list[Factor
     return terms, closed
 
 
-def verify_multi1(
-    params: Multi1Params,
-    tol: float = 1e-7,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> VerificationReport:
-    return _check_lattice(params, _multi1_sides(params, FactorTable(params.nome, policy)), tol)
+def verify_multi1(params: Multi1Params, tol: float = 1e-7) -> VerificationReport:
+    return _check_lattice(params, _multi1_sides(params, FactorTable(params.nome)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +665,8 @@ def _multi2_sides(params: Multi2Params, table: FactorTable) -> tuple[list[Factor
     return terms, closed
 
 
-def verify_multi2(
-    params: Multi2Params,
-    tol: float = 1e-7,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> VerificationReport:
-    return _check_lattice(params, _multi2_sides(params, FactorTable(params.nome, policy)), tol)
+def verify_multi2(params: Multi2Params, tol: float = 1e-7) -> VerificationReport:
+    return _check_lattice(params, _multi2_sides(params, FactorTable(params.nome)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +679,6 @@ def general_multi_coefficient(
     zs: list[complex],
     pair: ModularPair,
     lam: tuple[int, ...] | list[int],
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Most general symmetric multiple-series coefficient: products of
     elliptic factorials over all k-subsets of the summation indices.
@@ -719,8 +701,8 @@ def general_multi_coefficient(
         for subset in itertools.combinations(range(n), k):
             s = sum(lam[i] for i in subset)
             for u in u_lists[k - 1]:
-                out = out * elliptic_factorial(u, pair, s, policy)
+                out = out * elliptic_factorial(u, pair, s)
             for v in v_lists[k - 1]:
-                out = out / elliptic_factorial(v, pair, s, policy)
+                out = out / elliptic_factorial(v, pair, s)
     scalar = math.prod((zs[j] ** lam[j] for j in range(n)), start=1 + 0j)
     return (out * scalar).value

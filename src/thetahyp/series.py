@@ -27,7 +27,7 @@ from .factorials import (
     theta_factor,
 )
 from .report import VerificationReport, complex_from_json, complex_to_json
-from .theta import DEFAULT_POLICY, ModularPair, Nome, PrecisionPolicy
+from .theta import LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome
 
 REL_TOL = 1e-10  # classifier tolerance for multiplicative constraints
 
@@ -146,12 +146,12 @@ class TruncationDecl:
     N: int
     M: int = 0
 
-    def validate(self, spec: ThetaSeriesSpec, rtol: float = 1e-12) -> None:
+    def validate(self, spec: ThetaSeriesSpec) -> None:
         t = spec.numerator[self.param_index]
         target = spec.nome.q ** (-self.N) * spec.nome.p ** (-self.M)
-        if abs(t - target) > rtol * abs(target):
+        if abs(t - target) > LATTICE_RTOL * abs(target):
             raise ValueError(
-                f"parameter {self.param_index} is not q^-{self.N} p^-{self.M} within {rtol}"
+                f"parameter {self.param_index} is not q^-{self.N} p^-{self.M} within {LATTICE_RTOL}"
             )
 
 
@@ -182,9 +182,9 @@ def spec_from_json(obj: dict) -> ThetaSeriesSpec | VwpSpec:
 # coefficients and term ratios
 
 
-def coefficient(spec: ThetaSeriesSpec, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
+def coefficient(spec: ThetaSeriesSpec, n: int) -> FactorialValue:
     """Coefficient c_n of the series as a FactorialValue (c_0 = 1)."""
-    return _coefficient(spec, n, FactorTable(spec.nome, policy))
+    return _coefficient(spec, n, FactorTable(spec.nome))
 
 
 def _coefficient(spec: ThetaSeriesSpec, n: int, table: FactorTable) -> FactorialValue:
@@ -195,26 +195,21 @@ def _coefficient(spec: ThetaSeriesSpec, n: int, table: FactorTable) -> Factorial
     return (num / den) * scalar
 
 
-def term_ratio(spec: ThetaSeriesSpec, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def term_ratio(spec: ThetaSeriesSpec, n: int) -> complex:
     """h(n) = c_{n+1}/c_n built from single theta factors."""
-    return term_ratio_at(spec, spec.nome.q**n, policy, n=n)
+    return term_ratio_at(spec, spec.nome.q**n, n=n)
 
 
-def term_ratio_at(
-    spec: ThetaSeriesSpec,
-    w: complex,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-    n: int | None = None,
-) -> complex:
+def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
     """h evaluated at a multiplicative argument w (w = q^n analytically
     continued). Requires integer alpha unless n is supplied."""
     nome = spec.nome
     num = ONE
     for t in spec.numerator:
-        num = num * theta_factor(t * w, nome.p, policy)
+        num = num * theta_factor(t * w, nome.p)
     den = ONE
     for wk in spec.effective_denominator():
-        den = den * theta_factor(wk * w, nome.p, policy)
+        den = den * theta_factor(wk * w, nome.p)
     if n is not None:
         expo = nome.q ** (spec.alpha * n)
     elif spec.alpha == 0:
@@ -230,14 +225,10 @@ def term_ratio_at(
 # evaluators
 
 
-def _sum_unilateral(
-    coeff_fn,
-    trunc: TruncationDecl | int | None,
-    policy: PrecisionPolicy,
-) -> SeriesValue:
+def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue:
     """Sum coeff_fn(n) for n >= 0. trunc as a TruncationDecl or an explicit
     last index (any integer, numpy's included) sums exactly that many terms;
-    None caps at max_terms with a last-term tail heuristic."""
+    None caps at MAX_TERMS with a last-term tail heuristic."""
     if isinstance(trunc, TruncationDecl):
         last = trunc.N
     else:
@@ -246,7 +237,7 @@ def _sum_unilateral(
     total = 0j
     small_streak = 0
     n = 0
-    cap = policy.max_terms if last is None else last + 1
+    cap = MAX_TERMS if last is None else last + 1
     terminated = last is not None
     tail = 0.0
     while n < cap:
@@ -258,7 +249,7 @@ def _sum_unilateral(
         val = c.value
         total += val
         if last is None:
-            if abs(val) < policy.series_tol * max(1.0, abs(total)):
+            if abs(val) < SERIES_TOL * max(1.0, abs(total)):
                 small_streak += 1
                 if small_streak >= 2:
                     tail = abs(val)
@@ -272,8 +263,11 @@ def _sum_unilateral(
 
 def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
     """Sum the nonzero coeff_fn(n) for n in [n_min, n_max], in order; the
-    tail estimate is the larger of the two edge terms."""
+    tail estimate is the larger of the two edge terms. A reversed window
+    is refused rather than summed to 0."""
     n_min, n_max = window
+    if n_min > n_max:
+        raise ValueError(f"empty window {window}")
     total = 0j
     used = 0
     edge = 0.0
@@ -289,38 +283,27 @@ def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
     return SeriesValue(total, used, False, edge)
 
 
-def eval_E(
-    spec: ThetaSeriesSpec,
-    trunc: TruncationDecl | int | None = None,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def eval_E(spec: ThetaSeriesSpec, trunc: TruncationDecl | int | None = None) -> SeriesValue:
     """Unilateral series sum_{n>=0} c_n."""
     if spec.kind != UNILATERAL_E:
         raise ValueError("eval_E expects a unilateral_E spec")
     if isinstance(trunc, TruncationDecl):
         trunc.validate(spec)
-    table = FactorTable(spec.nome, policy)
-    return _sum_unilateral(lambda n: _coefficient(spec, n, table), trunc, policy)
+    table = FactorTable(spec.nome)
+    return _sum_unilateral(lambda n: _coefficient(spec, n, table), trunc)
 
 
-def eval_G(
-    spec: ThetaSeriesSpec,
-    window: tuple[int, int],
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
     """Bilateral series as a windowed partial sum over n in [n_min, n_max]."""
     if spec.kind != BILATERAL_G:
         raise ValueError("eval_G expects a bilateral_G spec")
-    n_min, n_max = window
-    if n_min > n_max:
-        raise ValueError(f"empty window {window}")
-    table = FactorTable(spec.nome, policy)
+    table = FactorTable(spec.nome)
     return _sum_window(lambda n: _coefficient(spec, n, table), window)
 
 
-def vwp_coefficient(spec: VwpSpec, n: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> FactorialValue:
+def vwp_coefficient(spec: VwpSpec, n: int) -> FactorialValue:
     """Coefficient of the simplified very-well-poised series at index n."""
-    return _vwp_coefficient(spec, n, FactorTable(spec.nome, policy))
+    return _vwp_coefficient(spec, n, FactorTable(spec.nome))
 
 
 def _vwp_coefficient(spec: VwpSpec, n: int, table: FactorTable) -> FactorialValue:
@@ -337,13 +320,12 @@ def eval_vwp(
     spec: VwpSpec,
     trunc: TruncationDecl | int | None = None,
     window: tuple[int, int] | None = None,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
     """Evaluate the simplified very-well-poised series (multiplicative form)."""
-    table = FactorTable(spec.nome, policy)
+    table = FactorTable(spec.nome)
     if spec.kind == "unilateral":
         last = trunc.N if isinstance(trunc, TruncationDecl) else trunc
-        return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), last, policy)
+        return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), last)
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
     return _sum_window(lambda n: _vwp_coefficient(spec, n, table), window)
@@ -355,7 +337,6 @@ def eval_vwp_additive(
     pair: ModularPair,
     z: complex,
     trunc: int,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
     """Additive form of the unilateral very-well-poised series.
 
@@ -368,15 +349,15 @@ def eval_vwp_additive(
     r = len(us) + 4
     usum = u0 + sum(us)
     expo_step = cmath.exp(2j * math.pi * pair.sigma * (usum - (r - 7) / 2.0))
-    head_den = elliptic_factor(2 * u0, pair, policy)
+    head_den = elliptic_factor(2 * u0, pair)
 
     def coeff(n: int) -> FactorialValue:
-        head = elliptic_factor(2 * u0 + 2 * n, pair, policy) / head_den
-        num = elliptic_factorial_multi([u0 + u0] + [u0 + u for u in us], pair, n, policy)
-        den = elliptic_factorial_multi([u0 + 1 - u0] + [u0 + 1 - u for u in us], pair, n, policy)
+        head = elliptic_factor(2 * u0 + 2 * n, pair) / head_den
+        num = elliptic_factorial_multi([u0 + u0] + [u0 + u for u in us], pair, n)
+        den = elliptic_factorial_multi([u0 + 1 - u0] + [u0 + 1 - u for u in us], pair, n)
         return head * (num / den) * (z**n * expo_step**n)
 
-    return _sum_unilateral(coeff, trunc, policy)
+    return _sum_unilateral(coeff, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -519,24 +500,27 @@ def ge_split_check(
     window_M: int,
     window_Mp: int | None = None,
     tol: float = 1e-10,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> VerificationReport:
     """Finite-window reassembly of a bilateral vwp series from two
     unilateral ones: the n in [-M, M'] window of the G series equals the
     [0, M'] partial sum of the first E series plus a theta prefactor times
     the [0, M-1] partial sum of the second E series at the reflected
-    argument."""
+    argument. M' defaults to M; both must be non-negative."""
     if spec.kind != "bilateral":
         raise ValueError("ge_split_check expects a bilateral vwp spec")
+    if window_Mp is None:
+        window_Mp = window_M
+    if window_M < 0 or window_Mp < 0:
+        raise ValueError(f"ge_split_check needs non-negative windows, got M={window_M}, M'={window_Mp}")
     q, p = spec.nome.q, spec.nome.p
     t0, ts, z = spec.t0, spec.ts, spec.z
     r = len(ts) + 4
     m_prod = math.prod((t * t for t in ts), start=1.0 + 0j)
 
-    lhs = eval_vwp(spec, window=(-window_M, window_Mp if window_Mp is not None else window_M), policy=policy).value
+    lhs = eval_vwp(spec, window=(-window_M, window_Mp)).value
 
     e1 = VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral")
-    first = eval_vwp(e1, trunc=window_Mp if window_Mp is not None else window_M, policy=policy).value
+    first = eval_vwp(e1, trunc=window_Mp).value
 
     if window_M == 0:
         rhs = first
@@ -544,14 +528,14 @@ def ge_split_check(
         pref = (
             q ** (r - 7)
             / (z * m_prod)
-            * theta_factor(q * q / (t0 * t0), p, policy).value
-            / theta_factor(1.0 / (t0 * t0), p, policy).value
+            * theta_factor(q * q / (t0 * t0), p).value
+            / theta_factor(1.0 / (t0 * t0), p).value
         )
         for t in ts:
-            pref *= theta_factor(t / t0, p, policy).value / theta_factor(q / (t0 * t), p, policy).value
+            pref *= theta_factor(t / t0, p).value / theta_factor(q / (t0 * t), p).value
         z2 = q ** (r - 8) / (z * m_prod)
         e2 = VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral")
-        second = eval_vwp(e2, trunc=window_M - 1, policy=policy).value
+        second = eval_vwp(e2, trunc=window_M - 1).value
         rhs = first + pref * second
     return VerificationReport.compare(lhs, rhs, tol, params_echo=spec.to_json())
 
@@ -560,8 +544,8 @@ def ge_split_check(
 # independent basic (p = 0) evaluators
 
 
-def _qp_factor(a: complex, rtol: float = 1e-12) -> FactorialValue:
-    if abs(a - 1.0) <= rtol:
+def _qp_factor(a: complex) -> FactorialValue:
+    if abs(a - 1.0) <= LATTICE_RTOL:
         return FactorialValue(1.0 + 0j, zero_order=1)
     return FactorialValue(1.0 - a)
 
@@ -596,7 +580,6 @@ def eval_basic(
     window: tuple[int, int] | None = None,
     t0: complex | None = None,
     ts: list[complex] | None = None,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
     """Independent basic hypergeometric evaluator (p = 0 degenerations).
 
@@ -613,7 +596,7 @@ def eval_basic(
             den = _qp_multi([q] + list(denominator), q, n)
             return (num / den) * (q ** (alpha * n * (n - 1) / 2.0) * z**n)
 
-        return _sum_unilateral(coeff, trunc, policy)
+        return _sum_unilateral(coeff, trunc)
     if kind == "psi":
         if window is None:
             raise ValueError("psi evaluation needs a finite window")
@@ -634,5 +617,5 @@ def eval_basic(
             den = _qp_multi([q * t0 / t for t in ms], q, n)
             return head * (num / den) * (q * z) ** n
 
-        return _sum_unilateral(coeff, trunc, policy)
+        return _sum_unilateral(coeff, trunc)
     raise ValueError(f"unknown basic series kind {kind!r}")

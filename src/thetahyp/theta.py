@@ -22,25 +22,16 @@ from .errors import BranchError, NonConvergenceError, ThetaDomainError
 
 TWO_PI_I = 2j * math.pi
 
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Truncation thresholds for infinite products and series tails."""
-
-    product_tol: float = 1e-16
-    series_tol: float = 1e-16
-    max_terms: int = 512
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.product_tol < 1e-6):
-            raise ValueError(f"product_tol out of range: {self.product_tol}")
-        if not (0.0 < self.series_tol < 1e-6):
-            raise ValueError(f"series_tol out of range: {self.series_tol}")
-        if self.max_terms < 64:
-            raise ValueError(f"max_terms must be >= 64, got {self.max_terms}")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
+# float64 truncation: an infinite product stops once its factors are within
+# PRODUCT_TOL of 1, a series once two consecutive terms fall below SERIES_TOL
+# relative to the sum; a series sums at most MAX_TERMS terms, a product
+# 16 * MAX_TERMS factors.
+PRODUCT_TOL = 1e-16
+SERIES_TOL = 1e-16
+MAX_TERMS = 512
+# a lattice zero p^-M is detected for |M| <= MAX_ZERO_ORDER to rel LATTICE_RTOL
+MAX_ZERO_ORDER = 64
+LATTICE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,17 +78,12 @@ def nome_from_modular(pair: ModularPair) -> Nome:
     return pair.nome()
 
 
-def p_pochhammer(
-    a: complex,
-    p: complex,
-    n: int | float | None = None,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> complex:
+def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> complex:
     """p-shifted factorial (a; p)_n.
 
     ``n`` may be a non-negative integer (finite product), a negative
     integer (via (a;p)_{-n} = 1/(a p^{-n}; p)_n), or None / math.inf for
-    the infinite product, truncated once |a p^k| < product_tol and k >= 8.
+    the infinite product, truncated once |a p^k| < PRODUCT_TOL and k >= 8.
     """
     if n is None or (isinstance(n, float) and math.isinf(n)):
         if abs(p) >= 1.0:
@@ -105,12 +91,12 @@ def p_pochhammer(
         prod = 1.0 + 0j
         term = complex(a)
         k = 0
-        while k < 8 or abs(term) >= policy.product_tol:
+        while k < 8 or abs(term) >= PRODUCT_TOL:
             prod *= 1.0 - term
             term *= p
             k += 1
-            if k > 16 * policy.max_terms:
-                raise NonConvergenceError("(a;p)_inf did not reach product_tol")
+            if k > 16 * MAX_TERMS:
+                raise NonConvergenceError("(a;p)_inf did not reach PRODUCT_TOL")
         return prod
     n = int(n)
     if n >= 0:
@@ -120,14 +106,14 @@ def p_pochhammer(
             prod *= 1.0 - term
             term *= p
         return prod
-    denom = p_pochhammer(a * p**n, p, -n, policy)
+    denom = p_pochhammer(a * p**n, p, -n)
     if denom == 0:
         raise ZeroDivisionError(f"(a;p)_{n} hits a vanishing factor, a={a}, p={p}")
     return 1.0 / denom
 
 
-def theta_zero_index(z: complex, p: complex, max_order: int = 64, rtol: float = 1e-12) -> int | None:
-    """Return M when z = p^{-M} (|M| <= max_order) to relative accuracy rtol.
+def theta_zero_index(z: complex, p: complex, rtol: float = LATTICE_RTOL) -> int | None:
+    """Return M when z = p^{-M} (|M| <= MAX_ZERO_ORDER) to relative accuracy rtol.
 
     These are exactly the zeros of theta(z; p); None means z is not a
     detected lattice zero.
@@ -141,18 +127,14 @@ def theta_zero_index(z: complex, p: complex, max_order: int = 64, rtol: float = 
     # so arguments sitting on |z| = |p^-M| circles with the wrong phase and
     # near-ties are still classified correctly.
     for cand in (m - 1, m, m + 1):
-        if abs(cand) > max_order:
+        if abs(cand) > MAX_ZERO_ORDER:
             continue
         if abs(z * p**cand - 1.0) <= rtol:
             return cand
     return None
 
 
-def theta(
-    z: complex,
-    p: complex,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> complex:
+def theta(z: complex, p: complex) -> complex:
     """Jacobi-type theta function theta(z; p) = (z; p)_inf (p z^{-1}; p)_inf.
 
     Reports an exact 0j on the structural zeros z = p^{-M} that
@@ -170,25 +152,17 @@ def theta(
     prod = 1.0 + 0j
     a = complex(z)
     b = p / z
-    tol = policy.product_tol
-    max_k = 16 * policy.max_terms
-    k = 0
-    while k < 8 or abs(a) >= tol or abs(b) >= tol:
+    for k in range(16 * MAX_TERMS + 1):
+        # at least 8 factors; a NaN tail ends the product as a small one does
+        if k >= 8 and not (abs(a) >= PRODUCT_TOL or abs(b) >= PRODUCT_TOL):
+            return prod
         prod *= (1.0 - a) * (1.0 - b)
         a *= p
         b *= p
-        k += 1
-        if k > max_k:
-            raise NonConvergenceError("theta product did not reach product_tol")
-    return prod
+    raise NonConvergenceError("theta product did not reach PRODUCT_TOL")
 
 
-def theta1(
-    u: complex,
-    pair: ModularPair,
-    method: str = "series",
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> complex:
+def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:
     """Jacobi theta1(u; sigma, tau), rescaled so the argument is sigma*u.
 
     method="series" sums the fast exponential series
@@ -200,7 +174,7 @@ def theta1(
     if method == "series":
         total = 0j
         small_streak = 0
-        for n in range(policy.max_terms):
+        for n in range(MAX_TERMS):
             term = (
                 2.0
                 * (-1) ** n
@@ -210,36 +184,31 @@ def theta1(
             total += term
             # the sin factor can vanish accidentally; demand two consecutive
             # sub-tolerance terms before declaring the tail negligible
-            if abs(term) < policy.series_tol * max(1.0, abs(total)):
+            if abs(term) < SERIES_TOL * max(1.0, abs(total)):
                 small_streak += 1
                 if n >= 2 and small_streak >= 2:
                     return total
             else:
                 small_streak = 0
-        raise NonConvergenceError("theta1 series tail did not reach series_tol")
+        raise NonConvergenceError("theta1 series tail did not reach SERIES_TOL")
     if method == "product":
         p = pair.p
         qu = cmath.exp(TWO_PI_I * sigma * u)
         if qu == 0:
             raise ThetaDomainError("q^u underflowed to zero")
         prefactor = cmath.exp(1j * math.pi * tau / 4.0) * 1j * cmath.exp(-1j * math.pi * sigma * u)
-        return prefactor * p_pochhammer(p, p, None, policy) * theta(qu, p, policy)
+        return prefactor * p_pochhammer(p, p) * theta(qu, p)
     raise ValueError(f"unknown theta1 method {method!r}")
 
 
-def elliptic_number(
-    u: complex,
-    pair: ModularPair,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> complex:
+def elliptic_number(u: complex, pair: ModularPair) -> complex:
     """The elliptic number [u; sigma, tau] = theta1(u; sigma, tau)."""
-    return theta1(u, pair, "series", policy)
+    return theta1(u, pair)
 
 
-def elliptic_number_zero_index(u: complex, pair: ModularPair, rtol: float = 1e-12) -> int | None:
+def elliptic_number_zero_index(u: complex, pair: ModularPair) -> int | None:
     """Detect the lattice zeros of [u]: q^u = p^{-M} for integer M."""
-    qu = cmath.exp(TWO_PI_I * pair.sigma * u)
-    return theta_zero_index(qu, pair.p, rtol=rtol)
+    return theta_zero_index(cmath.exp(TWO_PI_I * pair.sigma * u), pair.p)
 
 
 def apply_modular(pair: ModularPair, a: int, b: int, c: int, d: int) -> ModularPair:

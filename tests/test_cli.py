@@ -5,6 +5,7 @@ import pytest
 from thetahyp import (
     Nome,
     ThetaSeriesSpec,
+    VwpSpec,
     sample_bailey,
     sample_ft,
     sample_multi1,
@@ -114,6 +115,35 @@ class TestEval:
         inp = tmp_path / "spec.json"
         inp.write_text(json.dumps(spec.to_json()))
         assert run(["eval", str(inp)]) == 2
+
+    E_SPEC = ThetaSeriesSpec("unilateral_E", (0.4 + 0.1j,), (), 0, 0.5 + 0.1j, NOME).to_json()
+    G_SPEC = ThetaSeriesSpec("bilateral_G", (0.4 + 0.1j,), (1.6 - 0.2j,), 0, 0.5 + 0.1j, NOME).to_json()
+    VWP_SPEC = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "bilateral").to_json()
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            ({**E_SPEC, "numerator": 5}, "invalid series spec"),
+            ({**E_SPEC, "denominator": [[1.0]]}, "invalid series spec"),
+            ({**E_SPEC, "q": None}, "invalid series spec"),
+            ({key: v for key, v in E_SPEC.items() if key != "alpha"}, "invalid series spec"),
+            ({**E_SPEC, "trunc": 3.7}, "trunc"),
+            ({**E_SPEC, "trunc": -1}, "trunc"),
+            ({**E_SPEC, "trunc": "3"}, "trunc"),
+            ({**E_SPEC, "trunc": True}, "trunc"),
+            ({**VWP_SPEC, "window": 5}, "window"),
+            ({**VWP_SPEC, "window": [1, 3.7]}, "window"),
+            ({**VWP_SPEC, "window": [1]}, "window"),
+            ({**G_SPEC, "window": [False, 2]}, "window"),
+            ({**VWP_SPEC, "window": [3, 1]}, "empty window"),
+            ({**G_SPEC, "window": [3, 1]}, "empty window"),
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, obj, error):
+        inp = tmp_path / "spec.json"
+        inp.write_text(json.dumps(obj))
+        assert run(["eval", str(inp)]) == 2
+        assert error in json.loads(capsys.readouterr().out)["error"]
 
 
 class TestEllipticity:
@@ -228,7 +258,7 @@ class TestGESplitVerify:
         assert run(["verify", "ge_split", str(inp), "--tol", "1e-10", "--out", str(out)]) == 0
         assert read(out)["summary"]["pass"] is True
 
-    @pytest.mark.parametrize("windows", [5, [3], [3, "4"], [3.0, 4], [True, 4], None])
+    @pytest.mark.parametrize("windows", [5, [3], [3, "4"], [3.0, 4], [True, 4], None, [-1, 2], [2, -1]])
     def test_bad_windows_exit_2(self, tmp_path, capsys, windows):
         from thetahyp import VwpSpec
 

@@ -154,6 +154,12 @@ class TestEvaluators:
         with pytest.raises(ValueError):
             eval_vwp(spec)
 
+    def test_bilateral_vwp_rejects_reversed_window(self):
+        # a reversed window would sum no terms and report 0
+        spec = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "bilateral")
+        with pytest.raises(ValueError, match="empty window"):
+            eval_vwp(spec, window=(3, 1))
+
     def test_additive_matches_multiplicative(self):
         us = [0.3 + 0.1j, -0.2 + 0.05j, 0.15 - 0.07j]
         u0 = 0.21 - 0.13j
@@ -256,6 +262,12 @@ class TestGESplit:
         spec = VwpSpec(0.55 + 0.2j, (0.4 + 0.1j,), 0.4 + 0j, NOME, "unilateral")
         with pytest.raises(ValueError):
             ge_split_check(spec, 2, 2)
+
+    @pytest.mark.parametrize("windows", [(-1, 2), (2, -1), (-1, None)])
+    def test_rejects_negative_windows(self, windows):
+        spec = VwpSpec(0.55 + 0.2j, (0.4 + 0.1j, 0.6 - 0.3j, -0.5 + 0.2j, 0.3 + 0.6j), 0.4 + 0j, NOME, "bilateral")
+        with pytest.raises(ValueError, match="non-negative windows"):
+            ge_split_check(spec, *windows)
 
 
 class TestBasicDegeneration:

@@ -8,7 +8,6 @@ from thetahyp import (
     BranchError,
     ModularPair,
     Nome,
-    PrecisionPolicy,
     ThetaDomainError,
     apply_modular,
     elliptic_number,
@@ -41,14 +40,6 @@ def rand_s_pair(rng):
 
 
 class TestPolicyAndDomain:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            PrecisionPolicy(product_tol=0.0)
-        with pytest.raises(ValueError):
-            PrecisionPolicy(series_tol=1e-3)
-        with pytest.raises(ValueError):
-            PrecisionPolicy(max_terms=10)
-
     def test_modular_pair_domain(self):
         with pytest.raises(ThetaDomainError):
             ModularPair(0.3 - 0.1j, 0.1 + 0.5j)
