@@ -285,36 +285,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="thetahyp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--draws", type=int, default=10)
-        p.add_argument("--out", default=None)
-        p.add_argument("--band", default=None, help="sampler modulus band lo,hi")
-        p.add_argument("--nome", default=None, help="q_re,q_im,p_re,p_im")
-        p.add_argument("--n", type=int, default=2, help="rank of the multivariable families")
-        p.add_argument("--N", type=int, default=2, help="truncation depth")
+    flags = {
+        "tol": dict(type=float, default=1e-8),
+        "seed": dict(type=int, default=0),
+        "draws": dict(type=int, default=10),
+        "out": dict(default=None),
+        "band": dict(default=None, help="sampler modulus band lo,hi"),
+        "nome": dict(default=None, help="q_re,q_im,p_re,p_im"),
+        "n": dict(type=int, default=2, help="rank of the multivariable families"),
+        "N": dict(type=int, default=2, help="truncation depth"),
+    }
 
-    p_eval = sub.add_parser("eval", help="evaluate one series spec")
+    def add(name: str, summary: str, func, reads: list[str]) -> argparse.ArgumentParser:
+        """A subcommand with only the flags its run function reads."""
+        p = sub.add_parser(name, help=summary)
+        for flag in reads:
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p_eval = add("eval", "evaluate one series spec", run_eval, ["out"])
     p_eval.add_argument("input")
-    common(p_eval)
-    p_eval.set_defaults(func=run_eval)
 
-    p_verify = sub.add_parser("verify", help="verify an identity on explicit or sampled parameters")
+    p_verify = add("verify", "verify an identity on explicit or sampled parameters", run_verify, list(flags))
     p_verify.add_argument("target", choices=[*_TARGETS, "ge_split"])
     p_verify.add_argument("input", nargs="?", default=None)
-    common(p_verify)
-    p_verify.set_defaults(func=run_verify)
 
-    p_ell = sub.add_parser("ellipticity", help="index-shift invariance of a series term ratio")
+    p_ell = add("ellipticity", "index-shift invariance of a series term ratio", run_ellipticity,
+                ["tol", "seed", "draws", "out"])
     p_ell.add_argument("input")
-    common(p_ell)
-    p_ell.set_defaults(func=run_ellipticity)
 
-    p_sample = sub.add_parser("sample", help="draw admissible identity parameters")
+    p_sample = add("sample", "draw admissible identity parameters", run_sample, [f for f in flags if f != "tol"])
     p_sample.add_argument("target", choices=list(_TARGETS))
-    common(p_sample)
-    p_sample.set_defaults(func=run_sample)
     return parser
 
 
@@ -325,10 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
-    if args.tol is not None and not (0.0 < args.tol < 1.0):
+    if hasattr(args, "tol") and not (0.0 < args.tol < 1.0):
         _emit_diagnostic("tolerance must lie in (0, 1)", args)
         return 2
-    if args.draws < 1:
+    if hasattr(args, "draws") and args.draws < 1:
         _emit_diagnostic("--draws must be >= 1", args)
         return 2
     try:

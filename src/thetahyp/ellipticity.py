@@ -118,26 +118,18 @@ def check_ellipticity(
     return EllipticityReport("index_p_shift", dev, done, dev <= tol)
 
 
-def vwp_canonical_h(
-    u0: complex,
-    us: list[complex],
-    z: complex,
-    pair: ModularPair,
-    x: complex,
-) -> complex:
+def _wp_form(u0: complex, us: list[complex], z: complex, pair: ModularPair) -> HForm:
     """Canonical term ratio of the well-poised balanced series:
     prod_m [x+u0+u_m]/[x+u0-u_m] * [x+u0-sum u]/[x+u0+sum u] * z."""
     usum = sum(us, 0j)
-    num = 1.0 + 0j
-    den = 1.0 + 0j
-    for u in us:
-        num *= elliptic_number(x + u0 + u, pair)
-        den *= elliptic_number(x + u0 - u, pair)
-    num *= elliptic_number(x + u0 - usum, pair)
-    den *= elliptic_number(x + u0 + usum, pair)
-    if den == 0:
-        raise PoleError(f"vwp_canonical_h pole at x = {x}")
-    return num / den * z
+    zeros = tuple(u0 + u for u in us) + (u0 - usum,)
+    poles = tuple(u0 - u for u in us) + (u0 + usum,)
+    return HForm(zeros, poles, 0j, z, pair)
+
+
+def vwp_canonical_h(u0: complex, us: list[complex], z: complex, pair: ModularPair, x: complex) -> complex:
+    """The canonical well-poised balanced term ratio at x."""
+    return h_eval(_wp_form(u0, us, z, pair), x)
 
 
 def check_total_ellipticity_wp(
@@ -153,19 +145,18 @@ def check_total_ellipticity_wp(
     one report for the index shift, one for u0 and one per u_m, all shifts
     by the quasiperiod tau/sigma."""
     shift = pair.tau / pair.sigma
-    # (kind, index shift, u0, us) of the shifted ratio
-    shifts = [("index_p_shift", shift, u0, us), ("param_p_shift:u0", 0, u0 + shift, us)]
+    ref = _wp_form(u0, us, z, pair)
+    # (kind, index shift, shifted ratio)
+    shifts = [("index_p_shift", shift, ref), ("param_p_shift:u0", 0, _wp_form(u0 + shift, us, z, pair))]
     for m in range(len(us)):
-        shifts.append((f"param_p_shift:u{m + 1}", 0, u0, [*us[:m], us[m] + shift, *us[m + 1 :]]))
+        sus = [*us[:m], us[m] + shift, *us[m + 1 :]]
+        shifts.append((f"param_p_shift:u{m + 1}", 0, _wp_form(u0, sus, z, pair)))
     rng = np.random.default_rng(seed)
     reports: list[EllipticityReport] = []
-    for kind, dx, su0, sus in shifts:
+    for kind, dx, form in shifts:
 
         def pairs(x: complex) -> tuple[complex, complex]:
-            return (
-                vwp_canonical_h(su0, sus, z, pair, x + dx),
-                vwp_canonical_h(u0, us, z, pair, x),
-            )
+            return h_eval(form, x + dx), h_eval(ref, x)
 
         dev, done = _max_dev(_rand_x, pairs, samples, rng)
         reports.append(EllipticityReport(kind, dev, done, dev <= tol))
@@ -281,18 +272,15 @@ def check_total_ellipticity_multi2(
 # modularity
 
 
-def check_modularity(form: HForm, tol: float = 1e-8, kind: str = "G") -> tuple[bool, EllipticityReport]:
+def check_modularity(form: HForm, tol: float = 1e-8) -> tuple[bool, EllipticityReport]:
     """Structural sum-of-squares constraint (to rel 1e-10) plus the numeric
     comparison of h under (sigma, tau) -> (sigma/tau, -1/tau) at x = 0..3.
 
-    kind="E" reads the pole list as excluding the implicit v = 1 entry and
-    adds the 1 to the squared sum; kind="G" compares the sums directly.
-    Returns (structural_pass, numeric report).
+    The pole list is the full one: for a unilateral series it includes the
+    implicit v = 1 entry. Returns (structural_pass, numeric report).
     """
     usq = sum(u * u for u in form.zeros)
     vsq = sum(v * v for v in form.poles)
-    if kind == "E":
-        vsq = vsq + 1.0
     scale = max(abs(usq), abs(vsq), 1.0)
     structural = abs(usq - vsq) <= 1e-10 * scale
 

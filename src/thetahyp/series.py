@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import ThetaDomainError
+from .errors import NonConvergenceError, ThetaDomainError
 from .factorials import (
     ONE,
     FactorialValue,
@@ -228,7 +228,8 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
 def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue:
     """Sum coeff_fn(n) for n >= 0. trunc as a TruncationDecl or an explicit
     last index (any integer, numpy's included) sums exactly that many terms;
-    None caps at MAX_TERMS with a last-term tail heuristic."""
+    None caps at MAX_TERMS with a last-term tail heuristic and raises
+    NonConvergenceError at the first non-finite term."""
     if isinstance(trunc, TruncationDecl):
         last = trunc.N
     else:
@@ -247,6 +248,8 @@ def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue
             # terms 0..n-1 were summed
             return SeriesValue(total, n, True, 0.0)
         val = c.value
+        if last is None and not cmath.isfinite(val):
+            raise NonConvergenceError(f"term {n} of the series is not finite: {val}")
         total += val
         if last is None:
             if abs(val) < SERIES_TOL * max(1.0, abs(total)):
@@ -324,8 +327,7 @@ def eval_vwp(
     """Evaluate the simplified very-well-poised series (multiplicative form)."""
     table = FactorTable(spec.nome)
     if spec.kind == "unilateral":
-        last = trunc.N if isinstance(trunc, TruncationDecl) else trunc
-        return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), last)
+        return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), trunc)
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
     return _sum_window(lambda n: _vwp_coefficient(spec, n, table), window)
@@ -407,55 +409,24 @@ def _additive_params(ts: tuple[complex, ...], q: complex) -> list[complex]:
 def classify(spec: ThetaSeriesSpec | VwpSpec) -> SeriesClass:
     """Test the balanced / well-poised / very-well-poised / modular flags.
 
-    All constraints are checked multiplicatively to rel 1e-10; the modular
-    sum-of-squares check uses principal-branch additive parameters
-    log(t)/log(q) and is meaningful when the parameters were built from
-    small additive values.
+    An E spec is read as the G spec with the extra denominator parameter
+    w = q, so one set of tests covers both kinds. All constraints are
+    checked multiplicatively to rel 1e-10; the modular sum-of-squares check
+    uses principal-branch additive parameters log(t)/log(q) and is
+    meaningful when the parameters were built from small additive values.
     """
     if isinstance(spec, VwpSpec):
         return _classify_vwp(spec)
     q = spec.nome.q
-    num = spec.numerator
-    den = spec.denominator
-    r, s = len(num), len(den)
-    if spec.kind == UNILATERAL_E:
-        dims_ok = s == r - 1
-        prod_num = math.prod(num, start=1.0 + 0j)
-        prod_den = math.prod(den, start=1.0 + 0j)
-        balanced = dims_ok and _close(prod_num, q * prod_den)
-        well_poised = dims_ok and r >= 2 and all(
-            _close(q * num[0], num[m] * den[m - 1]) for m in range(1, r)
-        )
-        vwp, sign = _detect_vwp(num[0], list(num[1:]), q, spec.nome.p) if well_poised else (False, 0)
-        u = _additive_params(num, q)
-        v = _additive_params(den, q)
-        modular = (
-            dims_ok
-            and balanced
-            and _close(sum(x * x for x in u), 1.0 + sum(x * x for x in v))
-        )
-    else:
-        dims_ok = s == r
-        prod_num = math.prod(num, start=1.0 + 0j)
-        prod_den = math.prod(den, start=1.0 + 0j)
-        balanced = dims_ok and _close(prod_num, prod_den)
-        pairs_ok = dims_ok and r >= 1
-        well_poised = pairs_ok and all(
-            _close(num[m] * den[m], num[0] * den[0]) for m in range(r)
-        )
-        if well_poised and r >= 1:
-            t0 = num[0] * den[0] / q
-            vwp, sign = _detect_vwp(t0, list(num), q, spec.nome.p)
-        else:
-            vwp, sign = False, 0
-        u = _additive_params(num, q)
-        v = _additive_params(den, q)
-        modular = (
-            dims_ok
-            and balanced
-            and _close(sum(x * x for x in u), sum(x * x for x in v))
-        )
-    return SeriesClass(balanced, well_poised, vwp, modular, balanced and dims_ok, sign)
+    num, den = spec.numerator, spec.effective_denominator()
+    dims_ok = len(num) == len(den)
+    balanced = dims_ok and _close(math.prod(num, start=1.0 + 0j), math.prod(den, start=1.0 + 0j))
+    well_poised = dims_ok and len(num) >= 1 and all(_close(a * b, num[0] * den[0]) for a, b in zip(num, den))
+    vwp, sign = _detect_vwp(num[0] * den[0] / q, list(num), q, spec.nome.p) if well_poised else (False, 0)
+    modular = balanced and _close(
+        sum(x * x for x in _additive_params(num, q)), sum(x * x for x in _additive_params(den, q))
+    )
+    return SeriesClass(balanced, well_poised, vwp, modular, balanced, sign)
 
 
 def _detect_vwp(t0: complex, candidates: list[complex], q: complex, p: complex) -> tuple[bool, int]:
@@ -473,13 +444,12 @@ def _detect_vwp(t0: complex, candidates: list[complex], q: complex, p: complex) 
 
 def _classify_vwp(spec: VwpSpec) -> SeriesClass:
     q = spec.nome.q
-    r = spec.r if spec.kind == "unilateral" else len(spec.ts) + 4
     if spec.kind == "unilateral":
         prod = spec.t0 * math.prod(spec.ts, start=1.0 + 0j)
-        target = q ** ((r - 7) / 2.0)
+        target = q ** ((spec.r - 7) / 2.0)
     else:
         prod = math.prod(spec.ts, start=1.0 + 0j)
-        target = q ** ((r - 8) / 2.0)
+        target = q ** ((spec.r - 8) / 2.0)
     balanced = _close(prod, target) or _close(prod, -target)
     return SeriesClass(
         balanced=balanced,

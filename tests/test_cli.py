@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -188,6 +189,37 @@ class TestErrorPaths:
         inp.write_text(json.dumps(spec.to_json()))
         assert run(["ellipticity", str(inp), "--draws", "0"]) == 2
         assert "--draws" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_untruncated_non_finite_sum_exits_2(self, tmp_path, capsys):
+        # the CI balanced spec has no trunc, and its terms overflow from n = 14
+        num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
+        den = (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j)
+        inp = tmp_path / "balanced.json"
+        inp.write_text(json.dumps(ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, NOME).to_json()))
+        assert run(["eval", str(inp)]) == 2
+        assert "NonConvergenceError: term 14 " in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval", ["--N", "3"]), ("eval", ["--draws", "3"]), ("ellipticity", ["--N", "3"]),
+         ("ellipticity", ["--nome", "0.3,0.1,0.2,0.05"]), ("sample", ["--tol", "1e-8"])],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, command, flag):
+        # each subcommand takes only the flags it reads: the command passes
+        # on its own, and a valid value of a flag it would ignore is refused
+        vwp = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j, 0.5 - 0.3j), 0.3 - 0.1j, NOME, "unilateral")
+        num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
+        d0 = 0.45 + 0.15j
+        balanced = ThetaSeriesSpec("unilateral_E", num, (d0, math.prod(num) / (NOME.q * d0)), 0, 0.4 + 0j, NOME)
+        (tmp_path / "eval.json").write_text(json.dumps({**vwp.to_json(), "trunc": 3}))
+        (tmp_path / "ellipticity.json").write_text(json.dumps(balanced.to_json()))
+        argv = {
+            "eval": ["eval", str(tmp_path / "eval.json")],
+            "ellipticity": ["ellipticity", str(tmp_path / "ellipticity.json"), "--draws", "3"],
+            "sample": ["sample", "ft_sum", "--draws", "1"],
+        }[command]
+        assert run(argv) == 0
+        assert run(argv + flag) == 2
 
     def test_bad_tol_exits_2(self):
         assert run(["verify", "ft_sum", "--tol", "2.0", "--draws", "1"]) == 2

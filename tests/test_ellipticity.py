@@ -169,6 +169,15 @@ def wp_hform(u0, us, z, pair):
     return HForm(zeros, poles, 0j, z, pair)
 
 
+def test_vwp_canonical_h_is_h_eval_of_the_wp_form():
+    us = [0.21 + 0.05j, -0.13 + 0.08j, 0.09 - 0.04j]
+    u0, z = 0.15 - 0.06j, 0.5 + 0.2j
+    form = wp_hform(u0, us, z, PAIR)
+    for x in (0.13 + 0.05j, -0.31 + 0.2j, 0.4 - 0.1j):
+        want = h_eval(form, x)
+        assert abs(vwp_canonical_h(u0, us, z, PAIR, x) - want) <= 1e-13 * abs(want)
+
+
 class TestModularity:
     def test_wp_form_passes(self):
         us = [0.21 + 0.05j, -0.13 + 0.08j, 0.09 - 0.04j]

@@ -1,10 +1,11 @@
-"""An independent 40-digit reference for the two multisum families.
+"""An independent 40-digit reference for the very-well-poised sums and the
+two multisum families.
 
 Theta is evaluated by its product, theta factorials as plain products of
 theta factors, and each coefficient is written out from its theta-factorial
-product (Warnaar 2002, Rosengren 2004) in mpmath, with none of it read
-through FactorTable or thetahyp.theta. The float64 lattice terms, the closed
-forms and the term ratios h_l are each checked against it.
+product (Frenkel-Turaev 1997, Warnaar 2002, Rosengren 2004) in mpmath, with
+none of it read through FactorTable or thetahyp.theta. The float64 terms, the
+closed forms and the term ratios h_l are each checked against it.
 """
 
 import functools
@@ -16,10 +17,10 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp, mpc = mpmath.mp, mpmath.mpc
 
-from thetahyp import Nome, sample_multi1, sample_multi2  # noqa: E402
+from thetahyp import Nome, sample_bailey, sample_ft, sample_multi1, sample_multi2  # noqa: E402
 from thetahyp.ellipticity import multi1_h, multi2_h  # noqa: E402
 from thetahyp.factorials import FactorTable  # noqa: E402
-from thetahyp.identities import _multi1_sides, _multi2_sides  # noqa: E402
+from thetahyp.identities import _bailey_sides, _ft_sides, _multi1_sides, _multi2_sides  # noqa: E402
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 RTOL = 1e-12
@@ -46,6 +47,22 @@ def factorial(a, m, q, p):
     if m < 0:
         return 1 / factorial(a * q**m, -m, q, p)
     return math.prod((theta(a * q**i, p) for i in range(m)), start=mpc(1))
+
+
+def vwp_coefficient(t, k, q, p):
+    """Term k of the very-well-poised series at z = 1 with t = (t0, t1, ...):
+    theta(t0^2 q^2k) / theta(t0^2) q^k prod_m (t0 t_m)_k / (q t0 / t_m)_k."""
+    t0 = t[0]
+    out = theta(t0**2 * q ** (2 * k), p) / theta(t0**2, p) * q**k
+    for tm in t:
+        out *= factorial(t0 * tm, k, q, p) / factorial(q * t0 / tm, k, q, p)
+    return out
+
+
+def bailey_map(t, q):
+    """The parameters s of the right-hand 12E11 series (principal root)."""
+    s0 = mpmath.sqrt(q * t[0] / (t[1] * t[2] * t[3]))
+    return [s0] + [s0 * x / t[0] for x in t[1:4]] + [t[0] * x / s0 for x in t[4:]]
 
 
 def multi1_coefficient(params, lam):
@@ -132,3 +149,28 @@ def test_h_matches_reference_ratio(case):
             assert rel(h(params, l, [params.nome.q**lj for lj in lam]), want) <= RTOL, (lam, l)
             checked += 1
     assert checked >= 30
+
+
+def test_ft_sides_match_reference():
+    params = sample_ft(12, 6, NOME)
+    terms, closed = _ft_sides(params, FactorTable(params.nome))
+    q, p = mpc(params.nome.q), mpc(params.nome.p)
+    want = [vwp_coefficient([mpc(x) for x in params.t], k, q, p) for k in range(params.N + 1)]
+    assert len(terms) == len(want)
+    assert max(rel(c.value, w) for c, w in zip(terms, want)) <= RTOL
+    # the 10E9 sum: the closed form is the sum of the terms
+    assert rel(closed.value, mpmath.fsum(want)) <= RTOL
+
+
+def test_bailey_sides_match_reference():
+    params = sample_bailey(13, 5, NOME)
+    lhs, rhs, pref = _bailey_sides(params, FactorTable(params.nome))
+    q, p = mpc(params.nome.q), mpc(params.nome.p)
+    t = [mpc(x) for x in params.t]
+    for terms, ts in ((lhs, t), (rhs, bailey_map(t, q))):
+        want = [vwp_coefficient(ts, k, q, p) for k in range(params.N + 1)]
+        assert len(terms) == len(want)
+        assert max(rel(c.value, w) for c, w in zip(terms, want)) <= RTOL
+    # the 12E11 transformation: the left series is the prefactor times the right one
+    lhs_sum = mpmath.fsum(vwp_coefficient(t, k, q, p) for k in range(params.N + 1))
+    assert rel(pref.value * sum((c.value for c in rhs), 0j), lhs_sum) <= RTOL

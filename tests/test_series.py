@@ -6,6 +6,7 @@ import pytest
 
 from thetahyp import (
     ModularPair,
+    NonConvergenceError,
     Nome,
     ThetaSeriesSpec,
     TruncationDecl,
@@ -171,6 +172,21 @@ class TestEvaluators:
         add = eval_vwp_additive(u0, us, PAIR, z, trunc=6).value
         assert abs(mult - add) <= 1e-11 * abs(mult)
 
+    def test_untruncated_sum_stops_at_first_non_finite_term(self):
+        # the balanced spec of the CI ellipticity step: c_13 is about 2e-8, and
+        # from n = 14 on the factorial prefixes overflow to NaN (ROADMAP item 1)
+        nome = Nome(0.35 + 0.1j, 0.25 + 0.05j)
+        num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
+        den = (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j)
+        spec = ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, nome)
+        assert cmath.isfinite(coefficient(spec, 13).value)
+        assert not cmath.isfinite(coefficient(spec, 14).value)
+        with pytest.raises(NonConvergenceError, match="term 14 "):
+            eval_E(spec)
+        # an explicit truncation still sums exactly the terms it names
+        sv = eval_E(spec, trunc=20)
+        assert sv.terminated and sv.terms_used == 21
+
     def test_additive_terms_used_stops_before_structural_zero(self):
         # u0 + u1 = -2: [u0 + u1 + 2] is a zero factor of term 3, so terms 0..2 are summed
         u0 = 0.21 - 0.13j
@@ -240,6 +256,45 @@ class TestClassification:
         spec = ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, PAIR.nome())
         cls = classify(spec)
         assert cls.balanced and cls.modular_constraint
+
+    def test_e_is_g_with_its_q_slot(self):
+        # the E specs of the tests above, each classified as the G spec with
+        # the extra denominator parameter w = q
+        q, p = NOME.q, NOME.p
+        rng = np.random.default_rng(6)
+        num = rand_params(rng, 3)
+        d0 = 0.5 + 0.1j
+        d1 = math.prod(num, start=1 + 0j) / (q * d0)
+        specs = [(num, (d0, d1), NOME), (num, (d0, d1 * 1.1), NOME)]
+        rng = np.random.default_rng(7)
+        t0 = 0.5 + 0.2j
+        ts = rand_params(rng, 3)
+        specs.append(((t0,) + ts, tuple(q * t0 / t for t in ts), NOME))
+        root = cmath.sqrt(t0)
+        extra = (root * q, -root * q, root * q / cmath.sqrt(p), -root * q * cmath.sqrt(p))
+        specs.append(((t0,) + extra, tuple(q * t0 / t for t in extra), NOME))
+        us = [0.4 + 0.1j, 0.7 - 0.2j, 0.5 + 0.1j]
+        s1, s2 = sum(us) - 1, sum(u * u for u in us) - 1
+        disc = cmath.sqrt(2 * s2 - s1 * s1)
+        vs = ((s1 + disc) / 2, (s1 - disc) / 2)
+        num = tuple(cmath.exp(2j * math.pi * PAIR.sigma * u) for u in us)
+        specs.append((num, tuple(cmath.exp(2j * math.pi * PAIR.sigma * v) for v in vs), PAIR.nome()))
+        classes = []
+        for num, den, nome in specs:
+            e = classify(ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, nome))
+            assert e == classify(ThetaSeriesSpec("bilateral_G", num, (nome.q,) + den, 0, 0.4 + 0j, nome))
+            classes.append(e)
+        # each construction is detected, so the comparison covers every flag
+        assert classes[0].balanced and not classes[1].balanced and classes[2].well_poised
+        assert classes[3].very_well_poised and classes[4].modular_constraint
+
+    def test_single_numerator_e_is_well_poised(self):
+        # one numerator and no denominator: the pairing condition is vacuous,
+        # as for the G spec of the same shape
+        spec = ThetaSeriesSpec("unilateral_E", (0.4 + 0.1j,), (), 0, 0.5 + 0.1j, NOME)
+        g = ThetaSeriesSpec("bilateral_G", (0.4 + 0.1j,), (NOME.q,), 0, 0.5 + 0.1j, NOME)
+        assert classify(spec).well_poised
+        assert classify(spec) == classify(g)
 
 
 class TestGESplit:
