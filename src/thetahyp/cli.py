@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .errors import BranchError, NonConvergenceError, PoleError, ThetaDomainError
+from .errors import NonConvergenceError, PoleError
 from .report import EllipticityReport
 from .theta import Nome
 from .series import (
@@ -150,6 +150,17 @@ def _write_reports(reports: list, out_path: str | None, **head) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _entries(obj: Any, key: str, what: str) -> list[dict]:
+    """obj's `key` list, obj itself when it is an array, or [obj]; a single
+    object under `key` counts as a one-entry list. Non-objects are refused."""
+    if isinstance(obj, dict) and key in obj:
+        obj = obj[key]
+    entries = obj if isinstance(obj, list) else [obj]
+    if not all(isinstance(e, dict) for e in entries):
+        raise InputError(f"{key} must be an object or an array of {what} objects")
+    return entries
+
+
 def _int_pair(value: Any, what: str) -> tuple[int, int]:
     """value as a pair of JSON integers (booleans and floats refused)."""
     if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
@@ -186,17 +197,8 @@ def _file_params(args: argparse.Namespace) -> list:
     """Parameter sets from the input file."""
     target = args.target
     cls = _TARGETS[target][0]
-    obj = _load_json(args.input)
-    if isinstance(obj, dict) and "params" in obj:
-        entries = obj["params"]
-    elif isinstance(obj, list):
-        entries = obj
-    elif isinstance(obj, dict):
-        entries = [obj]
-    else:
-        raise InputError("verify input must be an object or array of parameter sets")
     try:
-        return [cls.from_json(e) for e in entries]
+        return [cls.from_json(e) for e in _entries(_load_json(args.input), "params", "parameter")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid {target} parameters: {exc}") from exc
 
@@ -222,16 +224,8 @@ def run_verify(args: argparse.Namespace) -> int:
 def _run_verify_ge_split(args: argparse.Namespace) -> int:
     if args.input is None:
         raise InputError("ge_split verification needs an input file with bilateral specs")
-    obj = _load_json(args.input)
-    entries = obj["specs"] if isinstance(obj, dict) and "specs" in obj else obj
-    if isinstance(entries, dict):
-        entries = [entries]
-    if not isinstance(entries, list):
-        raise InputError("ge_split input must be an array of spec objects")
     reports = []
-    for e in entries:
-        if not isinstance(e, dict):
-            raise InputError("each ge_split entry must be a spec object")
+    for e in _entries(_load_json(args.input), "specs", "spec"):
         windows = _int_pair(e.get("windows", [2, 2]), "ge_split windows [M, M']")
         try:
             spec = VwpSpec.from_json(e["spec"] if "spec" in e else e)
@@ -242,14 +236,8 @@ def _run_verify_ge_split(args: argparse.Namespace) -> int:
 
 
 def run_ellipticity(args: argparse.Namespace) -> int:
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict):
-        raise InputError("ellipticity input must be a JSON object")
-    entries = obj.get("specs", [obj])
-    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
-        raise InputError("ellipticity specs must be an array of spec objects")
     reports: list[EllipticityReport] = []
-    for e in entries:
+    for e in _entries(_load_json(args.input), "specs", "spec"):
         try:
             spec = spec_from_json(e)
         except (KeyError, TypeError, ValueError) as exc:
@@ -338,7 +326,8 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         _emit_diagnostic(str(exc), args)
         return 2
-    except (ThetaDomainError, PoleError, BranchError, NonConvergenceError, ValueError, KeyError) as exc:
+    # ThetaDomainError and BranchError are ValueErrors
+    except (PoleError, NonConvergenceError, OverflowError, ValueError, KeyError) as exc:
         _emit_diagnostic(f"{type(exc).__name__}: {exc}", args)
         return 2
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
 from .theta import ModularPair, Nome, apply_modular, elliptic_number
 from .identities import Multi1Params, Multi2Params, _lattice_h, _multi1_lattice, _multi2_lattice
@@ -73,26 +74,33 @@ def _rand_x(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.25, 0.25))
 
 
-def _max_dev(draw, fn_pairs, samples: int, rng: np.random.Generator) -> tuple[float, int]:
-    """Max relative deviation of fn_pairs(point) = (shifted, reference) over
-    points draw(rng), resampling (at most 200 times) on poles / tiny references."""
-    dev = 0.0
-    done = 0
-    tries = 0
-    while done < samples and tries < samples + 200:
-        tries += 1
-        point = draw(rng)
-        try:
-            shifted, ref = fn_pairs(point)
-        except (PoleError, ZeroDivisionError, OverflowError):
-            continue
-        if abs(ref) < 1e-12 or abs(ref) > 1e12:
-            continue
-        dev = max(dev, rel_err(shifted, ref))
-        done += 1
-    if done < samples:
-        raise RuntimeError("could not gather enough pole-free sample points")
-    return dev, done
+def _shift_reports(
+    draw, ref, shifts, samples: int, tol: float, seed: int, suffix: str = ""
+) -> list[EllipticityReport]:
+    """One report per (kind, shifted) in shifts, in order: the max relative
+    deviation of shifted(point) from ref(point) over `samples` points
+    draw(rng), all drawn from one rng seeded with seed. A point is redrawn
+    (at most 200 extra times per kind) on a pole or a reference outside
+    [1e-12, 1e12]."""
+    rng = np.random.default_rng(seed)
+    reports: list[EllipticityReport] = []
+    for kind, shifted in shifts:
+        dev, done, tries = 0.0, 0, 0
+        while done < samples:
+            if tries == samples + 200:
+                raise NonConvergenceError(f"{kind}: too few sample points off poles with |h| in [1e-12, 1e12]")
+            tries += 1
+            point = draw(rng)
+            try:
+                value, reference = shifted(point), ref(point)
+            except (PoleError, ZeroDivisionError, OverflowError):
+                continue
+            if abs(reference) < 1e-12 or abs(reference) > 1e12:
+                continue
+            dev = max(dev, rel_err(value, reference))
+            done += 1
+        reports.append(EllipticityReport(kind + suffix, dev, done, dev <= tol))
+    return reports
 
 
 def check_ellipticity(
@@ -107,15 +115,11 @@ def check_ellipticity(
     The sigma^{-1} shift (w unchanged) is automatic in this form and is
     not sampled.
     """
-    rng = np.random.default_rng(seed)
-    p = nome.p
+    def draw(rng: np.random.Generator) -> complex:
+        return cmath.exp(2j * math.pi * _rand_x(rng)) * 0.7  # generic annulus point
 
-    def pairs(x: complex) -> tuple[complex, complex]:
-        w = cmath.exp(2j * math.pi * x) * 0.7  # generic annulus point
-        return term_ratio_fn(p * w), term_ratio_fn(w)
-
-    dev, done = _max_dev(_rand_x, pairs, samples, rng)
-    return EllipticityReport("index_p_shift", dev, done, dev <= tol)
+    shifts = [("index_p_shift", lambda w: term_ratio_fn(nome.p * w))]
+    return _shift_reports(draw, term_ratio_fn, shifts, samples, tol, seed)[0]
 
 
 def _wp_form(u0: complex, us: list[complex], z: complex, pair: ModularPair) -> HForm:
@@ -132,6 +136,22 @@ def vwp_canonical_h(u0: complex, us: list[complex], z: complex, pair: ModularPai
     return h_eval(_wp_form(u0, us, z, pair), x)
 
 
+def _check_total_ellipticity(
+    build: Callable[[list[complex]], HForm], params: list, pair: ModularPair, samples: int, tol: float, seed: int
+) -> list[EllipticityReport]:
+    """Total ellipticity of the term ratio build(params): one report for the
+    index shift x -> x + tau/sigma, then one per parameter u_m shifted by
+    tau/sigma. build solves any balancing parameter from the others, so a
+    shifted parameter set stays balanced."""
+    shift = pair.tau / pair.sigma
+    base = build(params)
+    shifts = [("index_p_shift", lambda x: h_eval(base, x + shift))]
+    for m in range(len(params)):
+        form = build([*params[:m], params[m] + shift, *params[m + 1 :]])
+        shifts.append((f"param_p_shift:u{m}", lambda x, form=form: h_eval(form, x)))
+    return _shift_reports(_rand_x, lambda x: h_eval(base, x), shifts, samples, tol, seed)
+
+
 def check_total_ellipticity_wp(
     u0: complex,
     us: list[complex],
@@ -144,23 +164,9 @@ def check_total_ellipticity_wp(
     """Total ellipticity of the canonical well-poised balanced term ratio:
     one report for the index shift, one for u0 and one per u_m, all shifts
     by the quasiperiod tau/sigma."""
-    shift = pair.tau / pair.sigma
-    ref = _wp_form(u0, us, z, pair)
-    # (kind, index shift, shifted ratio)
-    shifts = [("index_p_shift", shift, ref), ("param_p_shift:u0", 0, _wp_form(u0 + shift, us, z, pair))]
-    for m in range(len(us)):
-        sus = [*us[:m], us[m] + shift, *us[m + 1 :]]
-        shifts.append((f"param_p_shift:u{m + 1}", 0, _wp_form(u0, sus, z, pair)))
-    rng = np.random.default_rng(seed)
-    reports: list[EllipticityReport] = []
-    for kind, dx, form in shifts:
-
-        def pairs(x: complex) -> tuple[complex, complex]:
-            return h_eval(form, x + dx), h_eval(ref, x)
-
-        dev, done = _max_dev(_rand_x, pairs, samples, rng)
-        reports.append(EllipticityReport(kind, dev, done, dev <= tol))
-    return reports
+    return _check_total_ellipticity(
+        lambda ps: _wp_form(ps[0], ps[1:], z, pair), [u0, *us], pair, samples, tol, seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +209,15 @@ def _check_multi(
     params) in param_shifts, each comparing h_l at the shifted and the
     reference point. h_l is built once per parameter set, and every call
     reads one table: the shifted sets share the nome of params."""
-    p = params.nome.p
-    n = params.n
+    p, n = params.nome.p, params.n
     l_mid = max(1, (n + 1) // 2)
     ref = _lattice_h(describe(params), l_mid)
-    shifts = [(f"index_p_shift:lambda{i}", ref, i - 1) for i in range(1, n + 1)]
-    shifts += [(kind, _lattice_h(describe(sp), l_mid), None) for kind, sp in param_shifts]
-    rng = np.random.default_rng(seed)
     table = FactorTable(params.nome)
-    reports: list[EllipticityReport] = []
-    for kind, shifted, lam_shift_idx in shifts:
-
-        def pairs(lam):
-            ref_h = ref(lam, table)
-            lam2 = list(lam)
-            if lam_shift_idx is not None:
-                lam2[lam_shift_idx] = lam2[lam_shift_idx] * p
-            return shifted(lam2, table), ref_h
-
-        dev, done = _max_dev(lambda rng: _rand_mult_args(rng, n), pairs, samples, rng)
-        reports.append(EllipticityReport(f"{kind}@h{l_mid}", dev, done, dev <= tol))
-    return reports
+    shifts = [(f"index_p_shift:lambda{i + 1}", lambda xs, i=i: ref([*xs[:i], xs[i] * p, *xs[i + 1 :]], table))
+              for i in range(n)]
+    shifts += [(kind, lambda xs, h=_lattice_h(describe(sp), l_mid): h(xs, table)) for kind, sp in param_shifts]
+    draw = functools.partial(_rand_mult_args, n=n)
+    return _shift_reports(draw, lambda xs: ref(xs, table), shifts, samples, tol, seed, f"@h{l_mid}")
 
 
 def check_total_ellipticity_multi1(

@@ -210,6 +210,8 @@ class _VwpSumParams:
         count = self._COUNT
         if len(self.t) != count:
             raise ValueError(f"{type(self).__name__} needs exactly {count} parameters")
+        if self.N < 0:
+            raise ValueError(f"truncation depth N must be >= 0, got {self.N}")
         object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
         q, power, last = self.nome.q, count // 2 - 2, count - 2
         balance = f"prod t = q^{power}" if power > 1 else "prod t = q"
@@ -409,6 +411,8 @@ class Multi1Params:
             raise ValueError("rank n must be >= 1")
         if len(self.t6) != 6:
             raise ValueError("Multi1Params needs exactly 6 t-parameters")
+        if self.N < 0:
+            raise ValueError(f"truncation depth N must be >= 0, got {self.N}")
         object.__setattr__(self, "t6", tuple(complex(x) for x in self.t6))
         q = self.nome.q
         _check_constraint(
@@ -550,6 +554,8 @@ class Multi2Params:
             raise ValueError("Ns must have one entry per rank")
         object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
         object.__setattr__(self, "Ns", tuple(int(x) for x in self.Ns))
+        if min(self.Ns) < 0:
+            raise ValueError(f"every truncation depth N in Ns must be >= 0, got {self.Ns}")
         q, p = self.nome.q, self.nome.p
         _check_constraint(math.prod(self.t, start=1 + 0j) / q, 1.0 + 0j, "q^-1 prod t = 1")
         for j in range(1, self.n + 1):

@@ -202,7 +202,14 @@ def term_ratio(spec: ThetaSeriesSpec, n: int) -> complex:
 
 def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
     """h evaluated at a multiplicative argument w (w = q^n analytically
-    continued). Requires integer alpha unless n is supplied."""
+    continued). Requires integer alpha unless n is supplied.
+
+    This stays beside ellipticity.h_eval rather than reading the spec as an
+    HForm: it multiplies the theta(t w; p) factors the series itself sums
+    and carries the q^{alpha n} factor, while h_eval takes additive
+    arguments through theta1. The conversion would need principal-branch
+    logarithms log(t)/log(q) of every parameter, so the check would test
+    that conversion instead of the spec."""
     nome = spec.nome
     num = ONE
     for t in spec.numerator:

@@ -147,7 +147,26 @@ class TestEval:
         assert error in json.loads(capsys.readouterr().out)["error"]
 
 
+# the balanced spec the CI console-script step writes to balanced.json
+CI_BALANCED = ThetaSeriesSpec(
+    "unilateral_E",
+    (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j),
+    (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j),
+    0,
+    0.4 + 0j,
+    NOME,
+)
+
+
 class TestEllipticity:
+    def test_top_level_array_of_specs(self, tmp_path, capsys):
+        # ellipticity reads its entries as verify does: a top-level array
+        # is a list of specs
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps([CI_BALANCED.to_json()] * 2))
+        assert run(["ellipticity", str(inp), "--draws", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"] == {"total": 2, "failed": 0, "pass": True}
+
     def test_balanced_spec_passes(self, tmp_path, capsys):
         q = NOME.q
         num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
@@ -259,6 +278,40 @@ class TestErrorPaths:
         inp.write_text(json.dumps({"specs": specs}))
         assert run(["ellipticity", str(inp)]) == 2
         assert "array of spec objects" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_ellipticity_without_admitted_points_exits_2(self, tmp_path, capsys):
+        # with z = 1e15 every reference value is above 1e12, so no sample
+        # point is admitted
+        inp = tmp_path / "big.json"
+        inp.write_text(json.dumps({**CI_BALANCED.to_json(), "z": [1e15, 0]}))
+        assert run(["ellipticity", str(inp)]) == 2
+        assert "NonConvergenceError: index_p_shift: " in json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "bailey", "--N", "-1", "--draws", "1"],
+            ["verify", "ft_sum", "--N", "-1", "--draws", "1"],
+            ["verify", "multi1", "--N", "-1", "--draws", "1"],
+            ["verify", "multi2", "--N", "-1", "--draws", "1"],
+            ["sample", "ft_sum", "--N", "-2", "--draws", "1"],
+        ],
+    )
+    def test_negative_depth_exits_2(self, capsys, argv):
+        # a negative N would leave the left-hand sum empty (bailey passed
+        # vacuously with lhs = rhs = 0)
+        assert run(argv) == 2
+        assert "truncation depth N" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_overflowing_depth_exits_2(self, tmp_path, capsys):
+        # q^-N overflows complex arithmetic, in the sampler's draw and in the
+        # constraint check of a parameter file
+        assert run(["verify", "ft_sum", "--N", "1000", "--draws", "1"]) == 2
+        assert "OverflowError" in json.loads(capsys.readouterr().out)["error"]
+        inp = tmp_path / "params.json"
+        inp.write_text(json.dumps({**sample_ft(seed=3, N=2, nome=NOME).to_json(), "N": 1000}))
+        assert run(["verify", "ft_sum", str(inp)]) == 2
+        assert "OverflowError" in json.loads(capsys.readouterr().out)["error"]
 
     def test_unknown_target_exits_2(self):
         assert run(["verify", "nonsense"]) == 2

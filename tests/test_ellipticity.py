@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from thetahyp import (
     HForm,
     ModularPair,
+    NonConvergenceError,
     Nome,
     ThetaSeriesSpec,
     check_ellipticity,
@@ -15,6 +17,7 @@ from thetahyp import (
     check_total_ellipticity_multi1,
     check_total_ellipticity_multi2,
     check_total_ellipticity_wp,
+    classify,
     h_eval,
     multipliers,
     sample_multi1,
@@ -22,7 +25,7 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
-from thetahyp.ellipticity import multi1_h, multi2_h
+from thetahyp.ellipticity import _check_total_ellipticity, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
 from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
 
@@ -92,6 +95,29 @@ class TestEllipticityCheck:
         assert not rep.passed
         assert rep.max_rel_dev > 1e-3
 
+    def test_no_admitted_point_names_the_shift(self):
+        # every reference value is above 1e12, so no sample point is admitted
+        spec = dataclasses.replace(balanced_spec(np.random.default_rng(1)), z=1e15 + 0j)
+        with pytest.raises(NonConvergenceError, match="^index_p_shift: "):
+            check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=5)
+
+    def test_classify_agrees_with_the_numeric_check(self):
+        # E and G specs with alpha = 0, balanced except one in three: the
+        # elliptic flag must match the p-shift check
+        rng = np.random.default_rng(3)
+        flags = []
+        for k in range(30):
+            kind = ("unilateral_E", "bilateral_G")[k % 2]
+            num = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3)) for _ in range(3)]
+            den = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3)) for _ in range(1 + k % 2)]
+            implicit = NOME.q if kind == "unilateral_E" else 1
+            den.append(math.prod(num) / (implicit * math.prod(den)) * (1.1 if k % 3 == 0 else 1))
+            spec = ThetaSeriesSpec(kind, tuple(num), tuple(den), 0, 0.4 + 0.1j, NOME)
+            rep = check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=10, seed=k)
+            assert classify(spec).elliptic == rep.passed, (k, rep.max_rel_dev)
+            flags.append(rep.passed)
+        assert flags.count(False) == 10
+
 
 class TestTotalEllipticityWP:
     def test_canonical_form_passes(self):
@@ -122,6 +148,42 @@ class TestTotalEllipticityMulti:
         assert reports
         for rep in reports:
             assert rep.passed, f"{rep.shift_kind}: {rep.max_rel_dev}"
+
+
+def _additive(rng):
+    return complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1))
+
+
+class TestCharacterization:
+    """A single-variable term ratio is totally elliptic exactly when it is
+    well-poised and balanced (Spiridonov, Theta hypergeometric series)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_well_poised_balanced_forms_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        params = [_additive(rng) for _ in range(2 + seed % 4)]  # u0, u_1..u_m
+        reports = _check_total_ellipticity(
+            lambda ps: wp_hform(ps[0], ps[1:], 0.6 + 0.3j, PAIR), params, PAIR, samples=6, tol=1e-9, seed=seed
+        )
+        kinds = ["index_p_shift", *(f"param_p_shift:u{m}" for m in range(len(params)))]
+        assert [rep.shift_kind for rep in reports] == kinds
+        for rep in reports:
+            assert rep.passed, f"{rep.shift_kind}: {rep.max_rel_dev}"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_balanced_forms_that_are_not_well_poised_fail(self, seed):
+        # 4 zeros and 3 free poles; the 4th pole solves sum zeros = sum poles
+        def build(ps):
+            zeros, poles = ps[:4], ps[4:]
+            return HForm(zeros, (*poles, sum(zeros) - sum(poles)), 0j, 0.6 + 0.3j, PAIR)
+
+        rng = np.random.default_rng(seed)
+        params = [_additive(rng) for _ in range(7)]
+        index, *shifts = _check_total_ellipticity(build, params, PAIR, samples=6, tol=1e-9, seed=seed)
+        assert index.passed, index.max_rel_dev  # balanced: elliptic in x
+        assert len(shifts) == 7
+        assert max(rep.max_rel_dev for rep in shifts) > 1e-3
+        assert not all(rep.passed for rep in shifts)
 
 
 # family, sampled params, the summation region and the per-point coefficient

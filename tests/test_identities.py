@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -241,3 +242,19 @@ def test_samplers_reject_near_lattice_nome():
     for name, sample in samplers:
         with pytest.raises(RuntimeError, match=f"^{name}: could not find admissible parameters$"):
             sample()
+
+
+@pytest.mark.parametrize(
+    "sample, change",
+    [
+        (lambda: sample_ft(3, 2, NOME), {"N": -1}),
+        (lambda: sample_bailey(3, 2, NOME), {"N": -1}),
+        (lambda: sample_multi1(3, 2, 2, NOME), {"N": -1}),
+        (lambda: sample_multi2(3, 2, (2, 2), NOME), {"Ns": (2, -1)}),
+    ],
+)
+def test_negative_depth_is_refused(sample, change):
+    # a negative N leaves the left-hand sum empty; it is refused before the
+    # constraints are checked, so the message names N itself
+    with pytest.raises(ValueError, match="^(every )?truncation depth N.* must be >= 0"):
+        dataclasses.replace(sample(), **change)
