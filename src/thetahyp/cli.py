@@ -15,7 +15,7 @@ import sys
 from typing import Any
 
 from .errors import NonConvergenceError, PoleError
-from .report import EllipticityReport
+from .report import EllipticityReport, _int_from_json
 from .theta import Nome
 from .series import (
     VwpSpec,
@@ -161,11 +161,19 @@ def _entries(obj: Any, key: str, what: str) -> list[dict]:
     return entries
 
 
+def _decode(from_json, obj: Any, what: str):
+    """from_json(obj), a malformed object refused as an InputError naming what."""
+    try:
+        return from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid {what}: {exc}") from exc
+
+
 def _int_pair(value: Any, what: str) -> tuple[int, int]:
-    """value as a pair of JSON integers (booleans and floats refused)."""
-    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+    """value as a pair of JSON integers."""
+    if not (isinstance(value, list) and len(value) == 2):
         raise InputError(f"{what} must be two integers, got {value!r}")
-    return value[0], value[1]
+    return _int_from_json(value[0], what), _int_from_json(value[1], what)
 
 
 def run_eval(args: argparse.Namespace) -> int:
@@ -174,12 +182,9 @@ def run_eval(args: argparse.Namespace) -> int:
         raise InputError("eval input must be a JSON object")
     trunc = obj.pop("trunc", None)
     window = obj.pop("window", None)
-    if not (trunc is None or (type(trunc) is int and trunc >= 0)):
+    if trunc is not None and _int_from_json(trunc, "trunc") < 0:
         raise InputError(f"trunc must be a non-negative integer, got {trunc!r}")
-    try:
-        spec = spec_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid series spec: {exc}") from exc
+    spec = _decode(spec_from_json, obj, "series spec")
     if isinstance(spec, VwpSpec):
         if spec.kind == "bilateral":
             sv = eval_vwp(spec, window=_int_pair(window, "bilateral window"))
@@ -197,10 +202,8 @@ def _file_params(args: argparse.Namespace) -> list:
     """Parameter sets from the input file."""
     target = args.target
     cls = _TARGETS[target][0]
-    try:
-        return [cls.from_json(e) for e in _entries(_load_json(args.input), "params", "parameter")]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid {target} parameters: {exc}") from exc
+    entries = _entries(_load_json(args.input), "params", "parameter")
+    return [_decode(cls.from_json, e, f"{target} parameters") for e in entries]
 
 
 def run_verify(args: argparse.Namespace) -> int:
@@ -227,10 +230,7 @@ def _run_verify_ge_split(args: argparse.Namespace) -> int:
     reports = []
     for e in _entries(_load_json(args.input), "specs", "spec"):
         windows = _int_pair(e.get("windows", [2, 2]), "ge_split windows [M, M']")
-        try:
-            spec = VwpSpec.from_json(e["spec"] if "spec" in e else e)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"invalid ge_split spec: {exc}") from exc
+        spec = _decode(VwpSpec.from_json, e["spec"] if "spec" in e else e, "ge_split spec")
         reports.append(ge_split_check(spec, *windows, tol=args.tol))
     return _write_reports(reports, args.out, target="ge_split")
 
@@ -238,10 +238,7 @@ def _run_verify_ge_split(args: argparse.Namespace) -> int:
 def run_ellipticity(args: argparse.Namespace) -> int:
     reports: list[EllipticityReport] = []
     for e in _entries(_load_json(args.input), "specs", "spec"):
-        try:
-            spec = spec_from_json(e)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"invalid series spec: {exc}") from exc
+        spec = _decode(spec_from_json, e, "series spec")
         if isinstance(spec, VwpSpec):
             raise InputError("ellipticity target expects a theta series spec with explicit lists")
         report = check_ellipticity(

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PoleError
 from .factorials import ONE, FactorialValue, FactorTable, elliptic_factorial
-from .report import VerificationReport, complex_from_json, complex_to_json
+from .report import JsonFields, VerificationReport
 from .theta import ModularPair, Nome, theta_zero_index
 from .series import VwpSpec, _sum_unilateral, _sum_window, _vwp_coefficient
 
@@ -51,10 +51,6 @@ def _check_constraint(lhs: complex, rhs: complex, what: str) -> None:
 
 def _near_lattice(w: complex, p: complex) -> bool:
     return theta_zero_index(w, p, rtol=_LATTICE_EPS) is not None
-
-
-def _jl(ts) -> list[list[float]]:
-    return [complex_to_json(t) for t in ts]
 
 
 _COND_CAP = 1e5
@@ -197,7 +193,7 @@ def _lattice_h(desc: _Multisum, l: int) -> Callable[[list[complex], FactorTable]
 
 
 @dataclass(frozen=True)
-class _VwpSumParams:
+class _VwpSumParams(JsonFields):
     """Parameters of a terminating very-well-poised balanced sum: _COUNT t's
     with prod t = q^(_COUNT/2 - 2) and t0 t_{_COUNT-2} = q^-N."""
 
@@ -218,21 +214,14 @@ class _VwpSumParams:
         _check_constraint(math.prod(self.t, start=1 + 0j), q**power, balance)
         _check_constraint(self.t[0] * self.t[last], q ** (-self.N), f"t0 t{last} = q^-N")
 
-    def to_json(self) -> dict:
-        return {
-            "t": _jl(self.t),
-            "q": complex_to_json(self.nome.q),
-            "p": complex_to_json(self.nome.p),
-            "N": self.N,
-        }
-
     @classmethod
-    def from_json(cls, obj: dict):
-        return cls(
-            t=tuple(complex_from_json(x) for x in obj["t"]),
-            nome=Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"])),
-            N=int(obj["N"]),
-        )
+    def draw(cls, rng: np.random.Generator, N: int, nome: Nome, band: tuple[float, float]):
+        """_COUNT - 2 free t's drawn in the modulus band, t_{_COUNT-2} = q^-N / t0,
+        and the last t solved from the balancing condition."""
+        count, q = cls._COUNT, nome.q
+        free = [_draw(rng, band) for _ in range(count - 2)]
+        trunc = q ** (-N) / free[0]
+        return cls((*free, trunc, q ** (count // 2 - 2) / math.prod([*free, trunc])), nome, N)
 
 
 class FTParams(_VwpSumParams):
@@ -262,15 +251,7 @@ def _ft_sides(params: FTParams, table: FactorTable) -> tuple[list[FactorialValue
 
 def _sample_ft(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
     """The first admissible FT draw and the sides its table admitted."""
-    q = nome.q
-
-    def draw(rng: np.random.Generator) -> FTParams:
-        t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
-        t4 = q ** (-N) / t0
-        t5 = q / (t0 * t1 * t2 * t3 * t4)
-        return FTParams((t0, t1, t2, t3, t4, t5), nome, N)
-
-    return _sample("sample_ft", _ft_sides, draw, seed)
+    return _sample("sample_ft", _ft_sides, lambda rng: FTParams.draw(rng, N, nome, radius_band), seed)
 
 
 def sample_ft(
@@ -348,15 +329,7 @@ def _bailey_sides(
 
 def _sample_bailey(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
     """The first admissible Bailey draw and the sides its table admitted."""
-    q = nome.q
-
-    def draw(rng: np.random.Generator) -> BaileyParams:
-        t0, t1, t2, t3, t4, t5 = (_draw(rng, radius_band) for _ in range(6))
-        t6 = q ** (-N) / t0
-        t7 = q * q / (t0 * t1 * t2 * t3 * t4 * t5 * t6)
-        return BaileyParams((t0, t1, t2, t3, t4, t5, t6, t7), nome, N)
-
-    return _sample("sample_bailey", _bailey_sides, draw, seed)
+    return _sample("sample_bailey", _bailey_sides, lambda rng: BaileyParams.draw(rng, N, nome, radius_band), seed)
 
 
 def sample_bailey(
@@ -396,7 +369,7 @@ def verify_bailey(params: BaileyParams, tol: float = 1e-8, root_sign: int = 1) -
 
 
 @dataclass(frozen=True)
-class Multi1Params:
+class Multi1Params(JsonFields):
     """Rank-n generalization of the FT sum over ordered tuples
     0 <= lam_1 <= ... <= lam_n <= N, with tau_j = t0 t^{j-1}."""
 
@@ -429,26 +402,6 @@ class Multi1Params:
     @property
     def taus(self) -> list[complex]:
         return [self.t6[0] * self.t ** (j - 1) for j in range(1, self.n + 1)]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "t": complex_to_json(self.t),
-            "t6": _jl(self.t6),
-            "N": self.N,
-            "q": complex_to_json(self.nome.q),
-            "p": complex_to_json(self.nome.p),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Multi1Params":
-        return cls(
-            n=int(obj["n"]),
-            t=complex_from_json(obj["t"]),
-            t6=tuple(complex_from_json(x) for x in obj["t6"]),
-            N=int(obj["N"]),
-            nome=Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"])),
-        )
 
 
 def _sample_multi1(seed: int, n: int, N: int, nome: Nome, radius_band: tuple[float, float]):
@@ -536,7 +489,7 @@ def verify_multi1(params: Multi1Params, tol: float = 1e-7) -> VerificationReport
 
 
 @dataclass(frozen=True)
-class Multi2Params:
+class Multi2Params(JsonFields):
     """Rank-n box summation: 2n+4 parameters with q^-1 prod t = 1 and
     q^{N_j} t_j t_{n+j} = 1."""
 
@@ -553,7 +506,7 @@ class Multi2Params:
         if len(self.Ns) != self.n:
             raise ValueError("Ns must have one entry per rank")
         object.__setattr__(self, "t", tuple(complex(x) for x in self.t))
-        object.__setattr__(self, "Ns", tuple(int(x) for x in self.Ns))
+        object.__setattr__(self, "Ns", tuple(map(operator.index, self.Ns)))
         if min(self.Ns) < 0:
             raise ValueError(f"every truncation depth N in Ns must be >= 0, got {self.Ns}")
         q, p = self.nome.q, self.nome.p
@@ -568,24 +521,6 @@ class Multi2Params:
             for l in range(1, 17):
                 if abs(q**k - p**l) <= 1e-12 * abs(p**l):
                     raise ValueError(f"nome degenerate: q^{k} = p^{l}")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "t": _jl(self.t),
-            "Ns": list(self.Ns),
-            "q": complex_to_json(self.nome.q),
-            "p": complex_to_json(self.nome.p),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Multi2Params":
-        return cls(
-            n=int(obj["n"]),
-            t=tuple(complex_from_json(x) for x in obj["t"]),
-            Ns=tuple(int(x) for x in obj["Ns"]),
-            nome=Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"])),
-        )
 
 
 def _sample_multi2(seed: int, n: int, Ns: tuple[int, ...], nome: Nome, radius_band: tuple[float, float]):

@@ -1,13 +1,17 @@
-"""Verification report types and JSON helpers shared by series/identities/cli.
+"""Verification report types and the JSON codec shared by series/identities/cli.
 
 All JSON surfaces serialize a complex scalar as a two-element array
-``[re, im]``.
+``[re, im]``, a nome as its ``"q"`` and ``"p"`` keys, and an integer as a
+JSON integer: floats, booleans and strings are not read as integers, and
+booleans are not read as numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
+
+from .theta import Nome
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -16,11 +20,66 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(v: Any) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"expected [re, im] pair, got {v!r}")
+    """A number or an [re, im] pair of numbers as a complex; booleans are not numbers."""
+    pair = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
+        raise ValueError(f"expected [re, im] pair, got {v!r}")
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def _int_from_json(v: Any, name: str) -> int:
+    """v when it is a JSON integer; the one test of what counts as one."""
+    if type(v) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {v!r}")
+    return v
+
+
+def _str_from_json(v: Any, name: str) -> str:
+    if type(v) is not str:
+        raise ValueError(f"{name} must be a JSON string, got {v!r}")
+    return v
+
+
+# Per field annotation: the writer (int, str, float and bool fields are
+# written as they are), and the reader, called as read(value, field name).
+_TO_JSON = {
+    "complex": complex_to_json,
+    "tuple[complex, ...]": lambda v: [complex_to_json(x) for x in v],
+    "tuple[int, ...]": list,
+}
+_FROM_JSON = {
+    "complex": lambda v, name: complex_from_json(v),
+    "tuple[complex, ...]": lambda v, name: tuple(complex_from_json(x) for x in v),
+    "int": _int_from_json,
+    "tuple[int, ...]": lambda v, name: tuple(_int_from_json(x, name) for x in v),
+    "str": _str_from_json,
+}
+
+
+class JsonFields:
+    """JSON form of a dataclass whose fields are its JSON keys: each field is
+    written and read by the codec its annotation names, and a Nome field
+    stands for the "q" and "p" keys."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "Nome":
+                out["q"], out["p"] = complex_to_json(v.q), complex_to_json(v.p)
+            else:
+                out[f.name] = _TO_JSON[f.type](v) if f.type in _TO_JSON else v
+        return out
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        kw = {}
+        for f in fields(cls):
+            if f.type == "Nome":
+                kw[f.name] = Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"]))
+            else:
+                kw[f.name] = _FROM_JSON[f.type](obj[f.name], f.name)
+        return cls(**kw)
 
 
 def rel_err(lhs: complex, rhs: complex) -> float:

@@ -26,7 +26,7 @@ from .factorials import (
     FactorTable,
     theta_factor,
 )
-from .report import VerificationReport, complex_from_json, complex_to_json
+from .report import JsonFields, VerificationReport, _str_from_json
 from .theta import LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome
 
 REL_TOL = 1e-10  # classifier tolerance for multiplicative constraints
@@ -43,7 +43,7 @@ def _check_params(params: list[complex], label: str) -> None:
 
 
 @dataclass(frozen=True)
-class ThetaSeriesSpec:
+class ThetaSeriesSpec(JsonFields):
     """Full description of an E- or G-type theta hypergeometric series.
 
     For the E kind the implicit theta(q; p; q)_n denominator factor is
@@ -71,31 +71,9 @@ class ThetaSeriesSpec:
             return (self.nome.q,) + self.denominator
         return self.denominator
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "numerator": [complex_to_json(t) for t in self.numerator],
-            "denominator": [complex_to_json(w) for w in self.denominator],
-            "alpha": complex_to_json(self.alpha),
-            "z": complex_to_json(self.z),
-            "q": complex_to_json(self.nome.q),
-            "p": complex_to_json(self.nome.p),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ThetaSeriesSpec":
-        return cls(
-            kind=obj["kind"],
-            numerator=tuple(complex_from_json(t) for t in obj["numerator"]),
-            denominator=tuple(complex_from_json(w) for w in obj["denominator"]),
-            alpha=complex_from_json(obj["alpha"]),
-            z=complex_from_json(obj["z"]),
-            nome=Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"])),
-        )
-
 
 @dataclass(frozen=True)
-class VwpSpec:
+class VwpSpec(JsonFields):
     """Very-well-poised series in the simplified (t0; t1, ...) form."""
 
     t0: complex
@@ -115,27 +93,14 @@ class VwpSpec:
         return len(self.ts) + 4
 
     def to_json(self) -> dict:
-        return {
-            "kind": f"vwp_{self.kind}",
-            "t0": complex_to_json(self.t0),
-            "ts": [complex_to_json(t) for t in self.ts],
-            "z": complex_to_json(self.z),
-            "q": complex_to_json(self.nome.q),
-            "p": complex_to_json(self.nome.p),
-        }
+        return {**super().to_json(), "kind": f"vwp_{self.kind}"}
 
     @classmethod
     def from_json(cls, obj: dict) -> "VwpSpec":
-        kind = obj["kind"]
+        kind = _str_from_json(obj["kind"], "kind")
         if not kind.startswith("vwp_"):
             raise ValueError(f"not a vwp spec: kind={kind!r}")
-        return cls(
-            t0=complex_from_json(obj["t0"]),
-            ts=tuple(complex_from_json(t) for t in obj["ts"]),
-            z=complex_from_json(obj["z"]),
-            nome=Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"])),
-            kind=kind[4:],
-        )
+        return super().from_json({**obj, "kind": kind[4:]})
 
 
 @dataclass(frozen=True)
@@ -162,13 +127,7 @@ class SeriesValue:
     terminated: bool
     tail_estimate: float
 
-    def to_json(self) -> dict:
-        return {
-            "value": complex_to_json(self.value),
-            "terms_used": self.terms_used,
-            "terminated": self.terminated,
-            "tail_estimate": self.tail_estimate,
-        }
+    to_json = JsonFields.to_json
 
 
 def spec_from_json(obj: dict) -> ThetaSeriesSpec | VwpSpec:
@@ -200,6 +159,11 @@ def term_ratio(spec: ThetaSeriesSpec, n: int) -> complex:
     return term_ratio_at(spec, spec.nome.q**n, n=n)
 
 
+def _integer_alpha(spec: ThetaSeriesSpec) -> int | None:
+    alpha = complex(spec.alpha)
+    return int(alpha.real) if alpha.imag == 0 and alpha.real.is_integer() else None
+
+
 def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
     """h evaluated at a multiplicative argument w (w = q^n analytically
     continued). Requires integer alpha unless n is supplied.
@@ -219,10 +183,8 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
         den = den * theta_factor(wk * w, nome.p)
     if n is not None:
         expo = nome.q ** (spec.alpha * n)
-    elif spec.alpha == 0:
-        expo = 1.0
-    elif complex(spec.alpha).imag == 0 and float(complex(spec.alpha).real).is_integer():
-        expo = w ** int(complex(spec.alpha).real)
+    elif (k := _integer_alpha(spec)) is not None:
+        expo = w**k
     else:
         raise ValueError("term_ratio_at requires integer alpha for non-integer arguments")
     return (num / den).value * expo * spec.z
@@ -380,16 +342,8 @@ class SeriesClass:
     very_well_poised: bool
     modular_constraint: bool
     elliptic: bool
-    vwp_root_sign: int = 0  # +1 / -1 when VWP matched, 0 otherwise
 
-    def to_json(self) -> dict:
-        return {
-            "balanced": self.balanced,
-            "well_poised": self.well_poised,
-            "very_well_poised": self.very_well_poised,
-            "modular_constraint": self.modular_constraint,
-            "elliptic": self.elliptic,
-        }
+    to_json = JsonFields.to_json
 
 
 def _close(a: complex, b: complex) -> bool:
@@ -414,39 +368,44 @@ def _additive_params(ts: tuple[complex, ...], q: complex) -> list[complex]:
 
 
 def classify(spec: ThetaSeriesSpec | VwpSpec) -> SeriesClass:
-    """Test the balanced / well-poised / very-well-poised / modular flags.
+    """Test the balanced / well-poised / very-well-poised / modular / elliptic flags.
 
     An E spec is read as the G spec with the extra denominator parameter
     w = q, so one set of tests covers both kinds. All constraints are
     checked multiplicatively to rel 1e-10; the modular sum-of-squares check
     uses principal-branch additive parameters log(t)/log(q) and is
     meaningful when the parameters were built from small additive values.
+    As theta(p x; p) = -theta(x; p) / x, w -> p w multiplies the term ratio
+    by p^alpha prod den / prod num: elliptic needs an integer alpha and
+    prod num = p^alpha prod den, tested with non-negative powers of p.
     """
     if isinstance(spec, VwpSpec):
         return _classify_vwp(spec)
-    q = spec.nome.q
+    q, p = spec.nome.q, spec.nome.p
     num, den = spec.numerator, spec.effective_denominator()
     dims_ok = len(num) == len(den)
-    balanced = dims_ok and _close(math.prod(num, start=1.0 + 0j), math.prod(den, start=1.0 + 0j))
+    num_prod, den_prod = math.prod(num, start=1.0 + 0j), math.prod(den, start=1.0 + 0j)
+    balanced = dims_ok and _close(num_prod, den_prod)
     well_poised = dims_ok and len(num) >= 1 and all(_close(a * b, num[0] * den[0]) for a, b in zip(num, den))
-    vwp, sign = _detect_vwp(num[0] * den[0] / q, list(num), q, spec.nome.p) if well_poised else (False, 0)
+    vwp = well_poised and _detect_vwp(num[0] * den[0] / q, list(num), q, p)
     modular = balanced and _close(
         sum(x * x for x in _additive_params(num, q)), sum(x * x for x in _additive_params(den, q))
     )
-    return SeriesClass(balanced, well_poised, vwp, modular, balanced, sign)
+    k = _integer_alpha(spec)
+    elliptic = dims_ok and k is not None and _close(num_prod * p ** max(-k, 0), den_prod * p ** max(k, 0))
+    return SeriesClass(balanced, well_poised, vwp, modular, elliptic)
 
 
-def _detect_vwp(t0: complex, candidates: list[complex], q: complex, p: complex) -> tuple[bool, int]:
+def _detect_vwp(t0: complex, candidates: list[complex], q: complex, p: complex) -> bool:
     if len(candidates) < 4 or p == 0:
-        return False, 0
+        return False
     root = cmath.sqrt(t0)
     ps = cmath.sqrt(p)
-    for sign in (1, -1):
-        rt = sign * root
+    for rt in (root, -root):
         targets = [rt * q, -rt * q, rt * q / ps, -rt * q * ps]
         if _match_multiset(candidates, targets):
-            return True, sign
-    return False, 0
+            return True
+    return False
 
 
 def _classify_vwp(spec: VwpSpec) -> SeriesClass:
@@ -464,7 +423,6 @@ def _classify_vwp(spec: VwpSpec) -> SeriesClass:
         very_well_poised=True,
         modular_constraint=balanced,
         elliptic=balanced,
-        vwp_root_sign=1,
     )
 
 

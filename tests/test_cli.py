@@ -313,6 +313,13 @@ class TestErrorPaths:
         assert run(["verify", "ft_sum", str(inp)]) == 2
         assert "OverflowError" in json.loads(capsys.readouterr().out)["error"]
 
+    def test_non_integer_depth_in_a_file_exits_2(self, tmp_path, capsys):
+        # int(2.5) would verify the file at N = 2
+        inp = tmp_path / "params.json"
+        inp.write_text(json.dumps({**sample_ft(seed=3, N=2, nome=NOME).to_json(), "N": 2.5}))
+        assert run(["verify", "ft_sum", str(inp)]) == 2
+        assert "N must be a JSON integer" in json.loads(capsys.readouterr().out)["error"]
+
     def test_unknown_target_exits_2(self):
         assert run(["verify", "nonsense"]) == 2
 
@@ -355,6 +362,13 @@ class TestGESplitVerify:
         inp.write_text(json.dumps({"specs": [entry]}))
         assert run(["verify", "ge_split", str(inp)]) == 2
         assert "windows" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_non_string_kind_exits_2(self, tmp_path, capsys):
+        entry = {**VwpSpec(0.6 + 0.2j, (0.55 - 0.3j,), 0.45 + 0.15j, NOME, "bilateral").to_json(), "kind": 5}
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": [entry]}))
+        assert run(["verify", "ge_split", str(inp)]) == 2
+        assert "kind must be a JSON string" in json.loads(capsys.readouterr().out)["error"]
 
     @pytest.mark.parametrize("specs", [[5], ["spec"], [[1, 2]], [None]])
     def test_non_object_entry_exits_2(self, tmp_path, capsys, specs):

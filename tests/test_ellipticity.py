@@ -102,21 +102,24 @@ class TestEllipticityCheck:
             check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=5)
 
     def test_classify_agrees_with_the_numeric_check(self):
-        # E and G specs with alpha = 0, balanced except one in three: the
-        # elliptic flag must match the p-shift check
-        rng = np.random.default_rng(3)
-        flags = []
-        for k in range(30):
-            kind = ("unilateral_E", "bilateral_G")[k % 2]
-            num = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3)) for _ in range(3)]
-            den = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3)) for _ in range(1 + k % 2)]
-            implicit = NOME.q if kind == "unilateral_E" else 1
-            den.append(math.prod(num) / (implicit * math.prod(den)) * (1.1 if k % 3 == 0 else 1))
-            spec = ThetaSeriesSpec(kind, tuple(num), tuple(den), 0, 0.4 + 0.1j, NOME)
-            rep = check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=10, seed=k)
-            assert classify(spec).elliptic == rep.passed, (k, rep.max_rel_dev)
-            flags.append(rep.passed)
-        assert flags.count(False) == 10
+        # E and G specs in turn with prod num = c prod den_eff, c running
+        # through 1.1, 1 (balanced) and p^alpha: the elliptic flag must match
+        # the p-shift check, which passes for c = p^alpha only
+        for alpha in (-1, 0, 1, 2):
+            rng = np.random.default_rng(3)
+            flags = []
+            for k in range(30):
+                kind = ("unilateral_E", "bilateral_G")[k % 2]
+                num = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3)) for _ in range(3)]
+                den = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3)) for _ in range(1 + k % 2)]
+                implicit = NOME.q if kind == "unilateral_E" else 1
+                c = (1.1, 1, NOME.p**alpha)[k % 3]
+                den.append(math.prod(num) / (implicit * math.prod(den) * c))
+                spec = ThetaSeriesSpec(kind, tuple(num), tuple(den), alpha, 0.4 + 0.1j, NOME)
+                rep = check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=10, seed=k)
+                assert classify(spec).elliptic == rep.passed, (alpha, k, rep.max_rel_dev)
+                flags.append(rep.passed)
+            assert flags.count(True) == (20 if alpha == 0 else 10), alpha
 
 
 class TestTotalEllipticityWP:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -125,6 +126,27 @@ def test_vwp_sum_params_messages(sample, cls, broken, message):
         cls(ts, NOME, 2)
 
 
+@pytest.mark.parametrize(
+    "sample, key, value",
+    [
+        (functools.partial(sample_ft, seed=3, N=2), "N", 2.7),
+        (functools.partial(sample_ft, seed=3, N=1), "N", True),
+        (functools.partial(sample_ft, seed=3, N=3), "N", "3"),
+        (functools.partial(sample_bailey, seed=4, N=2), "N", 2.7),
+        (functools.partial(sample_bailey, seed=4, N=1), "N", True),
+        (functools.partial(sample_bailey, seed=4, N=3), "N", "3"),
+        (functools.partial(sample_multi1, seed=6, n=2, N=2), "n", 2.5),
+        (functools.partial(sample_multi2, seed=10, n=2, Ns=(2, 2)), "Ns", [2, 2.0]),
+    ],
+)
+def test_from_json_reads_integers_strictly(sample, key, value):
+    # int(value) is the sampled parameters' own integer, so only the JSON
+    # type of the value is wrong
+    params = sample(nome=NOME)
+    with pytest.raises(ValueError, match=f"^{key} must be a JSON integer, got "):
+        type(params).from_json({**params.to_json(), key: value})
+
+
 class TestMulti1:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_draws(self, n):
@@ -182,6 +204,12 @@ class TestMulti2:
         bad[0] *= 1.02
         with pytest.raises(ValueError):
             Multi2Params(params.n, tuple(bad), params.Ns, NOME)
+
+    def test_non_integer_depths_are_refused(self):
+        # int() would build these at Ns = (2, 2), where the constraints hold
+        params = sample_multi2(seed=10, n=2, Ns=(2, 2), nome=NOME)
+        with pytest.raises(TypeError):
+            Multi2Params(params.n, params.t, (2.7, 2.2), NOME)
 
 
 @pytest.mark.parametrize(

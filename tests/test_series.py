@@ -19,6 +19,7 @@ from thetahyp import (
     eval_vwp,
     eval_vwp_additive,
     ge_split_check,
+    complex_from_json,
     spec_from_json,
     term_ratio,
     term_ratio_at,
@@ -56,6 +57,22 @@ class TestSpecs:
         spec = VwpSpec(0.5 + 0.2j, (0.3 - 0.1j, 0.7 + 0j), 0.4 + 0j, NOME, "bilateral")
         back = spec_from_json(spec.to_json())
         assert back == spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ThetaSeriesSpec("bilateral_G", (0.4 + 0.1j,), (0.6 - 0.2j,), 1, 0.3 + 0.2j, NOME),
+            VwpSpec(0.5 + 0.2j, (0.3 - 0.1j,), 0.4 + 0j, NOME, "bilateral"),
+        ],
+    )
+    def test_non_string_kind_is_refused(self, spec):
+        with pytest.raises(ValueError, match="^kind must be a JSON string, got 5$"):
+            type(spec).from_json({**spec.to_json(), "kind": 5})
+
+    @pytest.mark.parametrize("value", [True, [True, 0.0], [0.5, "1"]])
+    def test_complex_from_json_refuses_non_numbers(self, value):
+        with pytest.raises(ValueError, match="expected"):
+            complex_from_json(value)
 
     def test_truncation_decl_validation(self):
         q = NOME.q
