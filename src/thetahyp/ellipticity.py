@@ -75,13 +75,22 @@ def _rand_x(rng: np.random.Generator) -> complex:
 
 
 def _shift_reports(
-    draw, ref, shifts, samples: int, tol: float, seed: int, suffix: str = ""
+    draw, ref, shifts, samples: int, tol: float, seed: int, suffix: str = "", warm=None
 ) -> list[EllipticityReport]:
     """One report per (kind, shifted) in shifts, in order: the max relative
     deviation of shifted(point) from ref(point) over `samples` points
     draw(rng), all drawn from one rng seeded with seed. A point is redrawn
     (at most 200 extra times per kind) on a pole or a reference outside
-    [1e-12, 1e12]."""
+    [1e-12, 1e12].
+
+    warm, when given, is called first with the `samples` points per shift
+    that the loop draws when it rejects none, drawn from a second rng
+    seeded alike. It may only prefetch: a rejected point moves the loop's
+    later points off the warmed ones, which then cost a cache miss each
+    but never change a report."""
+    if warm is not None:
+        rng = np.random.default_rng(seed)
+        warm([[draw(rng) for _ in range(samples)] for _ in shifts])
     rng = np.random.default_rng(seed)
     reports: list[EllipticityReport] = []
     for kind, shifted in shifts:
@@ -173,16 +182,26 @@ def check_total_ellipticity_wp(
 # multivariable term ratios (forward-shift ratios of the series coefficients)
 
 
+def _h_product(ratio: complex, pairs: list[tuple[complex, complex]], table: FactorTable) -> complex:
+    """ratio * prod theta(num) / theta(den) over pairs, read through table."""
+    out = ratio
+    for num, den in pairs:
+        out *= table.factor(num).value / table.factor(den).value
+    return out
+
+
 def multi1_h(params: Multi1Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    return _lattice_h(_multi1_lattice(params), l)(lam_mult, FactorTable(params.nome))
+    ratio, pairs = _lattice_h(_multi1_lattice(params), l, params.nome.q)
+    return _h_product(ratio, pairs(lam_mult), FactorTable(params.nome))
 
 
 def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    return _lattice_h(_multi2_lattice(params), l)(lam_mult, FactorTable(params.nome))
+    ratio, pairs = _lattice_h(_multi2_lattice(params), l, params.nome.q)
+    return _h_product(ratio, pairs(lam_mult), FactorTable(params.nome))
 
 
 def _rand_mult_args(rng: np.random.Generator, n: int) -> list[complex]:
@@ -208,16 +227,25 @@ def _check_multi(
     """One report per summation index p-shift, then one per (kind, shifted
     params) in param_shifts, each comparing h_l at the shifted and the
     reference point. h_l is built once per parameter set, and every call
-    reads one table: the shifted sets share the nome of params."""
-    p, n = params.nome.p, params.n
+    reads one table: the shifted sets share the nome of params. Before the
+    shift loop, the theta arguments of both h_l at every point it will draw
+    are evaluated in one theta_many batch."""
+    p, q, n = params.nome.p, params.nome.q, params.n
     l_mid = max(1, (n + 1) // 2)
-    ref = _lattice_h(describe(params), l_mid)
+    ratio, ref = _lattice_h(describe(params), l_mid, q)
+    forms = [(f"index_p_shift:lambda{i + 1}", ratio, lambda xs, i=i: ref([*xs[:i], xs[i] * p, *xs[i + 1 :]]))
+             for i in range(n)]
+    forms += [(kind, *_lattice_h(describe(sp), l_mid, q)) for kind, sp in param_shifts]
     table = FactorTable(params.nome)
-    shifts = [(f"index_p_shift:lambda{i + 1}", lambda xs, i=i: ref([*xs[:i], xs[i] * p, *xs[i + 1 :]], table))
-              for i in range(n)]
-    shifts += [(kind, lambda xs, h=_lattice_h(describe(sp), l_mid): h(xs, table)) for kind, sp in param_shifts]
+
+    def warm(points: list[list[list[complex]]]) -> None:
+        table.prefetch(arg for (_, _, pairs), xss in zip(forms, points) for xs in xss
+                       for h in (pairs, ref) for pair in h(xs) for arg in pair)
+
+    shifts = [(kind, lambda xs, r=r, pairs=pairs: _h_product(r, pairs(xs), table)) for kind, r, pairs in forms]
     draw = functools.partial(_rand_mult_args, n=n)
-    return _shift_reports(draw, lambda xs: ref(xs, table), shifts, samples, tol, seed, f"@h{l_mid}")
+    return _shift_reports(draw, lambda xs: _h_product(ratio, ref(xs), table), shifts, samples, tol, seed,
+                          f"@h{l_mid}", warm)
 
 
 def check_total_ellipticity_multi1(

@@ -14,11 +14,11 @@ by numerically tiny values.
 
 from __future__ import annotations
 
-from collections.abc import KeysView
+from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
 
 from .errors import PoleError
-from .theta import ModularPair, Nome, elliptic_number, elliptic_number_zero_index, theta
+from .theta import ModularPair, Nome, elliptic_number, elliptic_number_zero_index, theta, theta_many
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,10 @@ class FactorialValue:
     @property
     def value(self) -> complex:
         """The plain scalar; raises PoleError on a net pole."""
-        if self.is_pole:
-            raise PoleError(f"factorial value is infinite (pole order {-self.net_order})")
-        if self.is_zero:
+        net = self.zero_order - self.pole_order
+        if net < 0:
+            raise PoleError(f"factorial value is infinite (pole order {-net})")
+        if net > 0:
             return 0j
         return self.finite_part
 
@@ -82,16 +83,18 @@ class FactorialValue:
 ONE = FactorialValue(1.0 + 0j)
 
 
-def theta_factor(t: complex, p: complex) -> FactorialValue:
-    """A single theta(t; p) factor with its exact-zero flag.
-
-    ``theta`` returns its exact 0j on a detected lattice zero, so the flag
-    is read from the value and the lattice is searched once per factor.
-    """
-    value = theta(t, p)
+def _factor_value(value: complex) -> FactorialValue:
+    """A theta value as a factor: theta returns its exact 0j on a detected
+    lattice zero, so the zero flag is read from the value."""
     if value == 0:
         return FactorialValue(1.0 + 0j, zero_order=1)
     return FactorialValue(value)
+
+
+def theta_factor(t: complex, p: complex) -> FactorialValue:
+    """A single theta(t; p) factor with its exact-zero flag; the lattice is
+    searched once per factor."""
+    return _factor_value(theta(t, p))
 
 
 def theta_factorial(t: complex, nome: Nome, n: int) -> FactorialValue:
@@ -109,11 +112,12 @@ class FactorTable:
 
     A sum builds one table, reads every coefficient through it and drops it
     when it returns; ``theta_factorial`` is a table used once. ``factor``
-    memoises ``theta_factor`` by its exact argument. ``factorial`` keeps
-    the prefix list ``[1, f0, f0 f1, ...]`` of each base t, where
-    ``f_m = theta_factor(t q^m)`` and each argument is the previous one
-    times q, so a value read from a grown prefix is bit-identical to one
-    computed afresh.
+    memoises ``theta_factor`` by its exact argument, and ``prefetch`` fills
+    that memo with the bit-identical values of one ``theta_many`` batch.
+    ``factorial`` keeps the prefix list ``[1, f0, f0 f1, ...]`` of each
+    base t, where ``f_m = theta_factor(t q^m)`` and each argument is the
+    previous one times q, so a value read from a grown prefix is
+    bit-identical to one computed afresh.
     """
 
     def __init__(self, nome: Nome) -> None:
@@ -128,9 +132,18 @@ class FactorTable:
             value = self._factors[arg] = theta_factor(arg, self.nome.p)
         return value
 
+    def prefetch(self, args: Iterable[complex]) -> None:
+        """Evaluate every argument not yet in the table in one theta_many
+        batch. An argument theta raises on is left out, so factor raises on
+        it as theta_factor does."""
+        missing = [arg for arg in dict.fromkeys(args) if arg not in self._factors]
+        for arg, value in zip(missing, theta_many(missing, self.nome.p)):
+            if value is not None:
+                self._factors[arg] = _factor_value(value)
+
     @property
     def arguments(self) -> KeysView[complex]:
-        """Every argument theta_factor has been evaluated at, in first-use order."""
+        """Every argument theta has been evaluated at, in first-use order."""
         return self._factors.keys()
 
     def factorial(self, t: complex, n: int) -> FactorialValue:

@@ -159,33 +159,36 @@ def _lattice_terms(desc: _Multisum, table: FactorTable, lattice) -> list[Factori
     return terms
 
 
-def _lattice_h(desc: _Multisum, l: int) -> Callable[[list[complex], FactorTable], complex]:
-    """h_l = c(lam + e_l) / c(lam) for the 1-based index l, as a function of
-    xs = [q^{lam_j}] and a table. With X = prod x_j^{e_j}, a head gives
-    theta(c X q^{e_l}) / theta(c X), a pair theta(a X) / theta(b X) when
-    e_l = 1 and theta(b X / q) / theta(a X / q) when e_l = -1, and the
-    scalar scalar(e_l) / scalar(0), computed once with the parts touching l."""
+def _lattice_h(
+    desc: _Multisum, l: int, q: complex
+) -> tuple[complex, Callable[[list[complex]], list[tuple[complex, complex]]]]:
+    """h_l = c(lam + e_l) / c(lam) for the 1-based index l as (ratio, pairs):
+    h_l(xs) = ratio * prod theta(num) / theta(den) over (num, den) in
+    pairs(xs), with xs = [q^{lam_j}]. With X = prod x_j^{e_j}, a head gives
+    the pair (c X q^{e_l}, c X), a pair (a X, b X) when e_l = 1 and
+    (b X / q, a X / q) when e_l = -1, and ratio is scalar(e_l) / scalar(0).
+    The pairs touch only the parts that contain l."""
     n, i = len(desc.blocks), l - 1
     ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
     touching = [((min(i, j), max(i, j)), desc.cross[min(i, j), max(i, j)]) for j in range(n) if j != i]
     parts = [(idx, idx.index(i), heads, pairs) for idx, (heads, pairs) in touching + [((i,), desc.blocks[i])]]
 
-    def h(xs: list[complex], table: FactorTable) -> complex:
-        q, out = table.nome.q, ratio
+    def theta_pairs(xs: list[complex]) -> list[tuple[complex, complex]]:
+        out = []
         for idx, at, heads, pairs in parts:
             xi = [xs[j] for j in idx]
             for c, e in heads:
                 cx = c * math.prod(map(pow, xi, e))
-                out *= table.factor(cx * q ** e[at]).value / table.factor(cx).value
+                out.append((cx * q ** e[at], cx))
             for a, b, e in pairs:
                 x = math.prod(map(pow, xi, e))
                 if e[at] == 1:
-                    out *= table.factor(a * x).value / table.factor(b * x).value
+                    out.append((a * x, b * x))
                 elif e[at] == -1:
-                    out *= table.factor(b * x / q).value / table.factor(a * x / q).value
+                    out.append((b * x / q, a * x / q))
         return out
 
-    return h
+    return ratio, theta_pairs
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def complex_from_json(v: Any) -> complex:
-    """A number or an [re, im] pair of numbers as a complex; booleans are not numbers."""
+def complex_from_json(v: Any, name: str = "value") -> complex:
+    """A number or an [re, im] pair of numbers as a complex; booleans are not
+    numbers. The error names the field, name."""
     pair = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
-        raise ValueError(f"expected [re, im] pair, got {v!r}")
+        raise ValueError(f"{name}: expected [re, im] pair, got {v!r}")
     return complex(float(pair[0]), float(pair[1]))
 
 
@@ -48,8 +49,8 @@ _TO_JSON = {
     "tuple[int, ...]": list,
 }
 _FROM_JSON = {
-    "complex": lambda v, name: complex_from_json(v),
-    "tuple[complex, ...]": lambda v, name: tuple(complex_from_json(x) for x in v),
+    "complex": complex_from_json,
+    "tuple[complex, ...]": lambda v, name: tuple(complex_from_json(x, f"{name}[{i}]") for i, x in enumerate(v)),
     "int": _int_from_json,
     "tuple[int, ...]": lambda v, name: tuple(_int_from_json(x, name) for x in v),
     "str": _str_from_json,
@@ -76,7 +77,7 @@ class JsonFields:
         kw = {}
         for f in fields(cls):
             if f.type == "Nome":
-                kw[f.name] = Nome(complex_from_json(obj["q"]), complex_from_json(obj["p"]))
+                kw[f.name] = Nome(complex_from_json(obj["q"], "q"), complex_from_json(obj["p"], "p"))
             else:
                 kw[f.name] = _FROM_JSON[f.type](obj[f.name], f.name)
         return cls(**kw)

@@ -320,6 +320,19 @@ class TestErrorPaths:
         assert run(["verify", "ft_sum", str(inp)]) == 2
         assert "N must be a JSON integer" in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("field", ["t[2]", "q"])
+    def test_non_complex_entry_in_a_file_names_its_field(self, tmp_path, capsys, field):
+        params = sample_ft(seed=3, N=2, nome=NOME).to_json()
+        if field == "q":
+            params["q"] = True
+        else:
+            params["t"][2] = True
+        inp = tmp_path / "params.json"
+        inp.write_text(json.dumps(params))
+        assert run(["verify", "ft_sum", str(inp)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"invalid ft_sum parameters: {field}: expected [re, im] pair, got True"
+
     def test_unknown_target_exits_2(self):
         assert run(["verify", "nonsense"]) == 2
 

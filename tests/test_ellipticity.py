@@ -25,6 +25,7 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
+from thetahyp import ellipticity
 from thetahyp.ellipticity import _check_total_ellipticity, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
 from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
@@ -151,6 +152,47 @@ class TestTotalEllipticityMulti:
         assert reports
         for rep in reports:
             assert rep.passed, f"{rep.shift_kind}: {rep.max_rel_dev}"
+
+    @staticmethod
+    def _reports_and_redraws(monkeypatch, check, params, seed, keep_warm):
+        """The check's reports by their bits, and the points its shift loop
+        redrew, with the warm-up of the shift loop kept or dropped."""
+        shift_reports = ellipticity._shift_reports
+        redraws = []
+
+        def counted(draw, ref, shifts, samples, tol, seed, suffix, warm):
+            drawn = 0
+
+            def counting_draw(rng):
+                nonlocal drawn
+                drawn += 1
+                return draw(rng)
+
+            warm = warm if keep_warm else None
+            reports = shift_reports(counting_draw, ref, shifts, samples, tol, seed, suffix, warm)
+            redraws.append(drawn - samples * len(shifts) * (2 if warm else 1))
+            return reports
+
+        with monkeypatch.context() as m:
+            m.setattr(ellipticity, "_shift_reports", counted)
+            reports = check(params, seed=seed)
+        return [(r.shift_kind, r.max_rel_dev.hex(), r.sample_count, r.passed) for r in reports], redraws
+
+    @pytest.mark.parametrize(
+        "check, params, seed",
+        [
+            (check_total_ellipticity_multi1, lambda: sample_multi1(5, 3, 2, Nome(0.3 + 0.2j, 0.5 + 0.3j)), 5),
+            (check_total_ellipticity_multi2, lambda: sample_multi2(3, 3, (2, 2, 2), Nome(0.6 + 0.1j, 0.6 - 0.2j)), 3),
+        ],
+    )
+    def test_warm_up_that_misses_points_changes_no_report(self, monkeypatch, check, params, seed):
+        # on these nomes the shift loop redraws a point whose reference h lies
+        # outside [1e-12, 1e12], so its later points are not the warmed ones
+        params = params()
+        warmed, warm_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, keep_warm=True)
+        cold, cold_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, keep_warm=False)
+        assert warm_redraws == cold_redraws and warm_redraws[0] >= 1
+        assert warmed == cold
 
 
 def _additive(rng):

@@ -130,7 +130,19 @@ def _count_calls(monkeypatch, owner, name, fn) -> int:
 
 
 def _count_theta_calls(monkeypatch, fn) -> int:
-    return _count_calls(monkeypatch, factorials, "theta", fn)
+    """Theta evaluations: scalar theta calls plus the lanes of theta_many batches."""
+    lanes = 0
+    batch = factorials.theta_many
+
+    def counting(zs, p):
+        nonlocal lanes
+        lanes += len(zs)
+        return batch(zs, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(factorials, "theta_many", counting)
+        calls = _count_calls(monkeypatch, factorials, "theta", fn)
+    return calls + lanes
 
 
 def test_multi2_theta_budget(monkeypatch):
@@ -178,18 +190,20 @@ def test_ft_theta_calls_grow_linearly(monkeypatch):
     assert calls12 <= 2.2 * calls6
 
 
-# check, sampled params, check seed, theta-call budget and the repr of each
-# report's max_rel_dev. The budgets date from when every h_l evaluation built
-# its factors afresh (4,320 theta calls for multi1, 5,760 for multi2). The
-# reprs are those of h_l read off the coefficient description, with each
-# theta argument formed as c X; h_l agrees with tests/test_reference.py's
-# 40-digit coefficients to 1e-12.
+# check, sampled params, check seed, theta-evaluation budget and count, and
+# the repr of each report's max_rel_dev. The budgets date from when every h_l
+# evaluation built its factors afresh (4,320 theta calls for multi1, 5,760 for
+# multi2); the counts are those of the scalar path, which evaluated each
+# distinct argument once, so batching moved no evaluation. The reprs are
+# those of h_l read off the coefficient description, with each theta argument
+# formed as c X; h_l agrees with tests/test_reference.py's 40-digit
+# coefficients to 1e-12.
 ELLIPTICITY = {
     "multi1": (
         check_total_ellipticity_multi1,
         lambda: sample_multi1(53, 3, 2, NOME),
         5,
-        3300,
+        (3300, 3119),
         (
             "4.834092339502062e-15", "6.825515167216004e-15", "2.525112861946668e-15",
             "8.418118390339422e-15", "2.1590538927079693e-15", "2.131914425968306e-15",
@@ -200,7 +214,7 @@ ELLIPTICITY = {
         check_total_ellipticity_multi2,
         lambda: sample_multi2(63, 3, (2, 2, 2), NOME),
         6,
-        4000,
+        (4000, 3743),
         (
             "2.2050546483753636e-15", "7.267421880974129e-15", "2.7327950679048626e-15",
             "4.2154922140619984e-15", "4.396223943256842e-15", "7.250491222023151e-15",
@@ -221,6 +235,8 @@ def test_ellipticity_reports_are_pinned(case):
 
 @pytest.mark.parametrize("case", sorted(ELLIPTICITY))
 def test_ellipticity_theta_budget(monkeypatch, case):
-    check, sample, seed, budget, _ = ELLIPTICITY[case]
+    check, sample, seed, (budget, count), _ = ELLIPTICITY[case]
     params = sample()
-    assert _count_theta_calls(monkeypatch, lambda: check(params, seed=seed)) <= budget
+    calls = _count_theta_calls(monkeypatch, lambda: check(params, seed=seed))
+    assert calls <= budget
+    assert calls == count

@@ -16,9 +16,11 @@ from thetahyp import (
     theta,
     theta1,
     theta1_modular_s_multiplier,
+    theta_many,
     theta_zero_index,
 )
-from thetahyp.theta import sqrt_positive_real
+from thetahyp.errors import NonConvergenceError
+from thetahyp.theta import LATTICE_RTOL, MAX_ZERO_ORDER, PRODUCT_TOL, sqrt_positive_real
 
 
 def rand_pair(rng):
@@ -112,6 +114,103 @@ class TestThetaFunction:
             assert abs(theta(p * z, p) - (-1 / z) * base) < 1e-12 * max(1.0, abs(base))
             assert abs(theta(1 / z, p) - (-1 / z) * base) < 1e-12 * max(1.0, abs(base))
             assert abs(theta(z / p, p) - (-z / p) * base) < 1e-11 * max(1.0, abs(base))
+
+
+def _theta_or_none(z, p):
+    """The scalar oracle: theta(z, p), or None where it raises."""
+    try:
+        return theta(z, p)
+    except (ThetaDomainError, NonConvergenceError, OverflowError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _bits(v):
+    return None if v is None else (v.real.hex(), v.imag.hex())
+
+
+def _adversarial_args(p):
+    """Lattice zeros p^-M with points just inside and outside LATTICE_RTOL,
+    arguments whose a = z p^k or b = p^(k+1) / z lands within a few ulps of
+    PRODUCT_TOL, the unit circle, real arguments with both signed zeros,
+    and arguments on which theta overflows, returns NaN or raises."""
+    zs = []
+    for M in range(-MAX_ZERO_ORDER, MAX_ZERO_ORDER + 1):
+        try:
+            zero = p**-M
+        except (OverflowError, ZeroDivisionError):
+            continue
+        zs += [zero * (1 + f * LATTICE_RTOL) for f in (0.0, 0.5, -0.5, 0.99, 1.01, 2.0, -2.0)]
+        zs += [zero * complex(1, f * LATTICE_RTOL) for f in (0.5, 2.0)]
+    for k in (8, 9, 12, 53):
+        for f in (-4, -1, 0, 1, 4):
+            try:
+                zs += [PRODUCT_TOL * (1 + f * 2**-52) / p**k, p ** (k + 1) / (PRODUCT_TOL * (1 + f * 2**-52))]
+            except (OverflowError, ZeroDivisionError):
+                pass
+    zs += [cmath.exp(1j * t) for t in np.linspace(0.0, 2 * math.pi, 33)]
+    zs += [complex(x, s) for x in (-2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 3.0) for s in (0.0, -0.0)]
+    zs += [1j, -1j, 0.6 + 0.8j, -0.8 - 0.6j]  # |z| = 1.0 exactly
+    zs += [2.5e-20 + 1e-21j, 1e300 * (1 + 1j), 0j, complex(-0.0, -0.0), 5e-324 + 0j, complex(0, 1e-310)]
+    zs += [complex(math.inf, 0), complex(-math.inf, 1), complex(math.nan, 1), complex(1, math.nan)]
+    zs += [complex(1e308, 1e308), complex(1e200, 0), complex(1e-200, 1e-200)]
+    zs += [complex(1.3e8, 1.3e8)]  # abs(z * p**-1 - 1) overflows at p = 1e-300
+    return zs
+
+
+class TestThetaMany:
+    """theta_many against the scalar theta, compared by float.hex of both
+    parts: equal bits, NaN included, and None exactly where theta raises."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            0.25 + 0.05j,
+            0.01 + 0.001j,  # lanes stop at the first step that may stop
+            0.6 - 0.5j,
+            0.3 + 0j,
+            0.5 + 0j,  # a = 2^53 PRODUCT_TOL p^53 is exactly PRODUCT_TOL
+            complex(-0.3, -0.0),
+            0.5j,
+            0j,
+            1e-300 + 0j,
+            5e-324 + 0j,  # p**-1 overflows in every lattice scan
+            complex(math.nan, 0.0),  # round() raises unless |z| = 1
+            complex(1.5e308, 1.5e308),  # abs(p) overflows
+        ],
+    )
+    def test_adversarial_arguments(self, p):
+        zs = _adversarial_args(p)
+        assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs]
+
+    def test_adversarial_corpus_reaches_every_outcome(self):
+        p = 0.25 + 0.05j
+        values = [_theta_or_none(z, p) for z in _adversarial_args(p)]
+        assert any(v is None for v in values)
+        assert any(v == 0 for v in values)
+        # the product overflows on these two and theta returns NaN today
+        assert all(cmath.isnan(v) for v in theta_many([2.5e-20 + 1e-21j, 1e300 * (1 + 1j)], p))
+
+    def test_random_arguments(self):
+        rng = np.random.default_rng(2024)
+        p = 0.25 + 0.05j
+        zs = [complex(z) for z in 10 ** rng.uniform(-3, 3, 10_000) * np.exp(2j * math.pi * rng.uniform(0, 1, 10_000))]
+        assert [_bits(v) for v in theta_many(zs, p)] == [_bits(theta(z, p)) for z in zs]
+
+    @pytest.mark.parametrize("p", [0.99 + 0j, 0.7 + 0.7j])
+    def test_subnormal_arguments(self, p):
+        # p / z has finite parts but |p / z| > 1.8e308: with |p| this close
+        # to 1, abs(b) overflows at step 8 (OverflowError) or b overflows to
+        # inf and the product ends in NaN; the rest never converge
+        zs = [complex(3.2e-309, -3.2e-309), complex(2.3e-309, -4e-309), complex(5.6e-309, 1e-310),
+              complex(4e-309, 3e-309), complex(3e-309, 0.0)]
+        assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs]
+
+    def test_non_convergent_and_out_of_domain(self):
+        zs = [0.5 + 0.1j, 2.0 + 0j, 1 + 0j]
+        # |p| so close to 1 that the product needs more than 16 * MAX_TERMS factors
+        assert theta_many(zs, 0.9999 + 0j) == [_theta_or_none(z, 0.9999 + 0j) for z in zs] == [None, None, 0j]
+        assert theta_many(zs, 1.0 + 0j) == [None, None, None]
+        assert theta_many([], 0.25 + 0.05j) == []
 
 
 class TestTheta1:
