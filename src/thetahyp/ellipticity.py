@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,24 +75,34 @@ def _rand_x(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.25, 0.25))
 
 
+def _worse(dev: float, err: float) -> float:
+    """The running maximum deviation; a non-finite one is inf, which fails."""
+    return max(dev, err) if math.isfinite(err) else math.inf
+
+
 def _shift_reports(
     draw, ref, shifts, samples: int, tol: float, seed: int, suffix: str = "", warm=None
 ) -> list[EllipticityReport]:
     """One report per (kind, shifted) in shifts, in order: the max relative
     deviation of shifted(point) from ref(point) over `samples` points
     draw(rng), all drawn from one rng seeded with seed. A point is redrawn
-    (at most 200 extra times per kind) on a pole or a reference outside
-    [1e-12, 1e12].
+    (at most 200 extra times per kind) on a pole or a reference whose
+    modulus is not in [1e-12, 1e12]; a non-finite deviation fails the
+    report with max_rel_dev inf.
 
-    warm, when given, is called first with the `samples` points per shift
-    that the loop draws when it rejects none, drawn from a second rng
-    seeded alike. It may only prefetch: a rejected point moves the loop's
-    later points off the warmed ones, which then cost a cache miss each
-    but never change a report."""
-    if warm is not None:
-        rng = np.random.default_rng(seed)
-        warm([[draw(rng) for _ in range(samples)] for _ in shifts])
+    warm, when given, is first called with `samples` points per shift,
+    grouped by shift: the first points of the rng, which the loop then
+    takes in order before it draws on. So the loop sees the points it
+    would see without warm, and warm may only prefetch."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
+    warmed = []
+    if warm is not None:
+        warmed = [[draw(rng) for _ in range(samples)] for _ in shifts]
+        warm(warmed)
+    # draw never returns None, so the sentinel never stops the stream
+    points = itertools.chain(itertools.chain.from_iterable(warmed), iter(functools.partial(draw, rng), None))
     reports: list[EllipticityReport] = []
     for kind, shifted in shifts:
         dev, done, tries = 0.0, 0, 0
@@ -99,14 +110,14 @@ def _shift_reports(
             if tries == samples + 200:
                 raise NonConvergenceError(f"{kind}: too few sample points off poles with |h| in [1e-12, 1e12]")
             tries += 1
-            point = draw(rng)
+            point = next(points)
             try:
                 value, reference = shifted(point), ref(point)
             except (PoleError, ZeroDivisionError, OverflowError):
                 continue
-            if abs(reference) < 1e-12 or abs(reference) > 1e12:
+            if not 1e-12 <= abs(reference) <= 1e12:
                 continue
-            dev = max(dev, rel_err(value, reference))
+            dev = _worse(dev, rel_err(value, reference))
             done += 1
         reports.append(EllipticityReport(kind + suffix, dev, done, dev <= tol))
     return reports
@@ -186,7 +197,7 @@ def _h_product(ratio: complex, pairs: list[tuple[complex, complex]], table: Fact
     """ratio * prod theta(num) / theta(den) over pairs, read through table."""
     out = ratio
     for num, den in pairs:
-        out *= table.factor(num).value / table.factor(den).value
+        out *= table.value(num) / table.value(den)
     return out
 
 
@@ -204,11 +215,11 @@ def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     return _h_product(ratio, pairs(lam_mult), FactorTable(params.nome))
 
 
-def _rand_mult_args(rng: np.random.Generator, n: int) -> list[complex]:
-    return [
+def _rand_mult_args(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
+    return tuple(
         0.8 * cmath.exp(2j * math.pi * complex(rng.uniform(0, 1), rng.uniform(-0.05, 0.05)))
         for _ in range(n)
-    ]
+    )
 
 
 def _unchecked_replace(params, **changes):
@@ -227,18 +238,22 @@ def _check_multi(
     """One report per summation index p-shift, then one per (kind, shifted
     params) in param_shifts, each comparing h_l at the shifted and the
     reference point. h_l is built once per parameter set, and every call
-    reads one table: the shifted sets share the nome of params. Before the
-    shift loop, the theta arguments of both h_l at every point it will draw
-    are evaluated in one theta_many batch."""
+    reads one table: the shifted sets share the nome of params. Each h_l
+    argument list is formed once per point and kept for the length of the
+    check: the warm-up forms the lists of both h_l at the first points the
+    shift loop takes and evaluates their theta arguments in one theta_many
+    batch, and the loop reads the same lists."""
     p, q, n = params.nome.p, params.nome.q, params.n
     l_mid = max(1, (n + 1) // 2)
     ratio, ref = _lattice_h(describe(params), l_mid, q)
-    forms = [(f"index_p_shift:lambda{i + 1}", ratio, lambda xs, i=i: ref([*xs[:i], xs[i] * p, *xs[i + 1 :]]))
+    ref = functools.cache(ref)
+    forms = [(f"index_p_shift:lambda{i + 1}", ratio, lambda xs, i=i: ref((*xs[:i], xs[i] * p, *xs[i + 1 :])))
              for i in range(n)]
     forms += [(kind, *_lattice_h(describe(sp), l_mid, q)) for kind, sp in param_shifts]
+    forms = [(kind, r, functools.cache(pairs)) for kind, r, pairs in forms]
     table = FactorTable(params.nome)
 
-    def warm(points: list[list[list[complex]]]) -> None:
+    def warm(points: list[list[tuple[complex, ...]]]) -> None:
         table.prefetch(arg for (_, _, pairs), xss in zip(forms, points) for xs in xss
                        for h in (pairs, ref) for pair in h(xs) for arg in pair)
 
@@ -316,9 +331,9 @@ def check_modularity(form: HForm, tol: float = 1e-8) -> tuple[bool, EllipticityR
             alt = h_eval(form2, complex(nn))
         except (PoleError, ZeroDivisionError):
             continue
-        if abs(ref) < 1e-12:
+        if not 1e-12 <= abs(ref) < math.inf:
             continue
-        dev = max(dev, rel_err(alt, ref))
+        dev = _worse(dev, rel_err(alt, ref))
         count += 1
     report = EllipticityReport("modular_S", dev, count, count > 0 and dev <= tol)
     return structural, report

@@ -83,6 +83,11 @@ class FactorialValue:
 ONE = FactorialValue(1.0 + 0j)
 
 
+def _plain(value: complex) -> complex:
+    """A theta value as FactorialValue.value reads it back: 0j on a zero."""
+    return value if value != 0 else 0j
+
+
 def _factor_value(value: complex) -> FactorialValue:
     """A theta value as a factor: theta returns its exact 0j on a detected
     lattice zero, so the zero flag is read from the value."""
@@ -111,40 +116,50 @@ class FactorTable:
     """Theta factors and factorial prefixes of one nome, each evaluated once.
 
     A sum builds one table, reads every coefficient through it and drops it
-    when it returns; ``theta_factorial`` is a table used once. ``factor``
-    memoises ``theta_factor`` by its exact argument, and ``prefetch`` fills
-    that memo with the bit-identical values of one ``theta_many`` batch.
-    ``factorial`` keeps the prefix list ``[1, f0, f0 f1, ...]`` of each
-    base t, where ``f_m = theta_factor(t q^m)`` and each argument is the
-    previous one times q, so a value read from a grown prefix is
+    when it returns; ``theta_factorial`` is a table used once. ``value``
+    memoises the plain theta value by its exact argument, 0j on a zero, and
+    ``prefetch`` fills that memo with the bit-identical values of one
+    ``theta_many`` batch, so a caller that multiplies plain values builds
+    no ``FactorialValue``. ``factor`` memoises ``theta_factor``, built from
+    ``value``. ``factorial`` keeps the prefix list ``[1, f0, f0 f1, ...]``
+    of each base t, where ``f_m = theta_factor(t q^m)`` and each argument
+    is the previous one times q, so a value read from a grown prefix is
     bit-identical to one computed afresh.
     """
 
     def __init__(self, nome: Nome) -> None:
         self.nome = nome
+        self._values: dict[complex, complex] = {}
         self._factors: dict[complex, FactorialValue] = {}
         self._prefixes: dict[complex, tuple[list[FactorialValue], complex]] = {}
 
+    def value(self, arg: complex) -> complex:
+        """theta_factor(arg, p).value: theta(arg, p), or 0j on a zero."""
+        value = self._values.get(arg)
+        if value is None:
+            value = self._values[arg] = _plain(theta(arg, self.nome.p))
+        return value
+
     def factor(self, arg: complex) -> FactorialValue:
         """theta_factor(arg, p)."""
-        value = self._factors.get(arg)
-        if value is None:
-            value = self._factors[arg] = theta_factor(arg, self.nome.p)
-        return value
+        factor = self._factors.get(arg)
+        if factor is None:
+            factor = self._factors[arg] = _factor_value(self.value(arg))
+        return factor
 
     def prefetch(self, args: Iterable[complex]) -> None:
         """Evaluate every argument not yet in the table in one theta_many
-        batch. An argument theta raises on is left out, so factor raises on
-        it as theta_factor does."""
-        missing = [arg for arg in dict.fromkeys(args) if arg not in self._factors]
+        batch. An argument theta raises on is left out, so value and factor
+        raise on it as theta_factor does."""
+        missing = [arg for arg in dict.fromkeys(args) if arg not in self._values]
         for arg, value in zip(missing, theta_many(missing, self.nome.p)):
             if value is not None:
-                self._factors[arg] = _factor_value(value)
+                self._values[arg] = _plain(value)
 
     @property
     def arguments(self) -> KeysView[complex]:
         """Every argument theta has been evaluated at, in first-use order."""
-        return self._factors.keys()
+        return self._values.keys()
 
     def factorial(self, t: complex, n: int) -> FactorialValue:
         """theta(t; p; q)_n for any integer n; theta(t;p;q)_{-n} = 1/theta(t q^{-n};p;q)_n."""

@@ -102,6 +102,29 @@ class TestEllipticityCheck:
         with pytest.raises(NonConvergenceError, match="^index_p_shift: "):
             check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=5)
 
+    def test_non_finite_reference_is_rejected(self):
+        # a NaN reference once passed as a point with deviation 0
+        with pytest.raises(NonConvergenceError, match="^index_p_shift: "):
+            check_ellipticity(lambda w: complex(math.nan, 0.0), NOME)
+
+    def test_non_finite_deviation_fails(self):
+        # NaN on the disc |w| <= 0.5: the admitted reference points lie
+        # outside it, and the p-shift moves many of them into it
+        rep = check_ellipticity(lambda w: 1.0 + 0j if abs(w) > 0.5 else complex(math.nan, 0.0), NOME)
+        assert (rep.max_rel_dev, rep.sample_count, rep.passed) == (math.inf, 20, False)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda samples: check_ellipticity(lambda w: 1.0 + 0j, NOME, samples=samples),
+            lambda samples: check_total_ellipticity_multi1(sample_multi1(51, 1, 2, NOME), samples=samples),
+        ],
+    )
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_refused(self, check, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            check(samples)
+
     def test_classify_agrees_with_the_numeric_check(self):
         # E and G specs in turn with prod num = c prod den_eff, c running
         # through 1.1, 1 (balanced) and p^alpha: the elliptic flag must match
@@ -170,7 +193,7 @@ class TestTotalEllipticityMulti:
 
             warm = warm if keep_warm else None
             reports = shift_reports(counting_draw, ref, shifts, samples, tol, seed, suffix, warm)
-            redraws.append(drawn - samples * len(shifts) * (2 if warm else 1))
+            redraws.append(drawn - samples * len(shifts))
             return reports
 
         with monkeypatch.context() as m:
@@ -187,7 +210,8 @@ class TestTotalEllipticityMulti:
     )
     def test_warm_up_that_misses_points_changes_no_report(self, monkeypatch, check, params, seed):
         # on these nomes the shift loop redraws a point whose reference h lies
-        # outside [1e-12, 1e12], so its later points are not the warmed ones
+        # outside [1e-12, 1e12], so it reads past the warmed points into
+        # fresh draws of the same rng
         params = params()
         warmed, warm_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, keep_warm=True)
         cold, cold_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, keep_warm=False)
@@ -292,6 +316,23 @@ class TestModularity:
         structural, rep = check_modularity(form, tol=1e-8)
         assert structural
         assert rep.passed, rep.max_rel_dev
+
+    def test_non_finite_reference_is_rejected(self):
+        us = [0.21 + 0.05j, -0.13 + 0.08j, 0.09 - 0.04j]
+        form = wp_hform(0.15 - 0.06j, us, complex(math.nan, 0.0), S_PAIR)
+        _, rep = check_modularity(form, tol=1e-8)
+        assert (rep.sample_count, rep.passed) == (0, False)
+
+    def test_non_finite_deviation_fails(self, monkeypatch):
+        us = [0.21 + 0.05j, -0.13 + 0.08j, 0.09 - 0.04j]
+        form = wp_hform(0.15 - 0.06j, us, 0.5 + 0.2j, S_PAIR)
+        # the S-transformed side is NaN, the reference side finite
+        monkeypatch.setattr(
+            ellipticity, "h_eval", lambda f, x: h_eval(f, x) if f.pair == S_PAIR else complex(math.nan, 0.0)
+        )
+        _, rep = check_modularity(form, tol=1e-8)
+        assert rep.sample_count > 0
+        assert (rep.max_rel_dev, rep.passed) == (math.inf, False)
 
     def test_equal_sums_unequal_squares_fails(self):
         # sum of zeros equals sum of poles (elliptic), but squared sums

@@ -7,6 +7,8 @@ products that the tables replace; a table that changed any argument or
 the multiplication order would move the last digits.
 """
 
+import collections
+
 import pytest
 
 from thetahyp import (
@@ -28,9 +30,10 @@ from thetahyp import (
     verify_multi1,
     verify_multi2,
 )
-from thetahyp import factorials
+from thetahyp import ellipticity, factorials
 from thetahyp.cli import main
-from thetahyp.factorials import ONE, FactorTable, theta_factor, theta_factorial
+from thetahyp.errors import ThetaDomainError
+from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -240,3 +243,71 @@ def test_ellipticity_theta_budget(monkeypatch, case):
     calls = _count_theta_calls(monkeypatch, lambda: check(params, seed=seed))
     assert calls <= budget
     assert calls == count
+
+
+@pytest.mark.parametrize("case", sorted(ELLIPTICITY))
+def test_ellipticity_does_each_points_work_once(monkeypatch, case):
+    # the warm-up once drew every point and formed every h_l argument list a
+    # second time, and the table wrapped every batched value in a
+    # FactorialValue that h_l unwrapped again
+    check, sample, seed, _, _ = ELLIPTICITY[case]
+    params = sample()
+    formed = collections.Counter()
+    draws = built = 0
+    lattice_h, rand_mult_args, init = ellipticity._lattice_h, ellipticity._rand_mult_args, FactorialValue.__init__
+
+    def counting_lattice_h(desc, l, q):
+        ratio, pairs = lattice_h(desc, l, q)
+
+        def counting_pairs(xs):
+            formed[pairs, tuple(xs)] += 1
+            return pairs(xs)
+
+        return ratio, counting_pairs
+
+    def counting_rand_mult_args(rng, n):
+        nonlocal draws
+        draws += 1
+        return rand_mult_args(rng, n)
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ellipticity, "_lattice_h", counting_lattice_h)
+        m.setattr(ellipticity, "_rand_mult_args", counting_rand_mult_args)
+        m.setattr(FactorialValue, "__init__", counting_init)
+        reports = check(params, seed=seed)
+    assert formed and max(formed.values()) == 1
+    # no point of these checks is rejected, so none is redrawn
+    assert draws == sum(rep.sample_count for rep in reports) == 8 * len(reports)
+    assert built == 0
+
+
+def _hex_or_error(fn):
+    try:
+        value = fn()
+    except (ThetaDomainError, ValueError, OverflowError) as err:
+        return type(err)
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("prefetch", [False, True], ids=["scalar", "prefetched"])
+@pytest.mark.parametrize(
+    "arg, outcome",
+    [(NOME.p, "zero"), (NOME.p**-2, "zero"), (0.3 + 0.4j, "value"), (-1.7 + 0.2j, "value"),
+     (0j, "raises"), (complex(float("nan"), 0.0), "raises")],
+)
+def test_value_is_the_factor_value(arg, outcome, prefetch):
+    table = FactorTable(NOME)
+    if prefetch:
+        table.prefetch([arg])
+    got = _hex_or_error(lambda: table.value(arg))
+    assert got == _hex_or_error(lambda: FactorTable(NOME).factor(arg).value)
+    assert got == _hex_or_error(lambda: theta_factor(arg, NOME.p).value)
+    if outcome == "zero":
+        assert got == ((0.0).hex(), (0.0).hex())
+    else:
+        assert isinstance(got, type) == (outcome == "raises")
