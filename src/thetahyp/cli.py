@@ -32,46 +32,22 @@ from .identities import (
     FTParams,
     Multi1Params,
     Multi2Params,
-    _check_bailey,
-    _check_ft,
-    _check_lattice,
-    _sample_bailey,
-    _sample_ft,
-    _sample_multi1,
-    _sample_multi2,
-    verify_bailey,
-    verify_ft_sum,
-    verify_multi1,
-    verify_multi2,
+    _sample,
+    _verify,
 )
 from .ellipticity import check_ellipticity
 
 DEFAULT_NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
-# Per target: (parameter type, public verifier, sampler, check). The sampler,
-# called as sample(seed, args, nome, band), returns a draw and the sides its
-# table admitted; the check is the verifier's step after it builds its sides
-# on the same kind of table, so the sampled path verifies those sides.
+# Per target: its parameter class and the draw arguments before nome and
+# band, read from the flags. _sample returns a draw with the sides its table
+# admitted, so the sampled path checks those sides; the file path builds them
+# through _verify on the same kind of table.
 _TARGETS = {
-    "ft_sum": (FTParams, verify_ft_sum, lambda s, a, nome, band: _sample_ft(s, a.N, nome, band), _check_ft),
-    "bailey": (
-        BaileyParams,
-        verify_bailey,
-        lambda s, a, nome, band: _sample_bailey(s, a.N, nome, band),
-        _check_bailey,
-    ),
-    "multi1": (
-        Multi1Params,
-        verify_multi1,
-        lambda s, a, nome, band: _sample_multi1(s, a.n, a.N, nome, band),
-        _check_lattice,
-    ),
-    "multi2": (
-        Multi2Params,
-        verify_multi2,
-        lambda s, a, nome, band: _sample_multi2(s, a.n, (a.N,) * a.n, nome, band),
-        _check_lattice,
-    ),
+    "ft_sum": (FTParams, lambda a: (a.N,)),
+    "bailey": (BaileyParams, lambda a: (a.N,)),
+    "multi1": (Multi1Params, lambda a: (a.n, a.N)),
+    "multi2": (Multi2Params, lambda a: (a.n, (a.N,) * a.n)),
 }
 
 
@@ -128,9 +104,9 @@ def _sample_draws(target: str, args: argparse.Namespace) -> list:
     """(params, sides) of the --draws draws from --seed on."""
     nome = _parse_nome(args.nome)
     band = _parse_band(args.band)
-    sample = _TARGETS[target][2]
+    cls, shape = _TARGETS[target]
     try:
-        return [sample(args.seed + i, args, nome, band) for i in range(args.draws)]
+        return [_sample(cls, args.seed + i, *shape(args), nome, band) for i in range(args.draws)]
     except RuntimeError as exc:
         raise InputError(str(exc)) from exc
 
@@ -212,15 +188,14 @@ def run_verify(args: argparse.Namespace) -> int:
     target = args.target
     if target == "ge_split":
         return _run_verify_ge_split(args)
-    _, verify, _, check = _TARGETS[target]
     if args.input is not None:
-        reports = [verify(p, tol=args.tol) for p in _file_params(args)]
+        reports = [_verify(p, args.tol) for p in _file_params(args)]
     else:
         try:
             draws = _sample_draws(target, args)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        reports = [check(p, sides, args.tol) for p, sides in draws]
+        reports = [p.check(sides, args.tol) for p, sides in draws]
     return _write_reports(reports, args.out, target=target)
 
 

@@ -5,19 +5,18 @@ Covers the terminating very-well-poised balanced 10E9 evaluation
 identity), the two multivariable summation identities (ordered-tuple and
 box-lattice kinds), and the generic multiple-series coefficient.
 
-Each identity has one private ``_*_sides`` function that evaluates its
-left-hand terms and its closed-form side through a FactorTable passed in.
-The verifier builds the sides on a fresh table and hands them to a private
-``_check_*`` step, which sums the nonzero terms and compares. Each
-sampler's draw function takes free parameters with moduli in a
-configurable band and solves the balancing / truncation constraints for
-the dependent ones. The one resample loop ``_sample`` dry-runs the sides
-function on a fresh table for each draw and resamples when any theta
+Each identity is described once, by its parameter class. ``draw(rng,
+*shape, nome, band)`` takes free parameters with moduli in a configurable
+band and solves the balancing / truncation constraints for the dependent
+ones; ``sides(table)`` evaluates the left-hand terms and the closed-form
+side through a FactorTable passed in; ``check(sides, tol)`` sums the
+nonzero terms and compares. The one resample loop ``_sample`` dry-runs
+``sides`` on a fresh table for each draw and resamples when any theta
 argument that table evaluated sits within _LATTICE_EPS of a lattice zero,
-or when a left-hand series is badly conditioned. The private ``_sample_*``
-return the admitted sides with the parameters; the sampler and the
-verifier build the same table, so a caller that verifies a draw can check
-those sides instead of building them again.
+or when a left-hand series is badly conditioned. It returns the admitted
+sides with the parameters; the sampler and ``_verify`` build the same
+table, so a caller that verifies a draw can check those sides instead of
+building them again. The 10E9 closed form is the rank-1 multi1 one at t = 1.
 """
 
 from __future__ import annotations
@@ -72,14 +71,14 @@ def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
     return radius * cmath.exp(1j * angle)
 
 
-def _admissible(sides, params):
-    """Dry-run a verifier's sides function on a fresh table, as the verifier
-    builds it, and return its result, or None when a side cannot be
-    evaluated, when a left-hand series is badly conditioned, or when any
-    theta argument it evaluated lies within _LATTICE_EPS of a lattice zero."""
+def _admissible(params):
+    """Dry-run params.sides on a fresh table, as _verify builds it, and
+    return its result, or None when a side cannot be evaluated, when a
+    left-hand series is badly conditioned, or when any theta argument it
+    evaluated lies within _LATTICE_EPS of a lattice zero."""
     table = FactorTable(params.nome)
     try:
-        result = sides(params, table)
+        result = params.sides(table)
         *series, _ = result
         if any(_badly_conditioned([c.value for c in terms]) for terms in series) or any(
             _near_lattice(w, params.nome.p) for w in table.arguments
@@ -90,17 +89,24 @@ def _admissible(sides, params):
         return None
 
 
-def _sample(name: str, sides, draw: Callable[[np.random.Generator], object], seed: int):
-    """Call draw(rng) on a rng seeded with seed, up to _MAX_RESAMPLE times,
-    and return the first parameters _admissible(sides, ...) admits with the
-    sides it returned; the RuntimeError otherwise names the sampler."""
+def _sample(cls, seed: int, *args):
+    """Call cls.draw(rng, *args) on a rng seeded with seed, up to
+    _MAX_RESAMPLE times, and return the first parameters _admissible admits
+    with the sides it returned; the RuntimeError otherwise names the public
+    sampler, sample_ft for FTParams."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RESAMPLE):
-        params = draw(rng)
-        admitted = _admissible(sides, params)
+        params = cls.draw(rng, *args)
+        admitted = _admissible(params)
         if admitted is not None:
             return params, admitted
-    raise RuntimeError(f"{name}: could not find admissible parameters")
+    name = cls.__name__.removesuffix("Params").lower()
+    raise RuntimeError(f"sample_{name}: could not find admissible parameters")
+
+
+def _verify(params, tol: float, **kw) -> VerificationReport:
+    """Build params' sides on a fresh table and check them."""
+    return params.check(params.sides(FactorTable(params.nome), **kw), tol)
 
 
 def _report(params, lhs, rhs: complex, tol: float) -> VerificationReport:
@@ -109,10 +115,14 @@ def _report(params, lhs, rhs: complex, tol: float) -> VerificationReport:
     )
 
 
-def _check_lattice(params, sides, tol: float) -> VerificationReport:
-    """Sum every nonzero term of a multisum's sides and compare with its closed form."""
-    terms, closed = sides
-    return _report(params, _sum_window(terms.__getitem__, (0, len(terms) - 1)), closed.value, tol)
+class _LatticeSum(JsonFields):
+    """A multisum's parameters: its sides are the terms over the lattice and
+    the closed form."""
+
+    def check(self, sides, tol: float) -> VerificationReport:
+        """Sum every nonzero term and compare with the closed form."""
+        terms, closed = sides
+        return _report(self, _sum_window(terms.__getitem__, (0, len(terms) - 1)), closed.value, tol)
 
 
 @dataclass(frozen=True)
@@ -226,6 +236,11 @@ class _VwpSumParams(JsonFields):
         trunc = q ** (-N) / free[0]
         return cls((*free, trunc, q ** (count // 2 - 2) / math.prod([*free, trunc])), nome, N)
 
+    def _terms(self, t: tuple[complex, ...], table: FactorTable) -> list[FactorialValue]:
+        """The terms for k = 0..N of the sum with parameters t."""
+        spec = VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral")
+        return [_vwp_coefficient(spec, k, table) for k in range(self.N + 1)]
+
 
 class FTParams(_VwpSumParams):
     """Parameters of the terminating 10E9 evaluation: six t's with
@@ -233,28 +248,14 @@ class FTParams(_VwpSumParams):
 
     _COUNT = 6
 
+    def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
+        """The 10E9 terms for k = 0..N and the closed form, the rank-1 multi1 one."""
+        return self._terms(self.t, table), _multi1_closed(1 + 0j, self.t, 1, self.N, table)
 
-def _ft_sides(params: FTParams, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-    """The 10E9 terms for k = 0..N and the closed-form theta-factorial value."""
-    t = params.t
-    q, N = params.nome.q, params.N
-    t0 = t[0]
-    spec = VwpSpec(t0, t[1:], 1.0 + 0j, params.nome, "unilateral")
-    terms = [_vwp_coefficient(spec, k, table) for k in range(N + 1)]
-
-    num = table.factorial(q * t0 * t0, N)
-    for r in range(1, 4):
-        for s in range(r + 1, 4):
-            num = num * table.factorial(q / (t[r] * t[s]), N)
-    den = table.factorial(q / (t0 * t[1] * t[2] * t[3]), N)
-    for r in range(1, 4):
-        den = den * table.factorial(q * t0 / t[r], N)
-    return terms, num / den
-
-
-def _sample_ft(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
-    """The first admissible FT draw and the sides its table admitted."""
-    return _sample("sample_ft", _ft_sides, lambda rng: FTParams.draw(rng, N, nome, radius_band), seed)
+    def check(self, sides, tol: float) -> VerificationReport:
+        """Sum the 10E9 terms and compare with the closed form."""
+        terms, closed = sides
+        return _report(self, _sum_unilateral(terms.__getitem__, self.N), closed.value, tol)
 
 
 def sample_ft(
@@ -265,18 +266,12 @@ def sample_ft(
 ) -> FTParams:
     """Draw FT parameters satisfying the balancing and truncation
     constraints by construction, resampling away from lattice zeros."""
-    return _sample_ft(seed, N, nome, radius_band)[0]
-
-
-def _check_ft(params: FTParams, sides, tol: float) -> VerificationReport:
-    """Sum the 10E9 terms of _ft_sides and compare with the closed form."""
-    terms, closed = sides
-    return _report(params, _sum_unilateral(terms.__getitem__, params.N), closed.value, tol)
+    return _sample(FTParams, seed, N, nome, radius_band)[0]
 
 
 def verify_ft_sum(params: FTParams, tol: float = 1e-8) -> VerificationReport:
     """Terminating 10E9 sum against its closed-form theta-factorial value."""
-    return _check_ft(params, _ft_sides(params, FactorTable(params.nome)), tol)
+    return _verify(params, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +283,26 @@ class BaileyParams(_VwpSumParams):
     prod t = q^2 and t0 t6 = q^-N."""
 
     _COUNT = 8
+
+    def sides(
+        self, table: FactorTable, root_sign: int = 1
+    ) -> tuple[list[FactorialValue], list[FactorialValue], FactorialValue]:
+        """The terms for k = 0..N of the 12E11 series at t and at the mapped
+        parameters s, and the theta-factorial prefactor of the s series."""
+        t, q, N = self.t, self.nome.q, self.N
+        s = bailey_map(t, self.nome, root_sign)
+        lhs_terms, rhs_terms = self._terms(t, table), self._terms(s, table)
+        pref_num = table.factorial_multi([q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])], N)
+        pref_den = table.factorial_multi([q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])], N)
+        return lhs_terms, rhs_terms, pref_num / pref_den
+
+    def check(self, sides, tol: float) -> VerificationReport:
+        """Sum both 12E11 series and compare the left one with the prefactor
+        times the right one."""
+        lhs_terms, rhs_terms, pref = sides
+        lhs = _sum_unilateral(lhs_terms.__getitem__, self.N)
+        rhs_series = _sum_unilateral(rhs_terms.__getitem__, self.N)
+        return _report(self, lhs, pref.value * rhs_series.value, tol)
 
 
 def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[complex, ...]:
@@ -311,37 +326,13 @@ def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[
     )
 
 
-def _bailey_sides(
-    params: BaileyParams, table: FactorTable, root_sign: int = 1
-) -> tuple[list[FactorialValue], list[FactorialValue], FactorialValue]:
-    """The terms for k = 0..N of the 12E11 series at t and at the mapped
-    parameters s, and the theta-factorial prefactor of the s series."""
-    t = params.t
-    nome, N = params.nome, params.N
-    q = nome.q
-    s = bailey_map(t, nome, root_sign)
-    lhs_spec = VwpSpec(t[0], t[1:], 1.0 + 0j, nome, "unilateral")
-    rhs_spec = VwpSpec(s[0], s[1:], 1.0 + 0j, nome, "unilateral")
-    lhs_terms = [_vwp_coefficient(lhs_spec, k, table) for k in range(N + 1)]
-    rhs_terms = [_vwp_coefficient(rhs_spec, k, table) for k in range(N + 1)]
-
-    pref_num = table.factorial_multi([q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])], N)
-    pref_den = table.factorial_multi([q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])], N)
-    return lhs_terms, rhs_terms, pref_num / pref_den
-
-
-def _sample_bailey(seed: int, N: int, nome: Nome, radius_band: tuple[float, float]):
-    """The first admissible Bailey draw and the sides its table admitted."""
-    return _sample("sample_bailey", _bailey_sides, lambda rng: BaileyParams.draw(rng, N, nome, radius_band), seed)
-
-
 def sample_bailey(
     seed: int,
     N: int,
     nome: Nome,
     radius_band: tuple[float, float] = DEFAULT_BAND,
 ) -> BaileyParams:
-    return _sample_bailey(seed, N, nome, radius_band)[0]
+    return _sample(BaileyParams, seed, N, nome, radius_band)[0]
 
 
 def bailey_from_ft(ft: FTParams, x: complex) -> BaileyParams:
@@ -352,19 +343,9 @@ def bailey_from_ft(ft: FTParams, x: complex) -> BaileyParams:
     return BaileyParams((t[0], t[1], x, q / x, t[2], t[3], t[4], t[5]), ft.nome, ft.N)
 
 
-def _check_bailey(params: BaileyParams, sides, tol: float) -> VerificationReport:
-    """Sum both 12E11 series of _bailey_sides and compare the left one with
-    the prefactor times the right one."""
-    lhs_terms, rhs_terms, pref = sides
-    lhs = _sum_unilateral(lhs_terms.__getitem__, params.N)
-    rhs_series = _sum_unilateral(rhs_terms.__getitem__, params.N)
-    return _report(params, lhs, pref.value * rhs_series.value, tol)
-
-
 def verify_bailey(params: BaileyParams, tol: float = 1e-8, root_sign: int = 1) -> VerificationReport:
     """Two-term 12E11 transformation, both series terminating at N."""
-    sides = _bailey_sides(params, FactorTable(params.nome), root_sign)
-    return _check_bailey(params, sides, tol)
+    return _verify(params, tol, root_sign=root_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +353,7 @@ def verify_bailey(params: BaileyParams, tol: float = 1e-8, root_sign: int = 1) -
 
 
 @dataclass(frozen=True)
-class Multi1Params(JsonFields):
+class Multi1Params(_LatticeSum):
     """Rank-n generalization of the FT sum over ordered tuples
     0 <= lam_1 <= ... <= lam_n <= N, with tau_j = t0 t^{j-1}."""
 
@@ -406,19 +387,22 @@ class Multi1Params(JsonFields):
     def taus(self) -> list[complex]:
         return [self.t6[0] * self.t ** (j - 1) for j in range(1, self.n + 1)]
 
-
-def _sample_multi1(seed: int, n: int, N: int, nome: Nome, radius_band: tuple[float, float]):
-    """The first admissible multi1 draw and the sides its table admitted."""
-    q = nome.q
-
-    def draw(rng: np.random.Generator) -> Multi1Params:
+    @classmethod
+    def draw(cls, rng: np.random.Generator, n: int, N: int, nome: Nome, band: tuple[float, float]):
+        """t in the modulus band (0.55, 0.9), t0..t3 in band, t4 and t5
+        solved from the truncation and balancing conditions."""
+        q = nome.q
         t = _draw(rng, (0.55, 0.9))
-        t0, t1, t2, t3 = (_draw(rng, radius_band) for _ in range(4))
+        t0, t1, t2, t3 = (_draw(rng, band) for _ in range(4))
         t4 = q ** (-N) / (t ** (n - 1) * t0)
         t5 = q / (t ** (2 * n - 2) * t0 * t1 * t2 * t3 * t4)
-        return Multi1Params(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
+        return cls(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
 
-    return _sample("sample_multi1", _multi1_sides, draw, seed)
+    def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
+        """The terms over ordered tuples in lattice order, and the closed form."""
+        lattice = itertools.combinations_with_replacement(range(self.N + 1), self.n)
+        terms = _lattice_terms(_multi1_lattice(self), table, lattice)
+        return terms, _multi1_closed(self.t, self.t6, self.n, self.N, table)
 
 
 def sample_multi1(
@@ -428,7 +412,7 @@ def sample_multi1(
     nome: Nome,
     radius_band: tuple[float, float] = DEFAULT_BAND,
 ) -> Multi1Params:
-    return _sample_multi1(seed, n, N, nome, radius_band)[0]
+    return _sample(Multi1Params, seed, n, N, nome, radius_band)[0]
 
 
 def _multi1_lattice(params: Multi1Params) -> _Multisum:
@@ -460,31 +444,26 @@ def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: Facto
     return _lattice_terms(_multi1_lattice(params), table, [lam])[0]
 
 
-def _multi1_sides(params: Multi1Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-    """The terms over ordered tuples in lattice order, and the closed form
-    read as the product over j = 1..n of the displayed j-dependent factor."""
-    N, n = params.N, params.n
-    q = params.nome.q
-    t = params.t
-    t0, t1, t2, t3 = params.t6[0], params.t6[1], params.t6[2], params.t6[3]
-    lattice = itertools.combinations_with_replacement(range(N + 1), n)
-    terms = _lattice_terms(_multi1_lattice(params), table, lattice)
-
+def _multi1_closed(t: complex, t6: tuple[complex, ...], n: int, N: int, table: FactorTable) -> FactorialValue:
+    """The closed form of the multi1 sum, read as the product over j = 1..n
+    of the displayed j-dependent factor. At t = 1, n = 1 it is the 10E9 one."""
+    q = table.nome.q
+    t0, t1, t2, t3 = t6[:4]
     closed = ONE
     for j in range(1, n + 1):
         num = table.factorial(q * t ** (n + j - 2) * t0 * t0, N)
         for r in range(1, 4):
             for s in range(r + 1, 4):
-                num = num * table.factorial(q * t ** (1 - j) / (params.t6[r] * params.t6[s]), N)
+                num = num * table.factorial(q * t ** (1 - j) / (t6[r] * t6[s]), N)
         den = table.factorial(q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), N)
         for r in range(1, 4):
-            den = den * table.factorial(q * t ** (j - 1) * t0 / params.t6[r], N)
+            den = den * table.factorial(q * t ** (j - 1) * t0 / t6[r], N)
         closed = closed * (num / den)
-    return terms, closed
+    return closed
 
 
 def verify_multi1(params: Multi1Params, tol: float = 1e-7) -> VerificationReport:
-    return _check_lattice(params, _multi1_sides(params, FactorTable(params.nome)), tol)
+    return _verify(params, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +471,7 @@ def verify_multi1(params: Multi1Params, tol: float = 1e-7) -> VerificationReport
 
 
 @dataclass(frozen=True)
-class Multi2Params(JsonFields):
+class Multi2Params(_LatticeSum):
     """Rank-n box summation: 2n+4 parameters with q^-1 prod t = 1 and
     q^{N_j} t_j t_{n+j} = 1."""
 
@@ -525,23 +504,51 @@ class Multi2Params(JsonFields):
                 if abs(q**k - p**l) <= 1e-12 * abs(p**l):
                     raise ValueError(f"nome degenerate: q^{k} = p^{l}")
 
-
-def _sample_multi2(seed: int, n: int, Ns: tuple[int, ...], nome: Nome, radius_band: tuple[float, float]):
-    """The first admissible multi2 draw and the sides its table admitted."""
-    q = nome.q
-
-    def draw(rng: np.random.Generator) -> Multi2Params:
-        body = [_draw(rng, radius_band) for _ in range(n)]  # t_1..t_n
+    @classmethod
+    def draw(cls, rng: np.random.Generator, n: int, Ns: tuple[int, ...], nome: Nome, band: tuple[float, float]):
+        """t_1..t_n, t0, a and b in band, t_{n+j} solved from the truncation
+        conditions and c from the balancing condition."""
+        q = nome.q
+        body = [_draw(rng, band) for _ in range(n)]  # t_1..t_n
         trunc = [q ** (-Ns[j]) / body[j] for j in range(n)]  # t_{n+1}..t_{2n}
-        t0 = _draw(rng, radius_band)
-        a = _draw(rng, radius_band)
-        b = _draw(rng, radius_band)
+        t0 = _draw(rng, band)
+        a = _draw(rng, band)
+        b = _draw(rng, band)
         partial = t0 * math.prod(body, start=1 + 0j) * math.prod(trunc, start=1 + 0j) * a * b
         c = q / partial
-        t = (t0, *body, *trunc, a, b, c)
-        return Multi2Params(n, t, tuple(Ns), nome)
+        return cls(n, (t0, *body, *trunc, a, b, c), tuple(Ns), nome)
 
-    return _sample("sample_multi2", _multi2_sides, draw, seed)
+    def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
+        """The terms over the box lattice in lattice order, and the closed form."""
+        q = self.nome.q
+        n, t, Ns = self.n, self.t, self.Ns
+        a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
+        ntot = sum(Ns)
+        lattice = itertools.product(*(range(N + 1) for N in Ns))
+        terms = _lattice_terms(_multi2_lattice(self), table, lattice)
+
+        closed = table.factorial_multi([q / (a * b), q / (a * c), q / (b * c)], ntot)
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
+                closed = closed * (
+                    table.factorial(q * t[j] * t[k], Ns[j - 1])
+                    * table.factorial(q * t[j] * t[k], Ns[k - 1])
+                    / table.factorial(q * t[j] * t[k], Ns[j - 1] + Ns[k - 1])
+                )
+        for j in range(1, n + 1):
+            Nj = Ns[j - 1]
+            num = table.factorial(q * t[j] * t[j], Nj)
+            den = table.factorial_multi(
+                [
+                    q * t[j] / a,
+                    q * t[j] / b,
+                    q * t[j] / c,
+                    q ** (1 + ntot - Nj) / (t[j] * a * b * c),
+                ],
+                Nj,
+            )
+            closed = closed * (num / den)
+        return terms, closed
 
 
 def sample_multi2(
@@ -551,7 +558,7 @@ def sample_multi2(
     nome: Nome,
     radius_band: tuple[float, float] = DEFAULT_BAND,
 ) -> Multi2Params:
-    return _sample_multi2(seed, n, Ns, nome, radius_band)[0]
+    return _sample(Multi2Params, seed, n, Ns, nome, radius_band)[0]
 
 
 def _multi2_lattice(params: Multi2Params) -> _Multisum:
@@ -576,41 +583,8 @@ def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: Facto
     return _lattice_terms(_multi2_lattice(params), table, [lam])[0]
 
 
-def _multi2_sides(params: Multi2Params, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-    """The terms over the box lattice in lattice order, and the closed form."""
-    q = params.nome.q
-    n, t, Ns = params.n, params.t, params.Ns
-    a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
-    ntot = sum(Ns)
-    lattice = itertools.product(*(range(N + 1) for N in Ns))
-    terms = _lattice_terms(_multi2_lattice(params), table, lattice)
-
-    closed = table.factorial_multi([q / (a * b), q / (a * c), q / (b * c)], ntot)
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            closed = closed * (
-                table.factorial(q * t[j] * t[k], Ns[j - 1])
-                * table.factorial(q * t[j] * t[k], Ns[k - 1])
-                / table.factorial(q * t[j] * t[k], Ns[j - 1] + Ns[k - 1])
-            )
-    for j in range(1, n + 1):
-        Nj = Ns[j - 1]
-        num = table.factorial(q * t[j] * t[j], Nj)
-        den = table.factorial_multi(
-            [
-                q * t[j] / a,
-                q * t[j] / b,
-                q * t[j] / c,
-                q ** (1 + ntot - Nj) / (t[j] * a * b * c),
-            ],
-            Nj,
-        )
-        closed = closed * (num / den)
-    return terms, closed
-
-
 def verify_multi2(params: Multi2Params, tol: float = 1e-7) -> VerificationReport:
-    return _check_lattice(params, _multi2_sides(params, FactorTable(params.nome)), tol)
+    return _verify(params, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -535,15 +535,7 @@ def eval_basic(
     if kind == "psi":
         if window is None:
             raise ValueError("psi evaluation needs a finite window")
-        total = 0j
-        used = 0
-        for n in range(window[0], window[1] + 1):
-            c = (_qp_multi(numerator, q, n) / _qp_multi(denominator, q, n)) * z**n
-            if c.is_zero:
-                continue
-            total += c.value
-            used += 1
-        return SeriesValue(total, used, False, 0.0)
+        return _sum_window(lambda n: (_qp_multi(numerator, q, n) / _qp_multi(denominator, q, n)) * z**n, window)
     if kind == "vwp_phi":
         def coeff(n: int) -> FactorialValue:
             head = _qp_factor(t0 * t0 * q ** (2 * n)) / _qp_factor(t0 * t0)

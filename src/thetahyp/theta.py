@@ -140,7 +140,8 @@ def theta(z: complex, p: complex) -> complex:
 
     Reports an exact 0j on the structural zeros z = p^{-M} that
     ``theta_zero_index`` detects. At p = 0 the product collapses to
-    1 - z, and its zero z = 1 is detected the same way.
+    1 - z, and its zero z = 1 is detected the same way. Raises
+    OverflowError where the product leaves the float64 range.
     """
     if z == 0:
         raise ThetaDomainError("theta(z; p) is undefined at z = 0")
@@ -156,6 +157,8 @@ def theta(z: complex, p: complex) -> complex:
     for k in range(16 * MAX_TERMS + 1):
         # at least 8 factors; a NaN tail ends the product as a small one does
         if k >= 8 and not (abs(a) >= PRODUCT_TOL or abs(b) >= PRODUCT_TOL):
+            if not cmath.isfinite(prod):
+                raise OverflowError("theta product overflowed")
             return prod
         prod *= (1.0 - a) * (1.0 - b)
         a *= p
@@ -298,7 +301,8 @@ def _product(re, im, p: complex, lanes, values):
 
 def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
     """theta(z, p) for each complex z, bit for bit, and None for each z on
-    which theta raises (zero, non-finite, overflow or non-convergent).
+    which theta raises (zero, non-finite, an overflowing abs() or product,
+    or non-convergent).
 
     The lanes run theta's steps side by side in float64 arrays. Real and
     imaginary parts are held apart and each complex product is formed as
@@ -328,6 +332,7 @@ def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
             re = np.stack([zr[run], b.real, np.ones(len(run))])
             im = np.stack([zi[run], b.imag, np.zeros(len(run))])
             raises[_product(re, im, p, run, values)] = True
+            raises[run] |= ~np.isfinite(values[run])
     values[zero] = 0j
     out = values.tolist()
     for i in np.flatnonzero(raises).tolist():

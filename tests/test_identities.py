@@ -25,7 +25,7 @@ from thetahyp import (
     verify_multi1,
     verify_multi2,
 )
-from thetahyp.identities import _multi1_coefficient, _multi1_sides, _multi2_coefficient, _multi2_sides
+from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
 from thetahyp.factorials import FactorTable
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -163,6 +163,24 @@ class TestMulti1:
         assert rep_m.passed and rep_f.passed
         assert abs(rep_m.lhs - rep_f.lhs) <= 1e-10 * abs(rep_f.lhs)
 
+    @pytest.mark.parametrize("nome", [NOME, Nome(0.3 - 0.25j, 0.1 + 0.3j)])
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_rank_one_reduces_to_ft(self, nome, N):
+        # at n = 1 and t = 1 the multi1 sum is the 10E9 sum: the same closed
+        # form to the bit, and the same terms up to rounding. The lhs sums
+        # are not compared, since cancellation moves them apart by up to 1e-10
+        for seed in range(5):
+            ft = sample_ft(seed, N, nome)
+            m1 = Multi1Params(1, 1 + 0j, ft.t, N, nome)
+            ft_terms, ft_closed = ft.sides(FactorTable(nome))
+            m1_terms, m1_closed = m1.sides(FactorTable(nome))
+            assert m1_closed == ft_closed
+            assert len(m1_terms) == len(ft_terms) == N + 1
+            for got, want in zip(m1_terms, ft_terms):
+                assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
+            rep_m, rep_f = verify_multi1(m1), verify_ft_sum(ft)
+            assert (rep_m.rhs, rep_m.terms_summed) == (rep_f.rhs, rep_f.terms_summed)
+
     def test_ordered_tuple_boundary_zero(self):
         # the coefficient vanishes structurally just above the diagonal,
         # which is why the sum runs over ordered tuples only
@@ -213,20 +231,21 @@ class TestMulti2:
 
 
 @pytest.mark.parametrize(
-    "sample, sides, coefficient, lattice",
+    "sample, coefficient, lattice",
     [
-        (lambda: sample_multi1(31, 2, 3, NOME), _multi1_sides, _multi1_coefficient,
+        (lambda: sample_multi1(31, 2, 3, NOME), _multi1_coefficient,
          list(itertools.combinations_with_replacement(range(4), 2))),
-        (lambda: sample_multi2(32, 3, (2, 2, 2), NOME), _multi2_sides, _multi2_coefficient,
+        (lambda: sample_multi2(32, 3, (2, 2, 2), NOME), _multi2_coefficient,
          list(itertools.product(range(3), repeat=3))),
     ],
+    ids=["multi1", "multi2"],
 )
-def test_cached_blocks_match_per_point_coefficient(sample, sides, coefficient, lattice):
-    # the sides functions reuse each one-index block and two-index cross
+def test_cached_blocks_match_per_point_coefficient(sample, coefficient, lattice):
+    # sides reuses each one-index block and two-index cross
     # factor across the lattice; every term must equal the coefficient of
     # its point built alone on a fresh table, to the last bit
     params = sample()
-    terms, _ = sides(params, FactorTable(params.nome))
+    terms, _ = params.sides(FactorTable(params.nome))
     assert len(terms) == len(lattice)
     for lam, got in zip(lattice, terms):
         want = coefficient(params, lam, FactorTable(params.nome))

@@ -20,7 +20,6 @@ mp, mpc = mpmath.mp, mpmath.mpc
 from thetahyp import Nome, sample_bailey, sample_ft, sample_multi1, sample_multi2  # noqa: E402
 from thetahyp.ellipticity import multi1_h, multi2_h  # noqa: E402
 from thetahyp.factorials import FactorTable  # noqa: E402
-from thetahyp.identities import _bailey_sides, _ft_sides, _multi1_sides, _multi2_sides  # noqa: E402
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 RTOL = 1e-12
@@ -99,18 +98,16 @@ def multi2_coefficient(params, lam):
     return out
 
 
-# sampled params, sides, reference coefficient, summation region and h_l
+# sampled params, reference coefficient, summation region and h_l
 CASES = {
     "multi1_3_3": (
         lambda: sample_multi1(15, 3, 3, NOME),
-        _multi1_sides,
         multi1_coefficient,
         lambda p: list(itertools.combinations_with_replacement(range(p.N + 1), p.n)),
         multi1_h,
     ),
     "multi2_3_3": (
         lambda: sample_multi2(16, 3, (3, 3, 3), NOME),
-        _multi2_sides,
         multi2_coefficient,
         lambda p: list(itertools.product(*(range(N + 1) for N in p.Ns))),
         multi2_h,
@@ -124,9 +121,9 @@ def rel(got, want):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_sides_match_reference(case):
-    sample, sides, coefficient, region, _ = CASES[case]
+    sample, coefficient, region, _ = CASES[case]
     params = sample()
-    terms, closed = sides(params, FactorTable(params.nome))
+    terms, closed = params.sides(FactorTable(params.nome))
     want = [coefficient(params, lam) for lam in region(params)]
     assert len(terms) == len(want)
     assert max(rel(c.value, w) for c, w in zip(terms, want)) <= RTOL
@@ -136,7 +133,7 @@ def test_sides_match_reference(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_h_matches_reference_ratio(case):
-    sample, _, coefficient, region, h = CASES[case]
+    sample, coefficient, region, h = CASES[case]
     params = sample()
     ref = {lam: coefficient(params, lam) for lam in region(params)}
     checked = 0
@@ -153,7 +150,7 @@ def test_h_matches_reference_ratio(case):
 
 def test_ft_sides_match_reference():
     params = sample_ft(12, 6, NOME)
-    terms, closed = _ft_sides(params, FactorTable(params.nome))
+    terms, closed = params.sides(FactorTable(params.nome))
     q, p = mpc(params.nome.q), mpc(params.nome.p)
     want = [vwp_coefficient([mpc(x) for x in params.t], k, q, p) for k in range(params.N + 1)]
     assert len(terms) == len(want)
@@ -164,7 +161,7 @@ def test_ft_sides_match_reference():
 
 def test_bailey_sides_match_reference():
     params = sample_bailey(13, 5, NOME)
-    lhs, rhs, pref = _bailey_sides(params, FactorTable(params.nome))
+    lhs, rhs, pref = params.sides(FactorTable(params.nome))
     q, p = mpc(params.nome.q), mpc(params.nome.p)
     t = [mpc(x) for x in params.t]
     for terms, ts in ((lhs, t), (rhs, bailey_map(t, q))):

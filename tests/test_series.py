@@ -177,6 +177,8 @@ class TestEvaluators:
         spec = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "bilateral")
         with pytest.raises(ValueError, match="empty window"):
             eval_vwp(spec, window=(3, 1))
+        with pytest.raises(ValueError, match="empty window"):
+            eval_basic("psi", [0.4 + 0.1j], [0.5 - 0.2j], 0.35 + 0.1j, 0, 0.3 + 0j, window=(3, 1))
 
     def test_additive_matches_multiplicative(self):
         us = [0.3 + 0.1j, -0.2 + 0.05j, 0.15 - 0.07j]
