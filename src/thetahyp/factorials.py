@@ -5,6 +5,14 @@
 ``elliptic_factorial(u, pair, n)`` its additive counterpart
 ``[u]_n = [u][u+1]...[u+n-1]``. Negative indices invert:
 ``theta(t;p;q)_{-n} = 1/theta(t q^{-n};p;q)_n`` and ``[u]_{-n} = 1/[u-n]_n``.
+A ``FactorTable`` grows each base's positive factorials as one upward
+prefix (arguments t, t q, t q^2, ...) and its negative ones as one
+downward prefix (arguments t/q, t/q^2, ...), so each factor of a window
+is evaluated once.
+
+A finite part that underflows to 0 is never a structural zero (those
+keep finite part 1 and count an order), so dividing by one, or inverting
+one, raises ``OverflowError`` rather than ``ZeroDivisionError``.
 
 Factors landing exactly on a lattice zero are not multiplied into the
 scalar value; they are counted in ``zero_order`` / ``pole_order`` so that
@@ -19,6 +27,11 @@ from dataclasses import dataclass
 
 from .errors import PoleError
 from .theta import ModularPair, Nome, elliptic_number, elliptic_number_zero_index, theta, theta_many
+
+
+# a structural zero keeps finite part 1, so a finite part of 0 has
+# underflowed and a quotient by it overflows
+_UNDERFLOWED = "a factorial value underflowed to 0 in float64, so its inverse overflows"
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,8 @@ class FactorialValue:
 
     def __truediv__(self, other: "FactorialValue | complex") -> "FactorialValue":
         if isinstance(other, FactorialValue):
+            if other.finite_part == 0:
+                raise OverflowError(_UNDERFLOWED)
             return FactorialValue(
                 self.finite_part / other.finite_part,
                 self.zero_order + other.pole_order,
@@ -77,6 +92,8 @@ class FactorialValue:
         return FactorialValue(self.finite_part / other, self.zero_order, self.pole_order)
 
     def inverse(self) -> "FactorialValue":
+        if self.finite_part == 0:
+            raise OverflowError(_UNDERFLOWED)
         return FactorialValue(1.0 / self.finite_part, self.pole_order, self.zero_order)
 
 
@@ -121,10 +138,13 @@ class FactorTable:
     ``prefetch`` fills that memo with the bit-identical values of one
     ``theta_many`` batch, so a caller that multiplies plain values builds
     no ``FactorialValue``. ``factor`` memoises ``theta_factor``, built from
-    ``value``. ``factorial`` keeps the prefix list ``[1, f0, f0 f1, ...]``
-    of each base t, where ``f_m = theta_factor(t q^m)`` and each argument
-    is the previous one times q, so a value read from a grown prefix is
-    bit-identical to one computed afresh.
+    ``value``. ``factorial`` keeps two prefix lists for each base t: the
+    upward ``[1, f0, f0 f1, ...]`` with ``f_m = theta_factor(t q^m)``, each
+    argument the previous one times q, for n >= 0, and the downward
+    ``[1, f(t/q), f(t/q) f(t/q^2), ...]``, its argument m formed as
+    ``t * q**-m``, whose entry n inverted is the factorial at -n. So a
+    window [-M, M'] costs M + M' factors per base, and a value read from a
+    grown prefix is bit-identical to one computed afresh.
     """
 
     def __init__(self, nome: Nome) -> None:
@@ -132,6 +152,7 @@ class FactorTable:
         self._values: dict[complex, complex] = {}
         self._factors: dict[complex, FactorialValue] = {}
         self._prefixes: dict[complex, tuple[list[FactorialValue], complex]] = {}
+        self._downward: dict[complex, list[FactorialValue]] = {}
 
     def value(self, arg: complex) -> complex:
         """theta_factor(arg, p).value: theta(arg, p), or 0j on a zero."""
@@ -162,10 +183,15 @@ class FactorTable:
         return self._values.keys()
 
     def factorial(self, t: complex, n: int) -> FactorialValue:
-        """theta(t; p; q)_n for any integer n; theta(t;p;q)_{-n} = 1/theta(t q^{-n};p;q)_n."""
+        """theta(t; p; q)_n for any integer n; theta(t;p;q)_{-n} =
+        1/theta(t q^{-n};p;q)_n = 1/(theta(t/q) theta(t/q^2) ... theta(t/q^n)),
+        read from the downward prefix of t."""
         q = self.nome.q
         if n < 0:
-            return self.factorial(t * q**n, -n).inverse()
+            prefix = self._downward.setdefault(t, [ONE])
+            while len(prefix) <= -n:
+                prefix.append(prefix[-1] * self.factor(complex(t) * q ** -len(prefix)))
+            return prefix[-n].inverse()
         prefix, arg = self._prefixes.get(t, ([ONE], complex(t)))
         while len(prefix) <= n:
             prefix.append(prefix[-1] * self.factor(arg))

@@ -194,6 +194,14 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
 # evaluators
 
 
+def _term(coeff_fn, n: int) -> FactorialValue:
+    """coeff_fn(n), with an overflow named by its term index."""
+    try:
+        return coeff_fn(n)
+    except OverflowError as exc:
+        raise OverflowError(f"term {n} of the series: {exc}") from exc
+
+
 def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue:
     """Sum coeff_fn(n) for n >= 0. trunc as a TruncationDecl or an explicit
     last index (any integer, numpy's included) sums exactly that many terms;
@@ -211,7 +219,7 @@ def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue
     terminated = last is not None
     tail = 0.0
     while n < cap:
-        c = coeff_fn(n)
+        c = _term(coeff_fn, n)
         if c.is_zero:
             # a numerator lattice zero persists in every later coefficient;
             # terms 0..n-1 were summed
@@ -244,7 +252,7 @@ def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
     used = 0
     edge = 0.0
     for n in range(n_min, n_max + 1):
-        c = coeff_fn(n)
+        c = _term(coeff_fn, n)
         if c.is_zero:
             continue
         val = c.value  # raises PoleError when unresolved
@@ -294,7 +302,16 @@ def eval_vwp(
     window: tuple[int, int] | None = None,
 ) -> SeriesValue:
     """Evaluate the simplified very-well-poised series (multiplicative form)."""
-    table = FactorTable(spec.nome)
+    return _eval_vwp(spec, FactorTable(spec.nome), trunc, window)
+
+
+def _eval_vwp(
+    spec: VwpSpec,
+    table: FactorTable,
+    trunc: TruncationDecl | int | None,
+    window: tuple[int, int] | None,
+) -> SeriesValue:
+    """eval_vwp reading its factors through a table of the spec's nome."""
     if spec.kind == "unilateral":
         return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), trunc)
     if window is None:
@@ -440,37 +457,34 @@ def ge_split_check(
     unilateral ones: the n in [-M, M'] window of the G series equals the
     [0, M'] partial sum of the first E series plus a theta prefactor times
     the [0, M-1] partial sum of the second E series at the reflected
-    argument. M' defaults to M; both must be non-negative."""
+    argument. M' defaults to M; both must be non-negative. The three sums
+    and the prefactor read their theta factors through one table."""
     if spec.kind != "bilateral":
         raise ValueError("ge_split_check expects a bilateral vwp spec")
     if window_Mp is None:
         window_Mp = window_M
     if window_M < 0 or window_Mp < 0:
         raise ValueError(f"ge_split_check needs non-negative windows, got M={window_M}, M'={window_Mp}")
-    q, p = spec.nome.q, spec.nome.p
+    q = spec.nome.q
     t0, ts, z = spec.t0, spec.ts, spec.z
     r = len(ts) + 4
     m_prod = math.prod((t * t for t in ts), start=1.0 + 0j)
+    table = FactorTable(spec.nome)
 
-    lhs = eval_vwp(spec, window=(-window_M, window_Mp)).value
+    lhs = _eval_vwp(spec, table, None, (-window_M, window_Mp)).value
 
     e1 = VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral")
-    first = eval_vwp(e1, trunc=window_Mp).value
+    first = _eval_vwp(e1, table, window_Mp, None).value
 
     if window_M == 0:
         rhs = first
     else:
-        pref = (
-            q ** (r - 7)
-            / (z * m_prod)
-            * theta_factor(q * q / (t0 * t0), p).value
-            / theta_factor(1.0 / (t0 * t0), p).value
-        )
+        pref = q ** (r - 7) / (z * m_prod) * table.value(q * q / (t0 * t0)) / table.value(1.0 / (t0 * t0))
         for t in ts:
-            pref *= theta_factor(t / t0, p).value / theta_factor(q / (t0 * t), p).value
+            pref *= table.value(t / t0) / table.value(q / (t0 * t))
         z2 = q ** (r - 8) / (z * m_prod)
         e2 = VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral")
-        second = eval_vwp(e2, trunc=window_M - 1).value
+        second = _eval_vwp(e2, table, window_M - 1, None).value
         rhs = first + pref * second
     return VerificationReport.compare(lhs, rhs, tol, params_echo=spec.to_json())
 

@@ -74,11 +74,6 @@ class Nome:
             raise ThetaDomainError(f"|p| must be < 1, got {abs(self.p)}")
 
 
-def nome_from_modular(pair: ModularPair) -> Nome:
-    """Map (sigma, tau) to (q, p) = (e^{2 pi i sigma}, e^{2 pi i tau})."""
-    return pair.nome()
-
-
 def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> complex:
     """p-shifted factorial (a; p)_n.
 

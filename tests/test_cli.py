@@ -389,3 +389,27 @@ class TestGESplitVerify:
         inp.write_text(json.dumps({"specs": specs}))
         assert run(["verify", "ge_split", str(inp)]) == 2
         assert json.loads(capsys.readouterr().out)["error"]
+
+    # the deep-window spec of tests/test_factor_table.py
+    DEEP_SPEC = VwpSpec(0.62 + 0.21j, (0.55 - 0.3j, -0.48 + 0.4j, 0.71 + 0.12j, -0.2 - 0.6j),
+                        0.45 + 0.15j, NOME, "bilateral")
+
+    @pytest.mark.parametrize("M, code", [(8, 0), (12, 2)])
+    def test_deep_window(self, tmp_path, capsys, M, code):
+        # at M = 12 the coefficient at n = -12 underflows to 0 and its
+        # inverse overflows; that is refused with the term named, where a
+        # ZeroDivisionError traceback exited 1 as if the check had failed
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": [{"spec": self.DEEP_SPEC.to_json(), "windows": [M, M]}]}))
+        assert run(["verify", "ge_split", str(inp), "--tol", "1e-10"]) == code
+        out = json.loads(capsys.readouterr().out)
+        if code == 0:
+            assert out["summary"]["pass"] is True
+        else:
+            assert out["error"].startswith("OverflowError: term -12 of the series")
+
+    def test_deep_bilateral_eval_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "spec.json"
+        inp.write_text(json.dumps({**self.DEEP_SPEC.to_json(), "window": [-12, 12]}))
+        assert run(["eval", str(inp)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"].startswith("OverflowError: term -12 of the series")

@@ -4,7 +4,11 @@ factors through it.
 
 The pinned reprs were computed by the direct per-coefficient factorial
 products that the tables replace; a table that changed any argument or
-the multiplication order would move the last digits.
+the multiplication order would move the last digits. The one exception is
+the ge_split_4 lhs, whose negative-index factorials are read from downward
+prefixes (arguments t q^-1, t q^-2, ...) instead of upward ones from
+t q^{-n}; it agrees with tests/test_reference.py's 40-digit window sum to
+5.3e-15, where the upward products did to 6.7e-15.
 """
 
 import collections
@@ -29,6 +33,7 @@ from thetahyp import (
     verify_ft_sum,
     verify_multi1,
     verify_multi2,
+    vwp_coefficient,
 )
 from thetahyp import ellipticity, factorials
 from thetahyp.cli import main
@@ -65,7 +70,7 @@ PINNED = {
     "multi1_3_3": ("(0.3411335307708657-0.46233076426601394j)", "(0.34113353077086206-0.46233076426601266j)", "6.752668062805524e-15", 20),
     "multi2_3_3": ("(0.8486027420737523+0.2469074589486195j)", "(0.8486027420737452+0.2469074589486262j)", "1.1041773273056647e-14", 64),
     "multi2_4_2": ("(181.0662247897613+234.58240865372895j)", "(181.06622478976027+234.58240865372622j)", "9.83357144630538e-15", 81),
-    "ge_split_4": ("(-17254855625.884865-259597370631.37402j)", "(-17254855625.883698-259597370631.37256j)", "7.199361032297387e-15", 0),
+    "ge_split_4": ("(-17254855625.884758-259597370631.37366j)", "(-17254855625.883698-259597370631.37256j)", "5.8691033759731e-15", 0),
 }
 
 
@@ -87,9 +92,14 @@ def test_series_values_are_pinned():
 
 
 def _loop_factorial(t, nome, n):
-    """The factor-by-factor product, written out as the reference."""
+    """The factor-by-factor product, written out as the reference: upward
+    from t for n >= 0, and for n < 0 the inverse of the downward product
+    theta(t q^-1) theta(t q^-2) ... theta(t q^n)."""
     if n < 0:
-        return _loop_factorial(t * nome.q**n, nome, -n).inverse()
+        out = ONE
+        for m in range(1, -n + 1):
+            out = out * theta_factor(complex(t) * nome.q**-m, nome.p)
+        return out.inverse()
     out = ONE
     arg = complex(t)
     for _ in range(n):
@@ -115,6 +125,32 @@ def test_factorial_matches_loop_product(t, on_lattice):
             ), n
     # the lattice cases put a factor of the range on a zero of theta
     assert any(table.factorial(t, n).zero_order for n in range(9)) == on_lattice
+
+
+def test_negative_factorials_read_one_downward_prefix(monkeypatch):
+    # each theta(t;p;q)_{-n} once started its own upward prefix at t q^{-n},
+    # 56 theta calls for n = 1..12; the downward prefix adds one factor per n
+    table = FactorTable(NOME)
+    calls = _count_theta_calls(monkeypatch, lambda: [table.factorial(0.6 + 0.2j, -n) for n in range(1, 13)])
+    assert calls == 12
+
+
+def test_ge_split_theta_budget(monkeypatch):
+    # the window, the two unilateral sums and the prefactor read one table;
+    # with a table per sum and upward prefixes for negative indices this
+    # made 505 calls
+    assert _count_theta_calls(monkeypatch, lambda: ge_split_check(GE_SPEC, 8, 8)) == 270
+
+
+@pytest.mark.parametrize("M", [6, 8, 10])
+def test_ge_split_passes_at_depth(M):
+    assert ge_split_check(GE_SPEC, M, M, tol=1e-10).passed
+
+
+def test_underflowed_coefficient_raises_overflow():
+    # the factorials of the coefficient at n = -12 underflow to 0
+    with pytest.raises(OverflowError):
+        vwp_coefficient(GE_SPEC, -12)
 
 
 def _count_calls(monkeypatch, owner, name, fn) -> int:

@@ -44,6 +44,16 @@ class TestFactorialValue:
         v = FactorialValue(2.0 + 0j, zero_order=1).inverse()
         assert v.is_pole
 
+    def test_underflowed_divisor_overflows(self):
+        # a structural zero keeps finite part 1, so a finite part of 0 has
+        # underflowed: its inverse is out of range, not a division by zero
+        underflowed = FactorialValue(0j)
+        with pytest.raises(OverflowError):
+            underflowed.inverse()
+        with pytest.raises(OverflowError):
+            FactorialValue(2.0 + 0j) / underflowed
+        assert (underflowed / FactorialValue(2.0 + 0j)).finite_part == 0
+
 
 class TestThetaFactorial:
     def test_matches_direct_product(self):

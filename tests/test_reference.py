@@ -1,5 +1,5 @@
-"""An independent 40-digit reference for the very-well-poised sums and the
-two multisum families.
+"""An independent 40-digit reference for the very-well-poised sums, unilateral
+and bilateral (with the G/E split), and the two multisum families.
 
 Theta is evaluated by its product, theta factorials as plain products of
 theta factors, and each coefficient is written out from its theta-factorial
@@ -11,13 +11,24 @@ closed forms and the term ratios h_l are each checked against it.
 import functools
 import itertools
 import math
+import random
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpc = mpmath.mp, mpmath.mpc
 
-from thetahyp import Nome, sample_bailey, sample_ft, sample_multi1, sample_multi2  # noqa: E402
+from thetahyp import (  # noqa: E402
+    Nome,
+    VwpSpec,
+    eval_vwp,
+    ge_split_check,
+    sample_bailey,
+    sample_ft,
+    sample_multi1,
+    sample_multi2,
+)
+from thetahyp import vwp_coefficient as float_vwp_coefficient  # noqa: E402
 from thetahyp.ellipticity import multi1_h, multi2_h  # noqa: E402
 from thetahyp.factorials import FactorTable  # noqa: E402
 
@@ -54,6 +65,19 @@ def vwp_coefficient(t, k, q, p):
     t0 = t[0]
     out = theta(t0**2 * q ** (2 * k), p) / theta(t0**2, p) * q**k
     for tm in t:
+        out *= factorial(t0 * tm, k, q, p) / factorial(q * t0 / tm, k, q, p)
+    return out
+
+
+def spec_term(spec, k):
+    """Term k, any integer, of a VwpSpec's series:
+    theta(t0^2 q^2k) / theta(t0^2) (q z)^k prod_m (t0 t_m)_k / (q t0 / t_m)_k,
+    with t_m running over ts, and over t0 too for a unilateral spec."""
+    q, p = mpc(spec.nome.q), mpc(spec.nome.p)
+    t0, z = mpc(spec.t0), mpc(spec.z)
+    ms = [mpc(t) for t in spec.ts] + ([t0] if spec.kind == "unilateral" else [])
+    out = theta(t0**2 * q ** (2 * k), p) / theta(t0**2, p) * (q * z) ** k
+    for tm in ms:
         out *= factorial(t0 * tm, k, q, p) / factorial(q * t0 / tm, k, q, p)
     return out
 
@@ -171,3 +195,50 @@ def test_bailey_sides_match_reference():
     # the 12E11 transformation: the left series is the prefactor times the right one
     lhs_sum = mpmath.fsum(vwp_coefficient(t, k, q, p) for k in range(params.N + 1))
     assert rel(pref.value * sum((c.value for c in rhs), 0j), lhs_sum) <= RTOL
+
+
+def annulus_draw(rng):
+    while True:
+        w = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+        if 0.5 <= abs(w) <= 0.9:
+            return w
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bilateral_coefficients_match_reference(seed):
+    # the negative indices read the factorials' downward prefixes
+    rng = random.Random(seed)
+    spec = VwpSpec(annulus_draw(rng), tuple(annulus_draw(rng) for _ in range(4)), annulus_draw(rng), NOME, "bilateral")
+    for n in range(-8, 9):
+        assert rel(float_vwp_coefficient(spec, n).value, spec_term(spec, n)) <= RTOL, n
+
+
+GE_SPEC = VwpSpec(
+    0.62 + 0.21j,
+    (0.55 - 0.3j, -0.48 + 0.4j, 0.71 + 0.12j, -0.2 - 0.6j),
+    0.45 + 0.15j,
+    NOME,
+    "bilateral",
+)
+
+
+def test_ge_split_sides_match_reference():
+    # the three sums of ge_split_check at M = M' = 8: the bilateral window and
+    # the two unilateral series it is reassembled from
+    spec, M = GE_SPEC, 8
+    q, t0, ts, z = spec.nome.q, spec.t0, spec.ts, spec.z
+    m_prod = math.prod((t * t for t in ts), start=1.0 + 0j)
+    e1 = VwpSpec(t0, ts + (q / t0,), z, NOME, "unilateral")
+    e2 = VwpSpec(q / t0, ts + (t0,), q ** (len(ts) - 4) / (z * m_prod), NOME, "unilateral")
+    sides = [
+        (eval_vwp(spec, window=(-M, M)), spec, range(-M, M + 1)),
+        (eval_vwp(e1, trunc=M), e1, range(M + 1)),
+        (eval_vwp(e2, trunc=M - 1), e2, range(M)),
+    ]
+    for got, side, ks in sides:
+        assert rel(got.value, mpmath.fsum(spec_term(side, k) for k in ks)) <= RTOL, side.kind
+    # the reassembly is exact term by term, so both sides of the report are
+    # checked against the bilateral window
+    rep = ge_split_check(spec, M, M)
+    want = mpmath.fsum(spec_term(spec, k) for k in range(-M, M + 1))
+    assert rel(rep.lhs, want) <= RTOL and rel(rep.rhs, want) <= RTOL

@@ -11,7 +11,6 @@ from thetahyp import (
     ThetaDomainError,
     apply_modular,
     elliptic_number,
-    nome_from_modular,
     p_pochhammer,
     theta,
     theta1,
@@ -56,7 +55,7 @@ class TestPolicyAndDomain:
 
     def test_nome_from_modular(self):
         pair = ModularPair(0.05 + 0.3j, 0.1 + 0.5j)
-        nome = nome_from_modular(pair)
+        nome = pair.nome()
         assert abs(nome.q - cmath.exp(2j * math.pi * pair.sigma)) < 1e-15
         assert abs(nome.p - cmath.exp(2j * math.pi * pair.tau)) < 1e-15
 
