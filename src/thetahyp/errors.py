@@ -15,3 +15,8 @@ class NonConvergenceError(RuntimeError):
 
 class BranchError(ValueError):
     """A square-root branch prescription is undefined for the given input."""
+
+
+class FloatRangeError(OverflowError):
+    """A value left the float64 range: a theta value or a side that is not
+    finite, or a division by a factorial value that underflowed to 0."""

@@ -12,7 +12,7 @@ is evaluated once.
 
 A finite part that underflows to 0 is never a structural zero (those
 keep finite part 1 and count an order), so dividing by one, or inverting
-one, raises ``OverflowError`` rather than ``ZeroDivisionError``.
+one, raises ``FloatRangeError`` rather than ``ZeroDivisionError``.
 
 Factors landing exactly on a lattice zero are not multiplied into the
 scalar value; they are counted in ``zero_order`` / ``pole_order`` so that
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
 
-from .errors import PoleError
+from .errors import FloatRangeError, PoleError
 from .theta import ModularPair, Nome, elliptic_number, elliptic_number_zero_index, theta, theta_many
 
 
@@ -83,7 +83,7 @@ class FactorialValue:
     def __truediv__(self, other: "FactorialValue | complex") -> "FactorialValue":
         if isinstance(other, FactorialValue):
             if other.finite_part == 0:
-                raise OverflowError(_UNDERFLOWED)
+                raise FloatRangeError(_UNDERFLOWED)
             return FactorialValue(
                 self.finite_part / other.finite_part,
                 self.zero_order + other.pole_order,
@@ -93,7 +93,7 @@ class FactorialValue:
 
     def inverse(self) -> "FactorialValue":
         if self.finite_part == 0:
-            raise OverflowError(_UNDERFLOWED)
+            raise FloatRangeError(_UNDERFLOWED)
         return FactorialValue(1.0 / self.finite_part, self.pole_order, self.zero_order)
 
 

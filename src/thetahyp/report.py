@@ -8,9 +8,11 @@ booleans are not read as numbers.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from .errors import FloatRangeError
 from .theta import Nome
 
 
@@ -114,6 +116,9 @@ class VerificationReport:
         params_echo: dict | None = None,
         terms_summed: int = 0,
     ) -> "VerificationReport":
+        for name, side in (("lhs", lhs), ("rhs", rhs)):
+            if not cmath.isfinite(side):
+                raise FloatRangeError(f"{name} is not finite: {side}")
         r = rel_err(lhs, rhs)
         return cls(
             lhs=complex(lhs),

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import NonConvergenceError, ThetaDomainError
+from .errors import FloatRangeError, NonConvergenceError, ThetaDomainError
 from .factorials import (
     ONE,
     FactorialValue,
@@ -199,7 +199,7 @@ def _term(coeff_fn, n: int) -> FactorialValue:
     try:
         return coeff_fn(n)
     except OverflowError as exc:
-        raise OverflowError(f"term {n} of the series: {exc}") from exc
+        raise FloatRangeError(f"term {n} of the series: {exc}") from exc
 
 
 def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue:

@@ -15,11 +15,12 @@ representations of theta1 mutually consistent.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import BranchError, NonConvergenceError, ThetaDomainError
+from .errors import BranchError, FloatRangeError, NonConvergenceError, ThetaDomainError
 
 TWO_PI_I = 2j * math.pi
 
@@ -108,231 +109,170 @@ def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> comple
     return 1.0 / denom
 
 
+class _Reduction:
+    """The reduction of theta's argument for one nome p. z != 0 reduces to
+    m = round(-log|z| / log|p|), the lattice zero p^-m nearest z in modulus,
+    and y = z, k = m, or for m < 0 the fold y = p / z, k = -1 - m. Then
+    |p|^(1/2) <= |w| <= |p|^(-1/2) for w = y p^k, theta(z) =
+    prod_{i<k} (-y p^i) theta(w) by theta(p z) = -theta(z) / z, and theta(w)
+    is the product of its first count = K(p) factors (1 - w p^j)(1 - p^(j+1)
+    / w); count is 0 past 16 * MAX_TERMS. powers[j] is the exact p**j =
+    (a + b i)**j / d**j rounded once, where p * p * ... would round j times."""
+
+    def __init__(self, p: complex) -> None:
+        if not math.hypot(p.real, p.imag) < 1.0:  # abs(p) itself may overflow
+            raise ThetaDomainError(f"|p| must be < 1, got p = {p}")
+        self.log_p = math.log(abs(p)) if p else -math.inf
+        count = max(8, math.ceil(math.log(PRODUCT_TOL) / self.log_p + 0.5) + 1)
+        self.count = count if count <= 16 * MAX_TERMS else 0
+        # |prod_{i<s} y p^i| >= |p|^(-s^2/2), so a prefactor that is still
+        # finite has taken fewer than sqrt(1420 / |log p|) steps
+        size = max(self.count, MAX_ZERO_ORDER, math.isqrt(int(1500 / -self.log_p)) if self.count else 0)
+        (a, da), (b, db) = p.real.as_integer_ratio(), p.imag.as_integer_ratio()
+        d = max(da, db)  # both are powers of two
+        a, b, re, im, den = a * (d // da), b * (d // db), 1, 0, 1
+        self.powers = []
+        for _ in range(size + 1):
+            self.powers.append(complex(re / den, im / den))
+            re, im, den = re * a - im * b, re * b + im * a, den * d
+        self.head = tuple(self.powers[: self.count])
+
+    def reduce(self, z: complex, p: complex) -> tuple[int, complex, int]:
+        """(m, y, k) for z; p as given, as the cache key ignores signed zeros."""
+        m = round(-math.log(abs(z)) / self.log_p)
+        return (m, z, m) if m >= 0 else (m, p / z, -1 - m)
+
+
+_reduction = functools.lru_cache(maxsize=32)(_Reduction)
+
+
 def theta_zero_index(z: complex, p: complex, rtol: float = LATTICE_RTOL) -> int | None:
     """Return M when z = p^{-M} (|M| <= MAX_ZERO_ORDER) to relative accuracy rtol.
 
     These are exactly the zeros of theta(z; p); None means z is not a
-    detected lattice zero.
+    detected lattice zero. The test is |w - 1| <= rtol (see _Reduction).
     """
     if z == 0:
         return None
-    if p == 0:
-        return 0 if abs(z - 1.0) <= rtol else None
-    m = round(-math.log(abs(z)) / math.log(abs(p))) if abs(z) != 1.0 else 0
-    # |z| pins down only Re of the lattice index; scan a small neighborhood
-    # so arguments sitting on |z| = |p^-M| circles with the wrong phase and
-    # near-ties are still classified correctly.
-    for cand in (m - 1, m, m + 1):
-        if abs(cand) > MAX_ZERO_ORDER:
-            continue
-        if abs(z * p**cand - 1.0) <= rtol:
-            return cand
-    return None
+    p = complex(p)
+    red = _reduction(p)
+    m, y, k = red.reduce(complex(z), p)
+    return m if abs(m) <= MAX_ZERO_ORDER and abs(y * red.powers[k] - 1.0) <= rtol else None
 
 
 def theta(z: complex, p: complex) -> complex:
     """Jacobi-type theta function theta(z; p) = (z; p)_inf (p z^{-1}; p)_inf.
 
+    z is reduced to w in the annulus |p|^(1/2) <= |w| <= |p|^(-1/2) by the
+    quasi-periodicity theta(p z) = -theta(z) / z, and theta(w) is the
+    product of the same K(p) factors for every argument (see _Reduction).
     Reports an exact 0j on the structural zeros z = p^{-M} that
-    ``theta_zero_index`` detects. At p = 0 the product collapses to
-    1 - z, and its zero z = 1 is detected the same way. Raises
-    OverflowError where the product leaves the float64 range.
+    ``theta_zero_index`` detects; at p = 0 the product is 1 - z. Raises
+    FloatRangeError where the value leaves the float64 range.
     """
-    if z == 0:
-        raise ThetaDomainError("theta(z; p) is undefined at z = 0")
-    if abs(p) >= 1.0:
-        raise ThetaDomainError(f"|p| must be < 1, got {abs(p)}")
-    if theta_zero_index(z, p) is not None:
+    z, p = complex(z), complex(p)
+    if z == 0 or not cmath.isfinite(z):
+        raise ThetaDomainError(f"theta(z; p) needs a finite z != 0, got {z}")
+    red = _reduction(p)
+    if math.isinf(math.hypot(z.real, z.imag)):  # where abs(z) raises OverflowError
+        raise FloatRangeError(f"|z| leaves the float64 range, z = {z}")
+    m, y, k = red.reduce(z, p)
+    if abs(m) <= MAX_ZERO_ORDER and abs(y * red.powers[k] - 1.0) <= LATTICE_RTOL:
         return 0j
-    if p == 0:
-        return 1.0 - z
-    prod = 1.0 + 0j
-    a = complex(z)
-    b = p / z
-    for k in range(16 * MAX_TERMS + 1):
-        # at least 8 factors; a NaN tail ends the product as a small one does
-        if k >= 8 and not (abs(a) >= PRODUCT_TOL or abs(b) >= PRODUCT_TOL):
-            if not cmath.isfinite(prod):
-                raise OverflowError("theta product overflowed")
-            return prod
-        prod *= (1.0 - a) * (1.0 - b)
-        a *= p
-        b *= p
-    raise NonConvergenceError("theta product did not reach PRODUCT_TOL")
+    if not red.count:
+        raise NonConvergenceError("theta product needs more than 16 * MAX_TERMS factors")
+    pre = 1.0 + 0j
+    for i in range(k):  # powers covers each i a finite prefactor reaches
+        pre *= -y * red.powers[i]
+        if not cmath.isfinite(pre):
+            break
+    else:
+        w = y * red.powers[k]
+        b = p / w
+        prod = 1.0 + 0j
+        for pj in red.head:
+            prod *= (1.0 - w * pj) * (1.0 - b * pj)
+        if cmath.isfinite(value := pre * prod):
+            return value
+    raise FloatRangeError(f"theta({z}; {p}) leaves the float64 range")
 
-
-# The batch functions below import numpy when called: imported with this
-# module, the package's first, numpy raised the peak RSS of importing
-# thetahyp from 28.4 to 29.7 MB (numpy 2.4, CPython 3.11) in every process.
 
 # 1.0 - a has imaginary part _IMAG_ZERO - a.imag: CPython forms it as
 # complex(1.0, 0.0) - a before 3.14 and as -a.imag from 3.14 on
 _IMAG_ZERO = (1.0 - 0j).imag
-# x.x bounds around PRODUCT_TOL**2 beyond which it decides abs(x) >= PRODUCT_TOL
-# without hypot; the margin dwarfs the few ulps between x.x and |x|**2
-_TOL_SQ_LO = PRODUCT_TOL**2 * (1.0 - 1e-9)
-_TOL_SQ_HI = PRODUCT_TOL**2 * (1.0 + 1e-9)
 
 
-def _abs_overflows(xr, xi, h):
-    """Where abs(x) raises OverflowError: finite parts whose hypot h is infinite."""
-    import numpy as np
-
-    return np.isinf(h) & np.isfinite(xr) & np.isfinite(xi)
-
-
-def _lattice_zeros(zr, zi, p: complex, raises):
-    """theta_zero_index(z, p) is not None for each lane, for p != 0; marks
-    in raises each lane on which the scalar scan raises."""
-    import numpy as np
-
-    absz = np.hypot(zr, zi)
-    log_p = math.log(abs(p))
-    ratio = np.where(absz == 1.0, 0.0, -np.log(absz) / log_p)
-    # the ratio is non-finite where abs(z) overflows, z is zero or not
-    # finite, or p is NaN; abs() or round() raises there
-    raises |= ~np.isfinite(ratio)
-    m = np.rint(ratio)
-    # np.log may differ from math.log in the last bits, which moves round()
-    # only next to a tie; those lanes take the scalar's logarithm
-    for i in np.flatnonzero(np.abs(np.abs(ratio - m) - 0.5) < 1e-9).tolist():
-        m[i] = round(-math.log(absz[i]) / log_p)
-    zero = np.zeros(len(zr), dtype=bool)
-    scan = ~raises
-    for offset in (-1, 0, 1):
-        cand = m + offset
-        lanes = np.flatnonzero(scan & (np.abs(cand) <= MAX_ZERO_ORDER))
-        if not len(lanes):
-            continue
-        c = cand[lanes].astype(int)
-        powers, fails = [], []
-        for k in range(int(c.min()), int(c.max()) + 1):
-            try:
-                powers.append(p**k)
-                fails.append(False)
-            except (OverflowError, ZeroDivisionError):
-                powers.append(0j)
-                fails.append(True)
-        pc, bad = np.array(powers)[c - c.min()], np.array(fails)[c - c.min()]
-        dr = zr[lanes] * pc.real - zi[lanes] * pc.imag - 1.0
-        di = zr[lanes] * pc.imag + zi[lanes] * pc.real
-        h = np.hypot(dr, di)
-        raised, hit = bad | _abs_overflows(dr, di, h), ~bad & (h <= LATTICE_RTOL)
-        raises[lanes] |= raised
-        zero[lanes] = hit
-        scan[lanes] = ~(raised | hit)
-    return zero
-
-
-def _stops(ab, s):
-    """For the (re, im) rows ab = [a, b] of each lane and s = |a|^2, |b|^2 as
-    x.x: (theta returns here, theta raises here), or None when every lane
-    goes on; hypot runs only on lanes whose x.x cannot decide."""
-    import numpy as np
-
-    top = np.maximum(s[0], s[1])
-    if top.min() > _TOL_SQ_HI and top.max() < math.inf:
-        return None
-    big = s > _TOL_SQ_HI
-    over = np.zeros_like(big)
-    unsure = ~((s < _TOL_SQ_LO) | (big & (s < math.inf)))
-    if unsure.any():
-        xr, xi = ab[0][unsure], ab[1][unsure]
-        h = np.hypot(xr, xi)
-        big[unsure] = h >= PRODUCT_TOL
-        over[unsure] = _abs_overflows(xr, xi, h)
-    # theta reads abs(b) only when abs(a) < PRODUCT_TOL, which holds where
-    # abs(b) overflows: |a| |b| = |p|^(2k + 1) < 1
-    return ~big[0] & ~big[1], over[0] | over[1]
-
-
-def _product(re, im, p: complex, lanes, values):
-    """theta's product loop for lanes, whose a = z, b = p / z and product 1
-    are rows 0, 1 and 2 of re and im. Writes each lane's product into
-    values at the step where theta returns it, and gives back the lanes on
-    which theta raises: an abs() that overflows, or no PRODUCT_TOL within
-    16 * MAX_TERMS factors. The rows are updated in place through the
-    scratch rows x, y and f."""
-    import numpy as np
-
-    n = len(lanes)
-    x_buf, y_buf, f_buf = np.empty((2, n)), np.empty((2, n)), np.empty((3, n))
-    raised = [lanes[:0]]
-    for k in range(16 * MAX_TERMS + 1):
-        if k >= 8:
-            s = np.multiply(re[:2], re[:2], out=y_buf[:, : len(lanes)])
-            s += np.multiply(im[:2], im[:2], out=x_buf[:, : len(lanes)])
-            stops = _stops((re[:2], im[:2]), s)
-            if stops is not None:
-                done, failed = stops
-                values.real[lanes[done]], values.imag[lanes[done]] = re[2, done], im[2, done]
-                raised.append(lanes[failed])
-                keep = np.flatnonzero(~(done | failed))
-                lanes = lanes[keep]
-                re, im = re[:, keep], im[:, keep]
-        if not len(lanes):
-            break
-        x, y, (fr, fi, t) = x_buf[:, : len(lanes)], y_buf[:, : len(lanes)], f_buf[:, : len(lanes)]
-        # prod *= (1 - a) * (1 - b), then a *= p and b *= p, each complex
-        # product formed as CPython forms it: (ar br - ai bi, ar bi + ai br)
-        np.subtract(1.0, re[:2], out=x)
-        np.subtract(_IMAG_ZERO, im[:2], out=y)
-        np.multiply(x[0], x[1], out=fr)
-        fr -= np.multiply(y[0], y[1], out=t)
-        np.multiply(x[0], y[1], out=fi)
-        fi += np.multiply(y[0], x[1], out=t)
-        np.multiply(re[2], fi, out=x[0])
-        x[0] += np.multiply(im[2], fr, out=t)
-        re[2] *= fr
-        re[2] -= np.multiply(im[2], fi, out=t)
-        im[2] = x[0]
-        np.multiply(re[:2], p.imag, out=x)
-        x += np.multiply(im[:2], p.real, out=y)
-        re[:2] *= p.real
-        re[:2] -= np.multiply(im[:2], p.imag, out=y)
-        im[:2] = x
-    return np.concatenate([*raised, lanes])
+def _mul(ar, ai, br, bi):
+    """The parts of a * b as CPython forms them, for float64 arrays."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
     """theta(z, p) for each complex z, bit for bit, and None for each z on
-    which theta raises (zero, non-finite, an overflowing abs() or product,
-    or non-convergent).
+    which theta raises.
 
-    The lanes run theta's steps side by side in float64 arrays. Real and
-    imaginary parts are held apart and each complex product is formed as
-    CPython forms it, since numpy's complex128 multiply may round
-    differently; p / z and the powers p**M of the lattice scan are taken
-    in Python. A lane leaves the product at the step where theta returns,
-    and its value is frozen there.
+    The lanes run theta's steps side by side in float64 arrays, with the
+    prefactor loop masked by each lane's k and the same K(p) factors for
+    every lane. Real and imaginary parts are held apart and each complex
+    product is formed as CPython forms it (_mul), since numpy's complex128
+    multiply may round differently; p / z and p / w are taken in Python.
+    numpy is imported here: imported with this module, it raised every
+    process's peak RSS from 28.4 to 29.7 MB (numpy 2.4, CPython 3.11).
     """
     import numpy as np
 
     p = complex(p)
-    if not len(zs) or math.hypot(p.real, p.imag) >= 1.0:  # abs(p) itself may overflow
-        return [None] * len(zs)
-    values = np.array(zs, dtype=complex)
-    zr, zi = values.real.copy(), values.imag.copy()
+    n = len(zs)
+    if not n or not math.hypot(p.real, p.imag) < 1.0:
+        return [None] * n
+    red = _reduction(p)
+    z = np.array(zs, dtype=complex)
     with np.errstate(all="ignore"):
-        raises = (zr == 0) & (zi == 0)
-        if p == 0:
-            h = np.hypot(zr - 1.0, zi)
-            raises |= _abs_overflows(zr - 1.0, zi, h)
-            zero = h <= LATTICE_RTOL
-            values.real, values.imag = 1.0 - zr, _IMAG_ZERO - zi
-        else:
-            zero = _lattice_zeros(zr, zi, p, raises)
-            run = np.flatnonzero(~(zero | raises))
-            b = np.fromiter((p / zs[i] for i in run.tolist()), dtype=complex, count=len(run))
-            re = np.stack([zr[run], b.real, np.ones(len(run))])
-            im = np.stack([zi[run], b.imag, np.zeros(len(run))])
-            raises[_product(re, im, p, run, values)] = True
-            raises[run] |= ~np.isfinite(values[run])
+        absz = np.hypot(z.real, z.imag)
+        ratio = -np.log(absz) / red.log_p
+        raises = ~np.isfinite(ratio)  # z is 0, not finite, or abs(z) overflows
+        z[raises], ratio[raises] = 1.0, 0.0
+        m = np.rint(ratio)
+        # np.log may differ from math.log in the last bits, which moves
+        # round() only next to a tie; those lanes take the scalar's logarithm
+        for i in np.flatnonzero(np.abs(np.abs(ratio - m) - 0.5) < 1e-9).tolist():
+            m[i] = round(-math.log(absz[i]) / red.log_p)
+        m = m.astype(np.int64)
+        z[m < 0] = [p / y for y in z[m < 0].tolist()]
+        k = np.where(m < 0, -1 - m, m)
+        near = ~raises & (np.abs(m) <= MAX_ZERO_ORDER)
+        if not red.count:  # only the lattice zeros have a value
+            raises[:] = True
+        # pre *= -y * p**i on the lanes whose k exceeds i; a lane leaves
+        # once its prefactor is not finite, as theta raises there
+        pre_r, pre_i = np.ones(n), np.zeros(n)
+        lanes = np.flatnonzero((k > 0) & ~raises)
+        step = 0
+        while len(lanes):
+            pj = red.powers[step]
+            fr, fi = _mul(-z.real[lanes], -z.imag[lanes], pj.real, pj.imag)
+            pre_r[lanes], pre_i[lanes] = _mul(pre_r[lanes], pre_i[lanes], fr, fi)
+            step += 1
+            lanes = lanes[(k[lanes] > step) & np.isfinite(pre_r[lanes]) & np.isfinite(pre_i[lanes])]
+        raises |= ~(np.isfinite(pre_r) & np.isfinite(pre_i))
+        # w = y p**k; a lane whose k is past the powers has left the loop
+        pk = np.array(red.powers)[np.where(k < len(red.powers), k, 0)]
+        wr, wi = _mul(z.real, z.imag, pk.real, pk.imag)
+        zero = near & (np.hypot(wr - 1.0, wi) <= LATTICE_RTOL)
+        # a w that underflowed to 0 comes with an infinite prefactor
+        b = np.array([p / complex(r, i) for r, i in zip(np.where(raises, 1.0, wr).tolist(), wi.tolist())])
+        # rows w and b: prod *= (1 - w p^j) * (1 - b p^j)
+        ar, ai = np.stack([wr, b.real]), np.stack([wi, b.imag])
+        prod_r, prod_i = np.ones(n), np.zeros(n)
+        for pj in red.head:
+            xr, xi = _mul(ar, ai, pj.real, pj.imag)
+            fr, fi = _mul(1.0 - xr[0], _IMAG_ZERO - xi[0], 1.0 - xr[1], _IMAG_ZERO - xi[1])
+            prod_r, prod_i = _mul(prod_r, prod_i, fr, fi)
+        values = np.empty(n, dtype=complex)
+        values.real, values.imag = _mul(pre_r, pre_i, prod_r, prod_i)
+        raises |= ~np.isfinite(values)
     values[zero] = 0j
-    out = values.tolist()
-    for i in np.flatnonzero(raises).tolist():
-        out[i] = None
-    return out
+    return [None if bad else v for v, bad in zip(values.tolist(), (raises & ~zero).tolist())]
 
 
 def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:

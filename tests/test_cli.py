@@ -406,10 +406,18 @@ class TestGESplitVerify:
         if code == 0:
             assert out["summary"]["pass"] is True
         else:
-            assert out["error"].startswith("OverflowError: term -12 of the series")
+            assert out["error"].startswith("FloatRangeError: term -12 of the series")
+
+    def test_non_finite_side_exits_2(self, tmp_path, capsys):
+        # at M = 11 the reflected E series is NaN; the report carried
+        # rel_err NaN, written as an invalid JSON token, and exited 1
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps({"specs": [{"spec": self.DEEP_SPEC.to_json(), "windows": [11, 11]}]}))
+        assert run(["verify", "ge_split", str(inp), "--tol", "1e-10"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: rhs is not finite")
 
     def test_deep_bilateral_eval_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "spec.json"
         inp.write_text(json.dumps({**self.DEEP_SPEC.to_json(), "window": [-12, 12]}))
         assert run(["eval", str(inp)]) == 2
-        assert json.loads(capsys.readouterr().out)["error"].startswith("OverflowError: term -12 of the series")
+        assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: term -12 of the series")

@@ -8,11 +8,13 @@ none of it read through FactorTable or thetahyp.theta. The float64 terms, the
 closed forms and the term ratios h_l are each checked against it.
 """
 
+import cmath
 import functools
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
@@ -28,6 +30,7 @@ from thetahyp import (  # noqa: E402
     sample_multi1,
     sample_multi2,
 )
+from thetahyp import theta as float_theta  # noqa: E402
 from thetahyp import vwp_coefficient as float_vwp_coefficient  # noqa: E402
 from thetahyp.ellipticity import multi1_h, multi2_h  # noqa: E402
 from thetahyp.factorials import FactorTable  # noqa: E402
@@ -242,3 +245,29 @@ def test_ge_split_sides_match_reference():
     rep = ge_split_check(spec, M, M)
     want = mpmath.fsum(spec_term(spec, k) for k in range(-M, M + 1))
     assert rel(rep.lhs, want) <= RTOL and rel(rep.rhs, want) <= RTOL
+
+
+THETA_NOMES = (0.25 + 0.05j, 0.6 - 0.5j, 0.01 + 0.001j, 0.5j)
+THETA_BANDS = (0.5, 1e-3, 1e-8, 1e8)
+# the worst of 3,073 points (200 a band) with a finite float64 reference
+# was 1.5e-14; the product run from z itself reached 5.9e-14
+THETA_RTOL = 3e-14
+
+
+def test_theta_matches_reference_by_band():
+    # |z| = band 10^U(-0.3, 0.3) with a uniform phase, the same points for
+    # each nome; the extra point has |theta| = 7.9e307, and a product run
+    # from z overflowed on the way there
+    rng = np.random.default_rng(7)
+    zs = {band: [band * 10 ** rng.uniform(-0.3, 0.3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                 for _ in range(12)] for band in THETA_BANDS}
+    cases = [(z, p) for p in THETA_NOMES for band in THETA_BANDS for z in zs[band]]
+    cases.append((-4.236556690778288e-09 + 4.991882602688411e-09j, 0.6 - 0.5j))
+    finite = 0
+    for z, p in cases:
+        want = theta(mpc(z), mpc(p))
+        if not cmath.isfinite(complex(want)):
+            continue
+        finite += 1
+        assert rel(float_theta(z, p), want) <= THETA_RTOL, (z, p)
+    assert finite >= 180

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from thetahyp import (
+    FloatRangeError,
     ModularPair,
     NonConvergenceError,
     Nome,
     ThetaSeriesSpec,
     TruncationDecl,
+    VerificationReport,
     VwpSpec,
     classify,
     coefficient,
@@ -342,6 +344,30 @@ class TestGESplit:
         spec = VwpSpec(0.55 + 0.2j, (0.4 + 0.1j, 0.6 - 0.3j, -0.5 + 0.2j, 0.3 + 0.6j), 0.4 + 0j, NOME, "bilateral")
         with pytest.raises(ValueError, match="non-negative windows"):
             ge_split_check(spec, *windows)
+
+    # the deep-window spec of tests/test_factor_table.py
+    DEEP_SPEC = VwpSpec(0.62 + 0.21j, (0.55 - 0.3j, -0.48 + 0.4j, 0.71 + 0.12j, -0.2 - 0.6j), 0.45 + 0.15j,
+                        Nome(0.35 + 0.1j, 0.25 + 0.05j), "bilateral")
+
+    def test_underflowed_term_raises_float_range_error(self):
+        # the factorials of the coefficient at n = -12 underflow to 0
+        with pytest.raises(FloatRangeError, match="term -12 of the series"):
+            eval_vwp(self.DEEP_SPEC, window=(-12, 12))
+
+    def test_non_finite_side_is_named(self):
+        # at M = 11 the window is finite but the reflected E series is NaN
+        # (its factorial prefixes overflow); the report once carried the NaN
+        with pytest.raises(FloatRangeError, match="rhs is not finite"):
+            ge_split_check(self.DEEP_SPEC, 11, 11)
+
+
+class TestCompare:
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.inf)])
+    def test_non_finite_side_raises(self, side, bad):
+        sides = {"lhs": 1.0 + 0j, "rhs": 1.0 + 0j, side: bad}
+        with pytest.raises(FloatRangeError, match=f"{side} is not finite"):
+            VerificationReport.compare(sides["lhs"], sides["rhs"], 1e-10)
 
 
 class TestBasicDegeneration:

@@ -18,7 +18,7 @@ from thetahyp import (
     theta_many,
     theta_zero_index,
 )
-from thetahyp.errors import NonConvergenceError
+from thetahyp.errors import FloatRangeError, NonConvergenceError
 from thetahyp.theta import LATTICE_RTOL, MAX_ZERO_ORDER, PRODUCT_TOL, sqrt_positive_real
 
 
@@ -93,6 +93,14 @@ class TestThetaFunction:
         with pytest.raises(ThetaDomainError):
             theta(0j, 0.3 + 0j)
 
+    @pytest.mark.parametrize(
+        "z",
+        [2.5e-20 + 1e-21j, 1e300 * (1 + 1j), complex(1.5e308, 1.5e308)],  # the last: abs(z) overflows
+    )
+    def test_out_of_range_raises_float_range_error(self, z):
+        with pytest.raises(FloatRangeError):
+            theta(z, 0.25 + 0.05j)
+
     def test_lattice_zeros_exact(self):
         p = 0.3 + 0.1j
         for M in (-3, -1, 0, 1, 2, 4):
@@ -131,9 +139,18 @@ def _adversarial_args(p):
     """Lattice zeros p^-M with points just inside and outside LATTICE_RTOL,
     arguments whose a = z p^k or b = p^(k+1) / z lands within a few ulps of
     PRODUCT_TOL, the unit circle, real arguments with both signed zeros,
-    and arguments on which theta overflows, returns NaN or raises."""
+    arguments on which theta overflows, returns NaN or raises, and moduli
+    on a tie between two lattice indices, |p|^-(M + 1/2) (1 + f 2^-52),
+    where np.log and math.log may round the index apart."""
     zs = []
-    for M in range(-MAX_ZERO_ORDER, MAX_ZERO_ORDER + 1):
+    for M in range(-MAX_ZERO_ORDER - 1, MAX_ZERO_ORDER + 1):
+        for f in range(-4, 5):
+            try:
+                zs.append(abs(p) ** -(M + 0.5) * (1 + f * 2**-52) + 0j)
+            except (OverflowError, ZeroDivisionError):
+                pass
+    # the lattice zeros at |M| <= MAX_ZERO_ORDER and one step past it
+    for M in range(-MAX_ZERO_ORDER - 1, MAX_ZERO_ORDER + 2):
         try:
             zero = p**-M
         except (OverflowError, ZeroDivisionError):
@@ -152,7 +169,7 @@ def _adversarial_args(p):
     zs += [2.5e-20 + 1e-21j, 1e300 * (1 + 1j), 0j, complex(-0.0, -0.0), 5e-324 + 0j, complex(0, 1e-310)]
     zs += [complex(math.inf, 0), complex(-math.inf, 1), complex(math.nan, 1), complex(1, math.nan)]
     zs += [complex(1e308, 1e308), complex(1e200, 0), complex(1e-200, 1e-200)]
-    zs += [complex(1.3e8, 1.3e8)]  # abs(z * p**-1 - 1) overflows at p = 1e-300
+    zs += [complex(1.3e8, 1.3e8)]  # p / w is subnormal at p = 1e-300
     return zs
 
 
@@ -164,16 +181,17 @@ class TestThetaMany:
         "p",
         [
             0.25 + 0.05j,
-            0.01 + 0.001j,  # lanes stop at the first step that may stop
+            0.01 + 0.001j,  # K(p) = 10 factors, near the floor of 8
             0.6 - 0.5j,
             0.3 + 0j,
-            0.5 + 0j,  # a = 2^53 PRODUCT_TOL p^53 is exactly PRODUCT_TOL
+            0.5 + 0j,  # every power p**j is exact
             complex(-0.3, -0.0),
             0.5j,
+            0.45 + 0.35j,  # np.log and math.log round one tie apart (numpy 2.4, x86-64)
             0j,
             1e-300 + 0j,
-            5e-324 + 0j,  # p**-1 overflows in every lattice scan
-            complex(math.nan, 0.0),  # round() raises unless |z| = 1
+            5e-324 + 0j,  # p**2 underflows to 0
+            complex(math.nan, 0.0),  # a NaN nome is out of the domain
             complex(1.5e308, 1.5e308),  # abs(p) overflows
         ],
     )
@@ -186,7 +204,7 @@ class TestThetaMany:
         values = [_theta_or_none(z, p) for z in _adversarial_args(p)]
         assert any(v is None for v in values)
         assert any(v == 0 for v in values)
-        # the product overflows on these two, so theta raises OverflowError
+        # the value overflows on these two, so theta raises FloatRangeError
         assert theta_many([2.5e-20 + 1e-21j, 1e300 * (1 + 1j)], p) == [None, None]
 
     def test_random_arguments(self):
@@ -197,9 +215,9 @@ class TestThetaMany:
 
     @pytest.mark.parametrize("p", [0.99 + 0j, 0.7 + 0.7j])
     def test_subnormal_arguments(self, p):
-        # p / z has finite parts but |p / z| > 1.8e308: with |p| this close
-        # to 1, abs(b) overflows at step 8 (OverflowError) or b overflows to
-        # inf and the product ends in NaN; the rest never converge
+        # the fold p / z overflows, or nearly: with |p| this close to 1
+        # each prefactor has some 70,000 factors, and leaves the float64
+        # range within a few of them
         zs = [complex(3.2e-309, -3.2e-309), complex(2.3e-309, -4e-309), complex(5.6e-309, 1e-310),
               complex(4e-309, 3e-309), complex(3e-309, 0.0)]
         assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs]
