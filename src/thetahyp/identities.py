@@ -35,7 +35,7 @@ from .errors import PoleError
 from .factorials import ONE, FactorialValue, FactorTable, elliptic_factorial
 from .report import JsonFields, VerificationReport
 from .theta import ModularPair, Nome, theta_zero_index
-from .series import VwpSpec, _sum_unilateral, _sum_window, _vwp_coefficient
+from .series import VwpSpec, _sum_unilateral, _sum_window, _VwpTerms
 
 DEFAULT_BAND = (0.4, 0.9)
 CONSTRAINT_RTOL = 1e-12
@@ -236,10 +236,9 @@ class _VwpSumParams(JsonFields):
         trunc = q ** (-N) / free[0]
         return cls((*free, trunc, q ** (count // 2 - 2) / math.prod([*free, trunc])), nome, N)
 
-    def _terms(self, t: tuple[complex, ...], table: FactorTable) -> list[FactorialValue]:
-        """The terms for k = 0..N of the sum with parameters t."""
-        spec = VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral")
-        return [_vwp_coefficient(spec, k, table) for k in range(self.N + 1)]
+    def _terms(self, t: tuple[complex, ...], table: FactorTable) -> _VwpTerms:
+        """The coefficients of the sum with parameters t."""
+        return _VwpTerms(VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral"), table)
 
 
 class FTParams(_VwpSumParams):
@@ -250,7 +249,10 @@ class FTParams(_VwpSumParams):
 
     def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
         """The 10E9 terms for k = 0..N and the closed form, the rank-1 multi1 one."""
-        return self._terms(self.t, table), _multi1_closed(1 + 0j, self.t, 1, self.N, table)
+        ks, terms = range(self.N + 1), self._terms(self.t, table)
+        closed = _multi1_closed_bases(1 + 0j, self.t, 1, self.nome.q)  # one (num, den) pair
+        table.prefetch(terms.arguments(ks) + table.factorial_arguments([*closed[0][0], *closed[0][1]], self.N))
+        return [terms(k) for k in ks], _multi1_closed(closed, self.N, table)
 
     def check(self, sides, tol: float) -> VerificationReport:
         """Sum the 10E9 terms and compare with the closed form."""
@@ -291,10 +293,12 @@ class BaileyParams(_VwpSumParams):
         parameters s, and the theta-factorial prefactor of the s series."""
         t, q, N = self.t, self.nome.q, self.N
         s = bailey_map(t, self.nome, root_sign)
-        lhs_terms, rhs_terms = self._terms(t, table), self._terms(s, table)
-        pref_num = table.factorial_multi([q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])], N)
-        pref_den = table.factorial_multi([q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])], N)
-        return lhs_terms, rhs_terms, pref_num / pref_den
+        ks, lhs, rhs = range(N + 1), self._terms(t, table), self._terms(s, table)
+        pref_num = [q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])]
+        pref_den = [q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])]
+        table.prefetch(lhs.arguments(ks) + rhs.arguments(ks) + table.factorial_arguments(pref_num + pref_den, N))
+        pref = table.factorial_multi(pref_num, N) / table.factorial_multi(pref_den, N)
+        return [lhs(k) for k in ks], [rhs(k) for k in ks], pref
 
     def check(self, sides, tol: float) -> VerificationReport:
         """Sum both 12E11 series and compare the left one with the prefactor
@@ -402,7 +406,7 @@ class Multi1Params(_LatticeSum):
         """The terms over ordered tuples in lattice order, and the closed form."""
         lattice = itertools.combinations_with_replacement(range(self.N + 1), self.n)
         terms = _lattice_terms(_multi1_lattice(self), table, lattice)
-        return terms, _multi1_closed(self.t, self.t6, self.n, self.N, table)
+        return terms, _multi1_closed(_multi1_closed_bases(self.t, self.t6, self.n, self.nome.q), self.N, table)
 
 
 def sample_multi1(
@@ -444,21 +448,24 @@ def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: Facto
     return _lattice_terms(_multi1_lattice(params), table, [lam])[0]
 
 
-def _multi1_closed(t: complex, t6: tuple[complex, ...], n: int, N: int, table: FactorTable) -> FactorialValue:
-    """The closed form of the multi1 sum, read as the product over j = 1..n
-    of the displayed j-dependent factor. At t = 1, n = 1 it is the 10E9 one."""
-    q = table.nome.q
+def _multi1_closed_bases(t: complex, t6: tuple[complex, ...], n: int, q: complex) -> list[tuple[list, list]]:
+    """(numerator, denominator) bases of the multi1 closed form's displayed
+    factor for j = 1..n. At t = 1, n = 1 they are the 10E9 closed form's."""
     t0, t1, t2, t3 = t6[:4]
+    pairs = list(itertools.combinations((1, 2, 3), 2))
+    return [
+        ([q * t ** (n + j - 2) * t0 * t0, *(q * t ** (1 - j) / (t6[r] * t6[s]) for r, s in pairs)],
+         [q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), *(q * t ** (j - 1) * t0 / t6[r] for r in (1, 2, 3))])
+        for j in range(1, n + 1)
+    ]
+
+
+def _multi1_closed(bases: list[tuple[list, list]], N: int, table: FactorTable) -> FactorialValue:
+    """The multi1 closed form: over j, the ratio of the j-th bases' factorials at N."""
     closed = ONE
-    for j in range(1, n + 1):
-        num = table.factorial(q * t ** (n + j - 2) * t0 * t0, N)
-        for r in range(1, 4):
-            for s in range(r + 1, 4):
-                num = num * table.factorial(q * t ** (1 - j) / (t6[r] * t6[s]), N)
-        den = table.factorial(q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), N)
-        for r in range(1, 4):
-            den = den * table.factorial(q * t ** (j - 1) * t0 / t6[r], N)
-        closed = closed * (num / den)
+    for num, den in bases:
+        top, bottom = (functools.reduce(operator.mul, [table.factorial(b, N) for b in bs]) for bs in (num, den))
+        closed = closed * (top / bottom)
     return closed
 
 

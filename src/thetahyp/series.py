@@ -202,16 +202,19 @@ def _term(coeff_fn, n: int) -> FactorialValue:
         raise FloatRangeError(f"term {n} of the series: {exc}") from exc
 
 
+def _last_index(trunc: TruncationDecl | int | None) -> int | None:
+    """The last index a unilateral sum truncated at trunc sums, None if unbounded."""
+    if isinstance(trunc, TruncationDecl):
+        return trunc.N
+    return None if trunc is None else operator.index(trunc)
+
+
 def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue:
     """Sum coeff_fn(n) for n >= 0. trunc as a TruncationDecl or an explicit
     last index (any integer, numpy's included) sums exactly that many terms;
     None caps at MAX_TERMS with a last-term tail heuristic and raises
     NonConvergenceError at the first non-finite term."""
-    if isinstance(trunc, TruncationDecl):
-        last = trunc.N
-    else:
-        last = None if trunc is None else operator.index(trunc)
-
+    last = _last_index(trunc)
     total = 0j
     small_streak = 0
     n = 0
@@ -281,19 +284,38 @@ def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
     return _sum_window(lambda n: _coefficient(spec, n, table), window)
 
 
+class _VwpTerms:
+    """The coefficients of one vwp spec, read through a table. They and
+    ``arguments`` read one list of bases, formed once, so a ``prefetch`` of
+    the listed arguments holds every theta value the coefficients ask for."""
+
+    def __init__(self, spec: VwpSpec, table: FactorTable) -> None:
+        q, t0 = spec.nome.q, spec.t0
+        ms = (t0,) + spec.ts if spec.kind == "unilateral" else spec.ts
+        self.table, self.q, self.head, self.step = table, q, t0 * t0, q * spec.z
+        self.num, self.den = [t0 * t for t in ms], [q * t0 / t for t in ms]
+
+    def arguments(self, ns: range) -> list[complex]:
+        """The theta arguments of the coefficients at ns (the first MAX_TERMS) past
+        the table's prefixes; none where forming them overflows, as the terms raise."""
+        if not (ns := ns[:MAX_TERMS]):
+            return []
+        try:
+            args = [self.head, *(self.head * self.q ** (2 * n) for n in ns)]
+        except OverflowError:
+            return []
+        bases = self.num + self.den
+        return args + self.table.factorial_arguments(bases, ns[0]) + self.table.factorial_arguments(bases, ns[-1])
+
+    def __call__(self, n: int) -> FactorialValue:
+        table = self.table
+        head = table.factor(self.head * self.q ** (2 * n)) / table.factor(self.head)
+        return head * (table.factorial_multi(self.num, n) / table.factorial_multi(self.den, n)) * self.step**n
+
+
 def vwp_coefficient(spec: VwpSpec, n: int) -> FactorialValue:
     """Coefficient of the simplified very-well-poised series at index n."""
-    return _vwp_coefficient(spec, n, FactorTable(spec.nome))
-
-
-def _vwp_coefficient(spec: VwpSpec, n: int, table: FactorTable) -> FactorialValue:
-    q = spec.nome.q
-    t0 = spec.t0
-    head = table.factor(t0 * t0 * q ** (2 * n)) / table.factor(t0 * t0)
-    ms = (t0,) + spec.ts if spec.kind == "unilateral" else spec.ts
-    num = table.factorial_multi([t0 * t for t in ms], n)
-    den = table.factorial_multi([q * t0 / t for t in ms], n)
-    return head * (num / den) * (q * spec.z) ** n
+    return _VwpTerms(spec, FactorTable(spec.nome))(n)
 
 
 def eval_vwp(
@@ -301,22 +323,18 @@ def eval_vwp(
     trunc: TruncationDecl | int | None = None,
     window: tuple[int, int] | None = None,
 ) -> SeriesValue:
-    """Evaluate the simplified very-well-poised series (multiplicative form)."""
-    return _eval_vwp(spec, FactorTable(spec.nome), trunc, window)
-
-
-def _eval_vwp(
-    spec: VwpSpec,
-    table: FactorTable,
-    trunc: TruncationDecl | int | None,
-    window: tuple[int, int] | None,
-) -> SeriesValue:
-    """eval_vwp reading its factors through a table of the spec's nome."""
+    """Evaluate the simplified very-well-poised series (multiplicative form).
+    A sum with a finite trunc or window evaluates its theta factors in one
+    theta_many batch; an unbounded one evaluates them as it reaches them."""
+    terms = _VwpTerms(spec, FactorTable(spec.nome))
     if spec.kind == "unilateral":
-        return _sum_unilateral(lambda n: _vwp_coefficient(spec, n, table), trunc)
+        if (last := _last_index(trunc)) is not None:
+            terms.table.prefetch(terms.arguments(range(last + 1)))
+        return _sum_unilateral(terms, trunc)
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
-    return _sum_window(lambda n: _vwp_coefficient(spec, n, table), window)
+    terms.table.prefetch(terms.arguments(range(window[0], window[1] + 1)))
+    return _sum_window(terms, window)
 
 
 def eval_vwp_additive(
@@ -458,7 +476,8 @@ def ge_split_check(
     [0, M'] partial sum of the first E series plus a theta prefactor times
     the [0, M-1] partial sum of the second E series at the reflected
     argument. M' defaults to M; both must be non-negative. The three sums
-    and the prefactor read their theta factors through one table."""
+    and the prefactor read their theta factors through one table, filled
+    by one theta_many batch."""
     if spec.kind != "bilateral":
         raise ValueError("ge_split_check expects a bilateral vwp spec")
     if window_Mp is None:
@@ -467,25 +486,28 @@ def ge_split_check(
         raise ValueError(f"ge_split_check needs non-negative windows, got M={window_M}, M'={window_Mp}")
     q = spec.nome.q
     t0, ts, z = spec.t0, spec.ts, spec.z
+    _check_params([t0 * t0, *(t0 * t for t in ts)], "ge_split product")  # the prefactor divides by them
     r = len(ts) + 4
     m_prod = math.prod((t * t for t in ts), start=1.0 + 0j)
     table = FactorTable(spec.nome)
-
-    lhs = _eval_vwp(spec, table, None, (-window_M, window_Mp)).value
-
-    e1 = VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral")
-    first = _eval_vwp(e1, table, window_Mp, None).value
-
-    if window_M == 0:
-        rhs = first
-    else:
-        pref = q ** (r - 7) / (z * m_prod) * table.value(q * q / (t0 * t0)) / table.value(1.0 / (t0 * t0))
-        for t in ts:
-            pref *= table.value(t / t0) / table.value(q / (t0 * t))
+    window = _VwpTerms(spec, table)
+    first = _VwpTerms(VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral"), table)
+    args = window.arguments(range(-window_M, window_Mp + 1)) + first.arguments(range(window_Mp + 1))
+    if window_M:
+        pref_num = [q * q / (t0 * t0), *(t / t0 for t in ts)]
+        pref_den = [1.0 / (t0 * t0), *(q / (t0 * t) for t in ts)]
         z2 = q ** (r - 8) / (z * m_prod)
-        e2 = VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral")
-        second = _eval_vwp(e2, table, window_M - 1, None).value
-        rhs = first + pref * second
+        second = _VwpTerms(VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral"), table)
+        args += pref_num + pref_den + second.arguments(range(window_M))
+    table.prefetch(args)
+
+    lhs = _sum_window(window, (-window_M, window_Mp)).value
+    rhs = _sum_unilateral(first, window_Mp).value
+    if window_M:
+        pref = q ** (r - 7) / (z * m_prod) * table.value(pref_num[0]) / table.value(pref_den[0])
+        for a, b in zip(pref_num[1:], pref_den[1:]):
+            pref *= table.value(a) / table.value(b)
+        rhs = rhs + pref * _sum_unilateral(second, window_M - 1).value
     return VerificationReport.compare(lhs, rhs, tol, params_echo=spec.to_json())
 
 

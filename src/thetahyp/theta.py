@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import BranchError, FloatRangeError, NonConvergenceError, ThetaDomainError
+from .errors import BranchError, FloatRangeError, NonConvergenceError, PoleError, ThetaDomainError
 
 TWO_PI_I = 2j * math.pi
 
@@ -81,8 +81,9 @@ def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> comple
     ``n`` may be a non-negative integer (finite product), a negative
     integer (via (a;p)_{-n} = 1/(a p^{-n}; p)_n), or None / math.inf for
     the infinite product, truncated once |a p^k| < PRODUCT_TOL and k >= 8.
+    Another float n raises ThetaDomainError, a vanishing factor PoleError.
     """
-    if n is None or (isinstance(n, float) and math.isinf(n)):
+    if n is None or n == math.inf:
         if abs(p) >= 1.0:
             raise ThetaDomainError("infinite product needs |p| < 1")
         prod = 1.0 + 0j
@@ -95,6 +96,8 @@ def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> comple
             if k > 16 * MAX_TERMS:
                 raise NonConvergenceError("(a;p)_inf did not reach PRODUCT_TOL")
         return prod
+    if isinstance(n, float) and not n.is_integer():
+        raise ThetaDomainError(f"(a;p)_n needs an integer n, None or math.inf, got n = {n}")
     n = int(n)
     if n >= 0:
         prod = 1.0 + 0j
@@ -105,7 +108,7 @@ def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> comple
         return prod
     denom = p_pochhammer(a * p**n, p, -n)
     if denom == 0:
-        raise ZeroDivisionError(f"(a;p)_{n} hits a vanishing factor, a={a}, p={p}")
+        raise PoleError(f"(a;p)_{n} hits a vanishing factor, a={a}, p={p}")
     return 1.0 / denom
 
 

@@ -23,6 +23,7 @@ from thetahyp import (
     check_total_ellipticity_multi2,
     eval_E,
     eval_G,
+    eval_vwp,
     ge_split_check,
     sample_bailey,
     sample_ft,
@@ -36,8 +37,9 @@ from thetahyp import (
 )
 from thetahyp import ellipticity, factorials
 from thetahyp.cli import main
-from thetahyp.errors import ThetaDomainError
+from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
+from thetahyp.theta import theta
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -144,6 +146,131 @@ def test_ge_split_theta_budget(monkeypatch):
 @pytest.mark.parametrize("M", [6, 8, 10])
 def test_ge_split_passes_at_depth(M):
     assert ge_split_check(GE_SPEC, M, M, tol=1e-10).passed
+
+
+def _hex(v) -> tuple:
+    """A FactorialValue's fields, or a complex number, bit for bit."""
+    if isinstance(v, FactorialValue):
+        return (*_hex(v.finite_part), v.zero_order, v.pole_order)
+    return complex(v).real.hex(), complex(v).imag.hex()
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+@pytest.mark.parametrize("t", [0.6 + 0.2j, NOME.q**-3], ids=["off_lattice", "on_lattice"])
+def test_factorial_arguments_are_those_factorial_evaluates(monkeypatch, t, grown):
+    for n in range(-12, 13):
+        table = FactorTable(NOME)
+        if grown:
+            table.factorial(t, 5)
+            table.factorial(t, -4)
+        listed = table.factorial_arguments([t], n)
+        received = []
+        with monkeypatch.context() as m:
+            m.setattr(factorials, "theta", lambda z, p: received.append(z) or theta(z, p))
+            table.factorial(t, n)
+        assert [_hex(z) for z in listed] == [_hex(z) for z in received], n
+        # as _loop_factorial forms them, past the entries grown before
+        want, arg = [], complex(t)
+        for m in range(1, abs(n) + 1):
+            want.append(complex(t) * NOME.q**-m if n < 0 else arg)
+            arg *= NOME.q
+        skip = (5 if n >= 0 else 4) if grown else 0
+        assert [_hex(z) for z in listed] == [_hex(z) for z in want[skip:]], n
+
+
+# each case's draw or spec, and the lanes of its one batch: as many theta
+# evaluations as the sum made by scalar calls before it was batched
+BATCHED = {
+    "ft_6": (lambda: sample_ft(12, 6, NOME), 103),
+    "bailey_6": (lambda: sample_bailey(12, 6, NOME), 200),
+    "ge_split_8": (lambda: GE_SPEC, 270),
+}
+
+
+def _batched_values(arg) -> list:
+    """The values a case computes: a draw's sides, or a split's two sides."""
+    if isinstance(arg, VwpSpec):
+        rep = ge_split_check(arg, 8, 8)
+        return [rep.lhs, rep.rhs]
+    *series, closed = arg.sides(FactorTable(NOME))
+    return [v for terms in series for v in terms] + [closed]
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED))
+def test_sum_reads_its_factors_from_one_batch(monkeypatch, case):
+    make, lanes = BATCHED[case]
+    arg = make()
+    batches, batch = [], factorials.theta_many
+
+    def recording(zs, p):
+        batches.append(len(zs))
+        return batch(zs, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(factorials, "theta_many", recording)
+        scalar = _count_calls(monkeypatch, factorials, "theta", lambda: _batched_values(arg))
+    assert (batches, scalar) == ([lanes], 0)
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED))
+def test_batch_moves_no_bit(monkeypatch, case):
+    # the same sum with its prefetch a no-op evaluates every factor by a
+    # scalar theta call
+    make, lanes = BATCHED[case]
+    arg = make()
+    runs = []
+    for batched in (True, False):
+        tables, prefetch = [], FactorTable.prefetch
+
+        def recording(self, args):
+            tables.append(self)
+            if batched:
+                prefetch(self, args)
+
+        with monkeypatch.context() as m:
+            m.setattr(FactorTable, "prefetch", recording)
+            values = _batched_values(arg)
+        assert len(tables) == 1
+        runs.append((set(tables[0].arguments), [_hex(v) for v in values]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == lanes
+
+
+def test_factorial_value_keeps_the_dataclass_semantics(monkeypatch):
+    a, b = FactorialValue(2.5 - 1j, 1, 2), FactorialValue(2.5 - 1j, zero_order=1, pole_order=2)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != FactorialValue(2.5 - 1j, 1, 1)
+    assert FactorialValue(1 + 0j) != (1 + 0j, 0, 0)
+    assert len({a, b, ONE}) == 2
+    zero = theta_factor(NOME.p, NOME.p)
+    assert repr(ONE) == "FactorialValue(finite_part=(1+0j), zero_order=0, pole_order=0)"
+    assert repr(zero) == "FactorialValue(finite_part=(1+0j), zero_order=1, pole_order=0)"
+    assert repr(zero.inverse()) == "FactorialValue(finite_part=(1+0j), zero_order=0, pole_order=1)"
+    assert repr(a) == "FactorialValue(finite_part=(2.5-1j), zero_order=1, pole_order=2)"
+    assert not hasattr(ONE, "__dict__")
+    # every value is built through __init__, which the budget tests count
+    built = _count_calls(
+        monkeypatch, FactorialValue, "__init__", lambda: (a * b / zero * 2.0).inverse() == theta_factor(0.3, NOME.p)
+    )
+    assert built == 5
+
+
+@pytest.mark.parametrize(
+    "run", [lambda: eval_vwp(GE_SPEC, window=(-400, 400)), lambda: ge_split_check(GE_SPEC, 400, 400)],
+    ids=["eval_vwp", "ge_split"],
+)
+def test_deep_window_raises_at_its_first_term(run):
+    # q^-800 overflows as the window's arguments are formed, so the window is
+    # not batched and its first term raises, as it does unbatched
+    with pytest.raises(FloatRangeError, match="term -400 of the series"):
+        run()
+
+
+def test_ge_split_refuses_an_underflowing_product():
+    # t0^2 underflows to 0, which the prefactor's bases divide by
+    spec = VwpSpec(1e-170 + 0j, GE_SPEC.ts, GE_SPEC.z, NOME, "bilateral")
+    with pytest.raises(ThetaDomainError):
+        ge_split_check(spec, 3, 3)
 
 
 def test_underflowed_coefficient_raises_overflow():

@@ -18,7 +18,7 @@ from thetahyp import (
     theta_many,
     theta_zero_index,
 )
-from thetahyp.errors import FloatRangeError, NonConvergenceError
+from thetahyp.errors import FloatRangeError, NonConvergenceError, PoleError
 from thetahyp.theta import LATTICE_RTOL, MAX_ZERO_ORDER, PRODUCT_TOL, sqrt_positive_real
 
 
@@ -72,6 +72,22 @@ class TestPochhammer:
         lhs = p_pochhammer(a, p, -3)
         rhs = 1.0 / p_pochhammer(a * p**-3, p, 3)
         assert abs(lhs - rhs) < 1e-15 * abs(rhs)
+
+    @pytest.mark.parametrize("n", [2.7, -1.5, math.nan, -math.inf])
+    def test_non_integral_index_raises(self, n):
+        # 2.7 once returned the n = 2 product and -inf the infinite one
+        with pytest.raises(ThetaDomainError):
+            p_pochhammer(0.5, 0.3, n)
+
+    def test_integral_float_index_is_the_integer(self):
+        assert p_pochhammer(0.5, 0.3, 3.0) == p_pochhammer(0.5, 0.3, 3)
+        assert p_pochhammer(0.5, 0.3, -2.0) == p_pochhammer(0.5, 0.3, -2)
+        assert p_pochhammer(0.5, 0.3, math.inf) == p_pochhammer(0.5, 0.3, None)
+
+    def test_vanishing_factor_at_negative_index_is_a_pole(self):
+        # (0.25; 0.5)_{-3} = 1 / (2; 0.5)_3, whose second factor is 1 - 1
+        with pytest.raises(PoleError):
+            p_pochhammer(0.25, 0.5, -3)
 
     def test_infinite_product_ratio(self):
         # (a;p)_inf / (a p^s; p)_inf == (a;p)_s
