@@ -9,8 +9,11 @@ Each identity is described once, by its parameter class. ``draw(rng,
 *shape, nome, band)`` takes free parameters with moduli in a configurable
 band and solves the balancing / truncation constraints for the dependent
 ones; ``sides(table)`` evaluates the left-hand terms and the closed-form
-side through a FactorTable passed in; ``check(sides, tol)`` sums the
-nonzero terms and compares. The one resample loop ``_sample`` dry-runs
+side through a FactorTable passed in, listing every theta argument they
+read first (``_VwpTerms.arguments``, ``_LatticeTerms.arguments`` and
+``FactorTable.factorial_arguments``) so that one ``theta_many`` batch
+evaluates them; ``check(sides, tol)`` sums the nonzero terms and
+compares. The one resample loop ``_sample`` dry-runs
 ``sides`` on a fresh table for each draw and resamples when any theta
 argument that table evaluated sits within _LATTICE_EPS of a lattice zero,
 or when a left-hand series is badly conditioned. It returns the admitted
@@ -131,42 +134,85 @@ class _Multisum:
     * scalar(lam) (Warnaar 2002, Rosengren 2004), written once. Each part is
     (heads, pairs) over the indices it touches, (lam_j, lam_k) or (lam_j,): a
     head (c, e) stands for theta(c q^{e.lam}) / theta(c) and a pair (a, b, e)
-    for (a)_{e.lam} / (b)_{e.lam}. _lattice_terms evaluates it at integer
-    points; _lattice_h reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
+    for (a)_{e.lam} / (b)_{e.lam}. _LatticeTerms evaluates it at integer
+    points and lists the theta arguments of its distinct parts for one batch;
+    _lattice_h reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
 
     cross: dict[tuple[int, int], tuple[tuple, tuple]]
     blocks: tuple[tuple[tuple, tuple], ...]
     scalar: Callable[[tuple[int, ...]], complex]
 
 
-def _lattice_terms(desc: _Multisum, table: FactorTable, lattice) -> list[FactorialValue]:
-    """The coefficient at each point lam of a lattice: the product over pairs
-    j < k of the cross parts, then over j of the blocks, times the scalar.
-    Each part's value is built once per call and reused at every point that
-    shares it, in the multiplication order of one point."""
-    q = table.nome.q
+def _part_at(heads: tuple, pairs: tuple, lams: tuple[int, ...]) -> tuple[list, list]:
+    """A part's heads as (c, m) and its pairs as (a, b, m) at lams, m = e.lam."""
 
-    def part(heads, pairs, lams) -> FactorialValue:
-        nums = [table.factor(c * q ** sum(map(operator.mul, e, lams))) for c, e in heads]
-        out = functools.reduce(operator.mul, nums)
-        for c, _ in heads:
-            out = out / table.factor(c)
-        for a, b, e in pairs:
-            m = sum(map(operator.mul, e, lams))
-            out = out * (table.factorial(a, m) / table.factorial(b, m))
-        return out
+    def dot(e: tuple[int, ...]) -> int:
+        return sum(map(operator.mul, e, lams))
 
-    cross = functools.cache(lambda j, k, lj, lk: part(*desc.cross[j, k], (lj, lk)))
-    block = functools.cache(lambda j, lj: part(*desc.blocks[j], (lj,)))
-    terms = []
-    for lam in lattice:
-        out = ONE
-        for j, k in itertools.combinations(range(len(lam)), 2):
-            out = out * cross(j, k, lam[j], lam[k])
-        for j, lj in enumerate(lam):
-            out = out * block(j, lj)
-        terms.append(out * desc.scalar(lam))
-    return terms
+    return [(c, dot(e)) for c, e in heads], [(a, b, dot(e)) for a, b, e in pairs]
+
+
+class _LatticeTerms:
+    """The coefficients of a _Multisum at a list of points, read through a
+    table. The points' distinct parts, cross (j, k, lam_j, lam_k) and block
+    (j, lam_j), are enumerated once, in the order a point-by-point product
+    first reads them; ``arguments`` lists their theta arguments and ``terms``
+    multiplies them, so a ``prefetch`` of the listing holds every theta value
+    the terms ask for."""
+
+    def __init__(self, desc: _Multisum, table: FactorTable, lattice) -> None:
+        self.table, self.scalar, self.points = table, desc.scalar, []
+        pairs = list(itertools.combinations(range(len(desc.blocks)), 2))
+        for lam in lattice:
+            keys = [(j, k, lam[j], lam[k]) for j, k in pairs]
+            keys += enumerate(lam)
+            self.points.append((lam, keys))
+        self.parts = {
+            key: _part_at(*desc.cross[key[:2]], key[2:]) if len(key) == 4 else _part_at(*desc.blocks[key[0]], key[1:])
+            for key in dict.fromkeys(itertools.chain.from_iterable(keys for _, keys in self.points))
+        }
+
+    def arguments(self) -> list[complex]:
+        """The theta arguments the terms evaluate past the table's prefixes,
+        formed as they form them: each head at c q^m and at c, and each pair's
+        bases up to the largest exponent the points reach and down to the
+        smallest; none where forming them overflows, as the terms raise."""
+        table, q = self.table, self.table.nome.q
+        args, reach, ends = [], {}, {}
+        try:
+            for heads, pairs in self.parts.values():
+                args += [arg for c, m in heads for arg in (c * q**m, c)]
+                for a, b, m in pairs:
+                    lo, hi = reach.get((a, b), (0, 0))
+                    reach[a, b] = (min(lo, m), max(hi, m))
+            for bases, lo_hi in reach.items():
+                for m in lo_hi:
+                    ends.setdefault(m, []).extend(bases)
+            for m, bases in ends.items():
+                args += table.factorial_arguments(bases, m)
+        except OverflowError:
+            return []
+        return args
+
+    def terms(self) -> list[FactorialValue]:
+        """The coefficient at each point lam: the product over pairs j < k of
+        the cross parts, then over j of the blocks, times the scalar. Each
+        part's value is built once and reused at every point that shares it."""
+        table, q = self.table, self.table.nome.q
+
+        def value(heads, pairs) -> FactorialValue:
+            out = functools.reduce(operator.mul, [table.factor(c * q**m) for c, m in heads])
+            for c, _ in heads:
+                out = out / table.factor(c)
+            for a, b, m in pairs:
+                out = out * (table.factorial(a, m) / table.factorial(b, m))
+            return out
+
+        values = {key: value(*part) for key, part in self.parts.items()}
+        return [
+            functools.reduce(operator.mul, map(values.__getitem__, keys), ONE) * self.scalar(lam)
+            for lam, keys in self.points
+        ]
 
 
 def _lattice_h(
@@ -403,10 +449,14 @@ class Multi1Params(_LatticeSum):
         return cls(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
 
     def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-        """The terms over ordered tuples in lattice order, and the closed form."""
+        """The terms over ordered tuples in lattice order, and the closed form,
+        read from one theta_many batch."""
         lattice = itertools.combinations_with_replacement(range(self.N + 1), self.n)
-        terms = _lattice_terms(_multi1_lattice(self), table, lattice)
-        return terms, _multi1_closed(_multi1_closed_bases(self.t, self.t6, self.n, self.nome.q), self.N, table)
+        terms = _LatticeTerms(_multi1_lattice(self), table, lattice)
+        bases = _multi1_closed_bases(self.t, self.t6, self.n, self.nome.q)
+        closed_args = table.factorial_arguments([b for num, den in bases for b in num + den], self.N)
+        table.prefetch(terms.arguments() + closed_args)
+        return terms.terms(), _multi1_closed(bases, self.N, table)
 
 
 def sample_multi1(
@@ -445,7 +495,7 @@ def _multi1_lattice(params: Multi1Params) -> _Multisum:
 
 def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
     """The coefficient at one point lam, also outside the ordered tuples."""
-    return _lattice_terms(_multi1_lattice(params), table, [lam])[0]
+    return _LatticeTerms(_multi1_lattice(params), table, [lam]).terms()[0]
 
 
 def _multi1_closed_bases(t: complex, t6: tuple[complex, ...], n: int, q: complex) -> list[tuple[list, list]]:
@@ -526,36 +576,37 @@ class Multi2Params(_LatticeSum):
         return cls(n, (t0, *body, *trunc, a, b, c), tuple(Ns), nome)
 
     def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-        """The terms over the box lattice in lattice order, and the closed form."""
+        """The terms over the box lattice in lattice order, and the closed form,
+        read from one theta_many batch."""
         q = self.nome.q
         n, t, Ns = self.n, self.t, self.Ns
         a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
         ntot = sum(Ns)
         lattice = itertools.product(*(range(N + 1) for N in Ns))
-        terms = _lattice_terms(_multi2_lattice(self), table, lattice)
+        terms = _LatticeTerms(_multi2_lattice(self), table, lattice)
+        # the closed form's bases with their depths: at |N|, for j < k at N_j and
+        # N_k over N_j + N_k (one prefix), and for each j at N_j
+        total = [q / (a * b), q / (a * c), q / (b * c)]
+        cross = [(q * t[j] * t[k], Ns[j - 1], Ns[k - 1]) for j, k in itertools.combinations(range(1, n + 1), 2)]
+        rows = [
+            (q * t[j] * t[j], [q * t[j] / a, q * t[j] / b, q * t[j] / c, q ** (1 + ntot - Nj) / (t[j] * a * b * c)],
+             Nj)
+            for j, Nj in enumerate(Ns, 1)
+        ]
+        table.prefetch(
+            terms.arguments()
+            + table.factorial_arguments(total, ntot)
+            + [arg for x, Nj, Nk in cross for arg in table.factorial_arguments([x], Nj + Nk)]
+            + [arg for num, den, Nj in rows for arg in table.factorial_arguments([num, *den], Nj)]
+        )
+        values = terms.terms()
 
-        closed = table.factorial_multi([q / (a * b), q / (a * c), q / (b * c)], ntot)
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                closed = closed * (
-                    table.factorial(q * t[j] * t[k], Ns[j - 1])
-                    * table.factorial(q * t[j] * t[k], Ns[k - 1])
-                    / table.factorial(q * t[j] * t[k], Ns[j - 1] + Ns[k - 1])
-                )
-        for j in range(1, n + 1):
-            Nj = Ns[j - 1]
-            num = table.factorial(q * t[j] * t[j], Nj)
-            den = table.factorial_multi(
-                [
-                    q * t[j] / a,
-                    q * t[j] / b,
-                    q * t[j] / c,
-                    q ** (1 + ntot - Nj) / (t[j] * a * b * c),
-                ],
-                Nj,
-            )
-            closed = closed * (num / den)
-        return terms, closed
+        closed = table.factorial_multi(total, ntot)
+        for x, Nj, Nk in cross:
+            closed = closed * (table.factorial(x, Nj) * table.factorial(x, Nk) / table.factorial(x, Nj + Nk))
+        for num, den, Nj in rows:
+            closed = closed * (table.factorial(num, Nj) / table.factorial_multi(den, Nj))
+        return values, closed
 
 
 def sample_multi2(
@@ -587,7 +638,7 @@ def _multi2_lattice(params: Multi2Params) -> _Multisum:
 
 def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
     """The coefficient at one point lam."""
-    return _lattice_terms(_multi2_lattice(params), table, [lam])[0]
+    return _LatticeTerms(_multi2_lattice(params), table, [lam]).terms()[0]
 
 
 def verify_multi2(params: Multi2Params, tol: float = 1e-7) -> VerificationReport:

@@ -27,7 +27,7 @@ from .factorials import (
     theta_factor,
 )
 from .report import JsonFields, VerificationReport, _str_from_json
-from .theta import LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome
+from .theta import LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome, theta_log_range
 
 REL_TOL = 1e-10  # classifier tolerance for multiplicative constraints
 
@@ -284,6 +284,10 @@ def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
     return _sum_window(lambda n: _coefficient(spec, n, table), window)
 
 
+def _log_abs(z: complex) -> float:
+    return math.log(abs(z)) if z else -math.inf
+
+
 class _VwpTerms:
     """The coefficients of one vwp spec, read through a table. They and
     ``arguments`` read one list of bases, formed once, so a ``prefetch`` of
@@ -296,9 +300,11 @@ class _VwpTerms:
         self.num, self.den = [t0 * t for t in ms], [q * t0 / t for t in ms]
 
     def arguments(self, ns: range) -> list[complex]:
-        """The theta arguments of the coefficients at ns (the first MAX_TERMS) past
-        the table's prefixes; none where forming them overflows, as the terms raise."""
-        if not (ns := ns[:MAX_TERMS]):
+        """The theta arguments of the coefficients at ns (the first MAX_TERMS, up
+        to the first that reads an argument theta refuses by its reduction bound,
+        theta_log_range, and so raises) past the table's prefixes; none where
+        forming them overflows, as the terms raise."""
+        if not (ns := self._in_range(ns[:MAX_TERMS])):
             return []
         try:
             args = [self.head, *(self.head * self.q ** (2 * n) for n in ns)]
@@ -306,6 +312,24 @@ class _VwpTerms:
             return []
         bases = self.num + self.den
         return args + self.table.factorial_arguments(bases, ns[0]) + self.table.factorial_arguments(bases, ns[-1])
+
+    def _in_range(self, ns: range) -> range:
+        """ns up to its first index whose coefficient reads an argument z with
+        |log|z|| > theta_log_range. log|z| is linear in the power of q, so the
+        head at q^2n and the extreme bases at each end of their prefixes decide
+        an index, and the two ends of ns decide whether any index is out."""
+        bound, lq = theta_log_range(self.table.nome.p), _log_abs(self.q)
+        logs = [_log_abs(t) for t in self.num + self.den]
+        head, extremes = _log_abs(self.head), (min(logs), max(logs)) if logs else ()
+
+        def out(n: int) -> bool:
+            powers = (0, n - 1) if n > 0 else (-1, n) if n < 0 else ()
+            read = [head, head + 2 * n * lq, *(l + e * lq for l in extremes for e in powers)]
+            return max(map(abs, read)) > bound
+
+        if ns and (out(ns[0]) or out(ns[-1])):
+            return ns[: next(i for i, n in enumerate(ns) if out(n))]
+        return ns
 
     def __call__(self, n: int) -> FactorialValue:
         table = self.table

@@ -163,6 +163,15 @@ def theta_zero_index(z: complex, p: complex, rtol: float = LATTICE_RTOL) -> int 
     return m if abs(m) <= MAX_ZERO_ORDER and abs(y * red.powers[k] - 1.0) <= rtol else None
 
 
+def theta_log_range(p: complex) -> float:
+    """R such that theta(z, p) raises at every z with |log|z|| > R that is not
+    a detected lattice zero: such a z reduces with k > sqrt(1420 / |log p|),
+    since k >= |log|z|| / |log p| - 3/2, and a prefactor of k steps exceeds
+    |p|^(-k^2/2) > e^710 (see _Reduction)."""
+    log_p = _reduction(complex(p)).log_p
+    return (math.sqrt(1420 / -log_p) + 1.5) * -log_p
+
+
 def theta(z: complex, p: complex) -> complex:
     """Jacobi-type theta function theta(z; p) = (z; p)_inf (p z^{-1}; p)_inf.
 

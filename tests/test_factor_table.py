@@ -11,6 +11,8 @@ product from z itself).
 """
 
 import collections
+import functools
+import itertools
 
 import pytest
 
@@ -39,6 +41,7 @@ from thetahyp import ellipticity, factorials
 from thetahyp.cli import main
 from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
+from thetahyp.identities import _LatticeTerms, _multi1_lattice, _multi2_lattice
 from thetahyp.theta import theta
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -184,6 +187,9 @@ BATCHED = {
     "ft_6": (lambda: sample_ft(12, 6, NOME), 103),
     "bailey_6": (lambda: sample_bailey(12, 6, NOME), 200),
     "ge_split_8": (lambda: GE_SPEC, 270),
+    "multi1_3_3": (lambda: sample_multi1(15, 3, 3, NOME), 261),
+    "multi2_3_3": (lambda: sample_multi2(16, 3, (3, 3, 3), NOME), 268),
+    "multi2_4_2": (lambda: sample_multi2(17, 4, (2,) * 4, NOME), 289),
 }
 
 
@@ -234,6 +240,54 @@ def test_batch_moves_no_bit(monkeypatch, case):
         runs.append((set(tables[0].arguments), [_hex(v) for v in values]))
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == lanes
+
+
+def _multi1_off_tuples():
+    # every point of the box, so a cross pair's exponent lam_k - lam_j is
+    # also negative and its bases read downward prefixes
+    params = sample_multi1(15, 3, 3, NOME)
+    return _multi1_lattice(params), itertools.product(range(params.N + 1), repeat=params.n)
+
+
+def _multi2_unequal(seed):
+    params = sample_multi2(seed, 2, (1, 4), NOME)
+    return _multi2_lattice(params), itertools.product(*(range(N + 1) for N in params.Ns))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_multi1_off_tuples, *(functools.partial(_multi2_unequal, seed) for seed in range(10))],
+    ids=["multi1_off_tuples", *(f"multi2_1_4_seed{seed}" for seed in range(10))],
+)
+def test_lattice_arguments_are_those_the_terms_evaluate(make):
+    # exactly, not a superset: the sampler's lattice guard scans every
+    # argument the table holds, so an extra one could reject a draw
+    desc, lattice = make()
+    points = list(lattice)
+    listed = _LatticeTerms(desc, FactorTable(NOME), points).arguments()
+    table = FactorTable(NOME)
+    _LatticeTerms(desc, table, points).terms()
+    assert set(listed) == set(table.arguments)
+
+
+def test_early_raising_sum_batches_only_the_terms_it_reads(monkeypatch):
+    # theta(t0^2 q^44) leaves the float64 range, so term 22 raises; all 512
+    # terms were listed before, a batch of 4,456 lanes. A term reads at most
+    # 9 new arguments here: its head and one per factorial base.
+    spec = VwpSpec(0.5 + 0.2j, (0.6 + 0.1j, 0.4 + 0.1j, 0.5 - 0.3j), 0.3 - 0.1j, NOME, "unilateral")
+    batches, batch = [], factorials.theta_many
+    with monkeypatch.context() as m:
+        m.setattr(factorials, "theta_many", lambda zs, p: batches.append(len(zs)) or batch(zs, p))
+        with pytest.raises(FloatRangeError, match="term 22 of the series"):
+            eval_vwp(spec, trunc=600)
+    assert len(batches) == 1 and batches[0] <= 22 * 9
+
+
+def test_window_without_parameters_is_the_sum_of_its_coefficients():
+    # a bilateral spec with no t's has no factorial bases to bound the batch by
+    spec = VwpSpec(0.5 + 0.2j, (), 0.3 + 0j, NOME, "bilateral")
+    terms = [vwp_coefficient(spec, n).value for n in range(-2, 3)]
+    assert eval_vwp(spec, window=(-2, 2)).value == sum(terms, 0j)
 
 
 def test_factorial_value_keeps_the_dataclass_semantics(monkeypatch):

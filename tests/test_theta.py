@@ -19,7 +19,7 @@ from thetahyp import (
     theta_zero_index,
 )
 from thetahyp.errors import FloatRangeError, NonConvergenceError, PoleError
-from thetahyp.theta import LATTICE_RTOL, MAX_ZERO_ORDER, PRODUCT_TOL, sqrt_positive_real
+from thetahyp.theta import LATTICE_RTOL, MAX_ZERO_ORDER, PRODUCT_TOL, sqrt_positive_real, theta_log_range
 
 
 def rand_pair(rng):
@@ -116,6 +116,16 @@ class TestThetaFunction:
     def test_out_of_range_raises_float_range_error(self, z):
         with pytest.raises(FloatRangeError):
             theta(z, 0.25 + 0.05j)
+
+    @pytest.mark.parametrize("p", [0.25 + 0.05j, 0.01 + 0.001j, 0.6 - 0.5j, 0.5j])
+    def test_theta_raises_past_its_log_range(self, p):
+        # the vwp sums list their batch only up to this bound, as every
+        # argument past it raises
+        bound = theta_log_range(p)
+        for sign in (1, -1):
+            for phase in np.linspace(0.0, 2 * math.pi, 13):
+                with pytest.raises(FloatRangeError):
+                    theta(cmath.exp(sign * bound * (1 + 1e-9) + 1j * phase), p)
 
     def test_lattice_zeros_exact(self):
         p = 0.3 + 0.1j
