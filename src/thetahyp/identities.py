@@ -2,15 +2,18 @@
 
 Covers the terminating very-well-poised balanced 10E9 evaluation
 (Frenkel-Turaev sum), the two-term 12E11 transformation (elliptic Bailey
-identity), the two multivariable summation identities (ordered-tuple and
-box-lattice kinds), and the generic multiple-series coefficient.
+identity) and the two multivariable summation identities (ordered-tuple and
+box-lattice kinds).
 
 Each identity is described once, by its parameter class. ``draw(rng,
 *shape, nome, band)`` takes free parameters with moduli in a configurable
 band and solves the balancing / truncation constraints for the dependent
 ones; ``sides(table)`` evaluates the left-hand terms and the closed-form
-side through a FactorTable passed in, listing every theta argument they
-read first (``_VwpTerms.arguments``, ``_LatticeTerms.arguments`` and
+side through a FactorTable passed in. Every left-hand series is a
+``series._Multisum`` read through ``series._LatticeTerms``: the 10E9 and
+12E11 terms are the rank-1 very-well-poised one, the multivariable sums
+their rank-n blocks and cross parts. ``sides`` lists every theta argument
+it reads first (``_LatticeTerms.arguments`` and
 ``FactorTable.factorial_arguments``) so that one ``theta_many`` batch
 evaluates them; ``check(sides, tol)`` sums the nonzero terms and
 compares. The one resample loop ``_sample`` dry-runs
@@ -35,10 +38,10 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import PoleError
-from .factorials import ONE, FactorialValue, FactorTable, elliptic_factorial
+from .factorials import ONE, FactorialValue, FactorTable
 from .report import JsonFields, VerificationReport
-from .theta import ModularPair, Nome, theta_zero_index
-from .series import VwpSpec, _sum_unilateral, _sum_window, _VwpTerms
+from .theta import Nome, theta_zero_index
+from .series import VwpSpec, _LatticeTerms, _Multisum, _sum_unilateral, _sum_window, _vwp_terms
 
 DEFAULT_BAND = (0.4, 0.9)
 CONSTRAINT_RTOL = 1e-12
@@ -128,93 +131,6 @@ class _LatticeSum(JsonFields):
         return _report(self, _sum_window(terms.__getitem__, (0, len(terms) - 1)), closed.value, tol)
 
 
-@dataclass(frozen=True)
-class _Multisum:
-    """A multisum coefficient c(lam) = prod_{j<k} cross[j, k] * prod_j blocks[j]
-    * scalar(lam) (Warnaar 2002, Rosengren 2004), written once. Each part is
-    (heads, pairs) over the indices it touches, (lam_j, lam_k) or (lam_j,): a
-    head (c, e) stands for theta(c q^{e.lam}) / theta(c) and a pair (a, b, e)
-    for (a)_{e.lam} / (b)_{e.lam}. _LatticeTerms evaluates it at integer
-    points and lists the theta arguments of its distinct parts for one batch;
-    _lattice_h reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
-
-    cross: dict[tuple[int, int], tuple[tuple, tuple]]
-    blocks: tuple[tuple[tuple, tuple], ...]
-    scalar: Callable[[tuple[int, ...]], complex]
-
-
-def _part_at(heads: tuple, pairs: tuple, lams: tuple[int, ...]) -> tuple[list, list]:
-    """A part's heads as (c, m) and its pairs as (a, b, m) at lams, m = e.lam."""
-
-    def dot(e: tuple[int, ...]) -> int:
-        return sum(map(operator.mul, e, lams))
-
-    return [(c, dot(e)) for c, e in heads], [(a, b, dot(e)) for a, b, e in pairs]
-
-
-class _LatticeTerms:
-    """The coefficients of a _Multisum at a list of points, read through a
-    table. The points' distinct parts, cross (j, k, lam_j, lam_k) and block
-    (j, lam_j), are enumerated once, in the order a point-by-point product
-    first reads them; ``arguments`` lists their theta arguments and ``terms``
-    multiplies them, so a ``prefetch`` of the listing holds every theta value
-    the terms ask for."""
-
-    def __init__(self, desc: _Multisum, table: FactorTable, lattice) -> None:
-        self.table, self.scalar, self.points = table, desc.scalar, []
-        pairs = list(itertools.combinations(range(len(desc.blocks)), 2))
-        for lam in lattice:
-            keys = [(j, k, lam[j], lam[k]) for j, k in pairs]
-            keys += enumerate(lam)
-            self.points.append((lam, keys))
-        self.parts = {
-            key: _part_at(*desc.cross[key[:2]], key[2:]) if len(key) == 4 else _part_at(*desc.blocks[key[0]], key[1:])
-            for key in dict.fromkeys(itertools.chain.from_iterable(keys for _, keys in self.points))
-        }
-
-    def arguments(self) -> list[complex]:
-        """The theta arguments the terms evaluate past the table's prefixes,
-        formed as they form them: each head at c q^m and at c, and each pair's
-        bases up to the largest exponent the points reach and down to the
-        smallest; none where forming them overflows, as the terms raise."""
-        table, q = self.table, self.table.nome.q
-        args, reach, ends = [], {}, {}
-        try:
-            for heads, pairs in self.parts.values():
-                args += [arg for c, m in heads for arg in (c * q**m, c)]
-                for a, b, m in pairs:
-                    lo, hi = reach.get((a, b), (0, 0))
-                    reach[a, b] = (min(lo, m), max(hi, m))
-            for bases, lo_hi in reach.items():
-                for m in lo_hi:
-                    ends.setdefault(m, []).extend(bases)
-            for m, bases in ends.items():
-                args += table.factorial_arguments(bases, m)
-        except OverflowError:
-            return []
-        return args
-
-    def terms(self) -> list[FactorialValue]:
-        """The coefficient at each point lam: the product over pairs j < k of
-        the cross parts, then over j of the blocks, times the scalar. Each
-        part's value is built once and reused at every point that shares it."""
-        table, q = self.table, self.table.nome.q
-
-        def value(heads, pairs) -> FactorialValue:
-            out = functools.reduce(operator.mul, [table.factor(c * q**m) for c, m in heads])
-            for c, _ in heads:
-                out = out / table.factor(c)
-            for a, b, m in pairs:
-                out = out * (table.factorial(a, m) / table.factorial(b, m))
-            return out
-
-        values = {key: value(*part) for key, part in self.parts.items()}
-        return [
-            functools.reduce(operator.mul, map(values.__getitem__, keys), ONE) * self.scalar(lam)
-            for lam, keys in self.points
-        ]
-
-
 def _lattice_h(
     desc: _Multisum, l: int, q: complex
 ) -> tuple[complex, Callable[[list[complex]], list[tuple[complex, complex]]]]:
@@ -282,9 +198,9 @@ class _VwpSumParams(JsonFields):
         trunc = q ** (-N) / free[0]
         return cls((*free, trunc, q ** (count // 2 - 2) / math.prod([*free, trunc])), nome, N)
 
-    def _terms(self, t: tuple[complex, ...], table: FactorTable) -> _VwpTerms:
-        """The coefficients of the sum with parameters t."""
-        return _VwpTerms(VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral"), table)
+    def _terms(self, t: tuple[complex, ...], table: FactorTable) -> _LatticeTerms:
+        """The coefficients of the sum with parameters t, listing k = 0..N."""
+        return _vwp_terms(VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral"), table, range(self.N + 1))
 
 
 class FTParams(_VwpSumParams):
@@ -297,7 +213,7 @@ class FTParams(_VwpSumParams):
         """The 10E9 terms for k = 0..N and the closed form, the rank-1 multi1 one."""
         ks, terms = range(self.N + 1), self._terms(self.t, table)
         closed = _multi1_closed_bases(1 + 0j, self.t, 1, self.nome.q)  # one (num, den) pair
-        table.prefetch(terms.arguments(ks) + table.factorial_arguments([*closed[0][0], *closed[0][1]], self.N))
+        table.prefetch(terms.arguments() + table.factorial_arguments([*closed[0][0], *closed[0][1]], self.N))
         return [terms(k) for k in ks], _multi1_closed(closed, self.N, table)
 
     def check(self, sides, tol: float) -> VerificationReport:
@@ -342,7 +258,7 @@ class BaileyParams(_VwpSumParams):
         ks, lhs, rhs = range(N + 1), self._terms(t, table), self._terms(s, table)
         pref_num = [q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])]
         pref_den = [q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])]
-        table.prefetch(lhs.arguments(ks) + rhs.arguments(ks) + table.factorial_arguments(pref_num + pref_den, N))
+        table.prefetch(lhs.arguments() + rhs.arguments() + table.factorial_arguments(pref_num + pref_den, N))
         pref = table.factorial_multi(pref_num, N) / table.factorial_multi(pref_den, N)
         return [lhs(k) for k in ks], [rhs(k) for k in ks], pref
 
@@ -495,7 +411,7 @@ def _multi1_lattice(params: Multi1Params) -> _Multisum:
 
 def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
     """The coefficient at one point lam, also outside the ordered tuples."""
-    return _LatticeTerms(_multi1_lattice(params), table, [lam]).terms()[0]
+    return _LatticeTerms(_multi1_lattice(params), table)(*lam)
 
 
 def _multi1_closed_bases(t: complex, t6: tuple[complex, ...], n: int, q: complex) -> list[tuple[list, list]]:
@@ -638,47 +554,8 @@ def _multi2_lattice(params: Multi2Params) -> _Multisum:
 
 def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
     """The coefficient at one point lam."""
-    return _LatticeTerms(_multi2_lattice(params), table, [lam]).terms()[0]
+    return _LatticeTerms(_multi2_lattice(params), table)(*lam)
 
 
 def verify_multi2(params: Multi2Params, tol: float = 1e-7) -> VerificationReport:
     return _verify(params, tol)
-
-
-# ---------------------------------------------------------------------------
-# generic multiple-series coefficient
-
-
-def general_multi_coefficient(
-    u_lists: list[list[complex]],
-    v_lists: list[list[complex]],
-    zs: list[complex],
-    pair: ModularPair,
-    lam: tuple[int, ...] | list[int],
-) -> complex:
-    """Most general symmetric multiple-series coefficient: products of
-    elliptic factorials over all k-subsets of the summation indices.
-
-    u_lists[k-1] / v_lists[k-1] hold the parameters attached to the
-    k-subset sums; the balance constraint
-    sum_k C(n-1, k-1) sum_m (u_km - v_km) = 0 is a precondition.
-    """
-    n = len(lam)
-    if len(u_lists) != n or len(v_lists) != n or len(zs) != n:
-        raise ValueError("u_lists, v_lists, zs must all have rank-n entries")
-    balance = 0j
-    for k in range(1, n + 1):
-        coeff = math.comb(n - 1, k - 1)
-        balance += coeff * (sum(u_lists[k - 1], 0j) - sum(v_lists[k - 1], 0j))
-    if abs(balance) > 1e-10 * max(1.0, max((abs(u) for us in u_lists for u in us), default=1.0)):
-        raise ValueError(f"balance constraint violated: {balance}")
-    out = ONE
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            s = sum(lam[i] for i in subset)
-            for u in u_lists[k - 1]:
-                out = out * elliptic_factorial(u, pair, s)
-            for v in v_lists[k - 1]:
-                out = out / elliptic_factorial(v, pair, s)
-    scalar = math.prod((zs[j] ** lam[j] for j in range(n)), start=1 + 0j)
-    return (out * scalar).value

@@ -10,14 +10,23 @@ structural zeros and poles are resolved exactly rather than through
 divisions by numerically tiny theta values. Each evaluator reads all its
 coefficients through one FactorTable, so each distinct theta factor is
 evaluated once per sum.
+
+A multisum coefficient is described once, as a _Multisum of theta heads
+and factorial quotients, and read through _LatticeTerms. The
+very-well-poised coefficient is its rank-1 case (_vwp_terms), so the vwp
+sums here and the 10E9, 12E11 and multivariable sums of ``identities``
+share one evaluator, which multiplies each quotient (a)_n / (b)_n in turn.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import FloatRangeError, NonConvergenceError, ThetaDomainError
 from .factorials import (
@@ -288,58 +297,157 @@ def _log_abs(z: complex) -> float:
     return math.log(abs(z)) if z else -math.inf
 
 
-class _VwpTerms:
-    """The coefficients of one vwp spec, read through a table. They and
-    ``arguments`` read one list of bases, formed once, so a ``prefetch`` of
-    the listed arguments holds every theta value the coefficients ask for."""
+@dataclass(frozen=True)
+class _Multisum:
+    """A multisum coefficient c(lam) = prod_{j<k} cross[j, k] * prod_j blocks[j]
+    * scalar(lam) (Warnaar 2002, Rosengren 2004), written once. Each part is
+    (heads, pairs) over the indices it touches, (lam_j, lam_k) or (lam_j,): a
+    head (c, e) stands for theta(c q^{e.lam}) / theta(c) and a pair (a, b, e)
+    for (a)_{e.lam} / (b)_{e.lam}. Rank 1 is the very-well-poised coefficient
+    (_vwp_terms). _LatticeTerms evaluates it at integer points and lists the
+    theta arguments of its distinct parts for one batch; identities._lattice_h
+    reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
 
-    def __init__(self, spec: VwpSpec, table: FactorTable) -> None:
-        q, t0 = spec.nome.q, spec.t0
-        ms = (t0,) + spec.ts if spec.kind == "unilateral" else spec.ts
-        self.table, self.q, self.head, self.step = table, q, t0 * t0, q * spec.z
-        self.num, self.den = [t0 * t for t in ms], [q * t0 / t for t in ms]
+    cross: dict[tuple[int, int], tuple[tuple, tuple]]
+    blocks: tuple[tuple[tuple, tuple], ...]
+    scalar: Callable[[tuple[int, ...]], complex]
 
-    def arguments(self, ns: range) -> list[complex]:
-        """The theta arguments of the coefficients at ns (the first MAX_TERMS, up
-        to the first that reads an argument theta refuses by its reduction bound,
-        theta_log_range, and so raises) past the table's prefixes; none where
-        forming them overflows, as the terms raise."""
-        if not (ns := self._in_range(ns[:MAX_TERMS])):
-            return []
+
+def _dot(e: tuple[int, ...], lams: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, e, lams))
+
+
+def _runs(heads: tuple, pairs: tuple) -> tuple[tuple, list]:
+    """A part's heads, and its pairs as runs (e, [(a, b), ...]) of consecutive
+    pairs that share the exponent vector e, in order."""
+    return heads, [(e, [(a, b) for a, b, _ in run]) for e, run in itertools.groupby(pairs, operator.itemgetter(2))]
+
+
+class _LatticeTerms:
+    """The coefficients of a _Multisum, read through a table. A point lam has
+    the parts cross (j, k, lam_j, lam_k) and block (j, lam_j); each part's
+    value is built once, kept in a memo and reused at every point that
+    shares it. ``arguments`` lists the theta arguments of the parts of the
+    points given at construction and ``terms`` multiplies them, so a
+    ``prefetch`` of the listing holds every theta value the terms ask for. A
+    call at one point, listed or not, builds that coefficient alone."""
+
+    def __init__(self, desc: _Multisum, table: FactorTable, lattice=()) -> None:
+        self.scalar, self.table, self._values = desc.scalar, table, {}
+        self._cross = list(itertools.combinations(range(len(desc.blocks)), 2))
+        self._shapes = {slot: _runs(*part) for slot, part in desc.cross.items()}
+        self._shapes.update(((j,), _runs(*block)) for j, block in enumerate(desc.blocks))
+        self.points = [(lam, self._keys(lam)) for lam in lattice]
+
+    def _keys(self, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The parts of the point lam, in the order its coefficient multiplies them."""
+        return [(j, k, lam[j], lam[k]) for j, k in self._cross] + list(enumerate(lam))
+
+    def _distinct_keys(self) -> dict:
+        """The listed points' parts, each once, in the order they are first read."""
+        return dict.fromkeys(itertools.chain.from_iterable(keys for _, keys in self.points))
+
+    def _value(self, key: tuple[int, ...]) -> FactorialValue:
+        """The part key at its indices, m = e.lam for each head and pair: its
+        heads theta(c q^m) multiplied, divided by each theta(c), then times
+        each quotient (a)_m / (b)_m in turn."""
+        table, q, half = self.table, self.table.nome.q, len(key) // 2
+        heads, runs = self._shapes[key[:half]]
+        at = key[half:]
+        out = functools.reduce(operator.mul, [table.factor(c * q ** _dot(e, at)) for c, e in heads])
+        for c, _ in heads:
+            out = out / table.factor(c)
+        for e, pairs in runs:
+            m = _dot(e, at)
+            for a, b in pairs:
+                out = out * (table.factorial(a, m) / table.factorial(b, m))
+        return out
+
+    def arguments(self) -> list[complex]:
+        """The theta arguments the listed points' terms evaluate past the
+        table's prefixes, formed as the terms form them. Each part shape is
+        listed once over the indices the points reach in it: each head at c
+        q^m for every distinct m = e.lam and at c, and each run of pairs that
+        shares an exponent vector e with its bases up to the largest e.lam
+        and down to the smallest. None where forming them overflows, as the
+        terms raise."""
+        table, q = self.table, self.table.nome.q
+        reached: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for key in self._distinct_keys():
+            half = len(key) // 2
+            reached.setdefault(key[:half], []).append(key[half:])
+        args, ends = [], {}
         try:
-            args = [self.head, *(self.head * self.q ** (2 * n) for n in ns)]
+            for slot, ats in reached.items():
+                heads, runs = self._shapes[slot]
+                for c, e in heads:
+                    args += [c * q**m for m in dict.fromkeys(_dot(e, at) for at in ats)]
+                    args.append(c)
+                for e, pairs in runs:
+                    ms = [_dot(e, at) for at in ats]
+                    for m in dict.fromkeys((min(ms), max(ms))):
+                        ends.setdefault(m, []).extend(base for pair in pairs for base in pair)
+            for m, bases in ends.items():
+                args += table.factorial_arguments(bases, m)
         except OverflowError:
             return []
-        bases = self.num + self.den
-        return args + self.table.factorial_arguments(bases, ns[0]) + self.table.factorial_arguments(bases, ns[-1])
+        return args
 
-    def _in_range(self, ns: range) -> range:
-        """ns up to its first index whose coefficient reads an argument z with
-        |log|z|| > theta_log_range. log|z| is linear in the power of q, so the
-        head at q^2n and the extreme bases at each end of their prefixes decide
-        an index, and the two ends of ns decide whether any index is out."""
-        bound, lq = theta_log_range(self.table.nome.p), _log_abs(self.q)
-        logs = [_log_abs(t) for t in self.num + self.den]
-        head, extremes = _log_abs(self.head), (min(logs), max(logs)) if logs else ()
+    def terms(self) -> list[FactorialValue]:
+        """The coefficient at each listed point lam: the product over pairs
+        j < k of the cross parts, then over j of the blocks, times the scalar."""
+        values, scalar = self._values, self.scalar
+        for key in self._distinct_keys():
+            if key not in values:
+                values[key] = self._value(key)
+        return [
+            functools.reduce(operator.mul, map(values.__getitem__, keys), ONE) * scalar(lam)
+            for lam, keys in self.points
+        ]
+
+    def __call__(self, *lam: int) -> FactorialValue:
+        """The coefficient at the point lam, multiplied as ``terms`` multiplies it."""
+        values, out = self._values, ONE
+        for key in self._keys(lam):
+            value = values.get(key)
+            if value is None:
+                value = values[key] = self._value(key)
+            out = out * value
+        return out * self.scalar(lam)
+
+
+def _vwp_terms(spec: VwpSpec, table: FactorTable, ns: range = range(0)) -> _LatticeTerms:
+    """The coefficients of a vwp spec, read through table: the rank-1
+    _Multisum of one block with the head (t0^2, (2,)) and the pairs
+    (t0 t, q t0 / t, (1,)) over t in (t0,) + ts (unilateral) or ts
+    (bilateral), and the scalar (q z)^n. The points listed are (n,) for the
+    first MAX_TERMS of ns, up to the first index whose coefficient reads an
+    argument z with |log|z|| > theta_log_range, where theta raises. log|z|
+    is linear in the power of q, so the head at q^2n and the extreme bases
+    at each end of their prefixes decide an index, and the two ends of ns
+    decide whether any index is out."""
+    q, t0, step = spec.nome.q, spec.t0, spec.nome.q * spec.z
+    ms = (t0,) + spec.ts if spec.kind == "unilateral" else spec.ts
+    head, pairs = t0 * t0, tuple((t0 * t, q * t0 / t, (1,)) for t in ms)
+    if ns := ns[:MAX_TERMS]:
+        bound, lq, lh = theta_log_range(spec.nome.p), _log_abs(q), _log_abs(head)
+        logs = [_log_abs(base) for a, b, _ in pairs for base in (a, b)]
+        extremes = (min(logs), max(logs)) if logs else ()
 
         def out(n: int) -> bool:
             powers = (0, n - 1) if n > 0 else (-1, n) if n < 0 else ()
-            read = [head, head + 2 * n * lq, *(l + e * lq for l in extremes for e in powers)]
+            read = [lh, lh + 2 * n * lq, *(l + e * lq for l in extremes for e in powers)]
             return max(map(abs, read)) > bound
 
-        if ns and (out(ns[0]) or out(ns[-1])):
-            return ns[: next(i for i, n in enumerate(ns) if out(n))]
-        return ns
-
-    def __call__(self, n: int) -> FactorialValue:
-        table = self.table
-        head = table.factor(self.head * self.q ** (2 * n)) / table.factor(self.head)
-        return head * (table.factorial_multi(self.num, n) / table.factorial_multi(self.den, n)) * self.step**n
+        if out(ns[0]) or out(ns[-1]):
+            ns = ns[: next(i for i, n in enumerate(ns) if out(n))]
+    desc = _Multisum({}, ((((head, (2,)),), pairs),), lambda lam: step ** lam[0])
+    return _LatticeTerms(desc, table, [(n,) for n in ns])
 
 
 def vwp_coefficient(spec: VwpSpec, n: int) -> FactorialValue:
     """Coefficient of the simplified very-well-poised series at index n."""
-    return _VwpTerms(spec, FactorTable(spec.nome))(n)
+    return _vwp_terms(spec, FactorTable(spec.nome))(n)
 
 
 def eval_vwp(
@@ -350,14 +458,17 @@ def eval_vwp(
     """Evaluate the simplified very-well-poised series (multiplicative form).
     A sum with a finite trunc or window evaluates its theta factors in one
     theta_many batch; an unbounded one evaluates them as it reaches them."""
-    terms = _VwpTerms(spec, FactorTable(spec.nome))
+    table = FactorTable(spec.nome)
     if spec.kind == "unilateral":
-        if (last := _last_index(trunc)) is not None:
-            terms.table.prefetch(terms.arguments(range(last + 1)))
+        if (last := _last_index(trunc)) is None:
+            return _sum_unilateral(_vwp_terms(spec, table), trunc)
+        terms = _vwp_terms(spec, table, range(last + 1))
+        table.prefetch(terms.arguments())
         return _sum_unilateral(terms, trunc)
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
-    terms.table.prefetch(terms.arguments(range(window[0], window[1] + 1)))
+    terms = _vwp_terms(spec, table, range(window[0], window[1] + 1))
+    table.prefetch(terms.arguments())
     return _sum_window(terms, window)
 
 
@@ -514,15 +625,15 @@ def ge_split_check(
     r = len(ts) + 4
     m_prod = math.prod((t * t for t in ts), start=1.0 + 0j)
     table = FactorTable(spec.nome)
-    window = _VwpTerms(spec, table)
-    first = _VwpTerms(VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral"), table)
-    args = window.arguments(range(-window_M, window_Mp + 1)) + first.arguments(range(window_Mp + 1))
+    window = _vwp_terms(spec, table, range(-window_M, window_Mp + 1))
+    first = _vwp_terms(VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral"), table, range(window_Mp + 1))
+    args = window.arguments() + first.arguments()
     if window_M:
         pref_num = [q * q / (t0 * t0), *(t / t0 for t in ts)]
         pref_den = [1.0 / (t0 * t0), *(q / (t0 * t) for t in ts)]
         z2 = q ** (r - 8) / (z * m_prod)
-        second = _VwpTerms(VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral"), table)
-        args += pref_num + pref_den + second.arguments(range(window_M))
+        second = _vwp_terms(VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral"), table, range(window_M))
+        args += pref_num + pref_den + second.arguments()
     table.prefetch(args)
 
     lhs = _sum_window(window, (-window_M, window_Mp)).value

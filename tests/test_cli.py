@@ -337,6 +337,33 @@ class TestErrorPaths:
         assert run(["verify", "nonsense"]) == 2
 
 
+class TestNomeAndBand:
+    def test_valid_values_are_read(self, tmp_path):
+        out = tmp_path / "params.json"
+        argv = ["sample", "ft_sum", "--N", "2", "--draws", "2", "--nome", "0.3,0.1,0.2,0.05", "--band", "0.5,0.8"]
+        assert run(argv + ["--out", str(out)]) == 0
+        for params in read(out)["params"]:
+            assert (params["q"], params["p"]) == ([0.3, 0.1], [0.2, 0.05])
+            # the four free t's are drawn in the band
+            assert all(0.5 <= abs(complex(*t)) <= 0.8 for t in params["t"][:4])
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--nome", "0.3,0.1,0.2", "--nome expects q_re,q_im,p_re,p_im"),
+            ("--nome", "0.3,0.1,0.2,x", "--nome expects four reals"),
+            ("--nome", "1.2,0,0.2,0.05", "ThetaDomainError: "),
+            ("--band", "0.5", "--band expects lo,hi"),
+            ("--band", "0.5,x", "--band expects two reals"),
+            ("--band", "0.8,0.5", "--band expects 0 < lo < hi < 1"),
+            ("--band", "0.5,1.0", "--band expects 0 < lo < hi < 1"),
+        ],
+    )
+    def test_refusal_exits_2(self, capsys, flag, value, message):
+        assert run(["sample", "ft_sum", "--draws", "1", flag, value]) == 2
+        assert json.loads(capsys.readouterr().out)["error"].startswith(message)
+
+
 class TestGESplitVerify:
     def test_ge_split_round_trip(self, tmp_path):
         import numpy as np
@@ -394,11 +421,11 @@ class TestGESplitVerify:
     DEEP_SPEC = VwpSpec(0.62 + 0.21j, (0.55 - 0.3j, -0.48 + 0.4j, 0.71 + 0.12j, -0.2 - 0.6j),
                         0.45 + 0.15j, NOME, "bilateral")
 
-    @pytest.mark.parametrize("M, code", [(8, 0), (12, 2)])
+    @pytest.mark.parametrize("M, code", [(8, 0), (22, 2)])
     def test_deep_window(self, tmp_path, capsys, M, code):
-        # at M = 12 the coefficient at n = -12 underflows to 0 and its
-        # inverse overflows; that is refused with the term named, where a
-        # ZeroDivisionError traceback exited 1 as if the check had failed
+        # at M = 22 the coefficient at n = -22 reads theta(t0^2 q^-44), which
+        # leaves the float64 range; that is refused with the term named, where
+        # a ZeroDivisionError traceback once exited 1 as if the check had failed
         inp = tmp_path / "specs.json"
         inp.write_text(json.dumps({"specs": [{"spec": self.DEEP_SPEC.to_json(), "windows": [M, M]}]}))
         assert run(["verify", "ge_split", str(inp), "--tol", "1e-10"]) == code
@@ -406,18 +433,18 @@ class TestGESplitVerify:
         if code == 0:
             assert out["summary"]["pass"] is True
         else:
-            assert out["error"].startswith("FloatRangeError: term -12 of the series")
+            assert out["error"].startswith("FloatRangeError: term -22 of the series")
 
     def test_non_finite_side_exits_2(self, tmp_path, capsys):
-        # at M = 11 the reflected E series is NaN; the report carried
-        # rel_err NaN, written as an invalid JSON token, and exited 1
+        # at M = 18 the window's coefficient at n = -18 is NaN; the report
+        # carried rel_err NaN, written as an invalid JSON token, and exited 1
         inp = tmp_path / "specs.json"
-        inp.write_text(json.dumps({"specs": [{"spec": self.DEEP_SPEC.to_json(), "windows": [11, 11]}]}))
+        inp.write_text(json.dumps({"specs": [{"spec": self.DEEP_SPEC.to_json(), "windows": [18, 18]}]}))
         assert run(["verify", "ge_split", str(inp), "--tol", "1e-10"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: rhs is not finite")
+        assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: lhs is not finite")
 
     def test_deep_bilateral_eval_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "spec.json"
-        inp.write_text(json.dumps({**self.DEEP_SPEC.to_json(), "window": [-12, 12]}))
+        inp.write_text(json.dumps({**self.DEEP_SPEC.to_json(), "window": [-22, 22]}))
         assert run(["eval", str(inp)]) == 2
-        assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: term -12 of the series")
+        assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: term -22 of the series")

@@ -4,7 +4,8 @@ factors through it.
 
 The pinned reprs are those of the tables' arguments and multiplication
 order over the reduced theta kernel; a table that changed any argument
-or the multiplication order would move the last digits. Every pinned
+or the multiplication order would move the last digits. Every term, vwp
+or multisum, multiplies its quotients (a)_m / (b)_m in turn. Every pinned
 side agrees with tests/test_reference.py's 40-digit sums to 1.6e-13 or
 better (multi1_2_4's lhs is the worst; 2.1e-13 when theta ran its
 product from z itself).
@@ -67,14 +68,14 @@ REPORTS = {
 
 # (lhs, rhs, rel_err) reprs and terms_summed
 PINNED = {
-    "ft_4": ("(4.978888004470496-5.2353538288808155j)", "(4.978888004470524-5.235353828880823j)", "3.93581027503647e-15", 5),
-    "ft_6": ("(1.6669341388561194-0.3498911273556695j)", "(1.6669341388561252-0.3498911273556741j)", "4.336579947932971e-15", 7),
-    "bailey_5": ("(-411.58894563072135+7026.598761090814j)", "(-411.5889456307382+7026.598761090678j)", "1.952903005830667e-14", 6),
+    "ft_4": ("(4.978888004470493-5.235353828880811j)", "(4.978888004470524-5.235353828880823j)", "4.589904076195102e-15", 5),
+    "ft_6": ("(1.6669341388561194-0.34989112735566885j)", "(1.6669341388561252-0.3498911273556741j)", "4.590723863695183e-15", 7),
+    "bailey_5": ("(-411.5889456307209+7026.598761090812j)", "(-411.5889456307423+7026.598761090679j)", "1.9235716165337897e-14", 6),
     "multi1_2_4": ("(0.024130549908427956-0.016154351441603782j)", "(0.024130549908432608-0.016154351441604264j)", "1.6107656937678265e-13", 15),
     "multi1_3_3": ("(0.34113353077086706-0.46233076426601244j)", "(0.34113353077086134-0.46233076426601183j)", "1.0007900498551736e-14", 20),
     "multi2_3_3": ("(0.8486027420737524+0.2469074589486193j)", "(0.8486027420737494+0.24690745894862876j)", "1.123340416926176e-14", 64),
     "multi2_4_2": ("(181.06622478976+234.5824086537264j)", "(181.0662247897614+234.5824086537272j)", "5.4610368448283035e-15", 81),
-    "ge_split_4": ("(-17254855625.885048-259597370631.3738j)", "(-17254855625.88426-259597370631.3738j)", "3.035099258689385e-15", 0),
+    "ge_split_4": ("(-17254855625.885017-259597370631.37378j)", "(-17254855625.884285-259597370631.37378j)", "2.81516452979885e-15", 0),
 }
 
 
@@ -328,9 +329,13 @@ def test_ge_split_refuses_an_underflowing_product():
 
 
 def test_underflowed_coefficient_raises_overflow():
-    # the factorials of the coefficient at n = -12 underflow to 0
+    # a downward factorial prefix of the coefficient at n = -18 underflows to
+    # 0, so its inverse overflows; GE_SPEC's coefficients stay finite to -17
+    # and overflow to NaN from -18
+    spec = VwpSpec(-0.32 - 0.63j, (0.27 - 0.77j, -0.8 + 0.01j, -0.83 - 0.12j, -0.14 + 0.59j), -0.68 - 0.5j, NOME,
+                   "bilateral")
     with pytest.raises(OverflowError):
-        vwp_coefficient(GE_SPEC, -12)
+        vwp_coefficient(spec, -18)
 
 
 def _count_calls(monkeypatch, owner, name, fn) -> int:

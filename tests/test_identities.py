@@ -14,8 +14,6 @@ from thetahyp import (
     Nome,
     bailey_from_ft,
     bailey_map,
-    general_multi_coefficient,
-    ModularPair,
     sample_bailey,
     sample_ft,
     sample_multi1,
@@ -207,6 +205,12 @@ class TestMulti2:
             rep = verify_multi2(params, tol=1e-7)
             assert rep.passed, f"n={n} seed {400 + 10 * n + i}: rel={rep.rel_err}"
 
+    def test_degenerate_nome_is_refused(self):
+        # with p = q^2 some q-shift of every parameter meets a lattice of p
+        q = 0.5 + 0.2j
+        with pytest.raises(ValueError, match=r"^nome degenerate: q\^2 = p\^1$"):
+            sample_multi2(seed=0, n=2, Ns=(1, 1), nome=Nome(q, q * q))
+
     def test_corner_coefficient_is_one(self):
         params = sample_multi2(seed=9, n=2, Ns=(2, 1), nome=NOME)
         c = _multi2_coefficient(params, (0, 0), FactorTable(params.nome))
@@ -256,23 +260,13 @@ def test_cached_blocks_match_per_point_coefficient(sample, coefficient, lattice)
         ), lam
 
 
-class TestGeneralCoefficient:
-    def test_balance_enforced(self):
-        pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
-        with pytest.raises(ValueError):
-            general_multi_coefficient([[0.3 + 0j]], [[0.9 + 0j]], [1 + 0j], pair, (1,))
-
-    def test_rank_one_reduces_to_factorial_ratio(self):
-        from thetahyp import elliptic_factorial
-
-        pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
-        u, z = 0.31 - 0.12j, 0.6 + 0.2j
-        got = general_multi_coefficient([[u, -u]], [[0.5 + 0.1j, u - u - 0.5 - 0.1j + 0j]], [z], pair, (2,))
-        num = (elliptic_factorial(u, pair, 2) * elliptic_factorial(-u, pair, 2)).value
-        den = (
-            elliptic_factorial(0.5 + 0.1j, pair, 2) * elliptic_factorial(-0.5 - 0.1j, pair, 2)
-        ).value
-        assert abs(got - num / den * z**2) <= 1e-12 * abs(got)
+@pytest.mark.parametrize("seed", range(10))
+def test_vwp_sums_verify_at_depth_8(seed):
+    # each term multiplies its quotients (a)_k / (b)_k in turn; dividing the
+    # product of all its numerator factorials by that of its denominators
+    # overflowed to NaN here
+    assert verify_ft_sum(sample_ft(seed, 8, NOME), tol=1e-8).passed
+    assert verify_bailey(sample_bailey(seed, 8, NOME), tol=1e-8).passed
 
 
 def test_samplers_reject_near_lattice_nome():

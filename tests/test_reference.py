@@ -200,6 +200,26 @@ def test_bailey_sides_match_reference():
     assert rel(pref.value * sum((c.value for c in rhs), 0j), lhs_sum) <= RTOL
 
 
+def test_depth_8_sides_match_reference():
+    # the 10E9 and 12E11 sides at N = 8, which overflowed to NaN while each
+    # term divided the product of its numerator factorials by that of its
+    # denominators; the draws are those of the N = 6 and N = 5 checks above
+    params = sample_ft(12, 8, NOME)
+    q, p = mpc(params.nome.q), mpc(params.nome.p)
+    terms, closed = params.sides(FactorTable(params.nome))
+    want = [vwp_coefficient([mpc(x) for x in params.t], k, q, p) for k in range(params.N + 1)]
+    assert max(rel(c.value, w) for c, w in zip(terms, want)) <= RTOL
+    assert rel(closed.value, mpmath.fsum(want)) <= RTOL
+    params = sample_bailey(13, 8, NOME)
+    lhs, rhs, pref = params.sides(FactorTable(params.nome))
+    t = [mpc(x) for x in params.t]
+    for terms, ts in ((lhs, t), (rhs, bailey_map(t, q))):
+        want = [vwp_coefficient(ts, k, q, p) for k in range(params.N + 1)]
+        assert max(rel(c.value, w) for c, w in zip(terms, want)) <= RTOL
+    lhs_sum = mpmath.fsum(vwp_coefficient(t, k, q, p) for k in range(params.N + 1))
+    assert rel(pref.value * sum((c.value for c in rhs), 0j), lhs_sum) <= RTOL
+
+
 def annulus_draw(rng):
     while True:
         w = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
@@ -244,6 +264,14 @@ def test_ge_split_sides_match_reference():
     # checked against the bilateral window
     rep = ge_split_check(spec, M, M)
     want = mpmath.fsum(spec_term(spec, k) for k in range(-M, M + 1))
+    assert rel(rep.lhs, want) <= RTOL and rel(rep.rhs, want) <= RTOL
+
+
+def test_deep_ge_split_matches_reference():
+    # M = 12, where the window's coefficient at n = -12 underflowed to 0 while
+    # each term divided whole factorial products
+    rep = ge_split_check(GE_SPEC, 12, 12)
+    want = mpmath.fsum(spec_term(GE_SPEC, k) for k in range(-12, 13))
     assert rel(rep.lhs, want) <= RTOL and rel(rep.rhs, want) <= RTOL
 
 

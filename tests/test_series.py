@@ -262,6 +262,17 @@ class TestClassification:
         assert classify(VwpSpec(-t0, ts, 1 + 0j, NOME, "unilateral")).balanced
         assert not classify(VwpSpec(1.3 * t0, ts, 1 + 0j, NOME, "unilateral")).balanced
 
+    def test_bilateral_vwp_spec_balance(self):
+        # the bilateral series has no t0 pair, so balance needs prod ts =
+        # q^((r-8)/2), up to sign; r = 9 here
+        q = NOME.q
+        free = rand_params(np.random.default_rng(13), 4)
+        last = q**0.5 / math.prod(free, start=1 + 0j)
+        for t, balanced in ((last, True), (-last, True), (1.01 * last, False)):
+            cls = classify(VwpSpec(0.6 + 0.2j, free + (t,), 1 + 0j, NOME, "bilateral"))
+            assert cls.balanced == cls.modular_constraint == cls.elliptic == balanced, t
+            assert cls.well_poised and cls.very_well_poised
+
     def test_modular_constraint_flag(self):
         # build additively: sum u = 1 + sum v and sum u^2 = 1 + sum v^2
         sigma = PAIR.sigma
@@ -350,15 +361,18 @@ class TestGESplit:
                         Nome(0.35 + 0.1j, 0.25 + 0.05j), "bilateral")
 
     def test_underflowed_term_raises_float_range_error(self):
-        # the factorials of the coefficient at n = -12 underflow to 0
-        with pytest.raises(FloatRangeError, match="term -12 of the series"):
-            eval_vwp(self.DEEP_SPEC, window=(-12, 12))
+        # a downward factorial prefix of the coefficient at n = -18 underflows
+        # to 0, so its inverse overflows
+        spec = VwpSpec(-0.32 - 0.63j, (0.27 - 0.77j, -0.8 + 0.01j, -0.83 - 0.12j, -0.14 + 0.59j), -0.68 - 0.5j,
+                       self.DEEP_SPEC.nome, "bilateral")
+        with pytest.raises(FloatRangeError, match="term -18 of the series: a factorial value underflowed"):
+            eval_vwp(spec, window=(-18, 18))
 
     def test_non_finite_side_is_named(self):
-        # at M = 11 the window is finite but the reflected E series is NaN
-        # (its factorial prefixes overflow); the report once carried the NaN
-        with pytest.raises(FloatRangeError, match="rhs is not finite"):
-            ge_split_check(self.DEEP_SPEC, 11, 11)
+        # at M = 18 the window's coefficient at n = -18 is NaN (its downward
+        # factorial prefixes overflow); the report once carried the NaN
+        with pytest.raises(FloatRangeError, match="lhs is not finite"):
+            ge_split_check(self.DEEP_SPEC, 18, 18)
 
 
 class TestCompare:
