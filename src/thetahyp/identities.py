@@ -5,24 +5,25 @@ Covers the terminating very-well-poised balanced 10E9 evaluation
 identity) and the two multivariable summation identities (ordered-tuple and
 box-lattice kinds).
 
-Each identity is described once, by its parameter class. ``draw(rng,
-*shape, nome, band)`` takes free parameters with moduli in a configurable
-band and solves the balancing / truncation constraints for the dependent
-ones; ``sides(table)`` evaluates the left-hand terms and the closed-form
-side through a FactorTable passed in. Every left-hand series is a
-``series._Multisum`` read through ``series._LatticeTerms``: the 10E9 and
+Each identity is described once, by its parameter class, as data.
+``draw(rng, *shape, nome, band)`` takes free parameters with moduli in a
+configurable band and solves the balancing / truncation constraints for the
+dependent ones. ``_describe(table)`` gives the series as (terms, points)
+and the closed form as ratios of theta-factorial products. Every series is
+a ``series._Multisum`` read through ``series._LatticeTerms``: the 10E9 and
 12E11 terms are the rank-1 very-well-poised one, the multivariable sums
-their rank-n blocks and cross parts. ``sides`` lists every theta argument
-it reads first (``_LatticeTerms.arguments`` and
-``FactorTable.factorial_arguments``) so that one ``theta_many`` batch
-evaluates them; ``check(sides, tol)`` sums the nonzero terms and
-compares. The one resample loop ``_sample`` dry-runs
-``sides`` on a fresh table for each draw and resamples when any theta
-argument that table evaluated sits within _LATTICE_EPS of a lattice zero,
-or when a left-hand series is badly conditioned. It returns the admitted
-sides with the parameters; the sampler and ``_verify`` build the same
-table, so a caller that verifies a draw can check those sides instead of
-building them again. The 10E9 closed form is the rank-1 multi1 one at t = 1.
+their rank-n blocks and cross parts. One ``sides`` and one ``check`` serve
+every identity: ``_arguments`` lists every theta argument a description
+reads, one ``theta_many`` batch evaluates them, and ``_evaluate`` returns
+each series' terms and the closed form; ``check(sides, tol)`` sums each
+series' nonzero terms and compares the first sum with the closed form
+times each further sum. The one resample loop ``_sample`` describes each
+draw on a fresh table and resamples when any theta argument it lists sits
+within _LATTICE_EPS of a lattice zero, before any theta evaluation, or when
+a left-hand series is badly conditioned. It returns the admitted sides with
+the parameters; the sampler and ``_verify`` build the same table, so a
+caller that verifies a draw can check those sides instead of building them
+again. The 10E9 closed form is the rank-1 multi1 one at t = 1.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import PoleError
 from .factorials import ONE, FactorialValue, FactorTable
 from .report import JsonFields, VerificationReport
 from .theta import Nome, theta_zero_index
-from .series import VwpSpec, _LatticeTerms, _Multisum, _sum_unilateral, _sum_window, _vwp_terms
+from .series import VwpSpec, _LatticeTerms, _Multisum, _sum_window, _vwp_terms
 
 DEFAULT_BAND = (0.4, 0.9)
 CONSTRAINT_RTOL = 1e-12
@@ -66,8 +67,6 @@ def _badly_conditioned(terms: list[complex]) -> bool:
     cancellation (largest term much bigger than the sum)."""
     total = sum(terms, 0j)
     peak = max((abs(t) for t in terms), default=0.0)
-    if peak == 0.0:
-        return False
     return abs(total) < peak / _COND_CAP
 
 
@@ -77,20 +76,41 @@ def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
     return radius * cmath.exp(1j * angle)
 
 
+def _arguments(table: FactorTable, series: list, ratios: list) -> list[complex]:
+    """Every theta argument the series' terms and the closed form read past
+    the table's prefixes, formed as they form them."""
+    args = [arg for terms, _ in series for arg in terms.arguments()]
+    factorials = [f for ratio in ratios for f in itertools.chain(*ratio)]
+    return args + [arg for b, m in factorials for arg in table.factorial_arguments([b], m)]
+
+
+def _evaluate(table: FactorTable, series: list, ratios: list) -> tuple:
+    """Each series' terms at its points, then the closed form: over the
+    ratios (num, den), the product of num's factorials over den's."""
+    values = [[terms(*lam) for lam in points] for terms, points in series]
+    closed = ONE
+    for num, den in ratios:
+        top, bottom = (functools.reduce(operator.mul, [table.factorial(*f) for f in fs], ONE) for fs in (num, den))
+        closed = closed * (top / bottom)
+    return *values, closed
+
+
 def _admissible(params):
-    """Dry-run params.sides on a fresh table, as _verify builds it, and
-    return its result, or None when a side cannot be evaluated, when a
-    left-hand series is badly conditioned, or when any theta argument it
-    evaluated lies within _LATTICE_EPS of a lattice zero."""
+    """params' sides on a fresh table, as _verify builds them, or None when
+    a theta argument they read lies within _LATTICE_EPS of a lattice zero
+    (scanned before any theta evaluation), when a side cannot be evaluated,
+    or when a left-hand series is badly conditioned."""
     table = FactorTable(params.nome)
     try:
-        result = params.sides(table)
-        *series, _ = result
-        if any(_badly_conditioned([c.value for c in terms]) for terms in series) or any(
-            _near_lattice(w, params.nome.p) for w in table.arguments
-        ):
+        series, ratios = params._describe(table)
+        args = _arguments(table, series, ratios)
+        if any(_near_lattice(w, params.nome.p) for w in dict.fromkeys(args)):
             return None
-        return result
+        table.prefetch(args)
+        sides = _evaluate(table, series, ratios)
+        if any(_badly_conditioned([c.value for c in terms]) for terms in sides[:-1]):
+            return None
+        return sides
     except (PoleError, ZeroDivisionError, OverflowError):
         return None
 
@@ -115,20 +135,34 @@ def _verify(params, tol: float, **kw) -> VerificationReport:
     return params.check(params.sides(FactorTable(params.nome), **kw), tol)
 
 
-def _report(params, lhs, rhs: complex, tol: float) -> VerificationReport:
-    return VerificationReport.compare(
-        lhs.value, rhs, tol, params_echo=params.to_json(), terms_summed=lhs.terms_used
-    )
+def _at(m: int, bases: list[complex]) -> list[tuple[complex, int]]:
+    """Each base's factorial at depth m, as (base, m)."""
+    return [(b, m) for b in bases]
 
 
-class _LatticeSum(JsonFields):
-    """A multisum's parameters: its sides are the terms over the lattice and
-    the closed form."""
+class _Identity(JsonFields):
+    """An identity's parameters. Each subclass gives ``_describe(table, **kw)
+    -> (series, ratios)``: its series as a list of (terms, points), terms a
+    _LatticeTerms summed over the index tuples points, and its closed form
+    as a list of ratios (num, den) of factorial products, each a list of
+    (base, depth)."""
+
+    def sides(self, table: FactorTable, **kw) -> tuple:
+        """Each series' terms at its points and the closed form, read from one
+        theta_many batch."""
+        series, ratios = self._describe(table, **kw)
+        table.prefetch(_arguments(table, series, ratios))
+        return _evaluate(table, series, ratios)
 
     def check(self, sides, tol: float) -> VerificationReport:
-        """Sum every nonzero term and compare with the closed form."""
-        terms, closed = sides
-        return _report(self, _sum_window(terms.__getitem__, (0, len(terms) - 1)), closed.value, tol)
+        """Sum each series' nonzero terms and compare the first sum with the
+        closed form times each further sum."""
+        *series, closed = sides
+        lhs, *rest = [_sum_window(terms.__getitem__, (0, len(terms) - 1)) for terms in series]
+        rhs = math.prod([s.value for s in rest], start=closed.value)
+        return VerificationReport.compare(
+            lhs.value, rhs, tol, params_echo=self.to_json(), terms_summed=lhs.terms_used
+        )
 
 
 def _lattice_h(
@@ -168,7 +202,7 @@ def _lattice_h(
 
 
 @dataclass(frozen=True)
-class _VwpSumParams(JsonFields):
+class _VwpSumParams(_Identity):
     """Parameters of a terminating very-well-poised balanced sum: _COUNT t's
     with prod t = q^(_COUNT/2 - 2) and t0 t_{_COUNT-2} = q^-N."""
 
@@ -198,9 +232,10 @@ class _VwpSumParams(JsonFields):
         trunc = q ** (-N) / free[0]
         return cls((*free, trunc, q ** (count // 2 - 2) / math.prod([*free, trunc])), nome, N)
 
-    def _terms(self, t: tuple[complex, ...], table: FactorTable) -> _LatticeTerms:
-        """The coefficients of the sum with parameters t, listing k = 0..N."""
-        return _vwp_terms(VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral"), table, range(self.N + 1))
+    def _series(self, t: tuple[complex, ...], table: FactorTable) -> tuple[_LatticeTerms, list]:
+        """The sum with parameters t: its coefficients, summed at k = 0..N."""
+        ks = range(self.N + 1)
+        return _vwp_terms(VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral"), table, ks), [(k,) for k in ks]
 
 
 class FTParams(_VwpSumParams):
@@ -209,17 +244,9 @@ class FTParams(_VwpSumParams):
 
     _COUNT = 6
 
-    def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-        """The 10E9 terms for k = 0..N and the closed form, the rank-1 multi1 one."""
-        ks, terms = range(self.N + 1), self._terms(self.t, table)
-        closed = _multi1_closed_bases(1 + 0j, self.t, 1, self.nome.q)  # one (num, den) pair
-        table.prefetch(terms.arguments() + table.factorial_arguments([*closed[0][0], *closed[0][1]], self.N))
-        return [terms(k) for k in ks], _multi1_closed(closed, self.N, table)
-
-    def check(self, sides, tol: float) -> VerificationReport:
-        """Sum the 10E9 terms and compare with the closed form."""
-        terms, closed = sides
-        return _report(self, _sum_unilateral(terms.__getitem__, self.N), closed.value, tol)
+    def _describe(self, table: FactorTable) -> tuple[list, list]:
+        """The 10E9 sum and its closed form, the rank-1 multi1 one."""
+        return [self._series(self.t, table)], _multi1_ratios(1 + 0j, self.t, 1, self.N, self.nome.q)
 
 
 def sample_ft(
@@ -248,27 +275,14 @@ class BaileyParams(_VwpSumParams):
 
     _COUNT = 8
 
-    def sides(
-        self, table: FactorTable, root_sign: int = 1
-    ) -> tuple[list[FactorialValue], list[FactorialValue], FactorialValue]:
-        """The terms for k = 0..N of the 12E11 series at t and at the mapped
-        parameters s, and the theta-factorial prefactor of the s series."""
+    def _describe(self, table: FactorTable, root_sign: int = 1) -> tuple[list, list]:
+        """The 12E11 sums at t and at the mapped parameters s, and the
+        theta-factorial prefactor of the s sum."""
         t, q, N = self.t, self.nome.q, self.N
         s = bailey_map(t, self.nome, root_sign)
-        ks, lhs, rhs = range(N + 1), self._terms(t, table), self._terms(s, table)
         pref_num = [q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])]
         pref_den = [q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])]
-        table.prefetch(lhs.arguments() + rhs.arguments() + table.factorial_arguments(pref_num + pref_den, N))
-        pref = table.factorial_multi(pref_num, N) / table.factorial_multi(pref_den, N)
-        return [lhs(k) for k in ks], [rhs(k) for k in ks], pref
-
-    def check(self, sides, tol: float) -> VerificationReport:
-        """Sum both 12E11 series and compare the left one with the prefactor
-        times the right one."""
-        lhs_terms, rhs_terms, pref = sides
-        lhs = _sum_unilateral(lhs_terms.__getitem__, self.N)
-        rhs_series = _sum_unilateral(rhs_terms.__getitem__, self.N)
-        return _report(self, lhs, pref.value * rhs_series.value, tol)
+        return [self._series(t, table), self._series(s, table)], [(_at(N, pref_num), _at(N, pref_den))]
 
 
 def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[complex, ...]:
@@ -319,7 +333,7 @@ def verify_bailey(params: BaileyParams, tol: float = 1e-8, root_sign: int = 1) -
 
 
 @dataclass(frozen=True)
-class Multi1Params(_LatticeSum):
+class Multi1Params(_Identity):
     """Rank-n generalization of the FT sum over ordered tuples
     0 <= lam_1 <= ... <= lam_n <= N, with tau_j = t0 t^{j-1}."""
 
@@ -364,15 +378,11 @@ class Multi1Params(_LatticeSum):
         t5 = q / (t ** (2 * n - 2) * t0 * t1 * t2 * t3 * t4)
         return cls(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
 
-    def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-        """The terms over ordered tuples in lattice order, and the closed form,
-        read from one theta_many batch."""
+    def _describe(self, table: FactorTable) -> tuple[list, list]:
+        """The sum over ordered tuples in lattice order, and the closed form."""
         lattice = itertools.combinations_with_replacement(range(self.N + 1), self.n)
         terms = _LatticeTerms(_multi1_lattice(self), table, lattice)
-        bases = _multi1_closed_bases(self.t, self.t6, self.n, self.nome.q)
-        closed_args = table.factorial_arguments([b for num, den in bases for b in num + den], self.N)
-        table.prefetch(terms.arguments() + closed_args)
-        return terms.terms(), _multi1_closed(bases, self.N, table)
+        return [(terms, terms.points)], _multi1_ratios(self.t, self.t6, self.n, self.N, self.nome.q)
 
 
 def sample_multi1(
@@ -414,25 +424,16 @@ def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: Facto
     return _LatticeTerms(_multi1_lattice(params), table)(*lam)
 
 
-def _multi1_closed_bases(t: complex, t6: tuple[complex, ...], n: int, q: complex) -> list[tuple[list, list]]:
-    """(numerator, denominator) bases of the multi1 closed form's displayed
-    factor for j = 1..n. At t = 1, n = 1 they are the 10E9 closed form's."""
+def _multi1_ratios(t: complex, t6: tuple[complex, ...], n: int, N: int, q: complex) -> list[tuple[list, list]]:
+    """The multi1 closed form: for j = 1..n, the ratio of the j-th displayed
+    factor's factorials at N. At t = 1, n = 1 it is the 10E9 closed form."""
     t0, t1, t2, t3 = t6[:4]
     pairs = list(itertools.combinations((1, 2, 3), 2))
     return [
-        ([q * t ** (n + j - 2) * t0 * t0, *(q * t ** (1 - j) / (t6[r] * t6[s]) for r, s in pairs)],
-         [q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), *(q * t ** (j - 1) * t0 / t6[r] for r in (1, 2, 3))])
+        (_at(N, [q * t ** (n + j - 2) * t0 * t0, *(q * t ** (1 - j) / (t6[r] * t6[s]) for r, s in pairs)]),
+         _at(N, [q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), *(q * t ** (j - 1) * t0 / t6[r] for r in (1, 2, 3))]))
         for j in range(1, n + 1)
     ]
-
-
-def _multi1_closed(bases: list[tuple[list, list]], N: int, table: FactorTable) -> FactorialValue:
-    """The multi1 closed form: over j, the ratio of the j-th bases' factorials at N."""
-    closed = ONE
-    for num, den in bases:
-        top, bottom = (functools.reduce(operator.mul, [table.factorial(b, N) for b in bs]) for bs in (num, den))
-        closed = closed * (top / bottom)
-    return closed
 
 
 def verify_multi1(params: Multi1Params, tol: float = 1e-7) -> VerificationReport:
@@ -444,7 +445,7 @@ def verify_multi1(params: Multi1Params, tol: float = 1e-7) -> VerificationReport
 
 
 @dataclass(frozen=True)
-class Multi2Params(_LatticeSum):
+class Multi2Params(_Identity):
     """Rank-n box summation: 2n+4 parameters with q^-1 prod t = 1 and
     q^{N_j} t_j t_{n+j} = 1."""
 
@@ -491,38 +492,26 @@ class Multi2Params(_LatticeSum):
         c = q / partial
         return cls(n, (t0, *body, *trunc, a, b, c), tuple(Ns), nome)
 
-    def sides(self, table: FactorTable) -> tuple[list[FactorialValue], FactorialValue]:
-        """The terms over the box lattice in lattice order, and the closed form,
-        read from one theta_many batch."""
+    def _describe(self, table: FactorTable) -> tuple[list, list]:
+        """The sum over the box lattice in lattice order, and the closed form:
+        the factorials at |N|, for j < k those at N_j and N_k over the one at
+        N_j + N_k, and for each j the ratio at N_j."""
         q = self.nome.q
         n, t, Ns = self.n, self.t, self.Ns
         a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
         ntot = sum(Ns)
         lattice = itertools.product(*(range(N + 1) for N in Ns))
         terms = _LatticeTerms(_multi2_lattice(self), table, lattice)
-        # the closed form's bases with their depths: at |N|, for j < k at N_j and
-        # N_k over N_j + N_k (one prefix), and for each j at N_j
-        total = [q / (a * b), q / (a * c), q / (b * c)]
-        cross = [(q * t[j] * t[k], Ns[j - 1], Ns[k - 1]) for j, k in itertools.combinations(range(1, n + 1), 2)]
-        rows = [
-            (q * t[j] * t[j], [q * t[j] / a, q * t[j] / b, q * t[j] / c, q ** (1 + ntot - Nj) / (t[j] * a * b * c)],
-             Nj)
+        ratios = [(_at(ntot, [q / (a * b), q / (a * c), q / (b * c)]), [])]
+        for (j, Nj), (k, Nk) in itertools.combinations(enumerate(Ns, 1), 2):
+            x = q * t[j] * t[k]
+            ratios.append(([(x, Nj), (x, Nk)], [(x, Nj + Nk)]))
+        ratios += [
+            (_at(Nj, [q * t[j] * t[j]]),
+             _at(Nj, [q * t[j] / a, q * t[j] / b, q * t[j] / c, q ** (1 + ntot - Nj) / (t[j] * a * b * c)]))
             for j, Nj in enumerate(Ns, 1)
         ]
-        table.prefetch(
-            terms.arguments()
-            + table.factorial_arguments(total, ntot)
-            + [arg for x, Nj, Nk in cross for arg in table.factorial_arguments([x], Nj + Nk)]
-            + [arg for num, den, Nj in rows for arg in table.factorial_arguments([num, *den], Nj)]
-        )
-        values = terms.terms()
-
-        closed = table.factorial_multi(total, ntot)
-        for x, Nj, Nk in cross:
-            closed = closed * (table.factorial(x, Nj) * table.factorial(x, Nk) / table.factorial(x, Nj + Nk))
-        for num, den, Nj in rows:
-            closed = closed * (table.factorial(num, Nj) / table.factorial_multi(den, Nj))
-        return values, closed
+        return [(terms, terms.points)], ratios
 
 
 def sample_multi2(

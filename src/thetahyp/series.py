@@ -328,24 +328,20 @@ class _LatticeTerms:
     the parts cross (j, k, lam_j, lam_k) and block (j, lam_j); each part's
     value is built once, kept in a memo and reused at every point that
     shares it. ``arguments`` lists the theta arguments of the parts of the
-    points given at construction and ``terms`` multiplies them, so a
-    ``prefetch`` of the listing holds every theta value the terms ask for. A
-    call at one point, listed or not, builds that coefficient alone."""
+    points given at construction, so a ``prefetch`` of the listing holds
+    every theta value a call at those points asks for. A call at one point,
+    listed or not, builds that coefficient alone."""
 
     def __init__(self, desc: _Multisum, table: FactorTable, lattice=()) -> None:
         self.scalar, self.table, self._values = desc.scalar, table, {}
         self._cross = list(itertools.combinations(range(len(desc.blocks)), 2))
         self._shapes = {slot: _runs(*part) for slot, part in desc.cross.items()}
         self._shapes.update(((j,), _runs(*block)) for j, block in enumerate(desc.blocks))
-        self.points = [(lam, self._keys(lam)) for lam in lattice]
+        self.points = list(lattice)
 
     def _keys(self, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The parts of the point lam, in the order its coefficient multiplies them."""
         return [(j, k, lam[j], lam[k]) for j, k in self._cross] + list(enumerate(lam))
-
-    def _distinct_keys(self) -> dict:
-        """The listed points' parts, each once, in the order they are first read."""
-        return dict.fromkeys(itertools.chain.from_iterable(keys for _, keys in self.points))
 
     def _value(self, key: tuple[int, ...]) -> FactorialValue:
         """The part key at its indices, m = e.lam for each head and pair: its
@@ -373,7 +369,7 @@ class _LatticeTerms:
         terms raise."""
         table, q = self.table, self.table.nome.q
         reached: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for key in self._distinct_keys():
+        for key in dict.fromkeys(itertools.chain.from_iterable(map(self._keys, self.points))):
             half = len(key) // 2
             reached.setdefault(key[:half], []).append(key[half:])
         args, ends = [], {}
@@ -393,20 +389,9 @@ class _LatticeTerms:
             return []
         return args
 
-    def terms(self) -> list[FactorialValue]:
-        """The coefficient at each listed point lam: the product over pairs
-        j < k of the cross parts, then over j of the blocks, times the scalar."""
-        values, scalar = self._values, self.scalar
-        for key in self._distinct_keys():
-            if key not in values:
-                values[key] = self._value(key)
-        return [
-            functools.reduce(operator.mul, map(values.__getitem__, keys), ONE) * scalar(lam)
-            for lam, keys in self.points
-        ]
-
     def __call__(self, *lam: int) -> FactorialValue:
-        """The coefficient at the point lam, multiplied as ``terms`` multiplies it."""
+        """The coefficient at the point lam: the product over pairs j < k of
+        the cross parts, then over j of the blocks, times the scalar."""
         values, out = self._values, ONE
         for key in self._keys(lam):
             value = values.get(key)

@@ -14,6 +14,7 @@ product from z itself).
 import collections
 import functools
 import itertools
+import json
 
 import pytest
 
@@ -267,7 +268,9 @@ def test_lattice_arguments_are_those_the_terms_evaluate(make):
     points = list(lattice)
     listed = _LatticeTerms(desc, FactorTable(NOME), points).arguments()
     table = FactorTable(NOME)
-    _LatticeTerms(desc, table, points).terms()
+    terms = _LatticeTerms(desc, table, points)
+    for lam in points:
+        terms(*lam)
     assert set(listed) == set(table.arguments)
 
 
@@ -389,6 +392,16 @@ def test_sampled_verify_sums_each_draw_once(monkeypatch, tmp_path, argv, sample,
     out = str(tmp_path / "report.json")
     cli_calls = _count_theta_calls(monkeypatch, lambda: main(["verify", *argv, "--draws", "1", "--out", out]))
     assert cli_calls == _count_theta_calls(monkeypatch, sample) == calls
+
+
+def test_all_rejected_draws_exit_2(monkeypatch, capsys):
+    # q = p (1 + 1e-9), so every draw reads theta near the lattice zero p;
+    # the guard scans each draw's listed arguments before evaluating any
+    argv = ["sample", "multi1", "--n", "2", "--N", "2", "--draws", "1", "--nome", "0.25000000025,0.05000000005,0.25,0.05"]
+    codes = []
+    assert _count_theta_calls(monkeypatch, lambda: codes.append(main(argv))) == 0
+    assert codes == [2]
+    assert "sample_multi1: could not find admissible parameters" in json.loads(capsys.readouterr().out)["error"]
 
 
 # verifier, sampled params and budget of FactorTable.factorial calls; building

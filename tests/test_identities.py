@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
 from thetahyp import (
@@ -23,7 +24,8 @@ from thetahyp import (
     verify_multi1,
     verify_multi2,
 )
-from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
+from thetahyp.errors import FloatRangeError
+from thetahyp.identities import DEFAULT_BAND, _admissible, _multi1_coefficient, _multi2_coefficient
 from thetahyp.factorials import FactorTable
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -58,6 +60,24 @@ class TestFTSum:
         a = sample_ft(seed=42, N=3, nome=NOME)
         b = sample_ft(seed=42, N=3, nome=NOME)
         assert a == b
+
+    def test_structural_zero_terms_are_skipped(self):
+        # t0 t1 = q^-2: terms 3..N are exact zeros, which the check skips
+        q, N = NOME.q, 5
+        t0, t2, t3 = 0.6 + 0.2j, 0.5 - 0.3j, -0.45 + 0.4j
+        t1, t4 = q**-2 / t0, q**-N / t0
+        rep = verify_ft_sum(FTParams((t0, t1, t2, t3, t4, q / (t0 * t1 * t2 * t3 * t4)), NOME, N), tol=1e-10)
+        assert rep.passed and rep.terms_summed == 3
+
+    def test_sampler_resamples_a_draw_whose_sides_raise(self):
+        # at N = 22 the first draw's terms read a theta argument past the
+        # float64 range; the sampler rejects it and admits the 47th draw
+        rng = np.random.default_rng(0)
+        draws = [FTParams.draw(rng, 22, NOME, DEFAULT_BAND) for _ in range(47)]
+        with pytest.raises(FloatRangeError):
+            draws[0].sides(FactorTable(NOME))
+        assert _admissible(draws[0]) is None
+        assert sample_ft(seed=0, N=22, nome=NOME) == draws[46]
 
 
 class TestBailey:
