@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
-from .theta import ModularPair, Nome, apply_modular, elliptic_number
+from .theta import ModularPair, Nome, _mul, _quot, _theta_lanes, apply_modular, elliptic_number, theta
 from .identities import Multi1Params, Multi2Params, _lattice_h, _multi1_lattice, _multi2_lattice
-from .factorials import FactorTable
 
 
 @dataclass(frozen=True)
@@ -80,29 +79,25 @@ def _worse(dev: float, err: float) -> float:
     return max(dev, err) if math.isfinite(err) else math.inf
 
 
-def _shift_reports(
-    draw, ref, shifts, samples: int, tol: float, seed: int, suffix: str = "", warm=None
-) -> list[EllipticityReport]:
-    """One report per (kind, shifted) in shifts, in order: the max relative
-    deviation of shifted(point) from ref(point) over `samples` points
-    draw(rng), all drawn from one rng seeded with seed. A point is redrawn
-    (at most 200 extra times per kind) on a pole or a reference whose
-    modulus is not in [1e-12, 1e12]; a non-finite deviation fails the
-    report with max_rel_dev inf.
+def _draws(draw, seed: int):
+    """draw(rng) over and over, on one rng seeded with seed."""
+    # draw never returns None, so the sentinel never stops the stream
+    return iter(functools.partial(draw, np.random.default_rng(seed)), None)
 
-    warm, when given, is first called with `samples` points per shift,
-    grouped by shift: the first points of the rng, which the loop then
-    takes in order before it draws on. So the loop sees the points it
-    would see without warm, and warm may only prefetch."""
+
+def _check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    warmed = []
-    if warm is not None:
-        warmed = [[draw(rng) for _ in range(samples)] for _ in shifts]
-        warm(warmed)
-    # draw never returns None, so the sentinel never stops the stream
-    points = itertools.chain(itertools.chain.from_iterable(warmed), iter(functools.partial(draw, rng), None))
+
+
+def _shift_reports(points, ref, shifts, samples: int, tol: float, suffix: str = "") -> list[EllipticityReport]:
+    """One report per (kind, shifted) in shifts, in order: the max relative
+    deviation of shifted(point) from ref(point) over `samples` points, each
+    shift taking its points in turn from the one iterator points. A point is
+    redrawn (at most 200 extra times per kind) on a pole or a reference whose
+    modulus is not in [1e-12, 1e12]; a non-finite deviation fails the
+    report with max_rel_dev inf."""
+    _check_samples(samples)
     reports: list[EllipticityReport] = []
     for kind, shifted in shifts:
         dev, done, tries = 0.0, 0, 0
@@ -139,7 +134,7 @@ def check_ellipticity(
         return cmath.exp(2j * math.pi * _rand_x(rng)) * 0.7  # generic annulus point
 
     shifts = [("index_p_shift", lambda w: term_ratio_fn(nome.p * w))]
-    return _shift_reports(draw, term_ratio_fn, shifts, samples, tol, seed)[0]
+    return _shift_reports(_draws(draw, seed), term_ratio_fn, shifts, samples, tol)[0]
 
 
 def _wp_form(u0: complex, us: list[complex], z: complex, pair: ModularPair) -> HForm:
@@ -169,7 +164,7 @@ def _check_total_ellipticity(
     for m in range(len(params)):
         form = build([*params[:m], params[m] + shift, *params[m + 1 :]])
         shifts.append((f"param_p_shift:u{m}", lambda x, form=form: h_eval(form, x)))
-    return _shift_reports(_rand_x, lambda x: h_eval(base, x), shifts, samples, tol, seed)
+    return _shift_reports(_draws(_rand_x, seed), lambda x: h_eval(base, x), shifts, samples, tol)
 
 
 def check_total_ellipticity_wp(
@@ -193,26 +188,101 @@ def check_total_ellipticity_wp(
 # multivariable term ratios (forward-shift ratios of the series coefficients)
 
 
-def _h_product(ratio: complex, pairs: list[tuple[complex, complex]], table: FactorTable) -> complex:
-    """ratio * prod theta(num) / theta(den) over pairs, read through table."""
-    out = ratio
-    for num, den in pairs:
-        out *= table.value(num) / table.value(den)
-    return out
+def _power(x: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of x ** e for e in (1, 2, -1), formed as x, x * x and 1 / x."""
+    if e == 1:
+        return x.real, x.imag
+    if e == 2:
+        return _mul(x.real, x.imag, x.real, x.imag)
+    if e == -1:
+        return _quot(1.0, 0.0, x.real, x.imag)
+    raise ValueError(f"no exponent {e} in a term ratio column")
+
+
+def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex):
+    """h_l at each row r, the parameter set hs[sets[r]], a (ratio, columns) of
+    _lattice_h, at the point points[r]; every set shares its columns' (e, s,
+    d). Returns (values, fails): values[r] is h_l at row r, and fails maps
+    each row h_l has no value at to the first theta argument it reads, in
+    its order, on which theta raises, or to None where it reads a
+    denominator theta of 0 first (read them with _h_value).
+
+    The rows are float64 arrays and every complex product and quotient is
+    formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
+    = x x and x^-1 = 1 / x, then num = a X (times s) and den = b X (both
+    over d) for every column of every row. The distinct arguments are
+    evaluated in one _theta_lanes pass, and each row multiplies ratio by
+    theta(num) / theta(den) column by column, in order."""
+    columns = hs[0][1]
+    rows, width = len(points), len(columns)
+    xs = np.array(points, dtype=complex).reshape(rows, len(columns[0][0]))
+    ab = np.array([[(a, b) for _, a, b, _, _ in cols] for _, cols in hs], dtype=complex)[sets]
+    ratio = np.array([r for r, _ in hs], dtype=complex)[sets]
+    with np.errstate(all="ignore"):
+        factors = {}
+        for e, *_ in columns:
+            if e not in factors:
+                out, *rest = [_power(xs[:, j], ej) for j, ej in enumerate(e) if ej]
+                for part in rest:
+                    out = _mul(*out, *part)
+                factors[e] = out
+        xr = np.stack([factors[e][0] for e, *_ in columns], axis=1)
+        xi = np.stack([factors[e][1] for e, *_ in columns], axis=1)
+        args = np.empty((2, rows, width), dtype=complex)
+        (num_r, den_r), (num_i, den_i) = args.real, args.imag
+        num_r[:], num_i[:] = _mul(ab[..., 0].real, ab[..., 0].imag, xr, xi)
+        den_r[:], den_i[:] = _mul(ab[..., 1].real, ab[..., 1].imag, xr, xi)
+        if scaled := [c for c, col in enumerate(columns) if col[3] is not None]:
+            s = np.array([columns[c][3] for c in scaled])
+            num_r[:, scaled], num_i[:, scaled] = _mul(num_r[:, scaled], num_i[:, scaled], s.real, s.imag)
+        if divided := [c for c, col in enumerate(columns) if col[4] is not None]:
+            d = np.array([columns[c][4] for c in divided])
+            for part_r, part_i in ((num_r, num_i), (den_r, den_i)):
+                part_r[:, divided], part_i[:, divided] = _quot(part_r[:, divided], part_i[:, divided], d.real, d.imag)
+        distinct, inverse = np.unique(args.ravel(), return_inverse=True)
+        values, raises = _theta_lanes(distinct, p)
+        values[values == 0] = 0  # a theta value of 0 reads as 0j
+        v, bad = values[inverse].reshape(args.shape), raises[inverse].reshape(args.shape)
+        tr, ti = _quot(v.real[0], v.imag[0], v.real[1], v.imag[1])
+        out_r, out_i = ratio.real, ratio.imag
+        for c in range(width):
+            out_r, out_i = _mul(out_r, out_i, tr[:, c], ti[:, c])
+    h = np.empty(rows, dtype=complex)
+    h.real, h.imag = out_r, out_i
+    fail = bad[0] | bad[1] | (v[1] == 0)
+    fails = {}
+    for r in np.flatnonzero(fail.any(axis=1)).tolist():
+        c = int(fail[r].argmax())
+        fails[r] = complex(args[0, r, c]) if bad[0, r, c] else complex(args[1, r, c]) if bad[1, r, c] else None
+    return h.tolist(), fails
+
+
+def _h_value(batch, r: int, p: complex) -> complex:
+    """Row r of an _h_rows batch; raises as theta does on the argument the
+    row fails at, or PoleError on a denominator theta of 0."""
+    values, fails = batch
+    if r in fails:
+        if fails[r] is not None:
+            theta(fails[r], p)
+        raise PoleError("h_l reads a denominator theta of 0")
+    return values[r]
+
+
+def _h_at(hs: list[tuple], s: int, xs, p: complex) -> complex:
+    """h_l of the parameter set hs[s] at the point xs, a batch of one row."""
+    return _h_value(_h_rows(hs, [s], [tuple(xs)], p), 0, p)
 
 
 def multi1_h(params: Multi1Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    ratio, pairs = _lattice_h(_multi1_lattice(params), l, params.nome.q)
-    return _h_product(ratio, pairs(lam_mult), FactorTable(params.nome))
+    return _h_at([_lattice_h(_multi1_lattice(params), l, params.nome.q)], 0, lam_mult, params.nome.p)
 
 
 def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    ratio, pairs = _lattice_h(_multi2_lattice(params), l, params.nome.q)
-    return _h_product(ratio, pairs(lam_mult), FactorTable(params.nome))
+    return _h_at([_lattice_h(_multi2_lattice(params), l, params.nome.q)], 0, lam_mult, params.nome.p)
 
 
 def _rand_mult_args(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
@@ -237,30 +307,38 @@ def _check_multi(
 ) -> list[EllipticityReport]:
     """One report per summation index p-shift, then one per (kind, shifted
     params) in param_shifts, each comparing h_l at the shifted and the
-    reference point. h_l is built once per parameter set, and every call
-    reads one table: the shifted sets share the nome of params. Each h_l
-    argument list is formed once per point and kept for the length of the
-    check: the warm-up forms the lists of both h_l at the first points the
-    shift loop takes and evaluates their theta arguments in one theta_many
-    batch, and the loop reads the same lists."""
-    p, q, n = params.nome.p, params.nome.q, params.n
+    reference point. h_l is described once per parameter set; the shifted
+    sets share the nome of params, and so the columns of h_l. The first
+    `samples` points of each shift, which the shift loop takes first, give
+    one _h_rows batch: the shifted row and the reference row at each point.
+    A point the loop takes past them, or under another shift after a
+    redraw, is evaluated alone, by the same function."""
+    _check_samples(samples)
+    p, n = params.nome.p, params.n
     l_mid = max(1, (n + 1) // 2)
-    ratio, ref = _lattice_h(describe(params), l_mid, q)
-    ref = functools.cache(ref)
-    forms = [(f"index_p_shift:lambda{i + 1}", ratio, lambda xs, i=i: ref((*xs[:i], xs[i] * p, *xs[i + 1 :])))
-             for i in range(n)]
-    forms += [(kind, *_lattice_h(describe(sp), l_mid, q)) for kind, sp in param_shifts]
-    forms = [(kind, r, functools.cache(pairs)) for kind, r, pairs in forms]
-    table = FactorTable(params.nome)
+    hs = [_lattice_h(describe(sp), l_mid, params.nome.q) for sp in [params, *(sp for _, sp in param_shifts)]]
+    kinds = [f"index_p_shift:lambda{i + 1}" for i in range(n)] + [kind for kind, _ in param_shifts]
 
-    def warm(points: list[list[tuple[complex, ...]]]) -> None:
-        table.prefetch(arg for (_, _, pairs), xss in zip(forms, points) for xs in xss
-                       for h in (pairs, ref) for pair in h(xs) for arg in pair)
+    def row(s: int | None, xs: tuple[complex, ...]) -> tuple[int, tuple[complex, ...]]:
+        """(set, point) of h_l under shift s at xs; s = None is the reference."""
+        if s is None:
+            return 0, xs
+        return (0, (*xs[:s], xs[s] * p, *xs[s + 1 :])) if s < n else (s - n + 1, xs)
 
-    shifts = [(kind, lambda xs, r=r, pairs=pairs: _h_product(r, pairs(xs), table)) for kind, r, pairs in forms]
-    draw = functools.partial(_rand_mult_args, n=n)
-    return _shift_reports(draw, lambda xs: _h_product(ratio, ref(xs), table), shifts, samples, tol, seed,
-                          f"@h{l_mid}", warm)
+    stream = _draws(functools.partial(_rand_mult_args, n=n), seed)
+    first = list(itertools.islice(stream, len(kinds) * samples))
+    rows = [row(j // samples, xs) for j, xs in enumerate(first)] + [row(None, xs) for xs in first]
+    batch = _h_rows(hs, [s for s, _ in rows], [xs for _, xs in rows], p)
+
+    def h(s: int | None, point: tuple[int, tuple[complex, ...]]) -> complex:
+        j, xs = point
+        if j < len(first) and s in (None, j // samples):
+            return _h_value(batch, j if s is not None else len(first) + j, p)
+        return _h_at(hs, *row(s, xs), p)
+
+    points = itertools.chain(enumerate(first), zip(itertools.count(len(first)), stream))
+    shifts = [(kind, functools.partial(h, s)) for s, kind in enumerate(kinds)]
+    return _shift_reports(points, functools.partial(h, None), shifts, samples, tol, f"@h{l_mid}")
 
 
 def check_total_ellipticity_multi1(

@@ -220,9 +220,10 @@ def _last_index(trunc: TruncationDecl | int | None) -> int | None:
 
 def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue:
     """Sum coeff_fn(n) for n >= 0. trunc as a TruncationDecl or an explicit
-    last index (any integer, numpy's included) sums exactly that many terms;
-    None caps at MAX_TERMS with a last-term tail heuristic and raises
-    NonConvergenceError at the first non-finite term."""
+    last index (any integer, numpy's included) sums exactly that many terms
+    and raises FloatRangeError at the first non-finite term; None caps at
+    MAX_TERMS with a last-term tail heuristic and raises NonConvergenceError
+    there."""
     last = _last_index(trunc)
     total = 0j
     small_streak = 0
@@ -237,8 +238,9 @@ def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue
             # terms 0..n-1 were summed
             return SeriesValue(total, n, True, 0.0)
         val = c.value
-        if last is None and not cmath.isfinite(val):
-            raise NonConvergenceError(f"term {n} of the series is not finite: {val}")
+        if not cmath.isfinite(val):
+            error = NonConvergenceError if last is None else FloatRangeError
+            raise error(f"term {n} of the series is not finite: {val}")
         total += val
         if last is None:
             if abs(val) < SERIES_TOL * max(1.0, abs(total)):
@@ -256,7 +258,8 @@ def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue
 def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
     """Sum the nonzero coeff_fn(n) for n in [n_min, n_max], in order; the
     tail estimate is the larger of the two edge terms. A reversed window
-    is refused rather than summed to 0."""
+    is refused rather than summed to 0, and a non-finite term raises
+    FloatRangeError."""
     n_min, n_max = window
     if n_min > n_max:
         raise ValueError(f"empty window {window}")
@@ -268,6 +271,8 @@ def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
         if c.is_zero:
             continue
         val = c.value  # raises PoleError when unresolved
+        if not cmath.isfinite(val):
+            raise FloatRangeError(f"term {n} of the series is not finite: {val}")
         total += val
         used += 1
         if n in (n_min, n_max):
@@ -367,15 +372,14 @@ class _LatticeTerms:
         shares an exponent vector e with its bases up to the largest e.lam
         and down to the smallest. None where forming them overflows, as the
         terms raise."""
+        if not self.points:
+            return []
         table, q = self.table, self.table.nome.q
-        reached: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for key in dict.fromkeys(itertools.chain.from_iterable(map(self._keys, self.points))):
-            half = len(key) // 2
-            reached.setdefault(key[:half], []).append(key[half:])
+        lams = list(zip(*self.points))  # lams[j]: lam_j at each point
         args, ends = [], {}
         try:
-            for slot, ats in reached.items():
-                heads, runs = self._shapes[slot]
+            for slot, (heads, runs) in self._shapes.items():
+                ats = dict.fromkeys(zip(*[lams[j] for j in slot]))
                 for c, e in heads:
                     args += [c * q**m for m in dict.fromkeys(_dot(e, at) for at in ats)]
                     args.append(c)

@@ -219,26 +219,48 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
-    """theta(z, p) for each complex z, bit for bit, and None for each z on
-    which theta raises.
+def _quot(ar, ai, br, bi):
+    """The parts of a / b as CPython forms them, for float64 arrays: its
+    _Py_c_quot divides through by the part of b that is larger in modulus,
+    the real part on a tie, where numpy's complex128 division may round
+    differently. A lane whose b is 0 gives nan, where Python raises
+    ZeroDivisionError. From 3.14 on, Python may recover an infinity or a
+    zero where a quotient with an infinite part comes out nan+nanj; the
+    lanes theta reads are finite, so the port leaves that out."""
+    import numpy as np
+
+    real_big = abs(br) >= abs(bi)
+    big, small = np.where(real_big, br, bi), np.where(real_big, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    first, second = np.where(real_big, ar, ai), np.where(real_big, ai, ar)
+    across = first * ratio
+    # (ar + ai r, ai - ar r) over b.real, (ar r + ai, ai r - ar) over b.imag
+    return (first + second * ratio) / denom, np.where(real_big, second - across, across - second) / denom
+
+
+def _theta_lanes(zs, p: complex):
+    """theta(z, p) on each lane of the complex array zs, bit for bit, as
+    (values, raises): a complex array, and a bool array that is True on the
+    lanes where theta raises, whose values are not read.
 
     The lanes run theta's steps side by side in float64 arrays, with the
     prefactor loop masked by each lane's k and the same K(p) factors for
-    every lane. Real and imaginary parts are held apart and each complex
-    product is formed as CPython forms it (_mul), since numpy's complex128
-    multiply may round differently; p / z and p / w are taken in Python.
-    numpy is imported here: imported with this module, it raised every
-    process's peak RSS from 28.4 to 29.7 MB (numpy 2.4, CPython 3.11).
+    every lane. Real and imaginary parts are held apart, and each complex
+    product and quotient, the fold p / z and b = p / w among them, is formed
+    as CPython forms it (_mul, _quot), since numpy's complex128 arithmetic
+    may round differently. numpy is imported here: imported with this
+    module, it raised every process's peak RSS from 28.4 to 29.7 MB (numpy
+    2.4, CPython 3.11).
     """
     import numpy as np
 
     p = complex(p)
-    n = len(zs)
+    z = np.array(zs, dtype=complex)  # a copy, as the lanes are overwritten
+    n = len(z)
     if not n or not math.hypot(p.real, p.imag) < 1.0:
-        return [None] * n
+        return np.zeros(n, dtype=complex), np.ones(n, dtype=bool)
     red = _reduction(p)
-    z = np.array(zs, dtype=complex)
     with np.errstate(all="ignore"):
         absz = np.hypot(z.real, z.imag)
         ratio = -np.log(absz) / red.log_p
@@ -250,8 +272,9 @@ def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
         for i in np.flatnonzero(np.abs(np.abs(ratio - m) - 0.5) < 1e-9).tolist():
             m[i] = round(-math.log(absz[i]) / red.log_p)
         m = m.astype(np.int64)
-        z[m < 0] = [p / y for y in z[m < 0].tolist()]
-        k = np.where(m < 0, -1 - m, m)
+        yr, yi, fold = z.real, z.imag, m < 0
+        yr[fold], yi[fold] = _quot(p.real, p.imag, yr[fold], yi[fold])
+        k = np.where(fold, -1 - m, m)
         near = ~raises & (np.abs(m) <= MAX_ZERO_ORDER)
         if not red.count:  # only the lattice zeros have a value
             raises[:] = True
@@ -262,19 +285,19 @@ def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
         step = 0
         while len(lanes):
             pj = red.powers[step]
-            fr, fi = _mul(-z.real[lanes], -z.imag[lanes], pj.real, pj.imag)
+            fr, fi = _mul(-yr[lanes], -yi[lanes], pj.real, pj.imag)
             pre_r[lanes], pre_i[lanes] = _mul(pre_r[lanes], pre_i[lanes], fr, fi)
             step += 1
             lanes = lanes[(k[lanes] > step) & np.isfinite(pre_r[lanes]) & np.isfinite(pre_i[lanes])]
         raises |= ~(np.isfinite(pre_r) & np.isfinite(pre_i))
         # w = y p**k; a lane whose k is past the powers has left the loop
         pk = np.array(red.powers)[np.where(k < len(red.powers), k, 0)]
-        wr, wi = _mul(z.real, z.imag, pk.real, pk.imag)
+        wr, wi = _mul(yr, yi, pk.real, pk.imag)
         zero = near & (np.hypot(wr - 1.0, wi) <= LATTICE_RTOL)
-        # a w that underflowed to 0 comes with an infinite prefactor
-        b = np.array([p / complex(r, i) for r, i in zip(np.where(raises, 1.0, wr).tolist(), wi.tolist())])
-        # rows w and b: prod *= (1 - w p^j) * (1 - b p^j)
-        ar, ai = np.stack([wr, b.real]), np.stack([wi, b.imag])
+        # rows w and b = p / w: prod *= (1 - w p^j) * (1 - b p^j); a w that
+        # underflowed to 0 comes with an infinite prefactor
+        br, bi = _quot(p.real, p.imag, wr, wi)
+        ar, ai = np.stack([wr, br]), np.stack([wi, bi])
         prod_r, prod_i = np.ones(n), np.zeros(n)
         for pj in red.head:
             xr, xi = _mul(ar, ai, pj.real, pj.imag)
@@ -284,7 +307,14 @@ def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
         values.real, values.imag = _mul(pre_r, pre_i, prod_r, prod_i)
         raises |= ~np.isfinite(values)
     values[zero] = 0j
-    return [None if bad else v for v, bad in zip(values.tolist(), (raises & ~zero).tolist())]
+    return values, raises & ~zero
+
+
+def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
+    """theta(z, p) for each complex z, bit for bit, and None for each z on
+    which theta raises: the lanes of _theta_lanes, read back as a list."""
+    values, raises = _theta_lanes(zs, p)
+    return [None if bad else v for v, bad in zip(values.tolist(), raises.tolist())]
 
 
 def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:

@@ -441,7 +441,16 @@ class TestGESplitVerify:
         inp = tmp_path / "specs.json"
         inp.write_text(json.dumps({"specs": [{"spec": self.DEEP_SPEC.to_json(), "windows": [18, 18]}]}))
         assert run(["verify", "ge_split", str(inp), "--tol", "1e-10"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: lhs is not finite")
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith("FloatRangeError: term -18 of the series is not finite")
+
+    def test_non_finite_window_eval_exits_2(self, tmp_path, capsys):
+        # the same window through eval wrote NaN tokens and exited 0
+        inp = tmp_path / "spec.json"
+        inp.write_text(json.dumps({**self.DEEP_SPEC.to_json(), "window": [-18, 18]}))
+        assert run(["eval", str(inp)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith("FloatRangeError: term -18 of the series is not finite")
 
     def test_deep_bilateral_eval_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "spec.json"

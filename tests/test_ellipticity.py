@@ -25,10 +25,10 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
-from thetahyp import ellipticity
+from thetahyp import PoleError, ellipticity
 from thetahyp.ellipticity import _check_total_ellipticity, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
-from thetahyp.identities import _multi1_coefficient, _multi2_coefficient
+from thetahyp.identities import _lattice_h, _multi1_coefficient, _multi1_lattice, _multi2_coefficient, _multi2_lattice
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -177,29 +177,33 @@ class TestTotalEllipticityMulti:
             assert rep.passed, f"{rep.shift_kind}: {rep.max_rel_dev}"
 
     @staticmethod
-    def _reports_and_redraws(monkeypatch, check, params, seed, keep_warm):
-        """The check's reports by their bits, and the points its shift loop
-        redrew, with the warm-up of the shift loop kept or dropped."""
-        shift_reports = ellipticity._shift_reports
-        redraws = []
+    def _reports_and_redraws(monkeypatch, check, params, seed, alone, draw=None):
+        """The check's reports by their bits, and the number of points it
+        redrew, with the rows of h_l evaluated in one batch or each alone.
+        draw, when given, stands in for _rand_mult_args."""
+        h_rows, rand_mult_args = ellipticity._h_rows, draw or ellipticity._rand_mult_args
+        drawn = 0
 
-        def counted(draw, ref, shifts, samples, tol, seed, suffix, warm):
-            drawn = 0
+        def counting_draw(rng, n):
+            nonlocal drawn
+            drawn += 1
+            return rand_mult_args(rng, n)
 
-            def counting_draw(rng):
-                nonlocal drawn
-                drawn += 1
-                return draw(rng)
-
-            warm = warm if keep_warm else None
-            reports = shift_reports(counting_draw, ref, shifts, samples, tol, seed, suffix, warm)
-            redraws.append(drawn - samples * len(shifts))
-            return reports
+        def each_alone(hs, sets, points, p):
+            values, fails = [], {}
+            for r, (s, xs) in enumerate(zip(sets, points)):
+                [value], fail = h_rows(hs, [s], [xs], p)
+                values.append(value)
+                fails.update((r, arg) for arg in fail.values())
+            return values, fails
 
         with monkeypatch.context() as m:
-            m.setattr(ellipticity, "_shift_reports", counted)
+            m.setattr(ellipticity, "_rand_mult_args", counting_draw)
+            if alone:
+                m.setattr(ellipticity, "_h_rows", each_alone)
             reports = check(params, seed=seed)
-        return [(r.shift_kind, r.max_rel_dev.hex(), r.sample_count, r.passed) for r in reports], redraws
+        bits = [(r.shift_kind, r.max_rel_dev.hex(), r.sample_count, r.passed) for r in reports]
+        return bits, drawn - sum(r.sample_count for r in reports)
 
     @pytest.mark.parametrize(
         "check, params, seed",
@@ -209,14 +213,45 @@ class TestTotalEllipticityMulti:
         ],
     )
     def test_warm_up_that_misses_points_changes_no_report(self, monkeypatch, check, params, seed):
-        # on these nomes the shift loop redraws a point whose reference h lies
-        # outside [1e-12, 1e12], so it reads past the warmed points into
-        # fresh draws of the same rng
+        # the batch of each shift's first points (once a warm-up of the scalar
+        # path) misses points here: on these nomes the shift loop redraws a
+        # point whose reference h lies outside [1e-12, 1e12], so shifts take
+        # points batched for the next shift, and the last one fresh draws of
+        # the same rng, each evaluated alone
         params = params()
-        warmed, warm_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, keep_warm=True)
-        cold, cold_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, keep_warm=False)
-        assert warm_redraws == cold_redraws and warm_redraws[0] >= 1
-        assert warmed == cold
+        batched, batched_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, alone=False)
+        alone, alone_redraws = self._reports_and_redraws(monkeypatch, check, params, seed, alone=True)
+        assert batched_redraws == alone_redraws >= 1
+        assert batched == alone
+
+    @pytest.mark.parametrize(
+        "check, describe, h, params",
+        [
+            (check_total_ellipticity_multi1, _multi1_lattice, multi1_h, lambda: sample_multi1(52, 2, 2, NOME)),
+            (check_total_ellipticity_multi2, _multi2_lattice, multi2_h, lambda: sample_multi2(62, 2, (2, 2), NOME)),
+        ],
+    )
+    def test_a_pole_in_a_batched_row_is_redrawn(self, monkeypatch, check, describe, h, params):
+        # the third point puts x_1 at 1 / b for a pair (a X, b X) of h_1 with
+        # X = x_1, so theta(b X) is exactly 0 in that batched row
+        params = params()
+        _, columns = _lattice_h(describe(params), 1, params.nome.q)
+        b = next(b for e, _, b, s, d in columns if e == (1, 0) and s is None and d is None)
+        rand_mult_args, drawn = ellipticity._rand_mult_args, []
+
+        def draw(rng, n):
+            xs = rand_mult_args(rng, n)
+            drawn.append(xs)
+            return (1 / b, *xs[1:]) if len(drawn) == 3 else xs
+
+        with pytest.raises(PoleError):
+            h(params, 1, [1 / b, 0.5 + 0.2j])
+        batched, batched_redraws = self._reports_and_redraws(monkeypatch, check, params, 0, False, draw)
+        drawn.clear()
+        alone, alone_redraws = self._reports_and_redraws(monkeypatch, check, params, 0, True, draw)
+        assert batched_redraws == alone_redraws >= 1
+        assert batched == alone
+        assert all(rep.passed for rep in check(params, seed=0))
 
 
 def _additive(rng):

@@ -275,14 +275,15 @@ def test_lattice_arguments_are_those_the_terms_evaluate(make):
 
 
 def test_early_raising_sum_batches_only_the_terms_it_reads(monkeypatch):
-    # theta(t0^2 q^44) leaves the float64 range, so term 22 raises; all 512
+    # theta(t0^2 q^44) leaves the float64 range, so the listing stops before
+    # term 22, and term 18 is already NaN, so the sum raises there; all 512
     # terms were listed before, a batch of 4,456 lanes. A term reads at most
     # 9 new arguments here: its head and one per factorial base.
     spec = VwpSpec(0.5 + 0.2j, (0.6 + 0.1j, 0.4 + 0.1j, 0.5 - 0.3j), 0.3 - 0.1j, NOME, "unilateral")
     batches, batch = [], factorials.theta_many
     with monkeypatch.context() as m:
         m.setattr(factorials, "theta_many", lambda zs, p: batches.append(len(zs)) or batch(zs, p))
-        with pytest.raises(FloatRangeError, match="term 22 of the series"):
+        with pytest.raises(FloatRangeError, match="term 18 of the series is not finite"):
             eval_vwp(spec, trunc=600)
     assert len(batches) == 1 and batches[0] <= 22 * 9
 
@@ -357,19 +358,25 @@ def _count_calls(monkeypatch, owner, name, fn) -> int:
 
 
 def _count_theta_calls(monkeypatch, fn) -> int:
-    """Theta evaluations: scalar theta calls plus the lanes of theta_many batches."""
-    lanes = 0
-    batch = factorials.theta_many
+    """Theta evaluations: scalar theta calls plus the lanes of theta_many
+    batches and of the ellipticity checks' _theta_lanes passes."""
+    count = 0
 
-    def counting(zs, p):
-        nonlocal lanes
-        lanes += len(zs)
-        return batch(zs, p)
+    def counting(evaluate, evaluations):
+        def counted(*args):
+            nonlocal count
+            count += evaluations(*args)
+            return evaluate(*args)
+
+        return counted
 
     with monkeypatch.context() as m:
-        m.setattr(factorials, "theta_many", counting)
-        calls = _count_calls(monkeypatch, factorials, "theta", fn)
-    return calls + lanes
+        for owner in (factorials, ellipticity):
+            m.setattr(owner, "theta", counting(owner.theta, lambda z, p: 1))
+        m.setattr(factorials, "theta_many", counting(factorials.theta_many, lambda zs, p: len(zs)))
+        m.setattr(ellipticity, "_theta_lanes", counting(ellipticity._theta_lanes, lambda zs, p: len(zs)))
+        fn()
+    return count
 
 
 def test_multi2_theta_budget(monkeypatch):
@@ -486,23 +493,26 @@ def test_ellipticity_theta_budget(monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(ELLIPTICITY))
 def test_ellipticity_does_each_points_work_once(monkeypatch, case):
-    # the warm-up once drew every point and formed every h_l argument list a
-    # second time, and the table wrapped every batched value in a
-    # FactorialValue that h_l unwrapped again
+    # the scalar path once drew every point and formed every h_l argument
+    # list a second time for its warm-up, and its table wrapped every batched
+    # value in a FactorialValue that h_l unwrapped again; now each point's
+    # shifted and reference rows are formed once, in one _h_rows batch whose
+    # distinct arguments take one theta pass
     check, sample, seed, _, _ = ELLIPTICITY[case]
     params = sample()
-    formed = collections.Counter()
+    batches, passes = [], 0
     draws = built = 0
-    lattice_h, rand_mult_args, init = ellipticity._lattice_h, ellipticity._rand_mult_args, FactorialValue.__init__
+    h_rows, theta_lanes = ellipticity._h_rows, ellipticity._theta_lanes
+    rand_mult_args, init = ellipticity._rand_mult_args, FactorialValue.__init__
 
-    def counting_lattice_h(desc, l, q):
-        ratio, pairs = lattice_h(desc, l, q)
+    def counting_h_rows(hs, sets, points, p):
+        batches.append(collections.Counter(zip(sets, points)))
+        return h_rows(hs, sets, points, p)
 
-        def counting_pairs(xs):
-            formed[pairs, tuple(xs)] += 1
-            return pairs(xs)
-
-        return ratio, counting_pairs
+    def counting_theta_lanes(zs, p):
+        nonlocal passes
+        passes += 1
+        return theta_lanes(zs, p)
 
     def counting_rand_mult_args(rng, n):
         nonlocal draws
@@ -515,14 +525,16 @@ def test_ellipticity_does_each_points_work_once(monkeypatch, case):
         init(self, *args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(ellipticity, "_lattice_h", counting_lattice_h)
+        m.setattr(ellipticity, "_h_rows", counting_h_rows)
+        m.setattr(ellipticity, "_theta_lanes", counting_theta_lanes)
         m.setattr(ellipticity, "_rand_mult_args", counting_rand_mult_args)
         m.setattr(FactorialValue, "__init__", counting_init)
         reports = check(params, seed=seed)
-    assert formed and max(formed.values()) == 1
     # no point of these checks is rejected, so none is redrawn
     assert draws == sum(rep.sample_count for rep in reports) == 8 * len(reports)
-    assert built == 0
+    [rows] = batches
+    assert sum(rows.values()) == 2 * draws and max(rows.values()) == 1
+    assert passes == 1 and built == 0
 
 
 def _hex_or_error(fn):

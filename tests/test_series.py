@@ -204,9 +204,12 @@ class TestEvaluators:
         assert not cmath.isfinite(coefficient(spec, 14).value)
         with pytest.raises(NonConvergenceError, match="term 14 "):
             eval_E(spec)
-        # an explicit truncation still sums exactly the terms it names
-        sv = eval_E(spec, trunc=20)
-        assert sv.terminated and sv.terms_used == 21
+        # an explicit truncation sums exactly the terms it names, and raises
+        # at the first of them that is not finite
+        sv = eval_E(spec, trunc=13)
+        assert sv.terminated and sv.terms_used == 14 and cmath.isfinite(sv.value)
+        with pytest.raises(FloatRangeError, match="term 14 of the series is not finite"):
+            eval_E(spec, trunc=20)
 
     def test_additive_terms_used_stops_before_structural_zero(self):
         # u0 + u1 = -2: [u0 + u1 + 2] is a zero factor of term 3, so terms 0..2 are summed
@@ -370,9 +373,17 @@ class TestGESplit:
 
     def test_non_finite_side_is_named(self):
         # at M = 18 the window's coefficient at n = -18 is NaN (its downward
-        # factorial prefixes overflow); the report once carried the NaN
-        with pytest.raises(FloatRangeError, match="lhs is not finite"):
+        # factorial prefixes overflow); the report once carried the NaN, and
+        # then the comparison refused the NaN side
+        with pytest.raises(FloatRangeError, match="term -18 of the series is not finite"):
             ge_split_check(self.DEEP_SPEC, 18, 18)
+
+    def test_window_raises_at_its_first_non_finite_term(self):
+        # every term of the window to M = 17 is finite; at M = 18 the
+        # coefficient at n = -18 is NaN, and the sum once returned NaN
+        assert cmath.isfinite(eval_vwp(self.DEEP_SPEC, window=(-17, 17)).value)
+        with pytest.raises(FloatRangeError, match="term -18 of the series is not finite"):
+            eval_vwp(self.DEEP_SPEC, window=(-18, 18))
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,15 @@ from thetahyp import (
     theta_zero_index,
 )
 from thetahyp.errors import FloatRangeError, NonConvergenceError, PoleError
-from thetahyp.theta import LATTICE_RTOL, MAX_ZERO_ORDER, PRODUCT_TOL, sqrt_positive_real, theta_log_range
+from thetahyp.theta import (
+    LATTICE_RTOL,
+    MAX_ZERO_ORDER,
+    PRODUCT_TOL,
+    _mul,
+    _quot,
+    sqrt_positive_real,
+    theta_log_range,
+)
 
 
 def rand_pair(rng):
@@ -197,6 +207,71 @@ def _adversarial_args(p):
     zs += [complex(1e308, 1e308), complex(1e200, 0), complex(1e-200, 1e-200)]
     zs += [complex(1.3e8, 1.3e8)]  # p / w is subnormal at p = 1e-300
     return zs
+
+
+def _port_operands() -> list[tuple[complex, complex]]:
+    """Operand pairs (a, b) for the ports of CPython's complex * and /: every
+    pair of operands built from edge parts (signed zeros, subnormals, moduli
+    1e+-300 and near the float64 limit, inf and nan), so both branches of
+    _Py_c_quot and its tie |b.real| = |b.imag| are reached, and random pairs
+    over moduli 1e-300 to 1e300."""
+    parts = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.5e308, math.inf, -math.inf, math.nan]
+    edges = [complex(re, im) for re in parts for im in parts]
+    edges += [complex(x, y) for x in (0.7, -3e-320, 2e300) for y in (x, -x)]  # the tie
+    rng = random.Random(11)
+
+    def draw() -> complex:
+        return cmath.rect(10 ** rng.uniform(-300, 300), rng.uniform(-math.pi, math.pi))
+
+    return [(a, b) for a in edges for b in edges] + [(draw(), draw()) for _ in range(20_000)]
+
+
+def _parts_hex(re: float, im: float) -> tuple[str, str]:
+    return float(re).hex(), float(im).hex()
+
+
+class TestComplexPorts:
+    """_mul and _quot, which theta_many forms its products and quotients
+    with, against CPython's complex * and /, compared by float.hex of both
+    parts. From 3.14 on, CPython may recover an infinity or a zero where
+    these formulas give nan+nanj (C11 Annex G); theta reads only finite lanes, so the ports
+    leave that out, and on 3.14 such a lane is not compared."""
+
+    @staticmethod
+    def _check(port, op):
+        pairs = _port_operands()
+        a, b = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+        with np.errstate(all="ignore"):
+            got_re, got_im = port(a.real, a.imag, b.real, b.imag)
+        compared = 0
+        for (x, y), re, im in zip(pairs, got_re.tolist(), got_im.tolist()):
+            try:
+                want = op(x, y)
+            except ZeroDivisionError:
+                assert y == 0 and math.isnan(re) and math.isnan(im)
+                continue
+            if sys.version_info >= (3, 14) and math.isnan(re) and math.isnan(im):
+                continue
+            assert _parts_hex(re, im) == _parts_hex(want.real, want.imag), (x, y)
+            compared += 1
+        return compared
+
+    def test_mul_is_cpythons_product(self):
+        assert self._check(_mul, lambda x, y: x * y) > 50_000
+
+    def test_quot_is_cpythons_quotient(self):
+        assert self._check(_quot, lambda x, y: x / y) > 50_000
+
+    def test_quot_differs_from_numpy_complex_division(self):
+        # the reason for the port: numpy divides otherwise, here on some 40%
+        # of random divisors
+        rng = np.random.default_rng(5)
+        a, b = (rng.normal(size=10_000) + 1j * rng.normal(size=10_000) for _ in range(2))
+        re, im = _quot(a.real, a.imag, b.real, b.imag)
+        want = [x / y for x, y in zip(a.tolist(), b.tolist())]
+        assert [_parts_hex(*z) for z in zip(re.tolist(), im.tolist())] == [_parts_hex(w.real, w.imag) for w in want]
+        numpy = a / b
+        assert sum(w != v for w, v in zip(want, numpy.tolist())) > 1_000
 
 
 class TestThetaMany:
