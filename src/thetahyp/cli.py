@@ -161,15 +161,15 @@ def run_eval(args: argparse.Namespace) -> int:
     if trunc is not None and _int_from_json(trunc, "trunc") < 0:
         raise InputError(f"trunc must be a non-negative integer, got {trunc!r}")
     spec = _decode(spec_from_json, obj, "series spec")
-    if isinstance(spec, VwpSpec):
-        if spec.kind == "bilateral":
-            sv = eval_vwp(spec, window=_int_pair(window, "bilateral window"))
-        else:
-            sv = eval_vwp(spec, trunc=trunc)
-    elif spec.kind == "bilateral_G":
-        sv = eval_G(spec, _int_pair(window, "bilateral window"))
+    if spec.kind.startswith("bilateral"):
+        if trunc is not None:
+            raise InputError("a bilateral spec is summed over its window and takes no trunc")
+        window = _int_pair(window, "bilateral window")
+        sv = eval_vwp(spec, window=window) if isinstance(spec, VwpSpec) else eval_G(spec, window)
     else:
-        sv = eval_E(spec, trunc)
+        if window is not None:
+            raise InputError("a unilateral spec is summed to its trunc and takes no window")
+        sv = eval_vwp(spec, trunc=trunc) if isinstance(spec, VwpSpec) else eval_E(spec, trunc)
     _write_output(sv.to_json(), args.out)
     return 0
 

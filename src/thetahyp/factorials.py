@@ -140,7 +140,10 @@ def theta_factorial(t: complex, nome: Nome, n: int) -> FactorialValue:
 
 def theta_factorial_multi(ts: list[complex], nome: Nome, n: int) -> FactorialValue:
     """Product of theta_factorial over a parameter list (empty list -> 1)."""
-    return FactorTable(nome).factorial_multi(ts, n)
+    table, out = FactorTable(nome), ONE
+    for t in ts:
+        out = out * table.factorial(t, n)
+    return out
 
 
 class FactorTable:
@@ -226,13 +229,6 @@ class FactorTable:
             arg *= q
         self._prefixes[t] = (prefix, arg)
         return prefix[n]
-
-    def factorial_multi(self, ts: list[complex], n: int) -> FactorialValue:
-        """theta_factorial_multi(ts, nome, n)."""
-        out = ONE
-        for t in ts:
-            out = out * self.factorial(t, n)
-        return out
 
 
 def elliptic_factor(u: complex, pair: ModularPair) -> FactorialValue:

@@ -39,20 +39,31 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import PoleError
-from .factorials import ONE, FactorialValue, FactorTable
+from .factorials import ONE, FactorTable
 from .report import JsonFields, VerificationReport
 from .theta import Nome, theta_zero_index
-from .series import VwpSpec, _LatticeTerms, _Multisum, _sum_window, _vwp_terms
+from .series import VwpSpec, _LatticeTerms, _Multisum, _rank1, _sum_window, _vwp_desc
 
 DEFAULT_BAND = (0.4, 0.9)
 CONSTRAINT_RTOL = 1e-12
 _LATTICE_EPS = 1e-6
 _MAX_RESAMPLE = 500
+# the largest multisum lattice a parameter set may sum over: multi2 at
+# (6, 3) has 4,096 points, and the points are listed before any is summed
+MAX_LATTICE_POINTS = 1 << 16
 
 
 def _check_constraint(lhs: complex, rhs: complex, what: str) -> None:
     if abs(lhs - rhs) > CONSTRAINT_RTOL * max(abs(lhs), abs(rhs)):
         raise ValueError(f"constraint violated: {what} ({lhs} vs {rhs})")
+
+
+def _refuse_oversized(sizes) -> None:
+    """Raise ValueError once a running lattice size passes MAX_LATTICE_POINTS.
+    The sizes never decrease and end at the lattice's point count, so the
+    count is bounded without computing it in full or listing the points."""
+    if any(size > MAX_LATTICE_POINTS for size in sizes):
+        raise ValueError(f"the summation lattice has more than {MAX_LATTICE_POINTS} points")
 
 
 def _near_lattice(w: complex, p: complex) -> bool:
@@ -237,7 +248,8 @@ class _VwpSumParams(_Identity):
     def _series(self, t: tuple[complex, ...], table: FactorTable) -> tuple[_LatticeTerms, list]:
         """The sum with parameters t: its coefficients, summed at k = 0..N."""
         ks = range(self.N + 1)
-        return _vwp_terms(VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral"), table, ks), [(k,) for k in ks]
+        spec = VwpSpec(t[0], t[1:], 1.0 + 0j, self.nome, "unilateral")
+        return _rank1(_vwp_desc(spec), table, ks), [(k,) for k in ks]
 
 
 class FTParams(_VwpSumParams):
@@ -352,6 +364,9 @@ class Multi1Params(_Identity):
             raise ValueError("Multi1Params needs exactly 6 t-parameters")
         if self.N < 0:
             raise ValueError(f"truncation depth N must be >= 0, got {self.N}")
+        # C(N + n, n) ordered tuples, as C(big + i, i) for i = 0..small
+        big, small = max(self.n, self.N), min(self.n, self.N)
+        _refuse_oversized(itertools.accumulate(range(1, small + 1), lambda c, i: c * (big + i) // i, initial=1))
         object.__setattr__(self, "t6", tuple(complex(x) for x in self.t6))
         q = self.nome.q
         _check_constraint(
@@ -421,11 +436,6 @@ def _multi1_lattice(params: Multi1Params) -> _Multisum:
     return _Multisum(cross, blocks, scalar)
 
 
-def _multi1_coefficient(params: Multi1Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
-    """The coefficient at one point lam, also outside the ordered tuples."""
-    return _LatticeTerms(_multi1_lattice(params), table)(*lam)
-
-
 def _multi1_ratios(t: complex, t6: tuple[complex, ...], n: int, N: int, q: complex) -> list[tuple[list, list]]:
     """The multi1 closed form: for j = 1..n, the ratio of the j-th displayed
     factor's factorials at N. At t = 1, n = 1 it is the 10E9 closed form."""
@@ -467,6 +477,7 @@ class Multi2Params(_Identity):
         object.__setattr__(self, "Ns", tuple(map(operator.index, self.Ns)))
         if min(self.Ns) < 0:
             raise ValueError(f"every truncation depth N in Ns must be >= 0, got {self.Ns}")
+        _refuse_oversized(itertools.accumulate((N + 1 for N in self.Ns), operator.mul))
         q, p = self.nome.q, self.nome.p
         _check_constraint(math.prod(self.t, start=1 + 0j) / q, 1.0 + 0j, "q^-1 prod t = 1")
         for j in range(1, self.n + 1):
@@ -541,11 +552,6 @@ def _multi2_lattice(params: Multi2Params) -> _Multisum:
         return q ** sum((j + 1) * lam[j] for j in range(n))
 
     return _Multisum(cross, blocks, scalar)
-
-
-def _multi2_coefficient(params: Multi2Params, lam: tuple[int, ...], table: FactorTable) -> FactorialValue:
-    """The coefficient at one point lam."""
-    return _LatticeTerms(_multi2_lattice(params), table)(*lam)
 
 
 def verify_multi2(params: Multi2Params, tol: float = 1e-7) -> VerificationReport:

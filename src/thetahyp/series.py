@@ -9,13 +9,17 @@ Coefficients are assembled through FactorialValue products so that
 structural zeros and poles are resolved exactly rather than through
 divisions by numerically tiny theta values. Each evaluator reads all its
 coefficients through one FactorTable, so each distinct theta factor is
-evaluated once per sum.
+evaluated once per sum, and a sum with a finite truncation or window
+fills the table by one theta_many batch.
 
-A multisum coefficient is described once, as a _Multisum of theta heads
-and factorial quotients, and read through _LatticeTerms. The
-very-well-poised coefficient is its rank-1 case (_vwp_terms), so the vwp
-sums here and the 10E9, 12E11 and multivariable sums of ``identities``
-share one evaluator, which multiplies each quotient (a)_n / (b)_n in turn.
+Every coefficient is described once, as a _Multisum of theta heads and
+factorial quotients, and read through _LatticeTerms. The E and G
+coefficients (_eg_desc, E as G with the extra denominator w = q) and the
+very-well-poised one (_vwp_desc) are its rank-1 case, read by _rank1 and
+summed by _eval, so every series here and the 10E9, 12E11 and
+multivariable sums of ``identities`` share one evaluator, which
+multiplies each quotient (a)_n / (b)_n in turn. eval_basic and
+eval_vwp_additive stay apart: they are the independent checks.
 """
 
 from __future__ import annotations
@@ -152,20 +156,7 @@ def spec_from_json(obj: dict) -> ThetaSeriesSpec | VwpSpec:
 
 def coefficient(spec: ThetaSeriesSpec, n: int) -> FactorialValue:
     """Coefficient c_n of the series as a FactorialValue (c_0 = 1)."""
-    return _coefficient(spec, n, FactorTable(spec.nome))
-
-
-def _coefficient(spec: ThetaSeriesSpec, n: int, table: FactorTable) -> FactorialValue:
-    nome = spec.nome
-    num = table.factorial_multi(list(spec.numerator), n)
-    den = table.factorial_multi(list(spec.effective_denominator()), n)
-    scalar = nome.q ** (spec.alpha * n * (n - 1) / 2.0) * spec.z**n
-    return (num / den) * scalar
-
-
-def term_ratio(spec: ThetaSeriesSpec, n: int) -> complex:
-    """h(n) = c_{n+1}/c_n built from single theta factors."""
-    return term_ratio_at(spec, spec.nome.q**n, n=n)
+    return _rank1(_eg_desc(spec), FactorTable(spec.nome))(n)
 
 
 def _integer_alpha(spec: ThetaSeriesSpec) -> int | None:
@@ -212,19 +203,18 @@ def _term(coeff_fn, n: int) -> FactorialValue:
 
 
 def _last_index(trunc: TruncationDecl | int | None) -> int | None:
-    """The last index a unilateral sum truncated at trunc sums, None if unbounded."""
+    """The last index a unilateral sum truncated at trunc sums (a
+    TruncationDecl, or any integer, numpy's included), None if unbounded."""
     if isinstance(trunc, TruncationDecl):
         return trunc.N
     return None if trunc is None else operator.index(trunc)
 
 
-def _sum_unilateral(coeff_fn, trunc: TruncationDecl | int | None) -> SeriesValue:
-    """Sum coeff_fn(n) for n >= 0. trunc as a TruncationDecl or an explicit
-    last index (any integer, numpy's included) sums exactly that many terms
-    and raises FloatRangeError at the first non-finite term; None caps at
-    MAX_TERMS with a last-term tail heuristic and raises NonConvergenceError
-    there."""
-    last = _last_index(trunc)
+def _sum_unilateral(coeff_fn, last: int | None) -> SeriesValue:
+    """Sum coeff_fn(n) for n >= 0. An explicit last index sums exactly the
+    terms 0..last and raises FloatRangeError at the first non-finite term;
+    None caps at MAX_TERMS with a last-term tail heuristic and raises
+    NonConvergenceError there."""
     total = 0j
     small_streak = 0
     n = 0
@@ -280,24 +270,6 @@ def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
     return SeriesValue(total, used, False, edge)
 
 
-def eval_E(spec: ThetaSeriesSpec, trunc: TruncationDecl | int | None = None) -> SeriesValue:
-    """Unilateral series sum_{n>=0} c_n."""
-    if spec.kind != UNILATERAL_E:
-        raise ValueError("eval_E expects a unilateral_E spec")
-    if isinstance(trunc, TruncationDecl):
-        trunc.validate(spec)
-    table = FactorTable(spec.nome)
-    return _sum_unilateral(lambda n: _coefficient(spec, n, table), trunc)
-
-
-def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
-    """Bilateral series as a windowed partial sum over n in [n_min, n_max]."""
-    if spec.kind != BILATERAL_G:
-        raise ValueError("eval_G expects a bilateral_G spec")
-    table = FactorTable(spec.nome)
-    return _sum_window(lambda n: _coefficient(spec, n, table), window)
-
-
 def _log_abs(z: complex) -> float:
     return math.log(abs(z)) if z else -math.inf
 
@@ -308,9 +280,10 @@ class _Multisum:
     * scalar(lam) (Warnaar 2002, Rosengren 2004), written once. Each part is
     (heads, pairs) over the indices it touches, (lam_j, lam_k) or (lam_j,): a
     head (c, e) stands for theta(c q^{e.lam}) / theta(c) and a pair (a, b, e)
-    for (a)_{e.lam} / (b)_{e.lam}. Rank 1 is the very-well-poised coefficient
-    (_vwp_terms). _LatticeTerms evaluates it at integer points and lists the
-    theta arguments of its distinct parts for one batch; identities._lattice_h
+    for (a)_{e.lam} / (b)_{e.lam}, a side None standing for 1. Rank 1 is the
+    E, G and very-well-poised coefficients (_eg_desc, _vwp_desc).
+    _LatticeTerms evaluates it at integer points and lists the theta
+    arguments of its distinct parts for one batch; identities._lattice_h
     reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
 
     cross: dict[tuple[int, int], tuple[tuple, tuple]]
@@ -351,17 +324,19 @@ class _LatticeTerms:
     def _value(self, key: tuple[int, ...]) -> FactorialValue:
         """The part key at its indices, m = e.lam for each head and pair: its
         heads theta(c q^m) multiplied, divided by each theta(c), then times
-        each quotient (a)_m / (b)_m in turn."""
+        each quotient (a)_m / (b)_m in turn, an absent side read as 1."""
         table, q, half = self.table, self.table.nome.q, len(key) // 2
         heads, runs = self._shapes[key[:half]]
         at = key[half:]
-        out = functools.reduce(operator.mul, [table.factor(c * q ** _dot(e, at)) for c, e in heads])
+        out = functools.reduce(operator.mul, [table.factor(c * q ** _dot(e, at)) for c, e in heads] or [ONE])
         for c, _ in heads:
             out = out / table.factor(c)
         for e, pairs in runs:
             m = _dot(e, at)
             for a, b in pairs:
-                out = out * (table.factorial(a, m) / table.factorial(b, m))
+                top = ONE if a is None else table.factorial(a, m)
+                bottom = ONE if b is None else table.factorial(b, m)
+                out = out * (top / bottom)
         return out
 
     def arguments(self) -> list[complex]:
@@ -386,7 +361,7 @@ class _LatticeTerms:
                 for e, pairs in runs:
                     ms = [_dot(e, at) for at in ats]
                     for m in dict.fromkeys((min(ms), max(ms))):
-                        ends.setdefault(m, []).extend(base for pair in pairs for base in pair)
+                        ends.setdefault(m, []).extend(base for pair in pairs for base in pair if base is not None)
             for m, bases in ends.items():
                 args += table.factorial_arguments(bases, m)
         except OverflowError:
@@ -405,38 +380,86 @@ class _LatticeTerms:
         return out * self.scalar(lam)
 
 
-def _vwp_terms(spec: VwpSpec, table: FactorTable, ns: range = range(0)) -> _LatticeTerms:
-    """The coefficients of a vwp spec, read through table: the rank-1
-    _Multisum of one block with the head (t0^2, (2,)) and the pairs
-    (t0 t, q t0 / t, (1,)) over t in (t0,) + ts (unilateral) or ts
-    (bilateral), and the scalar (q z)^n. The points listed are (n,) for the
+def _rank1(desc: _Multisum, table: FactorTable, ns: range = range(0)) -> _LatticeTerms:
+    """The coefficients of a rank-1 _Multisum, its one block's pairs at the
+    exponent (1,), read through table. The points listed are (n,) for the
     first MAX_TERMS of ns, up to the first index whose coefficient reads an
     argument z with |log|z|| > theta_log_range, where theta raises. log|z|
-    is linear in the power of q, so the head at q^2n and the extreme bases
-    at each end of their prefixes decide an index, and the two ends of ns
-    decide whether any index is out."""
-    q, t0, step = spec.nome.q, spec.t0, spec.nome.q * spec.z
-    ms = (t0,) + spec.ts if spec.kind == "unilateral" else spec.ts
-    head, pairs = t0 * t0, tuple((t0 * t, q * t0 / t, (1,)) for t in ms)
+    is linear in n, so each head (c, (k,)) at c q^kn and c, and the
+    extreme pair bases at the two ends of their prefixes decide an index,
+    and the two ends of ns decide whether any index is out."""
+    [(heads, pairs)] = desc.blocks
     if ns := ns[:MAX_TERMS]:
-        bound, lq, lh = theta_log_range(spec.nome.p), _log_abs(q), _log_abs(head)
-        logs = [_log_abs(base) for a, b, _ in pairs for base in (a, b)]
+        bound, lq = theta_log_range(table.nome.p), _log_abs(table.nome.q)
+        head_logs = [(_log_abs(c), k) for c, (k,) in heads]
+        logs = [_log_abs(base) for *bases, _ in pairs for base in bases if base is not None]
         extremes = (min(logs), max(logs)) if logs else ()
 
         def out(n: int) -> bool:
             powers = (0, n - 1) if n > 0 else (-1, n) if n < 0 else ()
-            read = [lh, lh + 2 * n * lq, *(l + e * lq for l in extremes for e in powers)]
-            return max(map(abs, read)) > bound
+            read = [l + e * lq for l, k in head_logs for e in (0, k * n)]
+            read += [l + e * lq for l in extremes for e in powers]
+            return max(map(abs, read), default=0.0) > bound
 
         if out(ns[0]) or out(ns[-1]):
             ns = ns[: next(i for i, n in enumerate(ns) if out(n))]
-    desc = _Multisum({}, ((((head, (2,)),), pairs),), lambda lam: step ** lam[0])
     return _LatticeTerms(desc, table, [(n,) for n in ns])
+
+
+def _vwp_desc(spec: VwpSpec) -> _Multisum:
+    """The vwp coefficient: the head (t0^2, (2,)), a pair (t0 t, q t0 / t)
+    per t in (t0,) + ts (unilateral) or ts (bilateral), and (q z)^n."""
+    q, t0, step = spec.nome.q, spec.t0, spec.nome.q * spec.z
+    ms = (t0,) + spec.ts if spec.kind == "unilateral" else spec.ts
+    pairs = tuple((t0 * t, q * t0 / t, (1,)) for t in ms)
+    return _Multisum({}, ((((t0 * t0, (2,)),), pairs),), lambda lam: step ** lam[0])
+
+
+def _eg_desc(spec: ThetaSeriesSpec) -> _Multisum:
+    """The E or G coefficient: no head, the pairs (a_i, b_i) of the numerator
+    and the effective denominator in order, one side None past the shorter
+    list, and q^(alpha n (n-1) / 2) z^n."""
+    q, alpha, z = spec.nome.q, spec.alpha, spec.z
+    pairs = tuple((a, b, (1,)) for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()))
+    return _Multisum({}, (((), pairs),), lambda lam: q ** (alpha * lam[0] * (lam[0] - 1) / 2.0) * z ** lam[0])
+
+
+def _eval(
+    desc: _Multisum, nome: Nome, trunc: TruncationDecl | int | None = None, window: tuple[int, int] | None = None
+) -> SeriesValue:
+    """Sum the rank-1 desc over window, or else from n = 0 to trunc. A sum
+    with a finite trunc or window evaluates its theta factors in one
+    theta_many batch; an unbounded one evaluates them as it reaches them."""
+    table = FactorTable(nome)
+    last = _last_index(trunc)
+    if window is None and last is None:
+        return _sum_unilateral(_rank1(desc, table), None)
+    terms = _rank1(desc, table, range(last + 1) if window is None else range(window[0], window[1] + 1))
+    table.prefetch(terms.arguments())
+    return _sum_unilateral(terms, last) if window is None else _sum_window(terms, window)
+
+
+def eval_E(spec: ThetaSeriesSpec, trunc: TruncationDecl | int | None = None) -> SeriesValue:
+    """Unilateral series sum_{n>=0} c_n."""
+    if spec.kind != UNILATERAL_E:
+        raise ValueError("eval_E expects a unilateral_E spec")
+    if isinstance(trunc, TruncationDecl):
+        trunc.validate(spec)
+    return _eval(_eg_desc(spec), spec.nome, trunc=trunc)
+
+
+def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
+    """Bilateral series as a windowed partial sum over n in [n_min, n_max]."""
+    if spec.kind != BILATERAL_G:
+        raise ValueError("eval_G expects a bilateral_G spec")
+    if window is None:
+        raise ValueError("bilateral G evaluation needs a finite window")
+    return _eval(_eg_desc(spec), spec.nome, window=window)
 
 
 def vwp_coefficient(spec: VwpSpec, n: int) -> FactorialValue:
     """Coefficient of the simplified very-well-poised series at index n."""
-    return _vwp_terms(spec, FactorTable(spec.nome))(n)
+    return _rank1(_vwp_desc(spec), FactorTable(spec.nome))(n)
 
 
 def eval_vwp(
@@ -444,21 +467,13 @@ def eval_vwp(
     trunc: TruncationDecl | int | None = None,
     window: tuple[int, int] | None = None,
 ) -> SeriesValue:
-    """Evaluate the simplified very-well-poised series (multiplicative form).
-    A sum with a finite trunc or window evaluates its theta factors in one
-    theta_many batch; an unbounded one evaluates them as it reaches them."""
-    table = FactorTable(spec.nome)
+    """Evaluate the simplified very-well-poised series (multiplicative form):
+    a unilateral spec from n = 0 to trunc, a bilateral one over window."""
     if spec.kind == "unilateral":
-        if (last := _last_index(trunc)) is None:
-            return _sum_unilateral(_vwp_terms(spec, table), trunc)
-        terms = _vwp_terms(spec, table, range(last + 1))
-        table.prefetch(terms.arguments())
-        return _sum_unilateral(terms, trunc)
+        return _eval(_vwp_desc(spec), spec.nome, trunc=trunc)
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
-    terms = _vwp_terms(spec, table, range(window[0], window[1] + 1))
-    table.prefetch(terms.arguments())
-    return _sum_window(terms, window)
+    return _eval(_vwp_desc(spec), spec.nome, window=window)
 
 
 def eval_vwp_additive(
@@ -614,14 +629,14 @@ def ge_split_check(
     r = len(ts) + 4
     m_prod = math.prod((t * t for t in ts), start=1.0 + 0j)
     table = FactorTable(spec.nome)
-    window = _vwp_terms(spec, table, range(-window_M, window_Mp + 1))
-    first = _vwp_terms(VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral"), table, range(window_Mp + 1))
+    window = _rank1(_vwp_desc(spec), table, range(-window_M, window_Mp + 1))
+    first = _rank1(_vwp_desc(VwpSpec(t0, ts + (q / t0,), z, spec.nome, "unilateral")), table, range(window_Mp + 1))
     args = window.arguments() + first.arguments()
     if window_M:
         pref_num = [q * q / (t0 * t0), *(t / t0 for t in ts)]
         pref_den = [1.0 / (t0 * t0), *(q / (t0 * t) for t in ts)]
         z2 = q ** (r - 8) / (z * m_prod)
-        second = _vwp_terms(VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral"), table, range(window_M))
+        second = _rank1(_vwp_desc(VwpSpec(q / t0, ts + (t0,), z2, spec.nome, "unilateral")), table, range(window_M))
         args += pref_num + pref_den + second.arguments()
     table.prefetch(args)
 

@@ -138,6 +138,11 @@ class TestEval:
             ({**G_SPEC, "window": [False, 2]}, "window"),
             ({**VWP_SPEC, "window": [3, 1]}, "empty window"),
             ({**G_SPEC, "window": [3, 1]}, "empty window"),
+            # an extent the spec's kind would ignore
+            ({**G_SPEC, "window": [-2, 2], "trunc": 7}, "takes no trunc"),
+            ({**VWP_SPEC, "window": [-2, 2], "trunc": 7}, "takes no trunc"),
+            ({**E_SPEC, "window": [0, 99]}, "takes no window"),
+            ({**VWP_SPEC, "kind": "vwp_unilateral", "window": [0, 99]}, "takes no window"),
         ],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, obj, error):
@@ -210,13 +215,13 @@ class TestErrorPaths:
         assert "--draws" in json.loads(capsys.readouterr().out)["error"]
 
     def test_untruncated_non_finite_sum_exits_2(self, tmp_path, capsys):
-        # the CI balanced spec has no trunc, and its terms overflow from n = 14
+        # the CI balanced spec has no trunc, and its terms overflow from n = 19
         num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
         den = (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j)
         inp = tmp_path / "balanced.json"
         inp.write_text(json.dumps(ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, NOME).to_json()))
         assert run(["eval", str(inp)]) == 2
-        assert "NonConvergenceError: term 14 " in json.loads(capsys.readouterr().out)["error"]
+        assert "NonConvergenceError: term 19 " in json.loads(capsys.readouterr().out)["error"]
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -319,6 +324,17 @@ class TestErrorPaths:
         inp.write_text(json.dumps({**sample_ft(seed=3, N=2, nome=NOME).to_json(), "N": 2.5}))
         assert run(["verify", "ft_sum", str(inp)]) == 2
         assert "N must be a JSON integer" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_oversized_lattice_exits_2(self, tmp_path, capsys):
+        # multi2 (20, 2) would list its 3^20 lattice points before summing
+        # one; the parameter class refuses it on the sampled and the file path
+        assert run(["verify", "multi2", "--n", "20", "--N", "2", "--draws", "1"]) == 2
+        assert "more than 65536 points" in json.loads(capsys.readouterr().out)["error"]
+        params = sample_multi2(seed=3, n=1, Ns=(2,), nome=NOME).to_json()
+        inp = tmp_path / "params.json"
+        inp.write_text(json.dumps({**params, "n": 20, "t": params["t"][:1] * 44, "Ns": [2] * 20}))
+        assert run(["verify", "multi2", str(inp)]) == 2
+        assert "more than 65536 points" in json.loads(capsys.readouterr().out)["error"]
 
     @pytest.mark.parametrize("field", ["t[2]", "q"])
     def test_non_complex_entry_in_a_file_names_its_field(self, tmp_path, capsys, field):

@@ -28,7 +28,8 @@ from thetahyp import (
 from thetahyp import PoleError, ellipticity
 from thetahyp.ellipticity import _check_total_ellipticity, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
-from thetahyp.identities import _lattice_h, _multi1_coefficient, _multi1_lattice, _multi2_coefficient, _multi2_lattice
+from thetahyp.identities import _lattice_h, _multi1_lattice, _multi2_lattice
+from thetahyp.series import _LatticeTerms
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -290,16 +291,16 @@ class TestCharacterization:
         assert not all(rep.passed for rep in shifts)
 
 
-# family, sampled params, the summation region and the per-point coefficient
+# family, sampled params, the summation region and the coefficient description
 H_CONSISTENCY = {
     "multi1_n2": (multi1_h, lambda: sample_multi1(71, 2, 3, NOME),
-                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_coefficient),
+                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_lattice),
     "multi1_n3": (multi1_h, lambda: sample_multi1(72, 3, 2, NOME),
-                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_coefficient),
+                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_lattice),
     "multi2_n2": (multi2_h, lambda: sample_multi2(73, 2, (3, 2), NOME),
-                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_coefficient),
+                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_lattice),
     "multi2_n3": (multi2_h, lambda: sample_multi2(74, 3, (2, 2, 2), NOME),
-                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_coefficient),
+                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_lattice),
 }
 
 
@@ -311,14 +312,14 @@ def _finite_nonzero(c):
 def test_h_is_the_coefficient_ratio(case):
     # h_l and the coefficient read one description; at x_j = q^{lam_j} the
     # term ratio is the ratio of neighbouring coefficients
-    h, sample, region, coefficient = H_CONSISTENCY[case]
+    h, sample, region, lattice = H_CONSISTENCY[case]
     params = sample()
-    table = FactorTable(params.nome)
+    terms = _LatticeTerms(lattice(params), FactorTable(params.nome))
     checked = 0
     for lam in region(params):
-        c = coefficient(params, lam, table)
+        c = terms(*lam)
         for l in range(1, params.n + 1):
-            shifted = coefficient(params, tuple(lj + (j == l - 1) for j, lj in enumerate(lam)), table)
+            shifted = terms(*(lj + (j == l - 1) for j, lj in enumerate(lam)))
             if not (_finite_nonzero(c) and _finite_nonzero(shifted)):
                 continue
             want = shifted.finite_part / c.finite_part

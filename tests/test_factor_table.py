@@ -4,14 +4,15 @@ factors through it.
 
 The pinned reprs are those of the tables' arguments and multiplication
 order over the reduced theta kernel; a table that changed any argument
-or the multiplication order would move the last digits. Every term, vwp
-or multisum, multiplies its quotients (a)_m / (b)_m in turn. Every pinned
+or the multiplication order would move the last digits. Every term, E,
+G, vwp or multisum, multiplies its quotients (a)_m / (b)_m in turn. Every pinned
 side agrees with tests/test_reference.py's 40-digit sums to 1.6e-13 or
 better (multi1_2_4's lhs is the worst; 2.1e-13 when theta ran its
 product from z itself).
 """
 
 import collections
+import dataclasses
 import functools
 import itertools
 import json
@@ -44,6 +45,7 @@ from thetahyp.cli import main
 from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
 from thetahyp.identities import _LatticeTerms, _multi1_lattice, _multi2_lattice
+from thetahyp.series import _eg_desc
 from thetahyp.theta import theta
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -87,14 +89,15 @@ def test_verifier_values_are_pinned(case):
     assert rep.passed
 
 
+NUM = (0.6 + 0.2j, -0.45 + 0.5j)
+DEN = (0.7 - 0.1j, 0.52 + 0.33j)
+E_SPEC = ThetaSeriesSpec("unilateral_E", (NOME.q**-5,) + NUM, DEN, 1, 0.4 + 0.2j, NOME)
+G_SPEC = ThetaSeriesSpec("bilateral_G", NUM, DEN, 0, 0.5 + 0.1j, NOME)
+
+
 def test_series_values_are_pinned():
-    q = NOME.q
-    num = (0.6 + 0.2j, -0.45 + 0.5j)
-    den = (0.7 - 0.1j, 0.52 + 0.33j)
-    e_spec = ThetaSeriesSpec("unilateral_E", (q**-5,) + num, den, 1, 0.4 + 0.2j, NOME)
-    assert repr(eval_E(e_spec, trunc=TruncationDecl(0, 5)).value) == "(608531373838.0449-146526861622.211j)"
-    g_spec = ThetaSeriesSpec("bilateral_G", num, den, 0, 0.5 + 0.1j, NOME)
-    assert repr(eval_G(g_spec, (-3, 4)).value) == "(-5086.645925922476-606.574584645638j)"
+    assert repr(eval_E(E_SPEC, trunc=TruncationDecl(0, 5)).value) == "(608531373838.0449-146526861622.21106j)"
+    assert repr(eval_G(G_SPEC, (-3, 4)).value) == "(-5086.645925922476-606.574584645638j)"
 
 
 def _loop_factorial(t, nome, n):
@@ -256,10 +259,21 @@ def _multi2_unequal(seed):
     return _multi2_lattice(params), itertools.product(*(range(N + 1) for N in params.Ns))
 
 
+def _single(spec, ns):
+    return _eg_desc(spec), [(n,) for n in ns]
+
+
 @pytest.mark.parametrize(
     "make",
-    [_multi1_off_tuples, *(functools.partial(_multi2_unequal, seed) for seed in range(10))],
-    ids=["multi1_off_tuples", *(f"multi2_1_4_seed{seed}" for seed in range(10))],
+    [
+        _multi1_off_tuples,
+        *(functools.partial(_multi2_unequal, seed) for seed in range(10)),
+        functools.partial(_single, E_SPEC, range(6)),
+        functools.partial(_single, G_SPEC, range(-3, 5)),
+        # three numerators over two denominators: the last pair has no b
+        functools.partial(_single, dataclasses.replace(G_SPEC, numerator=NUM + (0.3 - 0.5j,)), range(-5, 6)),
+    ],
+    ids=["multi1_off_tuples", *(f"multi2_1_4_seed{seed}" for seed in range(10)), "E_trunc", "G_window", "G_unequal"],
 )
 def test_lattice_arguments_are_those_the_terms_evaluate(make):
     # exactly, not a superset: the sampler's lattice guard scans every

@@ -25,8 +25,9 @@ from thetahyp import (
     verify_multi2,
 )
 from thetahyp.errors import FloatRangeError
-from thetahyp.identities import DEFAULT_BAND, _admissible, _multi1_coefficient, _multi2_coefficient
+from thetahyp.identities import DEFAULT_BAND, MAX_LATTICE_POINTS, _admissible, _multi1_lattice, _multi2_lattice
 from thetahyp.factorials import FactorTable
+from thetahyp.series import _LatticeTerms
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -203,7 +204,7 @@ class TestMulti1:
         # the coefficient vanishes structurally just above the diagonal,
         # which is why the sum runs over ordered tuples only
         params = sample_multi1(seed=8, n=2, N=2, nome=NOME)
-        c = _multi1_coefficient(params, (2, 1), FactorTable(params.nome))
+        c = _LatticeTerms(_multi1_lattice(params), FactorTable(params.nome))(2, 1)
         assert c.is_zero
 
     def test_json_round_trip(self):
@@ -233,7 +234,7 @@ class TestMulti2:
 
     def test_corner_coefficient_is_one(self):
         params = sample_multi2(seed=9, n=2, Ns=(2, 1), nome=NOME)
-        c = _multi2_coefficient(params, (0, 0), FactorTable(params.nome))
+        c = _LatticeTerms(_multi2_lattice(params), FactorTable(params.nome))(0, 0)
         assert abs(c.value - 1.0) < 1e-14
 
     def test_json_round_trip(self):
@@ -255,16 +256,16 @@ class TestMulti2:
 
 
 @pytest.mark.parametrize(
-    "sample, coefficient, lattice",
+    "sample, desc, lattice",
     [
-        (lambda: sample_multi1(31, 2, 3, NOME), _multi1_coefficient,
+        (lambda: sample_multi1(31, 2, 3, NOME), _multi1_lattice,
          list(itertools.combinations_with_replacement(range(4), 2))),
-        (lambda: sample_multi2(32, 3, (2, 2, 2), NOME), _multi2_coefficient,
+        (lambda: sample_multi2(32, 3, (2, 2, 2), NOME), _multi2_lattice,
          list(itertools.product(range(3), repeat=3))),
     ],
     ids=["multi1", "multi2"],
 )
-def test_cached_blocks_match_per_point_coefficient(sample, coefficient, lattice):
+def test_cached_blocks_match_per_point_coefficient(sample, desc, lattice):
     # sides reuses each one-index block and two-index cross
     # factor across the lattice; every term must equal the coefficient of
     # its point built alone on a fresh table, to the last bit
@@ -272,12 +273,43 @@ def test_cached_blocks_match_per_point_coefficient(sample, coefficient, lattice)
     terms, _ = params.sides(FactorTable(params.nome))
     assert len(terms) == len(lattice)
     for lam, got in zip(lattice, terms):
-        want = coefficient(params, lam, FactorTable(params.nome))
+        want = _LatticeTerms(desc(params), FactorTable(params.nome))(*lam)
         assert (got.finite_part, got.zero_order, got.pole_order) == (
             want.finite_part,
             want.zero_order,
             want.pole_order,
         ), lam
+
+
+@pytest.mark.parametrize(
+    "cls, shape, points",
+    [
+        (Multi2Params, (20, (2,) * 20), 3**20),
+        (Multi2Params, (2, (360, 360)), 361**2),
+        (Multi1Params, (2, 361), math.comb(363, 2)),
+        (Multi1Params, (361, 2), math.comb(363, 2)),
+    ],
+)
+def test_oversized_lattice_is_refused(cls, shape, points):
+    # a sum lists every point of its lattice before it sums one
+    assert points > MAX_LATTICE_POINTS
+    with pytest.raises(ValueError, match=f"more than {MAX_LATTICE_POINTS} points"):
+        cls.draw(np.random.default_rng(0), *shape, NOME, DEFAULT_BAND)
+
+
+@pytest.mark.parametrize(
+    "cls, shape, points",
+    [
+        (Multi2Params, (6, (3,) * 6), 4096),
+        (Multi2Params, (4, (15,) * 4), 16**4),
+        (Multi1Params, (2, 360), math.comb(362, 2)),
+        (Multi1Params, (360, 2), math.comb(362, 2)),
+    ],
+)
+def test_lattices_up_to_the_cap_are_allowed(cls, shape, points):
+    assert points <= MAX_LATTICE_POINTS
+    params = cls.draw(np.random.default_rng(0), *shape, NOME, DEFAULT_BAND)
+    assert cls.from_json(params.to_json()) == params
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,5 +1,6 @@
-"""An independent 40-digit reference for the very-well-poised sums, unilateral
-and bilateral (with the G/E split), and the two multisum families.
+"""An independent 40-digit reference for the E and G series, the
+very-well-poised sums, unilateral and bilateral (with the G/E split), and
+the two multisum families.
 
 Theta is evaluated by its product, theta factorials as plain products of
 theta factors, and each coefficient is written out from its theta-factorial
@@ -22,7 +23,11 @@ mp, mpc = mpmath.mp, mpmath.mpc
 
 from thetahyp import (  # noqa: E402
     Nome,
+    ThetaSeriesSpec,
     VwpSpec,
+    coefficient,
+    eval_E,
+    eval_G,
     eval_vwp,
     ge_split_check,
     sample_bailey,
@@ -82,6 +87,20 @@ def spec_term(spec, k):
     out = theta(t0**2 * q ** (2 * k), p) / theta(t0**2, p) * (q * z) ** k
     for tm in ms:
         out *= factorial(t0 * tm, k, q, p) / factorial(q * t0 / tm, k, q, p)
+    return out
+
+
+def eg_term(spec, n):
+    """Term n, any integer, of an E or G spec:
+    prod_a (a)_n / prod_b (b)_n q^(alpha n (n-1) / 2) z^n, with b running
+    over the denominator, and over q too for an E spec."""
+    q, p = mpc(spec.nome.q), mpc(spec.nome.p)
+    den = [mpc(b) for b in spec.denominator] + ([q] if spec.kind == "unilateral_E" else [])
+    out = q ** (mpc(spec.alpha) * n * (n - 1) / 2) * mpc(spec.z) ** n
+    for a in spec.numerator:
+        out *= factorial(mpc(a), n, q, p)
+    for b in den:
+        out /= factorial(b, n, q, p)
     return out
 
 
@@ -234,6 +253,34 @@ def test_bilateral_coefficients_match_reference(seed):
     spec = VwpSpec(annulus_draw(rng), tuple(annulus_draw(rng) for _ in range(4)), annulus_draw(rng), NOME, "bilateral")
     for n in range(-8, 9):
         assert rel(float_vwp_coefficient(spec, n).value, spec_term(spec, n)) <= RTOL, n
+
+
+def eg_spec(seed, kind, alpha, counts):
+    rng = random.Random(seed)
+    num, den = (tuple(annulus_draw(rng) for _ in range(k)) for k in counts)
+    return ThetaSeriesSpec(kind, num, den, alpha, annulus_draw(rng), NOME)
+
+
+# seeded E and G specs with alpha 0 and 1; the unequal ones have one
+# numerator more than their denominators, the q of E counted
+EG_SPECS = {
+    **{f"E_seed{seed}": eg_spec(seed, "unilateral_E", seed % 2, (3, 2)) for seed in range(4)},
+    **{f"G_seed{seed}": eg_spec(seed, "bilateral_G", seed % 2, (2, 2)) for seed in range(4)},
+    "E_unequal": eg_spec(4, "unilateral_E", 1, (3, 1)),
+    "G_unequal": eg_spec(5, "bilateral_G", 1, (3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EG_SPECS))
+def test_eg_series_match_reference(case):
+    spec = EG_SPECS[case]
+    # a G window reaches negative n, read from the downward prefixes
+    ns = range(13) if spec.kind == "unilateral_E" else range(-6, 7)
+    want = [eg_term(spec, n) for n in ns]
+    for n, w in zip(ns, want):
+        assert rel(coefficient(spec, n).value, w) <= RTOL, n
+    got = eval_E(spec, trunc=ns[-1]) if spec.kind == "unilateral_E" else eval_G(spec, (ns[0], ns[-1]))
+    assert rel(got.value, mpmath.fsum(want)) <= RTOL
 
 
 GE_SPEC = VwpSpec(

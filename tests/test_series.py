@@ -23,7 +23,6 @@ from thetahyp import (
     ge_split_check,
     complex_from_json,
     spec_from_json,
-    term_ratio,
     term_ratio_at,
     vwp_coefficient,
 )
@@ -99,7 +98,7 @@ class TestCoefficients:
         spec = ThetaSeriesSpec("unilateral_E", num, den, 1, 0.3 + 0.1j, NOME)
         for n in range(4):
             ratio = coefficient(spec, n + 1).value / coefficient(spec, n).value
-            assert abs(term_ratio(spec, n) - ratio) <= 1e-11 * abs(ratio)
+            assert abs(term_ratio_at(spec, NOME.q**n, n=n) - ratio) <= 1e-11 * abs(ratio)
 
     def test_term_ratio_at_lattice_agreement(self):
         rng = np.random.default_rng(2)
@@ -109,7 +108,7 @@ class TestCoefficients:
         q = NOME.q
         for n in (-2, 0, 3):
             a = term_ratio_at(spec, q**n)
-            b = term_ratio(spec, n)
+            b = term_ratio_at(spec, q**n, n=n)
             assert abs(a - b) <= 1e-10 * abs(b)
 
     def test_term_ratio_at_noninteger_alpha_rejected(self):
@@ -143,6 +142,9 @@ class TestEvaluators:
         assert abs(sv.value - manual) <= 1e-12 * abs(manual)
         with pytest.raises(ValueError):
             eval_G(spec, (3, -2))
+        # a G spec has no unbounded sum to fall back on
+        with pytest.raises(ValueError, match="needs a finite window"):
+            eval_G(spec, None)
 
     def test_vwp_matches_manual(self):
         rng = np.random.default_rng(5)
@@ -194,21 +196,21 @@ class TestEvaluators:
         assert abs(mult - add) <= 1e-11 * abs(mult)
 
     def test_untruncated_sum_stops_at_first_non_finite_term(self):
-        # the balanced spec of the CI ellipticity step: c_13 is about 2e-8, and
-        # from n = 14 on the factorial prefixes overflow to NaN (ROADMAP item 1)
+        # the balanced spec of the CI ellipticity step: c_18 is about 3e-10, and
+        # from n = 19 on a factorial prefix overflows to NaN (ROADMAP item 1)
         nome = Nome(0.35 + 0.1j, 0.25 + 0.05j)
         num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
         den = (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j)
         spec = ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, nome)
-        assert cmath.isfinite(coefficient(spec, 13).value)
-        assert not cmath.isfinite(coefficient(spec, 14).value)
-        with pytest.raises(NonConvergenceError, match="term 14 "):
+        assert cmath.isfinite(coefficient(spec, 18).value)
+        assert not cmath.isfinite(coefficient(spec, 19).value)
+        with pytest.raises(NonConvergenceError, match="term 19 "):
             eval_E(spec)
         # an explicit truncation sums exactly the terms it names, and raises
         # at the first of them that is not finite
-        sv = eval_E(spec, trunc=13)
-        assert sv.terminated and sv.terms_used == 14 and cmath.isfinite(sv.value)
-        with pytest.raises(FloatRangeError, match="term 14 of the series is not finite"):
+        sv = eval_E(spec, trunc=18)
+        assert sv.terminated and sv.terms_used == 19 and cmath.isfinite(sv.value)
+        with pytest.raises(FloatRangeError, match="term 19 of the series is not finite"):
             eval_E(spec, trunc=20)
 
     def test_additive_terms_used_stops_before_structural_zero(self):
