@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .errors import NonConvergenceError, PoleError
+from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .report import EllipticityReport, _int_from_json
 from .theta import Nome
 from .series import (
@@ -64,7 +64,12 @@ def _load_json(path: str) -> Any:
 
 
 def _write_output(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write obj as strict JSON: a NaN or infinite number is refused, before
+    anything is written, rather than written as a NaN or Infinity token."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatRangeError(f"the output holds a NaN or infinite number ({exc})") from exc
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

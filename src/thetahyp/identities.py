@@ -9,13 +9,15 @@ Each identity is described once, by its parameter class, as data.
 ``draw(rng, *shape, nome, band)`` takes free parameters with moduli in a
 configurable band and solves the balancing / truncation constraints for the
 dependent ones. ``_describe(table)`` gives the series as (terms, points)
-and the closed form as ratios of theta-factorial products. Every series is
-a ``series._Multisum`` read through ``series._LatticeTerms``: the 10E9 and
+and the closed form as a one-point description. Every side is a
+``series._Multisum`` read through ``series._LatticeTerms``: the 10E9 and
 12E11 terms are the rank-1 very-well-poised one, the multivariable sums
-their rank-n blocks and cross parts. One ``sides`` and one ``check`` serve
-every identity: ``_arguments`` lists every theta argument a description
-reads, one ``theta_many`` batch evaluates them, and ``_evaluate`` returns
-each series' terms and the closed form; ``check(sides, tol)`` sums each
+their rank-n blocks and cross parts, and each closed form or prefactor is
+``series._closed``, a rank-1 block of quotients (a)_m / (b)_m read at the
+one point (1,). One ``sides`` and one ``check`` serve every identity:
+``_arguments`` lists every theta argument a description reads, one
+``theta_many`` batch evaluates them, and ``_evaluate`` returns each
+series' terms and the closed form; ``check(sides, tol)`` sums each
 series' nonzero terms and compares the first sum with the closed form
 times each further sum. The one resample loop ``_sample`` describes each
 draw on a fresh table and resamples when any theta argument it lists sits
@@ -29,7 +31,6 @@ again. The 10E9 closed form is the rank-1 multi1 one at t = 1.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import operator
@@ -39,10 +40,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import PoleError
-from .factorials import ONE, FactorTable
+from .factorials import FactorTable
 from .report import JsonFields, VerificationReport
 from .theta import Nome, theta_zero_index
-from .series import VwpSpec, _LatticeTerms, _Multisum, _rank1, _sum_window, _vwp_desc
+from .series import VwpSpec, _closed, _LatticeTerms, _Multisum, _rank1, _sum_window, _vwp_desc
 
 DEFAULT_BAND = (0.4, 0.9)
 CONSTRAINT_RTOL = 1e-12
@@ -87,23 +88,16 @@ def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
     return radius * cmath.exp(1j * angle)
 
 
-def _arguments(table: FactorTable, series: list, ratios: list) -> list[complex]:
+def _arguments(series: list, closed: _LatticeTerms) -> list[complex]:
     """Every theta argument the series' terms and the closed form read past
     the table's prefixes, formed as they form them."""
-    args = [arg for terms, _ in series for arg in terms.arguments()]
-    factorials = [f for ratio in ratios for f in itertools.chain(*ratio)]
-    return args + [arg for b, m in factorials for arg in table.factorial_arguments([b], m)]
+    readers = [terms for terms, _ in series] + [closed]
+    return [arg for terms in readers for arg in terms.arguments()]
 
 
-def _evaluate(table: FactorTable, series: list, ratios: list) -> tuple:
-    """Each series' terms at its points, then the closed form: over the
-    ratios (num, den), the product of num's factorials over den's."""
-    values = [[terms(*lam) for lam in points] for terms, points in series]
-    closed = ONE
-    for num, den in ratios:
-        top, bottom = (functools.reduce(operator.mul, [table.factorial(*f) for f in fs], ONE) for fs in (num, den))
-        closed = closed * (top / bottom)
-    return *values, closed
+def _evaluate(series: list, closed: _LatticeTerms) -> tuple:
+    """Each series' terms at its points, then the closed form at its one point."""
+    return *[[terms(*lam) for lam in points] for terms, points in series], closed(1)
 
 
 def _admissible(params):
@@ -113,12 +107,12 @@ def _admissible(params):
     or when a left-hand series is badly conditioned."""
     table = FactorTable(params.nome)
     try:
-        series, ratios = params._describe(table)
-        args = _arguments(table, series, ratios)
+        series, closed = params._describe(table)
+        args = _arguments(series, closed)
         if any(_near_lattice(w, params.nome.p) for w in dict.fromkeys(args)):
             return None
         table.prefetch(args)
-        sides = _evaluate(table, series, ratios)
+        sides = _evaluate(series, closed)
         if any(_badly_conditioned([c.value for c in terms]) for terms in sides[:-1]):
             return None
         return sides
@@ -146,24 +140,19 @@ def _verify(params, tol: float, **kw) -> VerificationReport:
     return params.check(params.sides(FactorTable(params.nome), **kw), tol)
 
 
-def _at(m: int, bases: list[complex]) -> list[tuple[complex, int]]:
-    """Each base's factorial at depth m, as (base, m)."""
-    return [(b, m) for b in bases]
-
-
 class _Identity(JsonFields):
     """An identity's parameters. Each subclass gives ``_describe(table, **kw)
-    -> (series, ratios)``: its series as a list of (terms, points), terms a
+    -> (series, closed)``: its series as a list of (terms, points), terms a
     _LatticeTerms summed over the index tuples points, and its closed form
-    as a list of ratios (num, den) of factorial products, each a list of
-    (base, depth)."""
+    as the one-point _LatticeTerms of series._closed, a product of
+    quotients (a)_m / (b)_m."""
 
     def sides(self, table: FactorTable, **kw) -> tuple:
         """Each series' terms at its points and the closed form, read from one
         theta_many batch."""
-        series, ratios = self._describe(table, **kw)
-        table.prefetch(_arguments(table, series, ratios))
-        return _evaluate(table, series, ratios)
+        series, closed = self._describe(table, **kw)
+        table.prefetch(_arguments(series, closed))
+        return _evaluate(series, closed)
 
     def check(self, sides, tol: float) -> VerificationReport:
         """Sum each series' nonzero terms and compare the first sum with the
@@ -258,9 +247,9 @@ class FTParams(_VwpSumParams):
 
     _COUNT = 6
 
-    def _describe(self, table: FactorTable) -> tuple[list, list]:
+    def _describe(self, table: FactorTable) -> tuple[list, _LatticeTerms]:
         """The 10E9 sum and its closed form, the rank-1 multi1 one."""
-        return [self._series(self.t, table)], _multi1_ratios(1 + 0j, self.t, 1, self.N, self.nome.q)
+        return [self._series(self.t, table)], _closed(table, _multi1_pairs(1 + 0j, self.t, 1, self.N, self.nome.q))
 
 
 def sample_ft(
@@ -289,14 +278,15 @@ class BaileyParams(_VwpSumParams):
 
     _COUNT = 8
 
-    def _describe(self, table: FactorTable, root_sign: int = 1) -> tuple[list, list]:
+    def _describe(self, table: FactorTable, root_sign: int = 1) -> tuple[list, _LatticeTerms]:
         """The 12E11 sums at t and at the mapped parameters s, and the
         theta-factorial prefactor of the s sum."""
         t, q, N = self.t, self.nome.q, self.N
         s = bailey_map(t, self.nome, root_sign)
         pref_num = [q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])]
         pref_den = [q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])]
-        return [self._series(t, table), self._series(s, table)], [(_at(N, pref_num), _at(N, pref_den))]
+        prefactor = _closed(table, [(a, b, N) for a, b in zip(pref_num, pref_den)])
+        return [self._series(t, table), self._series(s, table)], prefactor
 
 
 def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[complex, ...]:
@@ -395,11 +385,11 @@ class Multi1Params(_Identity):
         t5 = q / (t ** (2 * n - 2) * t0 * t1 * t2 * t3 * t4)
         return cls(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
 
-    def _describe(self, table: FactorTable) -> tuple[list, list]:
+    def _describe(self, table: FactorTable) -> tuple[list, _LatticeTerms]:
         """The sum over ordered tuples in lattice order, and the closed form."""
         lattice = itertools.combinations_with_replacement(range(self.N + 1), self.n)
         terms = _LatticeTerms(_multi1_lattice(self), table, lattice)
-        return [(terms, terms.points)], _multi1_ratios(self.t, self.t6, self.n, self.N, self.nome.q)
+        return [(terms, terms.points)], _closed(table, _multi1_pairs(self.t, self.t6, self.n, self.N, self.nome.q))
 
 
 def sample_multi1(
@@ -436,15 +426,19 @@ def _multi1_lattice(params: Multi1Params) -> _Multisum:
     return _Multisum(cross, blocks, scalar)
 
 
-def _multi1_ratios(t: complex, t6: tuple[complex, ...], n: int, N: int, q: complex) -> list[tuple[list, list]]:
-    """The multi1 closed form: for j = 1..n, the ratio of the j-th displayed
-    factor's factorials at N. At t = 1, n = 1 it is the 10E9 closed form."""
+def _multi1_pairs(t: complex, t6: tuple[complex, ...], n: int, N: int, q: complex) -> list[tuple]:
+    """The multi1 closed form as pairs (a, b, N): for j = 1..n, the j-th
+    displayed factor's four numerator bases zipped with its four denominator
+    bases. At t = 1, n = 1 it is the 10E9 closed form."""
     t0, t1, t2, t3 = t6[:4]
     pairs = list(itertools.combinations((1, 2, 3), 2))
     return [
-        (_at(N, [q * t ** (n + j - 2) * t0 * t0, *(q * t ** (1 - j) / (t6[r] * t6[s]) for r, s in pairs)]),
-         _at(N, [q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), *(q * t ** (j - 1) * t0 / t6[r] for r in (1, 2, 3))]))
+        (a, b, N)
         for j in range(1, n + 1)
+        for a, b in zip(
+            [q * t ** (n + j - 2) * t0 * t0, *(q * t ** (1 - j) / (t6[r] * t6[s]) for r, s in pairs)],
+            [q * t ** (2 - n - j) / (t0 * t1 * t2 * t3), *(q * t ** (j - 1) * t0 / t6[r] for r in (1, 2, 3))],
+        )
     ]
 
 
@@ -505,26 +499,25 @@ class Multi2Params(_Identity):
         c = q / partial
         return cls(n, (t0, *body, *trunc, a, b, c), tuple(Ns), nome)
 
-    def _describe(self, table: FactorTable) -> tuple[list, list]:
+    def _describe(self, table: FactorTable) -> tuple[list, _LatticeTerms]:
         """The sum over the box lattice in lattice order, and the closed form:
         the factorials at |N|, for j < k those at N_j and N_k over the one at
-        N_j + N_k, and for each j the ratio at N_j."""
+        N_j + N_k, and for each j the quotient (q t_j^2)_{N_j} / (q t_j / a)_{N_j}
+        over the other three denominator factorials at N_j."""
         q = self.nome.q
         n, t, Ns = self.n, self.t, self.Ns
         a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
         ntot = sum(Ns)
         lattice = itertools.product(*(range(N + 1) for N in Ns))
         terms = _LatticeTerms(_multi2_lattice(self), table, lattice)
-        ratios = [(_at(ntot, [q / (a * b), q / (a * c), q / (b * c)]), [])]
+        pairs = [(x, None, ntot) for x in (q / (a * b), q / (a * c), q / (b * c))]
         for (j, Nj), (k, Nk) in itertools.combinations(enumerate(Ns, 1), 2):
             x = q * t[j] * t[k]
-            ratios.append(([(x, Nj), (x, Nk)], [(x, Nj + Nk)]))
-        ratios += [
-            (_at(Nj, [q * t[j] * t[j]]),
-             _at(Nj, [q * t[j] / a, q * t[j] / b, q * t[j] / c, q ** (1 + ntot - Nj) / (t[j] * a * b * c)]))
-            for j, Nj in enumerate(Ns, 1)
-        ]
-        return [(terms, terms.points)], ratios
+            pairs += [(x, None, Nj), (x, None, Nk), (None, x, Nj + Nk)]
+        for j, Nj in enumerate(Ns, 1):
+            pairs.append((q * t[j] * t[j], q * t[j] / a, Nj))
+            pairs += [(None, d, Nj) for d in (q * t[j] / b, q * t[j] / c, q ** (1 + ntot - Nj) / (t[j] * a * b * c))]
+        return [(terms, terms.points)], _closed(table, pairs)
 
 
 def sample_multi2(

@@ -30,21 +30,24 @@ def complex_from_json(v: Any, name: str = "value") -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def _int_from_json(v: Any, name: str) -> int:
-    """v when it is a JSON integer; the one test of what counts as one."""
-    if type(v) is not int:
-        raise ValueError(f"{name} must be a JSON integer, got {v!r}")
-    return v
+def _exact(what: str, *kinds: type):
+    """The reader of a JSON `what`, called as read(value, field name): a value
+    whose type is exactly one of kinds, as the first of them. The one test of
+    what counts as each: a boolean is not an integer, nor a number."""
+
+    def read(v: Any, name: str):
+        if type(v) not in kinds:
+            raise ValueError(f"{name} must be a JSON {what}, got {v!r}")
+        return kinds[0](v)
+
+    return read
 
 
-def _str_from_json(v: Any, name: str) -> str:
-    if type(v) is not str:
-        raise ValueError(f"{name} must be a JSON string, got {v!r}")
-    return v
+_int_from_json = _exact("integer", int)
+_str_from_json = _exact("string", str)
 
-
-# Per field annotation: the writer (int, str, float and bool fields are
-# written as they are), and the reader, called as read(value, field name).
+# Per field annotation: the writer (int, str, float, bool and dict fields
+# are written as they are), and the reader, called as read(value, field name).
 _TO_JSON = {
     "complex": complex_to_json,
     "tuple[complex, ...]": lambda v: [complex_to_json(x) for x in v],
@@ -56,13 +59,17 @@ _FROM_JSON = {
     "int": _int_from_json,
     "tuple[int, ...]": lambda v, name: tuple(_int_from_json(x, name) for x in v),
     "str": _str_from_json,
+    "float": _exact("number", float, int),
+    "bool": _exact("boolean", bool),
+    "dict": _exact("object", dict),
 }
 
 
 class JsonFields:
     """JSON form of a dataclass whose fields are its JSON keys: each field is
-    written and read by the codec its annotation names, and a Nome field
-    stands for the "q" and "p" keys."""
+    written and read by the codec its annotation names, under the key its
+    metadata's "json" names or else its own name, and a Nome field stands
+    for the "q" and "p" keys."""
 
     def to_json(self) -> dict:
         out = {}
@@ -71,7 +78,7 @@ class JsonFields:
             if f.type == "Nome":
                 out["q"], out["p"] = complex_to_json(v.q), complex_to_json(v.p)
             else:
-                out[f.name] = _TO_JSON[f.type](v) if f.type in _TO_JSON else v
+                out[f.metadata.get("json", f.name)] = _TO_JSON[f.type](v) if f.type in _TO_JSON else v
         return out
 
     @classmethod
@@ -81,7 +88,8 @@ class JsonFields:
             if f.type == "Nome":
                 kw[f.name] = Nome(complex_from_json(obj["q"], "q"), complex_from_json(obj["p"], "p"))
             else:
-                kw[f.name] = _FROM_JSON[f.type](obj[f.name], f.name)
+                key = f.metadata.get("json", f.name)
+                kw[f.name] = _FROM_JSON[f.type](obj[key], key)
         return cls(**kw)
 
 
@@ -96,14 +104,14 @@ def rel_err(lhs: complex, rhs: complex) -> float:
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(JsonFields):
     """Both-sides comparison of an identity at one parameter point."""
 
     lhs: complex
     rhs: complex
     abs_err: float
     rel_err: float
-    passed: bool
+    passed: bool = field(metadata={"json": "pass"})
     params_echo: dict = field(default_factory=dict)
     terms_summed: int = 0
 
@@ -130,31 +138,12 @@ class VerificationReport:
             terms_summed=terms_summed,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": complex_to_json(self.lhs),
-            "rhs": complex_to_json(self.rhs),
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "pass": self.passed,
-            "params_echo": self.params_echo,
-            "terms_summed": self.terms_summed,
-        }
-
 
 @dataclass
-class EllipticityReport:
+class EllipticityReport(JsonFields):
     """Outcome of one invariance check of a term ratio under a shift."""
 
     shift_kind: str
     max_rel_dev: float
     sample_count: int
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "shift_kind": self.shift_kind,
-            "max_rel_dev": self.max_rel_dev,
-            "sample_count": self.sample_count,
-            "pass": self.passed,
-        }
+    passed: bool = field(metadata={"json": "pass"})

@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import random
 
 import pytest
 
@@ -16,7 +18,9 @@ from thetahyp import (
     verify_multi1,
     verify_multi2,
 )
+from thetahyp import cli
 from thetahyp.cli import build_parser, main
+from thetahyp.report import EllipticityReport
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -473,3 +477,83 @@ class TestGESplitVerify:
         inp.write_text(json.dumps({**self.DEEP_SPEC.to_json(), "window": [-22, 22]}))
         assert run(["eval", str(inp)]) == 2
         assert json.loads(capsys.readouterr().out)["error"].startswith("FloatRangeError: term -22 of the series")
+
+
+def strict(text):
+    """text parsed as strict JSON: a NaN or Infinity token raises."""
+
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _point(rng, lo, hi):
+    """A complex number with modulus in [lo, hi] and a uniform angle."""
+    return cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+
+def _pairs(rng, count, lo=0.3, hi=1.2):
+    return [[z.real, z.imag] for z in (_point(rng, lo, hi) for _ in range(count))]
+
+
+def _fuzz_argv(rng, path):
+    """One seeded CLI run: a subcommand and target with drawn nome, band,
+    depths, windows and specs. Flag values are passed as --flag=value, since
+    argparse reads a leading "-" in a separate value as a flag."""
+    q, p = _point(rng, 0.2, 0.7), _point(rng, 0.05, 0.8)
+    nome = {"q": [q.real, q.imag], "p": [p.real, p.imag]}
+    command = rng.choice(["sample", "verify", "ge_split", "eval", "ellipticity"])
+    if command in ("sample", "verify"):
+        lo = rng.uniform(0.05, 0.9)
+        return [command, rng.choice(list(cli._TARGETS)), f"--nome={q.real},{q.imag},{p.real},{p.imag}",
+                f"--band={lo},{rng.uniform(lo, 0.99)}", f"--n={rng.randint(1, 3)}", f"--N={rng.randint(0, 7)}",
+                f"--draws={rng.randint(1, 2)}", f"--seed={rng.randrange(1000)}"]
+    if command == "ge_split":
+        spec = {"kind": "vwp_bilateral", "t0": _pairs(rng, 1)[0], "ts": _pairs(rng, rng.randint(0, 5)),
+                "z": _pairs(rng, 1, 0.05, 2)[0], **nome}
+        path.write_text(json.dumps({"specs": [{"spec": spec, "windows": [rng.randint(0, 30), rng.randint(0, 30)]}]}))
+        return ["verify", "ge_split", str(path)]
+    kind = rng.choice(["unilateral_E", "bilateral_G", "vwp_unilateral", "vwp_bilateral"])
+    if kind.startswith("vwp"):
+        spec = {"kind": kind, "t0": _pairs(rng, 1)[0], "ts": _pairs(rng, rng.randint(0, 5))}
+    else:
+        count = rng.randint(1, 4)
+        spec = {"kind": kind, "numerator": _pairs(rng, count), "alpha": rng.randint(0, 2),
+                "denominator": _pairs(rng, count - (kind == "unilateral_E"))}
+    spec.update(nome, z=_pairs(rng, 1, 0.05, 2)[0])
+    if command == "ellipticity" and not kind.startswith("vwp"):
+        path.write_text(json.dumps({"specs": [spec]}))
+        return ["ellipticity", str(path), f"--draws={rng.randint(1, 5)}", f"--seed={rng.randrange(1000)}"]
+    if kind.startswith("bilateral") or kind == "vwp_bilateral":
+        spec["window"] = [-rng.randint(0, 30), rng.randint(0, 30)]
+    else:
+        spec["trunc"] = rng.randint(0, 60)
+    path.write_text(json.dumps(spec))
+    return ["eval", str(path)]
+
+
+class TestStrictJson:
+    def test_non_finite_report_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the report is refused before anything is written, where the CLI
+        # wrote an Infinity token and exited 1
+        report = EllipticityReport("index_p_shift", math.inf, 5, False)
+        monkeypatch.setattr(cli, "check_ellipticity", lambda *args, **kw: report)
+        inp = tmp_path / "specs.json"
+        inp.write_text(json.dumps(CI_BALANCED.to_json()))
+        assert run(["ellipticity", str(inp)]) == 2
+        error = strict(capsys.readouterr().out)["error"]
+        assert error.startswith("FloatRangeError: the output holds a NaN or infinite number")
+
+    def test_fuzzed_runs_write_strict_json(self, tmp_path, capsys):
+        # each run exits 0 or 1 with a strict JSON result, or 2 with a strict
+        # JSON diagnostic; an exception escaping main fails the test
+        rng = random.Random(1)
+        codes = []
+        for i in range(200):
+            argv = _fuzz_argv(rng, tmp_path / f"input{i}.json")
+            code = run(argv)
+            out = strict(capsys.readouterr().out)
+            assert code in (0, 1, 2) and ("error" in out) == (code == 2), (argv, out)
+            codes.append(code)
+        assert set(codes) == {0, 1, 2}

@@ -71,14 +71,14 @@ REPORTS = {
 
 # (lhs, rhs, rel_err) reprs and terms_summed
 PINNED = {
-    "ft_4": ("(4.978888004470493-5.235353828880811j)", "(4.978888004470524-5.235353828880823j)", "4.589904076195102e-15", 5),
-    "ft_6": ("(1.6669341388561194-0.34989112735566885j)", "(1.6669341388561252-0.3498911273556741j)", "4.590723863695183e-15", 7),
-    "bailey_5": ("(-411.5889456307209+7026.598761090812j)", "(-411.5889456307423+7026.598761090679j)", "1.9235716165337897e-14", 6),
-    "multi1_2_4": ("(0.024130549908427956-0.016154351441603782j)", "(0.024130549908432608-0.016154351441604264j)", "1.6107656937678265e-13", 15),
-    "multi1_3_3": ("(0.34113353077086706-0.46233076426601244j)", "(0.34113353077086134-0.46233076426601183j)", "1.0007900498551736e-14", 20),
-    "multi2_3_3": ("(0.8486027420737524+0.2469074589486193j)", "(0.8486027420737494+0.24690745894862876j)", "1.123340416926176e-14", 64),
-    "multi2_4_2": ("(181.06622478976+234.5824086537264j)", "(181.0662247897614+234.5824086537272j)", "5.4610368448283035e-15", 81),
-    "ge_split_4": ("(-17254855625.885017-259597370631.37378j)", "(-17254855625.884285-259597370631.37378j)", "2.81516452979885e-15", 0),
+    "ft_4": ("(4.978888004470493-5.235353828880811j)", "(4.9788880044705275-5.2353538288808235j)", "5.093981578361061e-15", 5),
+    "ft_6": ("(1.6669341388561194-0.34989112735566885j)", "(1.6669341388561243-0.3498911273556742j)", "4.244361004353355e-15", 7),
+    "bailey_5": ("(-411.5889456307209+7026.598761090812j)", "(-411.58894563074136+7026.59876109068j)", "1.90880250853646e-14", 6),
+    "multi1_2_4": ("(0.024130549908427956-0.016154351441603782j)", "(0.02413054990843259-0.016154351441604268j)", "1.6049478942176053e-13", 15),
+    "multi1_3_3": ("(0.34113353077086706-0.46233076426601244j)", "(0.34113353077086084-0.4623307642660113j)", "1.1009411249667631e-14", 20),
+    "multi2_3_3": ("(0.8486027420737524+0.2469074589486193j)", "(0.8486027420737488+0.24690745894862848j)", "1.1191181444377952e-14", 64),
+    "multi2_4_2": ("(181.06622478976+234.5824086537264j)", "(181.06622478976155+234.58240865372747j)", "6.333034385357801e-15", 81),
+    "ge_split_4": ("(-17254855625.885017-259597370631.37378j)", "(-17254855625.884304-259597370631.3738j)", "2.744360865831721e-15", 0),
 }
 
 

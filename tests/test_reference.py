@@ -158,6 +158,14 @@ CASES = {
         lambda p: list(itertools.product(*(range(N + 1) for N in p.Ns))),
         multi2_h,
     ),
+    # mixed depths: the closed form's cross factorials at N_j, N_k and
+    # N_j + N_k all differ
+    "multi2_1_2_3": (
+        lambda: sample_multi2(18, 3, (1, 2, 3), NOME),
+        multi2_coefficient,
+        lambda p: list(itertools.product(*(range(N + 1) for N in p.Ns))),
+        multi2_h,
+    ),
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from thetahyp import (
+    EllipticityReport,
     FloatRangeError,
     ModularPair,
     NonConvergenceError,
@@ -69,6 +70,21 @@ class TestSpecs:
     def test_non_string_kind_is_refused(self, spec):
         with pytest.raises(ValueError, match="^kind must be a JSON string, got 5$"):
             type(spec).from_json({**spec.to_json(), "kind": 5})
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            VerificationReport.compare(1 + 2j, 1 + 2.001j, 1e-2, {"q": [0.3, 0.08]}, terms_summed=7),
+            EllipticityReport("index_p_shift", 3e-12, 5, True),
+        ],
+    )
+    def test_report_json_round_trip(self, report):
+        # passed is written and read under the key "pass"
+        obj = report.to_json()
+        assert obj["pass"] is True and "passed" not in obj
+        assert type(report).from_json(obj) == report
+        with pytest.raises(ValueError, match="^pass must be a JSON boolean, got 1$"):
+            type(report).from_json({**obj, "pass": 1})
 
     @pytest.mark.parametrize("value", [True, [True, 0.0], [0.5, "1"]])
     def test_complex_from_json_refuses_non_numbers(self, value):
