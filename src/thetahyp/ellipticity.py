@@ -311,8 +311,9 @@ def _check_multi(
     sets share the nome of params, and so the columns of h_l. The first
     `samples` points of each shift, which the shift loop takes first, give
     one _h_rows batch: the shifted row and the reference row at each point.
-    A point the loop takes past them, or under another shift after a
-    redraw, is evaluated alone, by the same function."""
+    h looks each row up in the batch by its (set, point) key, and a row
+    the batch lacks, a point the loop takes past them or under another
+    shift after a redraw, is evaluated alone, by the same function."""
     _check_samples(samples)
     p, n = params.nome.p, params.n
     l_mid = max(1, (n + 1) // 2)
@@ -329,14 +330,14 @@ def _check_multi(
     first = list(itertools.islice(stream, len(kinds) * samples))
     rows = [row(j // samples, xs) for j, xs in enumerate(first)] + [row(None, xs) for xs in first]
     batch = _h_rows(hs, [s for s, _ in rows], [xs for _, xs in rows], p)
+    batched = dict(zip(rows, itertools.count()))
 
-    def h(s: int | None, point: tuple[int, tuple[complex, ...]]) -> complex:
-        j, xs = point
-        if j < len(first) and s in (None, j // samples):
-            return _h_value(batch, j if s is not None else len(first) + j, p)
-        return _h_at(hs, *row(s, xs), p)
+    def h(s: int | None, xs: tuple[complex, ...]) -> complex:
+        key = row(s, xs)
+        r = batched.get(key)
+        return _h_at(hs, *key, p) if r is None else _h_value(batch, r, p)
 
-    points = itertools.chain(enumerate(first), zip(itertools.count(len(first)), stream))
+    points = itertools.chain(first, stream)
     shifts = [(kind, functools.partial(h, s)) for s, kind in enumerate(kinds)]
     return _shift_reports(points, functools.partial(h, None), shifts, samples, tol, f"@h{l_mid}")
 

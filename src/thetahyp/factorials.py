@@ -15,9 +15,9 @@ keep finite part 1 and count an order), so dividing by one, or inverting
 one, raises ``FloatRangeError`` rather than ``ZeroDivisionError``.
 
 Factors landing exactly on a lattice zero are not multiplied into the
-scalar value; they are counted in ``zero_order`` / ``pole_order`` so that
-ratios of factorials can resolve 0/inf structurally instead of dividing
-by numerically tiny values.
+scalar value; each adds one to the value's net ``order`` (a quotient
+subtracts its divisor's) so that ratios of factorials can resolve 0/inf
+structurally instead of dividing by numerically tiny values.
 """
 
 from __future__ import annotations
@@ -36,54 +36,43 @@ _UNDERFLOWED = "a factorial value underflowed to 0 in float64, so its inverse ov
 
 @dataclass(slots=True, unsafe_hash=True, init=False)
 class FactorialValue:
-    """A factorial value split into a finite part and exact zero/pole orders.
+    """A factorial value split into a finite part and an exact net order.
 
-    The represented quantity is ``finite_part * 0**(zero_order - pole_order)``
-    read structurally: net zero order > 0 means an exact zero, net order < 0
-    an exact pole, net order 0 the plain scalar ``finite_part``. Treated as
-    immutable but not frozen, since a frozen one builds about 4x slower;
-    the dataclass gives it equality, hash and repr over its three fields.
+    The represented quantity is ``finite_part * 0**order`` read
+    structurally: order > 0 means an exact zero, order < 0 an exact pole,
+    order 0 the plain scalar ``finite_part``. Treated as immutable but not
+    frozen, since a frozen one builds about 4x slower; the dataclass gives
+    it equality, hash and repr over its two fields.
     """
 
     finite_part: complex
-    zero_order: int
-    pole_order: int
+    order: int
 
-    def __init__(self, finite_part: complex, zero_order: int = 0, pole_order: int = 0) -> None:
+    def __init__(self, finite_part: complex, order: int = 0) -> None:
         self.finite_part = finite_part
-        self.zero_order = zero_order
-        self.pole_order = pole_order
-
-    @property
-    def net_order(self) -> int:
-        return self.zero_order - self.pole_order
+        self.order = order
 
     @property
     def is_zero(self) -> bool:
-        return self.net_order > 0
+        return self.order > 0
 
     @property
     def is_pole(self) -> bool:
-        return self.net_order < 0
+        return self.order < 0
 
     @property
     def value(self) -> complex:
         """The plain scalar; raises PoleError on a net pole."""
-        net = self.zero_order - self.pole_order
-        if net < 0:
-            raise PoleError(f"factorial value is infinite (pole order {-net})")
-        if net > 0:
+        if self.order < 0:
+            raise PoleError(f"factorial value is infinite (pole order {-self.order})")
+        if self.order > 0:
             return 0j
         return self.finite_part
 
     def __mul__(self, other: "FactorialValue | complex") -> "FactorialValue":
         if isinstance(other, FactorialValue):
-            return FactorialValue(
-                self.finite_part * other.finite_part,
-                self.zero_order + other.zero_order,
-                self.pole_order + other.pole_order,
-            )
-        return FactorialValue(self.finite_part * other, self.zero_order, self.pole_order)
+            return FactorialValue(self.finite_part * other.finite_part, self.order + other.order)
+        return FactorialValue(self.finite_part * other, self.order)
 
     __rmul__ = __mul__
 
@@ -91,32 +80,23 @@ class FactorialValue:
         if isinstance(other, FactorialValue):
             if other.finite_part == 0:
                 raise FloatRangeError(_UNDERFLOWED)
-            return FactorialValue(
-                self.finite_part / other.finite_part,
-                self.zero_order + other.pole_order,
-                self.pole_order + other.zero_order,
-            )
-        return FactorialValue(self.finite_part / other, self.zero_order, self.pole_order)
+            return FactorialValue(self.finite_part / other.finite_part, self.order - other.order)
+        return FactorialValue(self.finite_part / other, self.order)
 
     def inverse(self) -> "FactorialValue":
         if self.finite_part == 0:
             raise FloatRangeError(_UNDERFLOWED)
-        return FactorialValue(1.0 / self.finite_part, self.pole_order, self.zero_order)
+        return FactorialValue(1.0 / self.finite_part, -self.order)
 
 
 ONE = FactorialValue(1.0 + 0j)
-
-
-def _plain(value: complex) -> complex:
-    """A theta value as FactorialValue.value reads it back: 0j on a zero."""
-    return value if value != 0 else 0j
 
 
 def _factor_value(value: complex) -> FactorialValue:
     """A theta value as a factor: theta returns its exact 0j on a detected
     lattice zero, so the zero flag is read from the value."""
     if value == 0:
-        return FactorialValue(1.0 + 0j, zero_order=1)
+        return FactorialValue(1.0 + 0j, 1)
     return FactorialValue(value)
 
 
@@ -143,53 +123,44 @@ class FactorTable:
     """Theta factors and factorial prefixes of one nome, each evaluated once.
 
     A sum builds one table, reads every coefficient through it and drops it
-    when it returns; ``theta_factorial`` is a table used once. ``value``
-    memoises the plain theta value by its exact argument, 0j on a zero, and
-    ``prefetch`` fills that memo with the bit-identical values of one
-    ``theta_many`` batch. ``factor`` memoises ``theta_factor``, built from
-    ``value``. ``factorial`` keeps two prefix lists for each base t: the
-    upward ``[1, f0, f0 f1, ...]`` with ``f_m = theta_factor(t q^m)``, each
-    argument the previous one times q, for n >= 0, and the downward
-    ``[1, f(t/q), f(t/q) f(t/q^2), ...]``, its argument m formed as
-    ``t * q**-m``, whose entry n inverted is the factorial at -n. So a
-    window [-M, M'] costs M + M' factors per base, and a value read from a
-    grown prefix is bit-identical to one computed afresh.
+    when it returns; ``theta_factorial`` is a table used once. ``factor``
+    memoises ``theta_factor`` by its exact argument, and ``prefetch`` fills
+    that memo with the bit-identical values of one ``theta_many`` batch.
+    ``factorial`` keeps two prefix lists for each base t: the upward ``[1,
+    f0, f0 f1, ...]`` with ``f_m = theta_factor(t q^m)``, each argument the
+    previous one times q, for n >= 0, and the downward ``[1, f(t/q),
+    f(t/q) f(t/q^2), ...]``, its argument m formed as ``t * q**-m``, whose
+    entry n inverted is the factorial at -n. So a window [-M, M'] costs M +
+    M' factors per base, and a value read from a grown prefix is
+    bit-identical to one computed afresh.
     """
 
     def __init__(self, nome: Nome) -> None:
         self.nome = nome
-        self._values: dict[complex, complex] = {}
         self._factors: dict[complex, FactorialValue] = {}
         self._prefixes: dict[complex, tuple[list[FactorialValue], complex]] = {}
         self._downward: dict[complex, list[FactorialValue]] = {}
-
-    def value(self, arg: complex) -> complex:
-        """theta_factor(arg, p).value: theta(arg, p), or 0j on a zero."""
-        value = self._values.get(arg)
-        if value is None:
-            value = self._values[arg] = _plain(theta(arg, self.nome.p))
-        return value
 
     def factor(self, arg: complex) -> FactorialValue:
         """theta_factor(arg, p)."""
         factor = self._factors.get(arg)
         if factor is None:
-            factor = self._factors[arg] = _factor_value(self.value(arg))
+            factor = self._factors[arg] = _factor_value(theta(arg, self.nome.p))
         return factor
 
     def prefetch(self, args: Iterable[complex]) -> None:
         """Evaluate every argument not yet in the table in one theta_many
-        batch. An argument theta raises on is left out, so value and factor
-        raise on it as theta_factor does."""
-        missing = [arg for arg in dict.fromkeys(args) if arg not in self._values]
+        batch. An argument theta raises on is left out, so factor raises on
+        it as theta_factor does."""
+        missing = [arg for arg in dict.fromkeys(args) if arg not in self._factors]
         for arg, value in zip(missing, theta_many(missing, self.nome.p)):
             if value is not None:
-                self._values[arg] = _plain(value)
+                self._factors[arg] = _factor_value(value)
 
     @property
     def arguments(self) -> KeysView[complex]:
         """Every argument theta has been evaluated at, in first-use order."""
-        return self._values.keys()
+        return self._factors.keys()
 
     def factorial_arguments(self, ts: Iterable[complex], n: int) -> list[complex]:
         """For each base t in ts, the arguments factorial(t, n) evaluates past
@@ -226,7 +197,7 @@ class FactorTable:
 def elliptic_factor(u: complex, pair: ModularPair) -> FactorialValue:
     """A single elliptic number [u] with its exact-zero flag."""
     if elliptic_number_zero_index(u, pair) is not None:
-        return FactorialValue(1.0 + 0j, zero_order=1)
+        return FactorialValue(1.0 + 0j, 1)
     return FactorialValue(elliptic_number(u, pair))
 
 

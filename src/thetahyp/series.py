@@ -216,15 +216,12 @@ def _last_index(trunc: TruncationDecl | int | None) -> int | None:
 def _sum_unilateral(coeff_fn, last: int | None) -> SeriesValue:
     """Sum coeff_fn(n) for n >= 0. An explicit last index sums exactly the
     terms 0..last and raises FloatRangeError at the first non-finite term;
-    None caps at MAX_TERMS with a last-term tail heuristic and raises
-    NonConvergenceError there."""
+    None stops after two successive terms below SERIES_TOL relative to the
+    total, the last one's size the tail estimate, and raises
+    NonConvergenceError at a non-finite term or after MAX_TERMS terms."""
     total = 0j
     small_streak = 0
-    n = 0
-    cap = MAX_TERMS if last is None else last + 1
-    terminated = last is not None
-    tail = 0.0
-    while n < cap:
+    for n in range(MAX_TERMS if last is None else last + 1):
         c = _term(coeff_fn, n)
         if c.is_zero:
             # a numerator lattice zero persists in every later coefficient;
@@ -235,17 +232,17 @@ def _sum_unilateral(coeff_fn, last: int | None) -> SeriesValue:
             error = NonConvergenceError if last is None else FloatRangeError
             raise error(f"term {n} of the series is not finite: {val}")
         total += val
-        if last is None:
-            if abs(val) < SERIES_TOL * max(1.0, abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    tail = abs(val)
-                    break
-            else:
-                small_streak = 0
-                tail = abs(val)
-        n += 1
-    return SeriesValue(total, min(n + 1, cap), terminated, 0.0 if terminated else tail)
+        if last is not None:
+            continue
+        if abs(val) >= SERIES_TOL * max(1.0, abs(total)):
+            small_streak = 0
+            continue
+        small_streak += 1
+        if small_streak == 2:
+            return SeriesValue(total, n + 1, False, abs(val))
+    if last is None:
+        raise NonConvergenceError(f"the series did not converge in {MAX_TERMS} terms")
+    return SeriesValue(total, last + 1, True, 0.0)
 
 
 def _sum_window(coeff_fn, window: tuple[int, int]) -> SeriesValue:
@@ -480,9 +477,14 @@ def eval_vwp(
     window: tuple[int, int] | None = None,
 ) -> SeriesValue:
     """Evaluate the simplified very-well-poised series (multiplicative form):
-    a unilateral spec from n = 0 to trunc, a bilateral one over window."""
+    a unilateral spec from n = 0 to trunc, a bilateral one over window. The
+    extent the other kind takes is refused, not ignored."""
     if spec.kind == "unilateral":
+        if window is not None:
+            raise ValueError("a unilateral vwp spec is summed to its trunc and takes no window")
         return _eval(_vwp_desc(spec), spec.nome, trunc=trunc)
+    if trunc is not None:
+        raise ValueError("a bilateral vwp spec is summed over its window and takes no trunc")
     if window is None:
         raise ValueError("bilateral vwp evaluation needs a finite window")
     return _eval(_vwp_desc(spec), spec.nome, window=window)
@@ -664,7 +666,7 @@ def ge_split_check(
 
 def _qp_factor(a: complex) -> FactorialValue:
     if abs(a - 1.0) <= LATTICE_RTOL:
-        return FactorialValue(1.0 + 0j, zero_order=1)
+        return FactorialValue(1.0 + 0j, 1)
     return FactorialValue(1.0 - a)
 
 

@@ -227,6 +227,15 @@ class TestErrorPaths:
         assert run(["eval", str(inp)]) == 2
         assert "NonConvergenceError: term 19 " in json.loads(capsys.readouterr().out)["error"]
 
+    def test_divergent_sum_exits_2(self, tmp_path, capsys):
+        # every term of this E sum is 1: it printed value 512 and exited 0
+        obj = {"kind": "unilateral_E", "numerator": [[0.99, 0]], "denominator": [], "alpha": [0, 0],
+               "z": [1, 0], "q": [0.99, 0], "p": [1e-6, 0]}
+        inp = tmp_path / "spec.json"
+        inp.write_text(json.dumps(obj))
+        assert run(["eval", str(inp)]) == 2
+        assert "did not converge in 512 terms" in json.loads(capsys.readouterr().out)["error"]
+
     @pytest.mark.parametrize(
         "command, flag",
         [("eval", ["--N", "3"]), ("eval", ["--draws", "3"]), ("ellipticity", ["--N", "3"]),

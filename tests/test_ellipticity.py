@@ -305,7 +305,7 @@ H_CONSISTENCY = {
 
 
 def _finite_nonzero(c):
-    return c.zero_order == c.pole_order == 0 and cmath.isfinite(c.finite_part) and c.finite_part != 0
+    return c.order == 0 and cmath.isfinite(c.finite_part) and c.finite_part != 0
 
 
 @pytest.mark.parametrize("case", sorted(H_CONSISTENCY))

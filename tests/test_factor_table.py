@@ -127,13 +127,9 @@ def test_factorial_matches_loop_product(t, on_lattice):
     for n in [8, *range(-3, 9)]:
         want = _loop_factorial(t, NOME, n)
         for got in (table.factorial(t, n), theta_factorial(t, NOME, n)):
-            assert (got.finite_part, got.zero_order, got.pole_order) == (
-                want.finite_part,
-                want.zero_order,
-                want.pole_order,
-            ), n
+            assert (got.finite_part, got.order) == (want.finite_part, want.order), n
     # the lattice cases put a factor of the range on a zero of theta
-    assert any(table.factorial(t, n).zero_order for n in range(9)) == on_lattice
+    assert any(table.factorial(t, n).order for n in range(9)) == on_lattice
 
 
 def test_negative_factorials_read_one_downward_prefix(monkeypatch):
@@ -159,7 +155,7 @@ def test_ge_split_passes_at_depth(M):
 def _hex(v) -> tuple:
     """A FactorialValue's fields, or a complex number, bit for bit."""
     if isinstance(v, FactorialValue):
-        return (*_hex(v.finite_part), v.zero_order, v.pole_order)
+        return (*_hex(v.finite_part), v.order)
     return complex(v).real.hex(), complex(v).imag.hex()
 
 
@@ -310,16 +306,16 @@ def test_window_without_parameters_is_the_sum_of_its_coefficients():
 
 
 def test_factorial_value_keeps_the_dataclass_semantics(monkeypatch):
-    a, b = FactorialValue(2.5 - 1j, 1, 2), FactorialValue(2.5 - 1j, zero_order=1, pole_order=2)
+    a, b = FactorialValue(2.5 - 1j, -1), FactorialValue(2.5 - 1j, order=-1)
     assert a == b and hash(a) == hash(b) and a is not b
-    assert a != FactorialValue(2.5 - 1j, 1, 1)
-    assert FactorialValue(1 + 0j) != (1 + 0j, 0, 0)
+    assert a != FactorialValue(2.5 - 1j, 0)
+    assert FactorialValue(1 + 0j) != (1 + 0j, 0)
     assert len({a, b, ONE}) == 2
     zero = theta_factor(NOME.p, NOME.p)
-    assert repr(ONE) == "FactorialValue(finite_part=(1+0j), zero_order=0, pole_order=0)"
-    assert repr(zero) == "FactorialValue(finite_part=(1+0j), zero_order=1, pole_order=0)"
-    assert repr(zero.inverse()) == "FactorialValue(finite_part=(1+0j), zero_order=0, pole_order=1)"
-    assert repr(a) == "FactorialValue(finite_part=(2.5-1j), zero_order=1, pole_order=2)"
+    assert repr(ONE) == "FactorialValue(finite_part=(1+0j), order=0)"
+    assert repr(zero) == "FactorialValue(finite_part=(1+0j), order=1)"
+    assert repr(zero.inverse()) == "FactorialValue(finite_part=(1+0j), order=-1)"
+    assert repr(a) == "FactorialValue(finite_part=(2.5-1j), order=-1)"
     assert not hasattr(ONE, "__dict__")
     # every value is built through __init__, which the budget tests count
     built = _count_calls(
@@ -569,7 +565,7 @@ def test_value_is_the_factor_value(arg, outcome, prefetch):
     table = FactorTable(NOME)
     if prefetch:
         table.prefetch([arg])
-    got = _hex_or_error(lambda: table.value(arg))
+    got = _hex_or_error(lambda: table.factor(arg).value)
     assert got == _hex_or_error(lambda: FactorTable(NOME).factor(arg).value)
     assert got == _hex_or_error(lambda: theta_factor(arg, NOME.p).value)
     if outcome == "zero":

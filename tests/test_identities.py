@@ -274,11 +274,7 @@ def test_cached_blocks_match_per_point_coefficient(sample, desc, lattice):
     assert len(terms) == len(lattice)
     for lam, got in zip(lattice, terms):
         want = _LatticeTerms(desc(params), FactorTable(params.nome))(*lam)
-        assert (got.finite_part, got.zero_order, got.pole_order) == (
-            want.finite_part,
-            want.zero_order,
-            want.pole_order,
-        ), lam
+        assert (got.finite_part, got.order) == (want.finite_part, want.order), lam
 
 
 @pytest.mark.parametrize(

@@ -229,6 +229,28 @@ class TestEvaluators:
         with pytest.raises(FloatRangeError, match="term 19 of the series is not finite"):
             eval_E(spec, trunc=20)
 
+    @pytest.mark.parametrize("z", [1, -1])
+    def test_untruncated_sum_that_never_converges_raises(self, z):
+        # the numerator q cancels the implicit denominator (q; p; q)_n, so
+        # c_n = z^n never shrinks; the sum returned its 512 terms unflagged
+        nome = Nome(0.99 + 0j, 1e-6 + 0j)
+        spec = ThetaSeriesSpec("unilateral_E", (nome.q,), (), 0, z, nome)
+        with pytest.raises(NonConvergenceError, match="did not converge in 512 terms"):
+            eval_E(spec)
+        with pytest.raises(NonConvergenceError, match="did not converge in 512 terms"):
+            eval_basic("phi", [nome.q], [], nome.q, 0, z)
+        # an explicit truncation sums the terms it names
+        assert eval_E(spec, trunc=511).terms_used == 512
+
+    def test_vwp_refuses_the_extent_of_the_other_kind(self):
+        # a unilateral spec given a window was summed as if untruncated, and
+        # a bilateral one given a trunc dropped it
+        ts = (0.4 + 0.1j,)
+        with pytest.raises(ValueError, match="takes no window"):
+            eval_vwp(VwpSpec(0.5 + 0.2j, ts, 0.3 + 0j, NOME, "unilateral"), window=(0, 5))
+        with pytest.raises(ValueError, match="takes no trunc"):
+            eval_vwp(VwpSpec(0.5 + 0.2j, ts, 0.3 + 0j, NOME, "bilateral"), trunc=5, window=(-2, 2))
+
     def test_additive_terms_used_stops_before_structural_zero(self):
         # u0 + u1 = -2: [u0 + u1 + 2] is a zero factor of term 3, so terms 0..2 are summed
         u0 = 0.21 - 0.13j
