@@ -285,11 +285,10 @@ def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     return _h_at([_lattice_h(_multi2_lattice(params), l, params.nome.q)], 0, lam_mult, params.nome.p)
 
 
-def _rand_mult_args(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
-    return tuple(
-        0.8 * cmath.exp(2j * math.pi * complex(rng.uniform(0, 1), rng.uniform(-0.05, 0.05)))
-        for _ in range(n)
-    )
+def _rand_mult_args(draws: list[float], n: int) -> tuple[complex, ...]:
+    """The point 0.8 e^{2 pi i (u_j + v_j i)}, j < n, of the 2n uniform
+    draws u_0, v_0, u_1, ... with u_j in [0, 1) and v_j in [-0.05, 0.05)."""
+    return tuple(0.8 * cmath.exp(2j * math.pi * complex(draws[2 * j], draws[2 * j + 1])) for j in range(n))
 
 
 def _unchecked_replace(params, **changes):
@@ -326,8 +325,11 @@ def _check_multi(
             return 0, xs
         return (0, (*xs[:s], xs[s] * p, *xs[s + 1 :])) if s < n else (s - n + 1, xs)
 
-    stream = _draws(functools.partial(_rand_mult_args, n=n), seed)
-    first = list(itertools.islice(stream, len(kinds) * samples))
+    # one rng.uniform call draws the first points and one each redraw: the
+    # stream of 2n scalar draws a point, in the same order
+    rng, low, high = np.random.default_rng(seed), np.tile([0, -0.05], n), np.tile([1, 0.05], n)
+    first = [_rand_mult_args(draws, n) for draws in rng.uniform(low, high, (len(kinds) * samples, 2 * n)).tolist()]
+    stream = iter(lambda: _rand_mult_args(rng.uniform(low, high).tolist(), n), None)
     rows = [row(j // samples, xs) for j, xs in enumerate(first)] + [row(None, xs) for xs in first]
     batch = _h_rows(hs, [s for s, _ in rows], [xs for _, xs in rows], p)
     batched = dict(zip(rows, itertools.count()))

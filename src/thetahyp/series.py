@@ -207,10 +207,12 @@ def _term(coeff_fn, n: int) -> FactorialValue:
 
 def _last_index(trunc: TruncationDecl | int | None) -> int | None:
     """The last index a unilateral sum truncated at trunc sums (a
-    TruncationDecl, or any integer, numpy's included), None if unbounded."""
-    if isinstance(trunc, TruncationDecl):
-        return trunc.N
-    return None if trunc is None else operator.index(trunc)
+    TruncationDecl, or any integer, numpy's included), None if unbounded;
+    -1 sums no term, and a smaller one raises ValueError."""
+    last = trunc.N if isinstance(trunc, TruncationDecl) else None if trunc is None else operator.index(trunc)
+    if last is not None and last < -1:
+        raise ValueError(f"a truncation needs a last index >= -1, got {last}")
+    return last
 
 
 def _sum_unilateral(coeff_fn, last: int | None) -> SeriesValue:
@@ -516,7 +518,7 @@ def eval_vwp_additive(
         den = elliptic_factorial_multi([u0 + 1 - u0] + [u0 + 1 - u for u in us], pair, n)
         return head * (num / den) * (z**n * expo_step**n)
 
-    return _sum_unilateral(coeff, trunc)
+    return _sum_unilateral(coeff, _last_index(trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +718,7 @@ def eval_basic(
             den = _qp_multi([q] + list(denominator), q, n)
             return (num / den) * (q ** (alpha * n * (n - 1) / 2.0) * z**n)
 
-        return _sum_unilateral(coeff, trunc)
+        return _sum_unilateral(coeff, _last_index(trunc))
     if kind == "psi":
         if window is None:
             raise ValueError("psi evaluation needs a finite window")
@@ -729,5 +731,5 @@ def eval_basic(
             den = _qp_multi([q * t0 / t for t in ms], q, n)
             return head * (num / den) * (q * z) ** n
 
-        return _sum_unilateral(coeff, trunc)
+        return _sum_unilateral(coeff, _last_index(trunc))
     raise ValueError(f"unknown basic series kind {kind!r}")

@@ -140,6 +140,14 @@ class _Reduction:
             re, im, den = re * a - im * b, re * b + im * a, den * d
         self.head = tuple(self.powers[: self.count])
 
+    @functools.cached_property
+    def parts(self):
+        """powers as float64 arrays of real and imaginary parts, formed by
+        the first batch on this nome, as the scalar path reads none."""
+        import numpy as np
+
+        return np.array([[w.real for w in self.powers], [w.imag for w in self.powers]])
+
     def reduce(self, z: complex, p: complex) -> tuple[int, complex, int]:
         """(m, y, k) for z; p as given, as the cache key ignores signed zeros."""
         m = round(-math.log(abs(z)) / self.log_p)
@@ -212,6 +220,8 @@ def theta(z: complex, p: complex) -> complex:
 # 1.0 - a has imaginary part _IMAG_ZERO - a.imag: CPython forms it as
 # complex(1.0, 0.0) - a before 3.14 and as -a.imag from 3.14 on
 _IMAG_ZERO = (1.0 - 0j).imag
+# a block of factors holds at most _BLOCK rows x lanes
+_BLOCK = 2048
 
 
 def _mul(ar, ai, br, bi):
@@ -239,6 +249,21 @@ def _quot(ar, ai, br, bi):
     return (first + second * ratio) / denom, np.where(real_big, second - across, across - second) / denom
 
 
+def _fold(prod, fr, fi, where):
+    """prod *= fr[r] + fi[r] i for each row r in turn on the lanes where[r]
+    selects, prod the (2, 1, n) parts of a product: one multiply by [[fr,
+    fi], [-fi, fr]] and one add of its halves, CPython's (a c - b d, a d +
+    b c) bit for bit, as b (-d) = -(b d) and x - y = x + (-y) in IEEE."""
+    import numpy as np
+
+    rows = np.stack([fr, fi, -fi, fr], 1).reshape(len(fr), 2, 2, -1)
+    terms = np.empty(rows.shape[1:])
+    out, (first, second) = prod[:, 0], terms
+    for row, mask in zip(rows, where):
+        np.multiply(prod, row, out=terms)
+        np.add(first, second, out=out, where=mask)
+
+
 def _theta_lanes(zs, p: complex):
     """theta(z, p) on each lane of the complex array zs, bit for bit, as
     (values, raises): a complex array, and a bool array that is True on the
@@ -248,10 +273,13 @@ def _theta_lanes(zs, p: complex):
     prefactor loop masked by each lane's k and the same K(p) factors for
     every lane. Real and imaginary parts are held apart, and each complex
     product and quotient, the fold p / z and b = p / w among them, is formed
-    as CPython forms it (_mul, _quot), since numpy's complex128 arithmetic
-    may round differently. numpy is imported here: imported with this
-    module, it raised every process's peak RSS from 28.4 to 29.7 MB (numpy
-    2.4, CPython 3.11).
+    as CPython forms it (_mul, _quot, _fold), since numpy's complex128
+    arithmetic may round differently. A batch of at most 409 lanes forms
+    the factors of a block of rows at once, at most _BLOCK rows x lanes, and
+    multiplies them in by _fold, two numpy calls a row; a wider one takes
+    them a row at a time, the prefactor's on the lanes still in it. numpy is
+    imported here: imported with this module, it raised every process's
+    peak RSS from 28.4 to 29.7 MB (numpy 2.4, CPython 3.11).
     """
     import numpy as np
 
@@ -261,6 +289,9 @@ def _theta_lanes(zs, p: complex):
     if not n or not math.hypot(p.real, p.imag) < 1.0:
         return np.zeros(n, dtype=complex), np.ones(n, dtype=bool)
     red = _reduction(p)
+    pr, pi = red.parts
+    rows = _BLOCK // n  # blocks of 2-4 rows measured slower than the row loop
+    blocked = rows >= 5
     with np.errstate(all="ignore"):
         absz = np.hypot(z.real, z.imag)
         ratio = -np.log(absz) / red.log_p
@@ -280,29 +311,41 @@ def _theta_lanes(zs, p: complex):
             raises[:] = True
         # pre *= -y * p**i on the lanes whose k exceeds i; a lane leaves
         # once its prefactor is not finite, as theta raises there
-        pre_r, pre_i = np.ones(n), np.zeros(n)
-        lanes = np.flatnonzero((k > 0) & ~raises)
-        step = 0
+        pre, prod = np.zeros((2, 2, 1, n))  # the parts of each, (2, 1, n)
+        pre[0] = prod[0] = 1.0
+        (pre_r, pre_i), (prod_r, prod_i) = pre[:, 0], prod[:, 0]
+        step, lanes = 0, np.flatnonzero((k > 0) & ~raises)
         while len(lanes):
-            pj = red.powers[step]
-            fr, fi = _mul(-yr[lanes], -yi[lanes], pj.real, pj.imag)
-            pre_r[lanes], pre_i[lanes] = _mul(pre_r[lanes], pre_i[lanes], fr, fi)
-            step += 1
+            if blocked:  # every lane, masked by its k
+                end = min(step + rows, int(k[lanes].max()))
+                fr, fi = _mul(-yr, -yi, pr[step:end, None], pi[step:end, None])
+                _fold(pre, fr, fi, k > np.arange(step, end)[:, None])
+            else:  # just the lanes still in
+                end, pj = step + 1, red.powers[step]
+                fr, fi = _mul(-yr[lanes], -yi[lanes], pj.real, pj.imag)
+                pre_r[lanes], pre_i[lanes] = _mul(pre_r[lanes], pre_i[lanes], fr, fi)
+            step = end
             lanes = lanes[(k[lanes] > step) & np.isfinite(pre_r[lanes]) & np.isfinite(pre_i[lanes])]
         raises |= ~(np.isfinite(pre_r) & np.isfinite(pre_i))
         # w = y p**k; a lane whose k is past the powers has left the loop
-        pk = np.array(red.powers)[np.where(k < len(red.powers), k, 0)]
-        wr, wi = _mul(yr, yi, pk.real, pk.imag)
+        pk = np.where(k < len(pr), k, 0)
+        wr, wi = _mul(yr, yi, pr[pk], pi[pk])
         zero = near & (np.hypot(wr - 1.0, wi) <= LATTICE_RTOL)
         # rows w and b = p / w: prod *= (1 - w p^j) * (1 - b p^j); a w that
         # underflowed to 0 comes with an infinite prefactor
         br, bi = _quot(p.real, p.imag, wr, wi)
         ar, ai = np.stack([wr, br]), np.stack([wi, bi])
-        prod_r, prod_i = np.ones(n), np.zeros(n)
-        for pj in red.head:
-            xr, xi = _mul(ar, ai, pj.real, pj.imag)
-            fr, fi = _mul(1.0 - xr[0], _IMAG_ZERO - xi[0], 1.0 - xr[1], _IMAG_ZERO - xi[1])
-            prod_r, prod_i = _mul(prod_r, prod_i, fr, fi)
+        if blocked:  # in place, so prod_r and prod_i still view its parts
+            for start in range(0, red.count, rows):
+                end = min(start + rows, red.count)
+                xr, xi = _mul(ar, ai, pr[start:end, None, None], pi[start:end, None, None])
+                ur, ui = 1.0 - xr, _IMAG_ZERO - xi
+                _fold(prod, *_mul(ur[:, 0], ui[:, 0], ur[:, 1], ui[:, 1]), [True] * (end - start))
+        else:
+            for pj in red.head:
+                xr, xi = _mul(ar, ai, pj.real, pj.imag)
+                fr, fi = _mul(1.0 - xr[0], _IMAG_ZERO - xi[0], 1.0 - xr[1], _IMAG_ZERO - xi[1])
+                prod_r, prod_i = _mul(prod_r, prod_i, fr, fi)
         values = np.empty(n, dtype=complex)
         values.real, values.imag = _mul(pre_r, pre_i, prod_r, prod_i)
         raises |= ~np.isfinite(values)

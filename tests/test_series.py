@@ -251,6 +251,23 @@ class TestEvaluators:
         with pytest.raises(ValueError, match="takes no trunc"):
             eval_vwp(VwpSpec(0.5 + 0.2j, ts, 0.3 + 0j, NOME, "bilateral"), trunc=5, window=(-2, 2))
 
+    def test_trunc_below_minus_one_is_refused(self):
+        # trunc = -5 summed no term and reported terms_used = -4
+        nome = Nome(0.35 + 0.1j, 0.25 + 0.05j)
+        spec = ThetaSeriesSpec("unilateral_E", (0.5 + 0.1j,), (0.4 - 0.2j,), 0, 0.4, nome)
+        vwp = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, nome, "unilateral")
+        for trunc in (-2, -5, np.int64(-3)):
+            with pytest.raises(ValueError, match="last index >= -1"):
+                eval_E(spec, trunc=trunc)
+            with pytest.raises(ValueError, match="last index >= -1"):
+                eval_vwp(vwp, trunc=trunc)
+            with pytest.raises(ValueError, match="last index >= -1"):
+                eval_basic("phi", [0.5 + 0.1j], [0.4 - 0.2j], nome.q, 0, 0.4, trunc=trunc)
+        # -1 is the empty sum
+        sv = eval_E(spec, trunc=-1)
+        assert (sv.value, sv.terms_used, sv.terminated) == (0j, 0, True)
+        assert eval_vwp(vwp, trunc=-1).terms_used == 0
+
     def test_additive_terms_used_stops_before_structural_zero(self):
         # u0 + u1 = -2: [u0 + u1 + 2] is a zero factor of term 3, so terms 0..2 are summed
         u0 = 0.21 - 0.13j

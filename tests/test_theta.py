@@ -314,6 +314,29 @@ class TestThetaMany:
         zs = [complex(z) for z in 10 ** rng.uniform(-3, 3, 10_000) * np.exp(2j * math.pi * rng.uniform(0, 1, 10_000))]
         assert [_bits(v) for v in theta_many(zs, p)] == [_bits(theta(z, p)) for z in zs]
 
+    def test_seeded_sweep_over_blocks_and_evicted_reductions(self):
+        # lane counts on each side of a block boundary (2048 // n rows of
+        # factors a block: at p = 0.25 + 0.05j, K(p) = 29 rows take one
+        # block at 70 lanes and two at 71) and of the row loop that takes
+        # batches wider than 409 lanes; then 40 more nomes, visited twice,
+        # so that _reduction's 32 entries are evicted and formed anew
+        # between two batches on one nome
+        rng = np.random.default_rng(26)
+        counts = [1, 2, 29, 30, 70, 71, 409, 410, 1024, 1025, 4000]
+        moduli, turns = rng.uniform(0.02, 0.7, 40), rng.uniform(0, 1, 40)
+        nomes = [complex(r * cmath.exp(2j * math.pi * t)) for r, t in zip(moduli, turns)]
+        nomes[5::6] = [complex(p.real, 0.0) for p in nomes[5::6]]  # real nomes, with their signed zeros
+        visits = [(0.25 + 0.05j, n) for n in counts] + [(p, counts[i % 11]) for i, p in enumerate(nomes + nomes)]
+        for p, n in visits:
+            # moduli out to theta_log_range on both sides of the unit circle,
+            # so that prefactors take up to ~sqrt(1420 / |log p|) steps over
+            # several blocks, a few real arguments and lattice zeros among them
+            r = theta_log_range(p)
+            zs = (np.exp(rng.uniform(-r, r, n)) * np.exp(2j * math.pi * rng.uniform(0, 1, n))).tolist()
+            zs[1::7] = [complex(z.real, 0.0) for z in zs[1::7]]
+            zs[3::11] = [p ** -int(M) for M in rng.integers(-5, 6, len(zs[3::11]))]
+            assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs], (p, n)
+
     @pytest.mark.parametrize("p", [0.99 + 0j, 0.7 + 0.7j])
     def test_subnormal_arguments(self, p):
         # the fold p / z overflows, or nearly: with |p| this close to 1
