@@ -17,15 +17,7 @@ from typing import Any
 from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .report import EllipticityReport, _int_from_json
 from .theta import Nome
-from .series import (
-    VwpSpec,
-    eval_E,
-    eval_G,
-    eval_vwp,
-    ge_split_check,
-    spec_from_json,
-    term_ratio_at,
-)
+from .series import VwpSpec, _evaluate, ge_split_check, spec_from_json, term_ratio_at
 from .identities import (
     DEFAULT_BAND,
     BaileyParams,
@@ -166,15 +158,7 @@ def run_eval(args: argparse.Namespace) -> int:
     if trunc is not None and _int_from_json(trunc, "trunc") < 0:
         raise InputError(f"trunc must be a non-negative integer, got {trunc!r}")
     spec = _decode(spec_from_json, obj, "series spec")
-    if spec.kind.startswith("bilateral"):
-        if trunc is not None:
-            raise InputError("a bilateral spec is summed over its window and takes no trunc")
-        window = _int_pair(window, "bilateral window")
-        sv = eval_vwp(spec, window=window) if isinstance(spec, VwpSpec) else eval_G(spec, window)
-    else:
-        if window is not None:
-            raise InputError("a unilateral spec is summed to its trunc and takes no window")
-        sv = eval_vwp(spec, trunc=trunc) if isinstance(spec, VwpSpec) else eval_E(spec, trunc)
+    sv = _evaluate(spec, trunc, None if window is None else _int_pair(window, "window"))
     _write_output(sv.to_json(), args.out)
     return 0
 
@@ -219,8 +203,6 @@ def run_ellipticity(args: argparse.Namespace) -> int:
     reports: list[EllipticityReport] = []
     for e in _entries(_load_json(args.input), "specs", "spec"):
         spec = _decode(spec_from_json, e, "series spec")
-        if isinstance(spec, VwpSpec):
-            raise InputError("ellipticity target expects a theta series spec with explicit lists")
         report = check_ellipticity(
             lambda w, s=spec: term_ratio_at(s, w),
             spec.nome,

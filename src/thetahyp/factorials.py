@@ -209,10 +209,3 @@ def elliptic_factorial(u: complex, pair: ModularPair, n: int) -> FactorialValue:
     for m in range(n):
         out = out * elliptic_factor(u + m, pair)
     return out
-
-
-def elliptic_factorial_multi(us: list[complex], pair: ModularPair, n: int) -> FactorialValue:
-    out = ONE
-    for u in us:
-        out = out * elliptic_factorial(u, pair, n)
-    return out

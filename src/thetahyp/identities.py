@@ -68,7 +68,8 @@ def _refuse_oversized(sizes) -> None:
 
 
 def _near_lattice(w: complex, p: complex) -> bool:
-    return theta_zero_index(w, p, rtol=_LATTICE_EPS) is not None
+    """True when w is within _LATTICE_EPS of a lattice zero or not finite."""
+    return not cmath.isfinite(w) or theta_zero_index(w, p, rtol=_LATTICE_EPS) is not None
 
 
 _COND_CAP = 1e5
@@ -102,9 +103,9 @@ def _evaluate(series: list, closed: _LatticeTerms) -> tuple:
 
 def _admissible(params):
     """params' sides on a fresh table, as _verify builds them, or None when
-    a theta argument they read lies within _LATTICE_EPS of a lattice zero
-    (scanned before any theta evaluation), when a side cannot be evaluated,
-    or when a left-hand series is badly conditioned."""
+    a theta argument they read is not finite or lies within _LATTICE_EPS of
+    a lattice zero (scanned before any theta evaluation), when a side cannot
+    be evaluated, or when a left-hand series is badly conditioned."""
     table = FactorTable(params.nome)
     try:
         series, closed = params._describe(table)

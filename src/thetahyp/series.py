@@ -16,7 +16,8 @@ Every coefficient is described once, as a _Multisum of theta heads and
 factorial quotients, and read through _LatticeTerms. The E and G
 coefficients (_eg_desc, E as G with the extra denominator w = q) and the
 very-well-poised one (_vwp_desc) are its rank-1 case, read by _rank1 and
-summed by _eval, so every series here and the 10E9, 12E11 and
+summed by _evaluate, which picks the description by the spec's class and
+the extent by its kind, so every series here and the 10E9, 12E11 and
 multivariable sums of ``identities`` share one evaluator, which
 multiplies each quotient (a)_n / (b)_n in turn. A closed form or
 prefactor, the identities' and ge_split_check's, is the same kind of
@@ -157,8 +158,15 @@ def spec_from_json(obj: dict) -> ThetaSeriesSpec | VwpSpec:
 # coefficients and term ratios
 
 
+def _expect(spec, cls: type, caller: str) -> None:
+    """Refuse a spec of another class with a ValueError naming the one caller reads."""
+    if not isinstance(spec, cls):
+        raise ValueError(f"{caller} expects a {cls.__name__}, got a {type(spec).__name__}")
+
+
 def coefficient(spec: ThetaSeriesSpec, n: int) -> FactorialValue:
     """Coefficient c_n of the series as a FactorialValue (c_0 = 1)."""
+    _expect(spec, ThetaSeriesSpec, "coefficient")
     return _rank1(_eg_desc(spec), FactorTable(spec.nome))(n)
 
 
@@ -177,6 +185,7 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
     arguments through theta1. The conversion would need principal-branch
     logarithms log(t)/log(q) of every parameter, so the check would test
     that conversion instead of the spec."""
+    _expect(spec, ThetaSeriesSpec, "term_ratio_at")
     nome = spec.nome
     num = ONE
     for t in spec.numerator:
@@ -348,8 +357,8 @@ class _LatticeTerms:
         listed once over the indices the points reach in it: each head at c
         q^m for every distinct m = e.lam and at c, and each run of pairs that
         shares an exponent vector e with its bases up to the largest e.lam
-        and down to the smallest. None where forming them overflows, as the
-        terms raise."""
+        and down to the smallest. Nothing is listed where forming them
+        overflows; the terms raise there."""
         if not self.points:
             return []
         table, q = self.table, self.table.nome.q
@@ -435,13 +444,25 @@ def _eg_desc(spec: ThetaSeriesSpec) -> _Multisum:
     return _Multisum({}, (((), pairs),), lambda lam: q ** (alpha * lam[0] * (lam[0] - 1) / 2.0) * z ** lam[0])
 
 
-def _eval(
-    desc: _Multisum, nome: Nome, trunc: TruncationDecl | int | None = None, window: tuple[int, int] | None = None
+def _evaluate(
+    spec: ThetaSeriesSpec | VwpSpec,
+    trunc: TruncationDecl | int | None = None,
+    window: tuple[int, int] | None = None,
 ) -> SeriesValue:
-    """Sum the rank-1 desc over window, or else from n = 0 to trunc. A sum
-    with a finite trunc or window evaluates its theta factors in one
+    """Sum the series spec describes over the extent its kind takes: a
+    unilateral one (E, vwp) from n = 0 to trunc, a bilateral one (G, vwp)
+    over window. The extent the other kind takes is refused, not ignored.
+    A sum with a finite trunc or window evaluates its theta factors in one
     theta_many batch; an unbounded one evaluates them as it reaches them."""
-    table = FactorTable(nome)
+    if spec.kind.startswith("bilateral"):
+        if trunc is not None:
+            raise ValueError("a bilateral spec is summed over its window and takes no trunc")
+        if window is None:
+            raise ValueError("a bilateral spec needs a finite window")
+    elif window is not None:
+        raise ValueError("a unilateral spec is summed to its trunc and takes no window")
+    desc = _vwp_desc(spec) if isinstance(spec, VwpSpec) else _eg_desc(spec)
+    table = FactorTable(spec.nome)
     last = _last_index(trunc)
     if window is None and last is None:
         return _sum_unilateral(_rank1(desc, table), None)
@@ -456,20 +477,19 @@ def eval_E(spec: ThetaSeriesSpec, trunc: TruncationDecl | int | None = None) -> 
         raise ValueError("eval_E expects a unilateral_E spec")
     if isinstance(trunc, TruncationDecl):
         trunc.validate(spec)
-    return _eval(_eg_desc(spec), spec.nome, trunc=trunc)
+    return _evaluate(spec, trunc)
 
 
 def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
     """Bilateral series as a windowed partial sum over n in [n_min, n_max]."""
     if spec.kind != BILATERAL_G:
         raise ValueError("eval_G expects a bilateral_G spec")
-    if window is None:
-        raise ValueError("bilateral G evaluation needs a finite window")
-    return _eval(_eg_desc(spec), spec.nome, window=window)
+    return _evaluate(spec, window=window)
 
 
 def vwp_coefficient(spec: VwpSpec, n: int) -> FactorialValue:
     """Coefficient of the simplified very-well-poised series at index n."""
+    _expect(spec, VwpSpec, "vwp_coefficient")
     return _rank1(_vwp_desc(spec), FactorTable(spec.nome))(n)
 
 
@@ -479,17 +499,9 @@ def eval_vwp(
     window: tuple[int, int] | None = None,
 ) -> SeriesValue:
     """Evaluate the simplified very-well-poised series (multiplicative form):
-    a unilateral spec from n = 0 to trunc, a bilateral one over window. The
-    extent the other kind takes is refused, not ignored."""
-    if spec.kind == "unilateral":
-        if window is not None:
-            raise ValueError("a unilateral vwp spec is summed to its trunc and takes no window")
-        return _eval(_vwp_desc(spec), spec.nome, trunc=trunc)
-    if trunc is not None:
-        raise ValueError("a bilateral vwp spec is summed over its window and takes no trunc")
-    if window is None:
-        raise ValueError("bilateral vwp evaluation needs a finite window")
-    return _eval(_vwp_desc(spec), spec.nome, window=window)
+    a unilateral spec from n = 0 to trunc, a bilateral one over window."""
+    _expect(spec, VwpSpec, "eval_vwp")
+    return _evaluate(spec, trunc, window)
 
 
 def eval_vwp_additive(
@@ -505,7 +517,7 @@ def eval_vwp_additive(
     running over m = 0..r-4 (u_0 itself included); for balanced parameters
     that factor is identically 1.
     """
-    from .factorials import elliptic_factor, elliptic_factorial_multi
+    from .factorials import elliptic_factor, elliptic_factorial
 
     r = len(us) + 4
     usum = u0 + sum(us)
@@ -514,8 +526,8 @@ def eval_vwp_additive(
 
     def coeff(n: int) -> FactorialValue:
         head = elliptic_factor(2 * u0 + 2 * n, pair) / head_den
-        num = elliptic_factorial_multi([u0 + u0] + [u0 + u for u in us], pair, n)
-        den = elliptic_factorial_multi([u0 + 1 - u0] + [u0 + 1 - u for u in us], pair, n)
+        num = math.prod((elliptic_factorial(u0 + u, pair, n) for u in [u0, *us]), start=ONE)
+        den = math.prod((elliptic_factorial(u0 + 1 - u, pair, n) for u in [u0, *us]), start=ONE)
         return head * (num / den) * (z**n * expo_step**n)
 
     return _sum_unilateral(coeff, _last_index(trunc))

@@ -25,7 +25,7 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
-from thetahyp import PoleError, ellipticity
+from thetahyp import FloatRangeError, PoleError, ellipticity
 from thetahyp.ellipticity import _check_total_ellipticity, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
 from thetahyp.identities import _lattice_h, _multi1_lattice, _multi2_lattice
@@ -253,6 +253,19 @@ class TestTotalEllipticityMulti:
         assert batched_redraws == alone_redraws >= 1
         assert batched == alone
         assert all(rep.passed for rep in check(params, seed=0))
+
+    def test_a_batched_row_past_the_theta_range_raises_as_multi2_h(self):
+        # the point's x_0 = 1e200 puts a theta argument of h_2 past the range
+        # theta takes; the batched row raises as the scalar path does
+        params = sample_multi2(63, 3, (2, 2, 2), NOME)
+        hs = [_lattice_h(_multi2_lattice(params), 2, NOME.q)]
+        good, bad = (0.5 + 0.1j, 0.6, 0.7), (1e200, 0.5, 0.7)
+        batch = ellipticity._h_rows(hs, [0, 0], [good, bad], NOME.p)
+        assert ellipticity._h_value(batch, 0, NOME.p) == multi2_h(params, 2, list(good))
+        with pytest.raises(FloatRangeError):
+            ellipticity._h_value(batch, 1, NOME.p)
+        with pytest.raises(FloatRangeError):
+            multi2_h(params, 2, list(bad))
 
 
 def _additive(rng):

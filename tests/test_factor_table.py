@@ -45,7 +45,7 @@ from thetahyp.cli import main
 from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
 from thetahyp.identities import _LatticeTerms, _multi1_lattice, _multi2_lattice
-from thetahyp.series import _eg_desc
+from thetahyp.series import _eg_desc, _vwp_desc
 from thetahyp.theta import theta
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -329,10 +329,17 @@ def test_factorial_value_keeps_the_dataclass_semantics(monkeypatch):
     ids=["eval_vwp", "ge_split"],
 )
 def test_deep_window_raises_at_its_first_term(run):
-    # q^-800 overflows as the window's arguments are formed, so the window is
+    # _rank1's range cut lists no point of the window, as its first index
+    # reads a theta argument past the range theta takes, so the window is
     # not batched and its first term raises, as it does unbatched
     with pytest.raises(FloatRangeError, match="term -400 of the series"):
         run()
+
+
+def test_listing_that_overflows_lists_no_argument():
+    # q^-800 overflows as the point's arguments are formed; its terms raise
+    terms = _LatticeTerms(_vwp_desc(GE_SPEC), FactorTable(NOME), [(-800,)])
+    assert terms.arguments() == []
 
 
 def test_ge_split_refuses_an_underflowing_product():

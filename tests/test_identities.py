@@ -24,6 +24,7 @@ from thetahyp import (
     verify_multi1,
     verify_multi2,
 )
+from thetahyp import identities
 from thetahyp.errors import FloatRangeError
 from thetahyp.identities import DEFAULT_BAND, MAX_LATTICE_POINTS, _admissible, _multi1_lattice, _multi2_lattice
 from thetahyp.factorials import FactorTable
@@ -79,6 +80,16 @@ class TestFTSum:
             draws[0].sides(FactorTable(NOME))
         assert _admissible(draws[0]) is None
         assert sample_ft(seed=0, N=22, nome=NOME) == draws[46]
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 0.0)])
+    def test_a_non_finite_argument_is_rejected(self, monkeypatch, bad):
+        # an infinite argument was rejected only through the OverflowError
+        # the lattice scan raised, and a nan one raised ValueError out of it
+        params = sample_ft(seed=3, N=2, nome=NOME)
+        assert _admissible(params) is not None
+        arguments = identities._arguments
+        monkeypatch.setattr(identities, "_arguments", lambda series, closed: arguments(series, closed) + [bad])
+        assert _admissible(params) is None
 
 
 class TestBailey:

@@ -132,6 +132,24 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             term_ratio_at(spec, 0.7 + 0.2j)
 
+    E_SPEC = ThetaSeriesSpec("unilateral_E", (0.4 + 0.1j,), (0.6 - 0.2j,), 0, 0.3 + 0j, NOME)
+    VWP_SPEC = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "unilateral")
+
+    @pytest.mark.parametrize(
+        "call, spec, expects",
+        [
+            (lambda s: coefficient(s, 2), VWP_SPEC, "ThetaSeriesSpec"),
+            (lambda s: term_ratio_at(s, 0.7 + 0.2j), VWP_SPEC, "ThetaSeriesSpec"),
+            (lambda s: vwp_coefficient(s, 2), E_SPEC, "VwpSpec"),
+            (lambda s: eval_vwp(s, trunc=3), E_SPEC, "VwpSpec"),
+        ],
+        ids=["coefficient", "term_ratio_at", "vwp_coefficient", "eval_vwp"],
+    )
+    def test_other_spec_class_is_refused(self, call, spec, expects):
+        # each raised AttributeError on the attribute the other class lacks
+        with pytest.raises(ValueError, match=f"expects a {expects}, got a {type(spec).__name__}"):
+            call(spec)
+
 
 class TestEvaluators:
     def test_truncated_e_series_terminates(self):

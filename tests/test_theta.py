@@ -144,6 +144,11 @@ class TestThetaFunction:
             assert theta(p**-M, p) == 0j
         assert theta_zero_index(0.77 + 0.1j, p) is None
 
+    @pytest.mark.parametrize("z", [complex(math.inf, 0), complex(0.3, -math.inf), complex(math.nan, 0.3), math.inf])
+    def test_non_finite_z_is_no_lattice_zero(self, z):
+        # as z = 0 is not: inf raised OverflowError and nan ValueError
+        assert theta_zero_index(z, 0.3 + 0.1j) is None
+
     def test_functional_equations(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
