@@ -126,20 +126,23 @@ class FactorTable:
     when it returns; ``theta_factorial`` is a table used once. ``factor``
     memoises ``theta_factor`` by its exact argument, and ``prefetch`` fills
     that memo with the bit-identical values of one ``theta_many`` batch.
-    ``factorial`` keeps two prefix lists for each base t: the upward ``[1,
-    f0, f0 f1, ...]`` with ``f_m = theta_factor(t q^m)``, each argument the
-    previous one times q, for n >= 0, and the downward ``[1, f(t/q),
-    f(t/q) f(t/q^2), ...]``, its argument m formed as ``t * q**-m``, whose
-    entry n inverted is the factorial at -n. So a window [-M, M'] costs M +
-    M' factors per base, and a value read from a grown prefix is
-    bit-identical to one computed afresh.
+    ``factorial_pair`` keeps two prefix lists for each base t, of plain
+    ``(finite_part, order)`` pairs: the upward ``[(1, 0), f0, f0 f1, ...]``
+    with ``f_m = theta_factor(t q^m)``, each argument the previous one times
+    q, for n >= 0, and the downward ``[(1, 0), f(t/q), f(t/q) f(t/q^2),
+    ...]``, its argument m formed as ``t * q**-m``, whose entry n inverted
+    is the factorial at -n. Each entry is the previous one's finite part
+    times the factor's, and the sum of their orders, as FactorialValue
+    multiplies them; ``factorial`` wraps the pair in a FactorialValue. So a
+    window [-M, M'] costs M + M' factors per base, and a value read from a
+    grown prefix is bit-identical to one computed afresh.
     """
 
     def __init__(self, nome: Nome) -> None:
         self.nome = nome
         self._factors: dict[complex, FactorialValue] = {}
-        self._prefixes: dict[complex, tuple[list[FactorialValue], complex]] = {}
-        self._downward: dict[complex, list[FactorialValue]] = {}
+        self._prefixes: dict[complex, tuple[list[tuple[complex, int]], complex]] = {}
+        self._downward: dict[complex, list[tuple[complex, int]]] = {}
 
     def factor(self, arg: complex) -> FactorialValue:
         """theta_factor(arg, p)."""
@@ -177,18 +180,30 @@ class FactorTable:
         return args
 
     def factorial(self, t: complex, n: int) -> FactorialValue:
-        """theta(t; p; q)_n for any integer n; theta(t;p;q)_{-n} =
+        """theta(t; p; q)_n for any integer n."""
+        return FactorialValue(*self.factorial_pair(t, n))
+
+    def factorial_pair(self, t: complex, n: int) -> tuple[complex, int]:
+        """theta(t; p; q)_n as a (finite_part, order) pair; theta(t;p;q)_{-n} =
         1/theta(t q^{-n};p;q)_n = 1/(theta(t/q) theta(t/q^2) ... theta(t/q^n)),
-        read from the downward prefix of t."""
+        read from the downward prefix of t and inverted as
+        FactorialValue.inverse inverts it."""
         q = self.nome.q
         if n < 0:
-            prefix = self._downward.setdefault(t, [ONE])
+            prefix = self._downward.setdefault(t, [(1.0 + 0j, 0)])
             while len(prefix) <= -n:
-                prefix.append(prefix[-1] * self.factor(complex(t) * q ** -len(prefix)))
-            return prefix[-n].inverse()
-        prefix, arg = self._prefixes.get(t, ([ONE], complex(t)))
+                finite, order = prefix[-1]
+                factor = self.factor(complex(t) * q ** -len(prefix))
+                prefix.append((finite * factor.finite_part, order + factor.order))
+            finite, order = prefix[-n]
+            if finite == 0:
+                raise FloatRangeError(_UNDERFLOWED)
+            return 1.0 / finite, -order
+        prefix, arg = self._prefixes.get(t, ([(1.0 + 0j, 0)], complex(t)))
         while len(prefix) <= n:
-            prefix.append(prefix[-1] * self.factor(arg))
+            finite, order = prefix[-1]
+            factor = self.factor(arg)
+            prefix.append((finite * factor.finite_part, order + factor.order))
             arg *= q
         self._prefixes[t] = (prefix, arg)
         return prefix[n]

@@ -5,9 +5,13 @@ very-well-poised simplified forms (multiplicative and additive), the
 G-to-E two-series split, the p -> 0 degenerations to basic (q-)series,
 and the balanced / well-poised / very-well-poised / modular classifiers.
 
-Coefficients are assembled through FactorialValue products so that
-structural zeros and poles are resolved exactly rather than through
-divisions by numerically tiny theta values. Each evaluator reads all its
+Coefficients carry a finite part and an exact order, as FactorialValue
+does, so that structural zeros and poles are resolved exactly rather than
+through divisions by numerically tiny theta values. _LatticeTerms
+assembles them on plain (finite_part, order) pairs, with the complex
+operations FactorialValue's products and quotients make, in the same
+order, and returns each coefficient as one FactorialValue, so a term is
+bit-identical to its FactorialValue product. Each evaluator reads all its
 coefficients through one FactorTable, so each distinct theta factor is
 evaluated once per sum, and a sum with a finite truncation or window
 fills the table by one theta_many batch.
@@ -31,7 +35,6 @@ slower (3-parameter E spec, Python 3.11, 2 CPUs).
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import operator
@@ -40,6 +43,7 @@ from typing import Callable
 
 from .errors import FloatRangeError, NonConvergenceError, ThetaDomainError
 from .factorials import (
+    _UNDERFLOWED,
     ONE,
     FactorialValue,
     FactorTable,
@@ -317,10 +321,12 @@ class _LatticeTerms:
     """The coefficients of a _Multisum, read through a table. A point lam has
     the parts cross (j, k, lam_j, lam_k) and block (j, lam_j); each part's
     value is built once, kept in a memo and reused at every point that
-    shares it. ``arguments`` lists the theta arguments of the parts of the
-    points given at construction, so a ``prefetch`` of the listing holds
-    every theta value a call at those points asks for. A call at one point,
-    listed or not, builds that coefficient alone."""
+    shares it. Parts and products are (finite_part, order) pairs, and a
+    call returns its coefficient as a FactorialValue. ``arguments`` lists
+    the theta arguments of the parts of the points given at construction,
+    so a ``prefetch`` of the listing holds every theta value a call at
+    those points asks for. A call at one point, listed or not, builds that
+    coefficient alone."""
 
     def __init__(self, desc: _Multisum, table: FactorTable, lattice=()) -> None:
         self.scalar, self.table, self._values = desc.scalar, table, {}
@@ -333,23 +339,34 @@ class _LatticeTerms:
         """The parts of the point lam, in the order its coefficient multiplies them."""
         return [(j, k, lam[j], lam[k]) for j, k in self._cross] + list(enumerate(lam))
 
-    def _value(self, key: tuple[int, ...]) -> FactorialValue:
-        """The part key at its indices, m = e.lam for each head and pair: its
-        heads theta(c q^m) multiplied, divided by each theta(c), then times
-        each quotient (a)_m / (b)_m in turn, an absent side read as 1."""
+    def _value(self, key: tuple[int, ...]) -> tuple[complex, int]:
+        """The part key at its indices, m = e.lam for each head and pair, as a
+        (finite_part, order) pair: its heads theta(c q^m) multiplied, divided
+        by each theta(c), then times each quotient (a)_m / (b)_m in turn, an
+        absent side read as 1, each step the complex operation and order sum
+        FactorialValue makes."""
         table, q, half = self.table, self.table.nome.q, len(key) // 2
+        factor, factorial = table.factor, table.factorial_pair
         heads, runs = self._shapes[key[:half]]
         at = key[half:]
-        out = functools.reduce(operator.mul, [table.factor(c * q ** _dot(e, at)) for c, e in heads] or [ONE])
+        tops = [factor(c * q ** _dot(e, at)) for c, e in heads]
+        finite, order = (tops[0].finite_part, tops[0].order) if tops else (1.0 + 0j, 0)
+        for top in tops[1:]:
+            finite, order = finite * top.finite_part, order + top.order
         for c, _ in heads:
-            out = out / table.factor(c)
+            bottom = factor(c)
+            if bottom.finite_part == 0:
+                raise FloatRangeError(_UNDERFLOWED)
+            finite, order = finite / bottom.finite_part, order - bottom.order
         for e, pairs in runs:
             m = _dot(e, at)
             for a, b in pairs:
-                top = ONE if a is None else table.factorial(a, m)
-                bottom = ONE if b is None else table.factorial(b, m)
-                out = out * (top / bottom)
-        return out
+                top, top_order = (1.0 + 0j, 0) if a is None else factorial(a, m)
+                bottom, bottom_order = (1.0 + 0j, 0) if b is None else factorial(b, m)
+                if bottom == 0:
+                    raise FloatRangeError(_UNDERFLOWED)
+                finite, order = finite * (top / bottom), order + top_order - bottom_order
+        return finite, order
 
     def arguments(self) -> list[complex]:
         """The theta arguments the listed points' terms evaluate past the
@@ -383,13 +400,13 @@ class _LatticeTerms:
     def __call__(self, *lam: int) -> FactorialValue:
         """The coefficient at the point lam: the product over pairs j < k of
         the cross parts, then over j of the blocks, times the scalar."""
-        values, out = self._values, ONE
+        values, finite, order = self._values, 1.0 + 0j, 0
         for key in self._keys(lam):
             value = values.get(key)
             if value is None:
                 value = values[key] = self._value(key)
-            out = out * value
-        return out * self.scalar(lam)
+            finite, order = finite * value[0], order + value[1]
+        return FactorialValue(finite * self.scalar(lam), order)
 
 
 def _rank1(desc: _Multisum, table: FactorTable, ns: range = range(0)) -> _LatticeTerms:

@@ -369,27 +369,36 @@ def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:
     ``2 sum (-1)^n e^{pi i tau (n+1/2)^2} sin(pi (2n+1) sigma u)``;
     method="product" evaluates
     ``p^{1/8} i q^{-u/2} (p; p)_inf theta(q^u; p)``.
+
+    A non-finite u raises ThetaDomainError, and a series term that leaves
+    the float64 range (cmath raising OverflowError or ValueError)
+    FloatRangeError, each naming u.
     """
+    if not cmath.isfinite(u):
+        raise ThetaDomainError(f"theta1 needs a finite argument, got u={u}")
     sigma, tau = pair.sigma, pair.tau
     if method == "series":
         total = 0j
         small_streak = 0
-        for n in range(MAX_TERMS):
-            term = (
-                2.0
-                * (-1) ** n
-                * cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2)
-                * cmath.sin(math.pi * (2 * n + 1) * sigma * u)
-            )
-            total += term
-            # the sin factor can vanish accidentally; demand two consecutive
-            # sub-tolerance terms before declaring the tail negligible
-            if abs(term) < SERIES_TOL * max(1.0, abs(total)):
-                small_streak += 1
-                if n >= 2 and small_streak >= 2:
-                    return total
-            else:
-                small_streak = 0
+        try:
+            for n in range(MAX_TERMS):
+                term = (
+                    2.0
+                    * (-1) ** n
+                    * cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2)
+                    * cmath.sin(math.pi * (2 * n + 1) * sigma * u)
+                )
+                total += term
+                # the sin factor can vanish accidentally; demand two consecutive
+                # sub-tolerance terms before declaring the tail negligible
+                if abs(term) < SERIES_TOL * max(1.0, abs(total)):
+                    small_streak += 1
+                    if n >= 2 and small_streak >= 2:
+                        return total
+                else:
+                    small_streak = 0
+        except (OverflowError, ValueError) as exc:
+            raise FloatRangeError(f"theta1 series at u={u} left the float64 range: {exc}") from exc
         raise NonConvergenceError("theta1 series tail did not reach SERIES_TOL")
     if method == "product":
         p = pair.p

@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import operator
 
 import pytest
 
@@ -44,8 +45,8 @@ from thetahyp import ellipticity, factorials
 from thetahyp.cli import main
 from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
-from thetahyp.identities import _LatticeTerms, _multi1_lattice, _multi2_lattice
-from thetahyp.series import _eg_desc, _vwp_desc
+from thetahyp.identities import _arguments, _LatticeTerms, _multi1_lattice, _multi2_lattice
+from thetahyp.series import _dot, _eg_desc, _Multisum, _rank1, _sum_unilateral, _vwp_desc
 from thetahyp.theta import theta
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -100,19 +101,21 @@ def test_series_values_are_pinned():
     assert repr(eval_G(G_SPEC, (-3, 4)).value) == "(-5086.645925922476-606.574584645638j)"
 
 
-def _loop_factorial(t, nome, n):
+def _loop_factorial(t, nome, n, factor=None):
     """The factor-by-factor product, written out as the reference: upward
     from t for n >= 0, and for n < 0 the inverse of the downward product
-    theta(t q^-1) theta(t q^-2) ... theta(t q^n)."""
+    theta(t q^-1) theta(t q^-2) ... theta(t q^n). Each factor is
+    theta_factor's, or factor's where given."""
+    factor = factor or (lambda z: theta_factor(z, nome.p))
     if n < 0:
         out = ONE
         for m in range(1, -n + 1):
-            out = out * theta_factor(complex(t) * nome.q**-m, nome.p)
+            out = out * factor(complex(t) * nome.q**-m)
         return out.inverse()
     out = ONE
     arg = complex(t)
     for _ in range(n):
-        out = out * theta_factor(arg, nome.p)
+        out = out * factor(arg)
         arg *= nome.q
     return out
 
@@ -180,6 +183,135 @@ def test_factorial_arguments_are_those_factorial_evaluates(monkeypatch, t, grown
             arg *= NOME.q
         skip = (5 if n >= 0 else 4) if grown else 0
         assert [_hex(z) for z in listed] == [_hex(z) for z in want[skip:]], n
+
+
+def _reference_term(terms, lam, factor):
+    """terms(*lam) in FactorialValue arithmetic, _LatticeTerms' assembly
+    retyped from before its parts and products kept plain pairs: each part
+    its heads multiplied, divided by each head base, then times each
+    quotient (a)_m / (b)_m in turn; the cross parts, then the blocks, then
+    the scalar, from ONE. factor reads the theta factors, and each
+    factorial is their loop product."""
+    nome = terms.table.nome
+    keys = [(j, k, lam[j], lam[k]) for j, k in itertools.combinations(range(len(lam)), 2)] + list(enumerate(lam))
+    out = ONE
+    for key in keys:
+        heads, runs = terms._shapes[key[: len(key) // 2]]
+        at = key[len(key) // 2 :]
+        part = functools.reduce(operator.mul, [factor(c * nome.q ** _dot(e, at)) for c, e in heads] or [ONE])
+        for c, _ in heads:
+            part = part / factor(c)
+        for e, pairs in runs:
+            m = _dot(e, at)
+            for a, b in pairs:
+                top = ONE if a is None else _loop_factorial(a, nome, m, factor)
+                bottom = ONE if b is None else _loop_factorial(b, nome, m, factor)
+                part = part * (top / bottom)
+        out = out * part
+    return out * terms.scalar(lam)
+
+
+def _sides(params):
+    """An identity's series and closed form as (terms, points), filled by one
+    batch as its sides are."""
+    table = FactorTable(params.nome)
+    series, closed = params._describe(table)
+    table.prefetch(_arguments(series, closed))
+    return series + [(closed, [(1,)])]
+
+
+def _listed(desc, points):
+    table = FactorTable(NOME)
+    terms = _LatticeTerms(desc, table, points)
+    table.prefetch(terms.arguments())
+    return [(terms, points)]
+
+
+def _box(params):
+    # every point of the box, so the cross pairs' lam_k - lam_j is also
+    # negative and their bases read downward prefixes
+    return _listed(_multi1_lattice(params), list(itertools.product(range(params.N + 1), repeat=params.n)))
+
+
+# each case's (terms, points) and whether a term is a structural zero (order
+# > 0) and a factorial reads a downward prefix; the closed forms of the
+# identities are _closed's, with its integer scalar 1
+ASSEMBLED = {
+    "multi1_2_4": (lambda: _sides(sample_multi1(14, 2, 4, NOME)), False, False),
+    "multi1_3_3": (lambda: _sides(sample_multi1(15, 3, 3, NOME)), False, False),
+    "multi1_2_4_box": (lambda: _box(sample_multi1(14, 2, 4, NOME)), True, True),
+    "multi1_3_3_box": (lambda: _box(sample_multi1(15, 3, 3, NOME)), True, True),
+    "multi2_3_3": (lambda: _sides(sample_multi2(16, 3, (3, 3, 3), NOME)), False, False),
+    "multi2_4_2": (lambda: _sides(sample_multi2(17, 4, (2,) * 4, NOME)), False, False),
+    **{f"ft_{N}": (functools.partial(lambda N: _sides(sample_ft(20 + N, N, NOME)), N), False, False)
+       for N in range(4, 9)},
+    **{f"bailey_{N}": (functools.partial(lambda N: _sides(sample_bailey(30 + N, N, NOME)), N), False, False)
+       for N in range(4, 9)},
+    "G_window": (lambda: _listed(_eg_desc(G_SPEC), [(n,) for n in range(-3, 5)]), False, True),
+    "E_zero": (lambda: _listed(_eg_desc(E_SPEC), [(n,) for n in range(9)]), True, False),
+    "vwp_window": (lambda: _listed(_vwp_desc(GE_SPEC), [(n,) for n in range(-8, 9)]), False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLED))
+def test_terms_are_the_factorial_value_products_bit_for_bit(case):
+    make, zero, downward = ASSEMBLED[case]
+    readers = make()
+    factor = FactorTable(NOME).factor
+    orders = set()
+    for terms, points in readers:
+        for lam in points:
+            got = terms(*lam)
+            assert _hex(got) == _hex(_reference_term(terms, lam, factor)), lam
+            orders.add(got.order)
+    assert (max(orders) > 0, any(terms.table._downward for terms, _ in readers)) == (zero, downward)
+
+
+@pytest.mark.parametrize("where", ["head", "pair", "downward_pair"])
+def test_underflowed_divisor_raises_as_factorial_value_does(where):
+    # a theta factor whose finite part underflowed to 0, planted in the memo:
+    # the head base, the pair's b at m = 1, or t q^-1 for b at m = -1
+    b = 0.6 + 0.2j
+    head = ((b, (2,)),) if where == "head" else ()
+    pairs = () if where == "head" else ((0.3 - 0.1j, b, (1,)),)
+    n = -1 if where == "downward_pair" else 1
+    terms = _LatticeTerms(_Multisum({}, ((head, pairs),), lambda lam: 1), FactorTable(NOME))
+    terms.table._factors[b * NOME.q**-1 if n < 0 else b] = FactorialValue(0j)
+    errors = []
+    for run in (lambda: terms(n), lambda: _reference_term(terms, (n,), terms.table.factor)):
+        with pytest.raises(FloatRangeError) as info:
+            run()
+        errors.append(str(info.value))
+    assert errors == [factorials._UNDERFLOWED] * 2
+
+
+CONVERGENT_E = ThetaSeriesSpec("unilateral_E", NUM, DEN, 0, 0.1 + 0.05j, NOME)
+
+
+def test_unlisted_calls_are_the_factorial_value_products_bit_for_bit():
+    # no listing and no batch: each call evaluates its factors as it reads them
+    factor = FactorTable(NOME).factor
+    shapes = _rank1(_vwp_desc(GE_SPEC), FactorTable(NOME))
+    for n in range(-8, 9):
+        assert _hex(vwp_coefficient(GE_SPEC, n)) == _hex(_reference_term(shapes, (n,), factor)), n
+    for t in (0.6 + 0.2j, NOME.q**-3):
+        for n in range(-6, 7):
+            assert _hex(theta_factorial(t, NOME, n)) == _hex(_loop_factorial(t, NOME, n)), n
+    # E_SPEC ends at its first structural zero, CONVERGENT_E at its tolerance
+    for spec in (E_SPEC, CONVERGENT_E):
+        shapes = _rank1(_eg_desc(spec), FactorTable(NOME))
+        want = _sum_unilateral(lambda n: _reference_term(shapes, (n,), factor), None)
+        got = eval_E(spec)
+        assert (_hex(got.value), got.terms_used, got.terminated) == (_hex(want.value), want.terms_used, want.terminated)
+
+
+@pytest.mark.parametrize("n", [3, -3])
+def test_factorial_reads_equal_after_its_prefix_grows(n):
+    table = FactorTable(NOME)
+    first = table.factorial(0.6 + 0.2j, n)
+    table.factorial(0.6 + 0.2j, 4 * n)
+    again = table.factorial(0.6 + 0.2j, n)
+    assert again == first and _hex(again) == _hex(first)
 
 
 # each case's draw or spec, and the lanes of its one batch: as many theta
@@ -428,7 +560,8 @@ def test_all_rejected_draws_exit_2(monkeypatch, capsys):
     assert "sample_multi1: could not find admissible parameters" in json.loads(capsys.readouterr().out)["error"]
 
 
-# verifier, sampled params and budget of FactorTable.factorial calls; building
+# verifier, sampled params and budget of FactorTable.factorial_pair calls, the
+# prefix reads the terms make (factorial makes one per call); building
 # every coefficient's blocks afresh made 3,867 calls for multi2 and 984 for
 # multi1 here, reusing each block and cross factor across the lattice 267 and 288
 FACTORIAL_BUDGETS = {
@@ -441,7 +574,7 @@ FACTORIAL_BUDGETS = {
 def test_multisum_factorial_budget(monkeypatch, case):
     verify, sample, budget = FACTORIAL_BUDGETS[case]
     params = sample()
-    assert _count_calls(monkeypatch, FactorTable, "factorial", lambda: verify(params)) <= budget
+    assert _count_calls(monkeypatch, FactorTable, "factorial_pair", lambda: verify(params)) <= budget
 
 
 def test_ft_theta_calls_grow_linearly(monkeypatch):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -390,6 +391,21 @@ class TestTheta1:
         pair = ModularPair(0.05 + 0.3j, 0.1 + 0.5j)
         with pytest.raises(ValueError):
             theta1(0.3, pair, method="magic")
+
+    @pytest.mark.parametrize(
+        "u, error",
+        [(1e5j, FloatRangeError), (1e300, FloatRangeError),
+         (complex(math.inf, 0.0), ThetaDomainError), (complex(math.nan, 0.0), ThetaDomainError)],
+        ids=["1e5j", "1e300", "inf", "nan"],
+    )
+    def test_out_of_range_argument_raises_a_typed_error_naming_it(self, u, error):
+        # cmath.sin in the series loop raised a bare OverflowError at the two
+        # finite arguments and a bare ValueError at inf, and the nan argument
+        # ran the loop out into a NonConvergenceError naming no input
+        pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
+        with pytest.raises(error, match=re.escape(f"u={u}")) as info:
+            elliptic_number(u, pair)
+        assert type(info.value) is error
 
 
 class TestModular:
