@@ -92,63 +92,62 @@ class FactorialValue:
 ONE = FactorialValue(1.0 + 0j)
 
 
-def _factor_value(value: complex) -> FactorialValue:
-    """A theta value as a factor: theta returns its exact 0j on a detected
-    lattice zero, so the zero flag is read from the value."""
-    if value == 0:
-        return FactorialValue(1.0 + 0j, 1)
-    return FactorialValue(value)
+def _factor_pair(value: complex) -> tuple[complex, int]:
+    """A theta value as a (finite_part, order) pair: theta returns its exact
+    0j on a detected lattice zero, so the zero flag is read from the value."""
+    return (1.0 + 0j, 1) if value == 0 else (value, 0)
 
 
 def theta_factor(t: complex, p: complex) -> FactorialValue:
     """A single theta(t; p) factor with its exact-zero flag; the lattice is
     searched once per factor."""
-    return _factor_value(theta(t, p))
+    return FactorialValue(*_factor_pair(theta(t, p)))
 
 
 def theta_factorial(t: complex, nome: Nome, n: int) -> FactorialValue:
     """theta(t; p; q)_n for any integer n."""
-    return FactorTable(nome).factorial(t, n)
+    return FactorialValue(*FactorTable(nome).factorial(t, n))
 
 
 def theta_factorial_multi(ts: list[complex], nome: Nome, n: int) -> FactorialValue:
     """Product of theta_factorial over a parameter list (empty list -> 1)."""
-    table, out = FactorTable(nome), ONE
-    for t in ts:
-        out = out * table.factorial(t, n)
-    return out
+    table, finite, order = FactorTable(nome), 1.0 + 0j, 0
+    for top, top_order in (table.factorial(t, n) for t in ts):
+        finite, order = finite * top, order + top_order
+    return FactorialValue(finite, order)
 
 
 class FactorTable:
     """Theta factors and factorial prefixes of one nome, each evaluated once.
 
     A sum builds one table, reads every coefficient through it and drops it
-    when it returns; ``theta_factorial`` is a table used once. ``factor``
-    memoises ``theta_factor`` by its exact argument, and ``prefetch`` fills
-    that memo with the bit-identical values of one ``theta_many`` batch.
-    ``factorial_pair`` keeps two prefix lists for each base t, of plain
-    ``(finite_part, order)`` pairs: the upward ``[(1, 0), f0, f0 f1, ...]``
-    with ``f_m = theta_factor(t q^m)``, each argument the previous one times
-    q, for n >= 0, and the downward ``[(1, 0), f(t/q), f(t/q) f(t/q^2),
-    ...]``, its argument m formed as ``t * q**-m``, whose entry n inverted
-    is the factorial at -n. Each entry is the previous one's finite part
-    times the factor's, and the sum of their orders, as FactorialValue
-    multiplies them; ``factorial`` wraps the pair in a FactorialValue. So a
-    window [-M, M'] costs M + M' factors per base, and a value read from a
-    grown prefix is bit-identical to one computed afresh.
+    when it returns; ``theta_factorial`` is a table used once. Every value
+    in it is a plain ``(finite_part, order)`` pair; a FactorialValue is
+    built only where a value leaves it. ``factor`` memoises the pair of
+    ``theta_factor`` by its exact argument, and ``prefetch`` fills that
+    memo with the bit-identical values of one ``theta_many`` batch.
+    ``factorial`` keeps two prefix lists for each base t: the upward
+    ``[(1, 0), f0, f0 f1, ...]`` with ``f_m = factor(t q^m)``, each
+    argument the previous one times q, for n >= 0, and the downward ``[(1,
+    0), f(t/q), f(t/q) f(t/q^2), ...]``, its argument m formed as ``t *
+    q**-m``, whose entry n inverted is the factorial at -n. Each entry is
+    the previous one's finite part times the factor's, and the sum of
+    their orders, as FactorialValue multiplies them. So a window [-M, M']
+    costs M + M' factors per base, and a value read from a grown prefix is
+    bit-identical to one computed afresh.
     """
 
     def __init__(self, nome: Nome) -> None:
         self.nome = nome
-        self._factors: dict[complex, FactorialValue] = {}
+        self._factors: dict[complex, tuple[complex, int]] = {}
         self._prefixes: dict[complex, tuple[list[tuple[complex, int]], complex]] = {}
         self._downward: dict[complex, list[tuple[complex, int]]] = {}
 
-    def factor(self, arg: complex) -> FactorialValue:
-        """theta_factor(arg, p)."""
+    def factor(self, arg: complex) -> tuple[complex, int]:
+        """theta_factor(arg, p) as a (finite_part, order) pair."""
         factor = self._factors.get(arg)
         if factor is None:
-            factor = self._factors[arg] = _factor_value(theta(arg, self.nome.p))
+            factor = self._factors[arg] = _factor_pair(theta(arg, self.nome.p))
         return factor
 
     def prefetch(self, args: Iterable[complex]) -> None:
@@ -158,7 +157,7 @@ class FactorTable:
         missing = [arg for arg in dict.fromkeys(args) if arg not in self._factors]
         for arg, value in zip(missing, theta_many(missing, self.nome.p)):
             if value is not None:
-                self._factors[arg] = _factor_value(value)
+                self._factors[arg] = _factor_pair(value)
 
     @property
     def arguments(self) -> KeysView[complex]:
@@ -171,30 +170,26 @@ class FactorTable:
         q, args = self.nome.q, []
         for t in ts:
             if n < 0:
-                args += [complex(t) * q ** -m for m in range(len(self._downward.get(t, (ONE,))), 1 - n)]
+                args += [complex(t) * q ** -m for m in range(len(self._downward.get(t, ((1.0 + 0j, 0),))), 1 - n)]
                 continue
-            prefix, arg = self._prefixes.get(t, ((ONE,), complex(t)))
+            prefix, arg = self._prefixes.get(t, (((1.0 + 0j, 0),), complex(t)))
             for _ in range(len(prefix), n + 1):
                 args.append(arg)
                 arg *= q
         return args
 
-    def factorial(self, t: complex, n: int) -> FactorialValue:
-        """theta(t; p; q)_n for any integer n."""
-        return FactorialValue(*self.factorial_pair(t, n))
-
-    def factorial_pair(self, t: complex, n: int) -> tuple[complex, int]:
-        """theta(t; p; q)_n as a (finite_part, order) pair; theta(t;p;q)_{-n} =
-        1/theta(t q^{-n};p;q)_n = 1/(theta(t/q) theta(t/q^2) ... theta(t/q^n)),
-        read from the downward prefix of t and inverted as
-        FactorialValue.inverse inverts it."""
+    def factorial(self, t: complex, n: int) -> tuple[complex, int]:
+        """theta(t; p; q)_n for any integer n as a (finite_part, order) pair;
+        theta(t;p;q)_{-n} = 1/theta(t q^{-n};p;q)_n = 1/(theta(t/q)
+        theta(t/q^2) ... theta(t/q^n)), read from the downward prefix of t
+        and inverted as FactorialValue.inverse inverts it."""
         q = self.nome.q
         if n < 0:
             prefix = self._downward.setdefault(t, [(1.0 + 0j, 0)])
             while len(prefix) <= -n:
                 finite, order = prefix[-1]
-                factor = self.factor(complex(t) * q ** -len(prefix))
-                prefix.append((finite * factor.finite_part, order + factor.order))
+                factor, factor_order = self.factor(complex(t) * q ** -len(prefix))
+                prefix.append((finite * factor, order + factor_order))
             finite, order = prefix[-n]
             if finite == 0:
                 raise FloatRangeError(_UNDERFLOWED)
@@ -202,8 +197,8 @@ class FactorTable:
         prefix, arg = self._prefixes.get(t, ([(1.0 + 0j, 0)], complex(t)))
         while len(prefix) <= n:
             finite, order = prefix[-1]
-            factor = self.factor(arg)
-            prefix.append((finite * factor.finite_part, order + factor.order))
+            factor, factor_order = self.factor(arg)
+            prefix.append((finite * factor, order + factor_order))
             arg *= q
         self._prefixes[t] = (prefix, arg)
         return prefix[n]

@@ -8,9 +8,9 @@ and the balanced / well-poised / very-well-poised / modular classifiers.
 Coefficients carry a finite part and an exact order, as FactorialValue
 does, so that structural zeros and poles are resolved exactly rather than
 through divisions by numerically tiny theta values. _LatticeTerms
-assembles them on plain (finite_part, order) pairs, with the complex
-operations FactorialValue's products and quotients make, in the same
-order, and returns each coefficient as one FactorialValue, so a term is
+assembles them from FactorTable's (finite_part, order) pairs, with the
+complex operations FactorialValue's products and quotients make, in the
+same order, and builds one FactorialValue per coefficient, so a term is
 bit-identical to its FactorialValue product. Each evaluator reads all its
 coefficients through one FactorTable, so each distinct theta factor is
 evaluated once per sum, and a sum with a finite truncation or window
@@ -321,12 +321,12 @@ class _LatticeTerms:
     """The coefficients of a _Multisum, read through a table. A point lam has
     the parts cross (j, k, lam_j, lam_k) and block (j, lam_j); each part's
     value is built once, kept in a memo and reused at every point that
-    shares it. Parts and products are (finite_part, order) pairs, and a
-    call returns its coefficient as a FactorialValue. ``arguments`` lists
-    the theta arguments of the parts of the points given at construction,
-    so a ``prefetch`` of the listing holds every theta value a call at
-    those points asks for. A call at one point, listed or not, builds that
-    coefficient alone."""
+    shares it. Factors, factorials, parts and products are (finite_part,
+    order) pairs; a call returns its coefficient as one FactorialValue.
+    ``arguments`` lists the theta arguments of the parts of the points
+    given at construction, so a ``prefetch`` of the listing holds every
+    theta value a call at those points asks for. A call at one point,
+    listed or not, builds that coefficient alone."""
 
     def __init__(self, desc: _Multisum, table: FactorTable, lattice=()) -> None:
         self.scalar, self.table, self._values = desc.scalar, table, {}
@@ -346,18 +346,18 @@ class _LatticeTerms:
         absent side read as 1, each step the complex operation and order sum
         FactorialValue makes."""
         table, q, half = self.table, self.table.nome.q, len(key) // 2
-        factor, factorial = table.factor, table.factorial_pair
+        factor, factorial = table.factor, table.factorial
         heads, runs = self._shapes[key[:half]]
         at = key[half:]
         tops = [factor(c * q ** _dot(e, at)) for c, e in heads]
-        finite, order = (tops[0].finite_part, tops[0].order) if tops else (1.0 + 0j, 0)
-        for top in tops[1:]:
-            finite, order = finite * top.finite_part, order + top.order
+        finite, order = tops[0] if tops else (1.0 + 0j, 0)
+        for top, top_order in tops[1:]:
+            finite, order = finite * top, order + top_order
         for c, _ in heads:
-            bottom = factor(c)
-            if bottom.finite_part == 0:
+            bottom, bottom_order = factor(c)
+            if bottom == 0:
                 raise FloatRangeError(_UNDERFLOWED)
-            finite, order = finite / bottom.finite_part, order - bottom.order
+            finite, order = finite / bottom, order - bottom_order
         for e, pairs in runs:
             m = _dot(e, at)
             for a, b in pairs:

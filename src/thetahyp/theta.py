@@ -81,35 +81,38 @@ def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> comple
     ``n`` may be a non-negative integer (finite product), a negative
     integer (via (a;p)_{-n} = 1/(a p^{-n}; p)_n), or None / math.inf for
     the infinite product, truncated once |a p^k| < PRODUCT_TOL and k >= 8.
-    Another float n raises ThetaDomainError, a vanishing factor PoleError.
+    A non-finite a or p, another float n, or n < 0 at p = 0 raises
+    ThetaDomainError, a vanishing factor PoleError, a product past float64
+    FloatRangeError.
     """
-    if n is None or n == math.inf:
-        if abs(p) >= 1.0:
-            raise ThetaDomainError("infinite product needs |p| < 1")
-        prod = 1.0 + 0j
-        term = complex(a)
-        k = 0
-        while k < 8 or abs(term) >= PRODUCT_TOL:
+    if not (cmath.isfinite(a) and cmath.isfinite(p)):
+        raise ThetaDomainError(f"(a;p)_n needs a finite a and p, got a={a}, p={p}")
+    infinite = n is None or n == math.inf
+    if infinite and not math.hypot(p.real, p.imag) < 1.0:  # abs(p) itself may overflow
+        raise ThetaDomainError("infinite product needs |p| < 1")
+    if not infinite and isinstance(n, float) and not n.is_integer():
+        raise ThetaDomainError(f"(a;p)_n needs an integer n, None or math.inf, got n = {n}")
+    if infinite or (n := int(n)) >= 0:
+        prod, term, k = 1.0 + 0j, complex(a), 0
+        while (k < 8 or abs(term) >= PRODUCT_TOL) if infinite else k < n:
             prod *= 1.0 - term
             term *= p
             k += 1
-            if k > 16 * MAX_TERMS:
+            if infinite and k > 16 * MAX_TERMS:
                 raise NonConvergenceError("(a;p)_inf did not reach PRODUCT_TOL")
-        return prod
-    if isinstance(n, float) and not n.is_integer():
-        raise ThetaDomainError(f"(a;p)_n needs an integer n, None or math.inf, got n = {n}")
-    n = int(n)
-    if n >= 0:
-        prod = 1.0 + 0j
-        term = complex(a)
-        for _ in range(n):
-            prod *= 1.0 - term
-            term *= p
-        return prod
-    denom = p_pochhammer(a * p**n, p, -n)
-    if denom == 0:
-        raise PoleError(f"(a;p)_{n} hits a vanishing factor, a={a}, p={p}")
-    return 1.0 / denom
+    elif p == 0:
+        raise ThetaDomainError(f"(a;0)_n needs n >= 0, got n = {n}")
+    else:
+        try:  # a p^n leaves the float64 range, or the product read from it does
+            denom = p_pochhammer(a * p**n, p, -n)
+        except (ArithmeticError, ThetaDomainError) as err:
+            raise FloatRangeError(f"(a;p)_n is not finite in float64, a={a}, p={p}, n={n}") from err
+        if denom == 0:
+            raise PoleError(f"(a;p)_{n} hits a vanishing factor, a={a}, p={p}")
+        prod = 1.0 / denom
+    if not cmath.isfinite(prod):
+        raise FloatRangeError(f"(a;p)_n is not finite in float64, a={a}, p={p}, n={n}")
+    return prod
 
 
 class _Reduction:
@@ -443,12 +446,10 @@ def theta1_modular_s_multiplier(u: complex, pair: ModularPair) -> complex:
 def sqrt_positive_real(w: complex) -> complex:
     """Square root of w whose real part is positive.
 
-    Raises BranchError when both roots are purely imaginary (w real
-    negative), where the prescription is undefined.
+    That is cmath.sqrt's principal root, unless both roots are purely
+    imaginary (w real negative): there BranchError is raised.
     """
     s = cmath.sqrt(w)
     if s.real > 0:
         return s
-    if s.real < 0:
-        return -s
     raise BranchError(f"both square roots of {w} are purely imaginary")

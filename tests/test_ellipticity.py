@@ -51,6 +51,15 @@ class TestHForm:
         form = HForm((), (), 0j, 2.5 + 0j, PAIR)
         assert h_eval(form, 0.37 - 0.2j) == 2.5 + 0j
 
+    @pytest.mark.parametrize(
+        "poles, x", [((-0.3 + 0j,), 0.3 + 0j), ((0.2 + 0.1j, -0.3 + 0j), 0.3 + 0j), ((0j,), 0j)]
+    )
+    def test_vanishing_denominator_is_a_pole(self, poles, x):
+        # x + v lands exactly on the lattice zero [0] = 0 for one pole v
+        form = HForm((0.1 + 0.2j,), poles, 0j, 1.0 + 0j, PAIR)
+        with pytest.raises(PoleError, match="h\\(x\\) pole at x = "):
+            h_eval(form, x)
+
     def test_multiplier_laws(self):
         rng = np.random.default_rng(0)
         for _ in range(10):

@@ -129,10 +129,10 @@ def test_factorial_matches_loop_product(t, on_lattice):
     # the longest prefix first, so the later calls read entries grown earlier
     for n in [8, *range(-3, 9)]:
         want = _loop_factorial(t, NOME, n)
-        for got in (table.factorial(t, n), theta_factorial(t, NOME, n)):
+        for got in (FactorialValue(*table.factorial(t, n)), theta_factorial(t, NOME, n)):
             assert (got.finite_part, got.order) == (want.finite_part, want.order), n
     # the lattice cases put a factor of the range on a zero of theta
-    assert any(table.factorial(t, n).order for n in range(9)) == on_lattice
+    assert any(table.factorial(t, n)[1] for n in range(9)) == on_lattice
 
 
 def test_negative_factorials_read_one_downward_prefix(monkeypatch):
@@ -185,14 +185,18 @@ def test_factorial_arguments_are_those_factorial_evaluates(monkeypatch, t, grown
         assert [_hex(z) for z in listed] == [_hex(z) for z in want[skip:]], n
 
 
-def _reference_term(terms, lam, factor):
+def _reference_term(terms, lam, read):
     """terms(*lam) in FactorialValue arithmetic, _LatticeTerms' assembly
     retyped from before its parts and products kept plain pairs: each part
     its heads multiplied, divided by each head base, then times each
     quotient (a)_m / (b)_m in turn; the cross parts, then the blocks, then
-    the scalar, from ONE. factor reads the theta factors, and each
-    factorial is their loop product."""
+    the scalar, from ONE. read reads the theta factors as (finite_part,
+    order) pairs, and each factorial is their loop product."""
     nome = terms.table.nome
+
+    def factor(z):
+        return FactorialValue(*read(z))
+
     keys = [(j, k, lam[j], lam[k]) for j, k in itertools.combinations(range(len(lam)), 2)] + list(enumerate(lam))
     out = ONE
     for key in keys:
@@ -276,7 +280,7 @@ def test_underflowed_divisor_raises_as_factorial_value_does(where):
     pairs = () if where == "head" else ((0.3 - 0.1j, b, (1,)),)
     n = -1 if where == "downward_pair" else 1
     terms = _LatticeTerms(_Multisum({}, ((head, pairs),), lambda lam: 1), FactorTable(NOME))
-    terms.table._factors[b * NOME.q**-1 if n < 0 else b] = FactorialValue(0j)
+    terms.table._factors[b * NOME.q**-1 if n < 0 else b] = (0j, 0)
     errors = []
     for run in (lambda: terms(n), lambda: _reference_term(terms, (n,), terms.table.factor)):
         with pytest.raises(FloatRangeError) as info:
@@ -308,9 +312,9 @@ def test_unlisted_calls_are_the_factorial_value_products_bit_for_bit():
 @pytest.mark.parametrize("n", [3, -3])
 def test_factorial_reads_equal_after_its_prefix_grows(n):
     table = FactorTable(NOME)
-    first = table.factorial(0.6 + 0.2j, n)
+    first = FactorialValue(*table.factorial(0.6 + 0.2j, n))
     table.factorial(0.6 + 0.2j, 4 * n)
-    again = table.factorial(0.6 + 0.2j, n)
+    again = FactorialValue(*table.factorial(0.6 + 0.2j, n))
     assert again == first and _hex(again) == _hex(first)
 
 
@@ -560,8 +564,8 @@ def test_all_rejected_draws_exit_2(monkeypatch, capsys):
     assert "sample_multi1: could not find admissible parameters" in json.loads(capsys.readouterr().out)["error"]
 
 
-# verifier, sampled params and budget of FactorTable.factorial_pair calls, the
-# prefix reads the terms make (factorial makes one per call); building
+# verifier, sampled params and budget of FactorTable.factorial calls, the
+# prefix reads the terms make, each a (finite_part, order) pair; building
 # every coefficient's blocks afresh made 3,867 calls for multi2 and 984 for
 # multi1 here, reusing each block and cross factor across the lattice 267 and 288
 FACTORIAL_BUDGETS = {
@@ -574,7 +578,27 @@ FACTORIAL_BUDGETS = {
 def test_multisum_factorial_budget(monkeypatch, case):
     verify, sample, budget = FACTORIAL_BUDGETS[case]
     params = sample()
-    assert _count_calls(monkeypatch, FactorTable, "factorial_pair", lambda: verify(params)) <= budget
+    assert _count_calls(monkeypatch, FactorTable, "factorial", lambda: verify(params)) <= budget
+
+
+# verifier, sampled params or spec and the FactorialValues the check builds:
+# one per term and one per closed form or prefactor, since the table and the
+# term assembly keep (finite_part, order) pairs; when the table's memo and
+# factorials held FactorialValues these checks built 333, 282, 111, 215 and 305
+BUILT = {
+    "multi2_3_3": (verify_multi2, lambda: sample_multi2(16, 3, (3, 3, 3), NOME), 65),
+    "multi1_3_3": (verify_multi1, lambda: sample_multi1(15, 3, 3, NOME), 21),
+    "ft_6": (verify_ft_sum, lambda: sample_ft(12, 6, NOME), 8),
+    "bailey_6": (verify_bailey, lambda: sample_bailey(12, 6, NOME), 15),
+    "ge_split_8": (lambda spec: ge_split_check(spec, 8, 8), lambda: GE_SPEC, 35),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILT))
+def test_factorial_values_are_built_only_at_the_edge(monkeypatch, case):
+    check, sample, built = BUILT[case]
+    arg = sample()
+    assert _count_calls(monkeypatch, FactorialValue, "__init__", lambda: check(arg)) == built
 
 
 def test_ft_theta_calls_grow_linearly(monkeypatch):
@@ -705,8 +729,8 @@ def test_value_is_the_factor_value(arg, outcome, prefetch):
     table = FactorTable(NOME)
     if prefetch:
         table.prefetch([arg])
-    got = _hex_or_error(lambda: table.factor(arg).value)
-    assert got == _hex_or_error(lambda: FactorTable(NOME).factor(arg).value)
+    got = _hex_or_error(lambda: FactorialValue(*table.factor(arg)).value)
+    assert got == _hex_or_error(lambda: FactorialValue(*FactorTable(NOME).factor(arg)).value)
     assert got == _hex_or_error(lambda: theta_factor(arg, NOME.p).value)
     if outcome == "zero":
         assert got == ((0.0).hex(), (0.0).hex())

@@ -33,6 +33,23 @@ from thetahyp.series import _LatticeTerms
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Multi1Params(0, 0.8 + 0j, (0.5 + 0j,) * 6, 2, NOME), "rank n must be >= 1"),
+        (lambda: Multi1Params(2, 0.8 + 0j, (0.5 + 0j,) * 5, 2, NOME), "exactly 6 t-parameters"),
+        (lambda: Multi2Params(0, (0.5 + 0j,) * 4, (), NOME), "rank n must be >= 1"),
+        (lambda: Multi2Params(2, (0.5 + 0j,) * 7, (2, 2), NOME), "needs 8 parameters"),
+        (lambda: Multi2Params(2, (0.5 + 0j,) * 8, (2,), NOME), "one entry per rank"),
+    ],
+    ids=["multi1_rank", "multi1_params", "multi2_rank", "multi2_params", "multi2_depths"],
+)
+def test_multisum_shapes_are_refused(make, message):
+    # each is refused before any constraint or theta value is computed
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestFTSum:
     def test_random_draws(self):
         for i in range(15):

@@ -27,6 +27,7 @@ from thetahyp import (
     term_ratio_at,
     vwp_coefficient,
 )
+from thetahyp.report import rel_err
 
 NOME = Nome(0.3 + 0.08j, 0.2 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -149,6 +150,23 @@ class TestCoefficients:
         # each raised AttributeError on the attribute the other class lacks
         with pytest.raises(ValueError, match=f"expects a {expects}, got a {type(spec).__name__}"):
             call(spec)
+
+    G_SPEC = ThetaSeriesSpec("bilateral_G", (0.4 + 0.1j,), (0.6 - 0.2j,), 0, 0.3 + 0j, NOME)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: VwpSpec.from_json(TestCoefficients.E_SPEC.to_json()), "not a vwp spec: kind='unilateral_E'"),
+            (lambda: eval_E(TestCoefficients.G_SPEC), "eval_E expects a unilateral_E spec"),
+            (lambda: eval_G(TestCoefficients.E_SPEC, (-2, 2)), "eval_G expects a bilateral_G spec"),
+            (lambda: eval_basic("psi", [0.4 + 0j], [0.6 + 0j], 0.3 + 0j, 0, 0.5 + 0j), "psi evaluation needs a finite window"),
+            (lambda: eval_basic("chi", [0.4 + 0j], [0.6 + 0j], 0.3 + 0j, 0, 0.5 + 0j), "unknown basic series kind 'chi'"),
+        ],
+        ids=["vwp_from_json", "eval_E", "eval_G", "basic_psi_window", "basic_kind"],
+    )
+    def test_wrong_kind_or_extent_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestEvaluators:
@@ -469,6 +487,16 @@ class TestCompare:
         with pytest.raises(FloatRangeError, match=f"{side} is not finite"):
             VerificationReport.compare(sides["lhs"], sides["rhs"], 1e-10)
 
+    @pytest.mark.parametrize(
+        "lhs, rhs, want",
+        # 2^-70 is below the 1e-20 floor and 2^-64 above it
+        [(1e-21 + 0j, 0j, 1e-21), (2.0**-69 + 0j, 2.0**-70 + 0j, 2.0**-70), (1.5 * 2.0**-64 + 0j, 2.0**-64 + 0j, 0.5),
+         (1.5 + 0j, 1 + 0j, 0.5)],
+        ids=["zero_reference", "tiny_reference", "small_reference", "unit_reference"],
+    )
+    def test_rel_err_falls_back_to_absolute_below_1e_20(self, lhs, rhs, want):
+        assert rel_err(lhs, rhs) == want
+
 
 class TestBasicDegeneration:
     def test_e_at_p_zero_matches_phi(self):
@@ -526,6 +554,26 @@ class TestBasicDegeneration:
             c *= ((-1.0) ** n * q ** (n * (n - 1) // 2)) ** k * z**n
             ref += c
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_terminating_basic_series_match_the_elliptic_ones_at_p_zero(self, N):
+        # a numerator q^-N ends each sum after its term N: on the basic side
+        # at _qp_factor's structural zero, on the elliptic side at theta's
+        # lattice zero 1 = p^0
+        q = 0.3 + 0.1j
+        nome0 = Nome(q, 0j)
+        a, b, z = 0.6 + 0.2j, 0.7 - 0.1j, 0.4 + 0.2j
+        t0, ts, z_vwp = 0.62 + 0.21j, (q**-N / (0.62 + 0.21j), 0.55 - 0.3j, -0.48 + 0.4j), 0.45 + 0.15j
+        pairs = [
+            (eval_basic("phi", [q**-N, a], [b], q, 0, z),
+             eval_E(ThetaSeriesSpec("unilateral_E", (q**-N, a), (b,), 0, z, nome0))),
+            (eval_basic("vwp_phi", q=q, z=z_vwp, t0=t0, ts=list(ts)),
+             eval_vwp(VwpSpec(t0, ts, z_vwp, nome0, "unilateral"))),
+        ]
+        for basic, elliptic in pairs:
+            assert basic.terminated and elliptic.terminated
+            assert basic.terms_used == elliptic.terms_used == N + 1
+            assert abs(basic.value - elliptic.value) <= 1e-12 * abs(elliptic.value)
 
     def test_basic_rejects_big_q(self):
         with pytest.raises(Exception):

@@ -100,6 +100,38 @@ class TestPochhammer:
         with pytest.raises(PoleError):
             p_pochhammer(0.25, 0.5, -3)
 
+    @pytest.mark.parametrize(
+        "a, p, n, error",
+        [
+            (math.inf, 0.5, None, ThetaDomainError),
+            (0.5, math.nan, 3, ThetaDomainError),
+            (complex(0.5, math.inf), 0.5, -2, ThetaDomainError),
+            (0.5, 0, -3, ThetaDomainError),
+            (0.5, 0j, -1, ThetaDomainError),
+            (0.5, 1.0, None, ThetaDomainError),
+            (0.5, 1.5e308 + 1.5e308j, None, ThetaDomainError),
+            (0.5, 0.9999, None, NonConvergenceError),
+            (1e308, 0.5, 5, FloatRangeError),
+            (1e200, 0.9, None, FloatRangeError),
+            (0.5, 1e-200, -3, FloatRangeError),
+            (0.5, 1e-200 + 0j, -3, FloatRangeError),
+        ],
+    )
+    def test_refusals_are_typed(self, a, p, n, error):
+        # a non-finite input and a product past the float64 range returned
+        # nan+nanj, and p^n at p = 0, or past the float64 range, raised a
+        # bare ZeroDivisionError or OverflowError; 0.5 * 0.9999^8193 is
+        # still above PRODUCT_TOL
+        with pytest.raises(error) as info:
+            p_pochhammer(a, p, n)
+        if error is FloatRangeError:
+            assert f"p={p}" in str(info.value) and f"a={a}" in str(info.value)
+
+    def test_finite_products_at_the_range_edge(self):
+        assert p_pochhammer(1e-300, 0.5, -1) == 1.0
+        assert p_pochhammer(0.5, 0, 3) == 0.5 + 0j
+        assert p_pochhammer(1e150, 0.5, 2) == (1.0 - 1e150) * (1.0 - 5e149)
+
     def test_infinite_product_ratio(self):
         # (a;p)_inf / (a p^s; p)_inf == (a;p)_s
         a, p = 0.5 - 0.3j, 0.3 + 0.2j
@@ -433,6 +465,21 @@ class TestModular:
             lhs = theta1(u, transformed)
             rhs = theta1_modular_s_multiplier(u, pair) * theta1(u, pair)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize(
+        "w, refused",
+        [(-1 - 1e-3j, False), (-4 + 1e-300j, False), (1j, False), (-1j, False),
+         (complex(-4.0, -0.0), True), (0j, True), (complex(math.nan, 0.0), True)],
+    )
+    def test_sqrt_positive_real_never_takes_the_negative_real_root(self, w, refused):
+        # of the roots s and -s of w, the one with negative real part is
+        # never returned; on the negative real axis neither root qualifies
+        if refused:
+            with pytest.raises(BranchError, match="purely imaginary"):
+                sqrt_positive_real(w)
+            return
+        s = sqrt_positive_real(w)
+        assert s.real > 0 and abs(s * s - w) <= 1e-15 * abs(w)
 
     def test_sqrt_branch(self):
         assert abs(sqrt_positive_real(4.0) - 2.0) < 1e-15
