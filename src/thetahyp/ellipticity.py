@@ -241,7 +241,6 @@ def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]],
                 part_r[:, divided], part_i[:, divided] = _quot(part_r[:, divided], part_i[:, divided], d.real, d.imag)
         distinct, inverse = np.unique(args.ravel(), return_inverse=True)
         values, raises = _theta_lanes(distinct, p)
-        values[values == 0] = 0  # a theta value of 0 reads as 0j
         v, bad = values[inverse].reshape(args.shape), raises[inverse].reshape(args.shape)
         tr, ti = _quot(v.real[0], v.imag[0], v.real[1], v.imag[1])
         out_r, out_i = ratio.real, ratio.imag

@@ -22,7 +22,8 @@ structurally instead of dividing by numerically tiny values.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, KeysView
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import FloatRangeError, PoleError
@@ -111,10 +112,8 @@ def theta_factorial(t: complex, nome: Nome, n: int) -> FactorialValue:
 
 def theta_factorial_multi(ts: list[complex], nome: Nome, n: int) -> FactorialValue:
     """Product of theta_factorial over a parameter list (empty list -> 1)."""
-    table, finite, order = FactorTable(nome), 1.0 + 0j, 0
-    for top, top_order in (table.factorial(t, n) for t in ts):
-        finite, order = finite * top, order + top_order
-    return FactorialValue(finite, order)
+    table = FactorTable(nome)
+    return math.prod((FactorialValue(*table.factorial(t, n)) for t in ts), start=ONE)
 
 
 class FactorTable:
@@ -158,11 +157,6 @@ class FactorTable:
         for arg, value in zip(missing, theta_many(missing, self.nome.p)):
             if value is not None:
                 self._factors[arg] = _factor_pair(value)
-
-    @property
-    def arguments(self) -> KeysView[complex]:
-        """Every argument theta has been evaluated at, in first-use order."""
-        return self._factors.keys()
 
     def factorial_arguments(self, ts: Iterable[complex], n: int) -> list[complex]:
         """For each base t in ts, the arguments factorial(t, n) evaluates past

@@ -342,9 +342,9 @@ class _LatticeTerms:
     def _value(self, key: tuple[int, ...]) -> tuple[complex, int]:
         """The part key at its indices, m = e.lam for each head and pair, as a
         (finite_part, order) pair: its heads theta(c q^m) multiplied, divided
-        by each theta(c), then times each quotient (a)_m / (b)_m in turn, an
-        absent side read as 1, each step the complex operation and order sum
-        FactorialValue makes."""
+        by each theta(c), a factor pair whose finite part is never 0, then
+        times each quotient (a)_m / (b)_m in turn, an absent side read as 1,
+        each step the complex operation and order sum FactorialValue makes."""
         table, q, half = self.table, self.table.nome.q, len(key) // 2
         factor, factorial = table.factor, table.factorial
         heads, runs = self._shapes[key[:half]]
@@ -355,8 +355,6 @@ class _LatticeTerms:
             finite, order = finite * top, order + top_order
         for c, _ in heads:
             bottom, bottom_order = factor(c)
-            if bottom == 0:
-                raise FloatRangeError(_UNDERFLOWED)
             finite, order = finite / bottom, order - bottom_order
         for e, pairs in runs:
             m = _dot(e, at)

@@ -314,8 +314,8 @@ def _theta_lanes(zs, p: complex):
         near = ~raises & (np.abs(m) <= MAX_ZERO_ORDER)
         if not red.count:  # only the lattice zeros have a value
             raises[:] = True
-        # pre *= -y * p**i on the lanes whose k exceeds i; a lane leaves
-        # once its prefactor is not finite, as theta raises there
+        # pre *= -y * p**i on the lanes whose k exceeds i; a lane leaves once
+        # its prefactor, and so its value, is not finite, as theta raises there
         pre, prod = np.zeros((2, 2, 1, n))  # the parts of each, (2, 1, n)
         pre[0] = prod[0] = 1.0
         (pre_r, pre_i), (prod_r, prod_i) = pre[:, 0], prod[:, 0]
@@ -331,7 +331,6 @@ def _theta_lanes(zs, p: complex):
                 pre_r[lanes], pre_i[lanes] = _mul(pre_r[lanes], pre_i[lanes], fr, fi)
             step = end
             lanes = lanes[(k[lanes] > step) & np.isfinite(pre_r[lanes]) & np.isfinite(pre_i[lanes])]
-        raises |= ~(np.isfinite(pre_r) & np.isfinite(pre_i))
         # w = y p**k; a lane whose k is past the powers has left the loop
         pk = np.where(k < len(pr), k, 0)
         wr, wi = _mul(yr, yi, pr[pk], pi[pk])
@@ -374,8 +373,8 @@ def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:
     ``p^{1/8} i q^{-u/2} (p; p)_inf theta(q^u; p)``.
 
     A non-finite u raises ThetaDomainError, and a series term that leaves
-    the float64 range (cmath raising OverflowError or ValueError)
-    FloatRangeError, each naming u.
+    the float64 range (cmath raising OverflowError or ValueError), or a q^u
+    that underflows to 0 in the product, FloatRangeError, each naming u.
     """
     if not cmath.isfinite(u):
         raise ThetaDomainError(f"theta1 needs a finite argument, got u={u}")
@@ -407,7 +406,7 @@ def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:
         p = pair.p
         qu = cmath.exp(TWO_PI_I * sigma * u)
         if qu == 0:
-            raise ThetaDomainError("q^u underflowed to zero")
+            raise FloatRangeError(f"theta1 product at u={u} left the float64 range: q^u underflowed to 0")
         prefactor = cmath.exp(1j * math.pi * tau / 4.0) * 1j * cmath.exp(-1j * math.pi * sigma * u)
         return prefactor * p_pochhammer(p, p) * theta(qu, p)
     raise ValueError(f"unknown theta1 method {method!r}")

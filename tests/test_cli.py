@@ -365,6 +365,24 @@ class TestErrorPaths:
     def test_unknown_target_exits_2(self):
         assert run(["verify", "nonsense"]) == 2
 
+    def test_non_object_eval_input_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "spec.json"
+        inp.write_text("[1, 2]")
+        assert run(["eval", str(inp)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "eval input must be a JSON object"
+
+    def test_ge_split_without_input_exits_2(self, capsys):
+        # ge_split has no sampler, so there is nothing to draw
+        assert run(["verify", "ge_split"]) == 2
+        assert "needs an input file" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_diagnostic_falls_back_to_stderr_when_out_is_unwritable(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert run(["verify", "ft_sum", "--draws", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, json.loads(captured.err)) == ("", {"error": "--draws must be >= 1", "command": "verify"})
+        assert not out.parent.exists()
+
 
 class TestNomeAndBand:
     def test_valid_values_are_read(self, tmp_path):

@@ -276,6 +276,11 @@ class TestTotalEllipticityMulti:
         with pytest.raises(FloatRangeError):
             multi2_h(params, 2, list(bad))
 
+    def test_a_column_exponent_past_the_term_ratios_raises(self):
+        # a term ratio's column raises each x_j to 1, 2 or -1 only
+        with pytest.raises(ValueError, match="no exponent 3"):
+            ellipticity._power(np.array([0.5 + 0.1j]), 3)
+
 
 def _additive(rng):
     return complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1))
@@ -391,6 +396,19 @@ class TestModularity:
         _, rep = check_modularity(form, tol=1e-8)
         assert rep.sample_count > 0
         assert (rep.max_rel_dev, rep.passed) == (math.inf, False)
+
+    @pytest.mark.parametrize(
+        "poles, y",
+        [((0.15 - 0.06j,), 1e-20 + 0j), ((0j, -1 + 0j, -2 + 0j, -3 + 0j), 1.0 + 0j)],
+        ids=["negligible_reference", "pole_at_every_x"],
+    )
+    def test_no_usable_sample_does_not_pass(self, poles, y):
+        # |h| < 1e-12 at every x, or x + v = 0 for a pole v at each x = 0..3,
+        # where theta1 is exactly 0 and h_eval raises PoleError: every x is
+        # skipped, and a check with no sample fails
+        form = HForm((0.3 + 0.1j,) * len(poles), poles, 0j, y, S_PAIR)
+        _, rep = check_modularity(form, tol=1e-8)
+        assert (rep.sample_count, rep.passed) == (0, False)
 
     def test_equal_sums_unequal_squares_fails(self):
         # sum of zeros equals sum of poles (elliptic), but squared sums

@@ -271,15 +271,15 @@ def test_terms_are_the_factorial_value_products_bit_for_bit(case):
     assert (max(orders) > 0, any(terms.table._downward for terms, _ in readers)) == (zero, downward)
 
 
-@pytest.mark.parametrize("where", ["head", "pair", "downward_pair"])
+@pytest.mark.parametrize("where", ["pair", "downward_pair"])
 def test_underflowed_divisor_raises_as_factorial_value_does(where):
     # a theta factor whose finite part underflowed to 0, planted in the memo:
-    # the head base, the pair's b at m = 1, or t q^-1 for b at m = -1
+    # the pair's b at m = 1, or t q^-1 for b at m = -1. A head divisor needs
+    # no such case: the memo holds only _factor_pair pairs, whose finite part
+    # is never 0
     b = 0.6 + 0.2j
-    head = ((b, (2,)),) if where == "head" else ()
-    pairs = () if where == "head" else ((0.3 - 0.1j, b, (1,)),)
     n = -1 if where == "downward_pair" else 1
-    terms = _LatticeTerms(_Multisum({}, ((head, pairs),), lambda lam: 1), FactorTable(NOME))
+    terms = _LatticeTerms(_Multisum({}, (((), ((0.3 - 0.1j, b, (1,)),)),), lambda lam: 1), FactorTable(NOME))
     terms.table._factors[b * NOME.q**-1 if n < 0 else b] = (0j, 0)
     errors = []
     for run in (lambda: terms(n), lambda: _reference_term(terms, (n,), terms.table.factor)):
@@ -374,7 +374,7 @@ def test_batch_moves_no_bit(monkeypatch, case):
             m.setattr(FactorTable, "prefetch", recording)
             values = _batched_values(arg)
         assert len(tables) == 1
-        runs.append((set(tables[0].arguments), [_hex(v) for v in values]))
+        runs.append((set(tables[0]._factors), [_hex(v) for v in values]))
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == lanes
 
@@ -417,7 +417,7 @@ def test_lattice_arguments_are_those_the_terms_evaluate(make):
     terms = _LatticeTerms(desc, table, points)
     for lam in points:
         terms(*lam)
-    assert set(listed) == set(table.arguments)
+    assert set(listed) == set(table._factors)
 
 
 def test_early_raising_sum_batches_only_the_terms_it_reads(monkeypatch):

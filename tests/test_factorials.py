@@ -41,6 +41,9 @@ class TestFactorialValue:
         assert v.finite_part == 6.0
         assert (2.0 * FactorialValue(1.5 + 0j)).finite_part == 3.0
 
+    def test_scalar_division_keeps_the_order(self):
+        assert FactorialValue(2 + 1j, 1) / 2.0 == FactorialValue(1 + 0.5j, 1)
+
     def test_inverse_swaps_orders(self):
         v = FactorialValue(2.0 + 0j, 1).inverse()
         assert v.is_pole

@@ -439,6 +439,21 @@ class TestTheta1:
             elliptic_number(u, pair)
         assert type(info.value) is error
 
+    @pytest.mark.parametrize("method", ["series", "product"])
+    def test_both_forms_refuse_an_argument_past_the_float64_range(self, method):
+        # q^400 underflows to 0 here, which the product form raised as a
+        # ThetaDomainError naming no input; both forms now name u
+        pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
+        with pytest.raises(FloatRangeError, match=f"theta1 {method} at u=400 left the float64 range") as info:
+            theta1(400, pair, method=method)
+        assert type(info.value) is FloatRangeError
+
+    def test_series_that_never_converges_raises(self):
+        # |p| = e^(-2 pi 1e-6): the series' terms decay too slowly to meet
+        # SERIES_TOL within MAX_TERMS
+        with pytest.raises(NonConvergenceError, match="did not reach SERIES_TOL"):
+            theta1(0.3, ModularPair(0.1 + 0.1j, 1e-6j))
+
 
 class TestModular:
     def test_determinant_check(self):
