@@ -285,8 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         _emit_diagnostic(str(exc), args)
         return 2
-    # ThetaDomainError and BranchError are ValueErrors
-    except (PoleError, NonConvergenceError, OverflowError, ValueError, KeyError) as exc:
+    # ThetaDomainError and BranchError are ValueErrors; an OSError is an
+    # --out that cannot be written, so the diagnostic goes to stderr
+    except (PoleError, NonConvergenceError, OverflowError, ValueError, KeyError, OSError) as exc:
         _emit_diagnostic(f"{type(exc).__name__}: {exc}", args)
         return 2
 

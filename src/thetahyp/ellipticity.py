@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
-from .theta import ModularPair, Nome, _mul, _quot, _theta_lanes, apply_modular, elliptic_number, theta
+from .theta import ModularPair, Nome, _elliptic_lanes, _mul, _quot, _theta_lanes, apply_modular, elliptic_number, theta
 from .identities import Multi1Params, Multi2Params, _lattice_h, _multi1_lattice, _multi2_lattice
 
 
@@ -44,12 +44,14 @@ class HForm:
 
 
 def h_eval(form: HForm, x: complex) -> complex:
-    num = 1.0 + 0j
-    for u in form.zeros:
-        num *= elliptic_number(x + u, form.pair)
-    den = 1.0 + 0j
-    for v in form.poles:
-        den *= elliptic_number(x + v, form.pair)
+    return _h_of(form, x, [elliptic_number(x + u, form.pair) for u in form.zeros + form.poles])
+
+
+def _h_of(form: HForm, x: complex, numbers: list[complex]) -> complex:
+    """h at x from numbers, the elliptic numbers [x + u] of form's zeros,
+    then of its poles, in order."""
+    r = len(form.zeros)
+    num, den = math.prod(numbers[:r], start=1.0 + 0j), math.prod(numbers[r:], start=1.0 + 0j)
     if den == 0:
         raise PoleError(f"h(x) pole at x = {x}")
     qbx = cmath.exp(2j * math.pi * form.pair.sigma * form.beta * x)
@@ -118,6 +120,26 @@ def _shift_reports(points, ref, shifts, samples: int, tol: float, suffix: str = 
     return reports
 
 
+def _batched_reports(kinds, points, row, batch, single, samples: int, tol: float, suffix: str = ""):
+    """_shift_reports with one shift per kind over the iterator points, where
+    shift s at x (s = None the reference) reads the row row(s, x). The rows
+    of the points the shift loop takes first, `samples` a shift, are
+    evaluated by one batch(keys), a lookup r -> the value of keys[r]; a row
+    it lacks, after a redraw or past them, by single(key)."""
+    _check_samples(samples)
+    first = list(itertools.islice(points, len(kinds) * samples))
+    keys = [row(j // samples, x) for j, x in enumerate(first)] + [row(None, x) for x in first]
+    lookup, batched = batch(keys), dict(zip(keys, itertools.count()))
+
+    def h(s: int | None, x):
+        key = row(s, x)
+        r = batched.get(key)
+        return single(key) if r is None else lookup(r)
+
+    shifts = [(kind, functools.partial(h, s)) for s, kind in enumerate(kinds)]
+    return _shift_reports(itertools.chain(first, points), functools.partial(h, None), shifts, samples, tol, suffix)
+
+
 def check_ellipticity(
     term_ratio_fn: Callable[[complex], complex],
     nome: Nome,
@@ -157,14 +179,26 @@ def _check_total_ellipticity(
     """Total ellipticity of the term ratio build(params): one report for the
     index shift x -> x + tau/sigma, then one per parameter u_m shifted by
     tau/sigma. build solves any balancing parameter from the others, so a
-    shifted parameter set stays balanced."""
+    shifted parameter set stays balanced. The batch takes every [x + u] of
+    its rows through one _elliptic_lanes call; a row with a number it has
+    no value for goes to h_eval, which raises as elliptic_number does."""
     shift = pair.tau / pair.sigma
-    base = build(params)
-    shifts = [("index_p_shift", lambda x: h_eval(base, x + shift))]
-    for m in range(len(params)):
-        form = build([*params[:m], params[m] + shift, *params[m + 1 :]])
-        shifts.append((f"param_p_shift:u{m}", lambda x, form=form: h_eval(form, x)))
-    return _shift_reports(_draws(_rand_x, seed), lambda x: h_eval(base, x), shifts, samples, tol)
+    forms = [build(params)] + [build([*params[:m], params[m] + shift, *params[m + 1 :]]) for m in range(len(params))]
+    kinds = ["index_p_shift"] + [f"param_p_shift:u{m}" for m in range(len(params))]
+
+    def row(s: int | None, x: complex) -> tuple[int, complex]:
+        """(form, point) of h under shift s at x; s = None is the reference."""
+        return (0, x) if s is None else (0, x + shift) if s == 0 else (s, x)
+
+    def single(key: tuple[int, complex]) -> complex:
+        return h_eval(forms[key[0]], key[1])
+
+    def batch(keys: list[tuple[int, complex]]):
+        numbers = iter(_elliptic_lanes([x + u for f, x in keys for u in forms[f].zeros + forms[f].poles], pair))
+        rows = [list(itertools.islice(numbers, len(forms[f].zeros) + len(forms[f].poles))) for f, _ in keys]
+        return lambda r: single(keys[r]) if None in rows[r] else _h_of(forms[keys[r][0]], keys[r][1], rows[r])
+
+    return _batched_reports(kinds, _draws(_rand_x, seed), row, batch, single, samples, tol)
 
 
 def check_total_ellipticity_wp(
@@ -306,12 +340,9 @@ def _check_multi(
     """One report per summation index p-shift, then one per (kind, shifted
     params) in param_shifts, each comparing h_l at the shifted and the
     reference point. h_l is described once per parameter set; the shifted
-    sets share the nome of params, and so the columns of h_l. The first
-    `samples` points of each shift, which the shift loop takes first, give
-    one _h_rows batch: the shifted row and the reference row at each point.
-    h looks each row up in the batch by its (set, point) key, and a row
-    the batch lacks, a point the loop takes past them or under another
-    shift after a redraw, is evaluated alone, by the same function."""
+    sets share the nome of params, and so the columns of h_l. The batch is
+    one _h_rows call over (set, point) keys; a row it lacks is evaluated
+    alone, by the same function."""
     _check_samples(samples)
     p, n = params.nome.p, params.n
     l_mid = max(1, (n + 1) // 2)
@@ -329,18 +360,11 @@ def _check_multi(
     rng, low, high = np.random.default_rng(seed), np.tile([0, -0.05], n), np.tile([1, 0.05], n)
     first = [_rand_mult_args(draws, n) for draws in rng.uniform(low, high, (len(kinds) * samples, 2 * n)).tolist()]
     stream = iter(lambda: _rand_mult_args(rng.uniform(low, high).tolist(), n), None)
-    rows = [row(j // samples, xs) for j, xs in enumerate(first)] + [row(None, xs) for xs in first]
-    batch = _h_rows(hs, [s for s, _ in rows], [xs for _, xs in rows], p)
-    batched = dict(zip(rows, itertools.count()))
-
-    def h(s: int | None, xs: tuple[complex, ...]) -> complex:
-        key = row(s, xs)
-        r = batched.get(key)
-        return _h_at(hs, *key, p) if r is None else _h_value(batch, r, p)
-
-    points = itertools.chain(first, stream)
-    shifts = [(kind, functools.partial(h, s)) for s, kind in enumerate(kinds)]
-    return _shift_reports(points, functools.partial(h, None), shifts, samples, tol, f"@h{l_mid}")
+    return _batched_reports(
+        kinds, itertools.chain(first, stream), row,
+        lambda keys: functools.partial(_h_value, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p), p=p),
+        lambda key: _h_at(hs, *key, p), samples, tol, f"@h{l_mid}",
+    )
 
 
 def check_total_ellipticity_multi1(

@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import FloatRangeError, PoleError
-from .theta import ModularPair, Nome, elliptic_number, elliptic_number_zero_index, theta, theta_many
+from .theta import ModularPair, Nome, elliptic_number_zero_index, theta, theta1, theta_many
 
 
 # a structural zero keeps finite part 1, so a finite part of 0 has
@@ -199,10 +199,12 @@ class FactorTable:
 
 
 def elliptic_factor(u: complex, pair: ModularPair) -> FactorialValue:
-    """A single elliptic number [u] with its exact-zero flag."""
+    """A single elliptic number [u] with its exact-zero flag, by theta1's
+    series and not through theta(z; p) as elliptic_number: it is what
+    eval_vwp_additive, the oracle of the multiplicative form, reads."""
     if elliptic_number_zero_index(u, pair) is not None:
         return FactorialValue(1.0 + 0j, 1)
-    return FactorialValue(elliptic_number(u, pair))
+    return FactorialValue(theta1(u, pair, "series"))
 
 
 def elliptic_factorial(u: complex, pair: ModularPair, n: int) -> FactorialValue:

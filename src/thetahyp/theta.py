@@ -374,7 +374,7 @@ def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:
 
     A non-finite u raises ThetaDomainError, and a series term that leaves
     the float64 range (cmath raising OverflowError or ValueError), or a q^u
-    that underflows to 0 in the product, FloatRangeError, each naming u.
+    or theta(q^u; p) past it in the product, FloatRangeError, each naming u.
     """
     if not cmath.isfinite(u):
         raise ThetaDomainError(f"theta1 needs a finite argument, got u={u}")
@@ -403,18 +403,44 @@ def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:
             raise FloatRangeError(f"theta1 series at u={u} left the float64 range: {exc}") from exc
         raise NonConvergenceError("theta1 series tail did not reach SERIES_TOL")
     if method == "product":
-        p = pair.p
-        qu = cmath.exp(TWO_PI_I * sigma * u)
-        if qu == 0:
-            raise FloatRangeError(f"theta1 product at u={u} left the float64 range: q^u underflowed to 0")
-        prefactor = cmath.exp(1j * math.pi * tau / 4.0) * 1j * cmath.exp(-1j * math.pi * sigma * u)
-        return prefactor * p_pochhammer(p, p) * theta(qu, p)
+        try:  # cmath.exp and theta raise OverflowError past the float64 range
+            qu = cmath.exp(TWO_PI_I * sigma * u)
+            if qu == 0:
+                raise FloatRangeError("q^u underflowed to 0")
+            value = theta(qu, pair.p)
+        except OverflowError as exc:
+            raise FloatRangeError(f"theta1 product at u={u} left the float64 range: {exc}") from exc
+        return _theta1_from_theta([u], [value], pair)[0]
     raise ValueError(f"unknown theta1 method {method!r}")
 
 
+# (p; p)_inf, cached per nome as every product-form theta1 reads it
+_p_infinity = functools.lru_cache(maxsize=32)(lambda p: p_pochhammer(p, p))
+
+
+def _theta1_from_theta(us, thetas, pair: ModularPair) -> list[complex | None]:
+    """theta1(u) = i p^{1/8} q^{-u/2} (p; p)_inf theta(q^u; p) for each u of
+    us from thetas, its theta(q^u; p) or None, which stays None."""
+    head, poch, c = cmath.exp(1j * math.pi * pair.tau / 4.0) * 1j, _p_infinity(pair.p), -1j * math.pi * pair.sigma
+    return [None if t is None else head * cmath.exp(c * u) * poch * t for u, t in zip(us, thetas)]
+
+
+def _elliptic_lanes(us: Sequence[complex], pair: ModularPair) -> list[complex | None]:
+    """elliptic_number(u, pair) for each u, bit for bit, and None for each u
+    on which it raises: every theta(q^u; p) in one _theta_lanes pass."""
+    c, qus = TWO_PI_I * pair.sigma, []
+    for u in us:
+        try:
+            qus.append(cmath.exp(c * u))
+        except (OverflowError, ValueError):  # theta raises at 0, as elliptic_number at u
+            qus.append(0j)
+    return _theta1_from_theta(us, theta_many(qus, pair.p), pair)
+
+
 def elliptic_number(u: complex, pair: ModularPair) -> complex:
-    """The elliptic number [u; sigma, tau] = theta1(u; sigma, tau)."""
-    return theta1(u, pair)
+    """The elliptic number [u; sigma, tau] = theta1(u; sigma, tau), by its
+    product form; the series form stays the independent oracle."""
+    return theta1(u, pair, "product")
 
 
 def elliptic_number_zero_index(u: complex, pair: ModularPair) -> int | None:

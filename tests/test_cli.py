@@ -203,6 +203,17 @@ class TestErrorPaths:
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["eval", str(tmp_path / "nope.json")]) == 2
 
+    def test_unwritable_out_exits_2_with_the_diagnostic_on_stderr(self, tmp_path, capsys):
+        # the FileNotFoundError of --out in a missing directory ended the
+        # command with a traceback and exit 1
+        out = tmp_path / "missing" / "x.json"
+        assert run(["verify", "ft_sum", "--N", "3", "--draws", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        diag = json.loads(captured.err)
+        assert (captured.out, diag["command"]) == ("", "verify")
+        assert diag["error"].startswith("FileNotFoundError: ")
+        assert not out.parent.exists()
+
     def test_zero_draws_exits_2(self):
         assert run(["sample", "ft_sum", "--draws", "0"]) == 2
 

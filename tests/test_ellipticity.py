@@ -1,7 +1,10 @@
 import cmath
+import collections
 import dataclasses
+import importlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -167,6 +170,92 @@ class TestTotalEllipticityWP:
     def test_no_parameters_reduces_to_constant(self):
         val = vwp_canonical_h(0.2 + 0.1j, [], 0.7 - 0.2j, PAIR, 0.13 + 0.05j)
         assert abs(val - (0.7 - 0.2j)) < 1e-14
+
+
+def scalar_total_ellipticity_wp(u0, us, z, pair, samples=10, tol=1e-9, seed=0):
+    """check_total_ellipticity_wp as it was before its rows were batched:
+    _shift_reports over h_eval, one form per shift."""
+    build = lambda ps: ellipticity._wp_form(ps[0], ps[1:], z, pair)  # noqa: E731
+    params, shift = [u0, *us], pair.tau / pair.sigma
+    base = build(params)
+    shifts = [("index_p_shift", lambda x: h_eval(base, x + shift))]
+    for m in range(len(params)):
+        form = build([*params[:m], params[m] + shift, *params[m + 1 :]])
+        shifts.append((f"param_p_shift:u{m}", lambda x, form=form: h_eval(form, x)))
+    points = ellipticity._draws(ellipticity._rand_x, seed)
+    return ellipticity._shift_reports(points, lambda x: h_eval(base, x), shifts, samples, tol)
+
+
+def wp_params(rng):
+    us = [complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.1, 0.1)) for _ in range(3)]
+    return complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.08, 0.08)), us, complex(rng.uniform(0.3, 0.7), rng.uniform(-0.3, 0.3))
+
+
+class TestTotalEllipticityWPBatch:
+    @staticmethod
+    def _run(monkeypatch, check, args, seed, draw=None):
+        """The check's reports by their bits, the points it redrew, and its
+        _theta_lanes passes and h_eval calls. draw, when given, stands in
+        for _rand_x."""
+        # the package's name theta is the function, which hides the module
+        theta_module = importlib.import_module("thetahyp.theta")
+        rand_x, theta_lanes, scalar_h = draw or ellipticity._rand_x, theta_module._theta_lanes, ellipticity.h_eval
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*a):
+                counts[name] += 1
+                return fn(*a)
+            return wrapped
+
+        with monkeypatch.context() as m:
+            m.setattr(ellipticity, "_rand_x", counting("draws", rand_x))
+            m.setattr(theta_module, "_theta_lanes", counting("passes", theta_lanes))
+            m.setattr(ellipticity, "h_eval", counting("h_eval", scalar_h))
+            reports = check(*args, seed=seed)
+        bits = [(r.shift_kind, r.max_rel_dev.hex(), r.sample_count, r.passed) for r in reports]
+        return bits, counts["draws"] - sum(r.sample_count for r in reports), counts["passes"], counts["h_eval"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_is_the_scalar_check_bit_for_bit(self, monkeypatch, seed):
+        # no point is redrawn, so every row comes from one _theta_lanes pass
+        # and none is evaluated by h_eval
+        rng = random.Random(f"wp/{seed}")
+        args = (*wp_params(rng), (PAIR, S_PAIR)[seed % 2])
+        batched, redraws, passes, scalar = self._run(monkeypatch, check_total_ellipticity_wp, args, seed)
+        want, *_ = self._run(monkeypatch, scalar_total_ellipticity_wp, args, seed)
+        assert batched == want
+        assert (redraws, passes, scalar) == (0, 1, 0)
+        assert all(passed for *_, passed in batched)
+
+    def test_a_pole_in_a_batched_row_is_redrawn(self, monkeypatch):
+        # the third point puts x + v = 0 for the base form's first pole v, so
+        # [x + v] = 0 exactly in that batched row: the point is redrawn, the
+        # shifts after it take points batched for the next shift, and the
+        # last one fresh draws, each evaluated by h_eval
+        u0, us, z = wp_params(random.Random("wp/pole"))
+        pole, drawn, rand_x = u0 - us[0], [], ellipticity._rand_x
+
+        def draw(rng):
+            drawn.append(rand_x(rng))
+            return -pole if len(drawn) == 3 else drawn[-1]
+
+        args = (u0, us, z, PAIR)
+        batched, redraws, passes, scalar = self._run(monkeypatch, check_total_ellipticity_wp, args, 0, draw)
+        drawn.clear()
+        want, want_redraws, _, _ = self._run(monkeypatch, scalar_total_ellipticity_wp, args, 0, draw)
+        assert batched == want
+        assert redraws == want_redraws >= 1
+        assert passes == 1 and scalar >= 1
+        assert all(passed for *_, passed in batched)
+
+    @pytest.mark.parametrize("check", [check_total_ellipticity_wp, scalar_total_ellipticity_wp])
+    def test_rows_past_the_float64_range_admit_no_point(self, check):
+        # at u0 = -300j, theta(q^(x + u0 + u)) leaves the float64 range at
+        # every point: a batched row with such a lane goes to h_eval, whose
+        # FloatRangeError rejects the point as the scalar check does
+        with pytest.raises(NonConvergenceError, match="^index_p_shift: too few sample points"):
+            check(-300j, [0.1 + 0.05j], 0.5 + 0j, PAIR, samples=2)
 
 
 class TestTotalEllipticityMulti:

@@ -13,7 +13,9 @@ from thetahyp import (
     theta_factor,
     theta_factorial,
     theta_factorial_multi,
+    theta1,
 )
+from thetahyp.factorials import elliptic_factor
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -113,6 +115,17 @@ class TestThetaFactorial:
 
 
 class TestEllipticFactorial:
+    def test_factor_is_the_series_bit_for_bit(self):
+        # eval_vwp_additive reads elliptic_factor: through elliptic_number's
+        # product form, test_additive_matches_multiplicative would compare
+        # theta(z; p) with itself
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            u = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5))
+            got, want = elliptic_factor(u, PAIR), theta1(u, PAIR, "series")
+            assert got.order == 0
+            assert (got.finite_part.real.hex(), got.finite_part.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_matches_direct_product(self):
         u = 0.31 - 0.12j
         direct = 1.0 + 0j

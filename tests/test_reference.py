@@ -22,10 +22,13 @@ mpmath = pytest.importorskip("mpmath")
 mp, mpc = mpmath.mp, mpmath.mpc
 
 from thetahyp import (  # noqa: E402
+    ModularPair,
     Nome,
     ThetaSeriesSpec,
     VwpSpec,
+    apply_modular,
     coefficient,
+    elliptic_number,
     eval_E,
     eval_G,
     eval_vwp,
@@ -34,6 +37,7 @@ from thetahyp import (  # noqa: E402
     sample_ft,
     sample_multi1,
     sample_multi2,
+    theta1,
 )
 from thetahyp import theta as float_theta  # noqa: E402
 from thetahyp import vwp_coefficient as float_vwp_coefficient  # noqa: E402
@@ -354,3 +358,31 @@ def test_theta_matches_reference_by_band():
         finite += 1
         assert rel(float_theta(z, p), want) <= THETA_RTOL, (z, p)
     assert finite >= 180
+
+
+PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
+S_PAIR = ModularPair(-0.2 + 0.3j, 0.1 + 0.6j)
+THETA1_PAIRS = {"PAIR": PAIR, "S_PAIR": S_PAIR, "S_PAIR_S": apply_modular(S_PAIR, 0, -1, 1, 0)}
+# relative to kappa, the condition number of theta1 in its argument: the
+# worst of 1,500 points (500 a pair) was 1.8e-15 kappa for the product form
+# and 8.6e-16 kappa for the series. Near a zero of theta1 kappa grows, and
+# the series' plain relative error reached 1.9e-14 at kappa = 59 (PAIR,
+# u = -1.518 + 0.090i, next to the zero -tau / sigma = -1.509 + 0.066i)
+THETA1_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(THETA1_PAIRS))
+def test_elliptic_numbers_match_jtheta(name):
+    # [u] = theta1(u; sigma, tau) is mpmath's jtheta(1, pi sigma u, e^(i pi
+    # tau)); both forms are checked, the product form elliptic_number takes
+    # and the series the oracle
+    pair = THETA1_PAIRS[name]
+    rng = random.Random(f"theta1/{name}")
+    nome = mpmath.exp(1j * mp.pi * mpc(pair.tau))
+    for _ in range(100):
+        u = complex(rng.uniform(-2, 2), rng.uniform(-0.6, 0.6))
+        z = mp.pi * mpc(pair.sigma) * mpc(u)
+        want = mpmath.jtheta(1, z, nome)
+        kappa = max(1.0, float(abs(z * mpmath.jtheta(1, z, nome, 1) / want)))
+        assert rel(elliptic_number(u, pair), want) <= THETA1_RTOL * kappa, u
+        assert rel(theta1(u, pair, "series"), want) <= THETA1_RTOL * kappa, u

@@ -26,6 +26,7 @@ from thetahyp.theta import (
     LATTICE_RTOL,
     MAX_ZERO_ORDER,
     PRODUCT_TOL,
+    _elliptic_lanes,
     _mul,
     _quot,
     sqrt_positive_real,
@@ -426,14 +427,16 @@ class TestTheta1:
 
     @pytest.mark.parametrize(
         "u, error",
-        [(1e5j, FloatRangeError), (1e300, FloatRangeError),
+        [(1e5j, FloatRangeError), (-1e5j, FloatRangeError), (-300j, FloatRangeError), (1e300, FloatRangeError),
          (complex(math.inf, 0.0), ThetaDomainError), (complex(math.nan, 0.0), ThetaDomainError)],
-        ids=["1e5j", "1e300", "inf", "nan"],
+        ids=["1e5j", "-1e5j", "-300j", "1e300", "inf", "nan"],
     )
     def test_out_of_range_argument_raises_a_typed_error_naming_it(self, u, error):
-        # cmath.sin in the series loop raised a bare OverflowError at the two
+        # cmath.sin in the series loop raised a bare OverflowError at the
         # finite arguments and a bare ValueError at inf, and the nan argument
-        # ran the loop out into a NonConvergenceError naming no input
+        # ran the loop out into a NonConvergenceError naming no input; in the
+        # product form, q^u overflowed in cmath.exp at -1e5j and theta(q^u)
+        # left the float64 range at -300j, each naming no u
         pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
         with pytest.raises(error, match=re.escape(f"u={u}")) as info:
             elliptic_number(u, pair)
@@ -447,6 +450,33 @@ class TestTheta1:
         with pytest.raises(FloatRangeError, match=f"theta1 {method} at u=400 left the float64 range") as info:
             theta1(400, pair, method=method)
         assert type(info.value) is FloatRangeError
+
+    def test_elliptic_number_is_the_product_form_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            pair = rand_pair(rng)
+            u = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))
+            assert _bits(elliptic_number(u, pair)) == _bits(theta1(u, pair, "product"))
+
+    def test_elliptic_lanes_are_elliptic_number_bit_for_bit(self):
+        # generic arguments, the zeros 0, 1 / sigma and tau / sigma, and
+        # arguments on which elliptic_number raises: q^u underflows (400) or
+        # overflows (-1e5j), theta(q^u) leaves the range (-300j), u is not
+        # finite. Each of those lanes is None
+        pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
+        rng = np.random.default_rng(10)
+        us = [complex(rng.uniform(-2, 2), rng.uniform(-0.6, 0.6)) for _ in range(40)]
+        us += [0j, 1 / pair.sigma, pair.tau / pair.sigma, 400, -1e5j, -300j, complex(math.nan, 0.0), complex(math.inf, 0.0)]
+
+        def number_or_none(u):
+            try:
+                return elliptic_number(u, pair)
+            except (ThetaDomainError, FloatRangeError):
+                return None
+
+        want = [number_or_none(u) for u in us]
+        assert want[40:43] == [0j] * 3 and want[43:] == [None] * 5
+        assert [_bits(v) for v in _elliptic_lanes(us, pair)] == [_bits(v) for v in want]
 
     def test_series_that_never_converges_raises(self):
         # |p| = e^(-2 pi 1e-6): the series' terms decay too slowly to meet
