@@ -22,10 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError, PoleError
+from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
 from .theta import ModularPair, Nome, _elliptic_lanes, _mul, _quot, _theta_lanes, apply_modular, elliptic_number, theta
-from .identities import Multi1Params, Multi2Params, _lattice_h, _multi1_lattice, _multi2_lattice
+from .identities import Multi1Params, Multi2Params, _multi1_lattice, _multi2_lattice
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,16 @@ def h_eval(form: HForm, x: complex) -> complex:
 
 
 def _h_of(form: HForm, x: complex, numbers: list[complex]) -> complex:
-    """h at x from numbers, the elliptic numbers [x + u] of form's zeros,
-    then of its poles, in order."""
+    """h at x from numbers, the elliptic numbers [x + u] of form's zeros then
+    poles, in order; FloatRangeError where h or the poles' product is not finite."""
     r = len(form.zeros)
     num, den = math.prod(numbers[:r], start=1.0 + 0j), math.prod(numbers[r:], start=1.0 + 0j)
     if den == 0:
         raise PoleError(f"h(x) pole at x = {x}")
-    qbx = cmath.exp(2j * math.pi * form.pair.sigma * form.beta * x)
-    return num / den * qbx * form.y
+    value = num / den * cmath.exp(2j * math.pi * form.pair.sigma * form.beta * x) * form.y
+    if cmath.isfinite(value) and cmath.isfinite(den):
+        return value
+    raise FloatRangeError(f"h(x) leaves the float64 range at x = {x}")
 
 
 def multipliers(form: HForm) -> tuple[complex, complex, complex]:
@@ -96,9 +98,9 @@ def _shift_reports(points, ref, shifts, samples: int, tol: float, suffix: str = 
     """One report per (kind, shifted) in shifts, in order: the max relative
     deviation of shifted(point) from ref(point) over `samples` points, each
     shift taking its points in turn from the one iterator points. A point is
-    redrawn (at most 200 extra times per kind) on a pole or a reference whose
-    modulus is not in [1e-12, 1e12]; a non-finite deviation fails the
-    report with max_rel_dev inf."""
+    redrawn (at most 200 extra times per kind) on a pole, an overflow or a
+    reference whose modulus is not in [1e-12, 1e12]; a non-finite deviation
+    fails the report with max_rel_dev inf."""
     _check_samples(samples)
     reports: list[EllipticityReport] = []
     for kind, shifted in shifts:
@@ -120,14 +122,20 @@ def _shift_reports(points, ref, shifts, samples: int, tol: float, suffix: str = 
     return reports
 
 
-def _batched_reports(kinds, points, row, batch, single, samples: int, tol: float, suffix: str = ""):
-    """_shift_reports with one shift per kind over the iterator points, where
-    shift s at x (s = None the reference) reads the row row(s, x). The rows
-    of the points the shift loop takes first, `samples` a shift, are
-    evaluated by one batch(keys), a lookup r -> the value of keys[r]; a row
-    it lacks, after a redraw or past them, by single(key)."""
+def _batched_reports(kinds, points, moves, batch, single, samples: int, tol: float, suffix: str = ""):
+    """_shift_reports with one shift per kind over the iterator points, each
+    at x reading a row (set, point): the reference (0, x), index shift s < m
+    = len(moves) (0, moves[s](x)), and each later, parameter, shift its own
+    set (s - m + 1, x). The rows of the points the shift loop takes first,
+    `samples` a shift, are evaluated by one batch(keys), a lookup r -> the
+    value of keys[r]; a row it lacks, after a redraw or past them, by
+    single(key)."""
     _check_samples(samples)
     first = list(itertools.islice(points, len(kinds) * samples))
+
+    def row(s: int | None, x):
+        return (0, x) if s is None else (0, moves[s](x)) if s < len(moves) else (s - len(moves) + 1, x)
+
     keys = [row(j // samples, x) for j, x in enumerate(first)] + [row(None, x) for x in first]
     lookup, batched = batch(keys), dict(zip(keys, itertools.count()))
 
@@ -186,10 +194,6 @@ def _check_total_ellipticity(
     forms = [build(params)] + [build([*params[:m], params[m] + shift, *params[m + 1 :]]) for m in range(len(params))]
     kinds = ["index_p_shift"] + [f"param_p_shift:u{m}" for m in range(len(params))]
 
-    def row(s: int | None, x: complex) -> tuple[int, complex]:
-        """(form, point) of h under shift s at x; s = None is the reference."""
-        return (0, x) if s is None else (0, x + shift) if s == 0 else (s, x)
-
     def single(key: tuple[int, complex]) -> complex:
         return h_eval(forms[key[0]], key[1])
 
@@ -198,7 +202,7 @@ def _check_total_ellipticity(
         rows = [list(itertools.islice(numbers, len(forms[f].zeros) + len(forms[f].poles))) for f, _ in keys]
         return lambda r: single(keys[r]) if None in rows[r] else _h_of(forms[keys[r][0]], keys[r][1], rows[r])
 
-    return _batched_reports(kinds, _draws(_rand_x, seed), row, batch, single, samples, tol)
+    return _batched_reports(kinds, _draws(_rand_x, seed), [lambda x: x + shift], batch, single, samples, tol)
 
 
 def check_total_ellipticity_wp(
@@ -222,6 +226,36 @@ def check_total_ellipticity_wp(
 # multivariable term ratios (forward-shift ratios of the series coefficients)
 
 
+def _lattice_h(desc, l: int, q: complex) -> tuple[complex, list[tuple]]:
+    """h_l = c(lam + e_l) / c(lam) of the series._Multisum desc for the
+    1-based index l as (ratio, columns): h_l(xs) = ratio * prod theta(a X)
+    / theta(b X) over the monomial columns (e, a, b) in order, with xs =
+    [q^{lam_j}] and X = prod_j x_j^{e_j}, e over all n indices. A head (c,
+    e) gives (e, c q^{e_l}, c), a pair (a, b, e) gives (e, a, b) when e_l =
+    1, (e, b / q, a / q) when e_l = -1 and nothing when e_l = 0, and ratio
+    is scalar(e_l) / scalar(0). Under x_k -> p x_k a column gains (b /
+    a)^{e_k}, as theta(p^m y) = (-1)^m y^{-m} p^{-m(m-1)/2} theta(y). The
+    columns touch only the parts that contain l, and their e depend only on
+    the family, its rank and l, so every parameter set of a check shares
+    them and adds its constants (a, b)."""
+    n, i = len(desc.blocks), l - 1
+    ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
+    touching = [((min(i, j), max(i, j)), desc.cross[min(i, j), max(i, j)]) for j in range(n) if j != i]
+    columns = []
+    for idx, (heads, pairs) in touching + [((i,), desc.blocks[i])]:
+        at = idx.index(i)
+        columns += [(_widen(e, idx, n), c * q ** e[at], c) for c, e in heads]
+        for a, b, e in pairs:
+            if e[at]:
+                columns.append((_widen(e, idx, n), a, b) if e[at] == 1 else (_widen(e, idx, n), b / q, a / q))
+    return ratio, columns
+
+
+def _widen(e: tuple[int, ...], idx: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The exponents e of the indices idx as a vector over all n indices."""
+    return tuple(e[idx.index(j)] if j in idx else 0 for j in range(n))
+
+
 def _power(x: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     """The parts of x ** e for e in (1, 2, -1), formed as x, x * x and 1 / x."""
     if e == 1:
@@ -235,22 +269,22 @@ def _power(x: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex):
     """h_l at each row r, the parameter set hs[sets[r]], a (ratio, columns) of
-    _lattice_h, at the point points[r]; every set shares its columns' (e, s,
-    d). Returns (values, fails): values[r] is h_l at row r, and fails maps
+    _lattice_h, at the point points[r]; every set shares its columns' e.
+    Returns (values, fails): values[r] is h_l at row r, and fails maps
     each row h_l has no value at to the first theta argument it reads, in
     its order, on which theta raises, or to None where it reads a
     denominator theta of 0 first (read them with _h_value).
 
     The rows are float64 arrays and every complex product and quotient is
     formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
-    = x x and x^-1 = 1 / x, then num = a X (times s) and den = b X (both
-    over d) for every column of every row. The distinct arguments are
-    evaluated in one _theta_lanes pass, and each row multiplies ratio by
-    theta(num) / theta(den) column by column, in order."""
+    = x x and x^-1 = 1 / x, then num = a X and den = b X for every column
+    of every row. The distinct arguments are evaluated in one _theta_lanes
+    pass, and each row multiplies ratio by theta(num) / theta(den) column
+    by column, in order."""
     columns = hs[0][1]
     rows, width = len(points), len(columns)
     xs = np.array(points, dtype=complex).reshape(rows, len(columns[0][0]))
-    ab = np.array([[(a, b) for _, a, b, _, _ in cols] for _, cols in hs], dtype=complex)[sets]
+    ab = np.array([[(a, b) for _, a, b in cols] for _, cols in hs], dtype=complex)[sets]
     ratio = np.array([r for r, _ in hs], dtype=complex)[sets]
     with np.errstate(all="ignore"):
         factors = {}
@@ -266,13 +300,6 @@ def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]],
         (num_r, den_r), (num_i, den_i) = args.real, args.imag
         num_r[:], num_i[:] = _mul(ab[..., 0].real, ab[..., 0].imag, xr, xi)
         den_r[:], den_i[:] = _mul(ab[..., 1].real, ab[..., 1].imag, xr, xi)
-        if scaled := [c for c, col in enumerate(columns) if col[3] is not None]:
-            s = np.array([columns[c][3] for c in scaled])
-            num_r[:, scaled], num_i[:, scaled] = _mul(num_r[:, scaled], num_i[:, scaled], s.real, s.imag)
-        if divided := [c for c, col in enumerate(columns) if col[4] is not None]:
-            d = np.array([columns[c][4] for c in divided])
-            for part_r, part_i in ((num_r, num_i), (den_r, den_i)):
-                part_r[:, divided], part_i[:, divided] = _quot(part_r[:, divided], part_i[:, divided], d.real, d.imag)
         distinct, inverse = np.unique(args.ravel(), return_inverse=True)
         values, raises = _theta_lanes(distinct, p)
         v, bad = values[inverse].reshape(args.shape), raises[inverse].reshape(args.shape)
@@ -348,12 +375,7 @@ def _check_multi(
     l_mid = max(1, (n + 1) // 2)
     hs = [_lattice_h(describe(sp), l_mid, params.nome.q) for sp in [params, *(sp for _, sp in param_shifts)]]
     kinds = [f"index_p_shift:lambda{i + 1}" for i in range(n)] + [kind for kind, _ in param_shifts]
-
-    def row(s: int | None, xs: tuple[complex, ...]) -> tuple[int, tuple[complex, ...]]:
-        """(set, point) of h_l under shift s at xs; s = None is the reference."""
-        if s is None:
-            return 0, xs
-        return (0, (*xs[:s], xs[s] * p, *xs[s + 1 :])) if s < n else (s - n + 1, xs)
+    moves = [lambda xs, j=j: (*xs[:j], xs[j] * p, *xs[j + 1 :]) for j in range(n)]
 
     # one rng.uniform call draws the first points and one each redraw: the
     # stream of 2n scalar draws a point, in the same order
@@ -361,7 +383,7 @@ def _check_multi(
     first = [_rand_mult_args(draws, n) for draws in rng.uniform(low, high, (len(kinds) * samples, 2 * n)).tolist()]
     stream = iter(lambda: _rand_mult_args(rng.uniform(low, high).tolist(), n), None)
     return _batched_reports(
-        kinds, itertools.chain(first, stream), row,
+        kinds, itertools.chain(first, stream), moves,
         lambda keys: functools.partial(_h_value, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p), p=p),
         lambda key: _h_at(hs, *key, p), samples, tol, f"@h{l_mid}",
     )
@@ -433,9 +455,9 @@ def check_modularity(form: HForm, tol: float = 1e-8) -> tuple[bool, EllipticityR
         try:
             ref = h_eval(form, complex(nn))
             alt = h_eval(form2, complex(nn))
-        except (PoleError, ZeroDivisionError):
+        except (ZeroDivisionError, OverflowError):
             continue
-        if not 1e-12 <= abs(ref) < math.inf:
+        if abs(ref) < 1e-12:  # h_eval raises where h is not finite
             continue
         dev = _worse(dev, rel_err(alt, ref))
         count += 1

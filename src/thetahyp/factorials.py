@@ -22,6 +22,7 @@ structurally instead of dividing by numerically tiny values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -89,6 +90,12 @@ class FactorialValue:
             raise FloatRangeError(_UNDERFLOWED)
         return FactorialValue(1.0 / self.finite_part, -self.order)
 
+    def finite(self, what: str, n: int) -> "FactorialValue":
+        """self, or FloatRangeError naming what at index n if the finite part is not finite."""
+        if cmath.isfinite(self.finite_part):
+            return self
+        raise FloatRangeError(f"{what} at index {n} leaves the float64 range")
+
 
 ONE = FactorialValue(1.0 + 0j)
 
@@ -106,14 +113,15 @@ def theta_factor(t: complex, p: complex) -> FactorialValue:
 
 
 def theta_factorial(t: complex, nome: Nome, n: int) -> FactorialValue:
-    """theta(t; p; q)_n for any integer n."""
-    return FactorialValue(*FactorTable(nome).factorial(t, n))
+    """theta(t; p; q)_n for any integer n; FloatRangeError if not finite."""
+    return FactorialValue(*FactorTable(nome).factorial(t, n)).finite("theta_factorial", n)
 
 
 def theta_factorial_multi(ts: list[complex], nome: Nome, n: int) -> FactorialValue:
-    """Product of theta_factorial over a parameter list (empty list -> 1)."""
+    """Product of theta_factorial over a parameter list (empty list -> 1); FloatRangeError if not finite."""
     table = FactorTable(nome)
-    return math.prod((FactorialValue(*table.factorial(t, n)) for t in ts), start=ONE)
+    value = math.prod((FactorialValue(*table.factorial(t, n)) for t in ts), start=ONE)
+    return value.finite("theta_factorial_multi", n)
 
 
 class FactorTable:

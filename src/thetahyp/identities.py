@@ -166,40 +166,6 @@ class _Identity(JsonFields):
         )
 
 
-def _lattice_h(desc: _Multisum, l: int, q: complex) -> tuple[complex, list[tuple]]:
-    """h_l = c(lam + e_l) / c(lam) for the 1-based index l as (ratio, columns):
-    h_l(xs) = ratio * prod theta(num) / theta(den) over the columns in
-    order, with xs = [q^{lam_j}]. A column (e, a, b, s, d) reads X = prod_j
-    x_j^{e_j}, e over all n indices: num = a X, times s where s is given,
-    and den = b X, both divided by d where d is given. A head (c, e) gives
-    (c X q^{e_l}, c X), a pair (a, b, e) gives (a X, b X) when e_l = 1 and
-    (b X / q, a X / q) when e_l = -1, and ratio is scalar(e_l) / scalar(0).
-    The columns touch only the parts that contain l, and their (e, s, d)
-    depend only on the family, its rank, q and l, so every parameter set of
-    a check shares them and adds its constants (a, b)."""
-    n, i = len(desc.blocks), l - 1
-    ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
-    touching = [((min(i, j), max(i, j)), desc.cross[min(i, j), max(i, j)]) for j in range(n) if j != i]
-    columns = []
-    for idx, (heads, pairs) in touching + [((i,), desc.blocks[i])]:
-        at = idx.index(i)
-        columns += [(_widen(e, idx, n), c, c, q ** e[at], None) for c, e in heads]
-        for a, b, e in pairs:
-            if e[at] == 1:
-                columns.append((_widen(e, idx, n), a, b, None, None))
-            elif e[at] == -1:
-                columns.append((_widen(e, idx, n), b, a, None, q))
-    return ratio, columns
-
-
-def _widen(e: tuple[int, ...], idx: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The exponents e of the indices idx as a vector over all n indices."""
-    out = [0] * n
-    for j, ej in zip(idx, e):
-        out[j] = ej
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Frenkel-Turaev sum
 

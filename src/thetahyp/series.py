@@ -169,9 +169,9 @@ def _expect(spec, cls: type, caller: str) -> None:
 
 
 def coefficient(spec: ThetaSeriesSpec, n: int) -> FactorialValue:
-    """Coefficient c_n of the series as a FactorialValue (c_0 = 1)."""
+    """Coefficient c_n of the series as a FactorialValue (c_0 = 1); FloatRangeError if not finite."""
     _expect(spec, ThetaSeriesSpec, "coefficient")
-    return _rank1(_eg_desc(spec), FactorTable(spec.nome))(n)
+    return _rank1(_eg_desc(spec), FactorTable(spec.nome))(n).finite("coefficient", n)
 
 
 def _integer_alpha(spec: ThetaSeriesSpec) -> int | None:
@@ -180,8 +180,8 @@ def _integer_alpha(spec: ThetaSeriesSpec) -> int | None:
 
 
 def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
-    """h evaluated at a multiplicative argument w (w = q^n analytically
-    continued). Requires integer alpha unless n is supplied.
+    """h at the multiplicative argument w (q^n continued); FloatRangeError where
+    h or its denominator is not finite. Needs integer alpha unless n is given.
 
     This stays beside ellipticity.h_eval rather than reading the spec as an
     HForm: it multiplies the theta(t w; p) factors the series itself sums
@@ -203,7 +203,10 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
         expo = w**k
     else:
         raise ValueError("term_ratio_at requires integer alpha for non-integer arguments")
-    return (num / den).value * expo * spec.z
+    value = (num / den).value * expo * spec.z
+    if cmath.isfinite(value) and cmath.isfinite(den.finite_part):
+        return value
+    raise FloatRangeError(f"the term ratio at w = {w} leaves the float64 range")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,7 @@ class _Multisum:
     E, G and very-well-poised coefficients (_eg_desc, _vwp_desc) and the
     closed forms (_closed).
     _LatticeTerms evaluates it at integer points and lists the theta
-    arguments of its distinct parts for one batch; identities._lattice_h
+    arguments of its distinct parts for one batch; ellipticity._lattice_h
     reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
 
     cross: dict[tuple[int, int], tuple[tuple, tuple]]
@@ -503,9 +506,9 @@ def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
 
 
 def vwp_coefficient(spec: VwpSpec, n: int) -> FactorialValue:
-    """Coefficient of the simplified very-well-poised series at index n."""
+    """Coefficient of the simplified very-well-poised series at index n; FloatRangeError if not finite."""
     _expect(spec, VwpSpec, "vwp_coefficient")
-    return _rank1(_vwp_desc(spec), FactorTable(spec.nome))(n)
+    return _rank1(_vwp_desc(spec), FactorTable(spec.nome))(n).finite("vwp coefficient", n)
 
 
 def eval_vwp(

@@ -29,9 +29,9 @@ from thetahyp import (
     vwp_canonical_h,
 )
 from thetahyp import FloatRangeError, PoleError, ellipticity
-from thetahyp.ellipticity import _check_total_ellipticity, multi1_h, multi2_h
+from thetahyp.ellipticity import _check_total_ellipticity, _lattice_h, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
-from thetahyp.identities import _lattice_h, _multi1_lattice, _multi2_lattice
+from thetahyp.identities import _multi1_lattice, _multi2_lattice
 from thetahyp.series import _LatticeTerms
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -335,7 +335,7 @@ class TestTotalEllipticityMulti:
         # X = x_1, so theta(b X) is exactly 0 in that batched row
         params = params()
         _, columns = _lattice_h(describe(params), 1, params.nome.q)
-        b = next(b for e, _, b, s, d in columns if e == (1, 0) and s is None and d is None)
+        b = next(b for e, _, b in columns if e == (1, 0))
         rand_mult_args, drawn = ellipticity._rand_mult_args, []
 
         def draw(rng, n):
@@ -369,6 +369,54 @@ class TestTotalEllipticityMulti:
         # a term ratio's column raises each x_j to 1, 2 or -1 only
         with pytest.raises(ValueError, match="no exponent 3"):
             ellipticity._power(np.array([0.5 + 0.1j]), 3)
+
+
+def _index_multipliers(desc, n):
+    """{(l, k): the multiplier of h_l under x_k -> p x_k}, read off the
+    monomial columns (e, a, b) of h_l with no theta call: theta(p^m y) =
+    (-1)^m y^-m p^(-m(m-1)/2) theta(y), so theta(a X) / theta(b X) gains
+    (b / a)^(e_k)."""
+    out = {}
+    for l in range(1, n + 1):
+        _, columns = _lattice_h(desc, l, NOME.q)
+        for k in range(n):
+            out[l, k] = math.prod(((b / a) ** e[k] for e, a, b in columns), start=1 + 0j)
+    return out
+
+
+class TestColumnMultipliers:
+    """The index-shift half of total ellipticity, read structurally from the
+    columns: it checks the constants each family's description folds into
+    them, independently of the sampled checks."""
+
+    FAMILIES = [
+        (_multi1_lattice, lambda seed, n: sample_multi1(seed, n, 2, NOME), "t6", 5),
+        (_multi2_lattice, lambda seed, n: sample_multi2(seed, n, (2,) * n, NOME), "t", -1),
+    ]
+
+    @pytest.mark.parametrize("family", range(2))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_index_shift_multiplier_is_one(self, family, n, seed):
+        describe, sample, _, _ = self.FAMILIES[family]
+        multipliers = _index_multipliers(describe(sample(seed, n)), n)
+        assert max(abs(m - 1) for m in multipliers.values()) <= 1e-13
+
+    @pytest.mark.parametrize("family", range(2))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_unbalanced_parameter_set_moves_the_own_index_multiplier(self, family, n):
+        # the balancing parameter times 1.001: each h_l gains about 1.001^-2
+        # under its own index's shift and nothing under the others'
+        describe, sample, field, slot = self.FAMILIES[family]
+        params = sample(0, n)
+        ts = list(getattr(params, field))
+        ts[slot] *= 1.001
+        multipliers = _index_multipliers(describe(ellipticity._unchecked_replace(params, **{field: tuple(ts)})), n)
+        for (l, k), m in multipliers.items():
+            if k == l - 1:
+                assert 1.9e-3 < abs(m - 1) < 2.1e-3
+            else:
+                assert abs(m - 1) <= 1e-13
 
 
 def _additive(rng):

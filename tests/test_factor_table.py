@@ -618,19 +618,21 @@ def test_ft_theta_calls_grow_linearly(monkeypatch):
 # evaluation built its factors afresh (4,320 theta calls for multi1, 5,760 for
 # multi2); the counts are those of the scalar path, which evaluated each
 # distinct argument once, so batching moved no evaluation. The reprs are
-# those of h_l read off the coefficient description, with each theta argument
-# formed as c X; h_l agrees with tests/test_reference.py's 40-digit
-# coefficients to 1e-12.
+# those of h_l read off the coefficient description as monomial columns, each
+# theta argument formed as a X with the column's constant a; h_l agrees with
+# tests/test_reference.py's 40-digit coefficients to 1e-12. Folding a head's
+# q^{e_l} and a reversed pair's 1/q into a leaves multi1 with 8 fewer
+# distinct arguments (3,119 before).
 ELLIPTICITY = {
     "multi1": (
         check_total_ellipticity_multi1,
         lambda: sample_multi1(53, 3, 2, NOME),
         5,
-        (3300, 3119),
+        (3300, 3111),
         (
-            "2.612292356199124e-15", "2.9375701199848062e-15", "3.063758177203876e-15",
-            "4.775192369755618e-15", "1.4081487655738626e-15", "1.1424034727727198e-15",
-            "1.38447107044941e-15", "1.0494105239906686e-15", "6.472467476262984e-15",
+            "3.0936883138491213e-15", "3.901144913276382e-15", "3.857638189172383e-15",
+            "6.545493893075284e-15", "1.4019191620502835e-15", "1.277245911425819e-15",
+            "1.1936968872665867e-15", "1.1310432684236405e-15", "6.227223855166109e-15",
         ),
     ),
     "multi2": (
@@ -639,10 +641,10 @@ ELLIPTICITY = {
         6,
         (4000, 3743),
         (
-            "1.6757874388232292e-15", "3.614538597459466e-15", "1.33398823708895e-15",
-            "2.814248677598951e-15", "3.8581921113063845e-15", "5.733022721235193e-15",
-            "1.47570002296673e-15", "3.1006057462040267e-15", "1.9368020746224526e-15",
-            "1.990827682893875e-15", "2.6803925780966487e-15", "4.140526033798511e-15",
+            "1.6928194416010944e-15", "4.202934448798623e-15", "1.2559369970321185e-15",
+            "2.9544265801058442e-15", "3.150904701572219e-15", "4.060057272586449e-15",
+            "1.541316755699526e-15", "3.108514072901368e-15", "1.806752514338433e-15",
+            "1.602735206691396e-15", "2.754664608063856e-15", "4.213078288872197e-15",
         ),
     ),
 }

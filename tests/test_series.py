@@ -249,13 +249,15 @@ class TestEvaluators:
 
     def test_untruncated_sum_stops_at_first_non_finite_term(self):
         # the balanced spec of the CI ellipticity step: c_18 is about 3e-10, and
-        # from n = 19 on a factorial prefix overflows to NaN (ROADMAP item 1)
+        # from n = 19 on a factorial prefix overflows, so coefficient raises
+        # where it returned NaN (ROADMAP item 1)
         nome = Nome(0.35 + 0.1j, 0.25 + 0.05j)
         num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
         den = (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j)
         spec = ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, nome)
         assert cmath.isfinite(coefficient(spec, 18).value)
-        assert not cmath.isfinite(coefficient(spec, 19).value)
+        with pytest.raises(FloatRangeError, match="coefficient at index 19 "):
+            coefficient(spec, 19)
         with pytest.raises(NonConvergenceError, match="term 19 "):
             eval_E(spec)
         # an explicit truncation sums exactly the terms it names, and raises
