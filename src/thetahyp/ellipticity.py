@@ -49,13 +49,18 @@ def h_eval(form: HForm, x: complex) -> complex:
 
 def _h_of(form: HForm, x: complex, numbers: list[complex]) -> complex:
     """h at x from numbers, the elliptic numbers [x + u] of form's zeros then
-    poles, in order; FloatRangeError where h or the poles' product is not finite."""
+    poles, in order: the quotients [x + u_m] / [x + v_m] multiplied in turn,
+    so that no product of numbers leaves the float64 range where h does not;
+    FloatRangeError where h is not finite."""
     r = len(form.zeros)
-    num, den = math.prod(numbers[:r], start=1.0 + 0j), math.prod(numbers[r:], start=1.0 + 0j)
-    if den == 0:
+    zeros, poles = numbers[:r], numbers[r:]
+    if 0 in poles:
         raise PoleError(f"h(x) pole at x = {x}")
-    value = num / den * cmath.exp(2j * math.pi * form.pair.sigma * form.beta * x) * form.y
-    if cmath.isfinite(value) and cmath.isfinite(den):
+    value = 1.0 + 0j
+    for num, den in itertools.zip_longest(zeros, poles, fillvalue=1.0 + 0j):
+        value *= num / den
+    value *= cmath.exp(2j * math.pi * form.pair.sigma * form.beta * x) * form.y
+    if cmath.isfinite(value):
         return value
     raise FloatRangeError(f"h(x) leaves the float64 range at x = {x}")
 

@@ -180,8 +180,10 @@ def _integer_alpha(spec: ThetaSeriesSpec) -> int | None:
 
 
 def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
-    """h at the multiplicative argument w (q^n continued); FloatRangeError where
-    h or its denominator is not finite. Needs integer alpha unless n is given.
+    """h at the multiplicative argument w (q^n continued): the quotients
+    theta(a_m w) / theta(b_m w) multiplied in turn, so that no product of
+    theta factors leaves the float64 range where h does not; FloatRangeError
+    where h is not finite. Needs integer alpha unless n is given.
 
     This stays beside ellipticity.h_eval rather than reading the spec as an
     HForm: it multiplies the theta(t w; p) factors the series itself sums
@@ -191,20 +193,20 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
     that conversion instead of the spec."""
     _expect(spec, ThetaSeriesSpec, "term_ratio_at")
     nome = spec.nome
-    num = ONE
-    for t in spec.numerator:
-        num = num * theta_factor(t * w, nome.p)
-    den = ONE
-    for wk in spec.effective_denominator():
-        den = den * theta_factor(wk * w, nome.p)
+    ratio = ONE
+    for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()):
+        if a is not None:
+            ratio = ratio * theta_factor(a * w, nome.p)
+        if b is not None:
+            ratio = ratio / theta_factor(b * w, nome.p)
     if n is not None:
         expo = nome.q ** (spec.alpha * n)
     elif (k := _integer_alpha(spec)) is not None:
         expo = w**k
     else:
         raise ValueError("term_ratio_at requires integer alpha for non-integer arguments")
-    value = (num / den).value * expo * spec.z
-    if cmath.isfinite(value) and cmath.isfinite(den.finite_part):
+    value = ratio.value * expo * spec.z
+    if cmath.isfinite(value):
         return value
     raise FloatRangeError(f"the term ratio at w = {w} leaves the float64 range")
 

@@ -23,6 +23,12 @@ from dataclasses import dataclass
 from .errors import BranchError, FloatRangeError, NonConvergenceError, PoleError, ThetaDomainError
 
 TWO_PI_I = 2j * math.pi
+_PI_I = 1j * math.pi
+_PI2_3 = math.pi**2 / 3.0
+# theta takes an S step while |tau| < _S_BOUND: S maps the arc |tau| = 1 to
+# itself, where a bound of 1 could cycle on roundings, and at |tau| >= 1 -
+# 1e-9, |Re tau| <= 1/2 the direct product still has at most 9 factors
+_S_BOUND = 1.0 - 1e-9
 
 # float64 truncation: an infinite product stops once its factors are within
 # PRODUCT_TOL of 1, a series once two consecutive terms fall below SERIES_TOL
@@ -119,29 +125,98 @@ class _Reduction:
     """The reduction of theta's argument for one nome p. z != 0 reduces to
     m = round(-log|z| / log|p|), the lattice zero p^-m nearest z in modulus,
     and y = z, k = m, or for m < 0 the fold y = p / z, k = -1 - m. Then
-    |p|^(1/2) <= |w| <= |p|^(-1/2) for w = y p^k, theta(z) =
-    prod_{i<k} (-y p^i) theta(w) by theta(p z) = -theta(z) / z, and theta(w)
-    is the product of its first count = K(p) factors (1 - w p^j)(1 - p^(j+1)
-    / w); count is 0 past 16 * MAX_TERMS. powers[j] is the exact p**j =
-    (a + b i)**j / d**j rounded once, where p * p * ... would round j times."""
+    |p|^(1/2) <= |w| <= |p|^(-1/2) for w = y p^k, and theta(z) =
+    prod_{i<k} (-y p^i) theta(w) by theta(p z) = -theta(z) / z. powers[j]
+    is the exact p**j = (a + b i)**j / d**j rounded once, where p * p * ...
+    would round j times.
 
-    def __init__(self, p: complex) -> None:
+    theta(w) is a short product at every nome. Let tau = log p / 2 pi i, on
+    the principal branch, so |Re tau| <= 1/2. Where |tau| >= 1, or p = 0,
+    theta(w) is the product of its first count = K(p) <= 9 factors
+    (1 - w p^j)(1 - p^(j+1) / w), head the powers they read. Where
+    |tau| < 1 it is Jacobi's imaginary transformation (DLMF 20.7.30; the
+    eta factors cancel). With L = log w = 2 pi i u, tau' = -1/tau and
+    w' = exp(L tau'),
+
+        theta(w; p) = -i exp(pi i [-u^2/tau + u/tau + u + (tau' - tau)/6]) theta(w'; p')
+                    = exp(a D^2 + c) theta(w'; p'),
+
+    with a = i / (4 pi tau), c = a pi^2 / 3 + pi i tau / 12 and
+    D = L - pi i (1 + tau). Where |w'| > 1, theta(w') = -w' theta(1 / w')
+    folds -w' into the exponent: D becomes L + pi i (1 - tau) and w' turns
+    into 1 / w', so the argument handed on has modulus at most 1 and no
+    factor but the one exp leaves the float64 range early. gauss holds
+    (a, c, pi i (1 + tau), -pi i (1 - tau), tau') and is None on a direct
+    nome. inner is the reduction of p' = exp(2 pi i tau''), where tau'' is
+    tau' less the integer nearest Re tau' (a T step, which leaves p' as it
+    is), or None where p' underflows to 0 and theta(w'; p') is 1 - w'.
+    An inner nome whose |tau''| < 1, near a cusp arg p = 2 pi r / s, takes
+    a further S step, so the last one lies in |tau| >= 1, |Re tau| <= 1/2,
+    where |p| <= exp(-pi sqrt 3) and K(p) <= 9. _s_steps forms every tau''
+    from p at the top nome, which hands the rest of the list, taus, to
+    each inner one."""
+
+    def __init__(self, p: complex, taus: list[complex] | None = None) -> None:
         if not math.hypot(p.real, p.imag) < 1.0:  # abs(p) itself may overflow
             raise ThetaDomainError(f"|p| must be < 1, got p = {p}")
-        self.log_p = math.log(abs(p)) if p else -math.inf
-        count = max(8, math.ceil(math.log(PRODUCT_TOL) / self.log_p + 0.5) + 1)
-        self.count = count if count <= 16 * MAX_TERMS else 0
+        self.p, self.log_p = p, math.log(abs(p)) if p else -math.inf
+        top = taus is None  # an inner nome's arguments come reduced, from an S step
+        if top and p:  # im + 0.0 turns a signed zero to +0.0, as the cache key does
+            taus = [cmath.log(complex(p.real, p.imag + 0.0)) / TWO_PI_I]
+        s_step = bool(p) and (len(taus) > 1 or abs(taus[0]) < _S_BOUND)
+        if s_step:
+            count = 0
+        elif top:
+            count = max(8, math.ceil(math.log(PRODUCT_TOL) / self.log_p + 0.5) + 1)
+        else:  # |w| <= 1 and |p / w| < 1 leave each factor past |p|^count within PRODUCT_TOL |p| of 1
+            count = math.ceil(math.log(PRODUCT_TOL) / self.log_p) + 1
         # |prod_{i<s} y p^i| >= |p|^(-s^2/2), so a prefactor that is still
         # finite has taken fewer than sqrt(1420 / |log p|) steps
-        size = max(self.count, MAX_ZERO_ORDER, math.isqrt(int(1500 / -self.log_p)) if self.count else 0)
+        size = max(count, MAX_ZERO_ORDER, math.isqrt(int(1500 / -self.log_p))) if top else count
         (a, da), (b, db) = p.real.as_integer_ratio(), p.imag.as_integer_ratio()
         d = max(da, db)  # both are powers of two
         a, b, re, im, den = a * (d // da), b * (d // db), 1, 0, 1
         self.powers = []
-        for _ in range(size + 1):
+        for j in range(size + 1):
             self.powers.append(complex(re / den, im / den))
             re, im, den = re * a - im * b, re * b + im * a, den * d
-        self.head = tuple(self.powers[: self.count])
+            # past 1,024 powers, where |p| > 0.9986, a step on the exact
+            # parts costs O(j): keep 256 bits of the larger part, far past
+            # the 53 that are rounded once
+            if j >= 1024 and (s := max(abs(re), abs(im)).bit_length() - 256) > 0:
+                re, im, den = re >> s, im >> s, den >> s
+        self.head = tuple(self.powers[:count])
+        self.gauss = self.inner = None
+        if s_step:
+            taus = self._s_steps(taus[0]) if top else taus
+            tau = taus[0]
+            a, tau_s = 1j / (4.0 * math.pi * tau), complex(-1.0, 0.0) / tau
+            self.gauss = (a, a * _PI2_3 + _PI_I / 12.0 * tau, _PI_I * (1.0 + tau), -_PI_I * (1.0 - tau), tau_s)
+            if p_s := cmath.exp(TWO_PI_I * taus[1]):
+                self.inner = _Reduction(p_s, taus[1:])
+
+    def _s_steps(self, tau: complex) -> list[complex]:
+        """tau and the tau of each nome the S steps reach, tau_k = -1 / tau_(k-1)
+        less the integer nearest its real part (a T step), until |tau_k| >= 1.
+        Near a cusp tau -> -b / a, forming -1 / tau_(k-1) - n in float64
+        loses the digits that cancel in a tau_k + b; writing tau_k = (a tau
+        + b) / (c tau + d) and each m tau + k as log(p^m) / 2 pi i plus an
+        integer, with p^m read from the powers (one rounding, two for m < 0),
+        keeps both terms to a rounding of their own size."""
+
+        def linear(m: int, k: int) -> complex:
+            if not m:
+                return complex(k, 0.0)
+            power = self.powers[m] if m > 0 else complex(1.0, 0.0) / self.powers[-m]
+            x = cmath.log(power) / TWO_PI_I
+            return x + round((m * tau + k - x).real)
+
+        taus, (a, b, c, d) = [tau], (1, 0, 0, 1)
+        while abs(taus[-1]) < _S_BOUND:
+            n = round((complex(-1.0, 0.0) / taus[-1]).real)
+            a, b, c, d = -n * a - c, -n * b - d, a, b
+            taus.append(linear(a, b) / linear(c, d))
+        return taus
 
     @functools.cached_property
     def parts(self):
@@ -155,6 +230,32 @@ class _Reduction:
         """(m, y, k) for z; p as given, as the cache key ignores signed zeros."""
         m = round(-math.log(abs(z)) / self.log_p)
         return (m, z, m) if m >= 0 else (m, p / z, -1 - m)
+
+    def theta_w(self, w: complex, p: complex) -> complex:
+        """theta(w; p) for w on the annulus, p as given: exp(e) times the
+        last product, e the sum of the S steps' exponents (see the class
+        docstring). OverflowError or ZeroDivisionError means the value
+        leaves the float64 range."""
+        red, e = self, 0j
+        while red is not None and (gauss := red.gauss) is not None:
+            a, c, keep, fold, tau_s = gauss
+            log_w = cmath.log(w)
+            x = log_w * tau_s
+            if x.real > 0.0:  # |w'| > 1: theta(w') = -w' theta(1 / w')
+                d, x = log_w - fold, -x
+            else:
+                d = log_w - keep
+            e += a * (d * d) + c
+            w, red = cmath.exp(x), red.inner
+            p = red and red.p
+        if red is None:  # the last p' underflowed to 0
+            mant = 1.0 - w
+        else:
+            b = p / w
+            mant = 1.0 + 0j
+            for pj in red.head:
+                mant *= (1.0 - w * pj) * (1.0 - b * pj)
+        return mant if self.gauss is None else cmath.exp(e) * mant
 
 
 _reduction = functools.lru_cache(maxsize=32)(_Reduction)
@@ -188,11 +289,14 @@ def theta(z: complex, p: complex) -> complex:
     """Jacobi-type theta function theta(z; p) = (z; p)_inf (p z^{-1}; p)_inf.
 
     z is reduced to w in the annulus |p|^(1/2) <= |w| <= |p|^(-1/2) by the
-    quasi-periodicity theta(p z) = -theta(z) / z, and theta(w) is the
-    product of the same K(p) factors for every argument (see _Reduction).
-    Reports an exact 0j on the structural zeros z = p^{-M} that
-    ``theta_zero_index`` detects; at p = 0 the product is 1 - z. Raises
-    FloatRangeError where the value leaves the float64 range.
+    quasi-periodicity theta(p z) = -theta(z) / z. Where |tau| >= 1
+    (p = e^(2 pi i tau), |p| <= 0.0043) theta(w) is the product of its first
+    K(p) <= 9 factors; at every other nome Jacobi's imaginary transformation
+    turns it into one exp times such a product at a nome p' with |p'| <=
+    0.0043, so no |p| < 1 needs more factors (see _Reduction). Reports an
+    exact 0j on the structural zeros z = p^{-M} that ``theta_zero_index``
+    detects; at p = 0 the product is 1 - z. Raises FloatRangeError where
+    the value leaves the float64 range, an underflow to 0 included.
     """
     z, p = complex(z), complex(p)
     if z == 0 or not cmath.isfinite(z):
@@ -203,20 +307,18 @@ def theta(z: complex, p: complex) -> complex:
     m, y, k = red.reduce(z, p)
     if abs(m) <= MAX_ZERO_ORDER and abs(y * red.powers[k] - 1.0) <= LATTICE_RTOL:
         return 0j
-    if not red.count:
-        raise NonConvergenceError("theta product needs more than 16 * MAX_TERMS factors")
     pre = 1.0 + 0j
     for i in range(k):  # powers covers each i a finite prefactor reaches
         pre *= -y * red.powers[i]
         if not cmath.isfinite(pre):
             break
     else:
-        w = y * red.powers[k]
-        b = p / w
-        prod = 1.0 + 0j
-        for pj in red.head:
-            prod *= (1.0 - w * pj) * (1.0 - b * pj)
-        if cmath.isfinite(value := pre * prod):
+        try:
+            value = pre * red.theta_w(y * red.powers[k], p)
+        except (ZeroDivisionError, OverflowError):
+            value = math.inf
+        # a value that underflowed to 0 would read as a lattice zero
+        if value and cmath.isfinite(value):
             return value
     raise FloatRangeError(f"theta({z}; {p}) leaves the float64 range")
 
@@ -268,23 +370,110 @@ def _fold(prod, fr, fi, where):
         np.add(first, second, out=out, where=mask)
 
 
+def _complex(re, im):
+    """The complex array with parts re and im, signed zeros and all."""
+    import numpy as np
+
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _exp_lanes(xr, xi):
+    """The parts of cmath.exp(x) on each lane, inf where it overflows. numpy's
+    complex exp gives cmath.exp's bits on |Re x| <= 700 (see
+    TestComplexPorts); cmath itself takes the lanes past that, where the two
+    scale the overflow differently."""
+    import numpy as np
+
+    out = np.exp(_complex(xr, xi))
+    for i in np.flatnonzero(np.abs(xr) > 700.0).tolist():
+        try:
+            out[i] = cmath.exp(complex(xr[i], xi[i]))
+        except OverflowError:
+            out[i] = math.inf
+    return out.real, out.imag
+
+
+def _head_lanes(head, p: complex, wr, wi):
+    """The parts of prod_j (1 - w p^j)(1 - b p^j) over the powers p^j of head,
+    b = p / w, on each lane, as theta_w forms them. A batch of at most 409
+    lanes forms the factors of a block of rows at once, at most _BLOCK rows
+    x lanes, and multiplies them in by _fold, two numpy calls a row; a wider
+    one takes them a row at a time."""
+    import numpy as np
+
+    n = len(wr)
+    br, bi = _quot(p.real, p.imag, wr, wi)
+    ar, ai = np.stack([wr, br]), np.stack([wi, bi])
+    prod = np.zeros((2, 1, n))
+    prod[0] = 1.0
+    rows = _BLOCK // n  # as in _theta_lanes
+    if rows >= 5:  # in place, so the parts stay views of prod
+        pj = np.array([[c.real for c in head], [c.imag for c in head]])
+        for start in range(0, len(head), rows):
+            pr, pi = pj[:, start : start + rows, None, None]
+            xr, xi = _mul(ar, ai, pr, pi)
+            ur, ui = 1.0 - xr, _IMAG_ZERO - xi
+            _fold(prod, *_mul(ur[:, 0], ui[:, 0], ur[:, 1], ui[:, 1]), [True] * len(pr))
+        return prod[0, 0], prod[1, 0]
+    prod_r, prod_i = prod[:, 0]
+    for c in head:
+        xr, xi = _mul(ar, ai, c.real, c.imag)
+        fr, fi = _mul(1.0 - xr[0], _IMAG_ZERO - xi[0], 1.0 - xr[1], _IMAG_ZERO - xi[1])
+        prod_r, prod_i = _mul(prod_r, prod_i, fr, fi)
+    return prod_r, prod_i
+
+
+def _s_step_lanes(gauss, wr, wi):
+    """One S step of theta_w on each lane: the parts of its exponent a D^2 +
+    c and of the argument w' it hands on, with cmath.log per lane, numpy's
+    exp (_exp_lanes), and every other product and sum on float64 parts as
+    CPython forms it. Its arrays go when it returns, before the next step."""
+    import numpy as np
+
+    a, c, keep, fold, tau_s = gauss
+    logs = np.fromiter(map(cmath.log, _complex(wr, wi).tolist()), complex, len(wr))
+    lr, li = logs.real, logs.imag
+    xr, xi = _mul(lr, li, tau_s.real, tau_s.imag)
+    flip = xr > 0.0  # |w'| > 1: theta(w') = -w' theta(1 / w')
+    dr, di = lr - np.where(flip, fold.real, keep.real), li - np.where(flip, fold.imag, keep.imag)
+    sr, si = _mul(a.real, a.imag, *_mul(dr, di, dr, di))
+    return sr + c.real, si + c.imag, *_exp_lanes(np.where(flip, -xr, xr), np.where(flip, -xi, xi))
+
+
+def _theta_w_lanes(red: _Reduction, p: complex, wr, wi):
+    """The parts of red.theta_w(w, p) on each lane, bit for bit."""
+    if red.gauss is None:
+        return _head_lanes(red.head, p, wr, wi)
+    er = ei = 0.0
+    while red is not None and red.gauss is not None:
+        sr, si, wr, wi = _s_step_lanes(red.gauss, wr, wi)
+        er, ei, red = er + sr, ei + si, red.inner
+        p = red and red.p
+    if red is None:  # the last p' underflowed to 0
+        mr, mi = 1.0 - wr, _IMAG_ZERO - wi
+    else:
+        mr, mi = _head_lanes(red.head, p, wr, wi)
+    return _mul(*_exp_lanes(er, ei), mr, mi)
+
+
 def _theta_lanes(zs, p: complex):
     """theta(z, p) on each lane of the complex array zs, bit for bit, as
     (values, raises): a complex array, and a bool array that is True on the
     lanes where theta raises, whose values are not read.
 
     The lanes run theta's steps side by side in float64 arrays, with the
-    prefactor loop masked by each lane's k and the same K(p) factors for
-    every lane. Real and imaginary parts are held apart, and each complex
-    product and quotient, the fold p / z and b = p / w among them, is formed
-    as CPython forms it (_mul, _quot, _fold), since numpy's complex128
-    arithmetic may round differently. A batch of at most 409 lanes forms
-    the factors of a block of rows at once, at most _BLOCK rows x lanes, and
-    multiplies them in by _fold, two numpy calls a row; a wider one takes
-    them a row at a time, the prefactor's on the lanes still in it. numpy is
-    imported here, not with this module: every process loads it anyway, but
-    importing it before the rest of the package raised the peak RSS of
-    ``import thetahyp`` from 29.1 to 29.6 MB (numpy 2.4, CPython 3.11).
+    prefactor loop masked by each lane's k, and theta(w) by _theta_w_lanes.
+    Real and imaginary parts are held apart, and each complex product and
+    quotient, the fold p / z among them, is formed as CPython forms it
+    (_mul, _quot, _fold), since numpy's complex128 arithmetic may round
+    differently. A batch of at most 409 lanes forms the prefactor's factors
+    a block of rows at once, as _head_lanes does; a wider one takes them a
+    row at a time, on the lanes still in it. numpy is imported here, not
+    with this module: every process loads it anyway, but importing it before
+    the rest of the package raised the peak RSS of ``import thetahyp`` from
+    29.1 to 29.6 MB (numpy 2.4, CPython 3.11).
     """
     import numpy as np
 
@@ -312,13 +501,11 @@ def _theta_lanes(zs, p: complex):
         yr[fold], yi[fold] = _quot(p.real, p.imag, yr[fold], yi[fold])
         k = np.where(fold, -1 - m, m)
         near = ~raises & (np.abs(m) <= MAX_ZERO_ORDER)
-        if not red.count:  # only the lattice zeros have a value
-            raises[:] = True
         # pre *= -y * p**i on the lanes whose k exceeds i; a lane leaves once
         # its prefactor, and so its value, is not finite, as theta raises there
-        pre, prod = np.zeros((2, 2, 1, n))  # the parts of each, (2, 1, n)
-        pre[0] = prod[0] = 1.0
-        (pre_r, pre_i), (prod_r, prod_i) = pre[:, 0], prod[:, 0]
+        pre = np.zeros((2, 1, n))  # the parts of pre
+        pre[0] = 1.0
+        pre_r, pre_i = pre[:, 0]
         step, lanes = 0, np.flatnonzero((k > 0) & ~raises)
         while len(lanes):
             if blocked:  # every lane, masked by its k
@@ -335,24 +522,12 @@ def _theta_lanes(zs, p: complex):
         pk = np.where(k < len(pr), k, 0)
         wr, wi = _mul(yr, yi, pr[pk], pi[pk])
         zero = near & (np.hypot(wr - 1.0, wi) <= LATTICE_RTOL)
-        # rows w and b = p / w: prod *= (1 - w p^j) * (1 - b p^j); a w that
-        # underflowed to 0 comes with an infinite prefactor
-        br, bi = _quot(p.real, p.imag, wr, wi)
-        ar, ai = np.stack([wr, br]), np.stack([wi, bi])
-        if blocked:  # in place, so prod_r and prod_i still view its parts
-            for start in range(0, red.count, rows):
-                end = min(start + rows, red.count)
-                xr, xi = _mul(ar, ai, pr[start:end, None, None], pi[start:end, None, None])
-                ur, ui = 1.0 - xr, _IMAG_ZERO - xi
-                _fold(prod, *_mul(ur[:, 0], ui[:, 0], ur[:, 1], ui[:, 1]), [True] * (end - start))
-        else:
-            for pj in red.head:
-                xr, xi = _mul(ar, ai, pj.real, pj.imag)
-                fr, fi = _mul(1.0 - xr[0], _IMAG_ZERO - xi[0], 1.0 - xr[1], _IMAG_ZERO - xi[1])
-                prod_r, prod_i = _mul(prod_r, prod_i, fr, fi)
+        # theta raises where the prefactor is not finite and reads no w there
+        raises |= ~(np.isfinite(pre_r) & np.isfinite(pre_i))
+        wr[raises], wi[raises] = 1.0, 0.0
         values = np.empty(n, dtype=complex)
-        values.real, values.imag = _mul(pre_r, pre_i, prod_r, prod_i)
-        raises |= ~np.isfinite(values)
+        values.real, values.imag = _mul(pre_r, pre_i, *_theta_w_lanes(red, p, wr, wi))
+        raises |= ~np.isfinite(values) | (values == 0)
     values[zero] = 0j
     return values, raises & ~zero
 

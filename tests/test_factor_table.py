@@ -3,12 +3,14 @@ theta-call budget of the sums and ellipticity checks that read their
 factors through it.
 
 The pinned reprs are those of the tables' arguments and multiplication
-order over the reduced theta kernel; a table that changed any argument
+order over the reduced theta kernel, which takes Jacobi's imaginary
+transformation at the default nome; a table that changed any argument
 or the multiplication order would move the last digits. Every term, E,
 G, vwp or multisum, multiplies its quotients (a)_m / (b)_m in turn. Every pinned
-side agrees with tests/test_reference.py's 40-digit sums to 1.6e-13 or
-better (multi1_2_4's lhs is the worst; 2.1e-13 when theta ran its
-product from z itself).
+side agrees with tests/test_reference.py's 40-digit sums to 6.5e-14 or
+better (multi1_2_4's lhs is the worst; 1.5e-13 when theta(w) was the
+direct product of 29 factors, 2.1e-13 when theta ran its product from z
+itself).
 """
 
 import collections
@@ -72,14 +74,14 @@ REPORTS = {
 
 # (lhs, rhs, rel_err) reprs and terms_summed
 PINNED = {
-    "ft_4": ("(4.978888004470493-5.235353828880811j)", "(4.9788880044705275-5.2353538288808235j)", "5.093981578361061e-15", 5),
-    "ft_6": ("(1.6669341388561194-0.34989112735566885j)", "(1.6669341388561243-0.3498911273556742j)", "4.244361004353355e-15", 7),
-    "bailey_5": ("(-411.5889456307209+7026.598761090812j)", "(-411.58894563074136+7026.59876109068j)", "1.90880250853646e-14", 6),
-    "multi1_2_4": ("(0.024130549908427956-0.016154351441603782j)", "(0.02413054990843259-0.016154351441604268j)", "1.6049478942176053e-13", 15),
-    "multi1_3_3": ("(0.34113353077086706-0.46233076426601244j)", "(0.34113353077086084-0.4623307642660113j)", "1.1009411249667631e-14", 20),
-    "multi2_3_3": ("(0.8486027420737524+0.2469074589486193j)", "(0.8486027420737488+0.24690745894862848j)", "1.1191181444377952e-14", 64),
-    "multi2_4_2": ("(181.06622478976+234.5824086537264j)", "(181.06622478976155+234.58240865372747j)", "6.333034385357801e-15", 81),
-    "ge_split_4": ("(-17254855625.885017-259597370631.37378j)", "(-17254855625.884304-259597370631.3738j)", "2.744360865831721e-15", 0),
+    "ft_4": ("(4.978888004470491-5.235353828880799j)", "(4.978888004470504-5.235353828880809j)", "2.3614861650218896e-15", 5),
+    "ft_6": ("(1.6669341388561303-0.3498911273556826j)", "(1.6669341388561296-0.3498911273556703j)", "7.245792799165785e-15", 7),
+    "bailey_5": ("(-411.58894563067315+7026.598761090835j)", "(-411.5889456307573+7026.598761090734j)", "1.8670153111964623e-14", 6),
+    "multi1_2_4": ("(0.02413054990843071-0.016154351441604983j)", "(0.024130549908432657-0.016154351441604268j)", "7.140235872683149e-14", 15),
+    "multi1_3_3": ("(0.341133530770868-0.4623307642660127j)", "(0.3411335307708647-0.4623307642660136j)", "5.906152639782839e-15", 20),
+    "multi2_3_3": ("(0.8486027420737523+0.24690745894862018j)", "(0.8486027420737484+0.24690745894862726j)", "9.135852228251027e-15", 64),
+    "multi2_4_2": ("(181.06622478975987+234.58240865372753j)", "(181.06622478976044+234.5824086537273j)", "2.0659870344785397e-15", 81),
+    "ge_split_4": ("(-17254855625.884377-259597370631.37286j)", "(-17254855625.88308-259597370631.37225j)", "5.509597863150819e-15", 0),
 }
 
 
@@ -97,8 +99,8 @@ G_SPEC = ThetaSeriesSpec("bilateral_G", NUM, DEN, 0, 0.5 + 0.1j, NOME)
 
 
 def test_series_values_are_pinned():
-    assert repr(eval_E(E_SPEC, trunc=TruncationDecl(0, 5)).value) == "(608531373838.0449-146526861622.21106j)"
-    assert repr(eval_G(G_SPEC, (-3, 4)).value) == "(-5086.645925922476-606.574584645638j)"
+    assert repr(eval_E(E_SPEC, trunc=TruncationDecl(0, 5)).value) == "(608531373838.0438-146526861622.21024j)"
+    assert repr(eval_G(G_SPEC, (-3, 4)).value) == "(-5086.645925922441-606.574584645632j)"
 
 
 def _loop_factorial(t, nome, n, factor=None):
@@ -619,7 +621,8 @@ def test_ft_theta_calls_grow_linearly(monkeypatch):
 # multi2); the counts are those of the scalar path, which evaluated each
 # distinct argument once, so batching moved no evaluation. The reprs are
 # those of h_l read off the coefficient description as monomial columns, each
-# theta argument formed as a X with the column's constant a; h_l agrees with
+# theta argument formed as a X with the column's constant a and each theta(w)
+# through Jacobi's imaginary transformation; h_l agrees with
 # tests/test_reference.py's 40-digit coefficients to 1e-12. Folding a head's
 # q^{e_l} and a reversed pair's 1/q into a leaves multi1 with 8 fewer
 # distinct arguments (3,119 before).
@@ -630,9 +633,9 @@ ELLIPTICITY = {
         5,
         (3300, 3111),
         (
-            "3.0936883138491213e-15", "3.901144913276382e-15", "3.857638189172383e-15",
-            "6.545493893075284e-15", "1.4019191620502835e-15", "1.277245911425819e-15",
-            "1.1936968872665867e-15", "1.1310432684236405e-15", "6.227223855166109e-15",
+            "3.831594054946816e-15", "4.54731840032309e-15", "2.8059707369506017e-15",
+            "4.083957275320181e-15", "1.3229627251479104e-15", "1.7523669335086406e-15",
+            "1.624827947806239e-15", "1.300679196443622e-15", "6.2564251434887625e-15",
         ),
     ),
     "multi2": (
@@ -641,10 +644,10 @@ ELLIPTICITY = {
         6,
         (4000, 3743),
         (
-            "1.6928194416010944e-15", "4.202934448798623e-15", "1.2559369970321185e-15",
-            "2.9544265801058442e-15", "3.150904701572219e-15", "4.060057272586449e-15",
-            "1.541316755699526e-15", "3.108514072901368e-15", "1.806752514338433e-15",
-            "1.602735206691396e-15", "2.754664608063856e-15", "4.213078288872197e-15",
+            "1.8912163834798203e-15", "5.126012997950834e-15", "1.5454984181478063e-15",
+            "2.9532091929634446e-15", "3.612348595089011e-15", "3.911189678095749e-15",
+            "3.240701117790426e-15", "3.1364515048558937e-15", "2.83842960711186e-15",
+            "1.4872657223506195e-15", "2.6033813379034577e-15", "2.994593839931487e-15",
         ),
     ),
 }

@@ -22,6 +22,7 @@ mpmath = pytest.importorskip("mpmath")
 mp, mpc = mpmath.mp, mpmath.mpc
 
 from thetahyp import (  # noqa: E402
+    HForm,
     ModularPair,
     Nome,
     ThetaSeriesSpec,
@@ -33,10 +34,12 @@ from thetahyp import (  # noqa: E402
     eval_G,
     eval_vwp,
     ge_split_check,
+    h_eval,
     sample_bailey,
     sample_ft,
     sample_multi1,
     sample_multi2,
+    term_ratio_at,
     theta1,
 )
 from thetahyp import theta as float_theta  # noqa: E402
@@ -358,6 +361,145 @@ def test_theta_matches_reference_by_band():
         finite += 1
         assert rel(float_theta(z, p), want) <= THETA_RTOL, (z, p)
     assert finite >= 180
+
+
+def _bilateral(first, ups, downs, step):
+    """first + the terms t_1, t_2, ... of each way out, t_1 = r and t_(j+1) =
+    t_j r step^j for r = ups and r = downs, each at the working precision,
+    with enough extra bits that the sum keeps 150 where its terms cancel.
+    first, ups, downs and step take no argument and are formed at it."""
+    bits = 200
+    while True:
+        with mp.workprec(bits):
+            total, c = first(), step()
+            big = mpmath.mag(total)
+            for r in (ups(), downs()):
+                t = mpc(1)
+                while True:
+                    t *= r
+                    r *= c
+                    total += t
+                    big = max(big, mpmath.mag(t))
+                    if mpmath.mag(r) < 0 and mpmath.mag(t) < big - bits - 20:
+                        break
+            lost = big - mpmath.mag(total)
+            if lost + 150 < bits:
+                return total
+        bits = max(lost + 200, 2 * bits)
+
+
+@functools.cache
+def p_infinity(p):
+    """(p; p)_inf by Euler's pentagonal series sum_k (-1)^k p^(k (3k - 1) / 2)."""
+    return _bilateral(lambda: mpc(1), lambda: -mpc(p), lambda: -mpc(p) ** 2, lambda: mpc(p) ** 3)
+
+
+def series_theta(z, p):
+    """theta(z; p) near |p| = 1, where the product above takes 10^3 to 10^5
+    factors. z = p^k y with y on the annulus |p|^(1/2) <= |y| <= |p|^(-1/2)
+    gives theta(z) = (-1)^k y^-k p^(-k (k - 1) / 2) theta(y), and Jacobi's
+    triple product sum_n (-1)^n p^(n (n - 1) / 2) y^n = (p; p)_inf theta(y)
+    (DLMF 20.5.9) gives theta(y). Near |p| = 1 the terms of both series,
+    each of size about 1, cancel to about (p; p)_inf ~ exp(-pi^2 / 6 |log p|),
+    which _bilateral's extra bits absorb."""
+    k = int(mpmath.nint(mpmath.log(abs(z)) / mpmath.log(abs(p))))
+    y = z / p**k
+    series = _bilateral(lambda: mpc(1), lambda: -mpc(y), lambda: -mpc(p) / mpc(y), lambda: mpc(p))
+    return (-1) ** k * y**-k * p ** (-k * (k - 1) // 2) * series / p_infinity(p)
+
+
+def test_series_theta_is_the_product():
+    # the two references agree where the product is cheap
+    rng = random.Random(3)
+    for p in (0.9 + 0j, 0.9 * cmath.exp(0.3j), 0.25 + 0.05j):
+        for _ in range(6):
+            z = mpc(cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)))
+            want = theta(z, mpc(p))
+            assert abs(series_theta(z, mpc(p)) - want) <= mpmath.mpf(10) ** -36 * abs(want)
+
+
+# nomes where theta takes Jacobi's imaginary transformation with |tau| down
+# to 1.6e-4, and the rounding of its Gaussian exponent grows like 1/|tau|.
+# Of the 84 points with a finite reference the worst was 6.3e-16 / |tau|
+# (0.9 e^0.3i, z = 2.14e-4 + 4.66e-4i, rel 1.2e-14). The direct product of
+# 352 to 3,668 factors theta formed before reached 2.6e-15 / |tau| (0.99
+# e^0.3i, z = -0.0157 + 0.349i, rel 5.4e-14) and raised at |p| = 0.999
+LARGE_P_NOMES = (0.9 + 0j, 0.99 + 0j, 0.9 * cmath.exp(0.3j), 0.99 * cmath.exp(0.3j))
+LARGE_P_SCALE = 2e-15
+
+
+def large_p_rtol(p):
+    return LARGE_P_SCALE / abs(cmath.log(p) / (2j * math.pi))
+
+
+def test_theta_matches_reference_at_large_p():
+    # THETA_BANDS' points for each nome; away from |z| = 1 many leave the
+    # float64 range and are skipped. Then a dozen points at |p| = 0.999,
+    # where theta is finite only for |arg z| within about 1.0 to 1.75
+    rng = np.random.default_rng(8)
+    zs = [band * 10 ** rng.uniform(-0.3, 0.3) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+          for band in THETA_BANDS for _ in range(12)]
+    cases = [(z, p) for p in LARGE_P_NOMES for z in zs]
+    cases += [(cmath.rect(10 ** rng.uniform(-0.002, 0.002), rng.choice((-1, 1)) * rng.uniform(1.0, 1.75)), 0.999 + 0j)
+              for _ in range(12)]
+    finite = {}
+    for z, p in cases:
+        want = series_theta(mpc(z), mpc(p))
+        if not cmath.isfinite(complex(want)) or complex(want) == 0:
+            continue
+        finite[p] = finite.get(p, 0) + 1
+        assert rel(float_theta(z, p), want) <= large_p_rtol(p), (z, p)
+    assert len(finite) == 5 and min(finite.values()) >= 12, finite
+
+
+# next to the cusps arg p = pi and 2 pi / 3 at |p| = 0.99, where theta takes
+# two S steps and the second nome's tau'' = -1/tau' - n is small: formed
+# from tau in float64 it kept only the digits that did not cancel, and the
+# worst of these 24 points read 2.3e-13; read off log(p^m) it reads 3.7e-14,
+# and the direct product of 4,200 factors theta formed before read 6.7e-14
+CUSP_NOMES = (0.99 * cmath.exp(1j * (math.pi - 0.01)), 0.99 * cmath.exp(2j * math.pi / 3 + 0.005j))
+CUSP_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("p", CUSP_NOMES)
+def test_theta_matches_reference_next_to_a_cusp(p):
+    rng = np.random.default_rng(5)
+    finite = 0
+    for _ in range(12):
+        z = cmath.rect(abs(p) ** rng.uniform(-0.5, 0.5), rng.uniform(-math.pi, math.pi))
+        want = series_theta(mpc(z), mpc(p))
+        if not cmath.isfinite(complex(want)) or complex(want) == 0:
+            continue
+        finite += 1
+        assert rel(float_theta(z, p), want) <= CUSP_RTOL, z
+    assert finite == 12
+
+
+# two term ratios of moderate size whose theta factors or elliptic numbers
+# are each near 1e121 and 2.6e188: multiplied before dividing, the numerator
+# product left the float64 range, and both raised FloatRangeError
+E_SPEC = ThetaSeriesSpec(
+    "unilateral_E", (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j), (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j),
+    0, 0.4 + 0j, NOME,
+)
+H_FORM = HForm((0.1, 0.12, 0.13, 0.14), (0.2, 0.21, 0.22, 0.23), 0j, 0.5, ModularPair(0.04 + 0.3j, 0.08 + 0.45j))
+
+
+def test_moderate_term_ratio_at_matches_reference():
+    w, p = 1e-12, mpc(NOME.p)
+    den = [mpc(NOME.q)] + [mpc(b) for b in E_SPEC.denominator]
+    want = mpc(E_SPEC.z) * math.prod((theta(mpc(a) * w, p) for a in E_SPEC.numerator), start=mpc(1))
+    want /= math.prod((theta(b * w, p) for b in den), start=mpc(1))
+    assert rel(term_ratio_at(E_SPEC, w), want) <= RTOL
+
+
+def test_moderate_h_eval_matches_reference():
+    form, x = H_FORM, 0.3 - 200j
+    sigma, nome = mpc(form.pair.sigma), mpmath.exp(1j * mp.pi * mpc(form.pair.tau))
+    numbers = [mpmath.jtheta(1, mp.pi * sigma * (x + mpc(u)), nome) for u in form.zeros + form.poles]
+    want = mpc(form.y) * math.prod(numbers[:4], start=mpc(1)) / math.prod(numbers[4:], start=mpc(1))
+    assert abs(numbers[0]) > 1e188
+    assert rel(h_eval(form, x), want) <= RTOL
 
 
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)

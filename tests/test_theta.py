@@ -27,8 +27,10 @@ from thetahyp.theta import (
     MAX_ZERO_ORDER,
     PRODUCT_TOL,
     _elliptic_lanes,
+    _exp_lanes,
     _mul,
     _quot,
+    _reduction,
     sqrt_positive_real,
     theta_log_range,
 )
@@ -301,6 +303,25 @@ class TestComplexPorts:
     def test_quot_is_cpythons_quotient(self):
         assert self._check(_quot, lambda x, y: x / y) > 50_000
 
+    def test_exp_lanes_is_cmaths_exp(self):
+        # theta_many takes numpy's complex exp on |Re x| <= 700 and cmath.exp
+        # past it, where cmath scales by e from Re x = 708.4 on and glibc's
+        # cexp from 709.08; inf stands where cmath.exp raises OverflowError
+        rng = random.Random(12)
+        ims = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, math.pi, 1e5, -3e8]
+        res = [0.0, -0.0, 700.0, 708.5, 709.5, 709.8, 710.0, -700.0, -708.0, -740.0, -745.2, -746.0]
+        xs = [complex(re, im) for re in res for im in ims]
+        xs += [complex(rng.uniform(-750, 750), rng.choice((rng.uniform(-4, 4), rng.uniform(-1e4, 1e4)))) for _ in range(20_000)]
+        with np.errstate(all="ignore"):
+            got_re, got_im = _exp_lanes(np.array([x.real for x in xs]), np.array([x.imag for x in xs]))
+        for x, re, im in zip(xs, got_re.tolist(), got_im.tolist()):
+            try:
+                want = cmath.exp(x)
+            except OverflowError:
+                assert math.isinf(re) or math.isinf(im), x
+                continue
+            assert _parts_hex(re, im) == _parts_hex(want.real, want.imag), x
+
     def test_quot_differs_from_numpy_complex_division(self):
         # the reason for the port: numpy divides otherwise, here on some 40%
         # of random divisors
@@ -313,13 +334,37 @@ class TestComplexPorts:
         assert sum(w != v for w, v in zip(want, numpy.tolist())) > 1_000
 
 
+# nomes on which theta takes Jacobi's imaginary transformation far from
+# the default: p' = exp(2 pi i tau'') is 1.9e-163 at 0.9, subnormal at
+# 0.948 and 0 at 0.99 and 0.997; 0.99 e^0.3i and 0.99 e^i(pi - 0.01) take
+# two S steps
+TRANSFORMED = [
+    0.9 + 0j,
+    0.948 + 0j,
+    0.99 + 0j,
+    0.997 + 0j,
+    0.99 * cmath.exp(0.3j),
+    0.99 * cmath.exp(1j * (math.pi - 0.01)),
+]
+
+
+def _final_reduction(p):
+    """The reduction of the nome whose product theta(w) ends in, None where
+    its p' underflowed to 0, and the number of S steps to it."""
+    red, steps = _reduction(complex(p)), 0
+    while red is not None and red.gauss is not None:
+        red, steps = red.inner, steps + 1
+    return red, steps
+
+
 class TestThetaMany:
     """theta_many against the scalar theta, compared by float.hex of both
     parts: equal bits, NaN included, and None exactly where theta raises."""
 
     @pytest.mark.parametrize(
         "p",
-        [
+        TRANSFORMED
+        + [
             0.25 + 0.05j,
             0.01 + 0.001j,  # K(p) = 10 factors, near the floor of 8
             0.6 - 0.5j,
@@ -348,10 +393,13 @@ class TestThetaMany:
         assert theta_many([2.5e-20 + 1e-21j, 1e300 * (1 + 1j)], p) == [None, None]
 
     def test_random_arguments(self):
+        self.test_random_arguments_on_transformed_nomes(0.25 + 0.05j)
+
+    @pytest.mark.parametrize("p", TRANSFORMED)
+    def test_random_arguments_on_transformed_nomes(self, p):
         rng = np.random.default_rng(2024)
-        p = 0.25 + 0.05j
         zs = [complex(z) for z in 10 ** rng.uniform(-3, 3, 10_000) * np.exp(2j * math.pi * rng.uniform(0, 1, 10_000))]
-        assert [_bits(v) for v in theta_many(zs, p)] == [_bits(theta(z, p)) for z in zs]
+        assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs]
 
     def test_seeded_sweep_over_blocks_and_evicted_reductions(self):
         # lane counts on each side of a block boundary (2048 // n rows of
@@ -366,15 +414,14 @@ class TestThetaMany:
         nomes = [complex(r * cmath.exp(2j * math.pi * t)) for r, t in zip(moduli, turns)]
         nomes[5::6] = [complex(p.real, 0.0) for p in nomes[5::6]]  # real nomes, with their signed zeros
         visits = [(0.25 + 0.05j, n) for n in counts] + [(p, counts[i % 11]) for i, p in enumerate(nomes + nomes)]
-        for p, n in visits:
-            # moduli out to theta_log_range on both sides of the unit circle,
-            # so that prefactors take up to ~sqrt(1420 / |log p|) steps over
-            # several blocks, a few real arguments and lattice zeros among them
-            r = theta_log_range(p)
-            zs = (np.exp(rng.uniform(-r, r, n)) * np.exp(2j * math.pi * rng.uniform(0, 1, n))).tolist()
-            zs[1::7] = [complex(z.real, 0.0) for z in zs[1::7]]
-            zs[3::11] = [p ** -int(M) for M in rng.integers(-5, 6, len(zs[3::11]))]
-            assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs], (p, n)
+        _sweep(rng, visits)
+
+    @pytest.mark.parametrize("p", TRANSFORMED)
+    def test_block_boundaries_on_transformed_nomes(self, p):
+        # the lane counts above, each side of a block boundary of the
+        # prefactor's rows and of the last product's
+        rng = np.random.default_rng(27)
+        _sweep(rng, [(p, n) for n in (1, 2, 29, 30, 70, 71, 409, 410, 1024, 1025)])
 
     @pytest.mark.parametrize("p", [0.99 + 0j, 0.7 + 0.7j])
     def test_subnormal_arguments(self, p):
@@ -385,12 +432,54 @@ class TestThetaMany:
               complex(4e-309, 3e-309), complex(3e-309, 0.0)]
         assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs]
 
-    def test_non_convergent_and_out_of_domain(self):
-        zs = [0.5 + 0.1j, 2.0 + 0j, 1 + 0j]
-        # |p| so close to 1 that the product needs more than 16 * MAX_TERMS factors
-        assert theta_many(zs, 0.9999 + 0j) == [_theta_or_none(z, 0.9999 + 0j) for z in zs] == [None, None, 0j]
-        assert theta_many(zs, 1.0 + 0j) == [None, None, None]
+    def test_nome_next_to_the_unit_circle_and_out_of_domain(self):
+        # at |p| = 0.9999 the direct product would need 36,840 factors, more
+        # than 16 * MAX_TERMS, and theta raised NonConvergenceError; now |theta|
+        # ranges over e^(+-16,000) there, and only a narrow band of arguments
+        # such as e^(1.33i) has a value in the float64 range. Past it the
+        # value overflows (0.5 + 0.1i, 2) or underflows to 0 (e^(1.2i)),
+        # which would read as a lattice zero, and theta raises
+        p, zs = 0.9999 + 0j, [0.5 + 0.1j, 2.0 + 0j, cmath.exp(1.2j), 1 + 0j, cmath.exp(1.33j)]
+        values = theta_many(zs, p)
+        assert values == [_theta_or_none(z, p) for z in zs]
+        assert values[:4] == [None, None, None, 0j] and 1e17 < abs(values[4]) < 1e18
+        for z in zs[:3]:
+            with pytest.raises(FloatRangeError, match="leaves the float64 range"):
+                theta(z, p)
+        assert theta_many(zs, 1.0 + 0j) == [None] * 5
         assert theta_many([], 0.25 + 0.05j) == []
+
+    def test_every_nome_ends_in_at_most_nine_factors(self):
+        # 200 seeded nomes over the disk, near cusps among them, where theta(w)
+        # takes up to three S steps: it ends in a product of at most 9
+        # factors, or in 1 - w where p' underflowed to 0, and a point on the
+        # unit circle evaluates or leaves the float64 range, where theta
+        # raised NonConvergenceError past |p| = 0.9955
+        rng = np.random.default_rng(33)
+        steps = []
+        for r, t in zip(rng.uniform(0, 0.999, 200), rng.uniform(-math.pi, math.pi, 200)):
+            p = complex(cmath.rect(r, t))
+            final, s = _final_reduction(p)
+            assert final is None or len(final.head) <= 9, p
+            steps.append(s)
+            try:
+                theta(cmath.exp(1j * rng.uniform(-math.pi, math.pi)), p)
+            except FloatRangeError:
+                pass
+        assert set(steps) == {1, 2, 3}
+
+
+def _sweep(rng, visits):
+    """theta_many against theta on n seeded arguments for each (p, n) of
+    visits: moduli out to theta_log_range on both sides of the unit circle,
+    so that prefactors take up to ~sqrt(1420 / |log p|) steps over several
+    blocks, a few real arguments and lattice zeros among them."""
+    for p, n in visits:
+        r = theta_log_range(p)
+        zs = (np.exp(rng.uniform(-r, r, n)) * np.exp(2j * math.pi * rng.uniform(0, 1, n))).tolist()
+        zs[1::7] = [complex(z.real, 0.0) for z in zs[1::7]]
+        zs[3::11] = [p ** -int(M) for M in rng.integers(-5, 6, len(zs[3::11]))]
+        assert [_bits(v) for v in theta_many(zs, p)] == [_bits(_theta_or_none(z, p)) for z in zs], (p, n)
 
 
 class TestTheta1:
