@@ -40,6 +40,10 @@ MAX_TERMS = 512
 # a lattice zero p^-M is detected for |M| <= MAX_ZERO_ORDER to rel LATTICE_RTOL
 MAX_ZERO_ORDER = 64
 LATTICE_RTOL = 1e-12
+# theta's prefactor is a product too: a finite one has fewer than sqrt(1420 /
+# |log|p||) factors (see _Reduction), so theta takes the nomes with |log|p||
+# >= MIN_LOG_NOME, |p| <= 0.99997765, and refuses the rest
+MIN_LOG_NOME = 1500 / (16 * MAX_TERMS) ** 2
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,11 @@ class _Reduction:
     and y = z, k = m, or for m < 0 the fold y = p / z, k = -1 - m. Then
     |p|^(1/2) <= |w| <= |p|^(-1/2) for w = y p^k, and theta(z) =
     prod_{i<k} (-y p^i) theta(w) by theta(p z) = -theta(z) / z. powers[j]
-    is the exact p**j = (a + b i)**j / d**j rounded once, where p * p * ...
-    would round j times.
+    is p**j = (a + b i)**j / d**j rounded once, where p * p * ... would
+    round j times: from the exact parts up to j = 1,024, and past it from
+    parts cut at each step to the top 256 bits of the larger one, whose
+    error, below j 2^-256 of the larger part, moves the rounding only that
+    close to a tie.
 
     theta(w) is a short product at every nome. Let tau = log p / 2 pi i, on
     the principal branch, so |Re tau| <= 1/2. Where |tau| >= 1, or p = 0,
@@ -154,13 +161,20 @@ class _Reduction:
     a further S step, so the last one lies in |tau| >= 1, |Re tau| <= 1/2,
     where |p| <= exp(-pi sqrt 3) and K(p) <= 9. _s_steps forms every tau''
     from p at the top nome, which hands the rest of the list, taus, to
-    each inner one."""
+    each inner one.
+
+    A top nome with |log|p|| < MIN_LOG_NOME raises ThetaDomainError: a
+    finite prefactor there could take more than 16 * MAX_TERMS factors, and
+    the sqrt(1500 / |log|p||) powers it reads would grow without bound as
+    |p| nears 1 (4e7 of them at |p| = 1 - 1e-12)."""
 
     def __init__(self, p: complex, taus: list[complex] | None = None) -> None:
         if not math.hypot(p.real, p.imag) < 1.0:  # abs(p) itself may overflow
             raise ThetaDomainError(f"|p| must be < 1, got p = {p}")
         self.p, self.log_p = p, math.log(abs(p)) if p else -math.inf
         top = taus is None  # an inner nome's arguments come reduced, from an S step
+        if top and -self.log_p < MIN_LOG_NOME:
+            raise ThetaDomainError(f"theta needs |p| <= 0.99997765 (|log|p|| >= MIN_LOG_NOME), got |p| = {abs(p)!r}")
         if top and p:  # im + 0.0 turns a signed zero to +0.0, as the cache key does
             taus = [cmath.log(complex(p.real, p.imag + 0.0)) / TWO_PI_I]
         s_step = bool(p) and (len(taus) > 1 or abs(taus[0]) < _S_BOUND)
@@ -181,8 +195,8 @@ class _Reduction:
             self.powers.append(complex(re / den, im / den))
             re, im, den = re * a - im * b, re * b + im * a, den * d
             # past 1,024 powers, where |p| > 0.9986, a step on the exact
-            # parts costs O(j): keep 256 bits of the larger part, far past
-            # the 53 that are rounded once
+            # parts costs O(j), the table O(size^2): keep 256 bits of the
+            # larger part, far past the 53 that are rounded once
             if j >= 1024 and (s := max(abs(re), abs(im)).bit_length() - 256) > 0:
                 re, im, den = re >> s, im >> s, den >> s
         self.head = tuple(self.powers[:count])
@@ -293,10 +307,11 @@ def theta(z: complex, p: complex) -> complex:
     (p = e^(2 pi i tau), |p| <= 0.0043) theta(w) is the product of its first
     K(p) <= 9 factors; at every other nome Jacobi's imaginary transformation
     turns it into one exp times such a product at a nome p' with |p'| <=
-    0.0043, so no |p| < 1 needs more factors (see _Reduction). Reports an
+    0.0043, so no nome needs more factors (see _Reduction). Reports an
     exact 0j on the structural zeros z = p^{-M} that ``theta_zero_index``
     detects; at p = 0 the product is 1 - z. Raises FloatRangeError where
-    the value leaves the float64 range, an underflow to 0 included.
+    the value leaves the float64 range, an underflow to 0 included, and
+    ThetaDomainError at |p| >= 1 and at |log|p|| < MIN_LOG_NOME.
     """
     z, p = complex(z), complex(p)
     if z == 0 or not cmath.isfinite(z):
@@ -480,9 +495,12 @@ def _theta_lanes(zs, p: complex):
     p = complex(p)
     z = np.array(zs, dtype=complex)  # a copy, as the lanes are overwritten
     n = len(z)
-    if not n or not math.hypot(p.real, p.imag) < 1.0:
-        return np.zeros(n, dtype=complex), np.ones(n, dtype=bool)
-    red = _reduction(p)
+    try:
+        red = _reduction(p)
+    except ThetaDomainError:  # theta raises at every z
+        n = 0
+    if not n:
+        return np.zeros(len(z), dtype=complex), np.ones(len(z), dtype=bool)
     pr, pi = red.parts
     rows = _BLOCK // n  # blocks of 2-4 rows measured slower than the row loop
     blocked = rows >= 5

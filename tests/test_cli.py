@@ -316,6 +316,15 @@ class TestErrorPaths:
         assert run(["ellipticity", str(inp)]) == 2
         assert "NonConvergenceError: index_p_shift: " in json.loads(capsys.readouterr().out)["error"]
 
+    @pytest.mark.parametrize("command", ["ellipticity", "eval"])
+    def test_nome_next_to_the_unit_circle_exits_2(self, tmp_path, capsys, command):
+        # at p = 1 - 1e-12 theta's prefactor could take 3.8e7 factors; theta
+        # refuses the nome at once, before building 3.8e7 powers
+        inp = tmp_path / "spec.json"
+        inp.write_text(json.dumps({**CI_BALANCED.to_json(), "p": [1 - 1e-12, 0.0]}))
+        assert run([command, str(inp)]) == 2
+        assert "ThetaDomainError: theta needs |p| <= 0.99997765" in json.loads(capsys.readouterr().out)["error"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -24,6 +24,7 @@ from thetahyp import (
 from thetahyp.errors import FloatRangeError, NonConvergenceError, PoleError
 from thetahyp.theta import (
     LATTICE_RTOL,
+    MAX_TERMS,
     MAX_ZERO_ORDER,
     PRODUCT_TOL,
     _elliptic_lanes,
@@ -448,6 +449,23 @@ class TestThetaMany:
                 theta(z, p)
         assert theta_many(zs, 1.0 + 0j) == [None] * 5
         assert theta_many([], 0.25 + 0.05j) == []
+
+    def test_nomes_past_the_prefactor_limit_are_refused(self):
+        # a finite prefactor takes up to sqrt(1420 / |log|p||) factors and
+        # reads as many powers: 3.8e7 at 1 - 1e-12, some 1.5 GB as complex
+        # numbers, and 1.2e9 at 1 - 1e-15. Past 16 * MAX_TERMS of them theta refuses
+        # the nome before building anything; just inside, it evaluates
+        zs = [1.0001 + 0.0001j, 2.0 + 0j, 1 + 0j]
+        for p in [1 - 1e-12 + 0j, 1 - 1e-15 + 0j, cmath.rect(1 - 1e-12, 0.3), cmath.rect(1 - 2.2e-5, 2.0)]:
+            for call in (theta, theta_zero_index):
+                with pytest.raises(ThetaDomainError, match=r"theta needs \|p\| <= 0.99997765"):
+                    call(zs[0], p)
+            assert theta_many(zs, p) == [None] * 3
+        p = cmath.rect(0.99997, 0.3)
+        assert len(_reduction(p).powers) <= 16 * MAX_TERMS + 1
+        values = theta_many(zs, p)
+        assert [_bits(v) for v in values] == [_bits(_theta_or_none(z, p)) for z in zs]
+        assert values[0] is not None and values[2] == 0j
 
     def test_every_nome_ends_in_at_most_nine_factors(self):
         # 200 seeded nomes over the disk, near cusps among them, where theta(w)
