@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
-from .theta import ModularPair, Nome, _elliptic_lanes, _mul, _quot, _theta_lanes, apply_modular, elliptic_number, theta
+from .theta import TWO_PI_I, ModularPair, Nome, _mul, _p_infinity, _quot, _theta_lanes, apply_modular, theta
 from .identities import Multi1Params, Multi2Params, _multi1_lattice, _multi2_lattice
 
 
@@ -43,23 +44,47 @@ class HForm:
         object.__setattr__(self, "poles", tuple(complex(v) for v in self.poles))
 
 
+def _q_power(sigma: complex, x: complex) -> complex:
+    """q^x = exp(2 pi i sigma x); FloatRangeError where it leaves the float64
+    range, an underflow to 0 included, as theta would raise on it."""
+    try:
+        value = cmath.exp(TWO_PI_I * sigma * x)
+    except (OverflowError, ValueError):
+        value = 0j
+    if value:
+        return value
+    raise FloatRangeError(f"q^x leaves the float64 range at x = {x}")
+
+
+def _form_h(form: HForm) -> tuple[complex, list[tuple]]:
+    """form's term ratio as a (ratio, columns) of _lattice_h in the one
+    variable X = q^x: [x + u] / [x + v] = q^{(v - u)/2} theta(q^u X) /
+    theta(q^v X), as [u] = C q^{-u/2} theta(q^u; p) with C = i p^{1/8} (p;
+    p)_inf, which cancels. The zeros and poles pair up in order, and a
+    column past the shorter list has None on its other side, read as 1; h
+    is then ratio * prod theta(a X) / theta(b X) times C^{r - s} q^{(beta -
+    (r - s)/2) x}, which h_eval applies."""
+    sigma = form.pair.sigma
+    ratio = form.y * _q_power(sigma, (sum(form.poles, 0j) - sum(form.zeros, 0j)) / 2)
+    columns = [
+        ((1,), None if u is None else _q_power(sigma, u), None if v is None else _q_power(sigma, v))
+        for u, v in itertools.zip_longest(form.zeros, form.poles)
+    ]
+    return ratio, columns
+
+
 def h_eval(form: HForm, x: complex) -> complex:
-    return _h_of(form, x, [elliptic_number(x + u, form.pair) for u in form.zeros + form.poles])
-
-
-def _h_of(form: HForm, x: complex, numbers: list[complex]) -> complex:
-    """h at x from numbers, the elliptic numbers [x + u] of form's zeros then
-    poles, in order: the quotients [x + u_m] / [x + v_m] multiplied in turn,
-    so that no product of numbers leaves the float64 range where h does not;
-    FloatRangeError where h is not finite."""
-    r = len(form.zeros)
-    zeros, poles = numbers[:r], numbers[r:]
-    if 0 in poles:
-        raise PoleError(f"h(x) pole at x = {x}")
-    value = 1.0 + 0j
-    for num, den in itertools.zip_longest(zeros, poles, fillvalue=1.0 + 0j):
-        value *= num / den
-    value *= cmath.exp(2j * math.pi * form.pair.sigma * form.beta * x) * form.y
+    """h at x, read through _form_h's columns at X = q^x by the scalar loop
+    _h_point; PoleError on a denominator theta of 0, FloatRangeError where h
+    is not finite."""
+    pair, excess = form.pair, len(form.zeros) - len(form.poles)
+    try:
+        value = _h_point(_form_h(form), (_q_power(pair.sigma, x),), pair.p)
+    except PoleError as exc:
+        raise PoleError(f"h(x) pole at x = {x}") from exc
+    if excess or form.beta:
+        c = 1j * cmath.exp(1j * math.pi * pair.tau / 4.0) * _p_infinity(pair.p)
+        value *= c**excess * _q_power(pair.sigma, (form.beta - excess / 2) * x)
     if cmath.isfinite(value):
         return value
     raise FloatRangeError(f"h(x) leaves the float64 range at x = {x}")
@@ -127,27 +152,28 @@ def _shift_reports(points, ref, shifts, samples: int, tol: float, suffix: str = 
     return reports
 
 
-def _batched_reports(kinds, points, moves, batch, single, samples: int, tol: float, suffix: str = ""):
+def _batched_reports(kinds, points, lift, moves, hs: list[tuple], p: complex, samples: int, tol: float, suffix=""):
     """_shift_reports with one shift per kind over the iterator points, each
-    at x reading a row (set, point): the reference (0, x), index shift s < m
-    = len(moves) (0, moves[s](x)), and each later, parameter, shift its own
-    set (s - m + 1, x). The rows of the points the shift loop takes first,
-    `samples` a shift, are evaluated by one batch(keys), a lookup r -> the
-    value of keys[r]; a row it lacks, after a redraw or past them, by
-    single(key)."""
+    at x reading a row (set, point) of h = hs[set], a (ratio, columns) of
+    _lattice_h or _form_h, at a point tuple: the reference (0, lift(x)), index shift s
+    < m = len(moves) (0, moves[s](x)), and each later, parameter, shift its
+    own set (s - m + 1, lift(x)). The rows of the points the shift loop
+    takes first, `samples` a shift, are evaluated in one _h_rows batch; a
+    row it lacks, after a redraw or past them, or has no value for, by the
+    scalar loop _h_point, which raises there."""
     _check_samples(samples)
     first = list(itertools.islice(points, len(kinds) * samples))
 
     def row(s: int | None, x):
-        return (0, x) if s is None else (0, moves[s](x)) if s < len(moves) else (s - len(moves) + 1, x)
+        return (0, lift(x)) if s is None else (0, moves[s](x)) if s < len(moves) else (s - len(moves) + 1, lift(x))
 
     keys = [row(j // samples, x) for j, x in enumerate(first)] + [row(None, x) for x in first]
-    lookup, batched = batch(keys), dict(zip(keys, itertools.count()))
+    batched = dict(zip(keys, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p)))
 
     def h(s: int | None, x):
         key = row(s, x)
-        r = batched.get(key)
-        return single(key) if r is None else lookup(r)
+        value = batched.get(key)
+        return _h_point(hs[key[0]], key[1], p) if value is None else value
 
     shifts = [(kind, functools.partial(h, s)) for s, kind in enumerate(kinds)]
     return _shift_reports(itertools.chain(first, points), functools.partial(h, None), shifts, samples, tol, suffix)
@@ -186,30 +212,6 @@ def vwp_canonical_h(u0: complex, us: list[complex], z: complex, pair: ModularPai
     return h_eval(_wp_form(u0, us, z, pair), x)
 
 
-def _check_total_ellipticity(
-    build: Callable[[list[complex]], HForm], params: list, pair: ModularPair, samples: int, tol: float, seed: int
-) -> list[EllipticityReport]:
-    """Total ellipticity of the term ratio build(params): one report for the
-    index shift x -> x + tau/sigma, then one per parameter u_m shifted by
-    tau/sigma. build solves any balancing parameter from the others, so a
-    shifted parameter set stays balanced. The batch takes every [x + u] of
-    its rows through one _elliptic_lanes call; a row with a number it has
-    no value for goes to h_eval, which raises as elliptic_number does."""
-    shift = pair.tau / pair.sigma
-    forms = [build(params)] + [build([*params[:m], params[m] + shift, *params[m + 1 :]]) for m in range(len(params))]
-    kinds = ["index_p_shift"] + [f"param_p_shift:u{m}" for m in range(len(params))]
-
-    def single(key: tuple[int, complex]) -> complex:
-        return h_eval(forms[key[0]], key[1])
-
-    def batch(keys: list[tuple[int, complex]]):
-        numbers = iter(_elliptic_lanes([x + u for f, x in keys for u in forms[f].zeros + forms[f].poles], pair))
-        rows = [list(itertools.islice(numbers, len(forms[f].zeros) + len(forms[f].poles))) for f, _ in keys]
-        return lambda r: single(keys[r]) if None in rows[r] else _h_of(forms[keys[r][0]], keys[r][1], rows[r])
-
-    return _batched_reports(kinds, _draws(_rand_x, seed), [lambda x: x + shift], batch, single, samples, tol)
-
-
 def check_total_ellipticity_wp(
     u0: complex,
     us: list[complex],
@@ -220,11 +222,20 @@ def check_total_ellipticity_wp(
     seed: int = 0,
 ) -> list[EllipticityReport]:
     """Total ellipticity of the canonical well-poised balanced term ratio:
-    one report for the index shift, one for u0 and one per u_m, all shifts
-    by the quasiperiod tau/sigma."""
-    return _check_total_ellipticity(
-        lambda ps: _wp_form(ps[0], ps[1:], z, pair), [u0, *us], pair, samples, tol, seed
-    )
+    one report for the index shift x -> x + tau/sigma, one for u0 and one
+    per u_m, each parameter shifted by the same quasiperiod. _wp_form solves
+    the balancing pole from the others, so a shifted parameter set stays
+    balanced. Each row reads its form's columns at X = q^x."""
+    shift, params = pair.tau / pair.sigma, [u0, *us]
+    sets = [params] + [[*params[:m], params[m] + shift, *params[m + 1 :]] for m in range(len(params))]
+    hs = [_form_h(_wp_form(ps[0], ps[1:], z, pair)) for ps in sets]
+    kinds = ["index_p_shift"] + [f"param_p_shift:u{m}" for m in range(len(params))]
+
+    def lift(x: complex) -> tuple[complex]:
+        return (_q_power(pair.sigma, x),)
+
+    moves = [lambda x: lift(x + shift)]
+    return _batched_reports(kinds, _draws(_rand_x, seed), lift, moves, hs, pair.p, samples, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +285,9 @@ def _power(x: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex):
     """h_l at each row r, the parameter set hs[sets[r]], a (ratio, columns) of
-    _lattice_h, at the point points[r]; every set shares its columns' e.
-    Returns (values, fails): values[r] is h_l at row r, and fails maps
-    each row h_l has no value at to the first theta argument it reads, in
-    its order, on which theta raises, or to None where it reads a
-    denominator theta of 0 first (read them with _h_value).
+    _lattice_h, at the point points[r]; every set shares its columns' e, and
+    no column has a side of None. A row where theta raises on an argument,
+    or that reads a denominator theta of 0, is None; _h_point raises there.
 
     The rows are float64 arrays and every complex product and quotient is
     formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
@@ -314,40 +323,42 @@ def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]],
             out_r, out_i = _mul(out_r, out_i, tr[:, c], ti[:, c])
     h = np.empty(rows, dtype=complex)
     h.real, h.imag = out_r, out_i
-    fail = bad[0] | bad[1] | (v[1] == 0)
-    fails = {}
-    for r in np.flatnonzero(fail.any(axis=1)).tolist():
-        c = int(fail[r].argmax())
-        fails[r] = complex(args[0, r, c]) if bad[0, r, c] else complex(args[1, r, c]) if bad[1, r, c] else None
-    return h.tolist(), fails
+    fail = (bad[0] | bad[1] | (v[1] == 0)).any(axis=1)
+    return [None if f else value for value, f in zip(h.tolist(), fail.tolist())]
 
 
-def _h_value(batch, r: int, p: complex) -> complex:
-    """Row r of an _h_rows batch; raises as theta does on the argument the
-    row fails at, or PoleError on a denominator theta of 0."""
-    values, fails = batch
-    if r in fails:
-        if fails[r] is not None:
-            theta(fails[r], p)
-        raise PoleError("h_l reads a denominator theta of 0")
-    return values[r]
-
-
-def _h_at(hs: list[tuple], s: int, xs, p: complex) -> complex:
-    """h_l of the parameter set hs[s] at the point xs, a batch of one row."""
-    return _h_value(_h_rows(hs, [s], [tuple(xs)], p), 0, p)
+def _h_point(h: tuple, xs, p: complex) -> complex:
+    """h_l of h, a (ratio, columns) of _lattice_h or _form_h, at the point
+    xs: one row of _h_rows bit for bit, as it forms each X and each quotient
+    in the same order with CPython's arithmetic, which _h_rows ports (numpy
+    scalars in xs are read as Python complex, as numpy's own complex
+    arithmetic may round differently). It raises where that row has no
+    value: as theta does on the first argument it fails at, or PoleError on
+    a denominator theta of 0."""
+    ratio, columns = h
+    value, factors, xs = ratio, {}, [complex(x) for x in xs]
+    for e, a, b in columns:
+        if e not in factors:
+            parts = (x if k == 1 else x * x if k == 2 else complex(1.0, 0.0) / x for x, k in zip(xs, e) if k)
+            factors[e] = functools.reduce(operator.mul, parts)
+        num = 1.0 if a is None else theta(a * factors[e], p)
+        den = 1.0 if b is None else theta(b * factors[e], p)
+        if den == 0:
+            raise PoleError("h_l reads a denominator theta of 0")
+        value *= num / den
+    return value
 
 
 def multi1_h(params: Multi1Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    return _h_at([_lattice_h(_multi1_lattice(params), l, params.nome.q)], 0, lam_mult, params.nome.p)
+    return _h_point(_lattice_h(_multi1_lattice(params), l, params.nome.q), lam_mult, params.nome.p)
 
 
 def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    return _h_at([_lattice_h(_multi2_lattice(params), l, params.nome.q)], 0, lam_mult, params.nome.p)
+    return _h_point(_lattice_h(_multi2_lattice(params), l, params.nome.q), lam_mult, params.nome.p)
 
 
 def _rand_mult_args(draws: list[float], n: int) -> tuple[complex, ...]:
@@ -372,9 +383,7 @@ def _check_multi(
     """One report per summation index p-shift, then one per (kind, shifted
     params) in param_shifts, each comparing h_l at the shifted and the
     reference point. h_l is described once per parameter set; the shifted
-    sets share the nome of params, and so the columns of h_l. The batch is
-    one _h_rows call over (set, point) keys; a row it lacks is evaluated
-    alone, by the same function."""
+    sets share the nome of params, and so the columns of h_l."""
     _check_samples(samples)
     p, n = params.nome.p, params.n
     l_mid = max(1, (n + 1) // 2)
@@ -387,11 +396,7 @@ def _check_multi(
     rng, low, high = np.random.default_rng(seed), np.tile([0, -0.05], n), np.tile([1, 0.05], n)
     first = [_rand_mult_args(draws, n) for draws in rng.uniform(low, high, (len(kinds) * samples, 2 * n)).tolist()]
     stream = iter(lambda: _rand_mult_args(rng.uniform(low, high).tolist(), n), None)
-    return _batched_reports(
-        kinds, itertools.chain(first, stream), moves,
-        lambda keys: functools.partial(_h_value, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p), p=p),
-        lambda key: _h_at(hs, *key, p), samples, tol, f"@h{l_mid}",
-    )
+    return _batched_reports(kinds, itertools.chain(first, stream), tuple, moves, hs, p, samples, tol, f"@h{l_mid}")
 
 
 def check_total_ellipticity_multi1(

@@ -212,7 +212,7 @@ def elliptic_factor(u: complex, pair: ModularPair) -> FactorialValue:
     eval_vwp_additive, the oracle of the multiplicative form, reads."""
     if elliptic_number_zero_index(u, pair) is not None:
         return FactorialValue(1.0 + 0j, 1)
-    return FactorialValue(theta1(u, pair, "series"))
+    return FactorialValue(theta1(u, pair))
 
 
 def elliptic_factorial(u: complex, pair: ModularPair, n: int) -> FactorialValue:

@@ -185,12 +185,12 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
     theta factors leaves the float64 range where h does not; FloatRangeError
     where h is not finite. Needs integer alpha unless n is given.
 
-    This stays beside ellipticity.h_eval rather than reading the spec as an
-    HForm: it multiplies the theta(t w; p) factors the series itself sums
-    and carries the q^{alpha n} factor, while h_eval takes additive
-    arguments through theta1. The conversion would need principal-branch
-    logarithms log(t)/log(q) of every parameter, so the check would test
-    that conversion instead of the spec."""
+    This stays apart from the theta columns every other term ratio reads
+    (ellipticity._h_point): its factors are theta_factor values, whose
+    orders cancel a structural zero of a numerator factor against one of
+    a denominator factor where the column loop would raise PoleError, on
+    numerator and denominator lists of unequal length; and it carries the
+    q^{alpha n} factor of an integer index n."""
     _expect(spec, ThetaSeriesSpec, "term_ratio_at")
     nome = spec.nome
     ratio = ONE

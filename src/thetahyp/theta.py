@@ -54,10 +54,14 @@ class ModularPair:
     tau: complex
 
     def __post_init__(self) -> None:
-        if self.sigma.imag <= 0.0:
-            raise ThetaDomainError(f"Im(sigma) must be positive, got {self.sigma}")
-        if self.tau.imag <= 0.0:
-            raise ThetaDomainError(f"Im(tau) must be positive, got {self.tau}")
+        for name, nome in (("sigma", "q"), ("tau", "p")):
+            value = getattr(self, name)
+            # a part that is not finite, or past float64 / 2 pi, leaves 2 pi i
+            # value not finite, where the nome is nan or cmath.exp raises
+            if not cmath.isfinite(TWO_PI_I * value):
+                raise ThetaDomainError(f"{name} and its nome {nome} = exp(2 pi i {name}) must be finite, got {value}")
+            if value.imag <= 0.0:
+                raise ThetaDomainError(f"Im({name}) must be positive, got {value}")
 
     @property
     def q(self) -> complex:
@@ -79,10 +83,11 @@ class Nome:
     p: complex
 
     def __post_init__(self) -> None:
-        if abs(self.q) >= 1.0:
-            raise ThetaDomainError(f"|q| must be < 1, got {abs(self.q)}")
-        if abs(self.p) >= 1.0:
-            raise ThetaDomainError(f"|p| must be < 1, got {abs(self.p)}")
+        for name in ("q", "p"):
+            value = getattr(self, name)
+            # abs() itself may overflow, and nan compares False
+            if not math.hypot(value.real, value.imag) < 1.0:
+                raise ThetaDomainError(f"|{name}| must be < 1, got {name} = {value}")
 
 
 def p_pochhammer(a: complex, p: complex, n: int | float | None = None) -> complex:
@@ -557,83 +562,66 @@ def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
     return [None if bad else v for v, bad in zip(values.tolist(), raises.tolist())]
 
 
-def theta1(u: complex, pair: ModularPair, method: str = "series") -> complex:
-    """Jacobi theta1(u; sigma, tau), rescaled so the argument is sigma*u.
+def theta1(u: complex, pair: ModularPair) -> complex:
+    """Jacobi theta1(u; sigma, tau), rescaled so the argument is sigma*u, by
+    its fast exponential series
+    ``2 sum (-1)^n e^{pi i tau (n+1/2)^2} sin(pi (2n+1) sigma u)``: the
+    independent oracle of elliptic_number's product form.
 
-    method="series" sums the fast exponential series
-    ``2 sum (-1)^n e^{pi i tau (n+1/2)^2} sin(pi (2n+1) sigma u)``;
-    method="product" evaluates
-    ``p^{1/8} i q^{-u/2} (p; p)_inf theta(q^u; p)``.
-
-    A non-finite u raises ThetaDomainError, and a series term that leaves
-    the float64 range (cmath raising OverflowError or ValueError), or a q^u
-    or theta(q^u; p) past it in the product, FloatRangeError, each naming u.
+    A non-finite u raises ThetaDomainError, and a term that leaves the
+    float64 range (cmath raising OverflowError or ValueError)
+    FloatRangeError naming u.
     """
     if not cmath.isfinite(u):
         raise ThetaDomainError(f"theta1 needs a finite argument, got u={u}")
     sigma, tau = pair.sigma, pair.tau
-    if method == "series":
-        total = 0j
-        small_streak = 0
-        try:
-            for n in range(MAX_TERMS):
-                term = (
-                    2.0
-                    * (-1) ** n
-                    * cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2)
-                    * cmath.sin(math.pi * (2 * n + 1) * sigma * u)
-                )
-                total += term
-                # the sin factor can vanish accidentally; demand two consecutive
-                # sub-tolerance terms before declaring the tail negligible
-                if abs(term) < SERIES_TOL * max(1.0, abs(total)):
-                    small_streak += 1
-                    if n >= 2 and small_streak >= 2:
-                        return total
-                else:
-                    small_streak = 0
-        except (OverflowError, ValueError) as exc:
-            raise FloatRangeError(f"theta1 series at u={u} left the float64 range: {exc}") from exc
-        raise NonConvergenceError("theta1 series tail did not reach SERIES_TOL")
-    if method == "product":
-        try:  # cmath.exp and theta raise OverflowError past the float64 range
-            qu = cmath.exp(TWO_PI_I * sigma * u)
-            if qu == 0:
-                raise FloatRangeError("q^u underflowed to 0")
-            value = theta(qu, pair.p)
-        except OverflowError as exc:
-            raise FloatRangeError(f"theta1 product at u={u} left the float64 range: {exc}") from exc
-        return _theta1_from_theta([u], [value], pair)[0]
-    raise ValueError(f"unknown theta1 method {method!r}")
+    total = 0j
+    small_streak = 0
+    try:
+        for n in range(MAX_TERMS):
+            term = (
+                2.0
+                * (-1) ** n
+                * cmath.exp(1j * math.pi * tau * (n + 0.5) ** 2)
+                * cmath.sin(math.pi * (2 * n + 1) * sigma * u)
+            )
+            total += term
+            # the sin factor can vanish accidentally; demand two consecutive
+            # sub-tolerance terms before declaring the tail negligible
+            if abs(term) < SERIES_TOL * max(1.0, abs(total)):
+                small_streak += 1
+                if n >= 2 and small_streak >= 2:
+                    return total
+            else:
+                small_streak = 0
+    except (OverflowError, ValueError) as exc:
+        raise FloatRangeError(f"theta1 series at u={u} left the float64 range: {exc}") from exc
+    raise NonConvergenceError("theta1 series tail did not reach SERIES_TOL")
 
 
-# (p; p)_inf, cached per nome as every product-form theta1 reads it
+# (p; p)_inf, cached per nome as every elliptic number reads it
 _p_infinity = functools.lru_cache(maxsize=32)(lambda p: p_pochhammer(p, p))
-
-
-def _theta1_from_theta(us, thetas, pair: ModularPair) -> list[complex | None]:
-    """theta1(u) = i p^{1/8} q^{-u/2} (p; p)_inf theta(q^u; p) for each u of
-    us from thetas, its theta(q^u; p) or None, which stays None."""
-    head, poch, c = cmath.exp(1j * math.pi * pair.tau / 4.0) * 1j, _p_infinity(pair.p), -1j * math.pi * pair.sigma
-    return [None if t is None else head * cmath.exp(c * u) * poch * t for u, t in zip(us, thetas)]
-
-
-def _elliptic_lanes(us: Sequence[complex], pair: ModularPair) -> list[complex | None]:
-    """elliptic_number(u, pair) for each u, bit for bit, and None for each u
-    on which it raises: every theta(q^u; p) in one _theta_lanes pass."""
-    c, qus = TWO_PI_I * pair.sigma, []
-    for u in us:
-        try:
-            qus.append(cmath.exp(c * u))
-        except (OverflowError, ValueError):  # theta raises at 0, as elliptic_number at u
-            qus.append(0j)
-    return _theta1_from_theta(us, theta_many(qus, pair.p), pair)
 
 
 def elliptic_number(u: complex, pair: ModularPair) -> complex:
     """The elliptic number [u; sigma, tau] = theta1(u; sigma, tau), by its
-    product form; the series form stays the independent oracle."""
-    return theta1(u, pair, "product")
+    product form ``i p^{1/8} q^{-u/2} (p; p)_inf theta(q^u; p)``; the series
+    form, theta1, stays the independent oracle.
+
+    A non-finite u raises ThetaDomainError, and a q^u or theta(q^u; p) past
+    the float64 range FloatRangeError naming u.
+    """
+    if not cmath.isfinite(u):
+        raise ThetaDomainError(f"theta1 needs a finite argument, got u={u}")
+    try:  # cmath.exp and theta raise OverflowError past the float64 range
+        qu = cmath.exp(TWO_PI_I * pair.sigma * u)
+        if qu == 0:
+            raise FloatRangeError("q^u underflowed to 0")
+        value = theta(qu, pair.p)
+    except OverflowError as exc:
+        raise FloatRangeError(f"theta1 product at u={u} left the float64 range: {exc}") from exc
+    head = cmath.exp(1j * math.pi * pair.tau / 4.0) * 1j
+    return head * cmath.exp(-1j * math.pi * pair.sigma * u) * _p_infinity(pair.p) * value
 
 
 def elliptic_number_zero_index(u: complex, pair: ModularPair) -> int | None:

@@ -420,6 +420,9 @@ class TestNomeAndBand:
             ("--nome", "0.3,0.1,0.2", "--nome expects q_re,q_im,p_re,p_im"),
             ("--nome", "0.3,0.1,0.2,x", "--nome expects four reals"),
             ("--nome", "1.2,0,0.2,0.05", "ThetaDomainError: "),
+            # abs(nan) >= 1 is False: a nan q was accepted, and the sampler
+            # then blamed a vwp parameter
+            ("--nome", "nan,0,0.2,0.05", "ThetaDomainError: |q| must be < 1, got q = (nan"),
             ("--band", "0.5", "--band expects lo,hi"),
             ("--band", "0.5,x", "--band expects two reals"),
             ("--band", "0.8,0.5", "--band expects 0 < lo < hi < 1"),

@@ -1,7 +1,6 @@
 import cmath
 import collections
 import dataclasses
-import importlib
 import itertools
 import math
 import random
@@ -29,7 +28,7 @@ from thetahyp import (
     vwp_canonical_h,
 )
 from thetahyp import FloatRangeError, PoleError, ellipticity
-from thetahyp.ellipticity import _check_total_ellipticity, _lattice_h, multi1_h, multi2_h
+from thetahyp.ellipticity import _h_point, _h_rows, _lattice_h, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
 from thetahyp.identities import _multi1_lattice, _multi2_lattice
 from thetahyp.series import _LatticeTerms
@@ -172,11 +171,12 @@ class TestTotalEllipticityWP:
         assert abs(val - (0.7 - 0.2j)) < 1e-14
 
 
-def scalar_total_ellipticity_wp(u0, us, z, pair, samples=10, tol=1e-9, seed=0):
-    """check_total_ellipticity_wp as it was before its rows were batched:
-    _shift_reports over h_eval, one form per shift."""
-    build = lambda ps: ellipticity._wp_form(ps[0], ps[1:], z, pair)  # noqa: E731
-    params, shift = [u0, *us], pair.tau / pair.sigma
+def scalar_total_ellipticity(build, params, pair, samples=10, tol=1e-9, seed=0):
+    """Total ellipticity of the term ratio build(params) as
+    check_total_ellipticity_wp checked it before its rows were batched:
+    _shift_reports over h_eval, one form per shift (the index shift x -> x +
+    tau/sigma, then each parameter shifted by tau/sigma in turn)."""
+    shift = pair.tau / pair.sigma
     base = build(params)
     shifts = [("index_p_shift", lambda x: h_eval(base, x + shift))]
     for m in range(len(params)):
@@ -184,6 +184,11 @@ def scalar_total_ellipticity_wp(u0, us, z, pair, samples=10, tol=1e-9, seed=0):
         shifts.append((f"param_p_shift:u{m}", lambda x, form=form: h_eval(form, x)))
     points = ellipticity._draws(ellipticity._rand_x, seed)
     return ellipticity._shift_reports(points, lambda x: h_eval(base, x), shifts, samples, tol)
+
+
+def scalar_total_ellipticity_wp(u0, us, z, pair, samples=10, tol=1e-9, seed=0):
+    build = lambda ps: ellipticity._wp_form(ps[0], ps[1:], z, pair)  # noqa: E731
+    return scalar_total_ellipticity(build, [u0, *us], pair, samples, tol, seed)
 
 
 def wp_params(rng):
@@ -195,11 +200,9 @@ class TestTotalEllipticityWPBatch:
     @staticmethod
     def _run(monkeypatch, check, args, seed, draw=None):
         """The check's reports by their bits, the points it redrew, and its
-        _theta_lanes passes and h_eval calls. draw, when given, stands in
-        for _rand_x."""
-        # the package's name theta is the function, which hides the module
-        theta_module = importlib.import_module("thetahyp.theta")
-        rand_x, theta_lanes, scalar_h = draw or ellipticity._rand_x, theta_module._theta_lanes, ellipticity.h_eval
+        _theta_lanes passes and rows read by the scalar loop _h_point. draw,
+        when given, stands in for _rand_x."""
+        rand_x, theta_lanes, scalar_h = draw or ellipticity._rand_x, ellipticity._theta_lanes, ellipticity._h_point
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -210,16 +213,16 @@ class TestTotalEllipticityWPBatch:
 
         with monkeypatch.context() as m:
             m.setattr(ellipticity, "_rand_x", counting("draws", rand_x))
-            m.setattr(theta_module, "_theta_lanes", counting("passes", theta_lanes))
-            m.setattr(ellipticity, "h_eval", counting("h_eval", scalar_h))
+            m.setattr(ellipticity, "_theta_lanes", counting("passes", theta_lanes))
+            m.setattr(ellipticity, "_h_point", counting("scalar", scalar_h))
             reports = check(*args, seed=seed)
         bits = [(r.shift_kind, r.max_rel_dev.hex(), r.sample_count, r.passed) for r in reports]
-        return bits, counts["draws"] - sum(r.sample_count for r in reports), counts["passes"], counts["h_eval"]
+        return bits, counts["draws"] - sum(r.sample_count for r in reports), counts["passes"], counts["scalar"]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_batch_is_the_scalar_check_bit_for_bit(self, monkeypatch, seed):
         # no point is redrawn, so every row comes from one _theta_lanes pass
-        # and none is evaluated by h_eval
+        # and none is evaluated by the scalar loop
         rng = random.Random(f"wp/{seed}")
         args = (*wp_params(rng), (PAIR, S_PAIR)[seed % 2])
         batched, redraws, passes, scalar = self._run(monkeypatch, check_total_ellipticity_wp, args, seed)
@@ -230,9 +233,10 @@ class TestTotalEllipticityWPBatch:
 
     def test_a_pole_in_a_batched_row_is_redrawn(self, monkeypatch):
         # the third point puts x + v = 0 for the base form's first pole v, so
-        # [x + v] = 0 exactly in that batched row: the point is redrawn, the
-        # shifts after it take points batched for the next shift, and the
-        # last one fresh draws, each evaluated by h_eval
+        # theta(q^v X) reads the lattice zero at 1 in that batched row: the
+        # point is redrawn, the shifts after it take points batched for the
+        # next shift, and the last one fresh draws, each evaluated by the
+        # scalar loop
         u0, us, z = wp_params(random.Random("wp/pole"))
         pole, drawn, rand_x = u0 - us[0], [], ellipticity._rand_x
 
@@ -251,9 +255,9 @@ class TestTotalEllipticityWPBatch:
 
     @pytest.mark.parametrize("check", [check_total_ellipticity_wp, scalar_total_ellipticity_wp])
     def test_rows_past_the_float64_range_admit_no_point(self, check):
-        # at u0 = -300j, theta(q^(x + u0 + u)) leaves the float64 range at
-        # every point: a batched row with such a lane goes to h_eval, whose
-        # FloatRangeError rejects the point as the scalar check does
+        # at u0 = -300j, theta(q^(u0 + u) X) leaves the float64 range at
+        # every point: a batched row with such a lane goes to the scalar
+        # loop, whose FloatRangeError rejects the point as h_eval's does
         with pytest.raises(NonConvergenceError, match="^index_p_shift: too few sample points"):
             check(-300j, [0.1 + 0.05j], 0.5 + 0j, PAIR, samples=2)
 
@@ -289,12 +293,7 @@ class TestTotalEllipticityMulti:
             return rand_mult_args(rng, n)
 
         def each_alone(hs, sets, points, p):
-            values, fails = [], {}
-            for r, (s, xs) in enumerate(zip(sets, points)):
-                [value], fail = h_rows(hs, [s], [xs], p)
-                values.append(value)
-                fails.update((r, arg) for arg in fail.values())
-            return values, fails
+            return [h_rows(hs, [s], [xs], p)[0] for s, xs in zip(sets, points)]
 
         with monkeypatch.context() as m:
             m.setattr(ellipticity, "_rand_mult_args", counting_draw)
@@ -358,10 +357,10 @@ class TestTotalEllipticityMulti:
         params = sample_multi2(63, 3, (2, 2, 2), NOME)
         hs = [_lattice_h(_multi2_lattice(params), 2, NOME.q)]
         good, bad = (0.5 + 0.1j, 0.6, 0.7), (1e200, 0.5, 0.7)
-        batch = ellipticity._h_rows(hs, [0, 0], [good, bad], NOME.p)
-        assert ellipticity._h_value(batch, 0, NOME.p) == multi2_h(params, 2, list(good))
+        value, missing = _h_rows(hs, [0, 0], [good, bad], NOME.p)
+        assert value == multi2_h(params, 2, list(good)) and missing is None
         with pytest.raises(FloatRangeError):
-            ellipticity._h_value(batch, 1, NOME.p)
+            _h_point(hs[0], bad, NOME.p)
         with pytest.raises(FloatRangeError):
             multi2_h(params, 2, list(bad))
 
@@ -369,6 +368,43 @@ class TestTotalEllipticityMulti:
         # a term ratio's column raises each x_j to 1, 2 or -1 only
         with pytest.raises(ValueError, match="no exponent 3"):
             ellipticity._power(np.array([0.5 + 0.1j]), 3)
+
+
+class TestScalarLoop:
+    """Every single-point h (h_eval, vwp_canonical_h, multi1_h, multi2_h and
+    each row a check's batch lacks) reads the scalar loop _h_point, which
+    must be an _h_rows row bit for bit. The batch ports CPython's complex
+    arithmetic (_mul, _quot), so this holds only where that port does: on
+    every CPython, numpy and platform the package supports."""
+
+    FAMILIES = {
+        "multi1": (multi1_h, _multi1_lattice, lambda seed, n: sample_multi1(seed, n, 2, NOME)),
+        "multi2": (multi2_h, _multi2_lattice, lambda seed, n: sample_multi2(seed, n, (2,) * n, NOME)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multi_h_is_its_h_rows_row_bit_for_bit(self, monkeypatch, family, seed):
+        # moduli from 1e-2 to 1e2, so that the columns' x^2 and 1 / x span
+        # several prefactor steps; a single point makes no _theta_lanes pass
+        h, describe, sample = self.FAMILIES[family]
+        rng, passes = np.random.default_rng(seed), []
+        for n in (2, 3):
+            params = sample(seed, n)
+            points = [tuple(10 ** rng.uniform(-2, 2, n) * np.exp(2j * math.pi * rng.uniform(0, 1, n)))
+                      for _ in range(10)]
+            for l in range(1, n + 1):
+                rows = _h_rows([_lattice_h(describe(params), l, NOME.q)], [0] * len(points), points, NOME.p)
+                with monkeypatch.context() as m:
+                    m.setattr(ellipticity, "_theta_lanes", lambda zs, p: passes.append(len(zs)))
+                    for xs, row in zip(points, rows):
+                        if row is None:
+                            with pytest.raises((PoleError, FloatRangeError)):
+                                h(params, l, list(xs))
+                        else:
+                            got = h(params, l, list(xs))
+                            assert (got.real.hex(), got.imag.hex()) == (row.real.hex(), row.imag.hex()), (n, l, xs)
+        assert passes == []
 
 
 def _index_multipliers(desc, n):
@@ -431,9 +467,7 @@ class TestCharacterization:
     def test_well_poised_balanced_forms_pass(self, seed):
         rng = np.random.default_rng(seed)
         params = [_additive(rng) for _ in range(2 + seed % 4)]  # u0, u_1..u_m
-        reports = _check_total_ellipticity(
-            lambda ps: wp_hform(ps[0], ps[1:], 0.6 + 0.3j, PAIR), params, PAIR, samples=6, tol=1e-9, seed=seed
-        )
+        reports = check_total_ellipticity_wp(params[0], params[1:], 0.6 + 0.3j, PAIR, samples=6, tol=1e-9, seed=seed)
         kinds = ["index_p_shift", *(f"param_p_shift:u{m}" for m in range(len(params)))]
         assert [rep.shift_kind for rep in reports] == kinds
         for rep in reports:
@@ -448,7 +482,7 @@ class TestCharacterization:
 
         rng = np.random.default_rng(seed)
         params = [_additive(rng) for _ in range(7)]
-        index, *shifts = _check_total_ellipticity(build, params, PAIR, samples=6, tol=1e-9, seed=seed)
+        index, *shifts = scalar_total_ellipticity(build, params, PAIR, samples=6, tol=1e-9, seed=seed)
         assert index.passed, index.max_rel_dev  # balanced: elliptic in x
         assert len(shifts) == 7
         assert max(rep.max_rel_dev for rep in shifts) > 1e-3

@@ -527,4 +527,29 @@ def test_elliptic_numbers_match_jtheta(name):
         want = mpmath.jtheta(1, z, nome)
         kappa = max(1.0, float(abs(z * mpmath.jtheta(1, z, nome, 1) / want)))
         assert rel(elliptic_number(u, pair), want) <= THETA1_RTOL * kappa, u
-        assert rel(theta1(u, pair, "series"), want) <= THETA1_RTOL * kappa, u
+        assert rel(theta1(u, pair), want) <= THETA1_RTOL * kappa, u
+
+
+def _reference_h(form, x):
+    """h(x) = y e^(2 pi i sigma beta x) prod [x + u_m] / prod [x + v_m], each
+    [u] mpmath's jtheta(1, pi sigma u, e^(i pi tau))."""
+    sigma, nome = mpc(form.pair.sigma), mpmath.exp(1j * mp.pi * mpc(form.pair.tau))
+    numbers = [mpmath.jtheta(1, mp.pi * sigma * (mpc(x) + mpc(u)), nome) for u in form.zeros + form.poles]
+    r = len(form.zeros)
+    want = mpc(form.y) * mpmath.exp(2j * mp.pi * sigma * mpc(form.beta) * mpc(x))
+    return want * math.prod(numbers[:r], start=mpc(1)) / math.prod(numbers[r:], start=mpc(1))
+
+
+@pytest.mark.parametrize("name", sorted(THETA1_PAIRS))
+def test_h_eval_matches_jtheta_at_unequal_counts_and_nonzero_beta(name):
+    # h_eval reads r zeros and s poles as columns theta(q^u X) / theta(q^v X)
+    # and applies C^(r - s) q^((beta - (r - s) / 2) x) after them, with C =
+    # i p^(1/8) (p; p)_inf; every r, s in 1..3 with beta != 0
+    pair, rng = THETA1_PAIRS[name], random.Random(f"h_eval/{name}")
+    for r, s in itertools.product(range(1, 4), repeat=2):
+        for _ in range(4):
+            zeros, poles = ([complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3)) for _ in range(k)] for k in (r, s))
+            beta = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
+            form = HForm(tuple(zeros), tuple(poles), beta, complex(rng.uniform(0.3, 1.5), rng.uniform(-0.5, 0.5)), pair)
+            x = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
+            assert rel(h_eval(form, x), _reference_h(form, x)) <= RTOL, (r, s, x)

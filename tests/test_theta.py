@@ -27,7 +27,6 @@ from thetahyp.theta import (
     MAX_TERMS,
     MAX_ZERO_ORDER,
     PRODUCT_TOL,
-    _elliptic_lanes,
     _exp_lanes,
     _mul,
     _quot,
@@ -67,6 +66,31 @@ class TestPolicyAndDomain:
             Nome(1.2 + 0j, 0.1 + 0j)
         with pytest.raises(ThetaDomainError):
             Nome(0.2 + 0j, 1.0 + 0j)
+
+    @pytest.mark.parametrize(
+        "q, p, field",
+        [(complex(math.nan, 0.0), 0.1 + 0j, "q"), (0.1 + 0j, complex(0.2, math.nan), "p"),
+         (complex(1.7e308, 1.7e308), 0.1 + 0j, "q"), (0.1 + 0j, complex(math.inf, 0.0), "p")],
+        ids=["nan_q", "nan_p", "huge_q", "inf_p"],
+    )
+    def test_nome_refuses_a_non_finite_or_huge_field_by_name(self, q, p, field):
+        # abs(nan) >= 1 is False, so a nan nome was accepted, and abs() of
+        # the huge q raised a bare OverflowError
+        with pytest.raises(ThetaDomainError, match=rf"^\|{field}\| must be < 1, got {field} = "):
+            Nome(q, p)
+
+    @pytest.mark.parametrize(
+        "sigma, tau, field",
+        [(0.1 + 0.1j, complex(math.inf, 1.0), "tau"), (1e308 + 1j, 0.5j, "sigma"),
+         (complex(0.1, math.nan), 0.5j, "sigma"), (0.1 + 0.1j, complex(0.0, math.inf), "tau")],
+        ids=["inf_tau", "huge_sigma", "nan_sigma", "inf_im_tau"],
+    )
+    def test_modular_pair_refuses_a_non_finite_field_or_nome_by_name(self, sigma, tau, field):
+        # the inf tau gave p = nan+nanj, on which theta1 ran out into a
+        # NonConvergenceError naming no input, and the huge sigma made .q
+        # raise a bare ValueError from cmath.exp
+        with pytest.raises(ThetaDomainError, match=f"^{field} and its nome . = exp\\(2 pi i {field}\\) must be finite"):
+            ModularPair(sigma, tau)
 
     def test_nome_from_modular(self):
         pair = ModularPair(0.05 + 0.3j, 0.1 + 0.5j)
@@ -506,8 +530,8 @@ class TestTheta1:
         for _ in range(40):
             pair = rand_pair(rng)
             u = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))
-            a = theta1(u, pair, method="series")
-            b = theta1(u, pair, method="product")
+            a = theta1(u, pair)
+            b = elliptic_number(u, pair)
             assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
     def test_oddness(self):
@@ -527,11 +551,6 @@ class TestTheta1:
             mult = -cmath.exp(-1j * math.pi * pair.tau - 2j * math.pi * pair.sigma * u)
             assert abs(shift2 - mult * base) < 1e-11 * max(1.0, abs(mult * base))
 
-    def test_unknown_method(self):
-        pair = ModularPair(0.05 + 0.3j, 0.1 + 0.5j)
-        with pytest.raises(ValueError):
-            theta1(0.3, pair, method="magic")
-
     @pytest.mark.parametrize(
         "u, error",
         [(1e5j, FloatRangeError), (-1e5j, FloatRangeError), (-300j, FloatRangeError), (1e300, FloatRangeError),
@@ -549,41 +568,27 @@ class TestTheta1:
             elliptic_number(u, pair)
         assert type(info.value) is error
 
-    @pytest.mark.parametrize("method", ["series", "product"])
-    def test_both_forms_refuse_an_argument_past_the_float64_range(self, method):
+    @pytest.mark.parametrize(
+        "method, form", [("series", theta1), ("product", elliptic_number)], ids=["series", "product"]
+    )
+    def test_both_forms_refuse_an_argument_past_the_float64_range(self, method, form):
         # q^400 underflows to 0 here, which the product form raised as a
         # ThetaDomainError naming no input; both forms now name u
         pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
         with pytest.raises(FloatRangeError, match=f"theta1 {method} at u=400 left the float64 range") as info:
-            theta1(400, pair, method=method)
+            form(400, pair)
         assert type(info.value) is FloatRangeError
 
     def test_elliptic_number_is_the_product_form_bit_for_bit(self):
+        # i p^(1/8) q^(-u/2) (p; p)_inf theta(q^u; p), formed in that order
         rng = np.random.default_rng(9)
         for _ in range(40):
             pair = rand_pair(rng)
             u = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.8, 0.8))
-            assert _bits(elliptic_number(u, pair)) == _bits(theta1(u, pair, "product"))
-
-    def test_elliptic_lanes_are_elliptic_number_bit_for_bit(self):
-        # generic arguments, the zeros 0, 1 / sigma and tau / sigma, and
-        # arguments on which elliptic_number raises: q^u underflows (400) or
-        # overflows (-1e5j), theta(q^u) leaves the range (-300j), u is not
-        # finite. Each of those lanes is None
-        pair = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
-        rng = np.random.default_rng(10)
-        us = [complex(rng.uniform(-2, 2), rng.uniform(-0.6, 0.6)) for _ in range(40)]
-        us += [0j, 1 / pair.sigma, pair.tau / pair.sigma, 400, -1e5j, -300j, complex(math.nan, 0.0), complex(math.inf, 0.0)]
-
-        def number_or_none(u):
-            try:
-                return elliptic_number(u, pair)
-            except (ThetaDomainError, FloatRangeError):
-                return None
-
-        want = [number_or_none(u) for u in us]
-        assert want[40:43] == [0j] * 3 and want[43:] == [None] * 5
-        assert [_bits(v) for v in _elliptic_lanes(us, pair)] == [_bits(v) for v in want]
+            head = cmath.exp(1j * math.pi * pair.tau / 4.0) * 1j
+            qu = cmath.exp(2j * math.pi * pair.sigma * u)
+            want = head * cmath.exp(-1j * math.pi * pair.sigma * u) * p_pochhammer(pair.p, pair.p) * theta(qu, pair.p)
+            assert _bits(elliptic_number(u, pair)) == _bits(want)
 
     def test_series_that_never_converges_raises(self):
         # |p| = e^(-2 pi 1e-6): the series' terms decay too slowly to meet
