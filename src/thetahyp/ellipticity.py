@@ -158,9 +158,13 @@ def _batched_reports(kinds, points, lift, moves, hs: list[tuple], p: complex, sa
     _lattice_h or _form_h, at a point tuple: the reference (0, lift(x)), index shift s
     < m = len(moves) (0, moves[s](x)), and each later, parameter, shift its
     own set (s - m + 1, lift(x)). The rows of the points the shift loop
-    takes first, `samples` a shift, are evaluated in one _h_rows batch; a
-    row it lacks, after a redraw or past them, or has no value for, by the
-    scalar loop _h_point, which raises there."""
+    takes first, `samples` a shift, are evaluated in one _h_rows batch, in
+    which each shifted row is paired with its point's reference row: an
+    index shift leaves the columns whose e does not read the shifted index
+    as they were, and a parameter shift those whose (a, b) did not move, so
+    those lanes are read from the reference row. A row the batch lacks,
+    after a redraw or past its points, or has no value for, is evaluated by
+    the scalar loop _h_point, which raises there."""
     _check_samples(samples)
     first = list(itertools.islice(points, len(kinds) * samples))
 
@@ -168,7 +172,8 @@ def _batched_reports(kinds, points, lift, moves, hs: list[tuple], p: complex, sa
         return (0, lift(x)) if s is None else (0, moves[s](x)) if s < len(moves) else (s - len(moves) + 1, lift(x))
 
     keys = [row(j // samples, x) for j, x in enumerate(first)] + [row(None, x) for x in first]
-    batched = dict(zip(keys, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p)))
+    refs = list(range(len(first), len(keys))) * 2
+    batched = dict(zip(keys, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p, refs)))
 
     def h(s: int | None, x):
         key = row(s, x)
@@ -283,7 +288,9 @@ def _power(x: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"no exponent {e} in a term ratio column")
 
 
-def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex):
+def _h_rows(
+    hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex, refs: list[int] | None = None
+):
     """h_l at each row r, the parameter set hs[sets[r]], a (ratio, columns) of
     _lattice_h, at the point points[r]; every set shares its columns' e, and
     no column has a side of None. A row where theta raises on an argument,
@@ -292,11 +299,16 @@ def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]],
     The rows are float64 arrays and every complex product and quotient is
     formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
     = x x and x^-1 = 1 / x, then num = a X and den = b X for every column
-    of every row. The distinct arguments are evaluated in one _theta_lanes
-    pass, and each row multiplies ratio by theta(num) / theta(den) column
-    by column, in order."""
+    of every row. refs, when given, pairs each row r with a reference row
+    refs[r], a row that is its own reference; without refs every row is
+    its own. A reference row's arguments are all evaluated, and a paired
+    row's where their bits differ from its reference row's in the same
+    lane, in one _theta_lanes pass; each other lane reads the reference
+    row's value. Each row then multiplies ratio by theta(num) / theta(den)
+    column by column, in order."""
     columns = hs[0][1]
     rows, width = len(points), len(columns)
+    refs = np.arange(rows) if refs is None else np.asarray(refs, dtype=np.intp)
     xs = np.array(points, dtype=complex).reshape(rows, len(columns[0][0]))
     ab = np.array([[(a, b) for _, a, b in cols] for _, cols in hs], dtype=complex)[sets]
     ratio = np.array([r for r, _ in hs], dtype=complex)[sets]
@@ -314,9 +326,12 @@ def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]],
         (num_r, den_r), (num_i, den_i) = args.real, args.imag
         num_r[:], num_i[:] = _mul(ab[..., 0].real, ab[..., 0].imag, xr, xi)
         den_r[:], den_i[:] = _mul(ab[..., 1].real, ab[..., 1].imag, xr, xi)
-        distinct, inverse = np.unique(args.ravel(), return_inverse=True)
-        values, raises = _theta_lanes(distinct, p)
-        v, bad = values[inverse].reshape(args.shape), raises[inverse].reshape(args.shape)
+        bits = args.view(np.uint64)  # the real and imaginary parts' bits, in turn
+        moved = bits != bits[:, refs]
+        own = moved[..., 0::2] | moved[..., 1::2] | (refs == np.arange(rows))[:, None]
+        v, bad = np.zeros(args.shape, dtype=complex), np.zeros(args.shape, dtype=bool)
+        v[own], bad[own] = _theta_lanes(args[own], p)
+        v, bad = np.where(own, v, v[:, refs]), np.where(own, bad, bad[:, refs])
         tr, ti = _quot(v.real[0], v.imag[0], v.real[1], v.imag[1])
         out_r, out_i = ratio.real, ratio.imag
         for c in range(width):
@@ -349,16 +364,27 @@ def _h_point(h: tuple, xs, p: complex) -> complex:
     return value
 
 
+def _multi_h(describe, params, l: int, lam_mult) -> complex:
+    """h_l of the family describe at the point lam_mult; ValueError unless
+    l is in 1..n and the point has n coordinates."""
+    n = params.n
+    if not 1 <= l <= n:
+        raise ValueError(f"l must be in 1..{n}, got {l}")
+    if len(lam_mult) != n:
+        raise ValueError(f"the point needs {n} coordinates, got {len(lam_mult)}")
+    return _h_point(_lattice_h(describe(params), l, params.nome.q), lam_mult, params.nome.p)
+
+
 def multi1_h(params: Multi1Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    return _h_point(_lattice_h(_multi1_lattice(params), l, params.nome.q), lam_mult, params.nome.p)
+    return _multi_h(_multi1_lattice, params, l, lam_mult)
 
 
 def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    return _h_point(_lattice_h(_multi2_lattice(params), l, params.nome.q), lam_mult, params.nome.p)
+    return _multi_h(_multi2_lattice, params, l, lam_mult)
 
 
 def _rand_mult_args(draws: list[float], n: int) -> tuple[complex, ...]:

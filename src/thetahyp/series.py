@@ -42,15 +42,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import FloatRangeError, NonConvergenceError, ThetaDomainError
-from .factorials import (
-    _UNDERFLOWED,
-    ONE,
-    FactorialValue,
-    FactorTable,
-    theta_factor,
-)
+from .factorials import _UNDERFLOWED, ONE, FactorialValue, FactorTable, _factor_pair
 from .report import JsonFields, VerificationReport, _str_from_json
-from .theta import LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome, theta_log_range
+from .theta import LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome, theta, theta_log_range
 
 REL_TOL = 1e-10  # classifier tolerance for multiplicative constraints
 
@@ -186,26 +180,30 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
     where h is not finite. Needs integer alpha unless n is given.
 
     This stays apart from the theta columns every other term ratio reads
-    (ellipticity._h_point): its factors are theta_factor values, whose
+    (ellipticity._h_point): its factors are theta_factor's (finite_part,
+    order) pairs, multiplied and divided as FactorialValue does, whose
     orders cancel a structural zero of a numerator factor against one of
     a denominator factor where the column loop would raise PoleError, on
     numerator and denominator lists of unequal length; and it carries the
-    q^{alpha n} factor of an integer index n."""
+    q^{alpha n} factor of an integer index n. A FactorialValue is built
+    only for the product, to read its value."""
     _expect(spec, ThetaSeriesSpec, "term_ratio_at")
     nome = spec.nome
-    ratio = ONE
+    part, order = 1.0 + 0j, 0
     for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()):
         if a is not None:
-            ratio = ratio * theta_factor(a * w, nome.p)
+            factor, zero = _factor_pair(theta(a * w, nome.p))
+            part, order = part * factor, order + zero
         if b is not None:
-            ratio = ratio / theta_factor(b * w, nome.p)
+            factor, zero = _factor_pair(theta(b * w, nome.p))  # a finite part is never 0
+            part, order = part / factor, order - zero
     if n is not None:
         expo = nome.q ** (spec.alpha * n)
     elif (k := _integer_alpha(spec)) is not None:
         expo = w**k
     else:
         raise ValueError("term_ratio_at requires integer alpha for non-integer arguments")
-    value = ratio.value * expo * spec.z
+    value = FactorialValue(part, order).value * expo * spec.z
     if cmath.isfinite(value):
         return value
     raise FloatRangeError(f"the term ratio at w = {w} leaves the float64 range")

@@ -1,8 +1,10 @@
 import cmath
 import collections
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -292,7 +294,8 @@ class TestTotalEllipticityMulti:
             drawn += 1
             return rand_mult_args(rng, n)
 
-        def each_alone(hs, sets, points, p):
+        def each_alone(hs, sets, points, p, refs=None):
+            # every row unpaired, so it shares no lane with another
             return [h_rows(hs, [s], [xs], p)[0] for s, xs in zip(sets, points)]
 
         with monkeypatch.context() as m:
@@ -368,6 +371,85 @@ class TestTotalEllipticityMulti:
         # a term ratio's column raises each x_j to 1, 2 or -1 only
         with pytest.raises(ValueError, match="no exponent 3"):
             ellipticity._power(np.array([0.5 + 0.1j]), 3)
+
+    @pytest.mark.parametrize(
+        "h, sample",
+        [(multi1_h, lambda: sample_multi1(52, 2, 2, NOME)), (multi2_h, lambda: sample_multi2(62, 2, (2, 2), NOME))],
+        ids=["multi1", "multi2"],
+    )
+    def test_a_point_of_the_wrong_length_or_an_l_past_the_indices_raises(self, h, sample):
+        # the scalar loop zips the point with each column's e, so a short or
+        # long point read a wrong value, and an l outside 1..n raised a bare
+        # KeyError from the description's cross parts
+        params = sample()
+        for point in ([0.5 + 0.1j], [0.5 + 0.1j, 0.6, 0.7]):
+            with pytest.raises(ValueError, match=f"^the point needs 2 coordinates, got {len(point)}$"):
+                h(params, 1, point)
+        for l in (0, 3, -1):
+            with pytest.raises(ValueError, match=rf"^l must be in 1\.\.2, got {l}$"):
+                h(params, l, [0.5 + 0.1j, 0.6])
+        assert cmath.isfinite(h(params, 2, [0.5 + 0.1j, 0.6]))
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestSharedLanes:
+    """A check's _h_rows batch pairs each shifted row with its point's
+    reference row, evaluates each distinct theta argument of its rows once,
+    and reads every other lane from the reference row."""
+
+    CHECKS = {
+        "wp": lambda seed: functools.partial(
+            check_total_ellipticity_wp, *wp_params(random.Random(f"wp/{seed}")), (PAIR, S_PAIR)[seed % 2]
+        ),
+        "multi1": lambda seed: functools.partial(check_total_ellipticity_multi1, sample_multi1(seed, 2 + seed % 2, 2, NOME)),
+        "multi2": lambda seed: functools.partial(
+            check_total_ellipticity_multi2, sample_multi2(seed, 2 + seed % 2, (2,) * (2 + seed % 2), NOME)
+        ),
+    }
+
+    @staticmethod
+    def _arguments(hs, sets, points):
+        """The bits of every theta argument of the rows: num = a X and den = b
+        X with X = prod_j x_j^{e_j}, x^2 = x x and x^-1 = 1 / x, in CPython's
+        arithmetic, which the batch ports."""
+        out = set()
+        for s, xs in zip(sets, points):
+            xs = [complex(x) for x in xs]
+            for e, a, b in hs[s][1]:
+                parts = (x if k == 1 else x * x if k == 2 else complex(1.0, 0.0) / x for x, k in zip(xs, e) if k)
+                big_x = functools.reduce(operator.mul, parts)
+                out |= {_bits(a * big_x), _bits(b * big_x)}
+        return out
+
+    @pytest.mark.parametrize("family", sorted(CHECKS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_distinct_argument_is_evaluated_once(self, monkeypatch, family, seed):
+        check = self.CHECKS[family](seed)
+        h_rows, theta_lanes, batches, passes = ellipticity._h_rows, ellipticity._theta_lanes, [], []
+
+        def recording_h_rows(hs, sets, points, p, refs):
+            batches.append((hs, sets, points, p, h_rows(hs, sets, points, p, refs)))
+            return batches[-1][-1]
+
+        def recording_theta_lanes(zs, p):
+            passes.append([_bits(z) for z in zs.tolist()])
+            return theta_lanes(zs, p)
+
+        with monkeypatch.context() as m:
+            m.setattr(ellipticity, "_h_rows", recording_h_rows)
+            m.setattr(ellipticity, "_theta_lanes", recording_theta_lanes)
+            reports = check(seed=seed)
+        [(hs, sets, points, p, rows)], [lanes] = batches, passes
+        assert all(rep.passed for rep in reports)
+        assert max(collections.Counter(lanes).values()) == 1
+        assert set(lanes) == self._arguments(hs, sets, points)
+        # unpaired, the batch evaluates every lane of every row itself
+        unpaired = h_rows(hs, sets, points, p)
+        assert [row and _bits(row) for row in rows] == [row and _bits(row) for row in unpaired]
+        assert None not in rows
 
 
 class TestScalarLoop:

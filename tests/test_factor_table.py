@@ -23,12 +23,14 @@ import operator
 import pytest
 
 from thetahyp import (
+    ModularPair,
     Nome,
     ThetaSeriesSpec,
     TruncationDecl,
     VwpSpec,
     check_total_ellipticity_multi1,
     check_total_ellipticity_multi2,
+    check_total_ellipticity_wp,
     eval_E,
     eval_G,
     eval_vwp,
@@ -653,6 +655,24 @@ ELLIPTICITY = {
 }
 
 
+# the well-poised check's one theta pass, 50 * 8 + 10 * 8 + 10 * 8 + 30 * 4
+# lanes: the reference rows of its 50 first points take all 8 lanes, as do
+# their 10 index and 10 u0 shifts; each of the 30 u_m shifts moves only the
+# columns of u_m and of the balancing pair, 4 lanes
+WP_ELLIPTICITY = (
+    lambda: check_total_ellipticity_wp(
+        0.11 - 0.04j, [0.21 + 0.05j, -0.17 + 0.08j, 0.26 - 0.03j], 0.5 + 0.2j, ModularPair(0.04 + 0.3j, 0.08 + 0.45j),
+        seed=4,
+    ),
+    680,
+)
+
+
+def test_wp_ellipticity_theta_count(monkeypatch):
+    check, count = WP_ELLIPTICITY
+    assert _count_theta_calls(monkeypatch, check) == count
+
+
 @pytest.mark.parametrize("case", sorted(ELLIPTICITY))
 def test_ellipticity_reports_are_pinned(case):
     check, sample, seed, _, devs = ELLIPTICITY[case]
@@ -679,14 +699,15 @@ def test_ellipticity_does_each_points_work_once(monkeypatch, case):
     # distinct arguments take one theta pass
     check, sample, seed, _, _ = ELLIPTICITY[case]
     params = sample()
-    batches, passes = [], 0
+    batches, pairs, passes = [], [], 0
     draws = built = 0
     h_rows, theta_lanes = ellipticity._h_rows, ellipticity._theta_lanes
     rand_mult_args, init = ellipticity._rand_mult_args, FactorialValue.__init__
 
-    def counting_h_rows(hs, sets, points, p):
+    def counting_h_rows(hs, sets, points, p, refs):
         batches.append(collections.Counter(zip(sets, points)))
-        return h_rows(hs, sets, points, p)
+        pairs.append(refs)
+        return h_rows(hs, sets, points, p, refs)
 
     def counting_theta_lanes(zs, p):
         nonlocal passes
@@ -711,8 +732,11 @@ def test_ellipticity_does_each_points_work_once(monkeypatch, case):
         reports = check(params, seed=seed)
     # no point of these checks is rejected, so none is redrawn
     assert draws == sum(rep.sample_count for rep in reports) == 8 * len(reports)
-    [rows] = batches
+    [rows], [refs] = batches, pairs
     assert sum(rows.values()) == 2 * draws and max(rows.values()) == 1
+    # each point's shifted row is paired with its reference row, which
+    # stands alone
+    assert refs == list(range(draws, 2 * draws)) * 2
     assert passes == 1 and built == 0
 
 

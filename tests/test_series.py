@@ -1,4 +1,6 @@
 import cmath
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +8,12 @@ import pytest
 
 from thetahyp import (
     EllipticityReport,
+    FactorialValue,
     FloatRangeError,
     ModularPair,
     NonConvergenceError,
     Nome,
+    PoleError,
     ThetaSeriesSpec,
     TruncationDecl,
     VerificationReport,
@@ -25,6 +29,7 @@ from thetahyp import (
     complex_from_json,
     spec_from_json,
     term_ratio_at,
+    theta_factor,
     vwp_coefficient,
 )
 from thetahyp.report import rel_err
@@ -132,6 +137,77 @@ class TestCoefficients:
         spec = ThetaSeriesSpec("unilateral_E", (0.4 + 0.1j,), (), 0.5, 0.3 + 0j, NOME)
         with pytest.raises(ValueError):
             term_ratio_at(spec, 0.7 + 0.2j)
+
+    @staticmethod
+    def _by_theta_factors(spec, w, n=None):
+        """term_ratio_at as the product of theta_factor values, retyped."""
+        ratio = FactorialValue(1.0 + 0j)
+        for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()):
+            if a is not None:
+                ratio = ratio * theta_factor(a * w, spec.nome.p)
+            if b is not None:
+                ratio = ratio / theta_factor(b * w, spec.nome.p)
+        alpha = complex(spec.alpha)
+        if n is not None:
+            expo = spec.nome.q ** (spec.alpha * n)
+        elif alpha.imag == 0 and alpha.real.is_integer():
+            expo = w ** int(alpha.real)
+        else:
+            raise ValueError("non-integer alpha")
+        value = ratio.value * expo * spec.z
+        if not cmath.isfinite(value):
+            raise FloatRangeError("not finite")
+        return value
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            value = fn()
+        except (ValueError, ArithmeticError) as err:
+            return type(err)
+        return value.real.hex(), value.imag.hex()
+
+    @staticmethod
+    def _lattice_cases(rng):
+        """(spec, w, n, kind) at lattice points: theta(a w) = 0 for a numerator
+        a when w = p^M / a, and theta(b w) = 0 for b = a p^j, so a numerator
+        zero cancels a denominator zero ("cancel"), stands alone ("zero"), or
+        a denominator zero does ("pole")."""
+        p, cases = NOME.p, []
+        for kind, M, j in itertools.product(("unilateral_E", "bilateral_G"), (-1, 0, 1), (0, 1, 2)):
+            num, den, z = rand_params(rng, 3), rand_params(rng, 2), complex(*rng.uniform(-1, 1, 2))
+            w = p**M / num[1]
+            hit = (num[0], num[1] * p**j, *den[1:])
+            cases += [
+                (ThetaSeriesSpec(kind, num, hit, 1, z, NOME), w, None, "cancel"),
+                (ThetaSeriesSpec(kind, num, den, 0, z, NOME), w, M, "zero"),
+                (ThetaSeriesSpec(kind, num[:1], (den[0], num[1] * p**j), -1, z, NOME), w, None, "pole"),
+            ]
+        return cases
+
+    def test_term_ratio_at_is_the_theta_factor_product_bit_for_bit(self):
+        # term_ratio_at multiplies (finite_part, order) pairs and builds one
+        # FactorialValue at the end; the theta_factor product it replaced is
+        # the reference, off the lattice, at lattice points and past the
+        # float64 range
+        rng = np.random.default_rng(29)
+        cases = self._lattice_cases(rng)
+        for k in range(120):
+            kind = ("unilateral_E", "bilateral_G")[k % 2]
+            num, den = rand_params(rng, 1 + k % 4), rand_params(rng, k % 3)
+            alpha = (0, 1, -2, 0.5 + 0.25j)[k % 4]
+            # past the float64 range: a theta factor, or only the product
+            z = complex(*rng.uniform(-1, 1, 2)) * (1e308 if k % 13 == 0 else 1.0)
+            w = complex(*rng.uniform(-2, 2, 2)) * (1e40 if k % 17 == 0 else 1.0)
+            cases.append((ThetaSeriesSpec(kind, num, den, alpha, z, NOME), w, k % 5 if k % 3 == 0 else None, "off"))
+        seen = collections.Counter()
+        for spec, w, n, kind in cases:
+            got = self._outcome(lambda: term_ratio_at(spec, w, n))
+            assert got == self._outcome(lambda: self._by_theta_factors(spec, w, n)), (spec, w, n)
+            zero = not isinstance(got, type) and not any(map(float.fromhex, got))
+            seen[kind, got if isinstance(got, type) else "zero" if zero else "value"] += 1
+        assert seen["cancel", "value"] == seen["zero", "zero"] == seen["pole", PoleError] == 18
+        assert seen["off", ValueError] and seen["off", FloatRangeError] and seen["off", "value"]
 
     E_SPEC = ThetaSeriesSpec("unilateral_E", (0.4 + 0.1j,), (0.6 - 0.2j,), 0, 0.3 + 0j, NOME)
     VWP_SPEC = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "unilateral")
