@@ -1,9 +1,10 @@
 """Numeric quasiperiodicity, ellipticity, total-ellipticity and
 modular-invariance checkers for term ratios.
 
-The index shift is tested multiplicatively (w -> p w, equivalent to
-x -> x + tau/sigma since q^{tau/sigma} = p); the sigma^{-1} shift is a
-structural identity of the multiplicative form. Parameter shifts for the
+Every check draws its points from one seeded stream and tests each index
+shift multiplicatively, x_j -> p x_j (for X = q^x, x -> x + tau/sigma, as
+q^{tau/sigma} = p); the sigma^{-1} shift is a structural identity of the
+multiplicative form. Parameter shifts for the
 canonical well-poised balanced form and for the two multivariable
 families follow the shift rules under which the balancing condition is
 preserved (the dependent parameter co-shifts where it appears
@@ -104,19 +105,23 @@ def multipliers(form: HForm) -> tuple[complex, complex, complex]:
     return a, b, gamma
 
 
-def _rand_x(rng: np.random.Generator) -> complex:
-    return complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.25, 0.25))
-
-
 def _worse(dev: float, err: float) -> float:
     """The running maximum deviation; a non-finite one is inf, which fails."""
     return max(dev, err) if math.isfinite(err) else math.inf
 
 
-def _draws(draw, seed: int):
-    """draw(rng) over and over, on one rng seeded with seed."""
-    # draw never returns None, so the sentinel never stops the stream
-    return iter(functools.partial(draw, np.random.default_rng(seed)), None)
+_X_BOX = ((-0.45, -0.25), (0.45, 0.25))  # x = u + v i, u in [-0.45, 0.45), v in [-0.25, 0.25)
+
+
+def _draws(seed: int, box, first: int, point):
+    """point(row) for each row of uniform draws in box = (low, high) of one
+    rng seeded with seed: the first `first` rows from one rng.uniform call,
+    then one row a call, the same draws in the same order as one scalar call
+    at a time. Lazy: nothing is drawn before the first point is taken."""
+    rng, (low, high) = np.random.default_rng(seed), box
+    yield from map(point, rng.uniform(low, high, (first, len(low))).tolist())
+    while True:
+        yield point(rng.uniform(low, high).tolist())
 
 
 def _check_samples(samples: int) -> None:
@@ -127,7 +132,8 @@ def _check_samples(samples: int) -> None:
 def _shift_reports(points, ref, shifts, samples: int, tol: float, suffix: str = "") -> list[EllipticityReport]:
     """One report per (kind, shifted) in shifts, in order: the max relative
     deviation of shifted(point) from ref(point) over `samples` points, each
-    shift taking its points in turn from the one iterator points. A point is
+    shift taking its points in turn from the one iterator points, a _draws
+    stream, which draws nothing before samples is checked. A point is
     redrawn (at most 200 extra times per kind) on a pole, an overflow or a
     reference whose modulus is not in [1e-12, 1e12]; a non-finite deviation
     fails the report with max_rel_dev inf."""
@@ -152,31 +158,33 @@ def _shift_reports(points, ref, shifts, samples: int, tol: float, suffix: str = 
     return reports
 
 
-def _batched_reports(kinds, points, lift, moves, hs: list[tuple], p: complex, samples: int, tol: float, suffix=""):
+def _batched_reports(kinds, points, hs: list[tuple], p: complex, samples: int, tol: float, suffix=""):
     """_shift_reports with one shift per kind over the iterator points, each
-    at x reading a row (set, point) of h = hs[set], a (ratio, columns) of
-    _lattice_h or _form_h, at a point tuple: the reference (0, lift(x)), index shift s
-    < m = len(moves) (0, moves[s](x)), and each later, parameter, shift its
-    own set (s - m + 1, lift(x)). The rows of the points the shift loop
-    takes first, `samples` a shift, are evaluated in one _h_rows batch, in
-    which each shifted row is paired with its point's reference row: an
-    index shift leaves the columns whose e does not read the shifted index
-    as they were, and a parameter shift those whose (a, b) did not move, so
-    those lanes are read from the reference row. A row the batch lacks,
-    after a redraw or past its points, or has no value for, is evaluated by
-    the scalar loop _h_point, which raises there."""
+    at the point tuple xs reading a row (set, point) of h = hs[set], a
+    (ratio, columns) of _lattice_h or _form_h: the reference (0, xs), the
+    index shift s < m = len(xs) (0, xs with x_s -> p x_s), and each later,
+    parameter, shift its own set (s - m + 1, xs). The rows of the points the
+    shift loop takes first, `samples` a shift, are evaluated in one _h_rows
+    batch, in which each shifted row is paired with its point's reference
+    row: an index shift leaves the columns whose e does not read the shifted
+    index as they were, and a parameter shift those whose (a, b) did not
+    move, so those lanes are read from the reference row. A row the batch
+    lacks, after a redraw or past its points, or has no value for, is
+    evaluated by the scalar loop _h_point, which raises there."""
     _check_samples(samples)
     first = list(itertools.islice(points, len(kinds) * samples))
 
-    def row(s: int | None, x):
-        return (0, lift(x)) if s is None else (0, moves[s](x)) if s < len(moves) else (s - len(moves) + 1, lift(x))
+    def row(s: int | None, xs: tuple):
+        if s is None or s >= len(xs):
+            return (0 if s is None else s - len(xs) + 1), xs
+        return 0, (*xs[:s], xs[s] * p, *xs[s + 1 :])
 
-    keys = [row(j // samples, x) for j, x in enumerate(first)] + [row(None, x) for x in first]
+    keys = [row(j // samples, xs) for j, xs in enumerate(first)] + [row(None, xs) for xs in first]
     refs = list(range(len(first), len(keys))) * 2
     batched = dict(zip(keys, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p, refs)))
 
-    def h(s: int | None, x):
-        key = row(s, x)
+    def h(s: int | None, xs: tuple):
+        key = row(s, xs)
         value = batched.get(key)
         return _h_point(hs[key[0]], key[1], p) if value is None else value
 
@@ -196,11 +204,9 @@ def check_ellipticity(
     The sigma^{-1} shift (w unchanged) is automatic in this form and is
     not sampled.
     """
-    def draw(rng: np.random.Generator) -> complex:
-        return cmath.exp(2j * math.pi * _rand_x(rng)) * 0.7  # generic annulus point
-
+    annulus = _draws(seed, _X_BOX, samples, lambda x: cmath.exp(2j * math.pi * complex(*x)) * 0.7)
     shifts = [("index_p_shift", lambda w: term_ratio_fn(nome.p * w))]
-    return _shift_reports(_draws(draw, seed), term_ratio_fn, shifts, samples, tol)[0]
+    return _shift_reports(annulus, term_ratio_fn, shifts, samples, tol)[0]
 
 
 def _wp_form(u0: complex, us: list[complex], z: complex, pair: ModularPair) -> HForm:
@@ -227,20 +233,17 @@ def check_total_ellipticity_wp(
     seed: int = 0,
 ) -> list[EllipticityReport]:
     """Total ellipticity of the canonical well-poised balanced term ratio:
-    one report for the index shift x -> x + tau/sigma, one for u0 and one
-    per u_m, each parameter shifted by the same quasiperiod. _wp_form solves
-    the balancing pole from the others, so a shifted parameter set stays
-    balanced. Each row reads its form's columns at X = q^x."""
+    one report for the index shift X -> p X, one for u0 and one per u_m,
+    each parameter shifted by tau/sigma, the quasiperiod of x. _wp_form
+    solves the balancing pole from the others, so a shifted parameter set
+    stays balanced. Each row reads its form's columns at X = q^x of an
+    additive draw x."""
     shift, params = pair.tau / pair.sigma, [u0, *us]
     sets = [params] + [[*params[:m], params[m] + shift, *params[m + 1 :]] for m in range(len(params))]
     hs = [_form_h(_wp_form(ps[0], ps[1:], z, pair)) for ps in sets]
     kinds = ["index_p_shift"] + [f"param_p_shift:u{m}" for m in range(len(params))]
-
-    def lift(x: complex) -> tuple[complex]:
-        return (_q_power(pair.sigma, x),)
-
-    moves = [lambda x: lift(x + shift)]
-    return _batched_reports(kinds, _draws(_rand_x, seed), lift, moves, hs, pair.p, samples, tol)
+    points = _draws(seed, _X_BOX, len(kinds) * samples, lambda x: (_q_power(pair.sigma, complex(*x)),))
+    return _batched_reports(kinds, points, hs, pair.p, samples, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +413,12 @@ def _check_multi(
     params) in param_shifts, each comparing h_l at the shifted and the
     reference point. h_l is described once per parameter set; the shifted
     sets share the nome of params, and so the columns of h_l."""
-    _check_samples(samples)
-    p, n = params.nome.p, params.n
+    n = params.n
     l_mid = max(1, (n + 1) // 2)
     hs = [_lattice_h(describe(sp), l_mid, params.nome.q) for sp in [params, *(sp for _, sp in param_shifts)]]
     kinds = [f"index_p_shift:lambda{i + 1}" for i in range(n)] + [kind for kind, _ in param_shifts]
-    moves = [lambda xs, j=j: (*xs[:j], xs[j] * p, *xs[j + 1 :]) for j in range(n)]
-
-    # one rng.uniform call draws the first points and one each redraw: the
-    # stream of 2n scalar draws a point, in the same order
-    rng, low, high = np.random.default_rng(seed), np.tile([0, -0.05], n), np.tile([1, 0.05], n)
-    first = [_rand_mult_args(draws, n) for draws in rng.uniform(low, high, (len(kinds) * samples, 2 * n)).tolist()]
-    stream = iter(lambda: _rand_mult_args(rng.uniform(low, high).tolist(), n), None)
-    return _batched_reports(kinds, itertools.chain(first, stream), tuple, moves, hs, p, samples, tol, f"@h{l_mid}")
+    points = _draws(seed, ((0, -0.05) * n, (1, 0.05) * n), len(kinds) * samples, lambda x: _rand_mult_args(x, n))
+    return _batched_reports(kinds, points, hs, params.nome.p, samples, tol, f"@h{l_mid}")
 
 
 def check_total_ellipticity_multi1(

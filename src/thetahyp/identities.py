@@ -260,7 +260,8 @@ def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[
     """Parameter map t -> s of the Bailey transformation.
 
     s0 is the principal root of q t0 / (t1 t2 t3); root_sign=-1 selects the
-    other root (both satisfy the transported constraints).
+    other root (both satisfy the transported constraints). Mapped back, s0 is
+    root_sign sqrt(t0^2): the sign of Re t0 inverts the map, the other -t.
     """
     q = nome.q
     t0 = t[0]

@@ -1,0 +1,52 @@
+"""The p -> 0 limit of the elliptic identities against their classical
+basic hypergeometric counterparts (Gasper-Rahman, Basic Hypergeometric
+Series, 2nd ed.), each retyped in mpmath from that source rather than from
+the elliptic formulas. At p = 0, theta(z; 0) = 1 - z, so an elliptic
+shifted factorial is the q-shifted factorial (a; q)_k.
+"""
+
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+mp, mpc = mpmath.mp, mpmath.mpc
+
+from thetahyp import Nome, sample_ft, verify_ft_sum  # noqa: E402
+
+QS = (0.35 + 0.1j, -0.2 + 0.5j, 0.6 - 0.1j)
+
+
+def poch(a, q, k):
+    """(a; q)_k."""
+    return mpmath.fprod(1 - a * q**j for j in range(k))
+
+
+def jackson_8w7(a, b, c, d, e, f, q, n):
+    """Both sides of Jackson's terminating 8phi7 sum, Gasper-Rahman (2.6.2):
+    8W7(a; b, c, d, e, q^-n; q, q) = (aq, aq/bc, aq/bd, aq/cd; q)_n /
+    (aq/b, aq/c, aq/d, aq/bcd; q)_n when a^2 q^(n+1) = bcde, with f standing
+    for q^-n on the left."""
+    top, bottom = (a, b, c, d, e, f), (q, a * q / b, a * q / c, a * q / d, a * q / e, a * q / f)
+    lhs = mpmath.fsum(
+        (1 - a * q ** (2 * k)) / (1 - a) * q**k
+        * mpmath.fprod(poch(x, q, k) for x in top) / mpmath.fprod(poch(y, q, k) for y in bottom)
+        for k in range(n + 1)
+    )
+    rhs = mpmath.fprod(poch(x, q, n) for x in (a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d))) / (
+        mpmath.fprod(poch(y, q, n) for y in (a * q / b, a * q / c, a * q / d, a * q / (b * c * d)))
+    )
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("seed", range(10))
+def test_ft_sum_at_p_0_is_jacksons_8phi7_sum(q, seed):
+    # the 10E9 sum at t is 8W7(t0^2; t0 t1, t0 t2, t0 t3, t0 t5, t0 t4), with
+    # t0 t4 = q^-N, and prod t = q is Jackson's balancing condition
+    with mp.workdps(30):
+        for N in range(1, 11):
+            params = sample_ft(seed, N, Nome(q, 0))
+            rep = verify_ft_sum(params)
+            t0, t1, t2, t3, t4, t5 = (mpc(x) for x in params.t)
+            lhs, rhs = jackson_8w7(t0**2, t0 * t1, t0 * t2, t0 * t3, t0 * t5, t0 * t4, mpc(q), N)
+            assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs), N
+            assert abs(rep.lhs - lhs) <= 1e-8 * abs(lhs), N

@@ -175,17 +175,24 @@ class TestTotalEllipticityWP:
 
 def scalar_total_ellipticity(build, params, pair, samples=10, tol=1e-9, seed=0):
     """Total ellipticity of the term ratio build(params) as
-    check_total_ellipticity_wp checked it before its rows were batched:
-    _shift_reports over h_eval, one form per shift (the index shift x -> x +
-    tau/sigma, then each parameter shifted by tau/sigma in turn)."""
+    check_total_ellipticity_wp checks it, without its batch: _shift_reports
+    over the scalar loop _h_point, one form per shift (the index shift X ->
+    p X, then each parameter shifted by tau/sigma in turn), at the points X
+    = q^x of the check's stream of additive draws x. build's forms have as
+    many zeros as poles and beta = 0, so h_eval adds no factor to the loop."""
     shift = pair.tau / pair.sigma
-    base = build(params)
-    shifts = [("index_p_shift", lambda x: h_eval(base, x + shift))]
+
+    def h(ps):
+        columns = ellipticity._form_h(build(ps))
+        return lambda xs: ellipticity._h_point(columns, xs, pair.p)
+
+    base = h(params)
+    shifts = [("index_p_shift", lambda xs: base((pair.p * xs[0],)))]
     for m in range(len(params)):
-        form = build([*params[:m], params[m] + shift, *params[m + 1 :]])
-        shifts.append((f"param_p_shift:u{m}", lambda x, form=form: h_eval(form, x)))
-    points = ellipticity._draws(ellipticity._rand_x, seed)
-    return ellipticity._shift_reports(points, lambda x: h_eval(base, x), shifts, samples, tol)
+        shifts.append((f"param_p_shift:u{m}", h([*params[:m], params[m] + shift, *params[m + 1 :]])))
+    lift = lambda x: (ellipticity._q_power(pair.sigma, complex(*x)),)  # noqa: E731
+    points = ellipticity._draws(seed, ellipticity._X_BOX, len(shifts) * samples, lift)
+    return ellipticity._shift_reports(points, base, shifts, samples, tol)
 
 
 def scalar_total_ellipticity_wp(u0, us, z, pair, samples=10, tol=1e-9, seed=0):
@@ -203,8 +210,9 @@ class TestTotalEllipticityWPBatch:
     def _run(monkeypatch, check, args, seed, draw=None):
         """The check's reports by their bits, the points it redrew, and its
         _theta_lanes passes and rows read by the scalar loop _h_point. draw,
-        when given, stands in for _rand_x."""
-        rand_x, theta_lanes, scalar_h = draw or ellipticity._rand_x, ellipticity._theta_lanes, ellipticity._h_point
+        when given, stands in for the stream's map of a row of draws to a
+        point: draw(point, row)."""
+        draws, theta_lanes, scalar_h = ellipticity._draws, ellipticity._theta_lanes, ellipticity._h_point
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -213,8 +221,11 @@ class TestTotalEllipticityWPBatch:
                 return fn(*a)
             return wrapped
 
+        def counting_draws(seed, box, first, point):
+            return draws(seed, box, first, counting("draws", functools.partial(draw, point) if draw else point))
+
         with monkeypatch.context() as m:
-            m.setattr(ellipticity, "_rand_x", counting("draws", rand_x))
+            m.setattr(ellipticity, "_draws", counting_draws)
             m.setattr(ellipticity, "_theta_lanes", counting("passes", theta_lanes))
             m.setattr(ellipticity, "_h_point", counting("scalar", scalar_h))
             reports = check(*args, seed=seed)
@@ -234,17 +245,17 @@ class TestTotalEllipticityWPBatch:
         assert all(passed for *_, passed in batched)
 
     def test_a_pole_in_a_batched_row_is_redrawn(self, monkeypatch):
-        # the third point puts x + v = 0 for the base form's first pole v, so
+        # the third point is X = q^-v for the base form's first pole v, so
         # theta(q^v X) reads the lattice zero at 1 in that batched row: the
         # point is redrawn, the shifts after it take points batched for the
         # next shift, and the last one fresh draws, each evaluated by the
         # scalar loop
         u0, us, z = wp_params(random.Random("wp/pole"))
-        pole, drawn, rand_x = u0 - us[0], [], ellipticity._rand_x
+        pole, drawn = u0 - us[0], []
 
-        def draw(rng):
-            drawn.append(rand_x(rng))
-            return -pole if len(drawn) == 3 else drawn[-1]
+        def draw(point, row):
+            drawn.append(point(row))
+            return (ellipticity._q_power(PAIR.sigma, -pole),) if len(drawn) == 3 else drawn[-1]
 
         args = (u0, us, z, PAIR)
         batched, redraws, passes, scalar = self._run(monkeypatch, check_total_ellipticity_wp, args, 0, draw)

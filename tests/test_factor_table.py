@@ -18,7 +18,9 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import operator
+import random
 
 import pytest
 
@@ -28,6 +30,7 @@ from thetahyp import (
     ThetaSeriesSpec,
     TruncationDecl,
     VwpSpec,
+    check_ellipticity,
     check_total_ellipticity_multi1,
     check_total_ellipticity_multi2,
     check_total_ellipticity_wp,
@@ -39,6 +42,7 @@ from thetahyp import (
     sample_ft,
     sample_multi1,
     sample_multi2,
+    term_ratio_at,
     verify_bailey,
     verify_ft_sum,
     verify_multi1,
@@ -672,6 +676,40 @@ def test_wp_ellipticity_theta_count(monkeypatch):
     check, count = WP_ELLIPTICITY
     assert _count_theta_calls(monkeypatch, check) == count
 
+
+
+def _balanced_e_spec(seed: int, z: complex = 0.4 + 0.1j) -> ThetaSeriesSpec:
+    """A balanced E spec: three numerator parameters and two denominator
+    ones, the second solving prod num = q prod den."""
+    rng = random.Random(f"E/{seed}")
+    num = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3)) for _ in range(3)]
+    den = [complex(rng.uniform(0.3, 0.8), rng.uniform(-0.3, 0.3))]
+    den.append(math.prod(num, start=1 + 0j) / (NOME.q * den[0]))
+    return ThetaSeriesSpec("unilateral_E", tuple(num), tuple(den), 0, z, NOME)
+
+
+# check_ellipticity on balanced E specs: (spec and check seed, samples, z)
+# and the report's max_rel_dev.hex() and sample_count. At z = 1e12 the
+# reference |h| of most points passes 1e12, so 68 of the 80 points drawn are
+# redrawn, one rng call each.
+SPEC_ELLIPTICITY = [
+    ((0, 5, 0.4 + 0.1j), ("0x1.46bbeb247d8c8p-49", 5)),
+    ((1, 8, 0.4 + 0.1j), ("0x1.d950ca2990b6cp-49", 8)),
+    ((2, 11, 0.4 + 0.1j), ("0x1.cfbbfec62ffb0p-49", 11)),
+    ((3, 14, 0.4 + 0.1j), ("0x1.77df7533a110dp-49", 14)),
+    ((4, 17, 0.4 + 0.1j), ("0x1.daf0fb59095c7p-49", 17)),
+    ((5, 20, 0.4 + 0.1j), ("0x1.1c58a51496952p-48", 20)),
+    ((6, 12, 1e12 + 0j), ("0x1.88fb45b202155p-48", 12)),
+]
+
+
+@pytest.mark.parametrize("case, pinned", SPEC_ELLIPTICITY)
+def test_check_ellipticity_reports_are_pinned(case, pinned):
+    seed, samples, z = case
+    spec = _balanced_e_spec(seed, z)
+    rep = check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=samples, seed=seed)
+    assert (rep.max_rel_dev.hex(), rep.sample_count) == pinned
+    assert rep.passed
 
 @pytest.mark.parametrize("case", sorted(ELLIPTICITY))
 def test_ellipticity_reports_are_pinned(case):

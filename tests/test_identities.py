@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import functools
 import itertools
@@ -128,6 +129,22 @@ class TestBailey:
         params = sample_bailey(seed=9, N=2, nome=NOME)
         rep = verify_bailey(params, tol=1e-8, root_sign=-1)
         assert rep.passed
+
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_map_inverts_itself_with_the_root_that_returns_t0(self, seed, N):
+        # mapped twice, s0 = r sqrt(t0^2): the root r with r sqrt(t0^2) = t0
+        # returns t, the sign of Re t0, and the other root returns -t, whose
+        # 12E11 sum reads only products of two t's and so is t's, bit for bit
+        params = sample_bailey(seed, N, NOME)
+        t, s = params.t, bailey_map(params.t, NOME)
+        r = 1 if abs(cmath.sqrt(t[0] ** 2) - t[0]) < abs(t[0]) else -1
+        assert r == (1 if t[0].real > 0 else -1)
+        for sign in (r, -r):
+            back = bailey_map(s, NOME, root_sign=sign)
+            assert max(abs(b - sign * r * x) / abs(x) for b, x in zip(back, t)) <= 1e-13, sign
+        flipped = BaileyParams(tuple(-x for x in t), NOME, N)
+        assert verify_bailey(flipped).lhs == verify_bailey(params).lhs
 
     def test_ft_embedding(self):
         ft = sample_ft(seed=11, N=3, nome=NOME)
