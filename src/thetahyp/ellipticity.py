@@ -4,17 +4,15 @@ modular-invariance checkers for term ratios.
 Every check draws its points from one seeded stream and tests each index
 shift multiplicatively, x_j -> p x_j (for X = q^x, x -> x + tau/sigma, as
 q^{tau/sigma} = p); the sigma^{-1} shift is a structural identity of the
-multiplicative form. Parameter shifts for the
-canonical well-poised balanced form and for the two multivariable
-families follow the shift rules under which the balancing condition is
-preserved (the dependent parameter co-shifts where it appears
-explicitly).
+multiplicative form. Every parameter shift keeps the balancing condition:
+the canonical well-poised balanced form solves its balancing pole from the
+others, and each multivariable parameter class states its own p-shifts
+(``_p_shifts``) beside the condition they keep.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import itertools
 import math
@@ -26,7 +24,7 @@ import numpy as np
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
-from .theta import TWO_PI_I, ModularPair, Nome, _mul, _p_infinity, _quot, _theta_lanes, apply_modular, theta
+from .theta import ModularPair, Nome, _mul, _p_infinity, _q_power, _quot, _theta_lanes, apply_modular, theta
 from .identities import Multi1Params, Multi2Params, _multi1_lattice, _multi2_lattice
 
 
@@ -43,18 +41,6 @@ class HForm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "zeros", tuple(complex(u) for u in self.zeros))
         object.__setattr__(self, "poles", tuple(complex(v) for v in self.poles))
-
-
-def _q_power(sigma: complex, x: complex) -> complex:
-    """q^x = exp(2 pi i sigma x); FloatRangeError where it leaves the float64
-    range, an underflow to 0 included, as theta would raise on it."""
-    try:
-        value = cmath.exp(TWO_PI_I * sigma * x)
-    except (OverflowError, ValueError):
-        value = 0j
-    if value:
-        return value
-    raise FloatRangeError(f"q^x leaves the float64 range at x = {x}")
 
 
 def _form_h(form: HForm) -> tuple[complex, list[tuple]]:
@@ -93,16 +79,15 @@ def h_eval(form: HForm, x: complex) -> complex:
 
 def multipliers(form: HForm) -> tuple[complex, complex, complex]:
     """Closed-form quasiperiodicity multipliers (a, b, gamma):
-    h(x + 1/sigma) = a h(x), h(x + tau/sigma) = b e^{2 pi i sigma gamma x} h(x)."""
+    h(x + 1/sigma) = a h(x), h(x + tau/sigma) = b e^{2 pi i sigma gamma x} h(x),
+    with a = (-1)^(r-s) e^{2 pi i beta} and b = (-1)^(r-s) p^((s-r)/2 + beta)
+    q^(sum v - sum u); FloatRangeError where a power leaves the float64 range."""
     r, s = len(form.zeros), len(form.poles)
-    sigma, tau = form.pair.sigma, form.pair.tau
     sign = (-1.0) ** (r - s)
-    a = sign * cmath.exp(2j * math.pi * form.beta)
-    gamma = complex(s - r)
-    b = sign * cmath.exp(1j * math.pi * tau * (s - r + 2 * form.beta)) * cmath.exp(
-        2j * math.pi * sigma * (sum(form.poles, 0j) - sum(form.zeros, 0j))
-    )
-    return a, b, gamma
+    a = sign * _q_power(1, form.beta)
+    b = sign * _q_power(form.pair.tau, (s - r) / 2 + form.beta)
+    b *= _q_power(form.pair.sigma, sum(form.poles, 0j) - sum(form.zeros, 0j))
+    return a, b, complex(s - r)
 
 
 def _worse(dev: float, err: float) -> float:
@@ -396,27 +381,17 @@ def _rand_mult_args(draws: list[float], n: int) -> tuple[complex, ...]:
     return tuple(0.8 * cmath.exp(2j * math.pi * complex(draws[2 * j], draws[2 * j + 1])) for j in range(n))
 
 
-def _unchecked_replace(params, **changes):
-    """dataclasses.replace without __post_init__: a p-shifted parameter set
-    keeps its truncation constraints only modulo p, so validation would
-    reject it."""
-    out = object.__new__(type(params))
-    for f in dataclasses.fields(params):
-        object.__setattr__(out, f.name, changes.get(f.name, getattr(params, f.name)))
-    return out
-
-
-def _check_multi(
-    describe, params, param_shifts, samples: int, tol: float, seed: int
-) -> list[EllipticityReport]:
-    """One report per summation index p-shift, then one per (kind, shifted
-    params) in param_shifts, each comparing h_l at the shifted and the
-    reference point. h_l is described once per parameter set; the shifted
-    sets share the nome of params, and so the columns of h_l."""
-    n = params.n
+def _check_multi(describe, params, samples: int, tol: float, seed: int) -> list[EllipticityReport]:
+    """One report per summation index p-shift, then one per (name, shifted
+    params) of params._p_shifts(), the p-shifts its parameter class states
+    beside the balancing condition they keep, each comparing h_l at the
+    shifted and the reference point. h_l is described once per parameter
+    set; the shifted sets share the nome of params, and so the columns of
+    h_l."""
+    n, param_shifts = params.n, params._p_shifts()
     l_mid = max(1, (n + 1) // 2)
     hs = [_lattice_h(describe(sp), l_mid, params.nome.q) for sp in [params, *(sp for _, sp in param_shifts)]]
-    kinds = [f"index_p_shift:lambda{i + 1}" for i in range(n)] + [kind for kind, _ in param_shifts]
+    kinds = [f"index_p_shift:lambda{i + 1}" for i in range(n)] + [f"param_p_shift:{name}" for name, _ in param_shifts]
     points = _draws(seed, ((0, -0.05) * n, (1, 0.05) * n), len(kinds) * samples, lambda x: _rand_mult_args(x, n))
     return _batched_reports(kinds, points, hs, params.nome.p, samples, tol, f"@h{l_mid}")
 
@@ -428,19 +403,9 @@ def check_total_ellipticity_multi1(
     seed: int = 0,
 ) -> list[EllipticityReport]:
     """p-shift invariance of every h_l in the summation indices and in the
-    free parameters t_0..t_4 and t (t_5 is the balancing-dependent
-    parameter and co-shifts where required)."""
-    p = params.nome.p
-    shifts = []
-    for m in range(5):  # t_0..t_4 free; t_5 co-shifts to keep balancing
-        t6 = list(params.t6)
-        t6[m] = t6[m] * p
-        t6[5] = t6[5] / p
-        shifts.append((f"param_p_shift:t{m}", _unchecked_replace(params, t6=tuple(t6))))
-    t6 = list(params.t6)
-    t6[5] = t6[5] / p ** (2 * params.n - 2)
-    shifts.append(("param_p_shift:t", _unchecked_replace(params, t=params.t * p, t6=tuple(t6))))
-    return _check_multi(_multi1_lattice, params, shifts, samples, tol, seed)
+    free parameters t_0..t_4 and t, each with the co-shift Multi1Params
+    states to keep the balancing condition."""
+    return _check_multi(_multi1_lattice, params, samples, tol, seed)
 
 
 def check_total_ellipticity_multi2(
@@ -450,17 +415,9 @@ def check_total_ellipticity_multi2(
     seed: int = 0,
 ) -> list[EllipticityReport]:
     """p-shift invariance of every h_l in the summation indices and in the
-    parameters t_0..t_{2n+2} (the last parameter co-shifts to keep the
-    balancing condition)."""
-    p = params.nome.p
-    shifts = []
-    last = 2 * params.n + 3
-    for m in range(last):
-        t = list(params.t)
-        t[m] = t[m] * p
-        t[last] = t[last] / p
-        shifts.append((f"param_p_shift:t{m}", _unchecked_replace(params, t=tuple(t))))
-    return _check_multi(_multi2_lattice, params, shifts, samples, tol, seed)
+    free parameters t_0..t_{2n+2}, each with the co-shift Multi2Params
+    states to keep the balancing condition."""
+    return _check_multi(_multi2_lattice, params, samples, tol, seed)
 
 
 # ---------------------------------------------------------------------------

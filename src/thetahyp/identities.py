@@ -34,7 +34,7 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -136,22 +136,32 @@ def _sample(cls, seed: int, *args):
     raise RuntimeError(f"sample_{name}: could not find admissible parameters")
 
 
-def _verify(params, tol: float, **kw) -> VerificationReport:
+def _verify(params, tol: float) -> VerificationReport:
     """Build params' sides on a fresh table and check them."""
-    return params.check(params.sides(FactorTable(params.nome), **kw), tol)
+    return params.check(params.sides(FactorTable(params.nome)), tol)
+
+
+def _unchecked_replace(params, **changes):
+    """dataclasses.replace without __post_init__: a p-shifted parameter set
+    keeps its truncation constraints only modulo p, so validation would
+    reject it."""
+    out = object.__new__(type(params))
+    for f in fields(params):
+        object.__setattr__(out, f.name, changes.get(f.name, getattr(params, f.name)))
+    return out
 
 
 class _Identity(JsonFields):
-    """An identity's parameters. Each subclass gives ``_describe(table, **kw)
+    """An identity's parameters. Each subclass gives ``_describe(table)
     -> (series, closed)``: its series as a list of (terms, points), terms a
     _LatticeTerms summed over the index tuples points, and its closed form
     as the one-point _LatticeTerms of series._closed, a product of
     quotients (a)_m / (b)_m."""
 
-    def sides(self, table: FactorTable, **kw) -> tuple:
+    def sides(self, table: FactorTable) -> tuple:
         """Each series' terms at its points and the closed form, read from one
         theta_many batch."""
-        series, closed = self._describe(table, **kw)
+        series, closed = self._describe(table)
         table.prefetch(_arguments(series, closed))
         return _evaluate(series, closed)
 
@@ -245,11 +255,11 @@ class BaileyParams(_VwpSumParams):
 
     _COUNT = 8
 
-    def _describe(self, table: FactorTable, root_sign: int = 1) -> tuple[list, _LatticeTerms]:
+    def _describe(self, table: FactorTable) -> tuple[list, _LatticeTerms]:
         """The 12E11 sums at t and at the mapped parameters s, and the
         theta-factorial prefactor of the s sum."""
         t, q, N = self.t, self.nome.q, self.N
-        s = bailey_map(t, self.nome, root_sign)
+        s = bailey_map(t, self.nome)
         pref_num = [q * t[0] * t[0], q * s[0] / s[4], q * s[0] / s[5], q / (t[4] * t[5])]
         pref_den = [q * s[0] * s[0], q * t[0] / t[4], q * t[0] / t[5], q / (s[4] * s[5])]
         prefactor = _closed(table, [(a, b, N) for a, b in zip(pref_num, pref_den)])
@@ -262,6 +272,10 @@ def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[
     s0 is the principal root of q t0 / (t1 t2 t3); root_sign=-1 selects the
     other root (both satisfy the transported constraints). Mapped back, s0 is
     root_sign sqrt(t0^2): the sign of Re t0 inverts the map, the other -t.
+    Both roots give the same 12E11 sum: the other root negates every mapped
+    parameter, and the sum and its prefactor read s only through products
+    of two s's (s0^2, s0 s_m, q s0 / s_m, q / (s4 s5)), which negation leaves
+    bit for bit. So verify_bailey takes the principal root.
     """
     q = nome.q
     t0 = t[0]
@@ -295,9 +309,10 @@ def bailey_from_ft(ft: FTParams, x: complex) -> BaileyParams:
     return BaileyParams((t[0], t[1], x, q / x, t[2], t[3], t[4], t[5]), ft.nome, ft.N)
 
 
-def verify_bailey(params: BaileyParams, tol: float = 1e-8, root_sign: int = 1) -> VerificationReport:
-    """Two-term 12E11 transformation, both series terminating at N."""
-    return _verify(params, tol, root_sign=root_sign)
+def verify_bailey(params: BaileyParams, tol: float = 1e-8) -> VerificationReport:
+    """Two-term 12E11 transformation, both series terminating at N, at the
+    principal root of bailey_map."""
+    return _verify(params, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +352,15 @@ class Multi1Params(_Identity):
             q ** (-self.N),
             "t^(n-1) t0 t4 = q^-N",
         )
+
+    def _p_shifts(self) -> list[tuple[str, "Multi1Params"]]:
+        """(name, shifted set) per free parameter, each p-shift with the
+        co-shift of t5 that keeps t^(2n-2) prod t_r = q: t_m p with t5 / p
+        for m < 5, and t p with t5 / p^(2n-2)."""
+        p, (*free, t5) = self.nome.p, self.t6
+        shifts = [(f"t{m}", {"t6": (*free[:m], free[m] * p, *free[m + 1 :], t5 / p)}) for m in range(5)]
+        shifts.append(("t", {"t": self.t * p, "t6": (*free, t5 / p ** (2 * self.n - 2))}))
+        return [(name, _unchecked_replace(self, **changes)) for name, changes in shifts]
 
     @property
     def taus(self) -> list[complex]:
@@ -452,6 +476,13 @@ class Multi2Params(_Identity):
             for l in range(1, 17):
                 if abs(q**k - p**l) <= 1e-12 * abs(p**l):
                     raise ValueError(f"nome degenerate: q^{k} = p^{l}")
+
+    def _p_shifts(self) -> list[tuple[str, "Multi2Params"]]:
+        """(name, shifted set) per free parameter: t_m p with the last t over
+        p, which keeps q^-1 prod t = 1."""
+        p, (*free, last) = self.nome.p, self.t
+        shifted = [(*free[:m], free[m] * p, *free[m + 1 :], last / p) for m in range(len(free))]
+        return [(f"t{m}", _unchecked_replace(self, t=t)) for m, t in enumerate(shifted)]
 
     @classmethod
     def draw(cls, rng: np.random.Generator, n: int, Ns: tuple[int, ...], nome: Nome, band: tuple[float, float]):

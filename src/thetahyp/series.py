@@ -165,7 +165,7 @@ def _expect(spec, cls: type, caller: str) -> None:
 def coefficient(spec: ThetaSeriesSpec, n: int) -> FactorialValue:
     """Coefficient c_n of the series as a FactorialValue (c_0 = 1); FloatRangeError if not finite."""
     _expect(spec, ThetaSeriesSpec, "coefficient")
-    return _rank1(_eg_desc(spec), FactorTable(spec.nome))(n).finite("coefficient", n)
+    return _term(_rank1(_eg_desc(spec), FactorTable(spec.nome)), n).finite("coefficient", n)
 
 
 def _integer_alpha(spec: ThetaSeriesSpec) -> int | None:
@@ -508,7 +508,7 @@ def eval_G(spec: ThetaSeriesSpec, window: tuple[int, int]) -> SeriesValue:
 def vwp_coefficient(spec: VwpSpec, n: int) -> FactorialValue:
     """Coefficient of the simplified very-well-poised series at index n; FloatRangeError if not finite."""
     _expect(spec, VwpSpec, "vwp_coefficient")
-    return _rank1(_vwp_desc(spec), FactorTable(spec.nome))(n).finite("vwp coefficient", n)
+    return _term(_rank1(_vwp_desc(spec), FactorTable(spec.nome)), n).finite("vwp coefficient", n)
 
 
 def eval_vwp(
@@ -651,20 +651,18 @@ def _classify_vwp(spec: VwpSpec) -> SeriesClass:
 def ge_split_check(
     spec: VwpSpec,
     window_M: int,
-    window_Mp: int | None = None,
+    window_Mp: int,
     tol: float = 1e-10,
 ) -> VerificationReport:
     """Finite-window reassembly of a bilateral vwp series from two
     unilateral ones: the n in [-M, M'] window of the G series equals the
     [0, M'] partial sum of the first E series plus a theta prefactor times
     the [0, M-1] partial sum of the second E series at the reflected
-    argument. M' defaults to M; both must be non-negative. The three sums
+    argument. Both windows must be non-negative. The three sums
     and the prefactor read their theta factors through one table, filled
     by one theta_many batch."""
     if spec.kind != "bilateral":
         raise ValueError("ge_split_check expects a bilateral vwp spec")
-    if window_Mp is None:
-        window_Mp = window_M
     if window_M < 0 or window_Mp < 0:
         raise ValueError(f"ge_split_check needs non-negative windows, got M={window_M}, M'={window_Mp}")
     q = spec.nome.q

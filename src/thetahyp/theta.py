@@ -603,6 +603,19 @@ def theta1(u: complex, pair: ModularPair) -> complex:
 _p_infinity = functools.lru_cache(maxsize=32)(lambda p: p_pochhammer(p, p))
 
 
+def _q_power(sigma: complex, x: complex) -> complex:
+    """q^x = exp(2 pi i sigma x) for q = exp(2 pi i sigma); FloatRangeError
+    where it leaves the float64 range, an underflow to 0 included, as theta
+    would raise on it."""
+    try:
+        value = cmath.exp(TWO_PI_I * sigma * x)
+    except (OverflowError, ValueError):
+        value = 0j
+    if value:
+        return value
+    raise FloatRangeError(f"q^x leaves the float64 range at x = {x}")
+
+
 def elliptic_number(u: complex, pair: ModularPair) -> complex:
     """The elliptic number [u; sigma, tau] = theta1(u; sigma, tau), by its
     product form ``i p^{1/8} q^{-u/2} (p; p)_inf theta(q^u; p)``; the series
@@ -613,11 +626,8 @@ def elliptic_number(u: complex, pair: ModularPair) -> complex:
     """
     if not cmath.isfinite(u):
         raise ThetaDomainError(f"theta1 needs a finite argument, got u={u}")
-    try:  # cmath.exp and theta raise OverflowError past the float64 range
-        qu = cmath.exp(TWO_PI_I * pair.sigma * u)
-        if qu == 0:
-            raise FloatRangeError("q^u underflowed to 0")
-        value = theta(qu, pair.p)
+    try:  # FloatRangeError, an OverflowError, where q^u or theta leaves the float64 range
+        value = theta(_q_power(pair.sigma, u), pair.p)
     except OverflowError as exc:
         raise FloatRangeError(f"theta1 product at u={u} left the float64 range: {exc}") from exc
     head = cmath.exp(1j * math.pi * pair.tau / 4.0) * 1j
@@ -625,8 +635,9 @@ def elliptic_number(u: complex, pair: ModularPair) -> complex:
 
 
 def elliptic_number_zero_index(u: complex, pair: ModularPair) -> int | None:
-    """Detect the lattice zeros of [u]: q^u = p^{-M} for integer M."""
-    return theta_zero_index(cmath.exp(TWO_PI_I * pair.sigma * u), pair.p)
+    """Detect the lattice zeros of [u]: q^u = p^{-M} for integer M;
+    FloatRangeError where q^u leaves the float64 range."""
+    return theta_zero_index(_q_power(pair.sigma, u), pair.p)
 
 
 def apply_modular(pair: ModularPair, a: int, b: int, c: int, d: int) -> ModularPair:

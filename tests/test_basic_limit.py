@@ -10,7 +10,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp, mpc = mpmath.mp, mpmath.mpc
 
-from thetahyp import Nome, sample_ft, verify_ft_sum  # noqa: E402
+from thetahyp import Nome, sample_bailey, sample_ft, verify_bailey, verify_ft_sum  # noqa: E402
 
 QS = (0.35 + 0.1j, -0.2 + 0.5j, 0.6 - 0.1j)
 
@@ -49,4 +49,48 @@ def test_ft_sum_at_p_0_is_jacksons_8phi7_sum(q, seed):
             t0, t1, t2, t3, t4, t5 = (mpc(x) for x in params.t)
             lhs, rhs = jackson_8w7(t0**2, t0 * t1, t0 * t2, t0 * t3, t0 * t5, t0 * t4, mpc(q), N)
             assert abs(rep.rhs - rhs) <= 1e-13 * abs(rhs), N
+            assert abs(rep.lhs - lhs) <= 1e-8 * abs(lhs), N
+
+
+def w10_9(a, bs, q, n):
+    """The very-well-poised 10W9(a; bs; q, q) of Gasper-Rahman (2.1.11),
+    summed at k = 0..n: (1 - a q^2k) / (1 - a) (a, bs; q)_k / (q, aq/bs;
+    q)_k q^k, the seven bs one of them q^-n."""
+    top = (a, *bs)
+    return mpmath.fsum(
+        (1 - a * q ** (2 * k)) / (1 - a) * q**k
+        * mpmath.fprod(poch(x, q, k) for x in top) / mpmath.fprod(poch(a * q / x, q, k) for x in top)
+        for k in range(n + 1)
+    )
+
+
+def bailey_10w9(a, b, c, d, e, f, q, n, m):
+    """Both sides of Bailey's 10phi9 transformation, Gasper-Rahman (2.9.1),
+    and its seventh parameter g = lam a q^(n+1) / (ef), lam = q a^2 / (bcd):
+    10W9(a; b, c, d, e, f, g, q^-n; q, q) = (aq, aq/ef, lam q/e, lam q/f;
+    q)_n / (aq/e, aq/f, lam q/ef, lam q; q)_n 10W9(lam; lam b/a, lam c/a,
+    lam d/a, e, f, g, q^-n; q, q), with m standing for q^-n."""
+    lam = q * a**2 / (b * c * d)
+    g = lam * a * q ** (n + 1) / (e * f)
+    lhs = w10_9(a, (b, c, d, e, f, g, m), q, n)
+    prefactor = mpmath.fprod(poch(x, q, n) for x in (a * q, a * q / (e * f), lam * q / e, lam * q / f)) / (
+        mpmath.fprod(poch(y, q, n) for y in (a * q / e, a * q / f, lam * q / (e * f), lam * q))
+    )
+    return lhs, prefactor * w10_9(lam, (lam * b / a, lam * c / a, lam * d / a, e, f, g, m), q, n), g
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("seed", range(10))
+def test_bailey_transformation_at_p_0_is_baileys_10phi9_transformation(q, seed):
+    # the 12E11 sum at t is 10W9(t0^2; t0 t1, ..., t0 t5, t0 t7, t0 t6), with
+    # t0 t6 = q^-N, and prod t = q^2 is the balance t0 t7 = lam a q^(N+1) / (ef)
+    with mp.workdps(30):
+        for N in range(1, 11):
+            params = sample_bailey(seed, N, Nome(q, 0))
+            rep = verify_bailey(params)
+            t0, *ts = (mpc(x) for x in params.t)
+            b, c, d, e, f = (t0 * t for t in ts[:5])
+            lhs, rhs, g = bailey_10w9(t0**2, b, c, d, e, f, mpc(q), N, t0 * ts[5])
+            assert abs(t0 * ts[6] - g) <= 1e-13 * abs(g), N
+            assert abs(rep.rhs - rhs) <= 1e-11 * abs(rhs), N
             assert abs(rep.lhs - lhs) <= 1e-8 * abs(lhs), N

@@ -238,6 +238,14 @@ class TestErrorPaths:
         assert run(["eval", str(inp)]) == 2
         assert "NonConvergenceError: term 19 " in json.loads(capsys.readouterr().out)["error"]
 
+    def test_untruncated_sum_whose_true_terms_overflow_exits_2(self, tmp_path, capsys):
+        # CI's steep.json: the balanced spec at alpha = -8, whose true |c_14|
+        # is about 3.1e311
+        inp = tmp_path / "steep.json"
+        inp.write_text(json.dumps({**CI_BALANCED.to_json(), "alpha": -8}))
+        assert run(["eval", str(inp)]) == 2
+        assert strict(capsys.readouterr().out)["error"].startswith("FloatRangeError: term 14 of the series")
+
     def test_divergent_sum_exits_2(self, tmp_path, capsys):
         # every term of this E sum is 1: it printed value 512 and exited 0
         obj = {"kind": "unilateral_E", "numerator": [[0.99, 0]], "denominator": [], "alpha": [0, 0],

@@ -32,7 +32,7 @@ from thetahyp import (
 from thetahyp import FloatRangeError, PoleError, ellipticity
 from thetahyp.ellipticity import _h_point, _h_rows, _lattice_h, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
-from thetahyp.identities import _multi1_lattice, _multi2_lattice
+from thetahyp.identities import _multi1_lattice, _multi2_lattice, _unchecked_replace
 from thetahyp.series import _LatticeTerms
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
@@ -540,7 +540,7 @@ class TestColumnMultipliers:
         params = sample(0, n)
         ts = list(getattr(params, field))
         ts[slot] *= 1.001
-        multipliers = _index_multipliers(describe(ellipticity._unchecked_replace(params, **{field: tuple(ts)})), n)
+        multipliers = _index_multipliers(describe(_unchecked_replace(params, **{field: tuple(ts)})), n)
         for (l, k), m in multipliers.items():
             if k == l - 1:
                 assert 1.9e-3 < abs(m - 1) < 2.1e-3

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import re
 
@@ -125,10 +126,16 @@ class TestBailey:
         assert abs(math.prod(s, start=1 + 0j) - q * q) < 1e-10 * abs(q * q)
         assert abs(s[0] * s[6] - q**-2) < 1e-10 * abs(q**-2)
 
-    def test_root_sign_flip_also_works(self):
-        params = sample_bailey(seed=9, N=2, nome=NOME)
-        rep = verify_bailey(params, tol=1e-8, root_sign=-1)
-        assert rep.passed
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_both_roots_give_the_same_report_bit_for_bit(self, monkeypatch, seed, N):
+        # the other root negates every mapped parameter, and the mapped 12E11
+        # sum and its prefactor read them only through products of two, so
+        # verify_bailey takes the principal root alone
+        params = sample_bailey(seed, N, NOME)
+        principal = json.dumps(verify_bailey(params).to_json())
+        monkeypatch.setattr(identities, "bailey_map", lambda t, nome: bailey_map(t, nome, root_sign=-1))
+        assert json.dumps(verify_bailey(params).to_json()) == principal
 
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("seed", range(10))
@@ -145,6 +152,28 @@ class TestBailey:
             assert max(abs(b - sign * r * x) / abs(x) for b, x in zip(back, t)) <= 1e-13, sign
         flipped = BaileyParams(tuple(-x for x in t), NOME, N)
         assert verify_bailey(flipped).lhs == verify_bailey(params).lhs
+
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_sum_is_symmetric_in_its_free_parameters(self, seed, N):
+        # each transposition of (t1, t2, t3, t4, t5, t7) keeps both constraints
+        # and the 12E11 sum, to a rounding of kappa u |lhs| with kappa = sum
+        # |c_k| / |sum c_k| and u = 2^-53; the mapped side moves, and verifies
+        # wherever the sampler admits the set. Moving t_i and t_j apart at a
+        # fixed product moves the sum well past that rounding
+        params = sample_bailey(seed, N, NOME)
+        lhs = verify_bailey(params).lhs
+        terms = [c.value for c in params.sides(FactorTable(NOME))[0]]
+        rounding = sum(map(abs, terms)) / abs(sum(terms)) * 2.0**-53 * abs(lhs)
+        for i, j in itertools.combinations((1, 2, 3, 4, 5, 7), 2):
+            swapped, moved = list(params.t), list(params.t)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            moved[i], moved[j] = moved[i] * (1 + 1e-6), moved[j] / (1 + 1e-6)
+            swapped = BaileyParams(tuple(swapped), NOME, N)
+            rep = verify_bailey(swapped)
+            assert abs(rep.lhs - lhs) <= 16 * rounding, (i, j)
+            assert rep.passed or _admissible(swapped) is None, (i, j)
+            assert abs(verify_bailey(BaileyParams(tuple(moved), NOME, N)).lhs - lhs) > 100 * rounding, (i, j)
 
     def test_ft_embedding(self):
         ft = sample_ft(seed=11, N=3, nome=NOME)

@@ -4,6 +4,7 @@ float64 edge: |w| from 1e-22 to 1e22, Im x out to 300 and indices out to
 60. The inputs are fixed by one seed."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +18,10 @@ from thetahyp import (
     ThetaSeriesSpec,
     VwpSpec,
     coefficient,
+    elliptic_factorial,
     errors,
     h_eval,
+    multipliers,
     sample_multi1,
     sample_multi2,
     term_ratio_at,
@@ -88,3 +91,20 @@ def test_every_reader_gives_a_finite_value_or_a_typed_error(reader):
             bad.append(value)
     assert not bad, f"{reader}: {len(bad)} of {CALLS} calls not finite, first {bad[0]}"
     assert typed < CALLS
+
+
+# single values past the float64 edge: each raises FloatRangeError, not a
+# bare OverflowError, and multipliers at beta = 1e6j does not return the
+# (0j, 0j, 0j) of an underflow
+EDGES = {
+    "coefficient alpha -8 n 14": lambda: coefficient(dataclasses.replace(E_SPEC, alpha=-8), 14),
+    "elliptic_factorial -1e6j": lambda: elliptic_factorial(-1e6j, PAIR, 2),
+    "multipliers u 1e6j": lambda: multipliers(HForm((1e6j,), (0.2,), 0j, 1.0, PAIR)),
+    "multipliers beta 1e6j": lambda: multipliers(HForm((0.1,), (0.2,), 1e6j, 1.0, PAIR)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EDGES))
+def test_a_value_past_the_float64_edge_raises_float_range_error(call):
+    with pytest.raises(errors.FloatRangeError):
+        EDGES[call]()

@@ -343,6 +343,18 @@ class TestEvaluators:
         with pytest.raises(FloatRangeError, match="term 19 of the series is not finite"):
             eval_E(spec, trunc=20)
 
+    def test_untruncated_sum_stops_where_its_true_terms_overflow(self):
+        # the same bases at alpha = -8: |c_13| is about 1.7e266 and |c_14|
+        # about 3.1e311 (tests/test_replay.py), so the stop at term 14 is the
+        # series' own, not a prefix overflow
+        nome = Nome(0.35 + 0.1j, 0.25 + 0.05j)
+        num = (0.5 + 0.1j, 0.4 - 0.2j, 0.6 + 0.05j)
+        den = (0.45 + 0.15j, 0.5635220125786163 - 0.561006289308176j)
+        spec = ThetaSeriesSpec("unilateral_E", num, den, -8, 0.4 + 0j, nome)
+        assert cmath.isfinite(coefficient(spec, 13).value)
+        with pytest.raises(FloatRangeError, match="term 14 of the series"):
+            eval_E(spec)
+
     @pytest.mark.parametrize("z", [1, -1])
     def test_untruncated_sum_that_never_converges_raises(self, z):
         # the numerator q cancels the implicit denominator (q; p; q)_n, so
