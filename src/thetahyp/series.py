@@ -232,11 +232,11 @@ def _last_index(trunc: TruncationDecl | int | None) -> int | None:
 
 
 def _sum_unilateral(coeff_fn, last: int | None) -> SeriesValue:
-    """Sum coeff_fn(n) for n >= 0. An explicit last index sums exactly the
-    terms 0..last and raises FloatRangeError at the first non-finite term;
-    None stops after two successive terms below SERIES_TOL relative to the
-    total, the last one's size the tail estimate, and raises
-    NonConvergenceError at a non-finite term or after MAX_TERMS terms."""
+    """Sum coeff_fn(n) for n >= 0, raising FloatRangeError at the first
+    non-finite term. An explicit last index sums exactly the terms
+    0..last; None stops after two successive terms below SERIES_TOL
+    relative to the total, the last one's size the tail estimate, and
+    raises NonConvergenceError after MAX_TERMS terms."""
     total = 0j
     small_streak = 0
     for n in range(MAX_TERMS if last is None else last + 1):
@@ -247,8 +247,7 @@ def _sum_unilateral(coeff_fn, last: int | None) -> SeriesValue:
             return SeriesValue(total, n, True, 0.0)
         val = c.value
         if not cmath.isfinite(val):
-            error = NonConvergenceError if last is None else FloatRangeError
-            raise error(f"term {n} of the series is not finite: {val}")
+            raise FloatRangeError(f"term {n} of the series is not finite: {val}")
         total += val
         if last is not None:
             continue
@@ -344,15 +343,21 @@ class _LatticeTerms:
 
     def _value(self, key: tuple[int, ...]) -> tuple[complex, int]:
         """The part key at its indices, m = e.lam for each head and pair, as a
-        (finite_part, order) pair: its heads theta(c q^m) multiplied, divided
-        by each theta(c), a factor pair whose finite part is never 0, then
-        times each quotient (a)_m / (b)_m in turn, an absent side read as 1,
-        each step the complex operation and order sum FactorialValue makes."""
+        (finite_part, order) pair: its heads theta(c q^m) multiplied (a c q^m
+        that underflowed to 0 raises FloatRangeError), divided by each
+        theta(c), a factor pair whose finite part is never 0, then times each
+        quotient (a)_m / (b)_m in turn, an absent side read as 1, each step
+        the complex operation and order sum FactorialValue makes."""
         table, q, half = self.table, self.table.nome.q, len(key) // 2
         factor, factorial = table.factor, table.factorial
         heads, runs = self._shapes[key[:half]]
         at = key[half:]
-        tops = [factor(c * q ** _dot(e, at)) for c, e in heads]
+        try:
+            tops = [factor(c * q ** _dot(e, at)) for c, e in heads]
+        except ThetaDomainError as exc:  # theta takes no z = 0
+            if all(c * q ** _dot(e, at) for c, e in heads):
+                raise
+            raise FloatRangeError("a head argument c q^m underflowed to 0 in float64") from exc
         finite, order = tops[0] if tops else (1.0 + 0j, 0)
         for top, top_order in tops[1:]:
             finite, order = finite * top, order + top_order

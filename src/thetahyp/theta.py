@@ -375,21 +375,6 @@ def _quot(ar, ai, br, bi):
     return (first + second * ratio) / denom, np.where(real_big, second - across, across - second) / denom
 
 
-def _fold(prod, fr, fi, where):
-    """prod *= fr[r] + fi[r] i for each row r in turn on the lanes where[r]
-    selects, prod the (2, 1, n) parts of a product: one multiply by [[fr,
-    fi], [-fi, fr]] and one add of its halves, CPython's (a c - b d, a d +
-    b c) bit for bit, as b (-d) = -(b d) and x - y = x + (-y) in IEEE."""
-    import numpy as np
-
-    rows = np.stack([fr, fi, -fi, fr], 1).reshape(len(fr), 2, 2, -1)
-    terms = np.empty(rows.shape[1:])
-    out, (first, second) = prod[:, 0], terms
-    for row, mask in zip(rows, where):
-        np.multiply(prod, row, out=terms)
-        np.add(first, second, out=out, where=mask)
-
-
 def _complex(re, im):
     """The complex array with parts re and im, signed zeros and all."""
     import numpy as np
@@ -417,27 +402,12 @@ def _exp_lanes(xr, xi):
 
 def _head_lanes(head, p: complex, wr, wi):
     """The parts of prod_j (1 - w p^j)(1 - b p^j) over the powers p^j of head,
-    b = p / w, on each lane, as theta_w forms them. A batch of at most 409
-    lanes forms the factors of a block of rows at once, at most _BLOCK rows
-    x lanes, and multiplies them in by _fold, two numpy calls a row; a wider
-    one takes them a row at a time."""
+    b = p / w, on each lane, as theta_w forms them, a row at a time."""
     import numpy as np
 
-    n = len(wr)
     br, bi = _quot(p.real, p.imag, wr, wi)
     ar, ai = np.stack([wr, br]), np.stack([wi, bi])
-    prod = np.zeros((2, 1, n))
-    prod[0] = 1.0
-    rows = _BLOCK // n  # as in _theta_lanes
-    if rows >= 5:  # in place, so the parts stay views of prod
-        pj = np.array([[c.real for c in head], [c.imag for c in head]])
-        for start in range(0, len(head), rows):
-            pr, pi = pj[:, start : start + rows, None, None]
-            xr, xi = _mul(ar, ai, pr, pi)
-            ur, ui = 1.0 - xr, _IMAG_ZERO - xi
-            _fold(prod, *_mul(ur[:, 0], ui[:, 0], ur[:, 1], ui[:, 1]), [True] * len(pr))
-        return prod[0, 0], prod[1, 0]
-    prod_r, prod_i = prod[:, 0]
+    prod_r, prod_i = np.ones(len(wr)), np.zeros(len(wr))
     for c in head:
         xr, xi = _mul(ar, ai, c.real, c.imag)
         fr, fi = _mul(1.0 - xr[0], _IMAG_ZERO - xi[0], 1.0 - xr[1], _IMAG_ZERO - xi[1])
@@ -487,13 +457,15 @@ def _theta_lanes(zs, p: complex):
     prefactor loop masked by each lane's k, and theta(w) by _theta_w_lanes.
     Real and imaginary parts are held apart, and each complex product and
     quotient, the fold p / z among them, is formed as CPython forms it
-    (_mul, _quot, _fold), since numpy's complex128 arithmetic may round
+    (_mul, _quot), since numpy's complex128 arithmetic may round
     differently. A batch of at most 409 lanes forms the prefactor's factors
-    a block of rows at once, as _head_lanes does; a wider one takes them a
-    row at a time, on the lanes still in it. numpy is imported here, not
-    with this module: every process loads it anyway, but importing it before
-    the rest of the package raised the peak RSS of ``import thetahyp`` from
-    29.1 to 29.6 MB (numpy 2.4, CPython 3.11).
+    a block of rows at once, at most _BLOCK rows x lanes, and multiplies
+    them in a row at a time on every lane, masked by its k; a wider one
+    forms and multiplies them a row at a time, on the lanes still in it.
+    numpy is imported here, not with this module: every process loads it
+    anyway, but importing it before the rest of the package raised the peak
+    RSS of ``import thetahyp`` from 29.1 to 29.6 MB (numpy 2.4, CPython
+    3.11).
     """
     import numpy as np
 
@@ -526,15 +498,16 @@ def _theta_lanes(zs, p: complex):
         near = ~raises & (np.abs(m) <= MAX_ZERO_ORDER)
         # pre *= -y * p**i on the lanes whose k exceeds i; a lane leaves once
         # its prefactor, and so its value, is not finite, as theta raises there
-        pre = np.zeros((2, 1, n))  # the parts of pre
-        pre[0] = 1.0
-        pre_r, pre_i = pre[:, 0]
+        pre_r, pre_i = np.ones(n), np.zeros(n)  # the parts of pre
         step, lanes = 0, np.flatnonzero((k > 0) & ~raises)
         while len(lanes):
             if blocked:  # every lane, masked by its k
                 end = min(step + rows, int(k[lanes].max()))
                 fr, fi = _mul(-yr, -yi, pr[step:end, None], pi[step:end, None])
-                _fold(pre, fr, fi, k > np.arange(step, end)[:, None])
+                for row_r, row_i, mask in zip(fr, fi, k > np.arange(step, end)[:, None]):
+                    re, im = _mul(pre_r, pre_i, row_r, row_i)
+                    np.copyto(pre_r, re, where=mask)
+                    np.copyto(pre_i, im, where=mask)
             else:  # just the lanes still in
                 end, pj = step + 1, red.powers[step]
                 fr, fi = _mul(-yr[lanes], -yi[lanes], pj.real, pj.imag)

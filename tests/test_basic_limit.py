@@ -5,12 +5,17 @@ the elliptic formulas. At p = 0, theta(z; 0) = 1 - z, so an elliptic
 shifted factorial is the q-shifted factorial (a; q)_k.
 """
 
+import cmath
+import itertools
+
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpc = mpmath.mp, mpmath.mpc
 
 from thetahyp import Nome, sample_bailey, sample_ft, verify_bailey, verify_ft_sum  # noqa: E402
+from thetahyp.identities import DEFAULT_BAND, BaileyParams, FTParams, _admissible  # noqa: E402
 
 QS = (0.35 + 0.1j, -0.2 + 0.5j, 0.6 - 0.1j)
 
@@ -94,3 +99,40 @@ def test_bailey_transformation_at_p_0_is_baileys_10phi9_transformation(q, seed):
             assert abs(t0 * ts[6] - g) <= 1e-13 * abs(g), N
             assert abs(rep.rhs - rhs) <= 1e-11 * abs(rhs), N
             assert abs(rep.lhs - lhs) <= 1e-8 * abs(lhs), N
+
+
+def classical_sides(params):
+    """The classical (lhs, rhs) at p = 0 of FT or Bailey parameters."""
+    t0, *ts = (mpc(x) for x in params.t)
+    q, N = mpc(params.nome.q), params.N
+    if isinstance(params, FTParams):
+        return jackson_8w7(t0**2, t0 * ts[0], t0 * ts[1], t0 * ts[2], t0 * ts[4], t0 * ts[3], q, N)
+    return bailey_10w9(t0**2, *(t0 * t for t in ts[:5]), q, N, t0 * ts[5])[:2]
+
+
+@pytest.mark.parametrize("cls", [FTParams, BaileyParams])
+def test_both_sides_approach_the_classical_sides_at_rate_p(cls):
+    # t drawn once at p = 0 and kept at p_k = 10^-k e^(0.7i), k = 2..12:
+    # r = |side(p) - side(0)| / (|side(0)| |p|) stays bounded, and agrees
+    # at k = 6 and 8 without falling to 0, so each side converges as O(|p|),
+    # no faster and no slower. A p_k that _admissible refuses is skipped
+    rows = admitted = compared = 0
+    with mp.workdps(30):
+        for q, seed, N in itertools.product(QS, range(10), (2, 4, 6)):
+            params = cls.draw(np.random.default_rng(seed), N, Nome(q, 0), DEFAULT_BAND)
+            limits, rates = classical_sides(params), {}
+            for k in range(2, 13):
+                p, rows = 10.0**-k * cmath.exp(0.7j), rows + 1
+                at_p = cls(params.t, Nome(q, p), N)
+                if (sides := _admissible(at_p)) is None:
+                    continue
+                rep, admitted = at_p.check(sides, 1e-8), admitted + 1
+                rates[k] = [
+                    float(abs(side - limit) / (abs(limit) * abs(p))) for side, limit in zip((rep.lhs, rep.rhs), limits)
+                ]
+                assert max(rates[k]) <= 1e5, (q, seed, N, k)
+            if 6 in rates and 8 in rates:
+                compared += 1
+                for r6, r8 in zip(rates[6], rates[8]):
+                    assert r6 > 0.05 and abs(r6 - r8) <= 0.02 * r8, (q, seed, N)
+    assert admitted >= 0.9 * rows and compared >= 0.9 * len(QS) * 10 * 3

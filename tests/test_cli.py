@@ -236,7 +236,7 @@ class TestErrorPaths:
         inp = tmp_path / "balanced.json"
         inp.write_text(json.dumps(ThetaSeriesSpec("unilateral_E", num, den, 0, 0.4 + 0j, NOME).to_json()))
         assert run(["eval", str(inp)]) == 2
-        assert "NonConvergenceError: term 19 " in json.loads(capsys.readouterr().out)["error"]
+        assert "FloatRangeError: term 19 " in json.loads(capsys.readouterr().out)["error"]
 
     def test_untruncated_sum_whose_true_terms_overflow_exits_2(self, tmp_path, capsys):
         # CI's steep.json: the balanced spec at alpha = -8, whose true |c_14|

@@ -101,6 +101,9 @@ EDGES = {
     "elliptic_factorial -1e6j": lambda: elliptic_factorial(-1e6j, PAIR, 2),
     "multipliers u 1e6j": lambda: multipliers(HForm((1e6j,), (0.2,), 0j, 1.0, PAIR)),
     "multipliers beta 1e6j": lambda: multipliers(HForm((0.1,), (0.2,), 1e6j, 1.0, PAIR)),
+    # the head argument t0^2 q^(2n) underflows to 0, where theta takes no z
+    "vwp_coefficient n 1000": lambda: vwp_coefficient(VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3, NOME), 1000),
+    "vwp_coefficient n 10**6": lambda: vwp_coefficient(VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3, NOME), 10**6),
 }
 
 

@@ -227,6 +227,12 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=f"expects a {expects}, got a {type(spec).__name__}"):
             call(spec)
 
+    @pytest.mark.parametrize("n", [1000, 10**6])
+    def test_an_underflowed_head_argument_names_its_term(self, n):
+        # t0^2 q^(2n) underflows to 0, where theta raised ThetaDomainError on z = -0j
+        with pytest.raises(FloatRangeError, match=f"term {n} of the series: a head argument"):
+            vwp_coefficient(self.VWP_SPEC, n)
+
     G_SPEC = ThetaSeriesSpec("bilateral_G", (0.4 + 0.1j,), (0.6 - 0.2j,), 0, 0.3 + 0j, NOME)
 
     @pytest.mark.parametrize(
@@ -334,7 +340,7 @@ class TestEvaluators:
         assert cmath.isfinite(coefficient(spec, 18).value)
         with pytest.raises(FloatRangeError, match="coefficient at index 19 "):
             coefficient(spec, 19)
-        with pytest.raises(NonConvergenceError, match="term 19 "):
+        with pytest.raises(FloatRangeError, match="term 19 "):
             eval_E(spec)
         # an explicit truncation sums exactly the terms it names, and raises
         # at the first of them that is not finite

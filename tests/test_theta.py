@@ -371,6 +371,12 @@ TRANSFORMED = [
     0.99 * cmath.exp(0.3j),
     0.99 * cmath.exp(1j * (math.pi - 0.01)),
 ]
+# nomes whose last product is longest: (final product rows, S steps)
+LONG_PRODUCTS = {
+    0.0015 + 0j: (8, 0),  # a direct product of 8 nonzero powers
+    0.003 + 0.001j: (7, 1),  # one S step, then 7 rows
+    -0.004 + 0j: (9, 0),  # a direct product of 9 rows
+}
 
 
 def _final_reduction(p):
@@ -403,7 +409,8 @@ class TestThetaMany:
             5e-324 + 0j,  # p**2 underflows to 0
             complex(math.nan, 0.0),  # a NaN nome is out of the domain
             complex(1.5e308, 1.5e308),  # abs(p) overflows
-        ],
+        ]
+        + list(LONG_PRODUCTS),
     )
     def test_adversarial_arguments(self, p):
         zs = _adversarial_args(p)
@@ -446,6 +453,14 @@ class TestThetaMany:
         # the lane counts above, each side of a block boundary of the
         # prefactor's rows and of the last product's
         rng = np.random.default_rng(27)
+        _sweep(rng, [(p, n) for n in (1, 2, 29, 30, 70, 71, 409, 410, 1024, 1025)])
+
+    @pytest.mark.parametrize("p", list(LONG_PRODUCTS))
+    def test_widths_on_nomes_with_the_longest_last_products(self, p):
+        # the last product takes one row of factors a step at every width
+        final, steps = _final_reduction(p)
+        assert (len(final.head), steps) == LONG_PRODUCTS[p] and all(final.head)
+        rng = np.random.default_rng(38)
         _sweep(rng, [(p, n) for n in (1, 2, 29, 30, 70, 71, 409, 410, 1024, 1025)])
 
     @pytest.mark.parametrize("p", [0.99 + 0j, 0.7 + 0.7j])
