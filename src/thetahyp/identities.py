@@ -20,12 +20,13 @@ one point (1,). One ``sides`` and one ``check`` serve every identity:
 series' terms and the closed form; ``check(sides, tol)`` sums each
 series' nonzero terms and compares the first sum with the closed form
 times each further sum. The one resample loop ``_sample`` describes each
-draw on a fresh table and resamples when any theta argument it lists sits
-within _LATTICE_EPS of a lattice zero, before any theta evaluation, or when
-a left-hand series is badly conditioned. It returns the admitted sides with
-the parameters; the sampler and ``_verify`` build the same table, so a
-caller that verifies a draw can check those sides instead of building them
-again. The 10E9 closed form is the rank-1 multi1 one at t = 1.
+draw on a fresh table and resamples when its theta batch, reading its own
+reduction before the prefactor, finds a listed argument not finite or within
+_LATTICE_EPS of a lattice zero, or when a left-hand series is badly
+conditioned. It returns the admitted sides with the parameters; the sampler
+and ``_verify`` build the same table, so a caller that verifies a draw can
+check those sides instead of building them again. The 10E9 closed form is
+the rank-1 multi1 one at t = 1.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import PoleError
 from .factorials import FactorTable
 from .report import JsonFields, VerificationReport
-from .theta import Nome, theta_zero_index
+from .theta import Nome
 from .series import VwpSpec, _closed, _LatticeTerms, _Multisum, _rank1, _sum_window, _vwp_desc
 
 DEFAULT_BAND = (0.4, 0.9)
@@ -65,11 +66,6 @@ def _refuse_oversized(sizes) -> None:
     count is bounded without computing it in full or listing the points."""
     if any(size > MAX_LATTICE_POINTS for size in sizes):
         raise ValueError(f"the summation lattice has more than {MAX_LATTICE_POINTS} points")
-
-
-def _near_lattice(w: complex, p: complex) -> bool:
-    """True when w is within _LATTICE_EPS of a lattice zero or not finite."""
-    return not cmath.isfinite(w) or theta_zero_index(w, p, rtol=_LATTICE_EPS) is not None
 
 
 _COND_CAP = 1e5
@@ -104,15 +100,13 @@ def _evaluate(series: list, closed: _LatticeTerms) -> tuple:
 def _admissible(params):
     """params' sides on a fresh table, as _verify builds them, or None when
     a theta argument they read is not finite or lies within _LATTICE_EPS of
-    a lattice zero (scanned before any theta evaluation), when a side cannot
-    be evaluated, or when a left-hand series is badly conditioned."""
+    a lattice zero (their theta batch refuses before any evaluation), when a
+    side cannot be evaluated, or when a left-hand series is badly conditioned."""
     table = FactorTable(params.nome)
     try:
         series, closed = params._describe(table)
-        args = _arguments(series, closed)
-        if any(_near_lattice(w, params.nome.p) for w in dict.fromkeys(args)):
+        if not table.prefetch(_arguments(series, closed), _LATTICE_EPS):
             return None
-        table.prefetch(args)
         sides = _evaluate(series, closed)
         if any(_badly_conditioned([c.value for c in terms]) for terms in sides[:-1]):
             return None

@@ -280,19 +280,19 @@ class _Reduction:
 _reduction = functools.lru_cache(maxsize=32)(_Reduction)
 
 
-def theta_zero_index(z: complex, p: complex, rtol: float = LATTICE_RTOL) -> int | None:
-    """Return M when z = p^{-M} (|M| <= MAX_ZERO_ORDER) to relative accuracy rtol.
+def theta_zero_index(z: complex, p: complex) -> int | None:
+    """Return M when z = p^{-M} (|M| <= MAX_ZERO_ORDER) to relative accuracy LATTICE_RTOL.
 
     These are exactly the zeros of theta(z; p); None means z is not a
-    detected lattice zero, as z = 0 and a non-finite z are not. The test is
-    |w - 1| <= rtol (see _Reduction).
+    detected lattice zero, as z = 0, a non-finite z and one whose abs(z)
+    overflows are not. The test is |w - 1| <= LATTICE_RTOL (see _Reduction).
     """
-    if z == 0 or not cmath.isfinite(z):
+    if not 0.0 < math.hypot(z.real, z.imag) < math.inf:  # nan compares False
         return None
     p = complex(p)
     red = _reduction(p)
     m, y, k = red.reduce(complex(z), p)
-    return m if abs(m) <= MAX_ZERO_ORDER and abs(y * red.powers[k] - 1.0) <= rtol else None
+    return m if abs(m) <= MAX_ZERO_ORDER and abs(y * red.powers[k] - 1.0) <= LATTICE_RTOL else None
 
 
 def theta_log_range(p: complex) -> float:
@@ -448,10 +448,14 @@ def _theta_w_lanes(red: _Reduction, p: complex, wr, wi):
     return _mul(*_exp_lanes(er, ei), mr, mi)
 
 
-def _theta_lanes(zs, p: complex):
+def _theta_lanes(zs, p: complex, distance: float | None = None):
     """theta(z, p) on each lane of the complex array zs, bit for bit, as
     (values, raises): a complex array, and a bool array that is True on the
     lanes where theta raises, whose values are not read.
+
+    Given a distance, it refuses the batch, returning None before the
+    prefactor and any theta(w), where a lane's abs(z) is not finite or
+    |w - 1| <= distance at |m| <= MAX_ZERO_ORDER, theta_zero_index's test.
 
     The lanes run theta's steps side by side in float64 arrays, with the
     prefactor loop masked by each lane's k, and theta(w) by _theta_w_lanes.
@@ -496,6 +500,11 @@ def _theta_lanes(zs, p: complex):
         yr[fold], yi[fold] = _quot(p.real, p.imag, yr[fold], yi[fold])
         k = np.where(fold, -1 - m, m)
         near = ~raises & (np.abs(m) <= MAX_ZERO_ORDER)
+        pk = np.where(k < len(pr), k, 0)  # a lane whose k is past the powers raises in the prefactor loop
+        wr, wi = _mul(yr, yi, pr[pk], pi[pk])  # w = y p**k
+        gap = np.where(near, np.hypot(wr - 1.0, wi), math.inf)  # |w - 1| near the lattice
+        if distance is not None and (~np.isfinite(absz) | (gap <= distance)).any():
+            return None
         # pre *= -y * p**i on the lanes whose k exceeds i; a lane leaves once
         # its prefactor, and so its value, is not finite, as theta raises there
         pre_r, pre_i = np.ones(n), np.zeros(n)  # the parts of pre
@@ -514,10 +523,7 @@ def _theta_lanes(zs, p: complex):
                 pre_r[lanes], pre_i[lanes] = _mul(pre_r[lanes], pre_i[lanes], fr, fi)
             step = end
             lanes = lanes[(k[lanes] > step) & np.isfinite(pre_r[lanes]) & np.isfinite(pre_i[lanes])]
-        # w = y p**k; a lane whose k is past the powers has left the loop
-        pk = np.where(k < len(pr), k, 0)
-        wr, wi = _mul(yr, yi, pr[pk], pi[pk])
-        zero = near & (np.hypot(wr - 1.0, wi) <= LATTICE_RTOL)
+        zero = gap <= LATTICE_RTOL
         # theta raises where the prefactor is not finite and reads no w there
         raises |= ~(np.isfinite(pre_r) & np.isfinite(pre_i))
         wr[raises], wi[raises] = 1.0, 0.0
@@ -531,8 +537,13 @@ def _theta_lanes(zs, p: complex):
 def theta_many(zs: Sequence[complex], p: complex) -> list[complex | None]:
     """theta(z, p) for each complex z, bit for bit, and None for each z on
     which theta raises: the lanes of _theta_lanes, read back as a list."""
-    values, raises = _theta_lanes(zs, p)
-    return [None if bad else v for v, bad in zip(values.tolist(), raises.tolist())]
+    return _theta_list(zs, p)
+
+
+def _theta_list(zs: Sequence[complex], p: complex, distance: float | None = None) -> list[complex | None] | None:
+    """theta_many(zs, p), or None where _theta_lanes refuses the batch at distance."""
+    lanes = _theta_lanes(zs, p, distance)
+    return lanes and [None if bad else v for v, bad in zip(*(part.tolist() for part in lanes))]
 
 
 def theta1(u: complex, pair: ModularPair) -> complex:

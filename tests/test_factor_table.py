@@ -21,6 +21,7 @@ import json
 import math
 import operator
 import random
+import sys
 
 import pytest
 
@@ -55,7 +56,7 @@ from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
 from thetahyp.identities import _arguments, _LatticeTerms, _multi1_lattice, _multi2_lattice
 from thetahyp.series import _dot, _eg_desc, _Multisum, _rank1, _sum_unilateral, _vwp_desc
-from thetahyp.theta import theta
+from thetahyp.theta import theta, theta_zero_index
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -520,8 +521,9 @@ def _count_calls(monkeypatch, owner, name, fn) -> int:
 
 def _count_theta_calls(monkeypatch, fn) -> int:
     """Theta evaluations: scalar theta calls plus the lanes of theta_many
-    batches and of the ellipticity checks' _theta_lanes passes."""
-    count = 0
+    batches, of the sampler's guarded batches, none where the guard refuses
+    one, and of the ellipticity checks' _theta_lanes passes."""
+    count, theta_list = 0, factorials._theta_list
 
     def counting(evaluate, evaluations):
         def counted(*args):
@@ -531,13 +533,37 @@ def _count_theta_calls(monkeypatch, fn) -> int:
 
         return counted
 
+    def guarded(zs, p, distance):
+        nonlocal count
+        values = theta_list(zs, p, distance)
+        count += 0 if values is None else len(zs)
+        return values
+
     with monkeypatch.context() as m:
         for owner in (factorials, ellipticity):
             m.setattr(owner, "theta", counting(owner.theta, lambda z, p: 1))
         m.setattr(factorials, "theta_many", counting(factorials.theta_many, lambda zs, p: len(zs)))
+        m.setattr(factorials, "_theta_list", guarded)
         m.setattr(ellipticity, "_theta_lanes", counting(ellipticity._theta_lanes, lambda zs, p: len(zs)))
         fn()
     return count
+
+
+def _count_zero_index_calls(monkeypatch, fn) -> int:
+    """theta_zero_index calls, through every thetahyp module that binds it."""
+    calls, target = 0, theta_zero_index
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return target(*args)
+
+    with monkeypatch.context() as m:
+        for module in list(sys.modules.values()):
+            if module.__name__.split(".")[0] == "thetahyp" and getattr(module, "theta_zero_index", None) is target:
+                m.setattr(module, "theta_zero_index", counting)
+        fn()
+    return calls
 
 
 def test_multi2_theta_budget(monkeypatch):
@@ -556,10 +582,13 @@ def test_multi2_theta_budget(monkeypatch):
 def test_sampled_verify_sums_each_draw_once(monkeypatch, tmp_path, argv, sample, calls):
     # the CLI checks a sampled draw on the sides its sampler admitted, so it
     # evaluates no theta factor beyond the sampler's; summing the draw again
-    # on a fresh table made 206 and 536 calls here
+    # on a fresh table made 206 and 536 calls here. The lattice guard reads
+    # the draw's batch reduction, where a theta_zero_index call on each
+    # distinct argument before the batch made 103 and 268 calls
     out = str(tmp_path / "report.json")
     cli_calls = _count_theta_calls(monkeypatch, lambda: main(["verify", *argv, "--draws", "1", "--out", out]))
     assert cli_calls == _count_theta_calls(monkeypatch, sample) == calls
+    assert _count_zero_index_calls(monkeypatch, sample) == 0
 
 
 def test_all_rejected_draws_exit_2(monkeypatch, capsys):

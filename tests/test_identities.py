@@ -31,6 +31,7 @@ from thetahyp.errors import FloatRangeError
 from thetahyp.identities import DEFAULT_BAND, MAX_LATTICE_POINTS, _admissible, _multi1_lattice, _multi2_lattice
 from thetahyp.factorials import FactorTable
 from thetahyp.series import _LatticeTerms
+from thetahyp.theta import MAX_ZERO_ORDER, _reduction, _theta_lanes, _theta_list, theta_many
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 
@@ -405,6 +406,89 @@ def test_samplers_reject_near_lattice_nome():
     for name, sample in samplers:
         with pytest.raises(RuntimeError, match=f"^{name}: could not find admissible parameters$"):
             sample()
+
+
+def _scalar_refuses(z: complex, p: complex, distance: float) -> bool:
+    """The sampler's lattice guard as it was before the theta batch read it
+    off its own reduction, one argument at a time: z not finite, abs(z)
+    overflowing (an OverflowError the sampler caught), or theta_zero_index's
+    test at relative accuracy distance. z = 0 is not refused."""
+    if not cmath.isfinite(z):
+        return True
+    if z == 0:
+        return False
+    try:
+        abs(z)
+    except OverflowError:
+        return True
+    red = _reduction(complex(p))
+    m, y, k = red.reduce(complex(z), complex(p))
+    return abs(m) <= MAX_ZERO_ORDER and abs(y * red.powers[k] - 1.0) <= distance
+
+
+def _refusal_lanes(p: complex) -> list[complex]:
+    """Arguments on both sides of the guard at p: p^-M (1 + s delta) for
+    |M| <= 70 (M = 0 alone at p = 0), four directions s and delta at 0, half,
+    once and twice _LATTICE_EPS, then 0, non-finite ones, one whose abs
+    overflows and seeded moduli from 1e-300 to 1e300."""
+    rng = np.random.default_rng(39)
+    lanes = [0j, complex(math.nan, 0.0), complex(math.inf, 0.0), complex(math.inf, math.nan), complex(0.5, math.nan)]
+    lanes.append(1.7e308 * (1 + 1j))
+    lanes += (np.logspace(-300, 300, 121) * np.exp(2j * math.pi * rng.uniform(0, 1, 121))).tolist()
+    for M in range(-70, 71) if p else [0]:
+        base = p**-M
+        lanes += [base * (1 + s * delta) for s in (1, -1, 1j, -1j) for delta in (0.0, 5e-7, 1e-6, 2e-6)]
+    return lanes
+
+
+@pytest.mark.parametrize("p", [NOME.p, 0j, -0.004 + 0j, 0.003 + 0.001j, 0.9 + 0.1j, complex(-0.6, -0.0)])
+def test_batch_refusal_matches_the_scalar_rule_lane_by_lane(p):
+    lanes, eps = _refusal_lanes(p), identities._LATTICE_EPS
+    refused = [_theta_lanes([z], p, eps) is None for z in lanes]
+    assert refused == [_scalar_refuses(z, p, eps) for z in lanes]
+    assert any(refused) and not all(refused)
+    assert _theta_lanes(lanes, p, eps) is None
+    # a batch of the admitted lanes is evaluated as without a distance
+    admitted = [z for z, bad in zip(lanes, refused) if not bad]
+    assert _theta_list(admitted, p, eps) == theta_many(admitted, p)
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (FTParams, (4,)),
+        (FTParams, (6,)),
+        (BaileyParams, (4,)),
+        (Multi1Params, (2, 4)),
+        (Multi2Params, (3, (3, 3, 3))),
+    ],
+    ids=["ft_4", "ft_6", "bailey_4", "multi1_2_4", "multi2_3_3"],
+)
+@pytest.mark.parametrize("nome", [NOME, Nome(NOME.p * (1 + 1e-9), NOME.p)], ids=["default", "q_near_p"])
+def test_sampler_admits_what_the_scalar_rule_admits(monkeypatch, cls, args, nome):
+    # the same draws, parameters and sides, bit for bit, as with the scalar
+    # scan of every distinct argument before an unguarded batch; at
+    # q = p (1 + 1e-9) every draw is refused, so 25 a seed are compared there
+    prefetch = FactorTable.prefetch
+
+    def scalar_prefetch(table, arguments, distance=None):
+        arguments = list(arguments)
+        if distance is not None and any(_scalar_refuses(w, table.nome.p, distance) for w in dict.fromkeys(arguments)):
+            return False
+        return prefetch(table, arguments)
+
+    def sampled(seed):
+        try:
+            return repr(identities._sample(cls, seed, *args, nome, DEFAULT_BAND))
+        except RuntimeError as exc:
+            return str(exc)
+
+    if nome.q != NOME.q:
+        monkeypatch.setattr(identities, "_MAX_RESAMPLE", 25)
+    batched = [sampled(seed) for seed in range(20)]
+    monkeypatch.setattr(FactorTable, "prefetch", scalar_prefetch)
+    assert batched == [sampled(seed) for seed in range(20)]
+    assert [s.startswith("sample_") for s in batched] == [nome.q != NOME.q] * 20
 
 
 @pytest.mark.parametrize(

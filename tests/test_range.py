@@ -31,6 +31,7 @@ from thetahyp import (
     vwp_coefficient,
 )
 from thetahyp.ellipticity import multi1_h, multi2_h
+from thetahyp.theta import TWO_PI_I, elliptic_number_zero_index, theta_zero_index
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -111,3 +112,14 @@ EDGES = {
 def test_a_value_past_the_float64_edge_raises_float_range_error(call):
     with pytest.raises(errors.FloatRangeError):
         EDGES[call]()
+
+
+def test_zero_index_of_an_argument_whose_abs_overflows_is_none():
+    # both parts are finite but abs(z) overflows; theta_zero_index raised a
+    # bare OverflowError from its logarithm, and so did
+    # elliptic_number_zero_index at the u with q^u = z
+    z = 1.7e308 * (1 + 1j)
+    u = cmath.log(z) / (TWO_PI_I * PAIR.sigma)
+    assert theta_zero_index(z, NOME.p) is None
+    assert theta_zero_index(z, 0j) is None
+    assert elliptic_number_zero_index(u, PAIR) is None
