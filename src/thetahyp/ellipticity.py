@@ -235,29 +235,36 @@ def check_total_ellipticity_wp(
 # multivariable term ratios (forward-shift ratios of the series coefficients)
 
 
-def _lattice_h(desc, l: int, q: complex) -> tuple[complex, list[tuple]]:
-    """h_l = c(lam + e_l) / c(lam) of the series._Multisum desc for the
-    1-based index l as (ratio, columns): h_l(xs) = ratio * prod theta(a X)
-    / theta(b X) over the monomial columns (e, a, b) in order, with xs =
-    [q^{lam_j}] and X = prod_j x_j^{e_j}, e over all n indices. A head (c,
-    e) gives (e, c q^{e_l}, c), a pair (a, b, e) gives (e, a, b) when e_l =
-    1, (e, b / q, a / q) when e_l = -1 and nothing when e_l = 0, and ratio
-    is scalar(e_l) / scalar(0). Under x_k -> p x_k a column gains (b /
-    a)^{e_k}, as theta(p^m y) = (-1)^m y^{-m} p^{-m(m-1)/2} theta(y). The
-    columns touch only the parts that contain l, and their e depend only on
-    the family, its rank and l, so every parameter set of a check shares
-    them and adds its constants (a, b)."""
-    n, i = len(desc.blocks), l - 1
-    ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
-    touching = [((min(i, j), max(i, j)), desc.cross[min(i, j), max(i, j)]) for j in range(n) if j != i]
-    columns = []
-    for idx, (heads, pairs) in touching + [((i,), desc.blocks[i])]:
-        at = idx.index(i)
-        columns += [(_widen(e, idx, n), c * q ** e[at], c) for c, e in heads]
-        for a, b, e in pairs:
-            if e[at]:
-                columns.append((_widen(e, idx, n), a, b) if e[at] == 1 else (_widen(e, idx, n), b / q, a / q))
-    return ratio, columns
+def _lattice_h(descs: list, l: int, q: complex) -> list[tuple[complex, list[tuple]]]:
+    """h_l = c(lam + e_l) / c(lam) of each series._Multisum in descs, which
+    differ only in their constants, for the 1-based index l as (ratio,
+    columns): h_l(xs) = ratio * prod theta(a X) / theta(b X) over the
+    monomial columns (e, a, b) in order, with xs = [q^{lam_j}] and X =
+    prod_j x_j^{e_j}, e over all n indices. A head (c, e) gives (e, c
+    q^{e_l}, c), a pair (a, b, e) gives (e, a, b) when e_l = 1, (e, b / q, a
+    / q) when e_l = -1 and nothing when e_l = 0, and ratio is scalar(e_l) /
+    scalar(0). Under x_k -> p x_k a column gains (b / a)^{e_k}, as theta(p^m
+    y) = (-1)^m y^{-m} p^{-m(m-1)/2} theta(y). The columns touch only the
+    parts that contain l, and their e depend only on the family, its rank
+    and l, so they are widened once, from the first desc, and every desc
+    adds its constants (a, b)."""
+    n, i = len(descs[0].blocks), l - 1
+    slots = [(min(i, j), max(i, j)) for j in range(n) if j != i] + [(i,)]
+    parts = [[desc.cross[slot] if len(slot) == 2 else desc.blocks[i] for slot in slots] for desc in descs]
+    wide = [([_widen(e, slot, n) for _, e in heads], [_widen(e, slot, n) for *_, e in pairs])
+            for slot, (heads, pairs) in zip(slots, parts[0])]
+    hs = []
+    for desc, desc_parts in zip(descs, parts):
+        ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
+        columns = []
+        for slot, (heads, pairs), (head_es, pair_es) in zip(slots, desc_parts, wide):
+            at = slot.index(i)
+            columns += [(w, c * q ** e[at], c) for (c, e), w in zip(heads, head_es)]
+            for (a, b, e), w in zip(pairs, pair_es):
+                if e[at]:
+                    columns.append((w, a, b) if e[at] == 1 else (w, b / q, a / q))
+        hs.append((ratio, columns))
+    return hs
 
 
 def _widen(e: tuple[int, ...], idx: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -360,7 +367,8 @@ def _multi_h(describe, params, l: int, lam_mult) -> complex:
         raise ValueError(f"l must be in 1..{n}, got {l}")
     if len(lam_mult) != n:
         raise ValueError(f"the point needs {n} coordinates, got {len(lam_mult)}")
-    return _h_point(_lattice_h(describe(params), l, params.nome.q), lam_mult, params.nome.p)
+    [h] = _lattice_h([describe(params)], l, params.nome.q)
+    return _h_point(h, lam_mult, params.nome.p)
 
 
 def multi1_h(params: Multi1Params, l: int, lam_mult: list[complex]) -> complex:
@@ -385,12 +393,12 @@ def _check_multi(describe, params, samples: int, tol: float, seed: int) -> list[
     """One report per summation index p-shift, then one per (name, shifted
     params) of params._p_shifts(), the p-shifts its parameter class states
     beside the balancing condition they keep, each comparing h_l at the
-    shifted and the reference point. h_l is described once per parameter
-    set; the shifted sets share the nome of params, and so the columns of
-    h_l."""
+    shifted and the reference point. The shifted sets share the nome of
+    params, and so the exponent vectors of h_l's columns, which _lattice_h
+    widens once; each set adds its constants."""
     n, param_shifts = params.n, params._p_shifts()
     l_mid = max(1, (n + 1) // 2)
-    hs = [_lattice_h(describe(sp), l_mid, params.nome.q) for sp in [params, *(sp for _, sp in param_shifts)]]
+    hs = _lattice_h([describe(sp) for sp in [params, *(sp for _, sp in param_shifts)]], l_mid, params.nome.q)
     kinds = [f"index_p_shift:lambda{i + 1}" for i in range(n)] + [f"param_p_shift:{name}" for name, _ in param_shifts]
     points = _draws(seed, ((0, -0.05) * n, (1, 0.05) * n), len(kinds) * samples, lambda x: _rand_mult_args(x, n))
     return _batched_reports(kinds, points, hs, params.nome.p, samples, tol, f"@h{l_mid}")

@@ -141,13 +141,18 @@ class FactorTable:
     the previous one's finite part times the factor's, and the sum of
     their orders, as FactorialValue multiplies them. So a window [-M, M']
     costs M + M' factors per base, and a value read from a grown prefix is
-    bit-identical to one computed afresh.
+    bit-identical to one computed afresh. A prefix that grows goes on
+    through every next factor the table holds, so after a ``prefetch`` of
+    what ``factorial_arguments`` listed, the first read of a base fills its
+    prefix in one loop up to the listed end or the first factor theta
+    raised on, and every later read is a list index.
     """
 
     def __init__(self, nome: Nome) -> None:
         self.nome = nome
         self._factors: dict[complex, tuple[complex, int]] = {}
-        self._prefixes: dict[complex, tuple[list[tuple[complex, int]], complex]] = {}
+        self._prefixes: dict[complex, list[tuple[complex, int]]] = {}
+        self._next: dict[complex, complex] = {}  # the next upward argument of each base
         self._downward: dict[complex, list[tuple[complex, int]]] = {}
 
     def factor(self, arg: complex) -> tuple[complex, int]:
@@ -169,44 +174,63 @@ class FactorTable:
                 self._factors[arg] = _factor_pair(value)
         return values is not None
 
-    def factorial_arguments(self, ts: Iterable[complex], n: int) -> list[complex]:
-        """For each base t in ts, the arguments factorial(t, n) evaluates past
-        t's prefixes as they stand, in order and formed as factorial forms them."""
+    def factorial_arguments(self, ts: list[complex], lo: int, hi: int) -> list[complex]:
+        """For each base t in ts, the arguments factorial(t, n) evaluates for
+        lo <= n <= hi past t's prefixes as they stand, in order and formed as
+        factorial forms them."""
         q, args = self.nome.q, []
         for t in ts:
-            if n < 0:
-                args += [complex(t) * q ** -m for m in range(len(self._downward.get(t, ((1.0 + 0j, 0),))), 1 - n)]
-                continue
-            prefix, arg = self._prefixes.get(t, (((1.0 + 0j, 0),), complex(t)))
-            for _ in range(len(prefix), n + 1):
-                args.append(arg)
-                arg *= q
+            if lo < 0:
+                args += [complex(t) * q ** -m for m in range(len(self._downward.get(t, ())) or 1, 1 - lo)]
+            if hi > 0:
+                arg = self._next.get(t, complex(t))
+                for _ in range(len(self._prefixes.get(t, ())) or 1, hi + 1):
+                    args.append(arg)
+                    arg *= q
         return args
+
+    def _grow(self, t: complex, n: int) -> None:
+        """Grow t's prefix to entry n (downward to -n for n < 0), each factor
+        by factor(argument), and on through every next factor the table
+        holds; a next downward argument whose power of q fails is not held."""
+        q, held = self.nome.q, self._factors
+        if n < 0:
+            prefix = self._downward.setdefault(t, [(1.0 + 0j, 0)])
+            finite, order = prefix[-1]
+            try:
+                while factor := held.get(arg := complex(t) * q ** -len(prefix)) or (
+                    len(prefix) <= -n and self.factor(arg)
+                ):
+                    finite, order = finite * factor[0], order + factor[1]
+                    prefix.append((finite, order))
+            except (OverflowError, ZeroDivisionError):
+                if len(prefix) <= -n:
+                    raise
+            return
+        prefix, arg = self._prefixes.setdefault(t, [(1.0 + 0j, 0)]), self._next.get(t, complex(t))
+        finite, order = prefix[-1]
+        while factor := held.get(arg) or (len(prefix) <= n and self.factor(arg)):
+            finite, order = finite * factor[0], order + factor[1]
+            prefix.append((finite, order))
+            arg = self._next[t] = arg * q
 
     def factorial(self, t: complex, n: int) -> tuple[complex, int]:
         """theta(t; p; q)_n for any integer n as a (finite_part, order) pair;
         theta(t;p;q)_{-n} = 1/theta(t q^{-n};p;q)_n = 1/(theta(t/q)
         theta(t/q^2) ... theta(t/q^n)), read from the downward prefix of t
         and inverted as FactorialValue.inverse inverts it."""
-        q = self.nome.q
-        if n < 0:
-            prefix = self._downward.setdefault(t, [(1.0 + 0j, 0)])
-            while len(prefix) <= -n:
-                finite, order = prefix[-1]
-                factor, factor_order = self.factor(complex(t) * q ** -len(prefix))
-                prefix.append((finite * factor, order + factor_order))
-            finite, order = prefix[-n]
-            if finite == 0:
-                raise FloatRangeError(_UNDERFLOWED)
-            return 1.0 / finite, -order
-        prefix, arg = self._prefixes.get(t, ([(1.0 + 0j, 0)], complex(t)))
-        while len(prefix) <= n:
-            finite, order = prefix[-1]
-            factor, factor_order = self.factor(arg)
-            prefix.append((finite * factor, order + factor_order))
-            arg *= q
-        self._prefixes[t] = (prefix, arg)
-        return prefix[n]
+        if n >= 0:
+            if len(prefix := self._prefixes.get(t, ())) <= n:
+                self._grow(t, n)
+                prefix = self._prefixes[t]
+            return prefix[n]
+        if len(prefix := self._downward.get(t, ())) <= -n:
+            self._grow(t, n)
+            prefix = self._downward[t]
+        finite, order = prefix[-n]
+        if finite == 0:
+            raise FloatRangeError(_UNDERFLOWED)
+        return 1.0 / finite, -order
 
 
 def elliptic_factor(u: complex, pair: ModularPair) -> FactorialValue:

@@ -407,7 +407,7 @@ def _multi1_lattice(params: Multi1Params) -> _Multisum:
     )
 
     def scalar(lam: tuple[int, ...]) -> complex:
-        return q ** sum(lam) * t ** (2 * sum((n - (j + 1)) * lam[j] for j in range(n)))
+        return q ** sum(lam) * t ** (2 * sum(map(operator.mul, range(n - 1, -1, -1), lam)))
 
     return _Multisum(cross, blocks, scalar)
 
@@ -535,7 +535,7 @@ def _multi2_lattice(params: Multi2Params) -> _Multisum:
     )
 
     def scalar(lam: tuple[int, ...]) -> complex:
-        return q ** sum((j + 1) * lam[j] for j in range(n))
+        return q ** sum(map(operator.mul, range(1, n + 1), lam))
 
     return _Multisum(cross, blocks, scalar)
 

@@ -14,7 +14,9 @@ same order, and builds one FactorialValue per coefficient, so a term is
 bit-identical to its FactorialValue product. Each evaluator reads all its
 coefficients through one FactorTable, so each distinct theta factor is
 evaluated once per sum, and a sum with a finite truncation or window
-fills the table by one theta_many batch.
+fills the table by one theta_many batch, so the first read of a factorial
+prefix grows it through the batch's factors in one loop and every later
+read is a list index.
 
 Every coefficient is described once, as a _Multisum of theta heads and
 factorial quotients, and read through _LatticeTerms. The E and G
@@ -310,7 +312,12 @@ class _Multisum:
 
 
 def _dot(e: tuple[int, ...], lams: tuple[int, ...]) -> int:
-    return sum(map(operator.mul, e, lams))
+    """e.lams over a block's one index or a cross part's two; an e of
+    another length raises."""
+    if len(e) == 1:
+        return e[0] * lams[0]
+    e0, e1 = e
+    return e0 * lams[0] + e1 * lams[1]
 
 
 def _runs(heads: tuple, pairs: tuple) -> tuple[tuple, list]:
@@ -327,8 +334,9 @@ class _LatticeTerms:
     order) pairs; a call returns its coefficient as one FactorialValue.
     ``arguments`` lists the theta arguments of the parts of the points
     given at construction, so a ``prefetch`` of the listing holds every
-    theta value a call at those points asks for. A call at one point,
-    listed or not, builds that coefficient alone."""
+    theta value a call at those points asks for, and each factorial
+    prefix the parts read grows through them at its first read. A call at
+    one point, listed or not, builds that coefficient alone."""
 
     def __init__(self, desc: _Multisum, table: FactorTable, lattice=()) -> None:
         self.scalar, self.table, self._values = desc.scalar, table, {}
@@ -336,10 +344,6 @@ class _LatticeTerms:
         self._shapes = {slot: _runs(*part) for slot, part in desc.cross.items()}
         self._shapes.update(((j,), _runs(*block)) for j, block in enumerate(desc.blocks))
         self.points = list(lattice)
-
-    def _keys(self, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The parts of the point lam, in the order its coefficient multiplies them."""
-        return [(j, k, lam[j], lam[k]) for j, k in self._cross] + list(enumerate(lam))
 
     def _value(self, key: tuple[int, ...]) -> tuple[complex, int]:
         """The part key at its indices, m = e.lam for each head and pair, as a
@@ -379,14 +383,14 @@ class _LatticeTerms:
         table's prefixes, formed as the terms form them. Each part shape is
         listed once over the indices the points reach in it: each head at c
         q^m for every distinct m = e.lam and at c, and each run of pairs that
-        shares an exponent vector e with its bases up to the largest e.lam
-        and down to the smallest. Nothing is listed where forming them
-        overflows; the terms raise there."""
+        shares an exponent vector e with its bases over [min e.lam, max
+        e.lam] at once. Nothing is listed where forming them overflows; the
+        terms raise there."""
         if not self.points:
             return []
         table, q = self.table, self.table.nome.q
         lams = list(zip(*self.points))  # lams[j]: lam_j at each point
-        args, ends = [], {}
+        args = []
         try:
             for slot, (heads, runs) in self._shapes.items():
                 ats = dict.fromkeys(zip(*[lams[j] for j in slot]))
@@ -395,10 +399,8 @@ class _LatticeTerms:
                     args.append(c)
                 for e, pairs in runs:
                     ms = [_dot(e, at) for at in ats]
-                    for m in dict.fromkeys((min(ms), max(ms))):
-                        ends.setdefault(m, []).extend(base for pair in pairs for base in pair if base is not None)
-            for m, bases in ends.items():
-                args += table.factorial_arguments(bases, m)
+                    bases = [base for pair in pairs for base in pair if base is not None]
+                    args += table.factorial_arguments(bases, min(ms), max(ms))
         except OverflowError:
             return []
         return args
@@ -407,10 +409,11 @@ class _LatticeTerms:
         """The coefficient at the point lam: the product over pairs j < k of
         the cross parts, then over j of the blocks, times the scalar."""
         values, finite, order = self._values, 1.0 + 0j, 0
-        for key in self._keys(lam):
-            value = values.get(key)
-            if value is None:
-                value = values[key] = self._value(key)
+        for j, k in self._cross:
+            value = values.get(key := (j, k, lam[j], lam[k])) or values.setdefault(key, self._value(key))
+            finite, order = finite * value[0], order + value[1]
+        for key in enumerate(lam):
+            value = values.get(key) or values.setdefault(key, self._value(key))
             finite, order = finite * value[0], order + value[1]
         return FactorialValue(finite * self.scalar(lam), order)
 

@@ -347,7 +347,7 @@ class TestTotalEllipticityMulti:
         # the third point puts x_1 at 1 / b for a pair (a X, b X) of h_1 with
         # X = x_1, so theta(b X) is exactly 0 in that batched row
         params = params()
-        _, columns = _lattice_h(describe(params), 1, params.nome.q)
+        [(_, columns)] = _lattice_h([describe(params)], 1, params.nome.q)
         b = next(b for e, _, b in columns if e == (1, 0))
         rand_mult_args, drawn = ellipticity._rand_mult_args, []
 
@@ -369,7 +369,7 @@ class TestTotalEllipticityMulti:
         # the point's x_0 = 1e200 puts a theta argument of h_2 past the range
         # theta takes; the batched row raises as the scalar path does
         params = sample_multi2(63, 3, (2, 2, 2), NOME)
-        hs = [_lattice_h(_multi2_lattice(params), 2, NOME.q)]
+        hs = _lattice_h([_multi2_lattice(params)], 2, NOME.q)
         good, bad = (0.5 + 0.1j, 0.6, 0.7), (1e200, 0.5, 0.7)
         value, missing = _h_rows(hs, [0, 0], [good, bad], NOME.p)
         assert value == multi2_h(params, 2, list(good)) and missing is None
@@ -487,7 +487,7 @@ class TestScalarLoop:
             points = [tuple(10 ** rng.uniform(-2, 2, n) * np.exp(2j * math.pi * rng.uniform(0, 1, n)))
                       for _ in range(10)]
             for l in range(1, n + 1):
-                rows = _h_rows([_lattice_h(describe(params), l, NOME.q)], [0] * len(points), points, NOME.p)
+                rows = _h_rows(_lattice_h([describe(params)], l, NOME.q), [0] * len(points), points, NOME.p)
                 with monkeypatch.context() as m:
                     m.setattr(ellipticity, "_theta_lanes", lambda zs, p: passes.append(len(zs)))
                     for xs, row in zip(points, rows):
@@ -507,7 +507,7 @@ def _index_multipliers(desc, n):
     (b / a)^(e_k)."""
     out = {}
     for l in range(1, n + 1):
-        _, columns = _lattice_h(desc, l, NOME.q)
+        [(_, columns)] = _lattice_h([desc], l, NOME.q)
         for k in range(n):
             out[l, k] = math.prod(((b / a) ** e[k] for e, a, b in columns), start=1 + 0j)
     return out

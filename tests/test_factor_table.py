@@ -179,7 +179,7 @@ def test_factorial_arguments_are_those_factorial_evaluates(monkeypatch, t, grown
         if grown:
             table.factorial(t, 5)
             table.factorial(t, -4)
-        listed = table.factorial_arguments([t], n)
+        listed = table.factorial_arguments([t], min(n, 0), max(n, 0))
         received = []
         with monkeypatch.context() as m:
             m.setattr(factorials, "theta", lambda z, p: received.append(z) or theta(z, p))
@@ -192,6 +192,101 @@ def test_factorial_arguments_are_those_factorial_evaluates(monkeypatch, t, grown
             arg *= NOME.q
         skip = (5 if n >= 0 else 4) if grown else 0
         assert [_hex(z) for z in listed] == [_hex(z) for z in want[skip:]], n
+
+
+def _entries(prefix) -> list:
+    """A prefix's (finite_part, order) entries, bit for bit."""
+    return [(*_hex(finite), order) for finite, order in prefix]
+
+
+def _lazily_grown(table) -> FactorTable:
+    """A fresh table whose prefixes of every base of table are grown as
+    long as table's, one factorial call each, with no batch."""
+    grown = FactorTable(table.nome)
+    for t, prefix in table._prefixes.items():
+        grown.factorial(t, len(prefix) - 1)
+    for t, prefix in table._downward.items():
+        grown.factorial(t, 1 - len(prefix))
+    return grown
+
+
+def _assert_same_prefixes(table, grown):
+    # a lazily grown prefix may run on past table's, through a factor that
+    # another base's growth evaluated; the entries both hold are the same
+    for filled, lazy in ((table._prefixes, grown._prefixes), (table._downward, grown._downward)):
+        assert filled.keys() == lazy.keys()
+        for t, prefix in filled.items():
+            assert _entries(prefix) == _entries(lazy[t][: len(prefix)]), t
+
+
+@pytest.mark.parametrize(
+    "t", [0.6 + 0.2j, -0.45 + 0.5j, NOME.q**-3, NOME.p / NOME.q**2, NOME.q**5 / NOME.p],
+    ids=["off_lattice", "off_lattice_2", "on_lattice", "on_lattice_p", "on_lattice_downward"],
+)
+def test_filled_prefixes_are_the_lazily_grown_ones(t):
+    # after a batch of the listing, a base's first read in each direction
+    # fills its prefix in one loop through the held factors; the entries
+    # are those factorial grows one read at a time
+    table = FactorTable(NOME)
+    table.prefetch(table.factorial_arguments([t], -9, 9))
+    table.factorial(t, 1)
+    table.factorial(t, -1)
+    assert len(table._prefixes[t]) == len(table._downward[t]) == 10
+    _assert_same_prefixes(table, _lazily_grown(table))
+    grown = FactorTable(NOME)
+    for n in range(-9, 10):
+        assert _hex(FactorialValue(*table.factorial(t, n))) == _hex(FactorialValue(*grown.factorial(t, n))), n
+
+
+@pytest.mark.parametrize("t, lo, hi", [((0.6 + 0.2j) * NOME.q**-41, -8, 0), ((0.6 + 0.2j) * NOME.q**41, 0, 8)],
+                         ids=["downward", "upward"])
+def test_fill_stops_where_theta_raises(t, lo, hi):
+    # theta leaves the float64 range from the prefix's (j + 1)-th factor
+    # on, so the batch leaves those arguments out and the first read's fill
+    # stops at entry j; a read past it evaluates the next factor and raises
+    # as a fresh table's does
+    table = FactorTable(NOME)
+    table.prefetch(table.factorial_arguments([t], lo, hi))
+    sign = -1 if lo < 0 else 1
+    table.factorial(t, sign)
+    j = len((table._downward if lo < 0 else table._prefixes)[t]) - 1
+    assert 0 < j < 8
+    _assert_same_prefixes(table, _lazily_grown(table))
+    for n in range(j + 1, 9):
+        errors = []
+        for reader in (table, FactorTable(NOME)):
+            with pytest.raises(FloatRangeError) as info:
+                reader.factorial(t, sign * n)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "leaves the float64 range" in errors[0], n
+    fresh = FactorTable(NOME).factorial(t, sign * j)
+    assert _hex(FactorialValue(*table.factorial(t, sign * j))) == _hex(FactorialValue(*fresh))
+
+
+def test_a_read_after_a_raise_mid_growth_raises_again():
+    # theta leaves the float64 range at the upward prefix's fourth factor;
+    # a growth that appended entries and then raised once left the prefix
+    # a stale next argument, so the next read returned NaN
+    t = (0.6 + 0.2j) * NOME.q**41
+    table = FactorTable(NOME)
+    table.factorial(t, 1)
+    for n in (8, 5):
+        with pytest.raises(FloatRangeError, match="leaves the float64 range"):
+            table.factorial(t, n)
+
+
+@pytest.mark.parametrize("q", [1e-103 + 0j, 1e-150 + 0j], ids=["overflows", "divides_by_0"])
+def test_a_downward_read_past_a_failing_power_of_q(q):
+    # q**-3 overflows, or divides by a q**3 that underflowed to 0, past the
+    # entry a read of -2 asks for, whose factors theta(t/q), theta(t/q^2)
+    # are finite: the read returns it with or without a batch before it
+    nome = Nome(q, 1e-300 + 0j)
+    t = 0.5 * q**2
+    table = FactorTable(nome)
+    assert table.factorial(t, -2) == (2 + 0j, 0)
+    table = FactorTable(nome)
+    table.prefetch(table.factorial_arguments([t], -2, 0))
+    assert table.factorial(t, -2) == (2 + 0j, 0)
 
 
 def _reference_term(terms, lam, read):
@@ -278,6 +373,13 @@ def test_terms_are_the_factorial_value_products_bit_for_bit(case):
             assert _hex(got) == _hex(_reference_term(terms, lam, factor)), lam
             orders.add(got.order)
     assert (max(orders) > 0, any(terms.table._downward for terms, _ in readers)) == (zero, downward)
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLED))
+def test_assembled_tables_hold_the_lazily_grown_prefixes(case):
+    make, _, _ = ASSEMBLED[case]
+    for table in {id(terms.table): terms.table for terms, _ in make()}.values():
+        _assert_same_prefixes(table, _lazily_grown(table))
 
 
 @pytest.mark.parametrize("where", ["pair", "downward_pair"])
@@ -386,6 +488,25 @@ def test_batch_moves_no_bit(monkeypatch, case):
         runs.append((set(tables[0]._factors), [_hex(v) for v in values]))
     assert runs[0] == runs[1]
     assert len(runs[0][0]) == lanes
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED))
+def test_reads_after_the_batch_grow_each_prefix_once(monkeypatch, case):
+    # the batch holds every factor the terms read, so a base's first read
+    # in a direction fills its prefix in one loop through them and every
+    # later read is an index: one growth per base and direction, no theta
+    make, _ = BATCHED[case]
+    arg = make()
+    grown, grow = [], FactorTable._grow
+
+    def recording(self, t, n):
+        grown.append((t, n < 0))
+        grow(self, t, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(FactorTable, "_grow", recording)
+        scalar = _count_calls(monkeypatch, factorials, "theta", lambda: _batched_values(arg))
+    assert scalar == 0 and grown and len(set(grown)) == len(grown)
 
 
 def _multi1_off_tuples():
