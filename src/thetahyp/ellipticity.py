@@ -7,7 +7,8 @@ q^{tau/sigma} = p); the sigma^{-1} shift is a structural identity of the
 multiplicative form. Every parameter shift keeps the balancing condition:
 the canonical well-poised balanced form solves its balancing pole from the
 others, and each multivariable parameter class states its own p-shifts
-(``_p_shifts``) beside the condition they keep.
+(``_p_shifts``) beside the condition they keep, and its summand
+(``_lattice``), which the term ratios are read from.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
 from .theta import ModularPair, Nome, _mul, _p_infinity, _q_power, _quot, _theta_lanes, apply_modular, theta
-from .identities import Multi1Params, Multi2Params, _multi1_lattice, _multi2_lattice
+from .identities import Multi1Params, Multi2Params
 
 
 @dataclass(frozen=True)
@@ -283,9 +284,7 @@ def _power(x: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"no exponent {e} in a term ratio column")
 
 
-def _h_rows(
-    hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex, refs: list[int] | None = None
-):
+def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex, refs: list[int]):
     """h_l at each row r, the parameter set hs[sets[r]], a (ratio, columns) of
     _lattice_h, at the point points[r]; every set shares its columns' e, and
     no column has a side of None. A row where theta raises on an argument,
@@ -294,16 +293,15 @@ def _h_rows(
     The rows are float64 arrays and every complex product and quotient is
     formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
     = x x and x^-1 = 1 / x, then num = a X and den = b X for every column
-    of every row. refs, when given, pairs each row r with a reference row
-    refs[r], a row that is its own reference; without refs every row is
-    its own. A reference row's arguments are all evaluated, and a paired
-    row's where their bits differ from its reference row's in the same
-    lane, in one _theta_lanes pass; each other lane reads the reference
-    row's value. Each row then multiplies ratio by theta(num) / theta(den)
+    of every row. refs pairs each row r with a reference row refs[r], a
+    row that is its own reference. A reference row's arguments are all
+    evaluated, and a paired row's where their bits differ from its
+    reference row's in the same lane, in one _theta_lanes pass; each other
+    lane reads the reference row's value. Each row then multiplies ratio by theta(num) / theta(den)
     column by column, in order."""
     columns = hs[0][1]
     rows, width = len(points), len(columns)
-    refs = np.arange(rows) if refs is None else np.asarray(refs, dtype=np.intp)
+    refs = np.asarray(refs, dtype=np.intp)
     xs = np.array(points, dtype=complex).reshape(rows, len(columns[0][0]))
     ab = np.array([[(a, b) for _, a, b in cols] for _, cols in hs], dtype=complex)[sets]
     ratio = np.array([r for r, _ in hs], dtype=complex)[sets]
@@ -359,15 +357,15 @@ def _h_point(h: tuple, xs, p: complex) -> complex:
     return value
 
 
-def _multi_h(describe, params, l: int, lam_mult) -> complex:
-    """h_l of the family describe at the point lam_mult; ValueError unless
-    l is in 1..n and the point has n coordinates."""
+def _multi_h(params, l: int, lam_mult) -> complex:
+    """h_l of params' family, read from params._lattice(), at the point
+    lam_mult; ValueError unless l is in 1..n and the point has n coordinates."""
     n = params.n
     if not 1 <= l <= n:
         raise ValueError(f"l must be in 1..{n}, got {l}")
     if len(lam_mult) != n:
         raise ValueError(f"the point needs {n} coordinates, got {len(lam_mult)}")
-    [h] = _lattice_h([describe(params)], l, params.nome.q)
+    [h] = _lattice_h([params._lattice()], l, params.nome.q)
     return _h_point(h, lam_mult, params.nome.p)
 
 
@@ -375,12 +373,12 @@ def multi1_h(params: Multi1Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the ordered-tuple family,
     with the summation indices continued multiplicatively: lam_mult[j]
     stands for q^{lambda_j}."""
-    return _multi_h(_multi1_lattice, params, l, lam_mult)
+    return _multi_h(params, l, lam_mult)
 
 
 def multi2_h(params: Multi2Params, l: int, lam_mult: list[complex]) -> complex:
     """Coefficient forward-shift ratio h_l for the box-lattice family."""
-    return _multi_h(_multi2_lattice, params, l, lam_mult)
+    return _multi_h(params, l, lam_mult)
 
 
 def _rand_mult_args(draws: list[float], n: int) -> tuple[complex, ...]:
@@ -389,16 +387,18 @@ def _rand_mult_args(draws: list[float], n: int) -> tuple[complex, ...]:
     return tuple(0.8 * cmath.exp(2j * math.pi * complex(draws[2 * j], draws[2 * j + 1])) for j in range(n))
 
 
-def _check_multi(describe, params, samples: int, tol: float, seed: int) -> list[EllipticityReport]:
+def _check_multi(params, samples: int, tol: float, seed: int) -> list[EllipticityReport]:
     """One report per summation index p-shift, then one per (name, shifted
     params) of params._p_shifts(), the p-shifts its parameter class states
     beside the balancing condition they keep, each comparing h_l at the
-    shifted and the reference point. The shifted sets share the nome of
-    params, and so the exponent vectors of h_l's columns, which _lattice_h
-    widens once; each set adds its constants."""
+    shifted and the reference point, at the one index l = max(1, (n + 1) //
+    2) that each report's kind ends with (@h{l}). Each set's family is its
+    _lattice(); the sets share the nome of params, and so the exponent
+    vectors of h_l's columns, which _lattice_h widens once; each set adds
+    its constants."""
     n, param_shifts = params.n, params._p_shifts()
     l_mid = max(1, (n + 1) // 2)
-    hs = _lattice_h([describe(sp) for sp in [params, *(sp for _, sp in param_shifts)]], l_mid, params.nome.q)
+    hs = _lattice_h([sp._lattice() for sp in [params, *(sp for _, sp in param_shifts)]], l_mid, params.nome.q)
     kinds = [f"index_p_shift:lambda{i + 1}" for i in range(n)] + [f"param_p_shift:{name}" for name, _ in param_shifts]
     points = _draws(seed, ((0, -0.05) * n, (1, 0.05) * n), len(kinds) * samples, lambda x: _rand_mult_args(x, n))
     return _batched_reports(kinds, points, hs, params.nome.p, samples, tol, f"@h{l_mid}")
@@ -410,10 +410,10 @@ def check_total_ellipticity_multi1(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> list[EllipticityReport]:
-    """p-shift invariance of every h_l in the summation indices and in the
-    free parameters t_0..t_4 and t, each with the co-shift Multi1Params
-    states to keep the balancing condition."""
-    return _check_multi(_multi1_lattice, params, samples, tol, seed)
+    """p-shift invariance of h_l at l = max(1, (n + 1) // 2) in the
+    summation indices and in the free parameters t_0..t_4 and t, each with
+    the co-shift Multi1Params states to keep the balancing condition."""
+    return _check_multi(params, samples, tol, seed)
 
 
 def check_total_ellipticity_multi2(
@@ -422,10 +422,10 @@ def check_total_ellipticity_multi2(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> list[EllipticityReport]:
-    """p-shift invariance of every h_l in the summation indices and in the
-    free parameters t_0..t_{2n+2}, each with the co-shift Multi2Params
-    states to keep the balancing condition."""
-    return _check_multi(_multi2_lattice, params, samples, tol, seed)
+    """p-shift invariance of h_l at l = max(1, (n + 1) // 2) in the
+    summation indices and in the free parameters t_0..t_{2n+2}, each with
+    the co-shift Multi2Params states to keep the balancing condition."""
+    return _check_multi(params, samples, tol, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,20 @@ and the closed form as a one-point description. Every side is a
 their rank-n blocks and cross parts, and each closed form or prefactor is
 ``series._closed``, a rank-1 block of quotients (a)_m / (b)_m read at the
 one point (1,). One ``sides`` and one ``check`` serve every identity:
-``_arguments`` lists every theta argument a description reads, one
-``theta_many`` batch evaluates them, and ``_evaluate`` returns each
-series' terms and the closed form; ``check(sides, tol)`` sums each
-series' nonzero terms and compares the first sum with the closed form
-times each further sum. The one resample loop ``_sample`` describes each
-draw on a fresh table and resamples when its theta batch, reading its own
-reduction before the prefactor, finds a listed argument not finite or within
-_LATTICE_EPS of a lattice zero, or when a left-hand series is badly
-conditioned. It returns the admitted sides with the parameters; the sampler
-and ``_verify`` build the same table, so a caller that verifies a draw can
-check those sides instead of building them again. The 10E9 closed form is
+``sides`` lists every theta argument a description reads, evaluates
+them in one ``theta_many`` batch and returns each series' terms and the
+closed form; ``check(sides, tol)`` sums each series' nonzero terms and
+compares the first sum with the closed form times each further sum. A
+multivariable class also gives its summand, ``_lattice()``, and the
+p-shifts that keep its balancing condition, ``_p_shifts()``, which
+``_describe`` and the ellipticity checks read. The one resample loop
+``_sample`` takes each draw's sides on a fresh table and resamples when
+its theta batch, reading its own reduction before the prefactor, finds a
+listed argument not finite or within _LATTICE_EPS of a lattice zero, or
+when a left-hand series is badly conditioned. It returns the admitted
+sides with the parameters; the sampler and ``_verify`` build the same
+table, so a caller that verifies a draw can check those sides instead of
+building them again. The 10E9 closed form is
 the rank-1 multi1 one at t = 1.
 """
 
@@ -85,30 +88,14 @@ def _draw(rng: np.random.Generator, band: tuple[float, float]) -> complex:
     return radius * cmath.exp(1j * angle)
 
 
-def _arguments(series: list, closed: _LatticeTerms) -> list[complex]:
-    """Every theta argument the series' terms and the closed form read past
-    the table's prefixes, formed as they form them."""
-    readers = [terms for terms, _ in series] + [closed]
-    return [arg for terms in readers for arg in terms.arguments()]
-
-
-def _evaluate(series: list, closed: _LatticeTerms) -> tuple:
-    """Each series' terms at its points, then the closed form at its one point."""
-    return *[[terms(*lam) for lam in points] for terms, points in series], closed(1)
-
-
 def _admissible(params):
     """params' sides on a fresh table, as _verify builds them, or None when
     a theta argument they read is not finite or lies within _LATTICE_EPS of
     a lattice zero (their theta batch refuses before any evaluation), when a
     side cannot be evaluated, or when a left-hand series is badly conditioned."""
-    table = FactorTable(params.nome)
     try:
-        series, closed = params._describe(table)
-        if not table.prefetch(_arguments(series, closed), _LATTICE_EPS):
-            return None
-        sides = _evaluate(series, closed)
-        if any(_badly_conditioned([c.value for c in terms]) for terms in sides[:-1]):
+        sides = params.sides(FactorTable(params.nome), _LATTICE_EPS)
+        if sides is None or any(_badly_conditioned([c.value for c in terms]) for terms in sides[:-1]):
             return None
         return sides
     except (PoleError, ZeroDivisionError, OverflowError):
@@ -152,12 +139,16 @@ class _Identity(JsonFields):
     as the one-point _LatticeTerms of series._closed, a product of
     quotients (a)_m / (b)_m."""
 
-    def sides(self, table: FactorTable) -> tuple:
+    def sides(self, table: FactorTable, distance: float | None = None) -> tuple | None:
         """Each series' terms at its points and the closed form, read from one
-        theta_many batch."""
+        theta_many batch of every argument they list; None, with no term
+        read, where a distance is given and that batch refuses (see
+        FactorTable.prefetch)."""
         series, closed = self._describe(table)
-        table.prefetch(_arguments(series, closed))
-        return _evaluate(series, closed)
+        readers = [terms for terms, _ in series] + [closed]
+        if not table.prefetch([arg for terms in readers for arg in terms.arguments()], distance):
+            return None
+        return *[[terms(*lam) for lam in points] for terms, points in series], closed(1)
 
     def check(self, sides, tol: float) -> VerificationReport:
         """Sum each series' nonzero terms and compare the first sum with the
@@ -260,20 +251,20 @@ class BaileyParams(_VwpSumParams):
         return [self._series(t, table), self._series(s, table)], prefactor
 
 
-def bailey_map(t: tuple[complex, ...], nome: Nome, root_sign: int = 1) -> tuple[complex, ...]:
+def bailey_map(t: tuple[complex, ...], nome: Nome) -> tuple[complex, ...]:
     """Parameter map t -> s of the Bailey transformation.
 
-    s0 is the principal root of q t0 / (t1 t2 t3); root_sign=-1 selects the
-    other root (both satisfy the transported constraints). Mapped back, s0 is
-    root_sign sqrt(t0^2): the sign of Re t0 inverts the map, the other -t.
-    Both roots give the same 12E11 sum: the other root negates every mapped
-    parameter, and the sum and its prefactor read s only through products
-    of two s's (s0^2, s0 s_m, q s0 / s_m, q / (s4 s5)), which negation leaves
-    bit for bit. So verify_bailey takes the principal root.
+    s0 is the principal root of q t0 / (t1 t2 t3); the other root negates
+    every mapped parameter (both satisfy the transported constraints).
+    Mapped back, s0 is sqrt(t0^2): where Re t0 > 0 the map inverts itself,
+    and elsewhere it returns -t. Both roots give the same 12E11 sum: the
+    sum and its prefactor read s only through products of two s's (s0^2,
+    s0 s_m, q s0 / s_m, q / (s4 s5)), which negation leaves bit for bit. So
+    verify_bailey takes the principal root.
     """
     q = nome.q
     t0 = t[0]
-    s0 = root_sign * cmath.sqrt(q * t0 / (t[1] * t[2] * t[3]))
+    s0 = cmath.sqrt(q * t0 / (t[1] * t[2] * t[3]))
     return (
         s0,
         s0 * t[1] / t0,
@@ -371,10 +362,33 @@ class Multi1Params(_Identity):
         t5 = q / (t ** (2 * n - 2) * t0 * t1 * t2 * t3 * t4)
         return cls(n, t, (t0, t1, t2, t3, t4, t5), N, nome)
 
+    def _lattice(self) -> _Multisum:
+        """The summand as a _Multisum, over the indices of the ordered tuple."""
+        q, t, n, taus = self.nome.q, self.t, self.n, self.taus
+        cross = {
+            (j, k): (
+                ((taus[k] * taus[j], (1, 1)), (taus[k] / taus[j], (-1, 1))),
+                (
+                    (t * taus[k] * taus[j], q / t * taus[k] * taus[j], (1, 1)),
+                    (t * taus[k] / taus[j], q / t * taus[k] / taus[j], (-1, 1)),
+                ),
+            )
+            for j, k in itertools.combinations(range(n), 2)
+        }
+        blocks = tuple(
+            (((taus[j] * taus[j], (2,)),), tuple((tr * taus[j], q / tr * taus[j], (1,)) for tr in self.t6))
+            for j in range(n)
+        )
+
+        def scalar(lam: tuple[int, ...]) -> complex:
+            return q ** sum(lam) * t ** (2 * sum(map(operator.mul, range(n - 1, -1, -1), lam)))
+
+        return _Multisum(cross, blocks, scalar)
+
     def _describe(self, table: FactorTable) -> tuple[list, _LatticeTerms]:
         """The sum over ordered tuples in lattice order, and the closed form."""
         lattice = itertools.combinations_with_replacement(range(self.N + 1), self.n)
-        terms = _LatticeTerms(_multi1_lattice(self), table, lattice)
+        terms = _LatticeTerms(self._lattice(), table, lattice)
         return [(terms, terms.points)], _closed(table, _multi1_pairs(self.t, self.t6, self.n, self.N, self.nome.q))
 
 
@@ -386,30 +400,6 @@ def sample_multi1(
     radius_band: tuple[float, float] = DEFAULT_BAND,
 ) -> Multi1Params:
     return _sample(Multi1Params, seed, n, N, nome, radius_band)[0]
-
-
-def _multi1_lattice(params: Multi1Params) -> _Multisum:
-    q, t, n = params.nome.q, params.t, params.n
-    taus = params.taus
-    cross = {
-        (j, k): (
-            ((taus[k] * taus[j], (1, 1)), (taus[k] / taus[j], (-1, 1))),
-            (
-                (t * taus[k] * taus[j], q / t * taus[k] * taus[j], (1, 1)),
-                (t * taus[k] / taus[j], q / t * taus[k] / taus[j], (-1, 1)),
-            ),
-        )
-        for j, k in itertools.combinations(range(n), 2)
-    }
-    blocks = tuple(
-        (((taus[j] * taus[j], (2,)),), tuple((tr * taus[j], q / tr * taus[j], (1,)) for tr in params.t6))
-        for j in range(n)
-    )
-
-    def scalar(lam: tuple[int, ...]) -> complex:
-        return q ** sum(lam) * t ** (2 * sum(map(operator.mul, range(n - 1, -1, -1), lam)))
-
-    return _Multisum(cross, blocks, scalar)
 
 
 def _multi1_pairs(t: complex, t6: tuple[complex, ...], n: int, N: int, q: complex) -> list[tuple]:
@@ -492,6 +482,23 @@ class Multi2Params(_Identity):
         c = q / partial
         return cls(n, (t0, *body, *trunc, a, b, c), tuple(Ns), nome)
 
+    def _lattice(self) -> _Multisum:
+        """The summand as a _Multisum, over the indices of the box."""
+        q, n, t = self.nome.q, self.n, self.t
+        cross = {
+            (j, k): (((t[j + 1] * t[k + 1], (1, 1)), (t[j + 1] / t[k + 1], (1, -1))), ())
+            for j, k in itertools.combinations(range(n), 2)
+        }
+        blocks = tuple(
+            (((tj * tj, (2,)),), tuple((tj * t[r], q * tj / t[r], (1,)) for r in range(2 * n + 4)))
+            for tj in t[1 : n + 1]
+        )
+
+        def scalar(lam: tuple[int, ...]) -> complex:
+            return q ** sum(map(operator.mul, range(1, n + 1), lam))
+
+        return _Multisum(cross, blocks, scalar)
+
     def _describe(self, table: FactorTable) -> tuple[list, _LatticeTerms]:
         """The sum over the box lattice in lattice order, and the closed form:
         the factorials at |N|, for j < k those at N_j and N_k over the one at
@@ -502,7 +509,7 @@ class Multi2Params(_Identity):
         a, b, c = t[2 * n + 1], t[2 * n + 2], t[2 * n + 3]
         ntot = sum(Ns)
         lattice = itertools.product(*(range(N + 1) for N in Ns))
-        terms = _LatticeTerms(_multi2_lattice(self), table, lattice)
+        terms = _LatticeTerms(self._lattice(), table, lattice)
         pairs = [(x, None, ntot) for x in (q / (a * b), q / (a * c), q / (b * c))]
         for (j, Nj), (k, Nk) in itertools.combinations(enumerate(Ns, 1), 2):
             x = q * t[j] * t[k]
@@ -521,23 +528,6 @@ def sample_multi2(
     radius_band: tuple[float, float] = DEFAULT_BAND,
 ) -> Multi2Params:
     return _sample(Multi2Params, seed, n, Ns, nome, radius_band)[0]
-
-
-def _multi2_lattice(params: Multi2Params) -> _Multisum:
-    q, n, t = params.nome.q, params.n, params.t
-    cross = {
-        (j, k): (((t[j + 1] * t[k + 1], (1, 1)), (t[j + 1] / t[k + 1], (1, -1))), ())
-        for j, k in itertools.combinations(range(n), 2)
-    }
-    blocks = tuple(
-        (((tj * tj, (2,)),), tuple((tj * t[r], q * tj / t[r], (1,)) for r in range(2 * n + 4)))
-        for tj in t[1 : n + 1]
-    )
-
-    def scalar(lam: tuple[int, ...]) -> complex:
-        return q ** sum(map(operator.mul, range(1, n + 1), lam))
-
-    return _Multisum(cross, blocks, scalar)
 
 
 def verify_multi2(params: Multi2Params, tol: float = 1e-7) -> VerificationReport:

@@ -11,7 +11,6 @@ arithmetic and range, not the formula.
 
 from mpmath import fprod, fsum, mp, mpc
 
-from thetahyp.identities import _evaluate
 from thetahyp.theta import theta_zero_index
 
 DPS = 40
@@ -47,8 +46,9 @@ class ReplayTable:
 
 def replay_sides(params):
     """params' (lhs, rhs) at DPS digits: the sums check forms, of the terms
-    _evaluate reads from params' description on a ReplayTable."""
+    params' description reads on a ReplayTable, each series at its points
+    and the closed form at its one point (1,), as _Identity.sides reads them."""
     with mp.workdps(DPS):
-        *series, closed = _evaluate(*params._describe(ReplayTable(params.nome)))
-        lhs, *rest = [fsum(term.value for term in terms) for terms in series]
-        return lhs, closed.value * fprod(rest)
+        series, closed = params._describe(ReplayTable(params.nome))
+        lhs, *rest = [fsum(terms(*lam).value for lam in points) for terms, points in series]
+        return lhs, closed(1).value * fprod(rest)

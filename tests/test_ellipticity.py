@@ -29,11 +29,11 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
-from thetahyp import FloatRangeError, PoleError, ellipticity
+from thetahyp import FloatRangeError, PoleError, ellipticity, identities
 from thetahyp.ellipticity import _h_point, _h_rows, _lattice_h, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
-from thetahyp.identities import _multi1_lattice, _multi2_lattice, _unchecked_replace
-from thetahyp.series import _LatticeTerms
+from thetahyp.identities import FTParams, Multi1Params, Multi2Params, _unchecked_replace
+from thetahyp.series import VwpSpec, _LatticeTerms, _vwp_desc
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -305,9 +305,9 @@ class TestTotalEllipticityMulti:
             drawn += 1
             return rand_mult_args(rng, n)
 
-        def each_alone(hs, sets, points, p, refs=None):
+        def each_alone(hs, sets, points, p, refs):
             # every row unpaired, so it shares no lane with another
-            return [h_rows(hs, [s], [xs], p)[0] for s, xs in zip(sets, points)]
+            return [h_rows(hs, [s], [xs], p, [0])[0] for s, xs in zip(sets, points)]
 
         with monkeypatch.context() as m:
             m.setattr(ellipticity, "_rand_mult_args", counting_draw)
@@ -339,8 +339,8 @@ class TestTotalEllipticityMulti:
     @pytest.mark.parametrize(
         "check, describe, h, params",
         [
-            (check_total_ellipticity_multi1, _multi1_lattice, multi1_h, lambda: sample_multi1(52, 2, 2, NOME)),
-            (check_total_ellipticity_multi2, _multi2_lattice, multi2_h, lambda: sample_multi2(62, 2, (2, 2), NOME)),
+            (check_total_ellipticity_multi1, Multi1Params._lattice, multi1_h, lambda: sample_multi1(52, 2, 2, NOME)),
+            (check_total_ellipticity_multi2, Multi2Params._lattice, multi2_h, lambda: sample_multi2(62, 2, (2, 2), NOME)),
         ],
     )
     def test_a_pole_in_a_batched_row_is_redrawn(self, monkeypatch, check, describe, h, params):
@@ -369,9 +369,9 @@ class TestTotalEllipticityMulti:
         # the point's x_0 = 1e200 puts a theta argument of h_2 past the range
         # theta takes; the batched row raises as the scalar path does
         params = sample_multi2(63, 3, (2, 2, 2), NOME)
-        hs = _lattice_h([_multi2_lattice(params)], 2, NOME.q)
+        hs = _lattice_h([Multi2Params._lattice(params)], 2, NOME.q)
         good, bad = (0.5 + 0.1j, 0.6, 0.7), (1e200, 0.5, 0.7)
-        value, missing = _h_rows(hs, [0, 0], [good, bad], NOME.p)
+        value, missing = _h_rows(hs, [0, 0], [good, bad], NOME.p, [0, 1])
         assert value == multi2_h(params, 2, list(good)) and missing is None
         with pytest.raises(FloatRangeError):
             _h_point(hs[0], bad, NOME.p)
@@ -458,7 +458,7 @@ class TestSharedLanes:
         assert max(collections.Counter(lanes).values()) == 1
         assert set(lanes) == self._arguments(hs, sets, points)
         # unpaired, the batch evaluates every lane of every row itself
-        unpaired = h_rows(hs, sets, points, p)
+        unpaired = h_rows(hs, sets, points, p, list(range(len(points))))
         assert [row and _bits(row) for row in rows] == [row and _bits(row) for row in unpaired]
         assert None not in rows
 
@@ -471,8 +471,8 @@ class TestScalarLoop:
     every CPython, numpy and platform the package supports."""
 
     FAMILIES = {
-        "multi1": (multi1_h, _multi1_lattice, lambda seed, n: sample_multi1(seed, n, 2, NOME)),
-        "multi2": (multi2_h, _multi2_lattice, lambda seed, n: sample_multi2(seed, n, (2,) * n, NOME)),
+        "multi1": (multi1_h, Multi1Params._lattice, lambda seed, n: sample_multi1(seed, n, 2, NOME)),
+        "multi2": (multi2_h, Multi2Params._lattice, lambda seed, n: sample_multi2(seed, n, (2,) * n, NOME)),
     }
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -487,7 +487,8 @@ class TestScalarLoop:
             points = [tuple(10 ** rng.uniform(-2, 2, n) * np.exp(2j * math.pi * rng.uniform(0, 1, n)))
                       for _ in range(10)]
             for l in range(1, n + 1):
-                rows = _h_rows(_lattice_h([describe(params)], l, NOME.q), [0] * len(points), points, NOME.p)
+                hs = _lattice_h([describe(params)], l, NOME.q)
+                rows = _h_rows(hs, [0] * len(points), points, NOME.p, list(range(len(points))))
                 with monkeypatch.context() as m:
                     m.setattr(ellipticity, "_theta_lanes", lambda zs, p: passes.append(len(zs)))
                     for xs, row in zip(points, rows):
@@ -519,8 +520,8 @@ class TestColumnMultipliers:
     them, independently of the sampled checks."""
 
     FAMILIES = [
-        (_multi1_lattice, lambda seed, n: sample_multi1(seed, n, 2, NOME), "t6", 5),
-        (_multi2_lattice, lambda seed, n: sample_multi2(seed, n, (2,) * n, NOME), "t", -1),
+        (Multi1Params._lattice, lambda seed, n: sample_multi1(seed, n, 2, NOME), "t6", 5),
+        (Multi2Params._lattice, lambda seed, n: sample_multi2(seed, n, (2,) * n, NOME), "t", -1),
     ]
 
     @pytest.mark.parametrize("family", range(2))
@@ -546,6 +547,117 @@ class TestColumnMultipliers:
                 assert 1.9e-3 < abs(m - 1) < 2.1e-3
             else:
                 assert abs(m - 1) <= 1e-13
+
+
+class TestTermRatioLaws:
+    """The two laws that make a multisum a theta hypergeometric one
+    (Spiridonov, math/0303204), through the scalar multi1_h / multi2_h:
+    every h_l is invariant under x_k -> p x_k for each k, not only the
+    h_{l_mid} the checks sample, and h_j(q^{e_k} x) h_k(x) = h_k(q^{e_j} x)
+    h_j(x), with q^{e_k} x the point x with x_k -> q x_k."""
+
+    # each family's h, a seeded draw, and the draw with one t that a cross
+    # part reads scaled by 1 + 1e-3: multi1's t, in every tau_j, and multi2's
+    # t_1, in the cross parts of index 1 (a t read only by the blocks moves
+    # h_k by a factor of x_k alone, which leaves the condition true)
+    CASES = {
+        "multi1_2": (multi1_h, lambda: sample_multi1(81, 2, 2, NOME)),
+        "multi1_3": (multi1_h, lambda: sample_multi1(82, 3, 2, NOME)),
+        "multi2_2": (multi2_h, lambda: sample_multi2(83, 2, (2, 2), NOME)),
+        "multi2_3": (multi2_h, lambda: sample_multi2(84, 3, (2, 2, 2), NOME)),
+    }
+    MOVED = {
+        Multi1Params: lambda params: _unchecked_replace(params, t=params.t * (1 + 1e-3)),
+        Multi2Params: lambda params: _unchecked_replace(
+            params, t=(params.t[0], params.t[1] * (1 + 1e-3), *params.t[2:])
+        ),
+    }
+
+    @staticmethod
+    def _points(params, count=6):
+        rng = np.random.default_rng(params.n)
+        box = ((0, -0.05) * params.n, (1, 0.05) * params.n)
+        return [ellipticity._rand_mult_args(rng.uniform(*box).tolist(), params.n) for _ in range(count)]
+
+    @staticmethod
+    def _moved(xs, k, factor):
+        return [x * factor if j == k else x for j, x in enumerate(xs)]
+
+    @classmethod
+    def _compatibility(cls, h, params, other):
+        """The largest relative deviation of h_j(q^{e_k} x) h_k(x) from
+        h_k(q^{e_j} x) h_j(x) over j < k and the points, h_k read from other."""
+        q, dev = params.nome.q, 0.0
+        for xs in cls._points(params):
+            for j, k in itertools.combinations(range(1, params.n + 1), 2):
+                lhs = h(params, j, cls._moved(xs, k - 1, q)) * h(other, k, xs)
+                rhs = h(other, k, cls._moved(xs, j - 1, q)) * h(params, j, xs)
+                dev = max(dev, abs(lhs - rhs) / abs(rhs))
+        return dev
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_h_l_is_invariant_under_every_index_p_shift(self, case):
+        h, sample = self.CASES[case]
+        params = sample()
+        p, dev = params.nome.p, 0.0
+        for xs in self._points(params):
+            for l in range(1, params.n + 1):
+                reference = h(params, l, xs)
+                for k in range(params.n):
+                    dev = max(dev, abs(h(params, l, self._moved(xs, k, p)) - reference) / abs(reference))
+        assert dev <= 1e-10
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_term_ratios_are_compatible(self, case):
+        h, sample = self.CASES[case]
+        params = sample()
+        assert self._compatibility(h, params, params) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_h_k_of_a_moved_parameter_set_is_not_compatible(self, case):
+        h, sample = self.CASES[case]
+        params = sample()
+        assert self._compatibility(h, params, self.MOVED[type(params)](params)) > 1e-6
+
+
+class FTLattice(FTParams):
+    """The 10E9 sum declared as a rank-1 multisum family in this file alone:
+    its summand is _vwp_desc's, and each p-shift t_m p of t0..t4 co-shifts
+    t5 by 1 / p, which keeps prod t = q. Sampled, verified and checked for
+    total ellipticity with no change to the package: a family needs only
+    its parameter class."""
+
+    n = 1
+
+    def _lattice(self):
+        return _vwp_desc(VwpSpec(self.t[0], self.t[1:], 1.0 + 0j, self.nome, "unilateral"))
+
+    def _p_shifts(self):
+        p, (*free, t5) = self.nome.p, self.t
+        return [
+            (f"t{m}", _unchecked_replace(self, t=(*free[:m], free[m] * p, *free[m + 1 :], t5 / p))) for m in range(5)
+        ]
+
+
+class TestFamilyDeclaredOnItsClass:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_10e9_sum_samples_verifies_and_is_totally_elliptic(self, seed):
+        params, _ = identities._sample(FTLattice, seed, 3, NOME, identities.DEFAULT_BAND)
+        report = identities._verify(params, 1e-8)
+        assert report.passed and report.rel_err <= 1e-9, report.rel_err
+        reports = ellipticity._check_multi(params, 8, 1e-9, seed)
+        kinds = ["index_p_shift:lambda1", *(f"param_p_shift:t{m}" for m in range(5))]
+        assert [rep.shift_kind for rep in reports] == [f"{kind}@h1" for kind in kinds]
+        assert all(rep.passed for rep in reports), [(rep.shift_kind, rep.max_rel_dev) for rep in reports]
+        # the class changes no number: its sides are FTParams' sides
+        ft = FTParams(params.t, params.nome, params.N)
+        assert identities._verify(ft, 1e-8) == report
+
+    def test_an_unbalanced_set_fails_the_index_shift(self):
+        params, _ = identities._sample(FTLattice, 0, 3, NOME, identities.DEFAULT_BAND)
+        unbalanced = _unchecked_replace(params, t=(*params.t[:5], params.t[5] * 1.1))
+        index, *_ = ellipticity._check_multi(unbalanced, 8, 1e-9, 0)
+        assert index.shift_kind == "index_p_shift:lambda1@h1" and not index.passed, index.max_rel_dev
 
 
 def _additive(rng):
@@ -585,13 +697,13 @@ class TestCharacterization:
 # family, sampled params, the summation region and the coefficient description
 H_CONSISTENCY = {
     "multi1_n2": (multi1_h, lambda: sample_multi1(71, 2, 3, NOME),
-                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_lattice),
+                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), Multi1Params._lattice),
     "multi1_n3": (multi1_h, lambda: sample_multi1(72, 3, 2, NOME),
-                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), _multi1_lattice),
+                  lambda p: itertools.combinations_with_replacement(range(p.N + 1), p.n), Multi1Params._lattice),
     "multi2_n2": (multi2_h, lambda: sample_multi2(73, 2, (3, 2), NOME),
-                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_lattice),
+                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), Multi2Params._lattice),
     "multi2_n3": (multi2_h, lambda: sample_multi2(74, 3, (2, 2, 2), NOME),
-                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), _multi2_lattice),
+                  lambda p: itertools.product(*(range(N + 1) for N in p.Ns)), Multi2Params._lattice),
 }
 
 

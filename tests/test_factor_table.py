@@ -54,7 +54,7 @@ from thetahyp import ellipticity, factorials
 from thetahyp.cli import main
 from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
-from thetahyp.identities import _arguments, _LatticeTerms, _multi1_lattice, _multi2_lattice
+from thetahyp.identities import _LatticeTerms
 from thetahyp.series import _dot, _eg_desc, _Multisum, _rank1, _sum_unilateral, _vwp_desc
 from thetahyp.theta import theta, theta_zero_index
 
@@ -324,7 +324,7 @@ def _sides(params):
     batch as its sides are."""
     table = FactorTable(params.nome)
     series, closed = params._describe(table)
-    table.prefetch(_arguments(series, closed))
+    table.prefetch([arg for terms, _ in series for arg in terms.arguments()] + closed.arguments())
     return series + [(closed, [(1,)])]
 
 
@@ -338,7 +338,7 @@ def _listed(desc, points):
 def _box(params):
     # every point of the box, so the cross pairs' lam_k - lam_j is also
     # negative and their bases read downward prefixes
-    return _listed(_multi1_lattice(params), list(itertools.product(range(params.N + 1), repeat=params.n)))
+    return _listed(params._lattice(), list(itertools.product(range(params.N + 1), repeat=params.n)))
 
 
 # each case's (terms, points) and whether a term is a structural zero (order
@@ -476,10 +476,9 @@ def test_batch_moves_no_bit(monkeypatch, case):
     for batched in (True, False):
         tables, prefetch = [], FactorTable.prefetch
 
-        def recording(self, args):
+        def recording(self, args, distance=None):
             tables.append(self)
-            if batched:
-                prefetch(self, args)
+            return prefetch(self, args, distance) if batched else True
 
         with monkeypatch.context() as m:
             m.setattr(FactorTable, "prefetch", recording)
@@ -513,12 +512,12 @@ def _multi1_off_tuples():
     # every point of the box, so a cross pair's exponent lam_k - lam_j is
     # also negative and its bases read downward prefixes
     params = sample_multi1(15, 3, 3, NOME)
-    return _multi1_lattice(params), itertools.product(range(params.N + 1), repeat=params.n)
+    return params._lattice(), itertools.product(range(params.N + 1), repeat=params.n)
 
 
 def _multi2_unequal(seed):
     params = sample_multi2(seed, 2, (1, 4), NOME)
-    return _multi2_lattice(params), itertools.product(*(range(N + 1) for N in params.Ns))
+    return params._lattice(), itertools.product(*(range(N + 1) for N in params.Ns))
 
 
 def _single(spec, ns):

@@ -28,7 +28,7 @@ from thetahyp import (
 )
 from thetahyp import identities
 from thetahyp.errors import FloatRangeError
-from thetahyp.identities import DEFAULT_BAND, MAX_LATTICE_POINTS, _admissible, _multi1_lattice, _multi2_lattice
+from thetahyp.identities import DEFAULT_BAND, MAX_LATTICE_POINTS, _admissible
 from thetahyp.factorials import FactorTable
 from thetahyp.series import _LatticeTerms
 from thetahyp.theta import MAX_ZERO_ORDER, _reduction, _theta_lanes, _theta_list, theta_many
@@ -107,8 +107,10 @@ class TestFTSum:
         # the lattice scan raised, and a nan one raised ValueError out of it
         params = sample_ft(seed=3, N=2, nome=NOME)
         assert _admissible(params) is not None
-        arguments = identities._arguments
-        monkeypatch.setattr(identities, "_arguments", lambda series, closed: arguments(series, closed) + [bad])
+        prefetch = FactorTable.prefetch
+        monkeypatch.setattr(
+            FactorTable, "prefetch", lambda table, args, distance: prefetch(table, [*args, bad], distance)
+        )
         assert _admissible(params) is None
 
 
@@ -135,7 +137,7 @@ class TestBailey:
         # verify_bailey takes the principal root alone
         params = sample_bailey(seed, N, NOME)
         principal = json.dumps(verify_bailey(params).to_json())
-        monkeypatch.setattr(identities, "bailey_map", lambda t, nome: bailey_map(t, nome, root_sign=-1))
+        monkeypatch.setattr(identities, "bailey_map", lambda t, nome: tuple(-s for s in bailey_map(t, nome)))
         assert json.dumps(verify_bailey(params).to_json()) == principal
 
     @pytest.mark.parametrize("N", [4, 8])
@@ -149,7 +151,8 @@ class TestBailey:
         r = 1 if abs(cmath.sqrt(t[0] ** 2) - t[0]) < abs(t[0]) else -1
         assert r == (1 if t[0].real > 0 else -1)
         for sign in (r, -r):
-            back = bailey_map(s, NOME, root_sign=sign)
+            # the principal root, and the other, which negates every parameter
+            back = [sign * b for b in bailey_map(s, NOME)]
             assert max(abs(b - sign * r * x) / abs(x) for b, x in zip(back, t)) <= 1e-13, sign
         flipped = BaileyParams(tuple(-x for x in t), NOME, N)
         assert verify_bailey(flipped).lhs == verify_bailey(params).lhs
@@ -279,7 +282,7 @@ class TestMulti1:
         # the coefficient vanishes structurally just above the diagonal,
         # which is why the sum runs over ordered tuples only
         params = sample_multi1(seed=8, n=2, N=2, nome=NOME)
-        c = _LatticeTerms(_multi1_lattice(params), FactorTable(params.nome))(2, 1)
+        c = _LatticeTerms(params._lattice(), FactorTable(params.nome))(2, 1)
         assert c.is_zero
 
     def test_json_round_trip(self):
@@ -309,7 +312,7 @@ class TestMulti2:
 
     def test_corner_coefficient_is_one(self):
         params = sample_multi2(seed=9, n=2, Ns=(2, 1), nome=NOME)
-        c = _LatticeTerms(_multi2_lattice(params), FactorTable(params.nome))(0, 0)
+        c = _LatticeTerms(params._lattice(), FactorTable(params.nome))(0, 0)
         assert abs(c.value - 1.0) < 1e-14
 
     def test_json_round_trip(self):
@@ -333,9 +336,9 @@ class TestMulti2:
 @pytest.mark.parametrize(
     "sample, desc, lattice",
     [
-        (lambda: sample_multi1(31, 2, 3, NOME), _multi1_lattice,
+        (lambda: sample_multi1(31, 2, 3, NOME), Multi1Params._lattice,
          list(itertools.combinations_with_replacement(range(4), 2))),
-        (lambda: sample_multi2(32, 3, (2, 2, 2), NOME), _multi2_lattice,
+        (lambda: sample_multi2(32, 3, (2, 2, 2), NOME), Multi2Params._lattice,
          list(itertools.product(range(3), repeat=3))),
     ],
     ids=["multi1", "multi2"],
