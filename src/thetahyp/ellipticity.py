@@ -167,15 +167,40 @@ def _batched_reports(kinds, points, hs: list[tuple], p: complex, samples: int, t
 
     keys = [row(j // samples, xs) for j, xs in enumerate(first)] + [row(None, xs) for xs in first]
     refs = list(range(len(first), len(keys))) * 2
-    batched = dict(zip(keys, _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p, refs)))
+    values = _h_rows(hs, [s for s, _ in keys], [xs for _, xs in keys], p, refs)
+    read = _batch_reader(keys, values, lambda key: _h_point(hs[key[0]], key[1], p))
 
     def h(s: int | None, xs: tuple):
-        key = row(s, xs)
-        value = batched.get(key)
-        return _h_point(hs[key[0]], key[1], p) if value is None else value
+        return read(row(s, xs))
 
     shifts = [(kind, functools.partial(h, s)) for s, kind in enumerate(kinds)]
     return _shift_reports(itertools.chain(first, points), functools.partial(h, None), shifts, samples, tol, suffix)
+
+
+def _batch_reader(keys: list, values: list, scalar: Callable):
+    """A reader of one key: the value the batch holds at it (keys and values
+    in step), or scalar(key) where the batch lacks the key, as after a
+    redraw or past its points, or holds None there."""
+    batched = dict(zip(keys, values))
+
+    def read(key):
+        value = batched.get(key)
+        return scalar(key) if value is None else value
+
+    return read
+
+
+def _array_values(fn: Callable, args: list[complex]) -> list:
+    """fn called once on the array of args, read as a list with None at
+    each NaN, or [] where the call raises or does not return a float or
+    complex array of one value per argument."""
+    try:
+        values = fn(np.array(args, dtype=complex))
+    except Exception:  # fn takes single points only, and raises there as it does alone
+        return []
+    if not isinstance(values, np.ndarray) or values.shape != (len(args),) or values.dtype.kind not in "fc":
+        return []
+    return [None if cmath.isnan(v) else v for v in values.tolist()]
 
 
 def check_ellipticity(
@@ -189,10 +214,23 @@ def check_ellipticity(
 
     The sigma^{-1} shift (w unchanged) is automatic in this form and is
     not sampled.
+
+    term_ratio_fn is called once on the 1-D complex array of the first
+    `samples` points followed by their p-shifts, as term_ratio_at(spec, w)
+    takes it, and each of those rows is read from its result: a callable
+    that takes an array returns at each point its value at that point
+    alone, or NaN. A NaN row, a redrawn point, and every row where that
+    call raises or does not return an array of one value per point, are
+    evaluated one point at a time, so the reports, redraws and errors are
+    those of the scalar calls.
     """
+    _check_samples(samples)
     annulus = _draws(seed, _X_BOX, samples, lambda x: cmath.exp(2j * math.pi * complex(*x)) * 0.7)
-    shifts = [("index_p_shift", lambda w: term_ratio_fn(nome.p * w))]
-    return _shift_reports(annulus, term_ratio_fn, shifts, samples, tol)[0]
+    first = list(itertools.islice(annulus, samples))
+    args = first + [nome.p * w for w in first]
+    h = _batch_reader(args, _array_values(term_ratio_fn, args), term_ratio_fn)
+    shifts = [("index_p_shift", lambda w: h(nome.p * w))]
+    return _shift_reports(itertools.chain(first, annulus), h, shifts, samples, tol)[0]
 
 
 def _wp_form(u0: complex, us: list[complex], z: complex, pair: ModularPair) -> HForm:

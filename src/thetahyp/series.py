@@ -29,9 +29,14 @@ multiplies each quotient (a)_n / (b)_n in turn. A closed form or
 prefactor, the identities' and ge_split_check's, is the same kind of
 product: _closed describes it as a rank-1 _Multisum read at one point.
 eval_basic and eval_vwp_additive stay apart: they are the independent
-checks, and term_ratio_at, which multiplies its theta factors directly,
-because reading it through a one-point description made each call 28-44%
-slower (3-parameter E spec, Python 3.11, 2 CPUs).
+checks, and term_ratio_at, which multiplies its theta factors' (finite_part,
+order) pairs directly: reading it through a one-point description made
+each call 28-44% slower (3-parameter E spec, Python 3.11, 2 CPUs). At one
+point it is a scalar loop; on an array of points (_term_ratios, which
+check_ellipticity reads) it forms the same products and quotients in the
+same order from one _theta_lanes batch. A one-point batch took 343 us
+against the loop's 28 us (3-over-2 E spec, Python 3.11, 2 CPUs), so the loop
+stays for single points and redraws.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ from typing import Callable
 from .errors import FloatRangeError, NonConvergenceError, ThetaDomainError
 from .factorials import _UNDERFLOWED, ONE, FactorialValue, FactorTable, _factor_pair
 from .report import JsonFields, VerificationReport, _str_from_json
-from .theta import LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome, theta, theta_log_range
+from .theta import (
+    LATTICE_RTOL, MAX_TERMS, SERIES_TOL, ModularPair, Nome, _mul, _quot, _theta_lanes, theta, theta_log_range
+)
 
 REL_TOL = 1e-10  # classifier tolerance for multiplicative constraints
 
@@ -181,6 +188,11 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
     theta factors leaves the float64 range where h does not; FloatRangeError
     where h is not finite. Needs integer alpha unless n is given.
 
+    Given a 1-D complex array w and no n, it returns the array of h at each
+    point, each equal to the value at that point alone bit for bit, and NaN
+    at a point where that call raises (_term_ratios); a non-integer alpha
+    raises ValueError there too.
+
     This stays apart from the theta columns every other term ratio reads
     (ellipticity._h_point): its factors are theta_factor's (finite_part,
     order) pairs, multiplied and divided as FactorialValue does, whose
@@ -190,6 +202,8 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
     q^{alpha n} factor of an integer index n. A FactorialValue is built
     only for the product, to read its value."""
     _expect(spec, ThetaSeriesSpec, "term_ratio_at")
+    if n is None and getattr(w, "ndim", 0) == 1:
+        return _term_ratios(spec, w)
     nome = spec.nome
     part, order = 1.0 + 0j, 0
     for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()):
@@ -209,6 +223,49 @@ def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> co
     if cmath.isfinite(value):
         return value
     raise FloatRangeError(f"the term ratio at w = {w} leaves the float64 range")
+
+
+def _term_ratios(spec: ThetaSeriesSpec, w):
+    """term_ratio_at at each point of the 1-D array w, NaN where it raises.
+
+    Every theta(a_m w) and theta(b_m w) is evaluated in one _theta_lanes
+    pass, and their (finite_part, order) pairs are multiplied and divided
+    in the scalar loop's order, from 1 + 0j, each complex product and
+    quotient formed as CPython forms it (_mul, _quot), so the orders cancel
+    as they do for one point. w^alpha and z are applied a point at a time
+    with CPython's own arithmetic. numpy is imported here, as _theta_lanes
+    imports it, so that ``import thetahyp`` loads it no earlier."""
+    import numpy as np
+
+    k = _integer_alpha(spec)
+    if k is None:
+        raise ValueError("term_ratio_at requires integer alpha for non-integer arguments")
+    w = np.asarray(w, dtype=complex)
+    pairs = itertools.zip_longest(spec.numerator, spec.effective_denominator())
+    steps = [(t, sign) for pair in pairs for t, sign in zip(pair, (1, -1)) if t is not None]
+    ts = np.array([t for t, _ in steps], dtype=complex)[:, None]
+    args = np.empty((len(steps), len(w)), dtype=complex)
+    with np.errstate(all="ignore"):
+        args.real, args.imag = _mul(ts.real, ts.imag, w.real, w.imag)
+        values, raises = (lanes.reshape(args.shape) for lanes in _theta_lanes(args.ravel(), spec.nome.p))
+        zero = values == 0  # theta's exact 0j on a lattice zero: the pair (1 + 0j, 1)
+        values[zero] = 1.0
+        part_r, part_i, order = np.ones(len(w)), np.zeros(len(w)), np.zeros(len(w), dtype=int)
+        for (_, sign), value, at_zero in zip(steps, values, zero):
+            part_r, part_i = (_mul if sign > 0 else _quot)(part_r, part_i, value.real, value.imag)
+            order += sign * at_zero
+    nan = complex(math.nan, math.nan)
+    out = []
+    points = zip(part_r.tolist(), part_i.tolist(), order.tolist(), raises.any(axis=0).tolist(), w.tolist())
+    for re, im, net, bad, x in points:
+        value = nan
+        if not bad and net >= 0:
+            try:
+                value = (0j if net else complex(re, im)) * x**k * spec.z
+            except (OverflowError, ZeroDivisionError):
+                pass
+        out.append(value if cmath.isfinite(value) else nan)
+    return np.array(out, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
-from thetahyp import FloatRangeError, PoleError, ellipticity, identities
+from thetahyp import FloatRangeError, PoleError, ellipticity, identities, series
 from thetahyp.ellipticity import _h_point, _h_rows, _lattice_h, multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
 from thetahyp.identities import FTParams, Multi1Params, Multi2Params, _unchecked_replace
@@ -126,6 +126,43 @@ class TestEllipticityCheck:
         # outside it, and the p-shift moves many of them into it
         rep = check_ellipticity(lambda w: 1.0 + 0j if abs(w) > 0.5 else complex(math.nan, 0.0), NOME)
         assert (rep.max_rel_dev, rep.sample_count, rep.passed) == (math.inf, 20, False)
+
+    @staticmethod
+    def _run(monkeypatch, fn, samples):
+        """check_ellipticity(fn) by its report's bits, with the lanes of each
+        _theta_lanes pass of term_ratio_at and its scalar theta calls."""
+        theta_lanes, theta, passes, scalar = series._theta_lanes, series.theta, [], []
+        with monkeypatch.context() as m:
+            m.setattr(series, "_theta_lanes", lambda zs, p: passes.append(len(zs)) or theta_lanes(zs, p))
+            m.setattr(series, "theta", lambda z, p: scalar.append(z) or theta(z, p))
+            rep = check_ellipticity(fn, NOME, samples=samples)
+        return (rep.max_rel_dev.hex(), rep.sample_count, rep.passed), passes, len(scalar)
+
+    def test_a_spec_check_is_one_theta_pass(self, monkeypatch):
+        # the check reads term_ratio_at's one array call: a single pass over
+        # the theta factors, r + s = 3 + (2 + q) a point, of the samples
+        # points and their p-shifts. A fault in that path falls back to the
+        # scalar calls with the same report, so only the counts can tell.
+        spec, samples = balanced_spec(np.random.default_rng(1)), 15
+        batched = self._run(monkeypatch, lambda w: term_ratio_at(spec, w), samples)
+        scalar = self._run(monkeypatch, lambda w: term_ratio_at(spec, complex(w)), samples)
+        assert batched == (scalar[0], [2 * samples * 6], 0)
+        assert scalar[1:] == ([], 2 * samples * 6)
+        assert batched[0][2]
+
+    def test_a_vectorized_callable_is_read_from_its_batch(self):
+        # any callable that takes an array is called once, on the points and
+        # then their p-shifts; one that refuses arrays is called a point at a time
+        calls = []
+
+        def constant(w):
+            calls.append(np.shape(w))
+            return 0 * w + (0.5 + 0.25j)
+
+        rep = check_ellipticity(constant, NOME, samples=7, seed=3)
+        assert calls == [(14,)]
+        assert check_ellipticity(lambda w: constant(complex(w)), NOME, samples=7, seed=3) == rep
+        assert calls[1:] == [()] * 14 and (rep.max_rel_dev, rep.sample_count, rep.passed) == (0.0, 7, True)
 
     @pytest.mark.parametrize(
         "check",

@@ -50,7 +50,7 @@ from thetahyp import (
     verify_multi2,
     vwp_coefficient,
 )
-from thetahyp import ellipticity, factorials
+from thetahyp import ellipticity, factorials, series
 from thetahyp.cli import main
 from thetahyp.errors import FloatRangeError, ThetaDomainError
 from thetahyp.factorials import ONE, FactorialValue, FactorTable, theta_factor, theta_factorial
@@ -642,7 +642,8 @@ def _count_calls(monkeypatch, owner, name, fn) -> int:
 def _count_theta_calls(monkeypatch, fn) -> int:
     """Theta evaluations: scalar theta calls plus the lanes of theta_many
     batches, of the sampler's guarded batches, none where the guard refuses
-    one, and of the ellipticity checks' _theta_lanes passes."""
+    one, and of the ellipticity checks' and term_ratio_at's _theta_lanes
+    passes."""
     count, theta_list = 0, factorials._theta_list
 
     def counting(evaluate, evaluations):
@@ -660,11 +661,12 @@ def _count_theta_calls(monkeypatch, fn) -> int:
         return values
 
     with monkeypatch.context() as m:
-        for owner in (factorials, ellipticity):
+        for owner in (factorials, ellipticity, series):
             m.setattr(owner, "theta", counting(owner.theta, lambda z, p: 1))
         m.setattr(factorials, "theta_many", counting(factorials.theta_many, lambda zs, p: len(zs)))
         m.setattr(factorials, "_theta_list", guarded)
-        m.setattr(ellipticity, "_theta_lanes", counting(ellipticity._theta_lanes, lambda zs, p: len(zs)))
+        for owner in (ellipticity, series):
+            m.setattr(owner, "_theta_lanes", counting(owner._theta_lanes, lambda zs, p: len(zs)))
         fn()
     return count
 
@@ -838,26 +840,30 @@ def _balanced_e_spec(seed: int, z: complex = 0.4 + 0.1j) -> ThetaSeriesSpec:
 
 
 # check_ellipticity on balanced E specs: (spec and check seed, samples, z)
-# and the report's max_rel_dev.hex() and sample_count. At z = 1e12 the
-# reference |h| of most points passes 1e12, so 68 of the 80 points drawn are
-# redrawn, one rng call each.
+# and the report's max_rel_dev.hex(), sample_count and theta evaluations,
+# 6 a point: 2 x samples lanes of one term_ratio_at array call, and 2 scalar
+# term_ratio_at calls per redrawn point. At z = 1e12 the reference |h| of
+# most points passes 1e12, so 68 of the 80 points drawn are redrawn, one rng
+# call each.
 SPEC_ELLIPTICITY = [
-    ((0, 5, 0.4 + 0.1j), ("0x1.46bbeb247d8c8p-49", 5)),
-    ((1, 8, 0.4 + 0.1j), ("0x1.d950ca2990b6cp-49", 8)),
-    ((2, 11, 0.4 + 0.1j), ("0x1.cfbbfec62ffb0p-49", 11)),
-    ((3, 14, 0.4 + 0.1j), ("0x1.77df7533a110dp-49", 14)),
-    ((4, 17, 0.4 + 0.1j), ("0x1.daf0fb59095c7p-49", 17)),
-    ((5, 20, 0.4 + 0.1j), ("0x1.1c58a51496952p-48", 20)),
-    ((6, 12, 1e12 + 0j), ("0x1.88fb45b202155p-48", 12)),
+    ((0, 5, 0.4 + 0.1j), ("0x1.46bbeb247d8c8p-49", 5, 60)),
+    ((1, 8, 0.4 + 0.1j), ("0x1.d950ca2990b6cp-49", 8, 96)),
+    ((2, 11, 0.4 + 0.1j), ("0x1.cfbbfec62ffb0p-49", 11, 132)),
+    ((3, 14, 0.4 + 0.1j), ("0x1.77df7533a110dp-49", 14, 168)),
+    ((4, 17, 0.4 + 0.1j), ("0x1.daf0fb59095c7p-49", 17, 204)),
+    ((5, 20, 0.4 + 0.1j), ("0x1.1c58a51496952p-48", 20, 240)),
+    ((6, 12, 1e12 + 0j), ("0x1.88fb45b202155p-48", 12, 960)),
 ]
 
 
 @pytest.mark.parametrize("case, pinned", SPEC_ELLIPTICITY)
-def test_check_ellipticity_reports_are_pinned(case, pinned):
+def test_check_ellipticity_reports_are_pinned(monkeypatch, case, pinned):
     seed, samples, z = case
     spec = _balanced_e_spec(seed, z)
-    rep = check_ellipticity(lambda w: term_ratio_at(spec, w), NOME, samples=samples, seed=seed)
-    assert (rep.max_rel_dev.hex(), rep.sample_count) == pinned
+    fn, reports = (lambda w: term_ratio_at(spec, w)), []
+    calls = _count_theta_calls(monkeypatch, lambda: reports.append(check_ellipticity(fn, NOME, samples=samples, seed=seed)))
+    [rep] = reports
+    assert (rep.max_rel_dev.hex(), rep.sample_count, calls) == pinned
     assert rep.passed
 
 @pytest.mark.parametrize("case", sorted(ELLIPTICITY))

@@ -14,6 +14,7 @@ from thetahyp import (
     NonConvergenceError,
     Nome,
     PoleError,
+    ThetaDomainError,
     ThetaSeriesSpec,
     TruncationDecl,
     VerificationReport,
@@ -137,6 +138,8 @@ class TestCoefficients:
         spec = ThetaSeriesSpec("unilateral_E", (0.4 + 0.1j,), (), 0.5, 0.3 + 0j, NOME)
         with pytest.raises(ValueError):
             term_ratio_at(spec, 0.7 + 0.2j)
+        with pytest.raises(ValueError):
+            term_ratio_at(spec, np.array([0.7 + 0.2j, 0.5 - 0.1j]))
 
     @staticmethod
     def _by_theta_factors(spec, w, n=None):
@@ -208,6 +211,38 @@ class TestCoefficients:
             seen[kind, got if isinstance(got, type) else "zero" if zero else "value"] += 1
         assert seen["cancel", "value"] == seen["zero", "zero"] == seen["pole", PoleError] == 18
         assert seen["off", ValueError] and seen["off", FloatRangeError] and seen["off", "value"]
+
+    def test_term_ratio_at_on_an_array_is_the_scalar_bit_for_bit(self):
+        # each point of one array call is term_ratio_at at that point alone,
+        # or NaN where that call raises: E and G specs, 3-over-2 and 2-over-3
+        # lists, off the lattice, on lattice zeros (num[0] w = p^M meets
+        # den[0] w = p^{M+1}, so the orders cancel; num[1] w = p^M alone is
+        # a zero), at poles (den[-1] w = p^M), past theta's range and at 0
+        rng = np.random.default_rng(43)
+        p, seen = NOME.p, collections.Counter()
+        for kind, (r, s), alpha in itertools.product(("unilateral_E", "bilateral_G"), ((3, 2), (2, 3)), (-3, 0, 2)):
+            num, den = rand_params(rng, r), rand_params(rng, s)
+            den = (num[0] * p, *den[1:])
+            spec = ThetaSeriesSpec(kind, num, den, alpha, complex(*rng.uniform(-1, 1, 2)), NOME)
+            points = {
+                "off": [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(6)],
+                "cancel": [p**M / num[0] for M in (-1, 0, 2)],
+                "zero": [p**M / num[1] for M in (-1, 0, 2)],
+                "pole": [p**M / den[-1] for M in (-1, 0, 2)],
+                "past": [1e40 * complex(*rng.uniform(-1, 1, 2)), p**-40, 0j],
+            }
+            ws = [w for group in points.values() for w in group]
+            got = term_ratio_at(spec, np.array(ws))
+            assert got.shape == (len(ws),) and got.dtype == complex
+            groups = [group for group, group_ws in points.items() for _ in group_ws]
+            for group, w, value in zip(groups, ws, got.tolist()):
+                want = self._outcome(lambda: term_ratio_at(spec, w))
+                raised = isinstance(want, type)
+                assert cmath.isnan(value) if raised else (value.real.hex(), value.imag.hex()) == want, (spec, w)
+                seen[group, want if raised else "zero" if value == 0 else "value"] += 1
+            assert term_ratio_at(spec, np.array([], dtype=complex)).shape == (0,)
+        assert seen["cancel", "value"] == seen["zero", "zero"] == seen["pole", PoleError] == 36
+        assert seen["off", "value"] == 72 and seen["past", FloatRangeError] and seen["past", ThetaDomainError]
 
     E_SPEC = ThetaSeriesSpec("unilateral_E", (0.4 + 0.1j,), (0.6 - 0.2j,), 0, 0.3 + 0j, NOME)
     VWP_SPEC = VwpSpec(0.5 + 0.2j, (0.4 + 0.1j,), 0.3 + 0j, NOME, "unilateral")
