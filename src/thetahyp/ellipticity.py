@@ -8,7 +8,9 @@ multiplicative form. Every parameter shift keeps the balancing condition:
 the canonical well-poised balanced form solves its balancing pole from the
 others, and each multivariable parameter class states its own p-shifts
 (``_p_shifts``) beside the condition they keep, and its summand
-(``_lattice``), which the term ratios are read from.
+(``_lattice``), which the term ratios are read from. Every term ratio
+is a (ratio, columns) read through series' one column reader: _h_point
+at a single point, _h_rows for a check's rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,8 @@ import numpy as np
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .report import EllipticityReport, rel_err
-from .theta import ModularPair, Nome, _mul, _p_infinity, _q_power, _quot, _theta_lanes, apply_modular, theta
+from .series import _h_point, _h_rows, _lattice_h
+from .theta import ModularPair, Nome, _p_infinity, _q_power, apply_modular
 from .identities import Multi1Params, Multi2Params
 
 
@@ -63,8 +65,8 @@ def _form_h(form: HForm) -> tuple[complex, list[tuple]]:
 
 def h_eval(form: HForm, x: complex) -> complex:
     """h at x, read through _form_h's columns at X = q^x by the scalar loop
-    _h_point; PoleError on a denominator theta of 0, FloatRangeError where h
-    is not finite."""
+    _h_point; PoleError where the orders of its theta zeros leave a net
+    pole, FloatRangeError where h is not finite."""
     pair, excess = form.pair, len(form.zeros) - len(form.poles)
     try:
         value = _h_point(_form_h(form), (_q_power(pair.sigma, x),), pair.p)
@@ -272,127 +274,6 @@ def check_total_ellipticity_wp(
 
 # ---------------------------------------------------------------------------
 # multivariable term ratios (forward-shift ratios of the series coefficients)
-
-
-def _lattice_h(descs: list, l: int, q: complex) -> list[tuple[complex, list[tuple]]]:
-    """h_l = c(lam + e_l) / c(lam) of each series._Multisum in descs, which
-    differ only in their constants, for the 1-based index l as (ratio,
-    columns): h_l(xs) = ratio * prod theta(a X) / theta(b X) over the
-    monomial columns (e, a, b) in order, with xs = [q^{lam_j}] and X =
-    prod_j x_j^{e_j}, e over all n indices. A head (c, e) gives (e, c
-    q^{e_l}, c), a pair (a, b, e) gives (e, a, b) when e_l = 1, (e, b / q, a
-    / q) when e_l = -1 and nothing when e_l = 0, and ratio is scalar(e_l) /
-    scalar(0). Under x_k -> p x_k a column gains (b / a)^{e_k}, as theta(p^m
-    y) = (-1)^m y^{-m} p^{-m(m-1)/2} theta(y). The columns touch only the
-    parts that contain l, and their e depend only on the family, its rank
-    and l, so they are widened once, from the first desc, and every desc
-    adds its constants (a, b)."""
-    n, i = len(descs[0].blocks), l - 1
-    slots = [(min(i, j), max(i, j)) for j in range(n) if j != i] + [(i,)]
-    parts = [[desc.cross[slot] if len(slot) == 2 else desc.blocks[i] for slot in slots] for desc in descs]
-    wide = [([_widen(e, slot, n) for _, e in heads], [_widen(e, slot, n) for *_, e in pairs])
-            for slot, (heads, pairs) in zip(slots, parts[0])]
-    hs = []
-    for desc, desc_parts in zip(descs, parts):
-        ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
-        columns = []
-        for slot, (heads, pairs), (head_es, pair_es) in zip(slots, desc_parts, wide):
-            at = slot.index(i)
-            columns += [(w, c * q ** e[at], c) for (c, e), w in zip(heads, head_es)]
-            for (a, b, e), w in zip(pairs, pair_es):
-                if e[at]:
-                    columns.append((w, a, b) if e[at] == 1 else (w, b / q, a / q))
-        hs.append((ratio, columns))
-    return hs
-
-
-def _widen(e: tuple[int, ...], idx: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The exponents e of the indices idx as a vector over all n indices."""
-    return tuple(e[idx.index(j)] if j in idx else 0 for j in range(n))
-
-
-def _power(x: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of x ** e for e in (1, 2, -1), formed as x, x * x and 1 / x."""
-    if e == 1:
-        return x.real, x.imag
-    if e == 2:
-        return _mul(x.real, x.imag, x.real, x.imag)
-    if e == -1:
-        return _quot(1.0, 0.0, x.real, x.imag)
-    raise ValueError(f"no exponent {e} in a term ratio column")
-
-
-def _h_rows(hs: list[tuple], sets: list[int], points: list[tuple[complex, ...]], p: complex, refs: list[int]):
-    """h_l at each row r, the parameter set hs[sets[r]], a (ratio, columns) of
-    _lattice_h, at the point points[r]; every set shares its columns' e, and
-    no column has a side of None. A row where theta raises on an argument,
-    or that reads a denominator theta of 0, is None; _h_point raises there.
-
-    The rows are float64 arrays and every complex product and quotient is
-    formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
-    = x x and x^-1 = 1 / x, then num = a X and den = b X for every column
-    of every row. refs pairs each row r with a reference row refs[r], a
-    row that is its own reference. A reference row's arguments are all
-    evaluated, and a paired row's where their bits differ from its
-    reference row's in the same lane, in one _theta_lanes pass; each other
-    lane reads the reference row's value. Each row then multiplies ratio by theta(num) / theta(den)
-    column by column, in order."""
-    columns = hs[0][1]
-    rows, width = len(points), len(columns)
-    refs = np.asarray(refs, dtype=np.intp)
-    xs = np.array(points, dtype=complex).reshape(rows, len(columns[0][0]))
-    ab = np.array([[(a, b) for _, a, b in cols] for _, cols in hs], dtype=complex)[sets]
-    ratio = np.array([r for r, _ in hs], dtype=complex)[sets]
-    with np.errstate(all="ignore"):
-        factors = {}
-        for e, *_ in columns:
-            if e not in factors:
-                out, *rest = [_power(xs[:, j], ej) for j, ej in enumerate(e) if ej]
-                for part in rest:
-                    out = _mul(*out, *part)
-                factors[e] = out
-        xr = np.stack([factors[e][0] for e, *_ in columns], axis=1)
-        xi = np.stack([factors[e][1] for e, *_ in columns], axis=1)
-        args = np.empty((2, rows, width), dtype=complex)
-        (num_r, den_r), (num_i, den_i) = args.real, args.imag
-        num_r[:], num_i[:] = _mul(ab[..., 0].real, ab[..., 0].imag, xr, xi)
-        den_r[:], den_i[:] = _mul(ab[..., 1].real, ab[..., 1].imag, xr, xi)
-        bits = args.view(np.uint64)  # the real and imaginary parts' bits, in turn
-        moved = bits != bits[:, refs]
-        own = moved[..., 0::2] | moved[..., 1::2] | (refs == np.arange(rows))[:, None]
-        v, bad = np.zeros(args.shape, dtype=complex), np.zeros(args.shape, dtype=bool)
-        v[own], bad[own] = _theta_lanes(args[own], p)
-        v, bad = np.where(own, v, v[:, refs]), np.where(own, bad, bad[:, refs])
-        tr, ti = _quot(v.real[0], v.imag[0], v.real[1], v.imag[1])
-        out_r, out_i = ratio.real, ratio.imag
-        for c in range(width):
-            out_r, out_i = _mul(out_r, out_i, tr[:, c], ti[:, c])
-    h = np.empty(rows, dtype=complex)
-    h.real, h.imag = out_r, out_i
-    fail = (bad[0] | bad[1] | (v[1] == 0)).any(axis=1)
-    return [None if f else value for value, f in zip(h.tolist(), fail.tolist())]
-
-
-def _h_point(h: tuple, xs, p: complex) -> complex:
-    """h_l of h, a (ratio, columns) of _lattice_h or _form_h, at the point
-    xs: one row of _h_rows bit for bit, as it forms each X and each quotient
-    in the same order with CPython's arithmetic, which _h_rows ports (numpy
-    scalars in xs are read as Python complex, as numpy's own complex
-    arithmetic may round differently). It raises where that row has no
-    value: as theta does on the first argument it fails at, or PoleError on
-    a denominator theta of 0."""
-    ratio, columns = h
-    value, factors, xs = ratio, {}, [complex(x) for x in xs]
-    for e, a, b in columns:
-        if e not in factors:
-            parts = (x if k == 1 else x * x if k == 2 else complex(1.0, 0.0) / x for x, k in zip(xs, e) if k)
-            factors[e] = functools.reduce(operator.mul, parts)
-        num = 1.0 if a is None else theta(a * factors[e], p)
-        den = 1.0 if b is None else theta(b * factors[e], p)
-        if den == 0:
-            raise PoleError("h_l reads a denominator theta of 0")
-        value *= num / den
-    return value
 
 
 def _multi_h(params, l: int, lam_mult) -> complex:

@@ -28,7 +28,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import FloatRangeError, PoleError
-from .theta import ModularPair, Nome, _theta_list, elliptic_number_zero_index, theta, theta1, theta_many
+from .theta import ModularPair, Nome, _theta_list, elliptic_number_zero_index, theta, theta1
 
 
 # a structural zero keeps finite part 1, so a finite part of 0 has
@@ -164,11 +164,11 @@ class FactorTable:
 
     def prefetch(self, args: Iterable[complex], distance: float | None = None) -> bool:
         """Evaluate every argument not yet in the table in one theta_many
-        batch and return True. An argument theta raises on is left out, so
-        factor raises on it as theta_factor does. Given a distance, return
-        False, having evaluated nothing, where _theta_lanes refuses the batch."""
-        missing, p = [arg for arg in dict.fromkeys(args) if arg not in self._factors], self.nome.p
-        values = theta_many(missing, p) if distance is None else _theta_list(missing, p, distance)
+        batch (_theta_list) and return True. An argument theta raises on is
+        left out, so factor raises on it as theta_factor does. Given a
+        distance, return False, having evaluated nothing, where it refuses."""
+        missing = [arg for arg in dict.fromkeys(args) if arg not in self._factors]
+        values = _theta_list(missing, self.nome.p, distance)
         for arg, value in zip(missing, values or ()):
             if value is not None:
                 self._factors[arg] = _factor_pair(value)

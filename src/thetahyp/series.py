@@ -29,26 +29,28 @@ multiplies each quotient (a)_n / (b)_n in turn. A closed form or
 prefactor, the identities' and ge_split_check's, is the same kind of
 product: _closed describes it as a rank-1 _Multisum read at one point.
 eval_basic and eval_vwp_additive stay apart: they are the independent
-checks, and term_ratio_at, which multiplies its theta factors' (finite_part,
-order) pairs directly: reading it through a one-point description made
-each call 28-44% slower (3-parameter E spec, Python 3.11, 2 CPUs). At one
-point it is a scalar loop; on an array of points (_term_ratios, which
-check_ellipticity reads) it forms the same products and quotients in the
-same order from one _theta_lanes batch. A one-point batch took 343 us
-against the loop's 28 us (3-over-2 E spec, Python 3.11, 2 CPUs), so the loop
-stays for single points and redraws.
+checks. Every term ratio is one (ratio, columns), h = ratio * prod
+theta(a X) / theta(b X), from _lattice_h, _eg_desc (term_ratio_at) or
+ellipticity._form_h, read by one scalar loop (_h_point) at a point and
+one batch (_h_rows) on an array of points, a batch row equal to the loop
+bit for bit. Both cancel orders: each theta value is a (finite_part,
+order) pair, so a numerator theta's structural zero cancels a
+denominator theta's, and only a net pole is a pole.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import FloatRangeError, NonConvergenceError, ThetaDomainError
+import numpy as np
+
+from .errors import FloatRangeError, NonConvergenceError, PoleError, ThetaDomainError
 from .factorials import _UNDERFLOWED, ONE, FactorialValue, FactorTable, _factor_pair
 from .report import JsonFields, VerificationReport, _str_from_json
 from .theta import (
@@ -182,90 +184,47 @@ def _integer_alpha(spec: ThetaSeriesSpec) -> int | None:
     return int(alpha.real) if alpha.imag == 0 and alpha.real.is_integer() else None
 
 
-def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
-    """h at the multiplicative argument w (q^n continued): the quotients
-    theta(a_m w) / theta(b_m w) multiplied in turn, so that no product of
-    theta factors leaves the float64 range where h does not; FloatRangeError
-    where h is not finite. Needs integer alpha unless n is given.
-
-    Given a 1-D complex array w and no n, it returns the array of h at each
-    point, each equal to the value at that point alone bit for bit, and NaN
-    at a point where that call raises (_term_ratios); a non-integer alpha
-    raises ValueError there too.
-
-    This stays apart from the theta columns every other term ratio reads
-    (ellipticity._h_point): its factors are theta_factor's (finite_part,
-    order) pairs, multiplied and divided as FactorialValue does, whose
-    orders cancel a structural zero of a numerator factor against one of
-    a denominator factor where the column loop would raise PoleError, on
-    numerator and denominator lists of unequal length; and it carries the
-    q^{alpha n} factor of an integer index n. A FactorialValue is built
-    only for the product, to read its value."""
-    _expect(spec, ThetaSeriesSpec, "term_ratio_at")
-    if n is None and getattr(w, "ndim", 0) == 1:
-        return _term_ratios(spec, w)
-    nome = spec.nome
-    part, order = 1.0 + 0j, 0
-    for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()):
-        if a is not None:
-            factor, zero = _factor_pair(theta(a * w, nome.p))
-            part, order = part * factor, order + zero
-        if b is not None:
-            factor, zero = _factor_pair(theta(b * w, nome.p))  # a finite part is never 0
-            part, order = part / factor, order - zero
-    if n is not None:
-        expo = nome.q ** (spec.alpha * n)
-    elif (k := _integer_alpha(spec)) is not None:
-        expo = w**k
-    else:
+def _alpha_power(spec: ThetaSeriesSpec) -> int:
+    """spec's alpha as the integer power w^alpha takes; ValueError where it is not an integer."""
+    if (k := _integer_alpha(spec)) is None:
         raise ValueError("term_ratio_at requires integer alpha for non-integer arguments")
-    value = FactorialValue(part, order).value * expo * spec.z
+    return k
+
+
+def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
+    """h at the multiplicative argument w (q^n continued): the columns
+    ((1,), a, b) of _eg_desc(spec)'s one block read by _h_point at ratio 1,
+    times q^{alpha n} or w^alpha, then z; FloatRangeError where h is not
+    finite, and PoleError on a net pole, after the ValueError of a
+    non-integer alpha, which only n lifts.
+
+    Given a 1-D complex array w and no n, it reads the columns by one
+    _h_rows call, non-integer alpha raising first, and applies w^alpha and
+    z a point at a time: each point is its value alone bit for bit, or NaN
+    where that call raises."""
+    _expect(spec, ThetaSeriesSpec, "term_ratio_at")
+    [(_, pairs)] = _eg_desc(spec).blocks
+    h = (1.0 + 0j, [(e, a, b) for a, b, e in pairs])
+    if n is None and getattr(w, "ndim", 0) == 1:
+        k, w = _alpha_power(spec), np.asarray(w, dtype=complex)
+        nan, out = complex(math.nan, math.nan), []
+        for value, x in zip(_h_rows([h], np.zeros(len(w), dtype=np.intp), w[:, None], spec.nome.p), w.tolist()):
+            try:
+                value = nan if value is None else value * x**k * spec.z
+            except (OverflowError, ZeroDivisionError):
+                value = nan
+            out.append(value if cmath.isfinite(value) else nan)
+        return np.array(out, dtype=complex)
+    try:
+        value = _h_point(h, (w,), spec.nome.p)
+    except PoleError:
+        if n is None:
+            _alpha_power(spec)  # a non-integer alpha raises before the pole
+        raise
+    value = value * (spec.nome.q ** (spec.alpha * n) if n is not None else w ** _alpha_power(spec)) * spec.z
     if cmath.isfinite(value):
         return value
     raise FloatRangeError(f"the term ratio at w = {w} leaves the float64 range")
-
-
-def _term_ratios(spec: ThetaSeriesSpec, w):
-    """term_ratio_at at each point of the 1-D array w, NaN where it raises.
-
-    Every theta(a_m w) and theta(b_m w) is evaluated in one _theta_lanes
-    pass, and their (finite_part, order) pairs are multiplied and divided
-    in the scalar loop's order, from 1 + 0j, each complex product and
-    quotient formed as CPython forms it (_mul, _quot), so the orders cancel
-    as they do for one point. w^alpha and z are applied a point at a time
-    with CPython's own arithmetic. numpy is imported here, as _theta_lanes
-    imports it, so that ``import thetahyp`` loads it no earlier."""
-    import numpy as np
-
-    k = _integer_alpha(spec)
-    if k is None:
-        raise ValueError("term_ratio_at requires integer alpha for non-integer arguments")
-    w = np.asarray(w, dtype=complex)
-    pairs = itertools.zip_longest(spec.numerator, spec.effective_denominator())
-    steps = [(t, sign) for pair in pairs for t, sign in zip(pair, (1, -1)) if t is not None]
-    ts = np.array([t for t, _ in steps], dtype=complex)[:, None]
-    args = np.empty((len(steps), len(w)), dtype=complex)
-    with np.errstate(all="ignore"):
-        args.real, args.imag = _mul(ts.real, ts.imag, w.real, w.imag)
-        values, raises = (lanes.reshape(args.shape) for lanes in _theta_lanes(args.ravel(), spec.nome.p))
-        zero = values == 0  # theta's exact 0j on a lattice zero: the pair (1 + 0j, 1)
-        values[zero] = 1.0
-        part_r, part_i, order = np.ones(len(w)), np.zeros(len(w)), np.zeros(len(w), dtype=int)
-        for (_, sign), value, at_zero in zip(steps, values, zero):
-            part_r, part_i = (_mul if sign > 0 else _quot)(part_r, part_i, value.real, value.imag)
-            order += sign * at_zero
-    nan = complex(math.nan, math.nan)
-    out = []
-    points = zip(part_r.tolist(), part_i.tolist(), order.tolist(), raises.any(axis=0).tolist(), w.tolist())
-    for re, im, net, bad, x in points:
-        value = nan
-        if not bad and net >= 0:
-            try:
-                value = (0j if net else complex(re, im)) * x**k * spec.z
-            except (OverflowError, ZeroDivisionError):
-                pass
-        out.append(value if cmath.isfinite(value) else nan)
-    return np.array(out, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +319,8 @@ class _Multisum:
     E, G and very-well-poised coefficients (_eg_desc, _vwp_desc) and the
     closed forms (_closed).
     _LatticeTerms evaluates it at integer points and lists the theta
-    arguments of its distinct parts for one batch; ellipticity._lattice_h
-    reads off the term ratios h_l = c(lam + e_l) / c(lam)."""
+    arguments of its distinct parts for one batch; _lattice_h reads off
+    the term ratios h_l = c(lam + e_l) / c(lam)."""
 
     cross: dict[tuple[int, int], tuple[tuple, tuple]]
     blocks: tuple[tuple[tuple, tuple], ...]
@@ -525,6 +484,139 @@ def _eg_desc(spec: ThetaSeriesSpec) -> _Multisum:
     q, alpha, z = spec.nome.q, spec.alpha, spec.z
     pairs = tuple((a, b, (1,)) for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()))
     return _Multisum({}, (((), pairs),), lambda lam: q ** (alpha * lam[0] * (lam[0] - 1) / 2.0) * z ** lam[0])
+
+
+def _lattice_h(descs: list, l: int, q: complex) -> list[tuple[complex, list[tuple]]]:
+    """h_l = c(lam + e_l) / c(lam) of each _Multisum in descs, which differ
+    only in their constants, for the 1-based index l as (ratio, columns):
+    h_l(xs) = ratio * prod theta(a X) / theta(b X) over the monomial
+    columns (e, a, b) in order, with xs = [q^{lam_j}] and X = prod_j
+    x_j^{e_j}, e over all n indices. A head (c, e) gives (e, c q^{e_l}, c),
+    a pair (a, b, e) gives (e, a, b) when e_l = 1, (e, b / q, a / q) when
+    e_l = -1 and nothing when e_l = 0, and ratio is scalar(e_l) /
+    scalar(0). Under x_k -> p x_k a column gains (b / a)^{e_k}, as theta(p^m
+    y) = (-1)^m y^{-m} p^{-m(m-1)/2} theta(y). The columns touch only the
+    parts that contain l, and their e depend only on the family, its rank
+    and l, so they are widened once, from the first desc, and every desc
+    adds its constants (a, b)."""
+    n, i = len(descs[0].blocks), l - 1
+    slots = [(min(i, j), max(i, j)) for j in range(n) if j != i] + [(i,)]
+    parts = [[desc.cross[slot] if len(slot) == 2 else desc.blocks[i] for slot in slots] for desc in descs]
+    wide = [([_widen(e, slot, n) for _, e in heads], [_widen(e, slot, n) for *_, e in pairs])
+            for slot, (heads, pairs) in zip(slots, parts[0])]
+    hs = []
+    for desc, desc_parts in zip(descs, parts):
+        ratio = desc.scalar(tuple(int(j == i) for j in range(n))) / desc.scalar((0,) * n)
+        columns = []
+        for slot, (heads, pairs), (head_es, pair_es) in zip(slots, desc_parts, wide):
+            at = slot.index(i)
+            columns += [(w, c * q ** e[at], c) for (c, e), w in zip(heads, head_es)]
+            for (a, b, e), w in zip(pairs, pair_es):
+                if e[at]:
+                    columns.append((w, a, b) if e[at] == 1 else (w, b / q, a / q))
+        hs.append((ratio, columns))
+    return hs
+
+
+def _widen(e: tuple[int, ...], idx: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The exponents e of the indices idx as a vector over all n indices."""
+    return tuple(e[idx.index(j)] if j in idx else 0 for j in range(n))
+
+
+def _power(x, e: int):
+    """The parts of x ** e for e in (1, 2, -1), formed as x, x * x and 1 / x."""
+    if e == 1:
+        return x.real, x.imag
+    if e == 2:
+        return _mul(x.real, x.imag, x.real, x.imag)
+    if e == -1:
+        return _quot(1.0, 0.0, x.real, x.imag)
+    raise ValueError(f"no exponent {e} in a term ratio column")
+
+
+def _h_rows(hs: list[tuple], sets, points, p: complex, refs=None) -> list:
+    """h at each row r, the (ratio, columns) hs[sets[r]] at the point
+    points[r], a row of coordinates, as _h_point reads it: every set shares
+    its columns' e and their sides of None. A row where theta raises on an
+    argument, or whose orders leave a net pole, is None, where _h_point
+    raises; a net zero is 0j.
+
+    The rows are float64 arrays and every complex product and quotient is
+    formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
+    = x x and x^-1 = 1 / x once per distinct e, then num = a X and den = b
+    X for every column of every row. Every argument of a side that is not
+    None is evaluated in one _theta_lanes pass; an exact 0 counts an order
+    and reads 1 + 0j, as does a side of None. Given refs, each row r is
+    paired with a reference row refs[r], a row that is its own reference,
+    and evaluates only the lanes whose argument bits differ from its
+    reference row's in the same lane; each other lane reads the reference
+    row's value. Each row then multiplies ratio by each column's quotient
+    theta(num) / theta(den), in order."""
+    columns = hs[0][1]
+    rows, es, xs = len(points), list(dict.fromkeys(e for e, *_ in columns)), np.asarray(points, dtype=complex).T
+    # (side, column, row): numpy reads a side of None as NaN
+    ab = np.array([[[a for _, a, _ in cols], [b for *_, b in cols]] for _, cols in hs], dtype=complex)
+    ab = ab.transpose(1, 2, 0)[..., sets]
+    present, ratio = ~np.isnan(ab), np.array([r for r, _ in hs], dtype=complex)[sets]
+    with np.errstate(all="ignore"):
+        parts = []
+        for e in es:
+            out, *rest = [_power(x, k) for x, k in zip(xs, e) if k]
+            for part in rest:
+                out = _mul(*out, *part)
+            parts.append(out)
+        at = [es.index(e) for e, *_ in columns]
+        xr, xi = (np.array([parts[k][side] for k in at]).reshape(len(at), rows) for side in (0, 1))
+        args = np.empty(ab.shape, dtype=complex)
+        args.real, args.imag = _mul(ab.real, ab.imag, xr, xi)
+        own = present
+        if refs is not None:
+            refs = np.asarray(refs, dtype=np.intp)
+            re, im = args.real.view(np.uint64), args.imag.view(np.uint64)
+            own = present & ((re != re[..., refs]) | (im != im[..., refs]) | (refs == np.arange(rows)))
+        if own.all():
+            v, bad = (lanes.reshape(args.shape) for lanes in _theta_lanes(args.ravel(), p))
+        else:
+            v, bad = np.ones(args.shape, dtype=complex), np.zeros(args.shape, dtype=bool)
+            v[own], bad[own] = _theta_lanes(args[own], p)
+        if refs is not None:
+            v, bad = np.where(own, v, v[..., refs]), np.where(own, bad, bad[..., refs])
+        order = np.zeros(rows, dtype=int)
+        if (zero := v == 0).any():  # theta's exact 0j on a lattice zero: the pair (1 + 0j, 1)
+            v[zero], order = 1.0, zero[0].sum(axis=0) - zero[1].sum(axis=0)
+        tr, ti = _quot(v.real[0], v.imag[0], v.real[1], v.imag[1])
+        out = ratio.real, ratio.imag
+        for column in zip(tr, ti):
+            out = _mul(*out, *column)
+    h = np.empty(rows, dtype=complex)
+    h.real, h.imag = out
+    fail = bad.any(axis=(0, 1)) | (order < 0)
+    return [None if f else 0j if o else value for value, f, o in zip(h.tolist(), fail.tolist(), order.tolist())]
+
+
+def _h_point(h: tuple, xs, p: complex) -> complex:
+    """h, a (ratio, columns) of _lattice_h, _form_h or term_ratio_at, at the
+    point xs: one row of _h_rows bit for bit, as it forms each X, each
+    theta's (finite_part, order) pair and each quotient in the same order
+    with CPython's arithmetic, which _h_rows ports (numpy scalars in xs are
+    read as Python complex, as numpy's own complex arithmetic may round
+    differently). A side of None reads complex(1.0, 0.0) with no theta
+    call, as the float 1.0 would take another path from Python 3.14 on.
+    It raises where that row has no value: as theta does on the first
+    argument it fails at, or PoleError where the orders leave a net pole;
+    a net zero is 0j."""
+    ratio, columns = h
+    value, order, factors, xs, one = ratio, 0, {}, [complex(x) for x in xs], (complex(1.0, 0.0), 0)
+    for e, a, b in columns:
+        if e not in factors:
+            parts = (x if k == 1 else x * x if k == 2 else complex(1.0, 0.0) / x for x, k in zip(xs, e) if k)
+            factors[e] = functools.reduce(operator.mul, parts)
+        num, top = one if a is None else _factor_pair(theta(a * factors[e], p))
+        den, bottom = one if b is None else _factor_pair(theta(b * factors[e], p))
+        value, order = value * (num / den), order + top - bottom
+    if order < 0:
+        raise PoleError(f"h reads a net pole of order {-order}")
+    return 0j if order else value
 
 
 def _evaluate(

@@ -30,10 +30,10 @@ from thetahyp import (
     vwp_canonical_h,
 )
 from thetahyp import FloatRangeError, PoleError, ellipticity, identities, series
-from thetahyp.ellipticity import _h_point, _h_rows, _lattice_h, multi1_h, multi2_h
+from thetahyp.ellipticity import multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
 from thetahyp.identities import FTParams, Multi1Params, Multi2Params, _unchecked_replace
-from thetahyp.series import VwpSpec, _LatticeTerms, _vwp_desc
+from thetahyp.series import VwpSpec, _h_point, _h_rows, _lattice_h, _LatticeTerms, _vwp_desc
 
 NOME = Nome(0.35 + 0.1j, 0.25 + 0.05j)
 PAIR = ModularPair(0.04 + 0.3j, 0.08 + 0.45j)
@@ -138,17 +138,21 @@ class TestEllipticityCheck:
             rep = check_ellipticity(fn, NOME, samples=samples)
         return (rep.max_rel_dev.hex(), rep.sample_count, rep.passed), passes, len(scalar)
 
-    def test_a_spec_check_is_one_theta_pass(self, monkeypatch):
+    @pytest.mark.parametrize("kind, lanes, elliptic", [("unilateral_E", 6, True), ("bilateral_G", 5, False)])
+    def test_a_spec_check_is_one_theta_pass(self, monkeypatch, kind, lanes, elliptic):
         # the check reads term_ratio_at's one array call: a single pass over
-        # the theta factors, r + s = 3 + (2 + q) a point, of the samples
-        # points and their p-shifts. A fault in that path falls back to the
-        # scalar calls with the same report, so only the counts can tell.
-        spec, samples = balanced_spec(np.random.default_rng(1)), 15
+        # the theta factors, r + s a point, 3 + (2 + q) for the E spec and 3
+        # + 2 for the G spec, whose third column has no denominator and
+        # spends no lane on it, of the samples points and their p-shifts.
+        # That G ratio gains a factor 1/w under w -> p w, so its check
+        # fails. A fault in that path falls back to the scalar calls with
+        # the same report, so only the counts can tell.
+        spec, samples = dataclasses.replace(balanced_spec(np.random.default_rng(1)), kind=kind), 15
         batched = self._run(monkeypatch, lambda w: term_ratio_at(spec, w), samples)
         scalar = self._run(monkeypatch, lambda w: term_ratio_at(spec, complex(w)), samples)
-        assert batched == (scalar[0], [2 * samples * 6], 0)
-        assert scalar[1:] == ([], 2 * samples * 6)
-        assert batched[0][2]
+        assert batched == (scalar[0], [2 * samples * lanes], 0)
+        assert scalar[1:] == ([], 2 * samples * lanes)
+        assert batched[0][2] == elliptic
 
     def test_a_vectorized_callable_is_read_from_its_batch(self):
         # any callable that takes an array is called once, on the points and
@@ -221,7 +225,7 @@ def scalar_total_ellipticity(build, params, pair, samples=10, tol=1e-9, seed=0):
 
     def h(ps):
         columns = ellipticity._form_h(build(ps))
-        return lambda xs: ellipticity._h_point(columns, xs, pair.p)
+        return lambda xs: _h_point(columns, xs, pair.p)
 
     base = h(params)
     shifts = [("index_p_shift", lambda xs: base((pair.p * xs[0],)))]
@@ -249,7 +253,7 @@ class TestTotalEllipticityWPBatch:
         _theta_lanes passes and rows read by the scalar loop _h_point. draw,
         when given, stands in for the stream's map of a row of draws to a
         point: draw(point, row)."""
-        draws, theta_lanes, scalar_h = ellipticity._draws, ellipticity._theta_lanes, ellipticity._h_point
+        draws, theta_lanes, scalar_h = ellipticity._draws, series._theta_lanes, ellipticity._h_point
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -263,7 +267,7 @@ class TestTotalEllipticityWPBatch:
 
         with monkeypatch.context() as m:
             m.setattr(ellipticity, "_draws", counting_draws)
-            m.setattr(ellipticity, "_theta_lanes", counting("passes", theta_lanes))
+            m.setattr(series, "_theta_lanes", counting("passes", theta_lanes))
             m.setattr(ellipticity, "_h_point", counting("scalar", scalar_h))
             reports = check(*args, seed=seed)
         bits = [(r.shift_kind, r.max_rel_dev.hex(), r.sample_count, r.passed) for r in reports]
@@ -418,7 +422,7 @@ class TestTotalEllipticityMulti:
     def test_a_column_exponent_past_the_term_ratios_raises(self):
         # a term ratio's column raises each x_j to 1, 2 or -1 only
         with pytest.raises(ValueError, match="no exponent 3"):
-            ellipticity._power(np.array([0.5 + 0.1j]), 3)
+            series._power(np.array([0.5 + 0.1j]), 3)
 
     @pytest.mark.parametrize(
         "h, sample",
@@ -476,7 +480,7 @@ class TestSharedLanes:
     @pytest.mark.parametrize("seed", range(4))
     def test_each_distinct_argument_is_evaluated_once(self, monkeypatch, family, seed):
         check = self.CHECKS[family](seed)
-        h_rows, theta_lanes, batches, passes = ellipticity._h_rows, ellipticity._theta_lanes, [], []
+        h_rows, theta_lanes, batches, passes = ellipticity._h_rows, series._theta_lanes, [], []
 
         def recording_h_rows(hs, sets, points, p, refs):
             batches.append((hs, sets, points, p, h_rows(hs, sets, points, p, refs)))
@@ -488,7 +492,7 @@ class TestSharedLanes:
 
         with monkeypatch.context() as m:
             m.setattr(ellipticity, "_h_rows", recording_h_rows)
-            m.setattr(ellipticity, "_theta_lanes", recording_theta_lanes)
+            m.setattr(series, "_theta_lanes", recording_theta_lanes)
             reports = check(seed=seed)
         [(hs, sets, points, p, rows)], [lanes] = batches, passes
         assert all(rep.passed for rep in reports)
@@ -501,11 +505,12 @@ class TestSharedLanes:
 
 
 class TestScalarLoop:
-    """Every single-point h (h_eval, vwp_canonical_h, multi1_h, multi2_h and
-    each row a check's batch lacks) reads the scalar loop _h_point, which
-    must be an _h_rows row bit for bit. The batch ports CPython's complex
-    arithmetic (_mul, _quot), so this holds only where that port does: on
-    every CPython, numpy and platform the package supports."""
+    """Every single-point h (term_ratio_at, h_eval, vwp_canonical_h,
+    multi1_h, multi2_h and each row a check's batch lacks) reads the scalar
+    loop _h_point, which must be an _h_rows row bit for bit. The batch
+    ports CPython's complex arithmetic (_mul, _quot), so this holds only
+    where that port does: on every CPython, numpy and platform the package
+    supports."""
 
     FAMILIES = {
         "multi1": (multi1_h, Multi1Params._lattice, lambda seed, n: sample_multi1(seed, n, 2, NOME)),
@@ -527,7 +532,7 @@ class TestScalarLoop:
                 hs = _lattice_h([describe(params)], l, NOME.q)
                 rows = _h_rows(hs, [0] * len(points), points, NOME.p, list(range(len(points))))
                 with monkeypatch.context() as m:
-                    m.setattr(ellipticity, "_theta_lanes", lambda zs, p: passes.append(len(zs)))
+                    m.setattr(series, "_theta_lanes", lambda zs, p: passes.append(len(zs)))
                     for xs, row in zip(points, rows):
                         if row is None:
                             with pytest.raises((PoleError, FloatRangeError)):
@@ -536,6 +541,26 @@ class TestScalarLoop:
                             got = h(params, l, list(xs))
                             assert (got.real.hex(), got.imag.hex()) == (row.real.hex(), row.imag.hex()), (n, l, xs)
         assert passes == []
+
+    def test_cancelled_zeros_and_absent_sides_read_alike(self):
+        # at x = -u, [x + u] and [x + v] with v = u + tau/sigma vanish
+        # together, so their orders cancel to a finite h where a lone zero
+        # of the denominator was a pole; and a form with r != s has columns
+        # with a side of None, which both readers read as 1 + 0j
+        u = 0.1 + 0.05j
+        form = HForm((u, 0.3), (u + PAIR.tau / PAIR.sigma, 0.25), 0j, 0.7 + 0.2j, PAIR)
+        value = h_eval(form, -u)
+        at = (ellipticity._q_power(PAIR.sigma, -u),)
+        [row] = _h_rows([ellipticity._form_h(form)], [0], [at], PAIR.p)
+        assert cmath.isfinite(value) and value != 0
+        assert _bits(row) == _bits(_h_point(ellipticity._form_h(form), at, PAIR.p)) == _bits(value)
+        rng = np.random.default_rng(5)
+        for zeros, poles in (((0.1 + 0.05j, -0.2, 0.3j), (0.15,)), ((0.2 - 0.1j,), (0.1, -0.25 + 0.1j, 0.05j))):
+            h = ellipticity._form_h(HForm(zeros, poles, 0j, 0.6 - 0.3j, PAIR))
+            points = [(ellipticity._q_power(PAIR.sigma, complex(*rng.uniform(-0.45, 0.45, 2))),) for _ in range(12)]
+            rows = _h_rows([h], [0] * len(points), points, PAIR.p)
+            assert None not in rows
+            assert [_bits(row) for row in rows] == [_bits(_h_point(h, xs, PAIR.p)) for xs in points]
 
 
 def _index_multipliers(desc, n):

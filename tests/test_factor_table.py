@@ -454,14 +454,14 @@ def _batched_values(arg) -> list:
 def test_sum_reads_its_factors_from_one_batch(monkeypatch, case):
     make, lanes = BATCHED[case]
     arg = make()
-    batches, batch = [], factorials.theta_many
+    batches, batch = [], factorials._theta_list
 
-    def recording(zs, p):
+    def recording(zs, p, distance=None):
         batches.append(len(zs))
-        return batch(zs, p)
+        return batch(zs, p, distance)
 
     with monkeypatch.context() as m:
-        m.setattr(factorials, "theta_many", recording)
+        m.setattr(factorials, "_theta_list", recording)
         scalar = _count_calls(monkeypatch, factorials, "theta", lambda: _batched_values(arg))
     assert (batches, scalar) == ([lanes], 0)
 
@@ -555,9 +555,9 @@ def test_early_raising_sum_batches_only_the_terms_it_reads(monkeypatch):
     # terms were listed before, a batch of 4,456 lanes. A term reads at most
     # 9 new arguments here: its head and one per factorial base.
     spec = VwpSpec(0.5 + 0.2j, (0.6 + 0.1j, 0.4 + 0.1j, 0.5 - 0.3j), 0.3 - 0.1j, NOME, "unilateral")
-    batches, batch = [], factorials.theta_many
+    batches, batch = [], factorials._theta_list
     with monkeypatch.context() as m:
-        m.setattr(factorials, "theta_many", lambda zs, p: batches.append(len(zs)) or batch(zs, p))
+        m.setattr(factorials, "_theta_list", lambda zs, p, distance: batches.append(len(zs)) or batch(zs, p, distance))
         with pytest.raises(FloatRangeError, match="term 18 of the series is not finite"):
             eval_vwp(spec, trunc=600)
     assert len(batches) == 1 and batches[0] <= 22 * 9
@@ -640,10 +640,10 @@ def _count_calls(monkeypatch, owner, name, fn) -> int:
 
 
 def _count_theta_calls(monkeypatch, fn) -> int:
-    """Theta evaluations: scalar theta calls plus the lanes of theta_many
-    batches, of the sampler's guarded batches, none where the guard refuses
-    one, and of the ellipticity checks' and term_ratio_at's _theta_lanes
-    passes."""
+    """Theta evaluations: scalar theta calls plus the lanes of every table
+    prefetch's _theta_list batch, none where the sampler's guard refuses
+    one, and of the _theta_lanes passes of the term ratios' batch reader
+    _h_rows, which the ellipticity checks and term_ratio_at read."""
     count, theta_list = 0, factorials._theta_list
 
     def counting(evaluate, evaluations):
@@ -661,12 +661,10 @@ def _count_theta_calls(monkeypatch, fn) -> int:
         return values
 
     with monkeypatch.context() as m:
-        for owner in (factorials, ellipticity, series):
+        for owner in (factorials, series):
             m.setattr(owner, "theta", counting(owner.theta, lambda z, p: 1))
-        m.setattr(factorials, "theta_many", counting(factorials.theta_many, lambda zs, p: len(zs)))
         m.setattr(factorials, "_theta_list", guarded)
-        for owner in (ellipticity, series):
-            m.setattr(owner, "_theta_lanes", counting(owner._theta_lanes, lambda zs, p: len(zs)))
+        m.setattr(series, "_theta_lanes", counting(series._theta_lanes, lambda zs, p: len(zs)))
         fn()
     return count
 
@@ -846,13 +844,13 @@ def _balanced_e_spec(seed: int, z: complex = 0.4 + 0.1j) -> ThetaSeriesSpec:
 # most points passes 1e12, so 68 of the 80 points drawn are redrawn, one rng
 # call each.
 SPEC_ELLIPTICITY = [
-    ((0, 5, 0.4 + 0.1j), ("0x1.46bbeb247d8c8p-49", 5, 60)),
-    ((1, 8, 0.4 + 0.1j), ("0x1.d950ca2990b6cp-49", 8, 96)),
-    ((2, 11, 0.4 + 0.1j), ("0x1.cfbbfec62ffb0p-49", 11, 132)),
-    ((3, 14, 0.4 + 0.1j), ("0x1.77df7533a110dp-49", 14, 168)),
+    ((0, 5, 0.4 + 0.1j), ("0x1.4f4d5bb4b8ba2p-49", 5, 60)),
+    ((1, 8, 0.4 + 0.1j), ("0x1.d0f8250d863a3p-49", 8, 96)),
+    ((2, 11, 0.4 + 0.1j), ("0x1.c942471bbb790p-49", 11, 132)),
+    ((3, 14, 0.4 + 0.1j), ("0x1.5e311e38c0a82p-49", 14, 168)),
     ((4, 17, 0.4 + 0.1j), ("0x1.daf0fb59095c7p-49", 17, 204)),
-    ((5, 20, 0.4 + 0.1j), ("0x1.1c58a51496952p-48", 20, 240)),
-    ((6, 12, 1e12 + 0j), ("0x1.88fb45b202155p-48", 12, 960)),
+    ((5, 20, 0.4 + 0.1j), ("0x1.290afe783dac1p-48", 20, 240)),
+    ((6, 12, 1e12 + 0j), ("0x1.9213e00d4a098p-48", 12, 960)),
 ]
 
 
@@ -894,7 +892,7 @@ def test_ellipticity_does_each_points_work_once(monkeypatch, case):
     params = sample()
     batches, pairs, passes = [], [], 0
     draws = built = 0
-    h_rows, theta_lanes = ellipticity._h_rows, ellipticity._theta_lanes
+    h_rows, theta_lanes = ellipticity._h_rows, series._theta_lanes
     rand_mult_args, init = ellipticity._rand_mult_args, FactorialValue.__init__
 
     def counting_h_rows(hs, sets, points, p, refs):
@@ -919,7 +917,7 @@ def test_ellipticity_does_each_points_work_once(monkeypatch, case):
 
     with monkeypatch.context() as m:
         m.setattr(ellipticity, "_h_rows", counting_h_rows)
-        m.setattr(ellipticity, "_theta_lanes", counting_theta_lanes)
+        m.setattr(series, "_theta_lanes", counting_theta_lanes)
         m.setattr(ellipticity, "_rand_mult_args", counting_rand_mult_args)
         m.setattr(FactorialValue, "__init__", counting_init)
         reports = check(params, seed=seed)

@@ -143,13 +143,12 @@ class TestCoefficients:
 
     @staticmethod
     def _by_theta_factors(spec, w, n=None):
-        """term_ratio_at as the product of theta_factor values, retyped."""
-        ratio = FactorialValue(1.0 + 0j)
+        """term_ratio_at as the product of theta_factor quotients, one per
+        column (a, b), an absent side read as 1 + 0j, retyped."""
+        ratio, one = FactorialValue(1.0 + 0j), FactorialValue(1.0 + 0j)
         for a, b in itertools.zip_longest(spec.numerator, spec.effective_denominator()):
-            if a is not None:
-                ratio = ratio * theta_factor(a * w, spec.nome.p)
-            if b is not None:
-                ratio = ratio / theta_factor(b * w, spec.nome.p)
+            num = one if a is None else theta_factor(a * w, spec.nome.p)
+            ratio = ratio * (num / (one if b is None else theta_factor(b * w, spec.nome.p)))
         alpha = complex(spec.alpha)
         if n is not None:
             expo = spec.nome.q ** (spec.alpha * n)
@@ -189,10 +188,9 @@ class TestCoefficients:
         return cases
 
     def test_term_ratio_at_is_the_theta_factor_product_bit_for_bit(self):
-        # term_ratio_at multiplies (finite_part, order) pairs and builds one
-        # FactorialValue at the end; the theta_factor product it replaced is
-        # the reference, off the lattice, at lattice points and past the
-        # float64 range
+        # term_ratio_at multiplies each column's quotient of (finite_part,
+        # order) pairs in turn; the theta_factor product is the reference,
+        # off the lattice, at lattice points and past the float64 range
         rng = np.random.default_rng(29)
         cases = self._lattice_cases(rng)
         for k in range(120):
