@@ -33,9 +33,11 @@ checks. Every term ratio is one (ratio, columns), h = ratio * prod
 theta(a X) / theta(b X), from _lattice_h, _eg_desc (term_ratio_at) or
 ellipticity._form_h, read by one scalar loop (_h_point) at a point and
 one batch (_h_rows) on an array of points, a batch row equal to the loop
-bit for bit. Both cancel orders: each theta value is a (finite_part,
-order) pair, so a numerator theta's structural zero cancels a
-denominator theta's, and only a net pole is a pole.
+bit for bit. A denominator theta of 0 is a pole there, as a cancelled
+finite part is not the limit of h: theta(y) / theta(p^m y) is (-1)^m y^m
+p^(m(m-1)/2), not 1. term_ratio_at alone reads its columns with cancel
+set, keeping the convention of FactorialValue's coefficients: each theta
+value is a (finite_part, order) pair, and only a net pole is a pole.
 """
 
 from __future__ import annotations
@@ -193,35 +195,40 @@ def _alpha_power(spec: ThetaSeriesSpec) -> int:
 
 def term_ratio_at(spec: ThetaSeriesSpec, w: complex, n: int | None = None) -> complex:
     """h at the multiplicative argument w (q^n continued): the columns
-    ((1,), a, b) of _eg_desc(spec)'s one block read by _h_point at ratio 1,
-    times q^{alpha n} or w^alpha, then z; FloatRangeError where h is not
-    finite, and PoleError on a net pole, after the ValueError of a
-    non-integer alpha, which only n lifts.
+    ((1,), a, b) of _eg_desc(spec)'s one block read by _h_point at ratio 1
+    with orders cancelled, times q^{alpha n} or w^alpha, then z (_finish);
+    PoleError on a net pole, after the ValueError of a non-integer alpha,
+    which only n lifts.
 
     Given a 1-D complex array w and no n, it reads the columns by one
-    _h_rows call, non-integer alpha raising first, and applies w^alpha and
-    z a point at a time: each point is its value alone bit for bit, or NaN
-    where that call raises."""
+    _h_rows call, non-integer alpha raising first, and finishes each point
+    in turn: each point is its value alone bit for bit, or NaN where that
+    call raises."""
     _expect(spec, ThetaSeriesSpec, "term_ratio_at")
     [(_, pairs)] = _eg_desc(spec).blocks
     h = (1.0 + 0j, [(e, a, b) for a, b, e in pairs])
     if n is None and getattr(w, "ndim", 0) == 1:
         k, w = _alpha_power(spec), np.asarray(w, dtype=complex)
         nan, out = complex(math.nan, math.nan), []
-        for value, x in zip(_h_rows([h], np.zeros(len(w), dtype=np.intp), w[:, None], spec.nome.p), w.tolist()):
+        rows = _h_rows([h], np.zeros(len(w), dtype=np.intp), w[:, None], spec.nome.p, cancel=True)
+        for value, x in zip(rows, w.tolist()):
             try:
-                value = nan if value is None else value * x**k * spec.z
+                out.append(nan if value is None else _finish(value, x, x**k, spec.z))
             except (OverflowError, ZeroDivisionError):
-                value = nan
-            out.append(value if cmath.isfinite(value) else nan)
+                out.append(nan)
         return np.array(out, dtype=complex)
     try:
-        value = _h_point(h, (w,), spec.nome.p)
+        value = _h_point(h, (w,), spec.nome.p, cancel=True)
     except PoleError:
         if n is None:
             _alpha_power(spec)  # a non-integer alpha raises before the pole
         raise
-    value = value * (spec.nome.q ** (spec.alpha * n) if n is not None else w ** _alpha_power(spec)) * spec.z
+    return _finish(value, w, spec.nome.q ** (spec.alpha * n) if n is not None else w ** _alpha_power(spec), spec.z)
+
+
+def _finish(value: complex, w, power: complex, z: complex) -> complex:
+    """value * power * z, the tail of term_ratio_at at w; FloatRangeError where it is not finite."""
+    value = value * power * z
     if cmath.isfinite(value):
         return value
     raise FloatRangeError(f"the term ratio at w = {w} leaves the float64 range")
@@ -534,12 +541,12 @@ def _power(x, e: int):
     raise ValueError(f"no exponent {e} in a term ratio column")
 
 
-def _h_rows(hs: list[tuple], sets, points, p: complex, refs=None) -> list:
+def _h_rows(hs: list[tuple], sets, points, p: complex, refs=None, cancel: bool = False) -> list:
     """h at each row r, the (ratio, columns) hs[sets[r]] at the point
-    points[r], a row of coordinates, as _h_point reads it: every set shares
-    its columns' e and their sides of None. A row where theta raises on an
-    argument, or whose orders leave a net pole, is None, where _h_point
-    raises; a net zero is 0j.
+    points[r], a row of coordinates, as _h_point reads it with the same
+    cancel: every set shares its columns' e and their sides of None. A row
+    where theta raises on an argument, or that reads a pole, is None,
+    where _h_point raises; a zero is 0j.
 
     The rows are float64 arrays and every complex product and quotient is
     formed as CPython forms it (_mul, _quot): X = prod_j x_j^{e_j} with x^2
@@ -554,10 +561,10 @@ def _h_rows(hs: list[tuple], sets, points, p: complex, refs=None) -> list:
     theta(num) / theta(den), in order."""
     columns = hs[0][1]
     rows, es, xs = len(points), list(dict.fromkeys(e for e, *_ in columns)), np.asarray(points, dtype=complex).T
-    # (side, column, row): numpy reads a side of None as NaN
-    ab = np.array([[[a for _, a, _ in cols], [b for *_, b in cols]] for _, cols in hs], dtype=complex)
-    ab = ab.transpose(1, 2, 0)[..., sets]
-    present, ratio = ~np.isnan(ab), np.array([r for r, _ in hs], dtype=complex)[sets]
+    present = np.array([[a is not None for _, a, _ in columns], [b is not None for *_, b in columns]])[..., None]
+    # (side, column, row), an absent side held by a 1 whose lane is never evaluated
+    ab = np.array([[[1 if t is None else t for t in col[1:]] for col in cols] for _, cols in hs], dtype=complex)
+    ab, ratio = ab.transpose(2, 1, 0)[..., sets], np.array([r for r, _ in hs], dtype=complex)[sets]
     with np.errstate(all="ignore"):
         parts = []
         for e in es:
@@ -577,24 +584,25 @@ def _h_rows(hs: list[tuple], sets, points, p: complex, refs=None) -> list:
         if own.all():
             v, bad = (lanes.reshape(args.shape) for lanes in _theta_lanes(args.ravel(), p))
         else:
+            own = np.broadcast_to(own, args.shape)
             v, bad = np.ones(args.shape, dtype=complex), np.zeros(args.shape, dtype=bool)
             v[own], bad[own] = _theta_lanes(args[own], p)
         if refs is not None:
             v, bad = np.where(own, v, v[..., refs]), np.where(own, bad, bad[..., refs])
-        order = np.zeros(rows, dtype=int)
+        zeros = poles = np.zeros(rows, dtype=int)
         if (zero := v == 0).any():  # theta's exact 0j on a lattice zero: the pair (1 + 0j, 1)
-            v[zero], order = 1.0, zero[0].sum(axis=0) - zero[1].sum(axis=0)
+            v[zero], (zeros, poles) = 1.0, zero.sum(axis=1)
         tr, ti = _quot(v.real[0], v.imag[0], v.real[1], v.imag[1])
         out = ratio.real, ratio.imag
         for column in zip(tr, ti):
             out = _mul(*out, *column)
     h = np.empty(rows, dtype=complex)
     h.real, h.imag = out
-    fail = bad.any(axis=(0, 1)) | (order < 0)
-    return [None if f else 0j if o else value for value, f, o in zip(h.tolist(), fail.tolist(), order.tolist())]
+    fail, net_zero = bad.any(axis=(0, 1)) | (poles > (zeros if cancel else 0)), zeros > poles
+    return [None if f else 0j if z else value for value, f, z in zip(h.tolist(), fail.tolist(), net_zero.tolist())]
 
 
-def _h_point(h: tuple, xs, p: complex) -> complex:
+def _h_point(h: tuple, xs, p: complex, cancel: bool = False) -> complex:
     """h, a (ratio, columns) of _lattice_h, _form_h or term_ratio_at, at the
     point xs: one row of _h_rows bit for bit, as it forms each X, each
     theta's (finite_part, order) pair and each quotient in the same order
@@ -603,8 +611,9 @@ def _h_point(h: tuple, xs, p: complex) -> complex:
     differently). A side of None reads complex(1.0, 0.0) with no theta
     call, as the float 1.0 would take another path from Python 3.14 on.
     It raises where that row has no value: as theta does on the first
-    argument it fails at, or PoleError where the orders leave a net pole;
-    a net zero is 0j."""
+    argument it fails at, or PoleError on a denominator theta of 0 (with
+    cancel, term_ratio_at's convention, only on a net pole of the orders);
+    a numerator theta of 0, or a net zero, makes h 0j."""
     ratio, columns = h
     value, order, factors, xs, one = ratio, 0, {}, [complex(x) for x in xs], (complex(1.0, 0.0), 0)
     for e, a, b in columns:
@@ -613,6 +622,8 @@ def _h_point(h: tuple, xs, p: complex) -> complex:
             factors[e] = functools.reduce(operator.mul, parts)
         num, top = one if a is None else _factor_pair(theta(a * factors[e], p))
         den, bottom = one if b is None else _factor_pair(theta(b * factors[e], p))
+        if bottom and not cancel:
+            raise PoleError("h reads a denominator theta of 0")
         value, order = value * (num / den), order + top - bottom
     if order < 0:
         raise PoleError(f"h reads a net pole of order {-order}")

@@ -29,7 +29,7 @@ from thetahyp import (
     term_ratio_at,
     vwp_canonical_h,
 )
-from thetahyp import FloatRangeError, PoleError, ellipticity, identities, series
+from thetahyp import FloatRangeError, PoleError, ThetaDomainError, ellipticity, identities, series
 from thetahyp.ellipticity import multi1_h, multi2_h
 from thetahyp.factorials import FactorTable
 from thetahyp.identities import FTParams, Multi1Params, Multi2Params, _unchecked_replace
@@ -542,18 +542,26 @@ class TestScalarLoop:
                             assert (got.real.hex(), got.imag.hex()) == (row.real.hex(), row.imag.hex()), (n, l, xs)
         assert passes == []
 
-    def test_cancelled_zeros_and_absent_sides_read_alike(self):
+    def test_a_denominator_zero_is_a_pole_where_a_numerator_zero_meets_it(self):
         # at x = -u, [x + u] and [x + v] with v = u + tau/sigma vanish
-        # together, so their orders cancel to a finite h where a lone zero
-        # of the denominator was a pole; and a form with r != s has columns
-        # with a side of None, which both readers read as 1 + 0j
+        # together. Their column theta(y) / theta(p y) is -y, so h tends to
+        # minus the value read with both zeros' finite parts cancelled to 1,
+        # term_ratio_at's convention: h_eval raises, and its batch row is None
         u = 0.1 + 0.05j
         form = HForm((u, 0.3), (u + PAIR.tau / PAIR.sigma, 0.25), 0j, 0.7 + 0.2j, PAIR)
-        value = h_eval(form, -u)
-        at = (ellipticity._q_power(PAIR.sigma, -u),)
-        [row] = _h_rows([ellipticity._form_h(form)], [0], [at], PAIR.p)
-        assert cmath.isfinite(value) and value != 0
-        assert _bits(row) == _bits(_h_point(ellipticity._form_h(form), at, PAIR.p)) == _bits(value)
+        h, at = ellipticity._form_h(form), (ellipticity._q_power(PAIR.sigma, -u),)
+        with pytest.raises(PoleError):
+            h_eval(form, -u)
+        assert _h_rows([h], [0], [at], PAIR.p) == [None]
+        cancelled = _h_point(h, at, PAIR.p, cancel=True)
+        assert _bits(_h_rows([h], [0], [at], PAIR.p, cancel=True)[0]) == _bits(cancelled)
+        for dx in (1e-6, -1e-6, 1e-6j):
+            assert cmath.isclose(h_eval(form, -u + dx), -cancelled, rel_tol=1e-5)
+
+    def test_absent_and_nan_sides_read_alike(self):
+        # a form with r != s has columns with a side of None, which both
+        # readers read as 1 + 0j; a NaN side is a theta argument, on which
+        # theta raises and the batch row is None
         rng = np.random.default_rng(5)
         for zeros, poles in (((0.1 + 0.05j, -0.2, 0.3j), (0.15,)), ((0.2 - 0.1j,), (0.1, -0.25 + 0.1j, 0.05j))):
             h = ellipticity._form_h(HForm(zeros, poles, 0j, 0.6 - 0.3j, PAIR))
@@ -561,6 +569,10 @@ class TestScalarLoop:
             rows = _h_rows([h], [0] * len(points), points, PAIR.p)
             assert None not in rows
             assert [_bits(row) for row in rows] == [_bits(_h_point(h, xs, PAIR.p)) for xs in points]
+        h = ellipticity._form_h(HForm((0.1, math.nan, 0.3j), (0.15,), 0j, 0.6, PAIR))
+        assert _h_rows([h], [0, 0], [(0.5,), (0.7j,)], PAIR.p) == [None, None]
+        with pytest.raises(ThetaDomainError):
+            _h_point(h, (0.5,), PAIR.p)
 
 
 def _index_multipliers(desc, n):
